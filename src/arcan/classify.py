@@ -14,6 +14,16 @@ order; `classify_point` runs the ladder k = 0..k_max and reports the first
 failing order.  A finite ladder cannot prove analyticity, so the positive
 verdict is the honest `AnalyticUpTo(k_max)`.
 
+In float mode a point's jets come from one batched pass: every direction
+the ladder will need is evaluated at once as a lane of a `LaneJet`, bit
+for bit as the scalar `LaurentJet` path would, and each order gathers one
+evaluation matrix from per-direction power tables for its condition
+estimate, fit and validation.  A batch whose lanes cannot share one
+valuation and order (or that meets a zero divisor, a failing square root
+or a non-finite value) falls back to the scalar path, so verdicts, reasons
+and residual digits do not depend on the batching.  Exact (rational) mode
+always runs the scalar path.
+
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
 radicand stays away from zero the function is a composition of analytic
@@ -32,11 +42,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
-    GenericityFailure, PoleAtOrigin
-from .expr import ArcSpec, Expr, eval_jets, eval_point, eval_point_flagged, \
-    regular_at
-from .homog import HomoPoly, NodeSet, condition_estimate, dim_homog, interp_fit
-from .jets import LaurentJet, Scalar
+    GenericityFailure, IrregularBatch, PoleAtOrigin
+from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
+    eval_point_flagged, regular_at
+from .homog import HomoPoly, NodeSet, condition_estimate, dim_homog, \
+    fit_matrix, gather_matrix, interp_fit, matrix_condition, power_table
+from .jets import LaneJet, LaurentJet, Scalar
 from .seeds import derive_seed, direction
 
 ANALYTIC_UP_TO = "AnalyticUpTo"
@@ -46,6 +57,8 @@ INCONCLUSIVE = "Inconclusive"
 DEFAULT_K_MAX = 8
 DEFAULT_TOL = 1e-7
 DEFAULT_COND_CAP = 1e6
+# Directions per batched jet pass: 2*d(3,10) = 132 fit in one.
+LANES_PER_PASS = 256
 
 
 def default_order(k_max: int) -> int:
@@ -92,11 +105,24 @@ class _PointSession:
     slice.  Prefixes overlap across orders, so each direction's jet is
     evaluated once and shared by every order that uses it.  A slice whose
     evaluation matrix is badly conditioned falls back to a fresh block at
-    the end of the pool (deterministically).
+    the pool's high-water mark, the number of directions the ladder has
+    asked for so far (deterministically).
+
+    In float mode the session draws the 2·d(n, k_top) directions the
+    ladder will need up front and evaluates their jets in one batched pass
+    (`eval_lanes`); a retry block beyond them is batched the same way when
+    it is first read.  Each direction keeps a table of its coordinate
+    powers, from which every order gathers one evaluation matrix for its
+    condition estimate, fit and validation.  Directions drawn ahead do not
+    move the high-water mark, so retry blocks start where they would
+    without the batch.  A batch the lanes cannot share (`IrregularBatch`)
+    is dropped, and its directions' jets come from the scalar path when
+    they are read, raising what the scalar path raises.  Exact mode is
+    always scalar.
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, exact: bool, seed: int,
-                 cond_cap: float):
+                 cond_cap: float, k_top: int):
         self.e = e
         self.x = x
         self.order = order
@@ -104,31 +130,98 @@ class _PointSession:
         self.seed = seed
         self.cond_cap = cond_cap
         self.n = e.nvars
+        self.k_top = k_top
         self._rng = random.Random(derive_seed(seed, "directions", self.n))
         self._dirs: list[tuple] = []
+        self._asked = 0
         self._jets: dict[int, LaurentJet] = {}
-        self._fit_idx: dict[int, tuple[list[int], float]] = {}
+        self._lane: dict[int, tuple[LaneJet, int]] = {}
+        self._scalar: set[int] = set()
+        self._fit_idx: dict[int, tuple[list[int], float, np.ndarray | None]] = {}
+        self._powers: list[list[list[float]]] = []
+        self._power_array: np.ndarray | None = None
+        if not exact:
+            ahead = 2 * dim_homog(self.n, k_top)
+            self._draw(ahead)
+            self._batch(range(ahead))
+
+    def _draw(self, count: int) -> None:
+        while len(self._dirs) < count:
+            v = direction(self._rng, self.n, self.exact)
+            self._dirs.append(v)
+            if not self.exact:
+                self._powers.append(power_table(v, self.k_top))
 
     def _ensure(self, count: int) -> None:
-        while len(self._dirs) < count:
-            self._dirs.append(direction(self._rng, self.n, self.exact))
+        self._asked = max(self._asked, count)
+        self._draw(count)
 
     def dir(self, i: int) -> tuple:
         self._ensure(i + 1)
         return self._dirs[i]
 
+    def _batch(self, indices: Sequence[int]) -> None:
+        """Evaluate the float jets of drawn directions not held yet, in one pass.
+
+        At most LANES_PER_PASS directions share a pass, which bounds the
+        memory a pass holds for large n and k_max.  An irregular batch
+        leaves its directions to the scalar path.
+        """
+        todo = [i for i in indices
+                if i not in self._lane and i not in self._jets
+                and i not in self._scalar]
+        if self.exact:
+            return
+        for start in range(0, len(todo), LANES_PER_PASS):
+            chunk = todo[start:start + LANES_PER_PASS]
+            try:
+                with np.errstate(all="ignore"):
+                    batch = eval_lanes(self.e.root, self.x,
+                                       np.array([self._dirs[i] for i in chunk]),
+                                       self.order)
+            except IrregularBatch:
+                self._scalar.update(chunk)
+                continue
+            for row, i in enumerate(chunk):
+                self._lane[i] = (batch, row)
+
     def jet(self, i: int) -> LaurentJet:
         j = self._jets.get(i)
         if j is None:
             v = self.dir(i)
-            pad = (0,) * (self.order - 1)
-            var_jets = tuple(LaurentJet(0, (xi, vi) + pad, self.order)
-                             for xi, vi in zip(self.x, v))
-            j = eval_jets(self.e.root, var_jets, self.order, self.exact)
+            held = self._lane.get(i)
+            if held is not None:
+                j = held[0].lane(held[1])
+            else:
+                j = gateaux_series(self.e, self.x, v, self.order, self.exact)
             self._jets[i] = j
         return j
 
-    def fit_indices(self, k: int) -> tuple[list[int], float]:
+    def taylor_values(self, k: int, indices: Sequence[int]) -> list:
+        """h_k at each direction, in order; raises as the first bad jet does."""
+        self._batch(indices)
+        columns: dict[int, list] = {}
+        out = []
+        for i in indices:
+            held = self._lane.get(i)
+            if held is None:
+                out.append(self.jet(i).taylor_coeff(k))
+                continue
+            batch, row = held
+            column = columns.get(id(batch))
+            if column is None:
+                column = columns[id(batch)] = batch.taylor_column(k)
+            out.append(column[row])
+        return out
+
+    def matrix(self, indices: Sequence[int], k: int) -> np.ndarray:
+        """Float evaluation matrix of degree k at the given directions."""
+        if self._power_array is None or len(self._power_array) < len(self._powers):
+            self._power_array = np.array(self._powers)
+        return gather_matrix(self._power_array[indices], self.n, k)
+
+    def fit_indices(self, k: int) -> tuple[list[int], float, np.ndarray | None]:
+        """Fit directions of order k, their condition and (float) matrix."""
         cached = self._fit_idx.get(k)
         if cached is not None:
             return cached
@@ -137,12 +230,17 @@ class _PointSession:
         candidate = list(range(d))
         cond = math.inf
         for _ in range(8):
-            nodes = [self.dir(i) for i in candidate]
-            cond = condition_estimate(nodes, self.n, k)
+            if self.exact:
+                matrix = None
+                cond = condition_estimate([self.dir(i) for i in candidate],
+                                          self.n, k)
+            else:
+                matrix = self.matrix(candidate, k)
+                cond = matrix_condition(matrix)
             if math.isfinite(cond) and cond <= self.cond_cap:
-                self._fit_idx[k] = (candidate, cond)
-                return candidate, cond
-            start = len(self._dirs)
+                self._fit_idx[k] = (candidate, cond, matrix)
+                return self._fit_idx[k]
+            start = self._asked
             self._ensure(start + d)
             candidate = list(range(start, start + d))
         raise GenericityFailure(
@@ -174,17 +272,14 @@ class PolyTestResult:
 def _poly_test_session(session: _PointSession, k: int, tol: float,
                        validation_count: int | None,
                        point_value: Scalar | None) -> PolyTestResult:
-    fit_idx, cond = session.fit_indices(k)
+    fit_idx, cond, matrix = session.fit_indices(k)
     m = validation_count if validation_count is not None \
         else dim_homog(session.n, k)
     val_idx = session.validation_indices(k, m)
 
-    def h(i: int) -> Scalar:
-        return session.jet(i).taylor_coeff(k)
-
     try:
-        fit_values = [h(i) for i in fit_idx]
-        val_values = [h(i) for i in val_idx]
+        fit_values = session.taylor_values(k, fit_idx)
+        val_values = session.taylor_values(k, val_idx)
     except PoleAtOrigin:
         bad = next(i for i in fit_idx + val_idx
                    if not session.jet(i).is_zero
@@ -193,11 +288,15 @@ def _poly_test_session(session: _PointSession, k: int, tol: float,
                               session.seed, session.dir(bad))
 
     scale = 1.0 + max((abs(v) for v in fit_values), default=0)
-    nodes = NodeSet(session.n, k, tuple(session.dir(i) for i in fit_idx),
-                    cond, session.seed, session.exact)
-    fitted = interp_fit(fit_values, nodes)
-    residuals = [abs(val_values[j] - fitted(session.dir(i)))
-                 for j, i in enumerate(val_idx)]
+    if session.exact:
+        nodes = NodeSet(session.n, k, tuple(session.dir(i) for i in fit_idx),
+                        cond, session.seed, session.exact)
+        fitted = interp_fit(fit_values, nodes)
+        predicted = [fitted(session.dir(i)) for i in val_idx]
+    else:
+        fitted = fit_matrix(matrix, fit_values, session.n, k)
+        predicted = fitted.eval_rows(session.matrix(val_idx, k))
+    residuals = [abs(value - p) for value, p in zip(val_values, predicted)]
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
     max_residual = max(residuals, default=0)
@@ -219,11 +318,11 @@ def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
     if order is None:
         order = default_order(max(k, 1))
     xs = tuple(x) if exact else tuple(float(c) for c in x)
-    session = _PointSession(e, xs, order, exact, node_seed, cond_cap)
     try:
         point_value = eval_point(e, xs, exact)
     except DomainError:
         point_value = None
+    session = _PointSession(e, xs, order, exact, node_seed, cond_cap, k)
     return _poly_test_session(session, k, tol, validation_count, point_value)
 
 
@@ -285,7 +384,7 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     except DomainError:
         point_value = None
 
-    session = _PointSession(e, xs, order, exact, seed, cond_cap)
+    session = _PointSession(e, xs, order, exact, seed, cond_cap, k_max)
     evidence: list[OrderEvidence] = []
     for k in range(k_max + 1):
         try:

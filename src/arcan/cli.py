@@ -106,6 +106,11 @@ def _env_seed() -> int:
 def _config(args) -> RunConfig:
     if args.kmax < 1:
         raise ArcanError("--kmax must be at least 1")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ArcanError("--tol must be a finite number above 0")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ArcanError(f"--jobs must be between 1 and {cpus}")
     seed = args.seed if args.seed is not None else _env_seed()
     return RunConfig(mode=args.mode, k_max=args.kmax, tol=args.tol,
                      order=args.order, seed=seed, fmt=args.format,
@@ -222,6 +227,8 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _config(args)
+    if args.trials < 1:
+        raise ArcanError("--trials must be at least 1")
     report = run_identity(args.identity, args.trials, cfg.seed,
                           exact=(cfg.mode == "rational"))
     print(emit_json(report.to_json()))

@@ -10,6 +10,9 @@ Evaluation comes in two flavours: pointwise (`eval_point`), which honours
 guard defaults, and along analytic arcs (`eval_arc`), which composes the
 expression with a polynomial arc in jet arithmetic and ignores guard
 defaults, because the series of the body is what the germ at t = 0 sees.
+Jet evaluation compiles a tree once to a hash-consed postorder tape
+(`compile_tape`) and runs it over scalar `LaurentJet`s (`eval_jets`) or
+over a batch of float lines at one point (`eval_lanes`).
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import ArcDomainError, DomainError, NegativeLeading, OddValuation, \
     ZeroDenominator, ZeroDivisor
-from .jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
+from .jets import LaneJet, LaurentJet, Scalar, jet_sqrt, sqrt_scalar
 
 
 @dataclass(frozen=True)
@@ -263,43 +269,108 @@ def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
 
 # --- evaluation along arcs ---------------------------------------------------
 
+# Tape instructions (op, a, b): `a` and `b` are earlier slots, or the
+# constant, variable index or exponent the op carries.
+_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _POW, _SQRT = range(8)
+_BINOP_CODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+
+
+@lru_cache(maxsize=256)
+def compile_tape(node: Node) -> tuple[tuple, ...]:
+    """Postorder program for a tree, one instruction per distinct subtree.
+
+    Structurally equal subtrees share one slot (frozen nodes hash by
+    value), and a guard compiles to its body: along arcs the body's series
+    is what the germ sees.  The last slot holds the value of `node`.
+    """
+    slots: dict[Node, int] = {}
+    tape: list[tuple] = []
+
+    def visit(n: Node) -> int:
+        if isinstance(n, Guard):
+            return visit(n.body)
+        slot = slots.get(n)
+        if slot is not None:
+            return slot
+        if isinstance(n, RationalConst):
+            ins = (_CONST, n.value, None)
+        elif isinstance(n, Var):
+            ins = (_VAR, n.index, None)
+        elif isinstance(n, _BINOPS):
+            ins = (_BINOP_CODES[type(n)], visit(n.left), visit(n.right))
+        elif isinstance(n, IntPow):
+            ins = (_POW, visit(n.base), n.exponent)
+        elif isinstance(n, Sqrt):
+            ins = (_SQRT, visit(n.arg), None)
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+        slots[n] = len(tape)
+        tape.append(ins)
+        return slots[n]
+
+    visit(node)
+    return tuple(tape)
+
+
+def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt):
+    """Run a tape over any jet algebra: `+ - * /`, `pow_int`, `sqrt`.
+
+    `constant(value)` builds a constant jet.  A zero divisor or a failed
+    square root becomes `ArcDomainError`; the batched algebra raises
+    `IrregularBatch` instead, which passes through.
+    """
+    slots: list = []
+    for op, a, b in tape:
+        if op == _CONST:
+            r = constant(a)
+        elif op == _VAR:
+            r = var_values[a]
+        elif op == _ADD:
+            r = slots[a] + slots[b]
+        elif op == _SUB:
+            r = slots[a] - slots[b]
+        elif op == _MUL:
+            r = slots[a] * slots[b]
+        elif op == _DIV:
+            try:
+                r = slots[a] / slots[b]
+            except ZeroDivisor as exc:
+                raise ArcDomainError(
+                    "denominator vanishes identically along the arc "
+                    "(to the retained order)") from exc
+        elif op == _POW:
+            r = slots[a].pow_int(b)
+        else:
+            try:
+                r = sqrt(slots[a])
+            except (OddValuation, NegativeLeading) as exc:
+                raise ArcDomainError(
+                    f"arc leaves the real domain of sqrt: {exc}") from exc
+        slots.append(r)
+    return slots[-1]
+
+
 def eval_jets(node: Node, var_jets: Sequence[LaurentJet], order: int,
               exact: bool = False) -> LaurentJet:
     """Evaluate over jet arithmetic; guards use series semantics."""
-    if isinstance(node, RationalConst):
-        return LaurentJet.constant(_const(node.value, exact), order)
-    if isinstance(node, Var):
-        return var_jets[node.index]
-    if isinstance(node, Add):
-        return eval_jets(node.left, var_jets, order, exact) \
-            + eval_jets(node.right, var_jets, order, exact)
-    if isinstance(node, Sub):
-        return eval_jets(node.left, var_jets, order, exact) \
-            - eval_jets(node.right, var_jets, order, exact)
-    if isinstance(node, Mul):
-        return eval_jets(node.left, var_jets, order, exact) \
-            * eval_jets(node.right, var_jets, order, exact)
-    if isinstance(node, Div):
-        num = eval_jets(node.left, var_jets, order, exact)
-        den = eval_jets(node.right, var_jets, order, exact)
-        try:
-            return num / den
-        except ZeroDivisor as exc:
-            raise ArcDomainError(
-                "denominator vanishes identically along the arc "
-                "(to the retained order)") from exc
-    if isinstance(node, IntPow):
-        return eval_jets(node.base, var_jets, order, exact).pow_int(node.exponent)
-    if isinstance(node, Sqrt):
-        arg = eval_jets(node.arg, var_jets, order, exact)
-        try:
-            return jet_sqrt(arg)
-        except (OddValuation, NegativeLeading) as exc:
-            raise ArcDomainError(
-                f"arc leaves the real domain of sqrt: {exc}") from exc
-    if isinstance(node, Guard):
-        return eval_jets(node.body, var_jets, order, exact)
-    raise TypeError(f"not an expression node: {node!r}")
+    return run_tape(compile_tape(node), var_jets,
+                    lambda c: LaurentJet.constant(_const(c, exact), order),
+                    jet_sqrt)
+
+
+def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
+               order: int) -> LaneJet:
+    """Float jets of f(x + t v) for every row v of `directions`, in one pass.
+
+    Each lane equals, bit for bit, what `eval_jets` gives for that line;
+    raises `IrregularBatch` where the lanes need the scalar path.
+    """
+    lanes = len(directions)
+    var_jets = [LaneJet.line(xi, directions[:, i], order)
+                for i, xi in enumerate(x)]
+    return run_tape(compile_tape(node), var_jets,
+                    lambda c: LaneJet.constant(float(c), lanes, order),
+                    LaneJet.sqrt)
 
 
 @dataclass(frozen=True)

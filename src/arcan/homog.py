@@ -6,7 +6,11 @@ are stored in graded-lexicographic order (descending lex within the fixed
 degree).  Sampling directions generically makes evaluation at C(n+k-1, k)
 of them a linear isomorphism, which `sample_nodes` realizes by rejection on
 a condition estimate and `interp_fit` inverts, exactly over the rationals
-or in floats.
+or in floats.  Float callers that sample many directions keep a table of
+coordinate powers per direction (`power_table`) and gather each order's
+evaluation matrix from it (`gather_matrix`); the products come out
+bit-identical to `_mono_value`'s, so one matrix serves the condition
+estimate, the fit (`fit_matrix`) and validation (`HomoPoly.eval_rows`).
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -62,6 +66,34 @@ def _mono_value(exponents: tuple[int, ...], v: Sequence[Scalar]) -> Scalar:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _exponent_array(n: int, k: int) -> np.ndarray:
+    return np.array(monomials(n, k), dtype=np.intp).reshape(-1, n)
+
+
+def power_table(v: Sequence[float], top: int) -> list[list[float]]:
+    """v_c ** e for every coordinate c and e = 0..top, as Python rounds them.
+
+    (`np.power` may round differently from Python's `float ** int`.)
+    """
+    return [[c ** e for e in range(top + 1)] for c in v]
+
+
+def gather_matrix(powers: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Float evaluation matrix of the directions whose power tables are given.
+
+    `powers` has shape (directions, n, top + 1) with top >= k.  Entry (r, j)
+    multiplies the coordinate powers left to right, as `_mono_value` does;
+    the 1.0 of a zero exponent changes no product, so the entries equal
+    `evaluation_matrix`'s bit for bit.
+    """
+    exps = _exponent_array(n, k)
+    m = powers[:, 0, exps[:, 0]]
+    for c in range(1, n):
+        m = m * powers[:, c, exps[:, c]]
+    return m
+
+
 @dataclass(frozen=True)
 class HomoPoly:
     """Degree-k homogeneous polynomial on the graded-lex monomial basis."""
@@ -83,6 +115,19 @@ class HomoPoly:
     def __call__(self, v: Sequence[Scalar]) -> Scalar:
         exps = monomials(self.nvars, self.degree)
         return sum(c * _mono_value(e, v) for c, e in zip(self.coeffs, exps) if c != 0)
+
+    def eval_rows(self, rows: np.ndarray) -> list[float]:
+        """Values at the directions whose evaluation-matrix rows are given.
+
+        Sums term by term in basis order from zero, skipping zero
+        coefficients, as `__call__` does (`cumsum` is sequential), so each
+        value is bit-identical to calling the polynomial at the direction.
+        """
+        coeffs = np.array(self.coeffs, dtype=float)
+        keep = np.flatnonzero(coeffs != 0)
+        terms = np.zeros((len(rows), len(keep) + 1))
+        np.multiply(coeffs[keep], rows[:, keep], out=terms[:, 1:])
+        return np.cumsum(terms, axis=1)[:, -1].tolist()
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (m, n) array of points."""
@@ -149,12 +194,15 @@ def evaluation_matrix(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> np.n
     return np.array([[float(_mono_value(e, node)) for e in exps] for node in nodes])
 
 
-def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> float:
-    m = evaluation_matrix(nodes, n, k)
+def matrix_condition(m: np.ndarray) -> float:
     try:
         return float(np.linalg.cond(m))
     except np.linalg.LinAlgError:
         return math.inf
+
+
+def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> float:
+    return matrix_condition(evaluation_matrix(nodes, n, k))
 
 
 def sample_nodes(n: int, k: int, seed: int, cond_cap: float = 1e6,
@@ -190,11 +238,16 @@ def interp_fit(values: Sequence[Scalar], nodeset: NodeSet) -> HomoPoly:
         coeffs = solve_exact(nodeset.matrix(), list(values))
         return HomoPoly(nodeset.nvars, nodeset.degree, tuple(coeffs))
     m = evaluation_matrix(nodeset.nodes, nodeset.nvars, nodeset.degree)
+    return fit_matrix(m, values, nodeset.nvars, nodeset.degree)
+
+
+def fit_matrix(m: np.ndarray, values: Sequence[Scalar], n: int, k: int) -> HomoPoly:
+    """Float fit: the HomoPoly whose values at m's directions are `values`."""
     try:
         sol = np.linalg.solve(m, np.array([float(v) for v in values]))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    return HomoPoly(nodeset.nvars, nodeset.degree, tuple(float(c) for c in sol))
+    return HomoPoly(n, k, tuple(float(c) for c in sol))
 
 
 def fd_reconstruct(P: HomoPoly, a: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

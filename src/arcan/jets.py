@@ -10,7 +10,9 @@ leading coefficient.
 
 `Jet` is the plain Taylor carrier (exponents 0..order).  `LaurentJet`
 additionally admits a negative valuation, which encodes a pole at t = 0 of
-the composed function along an arc.
+the composed function along an arc.  `LaneJet` holds the float jets of many
+arcs ("lanes") that share one valuation and order, as one numpy array, and
+reproduces `LaurentJet`'s float arithmetic lane by lane, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import NegativeLeading, OddValuation, PoleAtOrigin, ZeroDivisor
+import numpy as np
+
+from .errors import IrregularBatch, NegativeLeading, OddValuation, PoleAtOrigin, \
+    ZeroDivisor
 
 Scalar = Union[int, float, Fraction]
 
@@ -256,6 +261,173 @@ def jet_sqrt(a: LaurentJet) -> LaurentJet:
         out[i] = _exact_div(acc, 2 * r0)
     v = a.valuation // 2
     return LaurentJet(v, out, v + rel)
+
+
+class LaneJet:
+    """Float Laurent jets of several lanes with one valuation and order.
+
+    `coeffs` is a `(order - valuation + 1, lanes)` array, one row per
+    exponent, so the recurrences step through contiguous rows; the zero jet
+    has no rows and valuation order + 1, as in `LaurentJet`.  Every
+    operation runs `LaurentJet`'s float recurrence across the lanes at once
+    and adds terms in the same order (one elementwise numpy step per scalar
+    step, or a sequential `subtract.reduce`), so each lane is bit-identical
+    to the jet the scalar path computes.  Where the scalar path would treat
+    lanes differently, the operation raises `IrregularBatch` instead:
+    leading zeros in some lanes only, a zero divisor, an odd valuation or a
+    negative lead under `sqrt`, a non-finite coefficient (where skipping
+    zero terms, as `LaurentJet.__mul__` does, is no longer exact).
+    """
+
+    __slots__ = ("valuation", "order", "coeffs")
+
+    def __init__(self, valuation: int, coeffs: np.ndarray, order: int):
+        if not np.isfinite(coeffs).all():
+            raise IrregularBatch("non-finite coefficient")
+        lead = 0
+        while lead < len(coeffs):
+            nonzero = coeffs[lead] != 0
+            if nonzero.all():
+                break
+            if nonzero.any():
+                raise IrregularBatch("leading zeros differ between lanes")
+            lead += 1
+        self.valuation = valuation + lead
+        self.order = order
+        self.coeffs = coeffs[lead:]
+
+    @staticmethod
+    def zero(lanes: int, order: int) -> "LaneJet":
+        return LaneJet(order + 1, np.zeros((0, lanes)), order)
+
+    @staticmethod
+    def constant(value: float, lanes: int, order: int) -> "LaneJet":
+        coeffs = np.zeros((order + 1, lanes))
+        coeffs[0] = value
+        return LaneJet(0, coeffs, order)
+
+    @staticmethod
+    def line(x: float, v: np.ndarray, order: int) -> "LaneJet":
+        """The jets of t -> x + t v_l, one lane per entry of v."""
+        if order < 1:
+            raise IrregularBatch("a line needs order >= 1")
+        coeffs = np.zeros((order + 1, len(v)))
+        coeffs[0] = x
+        coeffs[1] = v
+        return LaneJet(0, coeffs, order)
+
+    @property
+    def lanes(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def is_zero(self) -> bool:
+        return len(self.coeffs) == 0
+
+    def lane(self, i: int) -> LaurentJet:
+        return LaurentJet(self.valuation, self.coeffs[:, i].tolist(), self.order)
+
+    def taylor_column(self, k: int) -> list:
+        """`LaurentJet.taylor_coeff(k)` of every lane, with its errors."""
+        if not self.is_zero and self.valuation < 0:
+            raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
+        if k > self.order:
+            raise ValueError(f"coefficient {k} beyond retained order {self.order}")
+        if k < self.valuation:
+            return [0] * self.lanes
+        return self.coeffs[k - self.valuation].tolist()
+
+    def _sum(self, other: "LaneJet", subtract: bool) -> "LaneJet":
+        k = min(self.order, other.order)
+        lo = min(self.valuation, other.valuation)
+        if lo > k:
+            return LaneJet.zero(self.lanes, k)
+        # Zeros first, then each operand in turn, as LaurentJet.__add__.
+        acc = np.zeros((k - lo + 1, self.lanes))
+        for src, minus in ((self, False), (other, subtract)):
+            n = min(len(src.coeffs), k - src.valuation + 1)
+            if n > 0:
+                part = acc[src.valuation - lo:src.valuation - lo + n]
+                if minus:
+                    part -= src.coeffs[:n]
+                else:
+                    part += src.coeffs[:n]
+        return LaneJet(lo, acc, k)
+
+    def __add__(self, other: "LaneJet") -> "LaneJet":
+        return self._sum(other, False)
+
+    def __sub__(self, other: "LaneJet") -> "LaneJet":
+        # a + (-b) and a - b round alike, signed zeros included.
+        return self._sum(other, True)
+
+    def __mul__(self, other: "LaneJet") -> "LaneJet":
+        if self.is_zero or other.is_zero:
+            order = min(self.order + other.valuation, other.order + self.valuation)
+            return LaneJet.zero(self.lanes, order)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((rel + 1, self.lanes))
+        for i in range(rel + 1):
+            out[i:] += a[i] * b[:rel + 1 - i]
+        v = self.valuation + other.valuation
+        return LaneJet(v, out, v + rel)
+
+    def __truediv__(self, other: "LaneJet") -> "LaneJet":
+        if other.is_zero:
+            raise IrregularBatch("zero divisor")
+        if self.is_zero:
+            return LaneJet.zero(self.lanes, self.order - other.valuation)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.coeffs, other.coeffs
+        q = np.empty((rel + 1, self.lanes))
+        terms = np.empty((rel + 1, self.lanes))
+        for i in range(rel + 1):
+            # a_i - b_1 q_{i-1} - ... - b_i q_0, subtracted left to right
+            terms[0] = a[i]
+            if i:
+                np.multiply(b[1:i + 1], q[i - 1::-1], out=terms[1:i + 1])
+            np.divide(np.subtract.reduce(terms[:i + 1]), b[0], out=q[i])
+        v = self.valuation - other.valuation
+        return LaneJet(v, q, v + rel)
+
+    def sqrt(self) -> "LaneJet":
+        """`jet_sqrt` lane by lane."""
+        if self.is_zero:
+            return LaneJet.zero(self.lanes, self.order // 2)
+        if self.valuation % 2 != 0:
+            raise IrregularBatch("odd valuation under sqrt")
+        a = self.coeffs
+        if (a[0] < 0).any():
+            raise IrregularBatch("negative leading coefficient under sqrt")
+        rel = self.order - self.valuation
+        out = np.empty((rel + 1, self.lanes))
+        out[0] = np.sqrt(a[0])
+        twice = 2 * out[0]
+        terms = np.empty((rel + 1, self.lanes))
+        for i in range(1, rel + 1):
+            # a_i - r_1 r_{i-1} - ... - r_{i-1} r_1, subtracted left to right
+            terms[0] = a[i]
+            np.multiply(out[1:i], out[i - 1:0:-1], out=terms[1:i])
+            np.divide(np.subtract.reduce(terms[:i]), twice, out=out[i])
+        v = self.valuation // 2
+        return LaneJet(v, out, v + rel)
+
+    def pow_int(self, exponent: int) -> "LaneJet":
+        if exponent == 0:
+            # The scalar path returns an integer constant jet, whose exact
+            # divisions (int / int -> Fraction) floats would not reproduce.
+            raise IrregularBatch("zeroth power")
+        result = None
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
 
 class Jet:

@@ -152,6 +152,39 @@ class TestUsageContract:
         code = cli.main(["classify", "x +", "--point", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        code = cli.main(["classify", "x", "--point", "1", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("arcan: error: --tol")
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_trials_must_be_positive(self, capsys, trials):
+        code = cli.main(["verify", "binoms", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("arcan: error: --trials")
+
+    def test_jobs_must_fit_the_machine(self, capsys, monkeypatch):
+        # Rejected before any worker pool exists: a pool must never start.
+        import os
+        from arcan import classify
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(classify, "ProcessPoolExecutor", no_pool)
+        too_many = str((os.cpu_count() or 1) + 1)
+        for jobs in ("0", "-1", too_many):
+            code = cli.main(["scan", "x^2+y^2", "--grid",
+                             "x:-1:1:0.5;y:-1:1:0.5", "--jobs", jobs])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.startswith("arcan: error: --jobs")
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         argv = ["classify", "guard(x^3/(x^2+y^2),0)", "--point", "0,0",
                 "--kmax", "2"]

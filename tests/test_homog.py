@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from arcan.errors import GenericityFailure, PremiseViolated
-from arcan.homog import HomoPoly, dim_homog, euler_check, fd_reconstruct, \
-    interp_fit, monomials, random_poly, sample_nodes, shrink_bound_check
+from arcan.homog import HomoPoly, dim_homog, euler_check, evaluation_matrix, \
+    fd_reconstruct, gather_matrix, interp_fit, monomials, power_table, \
+    random_poly, sample_nodes, shrink_bound_check
 from arcan.linalg import solve_exact
+from arcan.seeds import unit_vector
 
 F = Fraction
 
@@ -59,6 +61,34 @@ class TestHomoPoly:
         batch = p.eval_many(pts)
         for row, val in zip(pts, batch):
             assert val == pytest.approx(p(tuple(row)), rel=1e-12)
+
+
+class TestPowerTables:
+    """The gathered matrix and row evaluation reproduce the scalar formulas."""
+
+    @staticmethod
+    def directions(n, m, seed):
+        rng = random.Random(seed)
+        return [unit_vector(rng, n) for _ in range(m)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gathered_matrix_is_bit_identical(self, n):
+        dirs = self.directions(n, 40, n)
+        powers = np.array([power_table(v, 10) for v in dirs])
+        for k in range(11):
+            gathered = gather_matrix(powers, n, k)
+            assert gathered.tobytes() == evaluation_matrix(dirs, n, k).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 10])
+    def test_row_evaluation_is_bit_identical(self, k):
+        rng = random.Random(k)
+        dirs = self.directions(3, 50, 100 + k)
+        coeffs = [0.0 if rng.random() < 0.2 else rng.uniform(-1e3, 1e3)
+                  for _ in range(dim_homog(3, k))]
+        P = HomoPoly(3, k, tuple(coeffs))
+        rows = P.eval_rows(evaluation_matrix(dirs, 3, k))
+        assert np.array(rows).tobytes() == \
+            np.array([float(P(v)) for v in dirs]).tobytes()
 
 
 class TestSampleNodes:
