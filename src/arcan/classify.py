@@ -59,6 +59,9 @@ DEFAULT_TOL = 1e-7
 DEFAULT_COND_CAP = 1e6
 # Directions per batched jet pass: 2*d(3,10) = 132 fit in one.
 LANES_PER_PASS = 256
+# Largest grid a scan builds: 10**6 float points take ~75 MB, and a scan's
+# task list about as much again.
+MAX_GRID_POINTS = 10 ** 6
 
 
 def default_order(k_max: int) -> int:
@@ -412,16 +415,23 @@ def grid_points(axes: Sequence[tuple], exact: bool = False) -> list[tuple]:
     """Row-major lattice for per-axis (lo, hi, step) bounds, endpoints included.
 
     Coordinates are generated in exact rational arithmetic so the point
-    count never depends on float rounding, then converted per mode.
+    count never depends on float rounding, then converted per mode.  A grid
+    of more than `MAX_GRID_POINTS` points is refused before it is built.
     """
-    axis_values = []
+    bounds = []
     for lo, hi, step in axes:
         lo_f, hi_f, step_f = (_as_fraction(v) for v in (lo, hi, step))
         if step_f <= 0:
             raise ValueError("grid step must be positive")
         if hi_f < lo_f:
             raise ValueError("grid upper bound below lower bound")
-        count = int((hi_f - lo_f) / step_f) + 1
+        bounds.append((lo_f, step_f, int((hi_f - lo_f) / step_f) + 1))
+    total = math.prod(count for _, _, count in bounds)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {total} points, more than the "
+                         f"{MAX_GRID_POINTS} allowed")
+    axis_values = []
+    for lo_f, step_f, count in bounds:
         values = [lo_f + i * step_f for i in range(count)]
         axis_values.append(values if exact else [float(v) for v in values])
     points: list[tuple] = [()]

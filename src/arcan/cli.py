@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     except ArcanError as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,6 +49,10 @@ class ZeroDenominator(DomainError):
     """Division by zero during pointwise evaluation (catchable by guard)."""
 
 
+class FloatOverflow(ArcanError):
+    """A power in float point evaluation left the range of floats."""
+
+
 class ArcDomainError(ArcanError):
     """Series evaluation along an arc left the function's real domain."""
 

@@ -25,12 +25,33 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArcDomainError, DomainError, NegativeLeading, OddValuation, \
-    ZeroDenominator, ZeroDivisor
+from .errors import ArcDomainError, DomainError, FloatOverflow, NegativeLeading, \
+    OddValuation, ZeroDenominator, ZeroDivisor
 from .jets import LaneJet, LaurentJet, Scalar, jet_sqrt, sqrt_scalar
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that computes its hash once.
+
+    The generated hash hashes the whole subtree, so without the cache every
+    lookup of a tree (the tape cache keys on it) would cost a walk over it.
+    """
+    cls = dataclass(frozen=True)(cls)
+    subtree_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = subtree_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class RationalConst:
     value: Fraction
 
@@ -38,36 +59,36 @@ class RationalConst:
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Add:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Sub:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Mul:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Div:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class IntPow:
     base: "Node"
     exponent: int
@@ -77,12 +98,12 @@ class IntPow:
             raise ValueError("IntPow exponent must be non-negative")
 
 
-@dataclass(frozen=True)
+@_node
 class Sqrt:
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Guard:
     body: "Node"
     default: Fraction
@@ -211,7 +232,12 @@ def _eval_point(node: Node, x: Sequence[Scalar], exact: bool,
             raise ZeroDenominator("division by zero")
         return num / den if not exact else _frac_div(num, den)
     if isinstance(node, IntPow):
-        return _eval_point(node.base, x, exact, strict, flags) ** node.exponent
+        base = _eval_point(node.base, x, exact, strict, flags)
+        try:
+            return base ** node.exponent
+        except OverflowError as exc:
+            raise FloatOverflow(
+                f"{base!r} ** {node.exponent} overflows a float") from exc
     if isinstance(node, Sqrt):
         arg = _eval_point(node.arg, x, exact, strict, flags)
         if arg < 0:

@@ -13,6 +13,12 @@ Variables are `x`, `y`, `z` (aliases of `x1`, `x2`, `x3`) or `x1..xN`.
 Numbers are integer, `p/q`, or decimal literals; a quotient of two integer
 literals folds to a single rational constant, so the printer's `p/q` output
 reparses to the same node.  The printer emits a fully parenthesized form.
+
+Text may nest at most `MAX_DEPTH` levels (parentheses, `sqrt`, `guard`,
+unary minus) and build a tree at most `MAX_DEPTH` nodes deep, which keeps
+the parser and every recursive walk over the tree well inside Python's
+recursion limit; an exponent may be at most `MAX_EXPONENT`.  Text beyond
+either bound raises `ExprSyntaxError`.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .expr import Add, Div, Expr, Guard, IntPow, Mul, Node, RationalConst, Sqrt,
     Sub, Var
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2}
+
+MAX_DEPTH = 100
+MAX_EXPONENT = 10_000
 
 
 class _Token:
@@ -77,6 +86,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.varmap = varmap
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -92,74 +102,97 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+    # Each parse_* method returns the node and the depth of its tree.
 
-    def parse_term(self) -> Node:
-        node = self.parse_unary()
+    def parse_expr(self) -> tuple[Node, int]:
+        node, depth = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            tok = self.next()
+            rhs, rhs_depth = self.parse_term()
+            node = Add(node, rhs) if tok.kind == "+" else Sub(node, rhs)
+            depth = self._deeper(max(depth, rhs_depth), tok)
+        return node, depth
+
+    def parse_term(self) -> tuple[Node, int]:
+        node, depth = self.parse_unary()
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.parse_unary()
-            if op == "*":
-                node = Mul(node, rhs)
-            elif isinstance(node, RationalConst) and isinstance(rhs, RationalConst) \
-                    and rhs.value != 0:
+            tok = self.next()
+            rhs, rhs_depth = self.parse_unary()
+            if tok.kind == "/" and isinstance(node, RationalConst) \
+                    and isinstance(rhs, RationalConst) and rhs.value != 0:
                 node = RationalConst(node.value / rhs.value)
             else:
-                node = Div(node, rhs)
-        return node
+                node = (Mul if tok.kind == "*" else Div)(node, rhs)
+                depth = self._deeper(max(depth, rhs_depth), tok)
+        return node, depth
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self) -> tuple[Node, int]:
         if self.peek().kind == "-":
             tok = self.next()
-            operand = self.parse_unary()
+            operand, depth = self._nested(self.parse_unary, tok)
             if isinstance(operand, RationalConst):
-                return RationalConst(-operand.value)
-            return Sub(RationalConst(Fraction(0)), operand)
+                return RationalConst(-operand.value), 1
+            return Sub(RationalConst(Fraction(0)), operand), self._deeper(depth, tok)
         return self.parse_power()
 
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[Node, int]:
+        base, depth = self.parse_atom()
         if self.peek().kind != "^":
-            return base
+            return base, depth
         caret = self.next()
         tok = self.peek()
         if tok.kind != "number" or "." in tok.text:
             raise ExprSyntaxError("exponent must be a non-negative integer", caret.pos)
         self.next()
-        return IntPow(base, int(tok.text))
+        if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) \
+                or int(tok.text) > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", tok.pos)
+        return IntPow(base, int(tok.text)), self._deeper(depth, caret)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple[Node, int]:
         tok = self.next()
         if tok.kind == "number":
-            return RationalConst(Fraction(tok.text))
+            return RationalConst(Fraction(tok.text)), 1
         if tok.kind == "(":
-            node = self.parse_expr()
+            inner = self._nested(self.parse_expr, tok)
             self.expect(")")
-            return node
+            return inner
         if tok.kind == "ident":
             if tok.text == "sqrt":
                 self.expect("(")
-                arg = self.parse_expr()
+                arg, depth = self._nested(self.parse_expr, tok)
                 self.expect(")")
-                return Sqrt(arg)
+                return Sqrt(arg), self._deeper(depth, tok)
             if tok.text == "guard":
                 self.expect("(")
-                body = self.parse_expr()
+                body, depth = self._nested(self.parse_expr, tok)
                 self.expect(",")
-                default = self.parse_expr()
+                default, _ = self.parse_expr()
                 self.expect(")")
                 if not isinstance(default, RationalConst):
                     raise ArityError("guard default must be a rational constant")
-                return Guard(body, default.value)
-            return Var(self._var_index(tok))
+                return Guard(body, default.value), self._deeper(depth, tok)
+            return Var(self._var_index(tok)), 1
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}",
                               tok.pos)
+
+    def _nested(self, parse, tok: _Token):
+        """Run `parse` one nesting level deeper than `tok`."""
+        if self.nesting == MAX_DEPTH:
+            raise ExprSyntaxError(f"text nests deeper than {MAX_DEPTH} levels",
+                                  tok.pos)
+        self.nesting += 1
+        result = parse()
+        self.nesting -= 1
+        return result
+
+    @staticmethod
+    def _deeper(depth: int, tok: _Token) -> int:
+        """The depth of a node over a child `depth` deep, built at `tok`."""
+        if depth == MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression tree deeper than {MAX_DEPTH} levels", tok.pos)
+        return depth + 1
 
     def _var_index(self, tok: _Token) -> int:
         name = tok.text
@@ -178,7 +211,7 @@ def parse(text: str, nvars: int | None = None,
           varmap: dict[str, int] | None = None) -> Expr:
     """Parse expression text; `nvars` widens the inferred dimension."""
     parser = _Parser(_tokenize(text), varmap)
-    root = parser.parse_expr()
+    root, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos)

@@ -1,6 +1,7 @@
 """CLI contract: output schemas, determinism, encodings, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -184,6 +185,28 @@ class TestUsageContract:
             assert code == 1
             assert captured.out == ""
             assert captured.err.startswith("arcan: error: --jobs")
+
+    @pytest.mark.parametrize("expr", [
+        "x^99999",
+        "(" * 3000 + "x" + ")" * 3000,
+        "x^1000",  # parses, but 3.0 ** 1000 overflows a float
+    ], ids=["huge-exponent", "deep-parens", "float-overflow"])
+    def test_hostile_expressions_end_in_an_error(self, capsys, expr):
+        code = cli.main(["classify", expr, "--point", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("arcan: error: ")
+
+    def test_grid_above_the_cap_is_refused_before_it_is_built(self, capsys):
+        t0 = time.perf_counter()
+        code = cli.main(["scan", "x", "--grid", "x:0:1:1e-7"])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("arcan: error: grid has 10000001 points")
+        assert elapsed < 1.0
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         argv = ["classify", "guard(x^3/(x^2+y^2),0)", "--point", "0,0",

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from arcan.corpus import arc_analytic_entries
-from arcan.errors import ArcDomainError, DomainError, ZeroDenominator
+from arcan.corpus import arc_analytic_entries, lookup
+from arcan.errors import ArcDomainError, DomainError, FloatOverflow, \
+    ZeroDenominator
 from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, arc_check, \
-    eval_arc, eval_point, eval_point_flagged, regular_at
+    compile_tape, eval_arc, eval_point, eval_point_flagged, regular_at
 from arcan.parser import parse, parse_arc
 
 from helpers import random_arc, random_polynomial_expr
@@ -51,6 +52,25 @@ class TestEvalPoint:
     def test_guard_does_not_catch_sqrt(self):
         with pytest.raises(DomainError):
             eval_point(parse("guard(sqrt(x) / y, 0)"), (-1.0, 1.0))
+
+    def test_float_overflow_is_an_arcan_error(self):
+        with pytest.raises(FloatOverflow):
+            eval_point(parse("x^1000"), (3.0,))
+        assert eval_point(parse("x^1000"), (F(3),), exact=True) == 3 ** 1000
+
+
+class TestTape:
+    def test_equal_trees_share_one_tape(self):
+        first = lookup("E6").expr().root
+        second = lookup("E6").expr().root
+        assert first is not second and first == second
+        assert compile_tape(second) is compile_tape(first)
+
+    def test_hash_matches_for_equal_subtrees(self):
+        # Structurally equal subtrees hash alike and share one tape slot.
+        root = parse("(x - 3/2)^2 + (x - 3/2)").root
+        assert hash(root.left.base) == hash(root.right)
+        assert len(compile_tape(root)) == 5
 
 
 class TestRegularAt:

@@ -7,7 +7,7 @@ import pytest
 
 from arcan.errors import ArityError, ExprSyntaxError
 from arcan.expr import Add, Div, Expr, Guard, IntPow, RationalConst, Sqrt, Sub, Var
-from arcan.parser import parse, parse_arc, to_text
+from arcan.parser import MAX_DEPTH, MAX_EXPONENT, parse, parse_arc, to_text
 
 from helpers import random_tree
 
@@ -79,6 +79,36 @@ class TestParse:
             parse("x^1.5")
         with pytest.raises(ExprSyntaxError):
             parse("x^y")
+
+    def test_exponent_bound(self):
+        assert parse(f"x^{MAX_EXPONENT}").root == IntPow(Var(0), MAX_EXPONENT)
+        assert parse(f"x^00{MAX_EXPONENT}").root == IntPow(Var(0), MAX_EXPONENT)
+        for text in (f"x^{MAX_EXPONENT + 1}", "x^99999", "x^" + "9" * 5000):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text)
+            assert err.value.position == 2
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "sqrt(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "x",
+        "+".join(["x"] * MAX_DEPTH),
+    ], ids=["parens", "sqrt", "minus", "sum"])
+    def test_nesting_up_to_the_bound(self, text):
+        parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+        "(" * 3000 + "x" + ")" * 3000,
+        "sqrt(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "-" * 5000 + "x",
+        "+".join(["x"] * (MAX_DEPTH + 1)),
+        "*".join(["x"] * 100_000),
+    ], ids=["parens", "parens-3000", "sqrt", "minus-5000", "sum",
+            "product-100000"])
+    def test_nesting_beyond_the_bound(self, text):
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
 
     def test_guard_default_must_be_rational(self):
         assert parse("guard(x, -1/2)").root.default == F(-1, 2)
