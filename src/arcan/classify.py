@@ -27,7 +27,12 @@ always runs the scalar path.
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
 radicand stays away from zero the function is a composition of analytic
-germs, and no sampling is needed.
+germs, and no sampling is needed.  A float scan decides that shortcut for
+a block of grid points in one tape pass (`regular_lanes`, one lane per
+point) instead of one walk per point; a point where a power overflows a
+float falls back to the walker (`regular_at`), and every other point it
+does not find regular runs the ladder.  Rational scans, and single
+points, decide the shortcut with the walker.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import numpy as np
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     GenericityFailure, IrregularBatch, PoleAtOrigin
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
-    eval_point_flagged, regular_at
+    eval_point_flagged, regular_at, regular_lanes
 from .homog import HomoPoly, NodeSet, condition_estimate, dim_homog, \
     fit_matrix, gather_matrix, interp_fit, matrix_condition, power_table
 from .jets import LaneJet, LaurentJet, Scalar
@@ -59,6 +64,8 @@ DEFAULT_TOL = 1e-7
 DEFAULT_COND_CAP = 1e6
 # Directions per batched jet pass: 2*d(3,10) = 132 fit in one.
 LANES_PER_PASS = 256
+# Grid points per pass of a scan's regularity shortcut (a few MB at most).
+_SHORTCUT_BLOCK = 4096
 # Largest grid a scan builds: 10**6 float points take ~75 MB, and a scan's
 # task list about as much again.
 MAX_GRID_POINTS = 10 ** 6
@@ -455,6 +462,32 @@ def _scan_one(args) -> Verdict:
         return Verdict(tuple(pt), INCONCLUSIVE, k_max, reason=str(exc))
 
 
+def _shortcut_plan(e: Expr, points: list[tuple], exact: bool,
+                   shortcut: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Decide the regularity shortcut of a scan's grid, a block at a time.
+
+    Returns two boolean arrays over `points`: the points found regular,
+    whose verdict needs no classification, and the `shortcut` flag each
+    other point's `classify_point` call takes.  Only a point whose power
+    overflowed keeps the flag, so the walker decides it as before; every
+    other irregular point skips the walker it would fail.  Rational mode,
+    and a tape whose constants overflow a float, decide nothing here.
+    """
+    regular = np.zeros(len(points), dtype=bool)
+    recheck = np.full(len(points), shortcut)
+    if not shortcut or exact:
+        return regular, recheck
+    for start in range(0, len(points), _SHORTCUT_BLOCK):
+        block = np.array(points[start:start + _SHORTCUT_BLOCK], dtype=float)
+        try:
+            hit, overflow = regular_lanes(e.root, block)
+        except OverflowError:
+            break
+        regular[start:start + len(block)] = hit
+        recheck[start:start + len(block)] = overflow
+    return regular, recheck
+
+
 def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               tol: float = DEFAULT_TOL, seed: int = 0,
               order: int | None = None, exact: bool = False,
@@ -465,16 +498,40 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     Each point gets a seed derived from (seed, grid index), so the verdicts
     do not depend on worker scheduling, and a permissible error at one point
     becomes an Inconclusive verdict instead of aborting the scan.
+
+    In float mode with the shortcut on, one tape pass per block of
+    `_SHORTCUT_BLOCK` points (`regular_lanes`) decides the shortcut,
+    exactly as `regular_at` would point by point.  A point it finds regular
+    gets `AnalyticUpTo(k_max)` with `shortcut` set, and no seed, walker or
+    ladder.  A point where a power overflowed a float falls back to
+    `classify_point` with the shortcut, whose walker decides it as before;
+    any other point runs the ladder.  Only these points reach the worker
+    pool when `jobs` > 1.  Rational mode decides the shortcut point by
+    point in `classify_point`.
     """
     points = grid_points(axes, exact)
-    tasks = [(e, pt, k_max, tol, derive_seed(seed, "scan", i), order, exact,
-              shortcut, cond_cap) for i, pt in enumerate(points)]
+    regular, recheck = _shortcut_plan(e, points, exact, shortcut)
+    flags = recheck.tolist()
+    tasks = ((e, points[i], k_max, tol, derive_seed(seed, "scan", i), order,
+              exact, flags[i], cond_cap)
+             for i in np.flatnonzero(~regular).tolist())
     if jobs <= 1:
-        for t in tasks:
-            yield _scan_one(t)
+        yield from _in_grid_order(points, regular, map(_scan_one, tasks),
+                                  k_max)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_scan_one, tasks, chunksize=64)
+        yield from _in_grid_order(points, regular,
+                                  pool.map(_scan_one, tasks, chunksize=64),
+                                  k_max)
+
+
+def _in_grid_order(points: list[tuple], regular: np.ndarray, results,
+                   k_max: int):
+    """Shortcut verdicts of the regular points merged with `results`."""
+    results = iter(results)
+    for pt, hit in zip(points, regular.tolist()):
+        yield Verdict(pt, ANALYTIC_UP_TO, k_max, shortcut=True) if hit \
+            else next(results)
 
 
 def scan_region(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,

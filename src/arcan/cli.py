@@ -19,6 +19,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .blowup import BlowupChart, classify_pullback, pullback
 from .classify import classify_point, default_order, iter_scan, verdict_to_json
@@ -33,32 +35,56 @@ from .verify import IDENTITIES, run_identity, verify_corpus
 # --- deterministic JSON -------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         return json.dumps(str(x))
     return f"{x:.17g}"
 
 
 def emit_json(obj) -> str:
     """JSON with pinned float formatting and p/q strings for rationals."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {emit_json(v)}"
-                          for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(emit_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    emit = _EMITTERS.get(type(obj))
+    if emit is None:
+        emit = next((emit for kind, emit in _EMITTERS.items()
+                     if isinstance(obj, kind)), None)
+        if emit is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return emit(obj)
+
+
+def _emit_dict(obj) -> str:
+    return "{" + ", ".join([_json_key(k) + emit_json(v)
+                            for k, v in obj.items()]) + "}"
+
+
+def _emit_list(obj) -> str:
+    return "[" + ", ".join(map(emit_json, obj)) + "]"
+
+
+def _emit_bool(obj) -> str:
+    return "true" if obj else "false"
+
+
+def _emit_null(obj) -> str:
+    return "null"
+
+
+def _emit_fraction(obj) -> str:
+    return json.dumps(str(obj))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _json_key(key) -> str:
+    """A dict key as emitted, with its separator (keys repeat line after line)."""
+    return f"{json.dumps(str(key))}: "
+
+
+# Looked up by exact type; a subclass takes the first entry it is an
+# instance of, so bool must come before int.  `encode_basestring_ascii` is
+# what `json.dumps` runs for a str.
+_EMITTERS = {float: _fmt_float, dict: _emit_dict, list: _emit_list,
+             tuple: _emit_list, str: encode_basestring_ascii,
+             bool: _emit_bool, int: str, type(None): _emit_null,
+             Fraction: _emit_fraction}
 
 
 def _csv_cell(obj) -> str:

@@ -12,7 +12,9 @@ expression with a polynomial arc in jet arithmetic and ignores guard
 defaults, because the series of the body is what the germ at t = 0 sees.
 Jet evaluation compiles a tree once to a hash-consed postorder tape
 (`compile_tape`) and runs it over scalar `LaurentJet`s (`eval_jets`) or
-over a batch of float lines at one point (`eval_lanes`).
+over a batch of float lines at one point (`eval_lanes`).  The same tape
+decides the regularity test of `regular_at` for a block of float points
+at once (`regular_lanes`).
 """
 
 from __future__ import annotations
@@ -291,6 +293,87 @@ def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
     except (DomainError, ZeroDenominator):
         return False
     return True
+
+
+def regular_lanes(node: Node, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`regular_at` in float mode for a block of points, one lane per row.
+
+    Runs the tape once over columns of `points` (shape (lanes, nvars)).
+    Returns two boolean arrays over the lanes: where `regular_at` is True,
+    and where a power overflowed a float.  At an overflow lane the walker
+    raises `FloatOverflow` or returns False, whichever event it meets
+    first, so only the walker can decide it; at every other lane
+    `regular_at` is False.  A constant beyond the float range raises
+    OverflowError, as it does in the walker.
+    """
+    lanes = len(points)
+    irregular = np.zeros(lanes, dtype=bool)
+    overflow = np.zeros(lanes, dtype=bool)
+
+    def column(values) -> _RegularLanes:
+        return _RegularLanes(values, irregular, overflow)
+
+    with np.errstate(all="ignore"):
+        run_tape(compile_tape(node),
+                 [column(points[:, i]) for i in range(points.shape[1])],
+                 lambda c: column(np.full(lanes, float(c))),
+                 _RegularLanes.sqrt)
+    return ~(irregular | overflow), overflow
+
+
+class _RegularLanes:
+    """Float values of one tape slot across the lanes of `regular_lanes`.
+
+    `+ - * /` and `sqrt` run in numpy, which rounds them as Python floats
+    do; powers run lane by lane as Python `float ** int`, because
+    `np.power` may round differently.  Every slot of a pass shares its two
+    masks: `irregular` marks lanes with a zero divisor or a radicand that
+    is not positive (where the walker returns False), `overflow` lanes
+    whose power left the float range.  Past a marked event a lane's values
+    are meaningless, but the lane is already out of the regular set.
+    """
+
+    __slots__ = ("value", "irregular", "overflow")
+
+    def __init__(self, value: np.ndarray, irregular: np.ndarray,
+                 overflow: np.ndarray):
+        self.value = value
+        self.irregular = irregular
+        self.overflow = overflow
+
+    def _like(self, value: np.ndarray) -> "_RegularLanes":
+        return _RegularLanes(value, self.irregular, self.overflow)
+
+    def __add__(self, other: "_RegularLanes") -> "_RegularLanes":
+        return self._like(self.value + other.value)
+
+    def __sub__(self, other: "_RegularLanes") -> "_RegularLanes":
+        return self._like(self.value - other.value)
+
+    def __mul__(self, other: "_RegularLanes") -> "_RegularLanes":
+        return self._like(self.value * other.value)
+
+    def __truediv__(self, other: "_RegularLanes") -> "_RegularLanes":
+        self.irregular |= other.value == 0
+        return self._like(self.value / other.value)
+
+    def pow_int(self, e: int) -> "_RegularLanes":
+        bases = self.value.tolist()
+        try:
+            powers = [c ** e for c in bases]
+        except OverflowError:
+            powers = []
+            for lane, c in enumerate(bases):
+                try:
+                    powers.append(c ** e)
+                except OverflowError:
+                    self.overflow[lane] = True
+                    powers.append(math.nan)
+        return self._like(np.array(powers, dtype=float))
+
+    def sqrt(self) -> "_RegularLanes":
+        self.irregular |= self.value <= 0
+        return self._like(np.sqrt(self.value))
 
 
 # --- evaluation along arcs ---------------------------------------------------

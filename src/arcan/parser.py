@@ -17,8 +17,10 @@ reparses to the same node.  The printer emits a fully parenthesized form.
 Text may nest at most `MAX_DEPTH` levels (parentheses, `sqrt`, `guard`,
 unary minus) and build a tree at most `MAX_DEPTH` nodes deep, which keeps
 the parser and every recursive walk over the tree well inside Python's
-recursion limit; an exponent may be at most `MAX_EXPONENT`.  Text beyond
-either bound raises `ExprSyntaxError`.
+recursion limit.  An exponent may be at most `MAX_EXPONENT`, and so may
+the product of the exponents nested along any path of the tree, which
+bounds the degree a power tower can reach (`(x^10000)^10000` is refused).
+Text beyond any of these bounds raises `ExprSyntaxError`.
 """
 
 from __future__ import annotations
@@ -102,43 +104,47 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
 
-    # Each parse_* method returns the node and the depth of its tree.
+    # Each parse_* method returns the node, the depth of its tree and the
+    # largest product of exponents nested along a path of it.
 
-    def parse_expr(self) -> tuple[Node, int]:
-        node, depth = self.parse_term()
+    def parse_expr(self) -> tuple[Node, int, int]:
+        node, depth, power = self.parse_term()
         while self.peek().kind in ("+", "-"):
             tok = self.next()
-            rhs, rhs_depth = self.parse_term()
+            rhs, rhs_depth, rhs_power = self.parse_term()
             node = Add(node, rhs) if tok.kind == "+" else Sub(node, rhs)
             depth = self._deeper(max(depth, rhs_depth), tok)
-        return node, depth
+            power = max(power, rhs_power)
+        return node, depth, power
 
-    def parse_term(self) -> tuple[Node, int]:
-        node, depth = self.parse_unary()
+    def parse_term(self) -> tuple[Node, int, int]:
+        node, depth, power = self.parse_unary()
         while self.peek().kind in ("*", "/"):
             tok = self.next()
-            rhs, rhs_depth = self.parse_unary()
+            rhs, rhs_depth, rhs_power = self.parse_unary()
             if tok.kind == "/" and isinstance(node, RationalConst) \
                     and isinstance(rhs, RationalConst) and rhs.value != 0:
                 node = RationalConst(node.value / rhs.value)
             else:
                 node = (Mul if tok.kind == "*" else Div)(node, rhs)
                 depth = self._deeper(max(depth, rhs_depth), tok)
-        return node, depth
+                power = max(power, rhs_power)
+        return node, depth, power
 
-    def parse_unary(self) -> tuple[Node, int]:
+    def parse_unary(self) -> tuple[Node, int, int]:
         if self.peek().kind == "-":
             tok = self.next()
-            operand, depth = self._nested(self.parse_unary, tok)
+            operand, depth, power = self._nested(self.parse_unary, tok)
             if isinstance(operand, RationalConst):
-                return RationalConst(-operand.value), 1
-            return Sub(RationalConst(Fraction(0)), operand), self._deeper(depth, tok)
+                return RationalConst(-operand.value), 1, 1
+            return Sub(RationalConst(Fraction(0)), operand), \
+                self._deeper(depth, tok), power
         return self.parse_power()
 
-    def parse_power(self) -> tuple[Node, int]:
-        base, depth = self.parse_atom()
+    def parse_power(self) -> tuple[Node, int, int]:
+        base, depth, power = self.parse_atom()
         if self.peek().kind != "^":
-            return base, depth
+            return base, depth, power
         caret = self.next()
         tok = self.peek()
         if tok.kind != "number" or "." in tok.text:
@@ -147,12 +153,18 @@ class _Parser:
         if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) \
                 or int(tok.text) > MAX_EXPONENT:
             raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", tok.pos)
-        return IntPow(base, int(tok.text)), self._deeper(depth, caret)
+        exponent = int(tok.text)
+        if power * exponent > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"nested exponents multiply to {power * exponent}, "
+                f"above {MAX_EXPONENT}", tok.pos)
+        return IntPow(base, exponent), self._deeper(depth, caret), \
+            power * exponent
 
-    def parse_atom(self) -> tuple[Node, int]:
+    def parse_atom(self) -> tuple[Node, int, int]:
         tok = self.next()
         if tok.kind == "number":
-            return RationalConst(Fraction(tok.text)), 1
+            return RationalConst(Fraction(tok.text)), 1, 1
         if tok.kind == "(":
             inner = self._nested(self.parse_expr, tok)
             self.expect(")")
@@ -160,19 +172,20 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "sqrt":
                 self.expect("(")
-                arg, depth = self._nested(self.parse_expr, tok)
+                arg, depth, power = self._nested(self.parse_expr, tok)
                 self.expect(")")
-                return Sqrt(arg), self._deeper(depth, tok)
+                return Sqrt(arg), self._deeper(depth, tok), power
             if tok.text == "guard":
                 self.expect("(")
-                body, depth = self._nested(self.parse_expr, tok)
+                body, depth, power = self._nested(self.parse_expr, tok)
                 self.expect(",")
-                default, _ = self.parse_expr()
+                default, _, _ = self.parse_expr()
                 self.expect(")")
                 if not isinstance(default, RationalConst):
                     raise ArityError("guard default must be a rational constant")
-                return Guard(body, default.value), self._deeper(depth, tok)
-            return Var(self._var_index(tok)), 1
+                return Guard(body, default.value), self._deeper(depth, tok), \
+                    power
+            return Var(self._var_index(tok)), 1, 1
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}",
                               tok.pos)
 
@@ -211,7 +224,7 @@ def parse(text: str, nvars: int | None = None,
           varmap: dict[str, int] | None = None) -> Expr:
     """Parse expression text; `nvars` widens the inferred dimension."""
     parser = _Parser(_tokenize(text), varmap)
-    root, _ = parser.parse_expr()
+    root, _, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos)

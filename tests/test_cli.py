@@ -1,8 +1,12 @@
 """CLI contract: output schemas, determinism, encodings, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from arcan import cli
@@ -198,6 +202,17 @@ class TestUsageContract:
         assert captured.out == ""
         assert captured.err.startswith("arcan: error: ")
 
+    def test_nested_powers_are_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code = cli.main(["classify", "(x^10000)^10000", "--point", "3",
+                         "--mode", "rational", "--kmax", "2"])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("arcan: error: nested exponents")
+        assert elapsed < 1.0
+
     def test_grid_above_the_cap_is_refused_before_it_is_built(self, capsys):
         t0 = time.perf_counter()
         code = cli.main(["scan", "x", "--grid", "x:0:1:1e-7"])
@@ -218,9 +233,40 @@ class TestUsageContract:
         assert from_env == explicit
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_arcan_help(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "arcan", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: arcan")
+
+
 class TestJsonEmitter:
     def test_seventeen_significant_digits(self):
         assert cli.emit_json(1 / 3) == "0.33333333333333331"
+
+    def test_subclasses_emit_as_their_base_type(self):
+        from collections import OrderedDict, namedtuple
+        from enum import IntEnum
+
+        class Label(str):
+            pass
+
+        class Level(IntEnum):
+            HIGH = 3
+
+        Pair = namedtuple("Pair", "a b")
+        doc = OrderedDict([("flag", True), ("n", Level.HIGH),
+                           ("name", Label('a"b')), ("pair", Pair(0.5, None)),
+                           ("x", np.float64(0.1)), ("nested", [{"k": False}])])
+        assert cli.emit_json(doc) == (
+            '{"flag": true, "n": 3, "name": "a\\"b", "pair": [0.5, null], '
+            '"x": 0.10000000000000001, "nested": [{"k": false}]}')
+        with pytest.raises(TypeError):
+            cli.emit_json({"a": object()})
 
     def test_fraction_as_string(self):
         from fractions import Fraction

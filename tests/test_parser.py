@@ -89,6 +89,28 @@ class TestParse:
             assert err.value.position == 2
 
     @pytest.mark.parametrize("text", [
+        "(x^100)^100", "(x^10000)^1", "(x^2 * y^5000)^2",
+        "sqrt((x^100)^100) + (y^100)^100", "guard(1/(x^5000)^2, 0)",
+        "(x^10000)^0", "((x^0)^10000)^10000",
+    ])
+    def test_nested_exponents_up_to_the_bound(self, text):
+        parse(text)
+
+    @pytest.mark.parametrize("text, exponent", [
+        ("(x^10000)^10000", "10000"), ("(x^100)^101", "101"),
+        ("((x^2)^2)^2501", "2501"), ("sqrt((x^5001)^2)", "2"),
+        ("guard(1/(x^5000)^3, 0)", "3"), ("-((x^100)^200)", "200"),
+        ("(" * 14 + "x" + "^2)" * 14, "2"),
+    ])
+    def test_nested_exponents_above_the_bound(self, text, exponent):
+        # reported at the last exponent of the tower, where the product
+        # first exceeds the bound
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == text.rindex("^" + exponent) + 1
+        assert "nested exponents multiply" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
         "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
         "sqrt(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
         "-" * (MAX_DEPTH - 1) + "x",
