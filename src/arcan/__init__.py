@@ -18,8 +18,7 @@ from .expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcReport, ArcSpec, Expr, 
     arc_check, eval_arc, eval_point, regular_at
 from .homog import HomoPoly, NodeSet, dim_homog, euler_check, fd_reconstruct, \
     interp_fit, monomials, sample_nodes, shrink_bound_check
-from .jets import Jet, LaurentJet, jet_add, jet_derive_coeff, jet_div, jet_mul, \
-    jet_sqrt, jet_sub
+from .jets import LaurentJet, jet_sqrt
 from .parser import parse, parse_arc, to_text
 
 __version__ = "0.1.0"
@@ -27,13 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ANALYTIC", "ANALYTIC_UP_TO", "ArcReport", "ArcSpec", "ArcanError",
     "BlowupChart", "CorpusEntry", "Expr", "FiberLiftReport", "HomoPoly",
-    "INCONCLUSIVE", "Jet", "LaurentJet", "LojaFit", "NON_ANALYTIC", "NodeSet",
+    "INCONCLUSIVE", "LaurentJet", "LojaFit", "NON_ANALYTIC", "NodeSet",
     "POLE", "PullbackResult", "REMOVABLE_MISMATCH", "Verdict",
     "arc_check", "arc_symmetry_check", "classify_point", "classify_pullback",
     "corpus_list", "dim_homog", "euler_check", "eval_arc", "eval_point",
     "fd_reconstruct", "fiber_lift_check", "gateaux_coeff", "gateaux_series",
-    "interp_fit", "jet_add", "jet_derive_coeff", "jet_div", "jet_mul",
-    "jet_sqrt", "jet_sub", "loja_estimate", "lookup", "make_chart",
+    "interp_fit", "jet_sqrt", "loja_estimate", "lookup", "make_chart",
     "monomials", "parse", "parse_arc", "poly_test", "pullback", "regular_at",
     "pullback_sequence", "sample_nodes", "scan_region",
     "shrink_bound_check", "to_text",

@@ -27,12 +27,11 @@ always runs the scalar path.
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
 radicand stays away from zero the function is a composition of analytic
-germs, and no sampling is needed.  A float scan decides that shortcut for
-a block of grid points in one tape pass (`regular_lanes`, one lane per
-point) instead of one walk per point; a point where a power overflows a
-float falls back to the walker (`regular_at`), and every other point it
-does not find regular runs the ladder.  Rational scans, and single
-points, decide the shortcut with the walker.
+germs, and no sampling is needed (`regular_at`).  A float scan decides
+that shortcut for a block of grid points in one tape pass
+(`regular_lanes`, one lane per point), and every point it does not find
+regular runs the ladder.  Rational scans, and single points, decide the
+shortcut point by point.
 """
 
 from __future__ import annotations
@@ -463,29 +462,18 @@ def _scan_one(args) -> Verdict:
 
 
 def _shortcut_plan(e: Expr, points: list[tuple], exact: bool,
-                   shortcut: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Decide the regularity shortcut of a scan's grid, a block at a time.
+                   shortcut: bool) -> np.ndarray:
+    """The points of a scan's grid that `regular_at` finds regular.
 
-    Returns two boolean arrays over `points`: the points found regular,
-    whose verdict needs no classification, and the `shortcut` flag each
-    other point's `classify_point` call takes.  Only a point whose power
-    overflowed keeps the flag, so the walker decides it as before; every
-    other irregular point skips the walker it would fail.  Rational mode,
-    and a tape whose constants overflow a float, decide nothing here.
+    Decided a block at a time, one tape pass per block.  Rational mode
+    decides nothing here; its points take the shortcut one at a time.
     """
     regular = np.zeros(len(points), dtype=bool)
-    recheck = np.full(len(points), shortcut)
-    if not shortcut or exact:
-        return regular, recheck
-    for start in range(0, len(points), _SHORTCUT_BLOCK):
-        block = np.array(points[start:start + _SHORTCUT_BLOCK], dtype=float)
-        try:
-            hit, overflow = regular_lanes(e.root, block)
-        except OverflowError:
-            break
-        regular[start:start + len(block)] = hit
-        recheck[start:start + len(block)] = overflow
-    return regular, recheck
+    if shortcut and not exact:
+        for start in range(0, len(points), _SHORTCUT_BLOCK):
+            block = np.array(points[start:start + _SHORTCUT_BLOCK], dtype=float)
+            regular[start:start + len(block)] = regular_lanes(e.root, block)
+    return regular
 
 
 def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
@@ -502,18 +490,17 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     In float mode with the shortcut on, one tape pass per block of
     `_SHORTCUT_BLOCK` points (`regular_lanes`) decides the shortcut,
     exactly as `regular_at` would point by point.  A point it finds regular
-    gets `AnalyticUpTo(k_max)` with `shortcut` set, and no seed, walker or
-    ladder.  A point where a power overflowed a float falls back to
-    `classify_point` with the shortcut, whose walker decides it as before;
-    any other point runs the ladder.  Only these points reach the worker
-    pool when `jobs` > 1.  Rational mode decides the shortcut point by
-    point in `classify_point`.
+    gets `AnalyticUpTo(k_max)` with `shortcut` set, and no seed or ladder;
+    every other point runs the ladder, as it would after `regular_at`
+    (which returns False there, or raises what the ladder's own point
+    evaluation raises).  Only these points reach the worker pool when
+    `jobs` > 1.  Rational mode decides the shortcut point by point in
+    `classify_point`.
     """
     points = grid_points(axes, exact)
-    regular, recheck = _shortcut_plan(e, points, exact, shortcut)
-    flags = recheck.tolist()
+    regular = _shortcut_plan(e, points, exact, shortcut)
     tasks = ((e, points[i], k_max, tol, derive_seed(seed, "scan", i), order,
-              exact, flags[i], cond_cap)
+              exact, shortcut and exact, cond_cap)
              for i in np.flatnonzero(~regular).tolist())
     if jobs <= 1:
         yield from _in_grid_order(points, regular, map(_scan_one, tasks),

@@ -134,6 +134,8 @@ def _config(args) -> RunConfig:
         raise ArcanError("--kmax must be at least 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ArcanError("--tol must be a finite number above 0")
+    if args.order is not None and args.order < 0:
+        raise ArcanError("--order must be at least 0")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ArcanError(f"--jobs must be between 1 and {cpus}")
@@ -214,6 +216,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_arc(args) -> int:
     cfg = _config(args)
+    if not (math.isfinite(args.arc_tol) and args.arc_tol >= 0):
+        raise ArcanError("--arc-tol must be a finite number of at least 0")
     e = parse(args.expr)
     arc = parse_arc(args.arc)
     report = arc_check(e, arc, cfg.jet_order, args.arc_tol, cfg.exact)
@@ -231,6 +235,8 @@ def _cmd_arc(args) -> int:
 
 def _cmd_blowup(args) -> int:
     cfg = _config(args)
+    if args.classify_divisor < 0:
+        raise ArcanError("--classify-divisor must be at least 0")
     e = parse(args.expr)
     chart = BlowupChart.from_json(json.loads(args.chart))
     result = pullback(e, chart)

@@ -6,20 +6,23 @@ body's value except where the body's evaluation divides by zero, in which
 case it returns the default; this is how a rational function gets a chosen
 value on its denominator's zero set.
 
-Evaluation comes in two flavours: pointwise (`eval_point`), which honours
-guard defaults, and along analytic arcs (`eval_arc`), which composes the
-expression with a polynomial arc in jet arithmetic and ignores guard
-defaults, because the series of the body is what the germ at t = 0 sees.
-Jet evaluation compiles a tree once to a hash-consed postorder tape
-(`compile_tape`) and runs it over scalar `LaurentJet`s (`eval_jets`) or
-over a batch of float lines at one point (`eval_lanes`).  The same tape
-decides the regularity test of `regular_at` for a block of float points
-at once (`regular_lanes`).
+Every evaluation compiles the tree once to a hash-consed postorder tape
+(`compile_tape`) and runs it over an algebra (`run_tape`).  Pointwise
+(`eval_point`, `regular_at`), the tape runs over float or exact scalars
+and honours guard defaults, or, strictly, treats every denominator zero
+and `sqrt` boundary as leaving the domain.  Along analytic arcs
+(`eval_arc`), it composes the expression with a polynomial arc in jet
+arithmetic (`eval_jets`, or `eval_lanes` for a batch of float lines at
+one point) and ignores guard defaults, because the series of the body is
+what the germ at t = 0 sees.  Over numpy columns, one lane per point, it
+decides `regular_at` for a block of float points at once
+(`regular_lanes`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +32,8 @@ import numpy as np
 
 from .errors import ArcDomainError, DomainError, FloatOverflow, NegativeLeading, \
     OddValuation, ZeroDenominator, ZeroDivisor
-from .jets import LaneJet, LaurentJet, Scalar, jet_sqrt, sqrt_scalar
+from .jets import LaneJet, LaurentJet, Scalar, _exact_div, jet_sqrt, \
+    sqrt_scalar
 
 
 def _node(cls):
@@ -133,32 +137,107 @@ class Expr:
                 f"expression uses variable index {used} but nvars={self.nvars}")
 
 
+# --- the tape ------------------------------------------------------------------
+
+# Tape instructions (op, a, b): `a` and `b` are earlier slots, or the
+# constant, variable index, exponent or guard default the op carries.
+_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _GUARD = range(9)
+_OP_CODES = {RationalConst: _CONST, Var: _VAR, Add: _ADD, Sub: _SUB, Mul: _MUL,
+             Div: _DIV, IntPow: _POW, Sqrt: _SQRT, Guard: _GUARD}
+
+
+@lru_cache(maxsize=256)
+def compile_tape(node: Node) -> tuple[tuple, ...]:
+    """Postorder program for a tree, one instruction per distinct subtree.
+
+    Structurally equal subtrees share one slot (frozen nodes hash by
+    value).  The last slot holds the value of `node`.
+    """
+    slots: dict[Node, int] = {}
+    tape: list[tuple] = []
+
+    def visit(n: Node) -> int:
+        slot = slots.get(n)
+        if slot is not None:
+            return slot
+        if isinstance(n, RationalConst):
+            ins = (_CONST, n.value, None)
+        elif isinstance(n, Var):
+            ins = (_VAR, n.index, None)
+        elif isinstance(n, _BINOPS):
+            ins = (_OP_CODES[type(n)], visit(n.left), visit(n.right))
+        elif isinstance(n, IntPow):
+            ins = (_POW, visit(n.base), n.exponent)
+        elif isinstance(n, Sqrt):
+            ins = (_SQRT, visit(n.arg), None)
+        elif isinstance(n, Guard):
+            ins = (_GUARD, visit(n.body), n.default)
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+        slots[n] = len(tape)
+        tape.append(ins)
+        return slots[n]
+
+    visit(node)
+    return tuple(tape)
+
+
+def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt,
+             guard):
+    """Run a tape over any algebra: `+ - * /`, `pow_int`, `sqrt`, `guard`.
+
+    `constant(value)` builds a constant and `guard(body, default)` the
+    value of a guard from its body's.  A zero divisor or a failed square
+    root of a jet becomes `ArcDomainError`; the batched algebra raises
+    `IrregularBatch` instead, which passes through.
+    """
+    slots: list = []
+    for op, a, b in tape:
+        if op == _CONST:
+            r = constant(a)
+        elif op == _VAR:
+            r = var_values[a]
+        elif op == _ADD:
+            r = slots[a] + slots[b]
+        elif op == _SUB:
+            r = slots[a] - slots[b]
+        elif op == _MUL:
+            r = slots[a] * slots[b]
+        elif op == _DIV:
+            try:
+                r = slots[a] / slots[b]
+            except ZeroDivisor as exc:
+                raise ArcDomainError(
+                    "denominator vanishes identically along the arc "
+                    "(to the retained order)") from exc
+        elif op == _POW:
+            r = slots[a].pow_int(b)
+        elif op == _SQRT:
+            try:
+                r = sqrt(slots[a])
+            except (OddValuation, NegativeLeading) as exc:
+                raise ArcDomainError(
+                    f"arc leaves the real domain of sqrt: {exc}") from exc
+        else:
+            r = guard(slots[a], b)
+        slots.append(r)
+    return slots[-1]
+
+
+def _transparent_guard(body, default):
+    """A guard's body itself: along arcs the body's series is the germ, and
+    regularity looks through guards."""
+    return body
+
+
 def max_var_index(node: Node) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, _BINOPS):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    if isinstance(node, IntPow):
-        return max_var_index(node.base)
-    if isinstance(node, Sqrt):
-        return max_var_index(node.arg)
-    if isinstance(node, Guard):
-        return max_var_index(node.body)
-    return -1
+    return max((a for op, a, _ in compile_tape(node) if op == _VAR), default=-1)
 
 
 def contains(node: Node, kind) -> bool:
-    if isinstance(node, kind):
-        return True
-    if isinstance(node, _BINOPS):
-        return contains(node.left, kind) or contains(node.right, kind)
-    if isinstance(node, IntPow):
-        return contains(node.base, kind)
-    if isinstance(node, Sqrt):
-        return contains(node.arg, kind)
-    if isinstance(node, Guard):
-        return contains(node.body, kind)
-    return False
+    """True when the tree has a node of class `kind` (a class or a tuple)."""
+    codes = {code for cls, code in _OP_CODES.items() if issubclass(cls, kind)}
+    return any(op in codes for op, _, _ in compile_tape(node))
 
 
 def is_polynomial(node: Node) -> bool:
@@ -176,7 +255,7 @@ def is_polynomial(node: Node) -> bool:
                 or contains(node.right, (Sqrt, Guard)):
             return False
         try:
-            divisor = _eval_point(node.right, (), True, False, [])
+            divisor, _ = _eval_tape(node.right, (), True, False)
         except ZeroDenominator:
             return False
         return divisor != 0 and is_polynomial(node.left)
@@ -208,60 +287,107 @@ def substitute(node: Node, mapping: dict[int, Node]) -> Node:
 
 # --- pointwise evaluation ----------------------------------------------------
 
-def _const(value: Fraction, exact: bool) -> Scalar:
-    return value if exact else float(value)
+class _PointRun:
+    """The mode and guard flag of one point evaluation, and its scalar ops."""
 
+    def __init__(self, exact: bool, strict: bool):
+        self.exact = exact
+        self.strict = strict
+        self.fired = False
 
-def _eval_point(node: Node, x: Sequence[Scalar], exact: bool,
-                strict: bool, flags: list) -> Scalar:
-    if isinstance(node, RationalConst):
-        return _const(node.value, exact)
-    if isinstance(node, Var):
-        return x[node.index]
-    if isinstance(node, Add):
-        return _eval_point(node.left, x, exact, strict, flags) \
-            + _eval_point(node.right, x, exact, strict, flags)
-    if isinstance(node, Sub):
-        return _eval_point(node.left, x, exact, strict, flags) \
-            - _eval_point(node.right, x, exact, strict, flags)
-    if isinstance(node, Mul):
-        return _eval_point(node.left, x, exact, strict, flags) \
-            * _eval_point(node.right, x, exact, strict, flags)
-    if isinstance(node, Div):
-        num = _eval_point(node.left, x, exact, strict, flags)
-        den = _eval_point(node.right, x, exact, strict, flags)
+    def constant(self, c: Fraction) -> "_Point":
+        return _Point(self, c) if self.exact else _Point(self, c)._apply(float)
+
+    def divide(self, num: Scalar, den: Scalar) -> Scalar:
         if den == 0:
             raise ZeroDenominator("division by zero")
-        return num / den if not exact else _frac_div(num, den)
-    if isinstance(node, IntPow):
-        base = _eval_point(node.base, x, exact, strict, flags)
-        try:
-            return base ** node.exponent
-        except OverflowError as exc:
-            raise FloatOverflow(
-                f"{base!r} ** {node.exponent} overflows a float") from exc
-    if isinstance(node, Sqrt):
-        arg = _eval_point(node.arg, x, exact, strict, flags)
+        return _exact_div(num, den) if self.exact else num / den
+
+    def sqrt(self, arg: Scalar) -> Scalar:
         if arg < 0:
             raise DomainError(f"sqrt of negative value {arg}")
-        if strict and arg == 0:
+        if self.strict and arg == 0:
             raise DomainError("sqrt radicand vanishes")
         return sqrt_scalar(arg)
-    if isinstance(node, Guard):
-        if strict:
-            return _eval_point(node.body, x, exact, strict, flags)
+
+    def guard(self, body: "_Point", default: Fraction) -> "_Point":
+        """The default where the body divides by zero, unless strict."""
+        if isinstance(body.error, ZeroDenominator) and not self.strict:
+            self.fired = True
+            return self.constant(default)
+        return body
+
+
+def _power(base: Scalar, exponent: int) -> Scalar:
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise FloatOverflow(
+            f"{base!r} ** {exponent} overflows a float") from exc
+
+
+class _Point:
+    """One tape slot of a point evaluation: a value, or the first error met.
+
+    The error is the left operand's, else the right operand's, else the
+    op's own, which is what a depth-first walk raises at that node.  Every
+    exception an op raises is kept, not only the domain errors: exact
+    `sqrt` can overflow a float, and a walk raises that only if no earlier
+    error stopped it.  The caller raises the root's error.
+    """
+
+    __slots__ = ("run", "value", "error")
+
+    def __init__(self, run: _PointRun, value=None, error=None):
+        self.run = run
+        self.value = value
+        self.error = error
+
+    def _apply(self, op, other: "_Point | None" = None) -> "_Point":
+        if self.error is not None:
+            return self
+        if other is not None and other.error is not None:
+            return other
         try:
-            return _eval_point(node.body, x, exact, strict, flags)
-        except ZeroDenominator:
-            flags.append(node)
-            return _const(node.default, exact)
-    raise TypeError(f"not an expression node: {node!r}")
+            value = op(self.value) if other is None \
+                else op(self.value, other.value)
+        except Exception as exc:  # deferred: the root's error is raised
+            return _Point(self.run, error=exc)
+        return _Point(self.run, value)
+
+    def __add__(self, other: "_Point") -> "_Point":
+        return self._apply(operator.add, other)
+
+    def __sub__(self, other: "_Point") -> "_Point":
+        return self._apply(operator.sub, other)
+
+    def __mul__(self, other: "_Point") -> "_Point":
+        return self._apply(operator.mul, other)
+
+    def __truediv__(self, other: "_Point") -> "_Point":
+        return self._apply(self.run.divide, other)
+
+    def pow_int(self, exponent: int) -> "_Point":
+        return self._apply(lambda base: _power(base, exponent))
+
+    def sqrt(self) -> "_Point":
+        return self._apply(self.run.sqrt)
 
 
-def _frac_div(num: Scalar, den: Scalar) -> Scalar:
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
+def _eval_tape(node: Node, x: Sequence[Scalar], exact: bool,
+               strict: bool) -> tuple[Scalar, bool]:
+    """Value of `node` at x and whether a guard fired; raises its error.
+
+    Strict evaluation lets guards pass their body's errors through and
+    treats a vanishing `sqrt` radicand as leaving the domain.
+    """
+    run = _PointRun(exact, strict)
+    root = run_tape(compile_tape(node),
+                    [_Point(run, c if exact else float(c)) for c in x],
+                    run.constant, _Point.sqrt, run.guard)
+    if root.error is not None:
+        raise root.error
+    return root.value, run.fired
 
 
 def eval_point(e: Expr, x: Sequence[Scalar], exact: bool = False) -> Scalar:
@@ -274,10 +400,7 @@ def eval_point_flagged(e: Expr, x: Sequence[Scalar], exact: bool = False):
     """Pointwise value plus a flag telling whether any guard fired at x."""
     if len(x) != e.nvars:
         raise ValueError(f"point has {len(x)} coordinates, expression has {e.nvars}")
-    xs = tuple(x) if exact else tuple(float(c) for c in x)
-    flags: list = []
-    value = _eval_point(e.root, xs, exact, False, flags)
-    return value, bool(flags)
+    return _eval_tape(e.root, x, exact, False)
 
 
 def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
@@ -287,38 +410,36 @@ def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
     a neighbourhood, hence an analytic germ; this is the sound fast path the
     region scans use to skip interpolation work.
     """
-    xs = tuple(x) if exact else tuple(float(c) for c in x)
     try:
-        _eval_point(e.root, xs, exact, True, [])
+        _eval_tape(e.root, x, exact, True)
     except (DomainError, ZeroDenominator):
         return False
     return True
 
 
-def regular_lanes(node: Node, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def regular_lanes(node: Node, points: np.ndarray) -> np.ndarray:
     """`regular_at` in float mode for a block of points, one lane per row.
 
-    Runs the tape once over columns of `points` (shape (lanes, nvars)).
-    Returns two boolean arrays over the lanes: where `regular_at` is True,
-    and where a power overflowed a float.  At an overflow lane the walker
-    raises `FloatOverflow` or returns False, whichever event it meets
-    first, so only the walker can decide it; at every other lane
-    `regular_at` is False.  A constant beyond the float range raises
-    OverflowError, as it does in the walker.
+    Runs the tape once over columns of `points` (shape (lanes, nvars)) and
+    returns a boolean array over the lanes, True exactly where
+    `regular_at` is True.  A lane is irregular where any slot meets an
+    event: a zero divisor, a radicand that is not positive, or a power or
+    constant beyond the float range.  Regularity means that no event
+    happens anywhere, so which event comes first does not matter here.
     """
     lanes = len(points)
     irregular = np.zeros(lanes, dtype=bool)
-    overflow = np.zeros(lanes, dtype=bool)
-
-    def column(values) -> _RegularLanes:
-        return _RegularLanes(values, irregular, overflow)
-
-    with np.errstate(all="ignore"):
-        run_tape(compile_tape(node),
-                 [column(points[:, i]) for i in range(points.shape[1])],
-                 lambda c: column(np.full(lanes, float(c))),
-                 _RegularLanes.sqrt)
-    return ~(irregular | overflow), overflow
+    try:
+        with np.errstate(all="ignore"):
+            run_tape(compile_tape(node),
+                     [_RegularLanes(points[:, i], irregular)
+                      for i in range(points.shape[1])],
+                     lambda c: _RegularLanes(np.full(lanes, float(c)),
+                                             irregular),
+                     _RegularLanes.sqrt, _transparent_guard)
+    except OverflowError:  # a constant beyond the float range: every lane
+        return np.zeros(lanes, dtype=bool)
+    return ~irregular
 
 
 class _RegularLanes:
@@ -326,23 +447,20 @@ class _RegularLanes:
 
     `+ - * /` and `sqrt` run in numpy, which rounds them as Python floats
     do; powers run lane by lane as Python `float ** int`, because
-    `np.power` may round differently.  Every slot of a pass shares its two
-    masks: `irregular` marks lanes with a zero divisor or a radicand that
-    is not positive (where the walker returns False), `overflow` lanes
-    whose power left the float range.  Past a marked event a lane's values
-    are meaningless, but the lane is already out of the regular set.
+    `np.power` may round differently.  Every slot of a pass shares one
+    mask, `irregular`, of the lanes that met an event.  Past an event a
+    lane's values are meaningless, but the lane is already out of the
+    regular set.
     """
 
-    __slots__ = ("value", "irregular", "overflow")
+    __slots__ = ("value", "irregular")
 
-    def __init__(self, value: np.ndarray, irregular: np.ndarray,
-                 overflow: np.ndarray):
+    def __init__(self, value: np.ndarray, irregular: np.ndarray):
         self.value = value
         self.irregular = irregular
-        self.overflow = overflow
 
     def _like(self, value: np.ndarray) -> "_RegularLanes":
-        return _RegularLanes(value, self.irregular, self.overflow)
+        return _RegularLanes(value, self.irregular)
 
     def __add__(self, other: "_RegularLanes") -> "_RegularLanes":
         return self._like(self.value + other.value)
@@ -367,7 +485,7 @@ class _RegularLanes:
                 try:
                     powers.append(c ** e)
                 except OverflowError:
-                    self.overflow[lane] = True
+                    self.irregular[lane] = True
                     powers.append(math.nan)
         return self._like(np.array(powers, dtype=float))
 
@@ -378,93 +496,13 @@ class _RegularLanes:
 
 # --- evaluation along arcs ---------------------------------------------------
 
-# Tape instructions (op, a, b): `a` and `b` are earlier slots, or the
-# constant, variable index or exponent the op carries.
-_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _POW, _SQRT = range(8)
-_BINOP_CODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
-
-
-@lru_cache(maxsize=256)
-def compile_tape(node: Node) -> tuple[tuple, ...]:
-    """Postorder program for a tree, one instruction per distinct subtree.
-
-    Structurally equal subtrees share one slot (frozen nodes hash by
-    value), and a guard compiles to its body: along arcs the body's series
-    is what the germ sees.  The last slot holds the value of `node`.
-    """
-    slots: dict[Node, int] = {}
-    tape: list[tuple] = []
-
-    def visit(n: Node) -> int:
-        if isinstance(n, Guard):
-            return visit(n.body)
-        slot = slots.get(n)
-        if slot is not None:
-            return slot
-        if isinstance(n, RationalConst):
-            ins = (_CONST, n.value, None)
-        elif isinstance(n, Var):
-            ins = (_VAR, n.index, None)
-        elif isinstance(n, _BINOPS):
-            ins = (_BINOP_CODES[type(n)], visit(n.left), visit(n.right))
-        elif isinstance(n, IntPow):
-            ins = (_POW, visit(n.base), n.exponent)
-        elif isinstance(n, Sqrt):
-            ins = (_SQRT, visit(n.arg), None)
-        else:
-            raise TypeError(f"not an expression node: {n!r}")
-        slots[n] = len(tape)
-        tape.append(ins)
-        return slots[n]
-
-    visit(node)
-    return tuple(tape)
-
-
-def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt):
-    """Run a tape over any jet algebra: `+ - * /`, `pow_int`, `sqrt`.
-
-    `constant(value)` builds a constant jet.  A zero divisor or a failed
-    square root becomes `ArcDomainError`; the batched algebra raises
-    `IrregularBatch` instead, which passes through.
-    """
-    slots: list = []
-    for op, a, b in tape:
-        if op == _CONST:
-            r = constant(a)
-        elif op == _VAR:
-            r = var_values[a]
-        elif op == _ADD:
-            r = slots[a] + slots[b]
-        elif op == _SUB:
-            r = slots[a] - slots[b]
-        elif op == _MUL:
-            r = slots[a] * slots[b]
-        elif op == _DIV:
-            try:
-                r = slots[a] / slots[b]
-            except ZeroDivisor as exc:
-                raise ArcDomainError(
-                    "denominator vanishes identically along the arc "
-                    "(to the retained order)") from exc
-        elif op == _POW:
-            r = slots[a].pow_int(b)
-        else:
-            try:
-                r = sqrt(slots[a])
-            except (OddValuation, NegativeLeading) as exc:
-                raise ArcDomainError(
-                    f"arc leaves the real domain of sqrt: {exc}") from exc
-        slots.append(r)
-    return slots[-1]
-
-
 def eval_jets(node: Node, var_jets: Sequence[LaurentJet], order: int,
               exact: bool = False) -> LaurentJet:
     """Evaluate over jet arithmetic; guards use series semantics."""
     return run_tape(compile_tape(node), var_jets,
-                    lambda c: LaurentJet.constant(_const(c, exact), order),
-                    jet_sqrt)
+                    lambda c: LaurentJet.constant(c if exact else float(c),
+                                                  order),
+                    jet_sqrt, _transparent_guard)
 
 
 def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
@@ -479,7 +517,7 @@ def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
                 for i, xi in enumerate(x)]
     return run_tape(compile_tape(node), var_jets,
                     lambda c: LaneJet.constant(float(c), lanes, order),
-                    LaneJet.sqrt)
+                    LaneJet.sqrt, _transparent_guard)
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,6 @@ class HomoPoly:
             raise ValueError(f"need {expected} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    @staticmethod
-    def zero(n: int, k: int) -> "HomoPoly":
-        return HomoPoly(n, k, (0,) * dim_homog(n, k))
-
     def __call__(self, v: Sequence[Scalar]) -> Scalar:
         exps = monomials(self.nvars, self.degree)
         return sum(c * _mono_value(e, v) for c, e in zip(self.coeffs, exps) if c != 0)

@@ -8,11 +8,11 @@ a jet is one the arithmetic actually determined.  Coefficients may be exact
 on exact inputs stay exact unless a square root forces an irrational
 leading coefficient.
 
-`Jet` is the plain Taylor carrier (exponents 0..order).  `LaurentJet`
-additionally admits a negative valuation, which encodes a pole at t = 0 of
-the composed function along an arc.  `LaneJet` holds the float jets of many
-arcs ("lanes") that share one valuation and order, as one numpy array, and
-reproduces `LaurentJet`'s float arithmetic lane by lane, bit for bit.
+`LaurentJet` admits a negative valuation, which encodes a pole at t = 0 of
+the composed function along an arc; `taylor_coeff` reads a pole-free jet's
+coefficients.  `LaneJet` holds the float jets of many arcs ("lanes") that
+share one valuation and order, as one numpy array, and reproduces
+`LaurentJet`'s float arithmetic lane by lane, bit for bit.
 """
 
 from __future__ import annotations
@@ -95,13 +95,6 @@ class LaurentJet:
         if value == 0:
             return LaurentJet.zero(order)
         return LaurentJet(0, (value,) + (0,) * order, order)
-
-    @staticmethod
-    def variable(order: int) -> "LaurentJet":
-        """The jet of t itself (at order 0 the window cannot see it)."""
-        if order < 1:
-            return LaurentJet.zero(order)
-        return LaurentJet(1, (1,) + (0,) * (order - 1), order)
 
     # --- inspection ---------------------------------------------------------
 
@@ -213,12 +206,6 @@ class LaurentJet:
             q[i] = _exact_div(acc, lead)
         v = self.valuation - other.valuation
         return LaurentJet(v, q, v + rel)
-
-    def scaled(self, factor: Scalar) -> "LaurentJet":
-        if factor == 0:
-            return LaurentJet.zero(self.order)
-        return LaurentJet(self.valuation,
-                          tuple(factor * c for c in self.coeffs), self.order)
 
     def pow_int(self, exponent: int) -> "LaurentJet":
         if exponent < 0:
@@ -428,113 +415,3 @@ class LaneJet:
             if e:
                 base = base * base
         return result
-
-
-class Jet:
-    """Plain truncated Taylor series: coefficients of t^0 .. t^order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Sequence[Scalar], order: int | None = None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need exactly {order + 1} coefficients")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
-
-    def __reduce__(self):
-        return (Jet, (self.coeffs, self.order))
-
-    def to_laurent(self) -> LaurentJet:
-        return LaurentJet(0, self.coeffs, self.order)
-
-    @staticmethod
-    def from_laurent(a: LaurentJet) -> "Jet":
-        if not a.is_zero and a.valuation < 0:
-            raise PoleAtOrigin("cannot truncate a pole to a Taylor jet")
-        return Jet([a.coeff(i) for i in range(a.order + 1)], a.order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return (self.order, self.coeffs) == (other.order, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Jet({list(self.coeffs)})"
-
-    def __neg__(self) -> "Jet":
-        return Jet([-c for c in self.coeffs], self.order)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        k = min(self.order, other.order)
-        return Jet([self.coeffs[i] + other.coeffs[i] for i in range(k + 1)], k)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        k = min(self.order, other.order)
-        return Jet([self.coeffs[i] - other.coeffs[i] for i in range(k + 1)], k)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        k = min(self.order, other.order)
-        out = [0] * (k + 1)
-        for i in range(min(len(self.coeffs), k + 1)):
-            ai = self.coeffs[i]
-            if ai == 0:
-                continue
-            for j in range(min(len(other.coeffs), k + 1 - i)):
-                out[i + j] += ai * other.coeffs[j]
-        return Jet(out, k)
-
-    def eval_poly(self, t: Scalar) -> Scalar:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-
-AnyJet = Union[Jet, LaurentJet]
-
-
-def _pair(a: AnyJet, b: AnyJet):
-    """Promote a mixed Jet/LaurentJet pair to a common kind."""
-    if isinstance(a, Jet) and isinstance(b, Jet):
-        return a, b
-    la = a.to_laurent() if isinstance(a, Jet) else a
-    lb = b.to_laurent() if isinstance(b, Jet) else b
-    return la, lb
-
-
-def jet_add(a: AnyJet, b: AnyJet) -> AnyJet:
-    x, y = _pair(a, b)
-    return x + y
-
-
-def jet_sub(a: AnyJet, b: AnyJet) -> AnyJet:
-    x, y = _pair(a, b)
-    return x - y
-
-
-def jet_mul(a: AnyJet, b: AnyJet) -> AnyJet:
-    x, y = _pair(a, b)
-    return x * y
-
-
-def jet_div(a: AnyJet, b: AnyJet) -> LaurentJet:
-    la = a.to_laurent() if isinstance(a, Jet) else a
-    lb = b.to_laurent() if isinstance(b, Jet) else b
-    return la / lb
-
-
-def jet_derive_coeff(a: AnyJet, k: int) -> Scalar:
-    """The t^k Taylor coefficient, i.e. (1/k!) times the k-th derivative at 0."""
-    la = a.to_laurent() if isinstance(a, Jet) else a
-    return la.taylor_coeff(k)

@@ -1,13 +1,23 @@
-"""Shared random generators for the property tests (seeded, no hypothesis)."""
+"""Shared random generators for the property tests, and reference code.
+
+The seeded generators use `random`; `trees` is a Hypothesis strategy.
+`walker_eval_point_flagged` and `walker_regular_at` are the recursive
+pointwise evaluator that the tape evaluator replaced, kept as its
+reference.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
+from hypothesis import strategies as st
+
+from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var
-from arcan.jets import LaurentJet
+from arcan.jets import LaurentJet, Scalar, sqrt_scalar
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -131,3 +141,106 @@ def random_arc(rng: random.Random, nvars: int, degree: int = 4,
 
 def random_point(rng: random.Random, nvars: int, box: float = 1.0) -> tuple:
     return tuple(rng.uniform(-box, box) for _ in range(nvars))
+
+
+# Coordinates on a small lattice, so denominators and radicands hit exact
+# zeros; 3 and 5 make powers of 1100 overflow a float.
+LATTICE = (-1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 5.0)
+FRACTIONS = [Fraction(p, q) for p in range(-2, 3) for q in (1, 2)]
+# beyond the float range: float(BEYOND_FLOATS) raises OverflowError
+BEYOND_FLOATS = Fraction(10 ** 400)
+
+
+def trees(constants=FRACTIONS, exponents=(0, 1, 2, 3, 1100)):
+    """Random `+ - * / ^ sqrt guard` trees in two variables."""
+    leaves = st.one_of(st.builds(Var, st.integers(0, 1)),
+                       st.builds(RationalConst, st.sampled_from(constants)))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Sub, children, children),
+            st.builds(Mul, children, children),
+            st.builds(Div, children, children),
+            st.builds(IntPow, children, st.sampled_from(exponents)),
+            st.builds(Sqrt, children),
+            st.builds(Guard, children, st.sampled_from(constants)))
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+# --- the recursive pointwise walker (reference for the tape evaluator) ----------
+
+def _const(value: Fraction, exact: bool) -> Scalar:
+    return value if exact else float(value)
+
+
+def _eval_point(node, x: Sequence[Scalar], exact: bool,
+                strict: bool, flags: list) -> Scalar:
+    if isinstance(node, RationalConst):
+        return _const(node.value, exact)
+    if isinstance(node, Var):
+        return x[node.index]
+    if isinstance(node, Add):
+        return _eval_point(node.left, x, exact, strict, flags) \
+            + _eval_point(node.right, x, exact, strict, flags)
+    if isinstance(node, Sub):
+        return _eval_point(node.left, x, exact, strict, flags) \
+            - _eval_point(node.right, x, exact, strict, flags)
+    if isinstance(node, Mul):
+        return _eval_point(node.left, x, exact, strict, flags) \
+            * _eval_point(node.right, x, exact, strict, flags)
+    if isinstance(node, Div):
+        num = _eval_point(node.left, x, exact, strict, flags)
+        den = _eval_point(node.right, x, exact, strict, flags)
+        if den == 0:
+            raise ZeroDenominator("division by zero")
+        return num / den if not exact else _frac_div(num, den)
+    if isinstance(node, IntPow):
+        base = _eval_point(node.base, x, exact, strict, flags)
+        try:
+            return base ** node.exponent
+        except OverflowError as exc:
+            raise FloatOverflow(
+                f"{base!r} ** {node.exponent} overflows a float") from exc
+    if isinstance(node, Sqrt):
+        arg = _eval_point(node.arg, x, exact, strict, flags)
+        if arg < 0:
+            raise DomainError(f"sqrt of negative value {arg}")
+        if strict and arg == 0:
+            raise DomainError("sqrt radicand vanishes")
+        return sqrt_scalar(arg)
+    if isinstance(node, Guard):
+        if strict:
+            return _eval_point(node.body, x, exact, strict, flags)
+        try:
+            return _eval_point(node.body, x, exact, strict, flags)
+        except ZeroDenominator:
+            flags.append(node)
+            return _const(node.default, exact)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _frac_div(num: Scalar, den: Scalar) -> Scalar:
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
+
+
+def walker_eval_point_flagged(e: Expr, x: Sequence[Scalar], exact: bool = False):
+    """Pointwise value plus a flag telling whether any guard fired at x."""
+    if len(x) != e.nvars:
+        raise ValueError(f"point has {len(x)} coordinates, expression has {e.nvars}")
+    xs = tuple(x) if exact else tuple(float(c) for c in x)
+    flags: list = []
+    value = _eval_point(e.root, xs, exact, False, flags)
+    return value, bool(flags)
+
+
+def walker_regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
+    """True when x avoids every denominator zero and sqrt boundary."""
+    xs = tuple(x) if exact else tuple(float(c) for c in x)
+    try:
+        _eval_point(e.root, xs, exact, True, [])
+    except (DomainError, ZeroDenominator):
+        return False
+    return True

@@ -173,6 +173,31 @@ class TestUsageContract:
         assert captured.out == ""
         assert captured.err.startswith("arcan: error: --trials")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["classify", "x", "--point", "1", "--order", "-1"], "--order"),
+        (["arc", "x", "--arc", "t", "--arc-tol", "-1"], "--arc-tol"),
+        (["arc", "x", "--arc", "t", "--arc-tol", "nan"], "--arc-tol"),
+        (["arc", "x", "--arc", "t", "--arc-tol", "inf"], "--arc-tol"),
+        (["blowup", "x*y", "--chart", '{"n":2,"center":[1,2],"axis":1}',
+          "--classify-divisor", "-2"], "--classify-divisor"),
+    ])
+    def test_numeric_arguments_are_checked(self, capsys, argv, flag):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"arcan: error: {flag} ")
+
+    def test_boundary_values_are_accepted(self, capsys):
+        assert cli.main(["classify", "x", "--point", "1", "--order", "0",
+                         "--kmax", "1"]) == 0
+        assert cli.main(["arc", "x", "--arc", "t", "--arc-tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["kind"] \
+            == "Analytic"
+        assert cli.main(["blowup", "x*y", "--chart",
+                         '{"n":2,"center":[1,2],"axis":1}',
+                         "--classify-divisor", "0"]) == 0
+
     def test_jobs_must_fit_the_machine(self, capsys, monkeypatch):
         # Rejected before any worker pool exists: a pool must never start.
         import os

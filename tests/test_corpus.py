@@ -1,6 +1,8 @@
 """Corpus registry: structure, tags, and locus membership tests."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +85,14 @@ class TestLoci:
         assert eval_point(e, (1.0, 0.0, 0.0)) == 0.0
         # on the companion component the denominator stays positive
         assert eval_point(e, (2.0, 0.0, 0.5)) != 0.0
+
+    def test_e6_epsilon_certificate(self, capsys):
+        # the script certifies the constant E6's source freezes
+        path = Path(__file__).resolve().parents[1] / "scripts" \
+            / "verify_e6_epsilon.py"
+        spec = importlib.util.spec_from_file_location("verify_e6_epsilon", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert f"({script.EPS})" in lookup("E6").source
+        assert script.main() == 0
+        assert "PASS" in capsys.readouterr().out

@@ -5,15 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcan.corpus import arc_analytic_entries, lookup
 from arcan.errors import ArcDomainError, DomainError, FloatOverflow, \
     ZeroDenominator
-from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, arc_check, \
-    compile_tape, eval_arc, eval_point, eval_point_flagged, regular_at
+from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, Expr, \
+    arc_check, compile_tape, eval_arc, eval_point, eval_point_flagged, \
+    regular_at
 from arcan.parser import parse, parse_arc
 
-from helpers import random_arc, random_polynomial_expr
+from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, random_arc, \
+    random_polynomial_expr, trees, walker_eval_point_flagged, \
+    walker_regular_at
 
 F = Fraction
 
@@ -57,6 +61,69 @@ class TestEvalPoint:
         with pytest.raises(FloatOverflow):
             eval_point(parse("x^1000"), (3.0,))
         assert eval_point(parse("x^1000"), (F(3),), exact=True) == 3 ** 1000
+
+
+def outcome(fn, *args):
+    """What a call gives: its result's types and exact digits, or its error."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    parts = result if isinstance(result, tuple) else (result,)
+    return "returns", tuple((type(v), repr(v)) for v in parts)
+
+
+def assert_matches_walker(e, point, exact):
+    assert outcome(eval_point_flagged, e, point, exact) \
+        == outcome(walker_eval_point_flagged, e, point, exact)
+    assert outcome(regular_at, e, point, exact) \
+        == outcome(walker_regular_at, e, point, exact)
+
+
+# (exact, tree): exact powers of 1100 nest into integers too large to build
+MODE_AND_TREE = st.one_of(
+    st.tuples(st.just(False), trees(FRACTIONS + [BEYOND_FLOATS])),
+    st.tuples(st.just(True), trees(FRACTIONS + [BEYOND_FLOATS], (0, 1, 2, 3))))
+
+
+class TestPointOnTheTape:
+    """The tape's point evaluation against the recursive walker it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(MODE_AND_TREE, st.lists(st.tuples(st.sampled_from(LATTICE),
+                                             st.sampled_from(LATTICE)),
+                                   min_size=1, max_size=4))
+    def test_equals_the_walker_on_random_trees(self, mode_and_tree, points):
+        exact, root = mode_and_tree
+        e = Expr(root, 2)
+        for point in points:
+            if exact:
+                point = tuple(F(c) for c in point)
+            assert_matches_walker(e, point, exact)
+
+    @pytest.mark.parametrize("text, point, exact, value, regular", [
+        # a subtree shared inside and outside a guard
+        ("guard(1/x, 5) + 1/x", (0.0,), False, ZeroDenominator, False),
+        ("1/x + guard(1/x, 5)", (0.0,), False, ZeroDenominator, False),
+        # the first error decides whether the guard catches it
+        ("guard(1/x + sqrt(-1), 0)", (0.0,), False, (0.0, True), False),
+        ("guard(sqrt(-1) + 1/x, 0)", (0.0,), False, DomainError, False),
+        # exact sqrt of 10^400 + x overflows a float, after sqrt(x) failed
+        ("sqrt(x) + sqrt(x + 10^400)", (F(-1),), True, DomainError, False),
+        ("sqrt(x)", (0.0,), False, (0.0, False), False),
+        ("guard(x^1100, 0) + 1/x", (5.0,), False, FloatOverflow, FloatOverflow),
+        ("x + " + str(BEYOND_FLOATS), (1.0,), False, OverflowError,
+         OverflowError),
+    ])
+    def test_targeted_cases(self, text, point, exact, value, regular):
+        e = parse(text)
+        assert_matches_walker(e, point, exact)
+        for fn, expected in ((eval_point_flagged, value), (regular_at, regular)):
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    fn(e, point, exact)
+            else:
+                assert fn(e, point, exact) == expected
 
 
 class TestTape:

@@ -1,4 +1,4 @@
-"""A scan's regularity shortcut, decided per block of points, against the walker."""
+"""A scan's regularity shortcut, decided per block of points, against `regular_at`."""
 
 import os
 from fractions import Fraction
@@ -7,61 +7,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcan import classify, cli
-from arcan.classify import iter_scan, verdict_to_json
+from arcan import cli
+from arcan.classify import INCONCLUSIVE, Verdict, classify_point, grid_points, \
+    iter_scan, verdict_to_json
 from arcan.corpus import corpus_list, lookup
-from arcan.errors import FloatOverflow
-from arcan.expr import Add, Div, Expr, Guard, IntPow, Mul, RationalConst, \
-    Sqrt, Sub, Var, regular_at, regular_lanes
+from arcan.errors import ArcanError, FloatOverflow
+from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, regular_at, \
+    regular_lanes
 from arcan.parser import parse
+from arcan.seeds import derive_seed
 
-# Coordinates on a small lattice, so denominators and radicands hit exact
-# zeros; 3 and 5 make powers of 1100 overflow a float.
-LATTICE = (-1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 5.0)
-FRACTIONS = [Fraction(p, q) for p in range(-2, 3) for q in (1, 2)]
+from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, trees
 
 
 def walker(e, pt):
     """What `regular_at` gives at one point: True, False or "overflow"."""
     try:
         return regular_at(e, pt)
-    except FloatOverflow:
+    except (FloatOverflow, OverflowError):
         return "overflow"
 
 
 def assert_matches_walker(e, points):
-    regular, overflow = regular_lanes(e.root, np.array(points, dtype=float))
-    for pt, hit, over in zip(points, regular.tolist(), overflow.tolist()):
-        expected = walker(e, pt)
-        if hit:
-            assert expected is True, pt
-        elif over:
-            assert expected in (False, "overflow"), pt
-        else:
-            assert expected is False, pt
-
-
-def trees():
-    leaves = st.one_of(st.builds(Var, st.integers(0, 1)),
-                       st.builds(RationalConst, st.sampled_from(FRACTIONS)))
-
-    def extend(children):
-        return st.one_of(
-            st.builds(Add, children, children),
-            st.builds(Sub, children, children),
-            st.builds(Mul, children, children),
-            st.builds(Div, children, children),
-            st.builds(IntPow, children, st.sampled_from([0, 1, 2, 3, 1100])),
-            st.builds(Sqrt, children),
-            st.builds(Guard, children, st.sampled_from(FRACTIONS)))
-    return st.recursive(leaves, extend, max_leaves=12)
+    """A lane is regular exactly where `regular_at` is True."""
+    regular = regular_lanes(e.root, np.array(points, dtype=float))
+    assert regular.tolist() == [walker(e, pt) is True for pt in points]
 
 
 class TestRegularLanes:
     @settings(max_examples=300, deadline=None)
-    @given(trees(), st.lists(st.tuples(st.sampled_from(LATTICE),
-                                       st.sampled_from(LATTICE)),
-                             min_size=1, max_size=12))
+    @given(trees(FRACTIONS + [BEYOND_FLOATS]),
+           st.lists(st.tuples(st.sampled_from(LATTICE),
+                              st.sampled_from(LATTICE)),
+                    min_size=1, max_size=12))
     def test_equals_the_walker_on_random_trees(self, root, points):
         assert_matches_walker(Expr(root, 2), points)
 
@@ -95,22 +73,34 @@ class TestRegularLanes:
         assert walker(e, (2.9,)) is False
         assert_matches_walker(e, points)
 
-    def test_a_constant_beyond_floats_raises_as_the_walker_does(self):
-        e = parse("x + " + "1" + "0" * 400)
+    def test_a_constant_beyond_floats_makes_every_lane_irregular(self):
+        e = parse(f"x + {BEYOND_FLOATS}")
         with pytest.raises(OverflowError):
             regular_at(e, (1.0,))
-        with pytest.raises(OverflowError):
-            regular_lanes(e.root, np.array([(1.0,)]))
+        assert not regular_lanes(e.root, np.array([(1.0,), (2.0,)])).any()
+
+
+def line(i, v):
+    return cli.emit_json({**verdict_to_json(v), "index": i})
 
 
 def scan_lines(e, axes, seed, jobs, k_max=8):
-    return [cli.emit_json({**verdict_to_json(v), "index": i})
-            for i, v in enumerate(iter_scan(e, axes, k_max, seed=seed,
-                                            order=20, jobs=jobs))]
+    return [line(i, v) for i, v in enumerate(
+        iter_scan(e, axes, k_max, seed=seed, order=20, jobs=jobs))]
 
 
-def decide_nothing(e, points, exact, shortcut):
-    return np.zeros(len(points), dtype=bool), np.full(len(points), shortcut)
+def pointwise_lines(e, axes, seed, k_max=8):
+    """Each grid point through `classify_point` with the shortcut, as a
+    scan seeds it, and an ArcanError as an Inconclusive verdict."""
+    lines = []
+    for i, pt in enumerate(grid_points(axes)):
+        try:
+            v = classify_point(e, pt, k_max, seed=derive_seed(seed, "scan", i),
+                               order=20, shortcut=True)
+        except ArcanError as exc:
+            v = Verdict(pt, INCONCLUSIVE, k_max, reason=str(exc))
+        lines.append(line(i, v))
+    return lines
 
 
 JOBS = [1, 2] if (os.cpu_count() or 1) >= 2 else [1]
@@ -124,15 +114,11 @@ class TestScanByteIdentity:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name, source, nvars, axes", GRIDS,
                              ids=[g[0] for g in GRIDS])
-    def test_block_pass_changes_no_line(self, monkeypatch, name, source,
-                                        nvars, axes, seed):
+    def test_block_pass_changes_no_line(self, name, source, nvars, axes, seed):
         e = parse(source, nvars=nvars)
+        expected = pointwise_lines(e, axes, seed)
         for jobs in JOBS:
-            fast = scan_lines(e, axes, seed, jobs)
-            with monkeypatch.context() as m:
-                m.setattr(classify, "_shortcut_plan", decide_nothing)
-                slow = scan_lines(e, axes, seed, jobs)
-            assert fast == slow
+            assert scan_lines(e, axes, seed, jobs) == expected
 
     @pytest.mark.parametrize("text, axes", [
         ("x^2000 + 1/(y - y)", [(0, 3, 1), (0, 1, 1)]),
@@ -140,20 +126,17 @@ class TestScanByteIdentity:
         ("1/(x^3 - 24389/1000)", [(Fraction(5, 2), Fraction(7, 2),
                                    Fraction(1, 10))]),
     ])
-    def test_events_and_their_order(self, monkeypatch, text, axes):
+    def test_events_and_their_order(self, text, axes):
         e = parse(text)
-        fast = scan_lines(e, axes, 0, 1, k_max=2)
-        monkeypatch.setattr(classify, "_shortcut_plan", decide_nothing)
-        assert fast == scan_lines(e, axes, 0, 1, k_max=2)
+        assert scan_lines(e, axes, 0, 1, k_max=2) \
+            == pointwise_lines(e, axes, 0, k_max=2)
 
-    def test_overflow_lines_are_unchanged(self, capsys, monkeypatch):
-        argv = ["scan", "(x^200)^2", "--grid", "x:0:10:1"]
-        assert cli.main(argv) == 0
-        fast = capsys.readouterr().out
-        monkeypatch.setattr(classify, "_shortcut_plan", decide_nothing)
-        assert cli.main(argv) == 0
-        assert fast == capsys.readouterr().out
-        overflows = [line for line in fast.splitlines()
+    def test_overflow_lines_are_unchanged(self, capsys):
+        assert cli.main(["scan", "(x^200)^2", "--grid", "x:0:10:1"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == pointwise_lines(parse("(x^200)^2"),
+                                                   [(0, 10, 1)], 0)
+        overflows = [line for line in out.splitlines()
                      if "overflows a float" in line]
         # 6.0 ** 400 is the first power beyond the float range
         assert len(overflows) == 5
