@@ -22,7 +22,8 @@ estimate, fit and validation.  A batch whose lanes cannot share one
 valuation and order (or that meets a zero divisor, a failing square root
 or a non-finite value) falls back to the scalar path, so verdicts, reasons
 and residual digits do not depend on the batching.  Exact (rational) mode
-always runs the scalar path.
+always runs the scalar path, on `RationalJet`s, and reads each h_k as a
+`Fraction`.
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -51,7 +52,7 @@ from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
 from .homog import HomoPoly, NodeSet, condition_estimate, dim_homog, \
     fit_matrix, gather_matrix, interp_fit, matrix_condition, power_table
-from .jets import LaneJet, LaurentJet, Scalar
+from .jets import LaneJet, LaurentJet, RationalJet, Scalar
 from .seeds import derive_seed, direction
 
 ANALYTIC_UP_TO = "AnalyticUpTo"
@@ -68,6 +69,12 @@ _SHORTCUT_BLOCK = 4096
 # Largest grid a scan builds: 10**6 float points take ~75 MB, and a scan's
 # task list about as much again.
 MAX_GRID_POINTS = 10 ** 6
+# Largest ladder the CLI runs: k_max, the d(n, k_max) directions its top
+# order fits on (x+y+z at k_max 60 needs 1891), and the retained jet order
+# (2 * MAX_K_MAX + 4 is the default at the top k_max).
+MAX_K_MAX = 100
+MAX_LADDER_DIRECTIONS = 2000
+MAX_ORDER = 404
 
 
 def default_order(k_max: int) -> int:
@@ -80,6 +87,12 @@ def default_order(k_max: int) -> int:
 def gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
                    order: int, exact: bool = False) -> LaurentJet:
     """Laurent jet of t -> f(x + t v) at t = 0."""
+    return _series(e, x, v, order, exact).to_laurent()
+
+
+def _series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], order: int,
+            exact: bool) -> LaurentJet | RationalJet:
+    """`gateaux_series` as `eval_jets` returns it (exact: a `RationalJet`)."""
     if len(x) != e.nvars or len(v) != e.nvars:
         raise ValueError("point and direction must match the expression dimension")
     pad = (0,) * (order - 1)
@@ -101,7 +114,7 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
         raise ValueError(f"k={k} exceeds the retained order {order}")
     xs = tuple(x) if exact else tuple(float(c) for c in x)
     vs = tuple(v) if exact else tuple(float(c) for c in v)
-    return gateaux_series(e, xs, vs, order, exact).taylor_coeff(k)
+    return _series(e, xs, vs, order, exact).taylor_coeff(k)
 
 
 # --- per-point direction/jet bookkeeping --------------------------------------
@@ -127,7 +140,7 @@ class _PointSession:
     without the batch.  A batch the lanes cannot share (`IrregularBatch`)
     is dropped, and its directions' jets come from the scalar path when
     they are read, raising what the scalar path raises.  Exact mode is
-    always scalar.
+    always scalar and keeps each direction's `RationalJet`.
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, exact: bool, seed: int,
@@ -143,7 +156,7 @@ class _PointSession:
         self._rng = random.Random(derive_seed(seed, "directions", self.n))
         self._dirs: list[tuple] = []
         self._asked = 0
-        self._jets: dict[int, LaurentJet] = {}
+        self._jets: dict[int, LaurentJet | RationalJet] = {}
         self._lane: dict[int, tuple[LaneJet, int]] = {}
         self._scalar: set[int] = set()
         self._fit_idx: dict[int, tuple[list[int], float, np.ndarray | None]] = {}
@@ -194,7 +207,7 @@ class _PointSession:
             for row, i in enumerate(chunk):
                 self._lane[i] = (batch, row)
 
-    def jet(self, i: int) -> LaurentJet:
+    def jet(self, i: int) -> LaurentJet | RationalJet:
         j = self._jets.get(i)
         if j is None:
             v = self.dir(i)
@@ -202,7 +215,7 @@ class _PointSession:
             if held is not None:
                 j = held[0].lane(held[1])
             else:
-                j = gateaux_series(self.e, self.x, v, self.order, self.exact)
+                j = _series(self.e, self.x, v, self.order, self.exact)
             self._jets[i] = j
         return j
 

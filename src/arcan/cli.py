@@ -23,10 +23,12 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .blowup import BlowupChart, classify_pullback, pullback
-from .classify import classify_point, default_order, iter_scan, verdict_to_json
-from .corpus import corpus_list
+from .classify import MAX_K_MAX, MAX_LADDER_DIRECTIONS, MAX_ORDER, \
+    classify_point, default_order, iter_scan, verdict_to_json
+from .corpus import corpus_list, lookup
 from .errors import ArcanError
 from .expr import arc_check
+from .homog import dim_homog
 from .parser import parse, parse_arc
 from .seeds import derive_seed
 from .verify import IDENTITIES, run_identity, verify_corpus
@@ -130,12 +132,12 @@ def _env_seed() -> int:
 
 
 def _config(args) -> RunConfig:
-    if args.kmax < 1:
-        raise ArcanError("--kmax must be at least 1")
+    if not 1 <= args.kmax <= MAX_K_MAX:
+        raise ArcanError(f"--kmax must be between 1 and {MAX_K_MAX}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ArcanError("--tol must be a finite number above 0")
-    if args.order is not None and args.order < 0:
-        raise ArcanError("--order must be at least 0")
+    if args.order is not None and not 0 <= args.order <= MAX_ORDER:
+        raise ArcanError(f"--order must be between 0 and {MAX_ORDER}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ArcanError(f"--jobs must be between 1 and {cpus}")
@@ -143,6 +145,15 @@ def _config(args) -> RunConfig:
     return RunConfig(mode=args.mode, k_max=args.kmax, tol=args.tol,
                      order=args.order, seed=seed, fmt=args.format,
                      jobs=args.jobs)
+
+
+def _check_ladder(cfg: RunConfig, nvars: int) -> None:
+    """Refuse a ladder whose top order needs too many directions."""
+    d = dim_homog(nvars, cfg.k_max)
+    if d > MAX_LADDER_DIRECTIONS:
+        raise ArcanError(
+            f"--kmax {cfg.k_max} in {nvars} variables needs {d} directions "
+            f"per order, more than the {MAX_LADDER_DIRECTIONS} allowed")
 
 
 def _parse_number(text: str, exact: bool):
@@ -183,6 +194,7 @@ def _parse_grid(text: str, nvars: int) -> list[tuple]:
 def _cmd_classify(args) -> int:
     cfg = _config(args)
     e = parse(args.expr)
+    _check_ladder(cfg, e.nvars)
     point = _parse_point(args.point, cfg.exact)
     verdict = classify_point(e, point, cfg.k_max, cfg.tol, cfg.seed,
                              cfg.jet_order, cfg.exact)
@@ -197,6 +209,7 @@ def _verdict_csv_row(index: int, v) -> list:
 def _cmd_scan(args) -> int:
     cfg = _config(args)
     e = parse(args.expr)
+    _check_ladder(cfg, e.nvars)
     axes = _parse_grid(args.grid, e.nvars)
     stream = iter_scan(e, axes, cfg.k_max, cfg.tol, cfg.seed, cfg.jet_order,
                        cfg.exact, shortcut=not args.no_shortcut, jobs=cfg.jobs)
@@ -238,6 +251,8 @@ def _cmd_blowup(args) -> int:
     if args.classify_divisor < 0:
         raise ArcanError("--classify-divisor must be at least 0")
     e = parse(args.expr)
+    if args.classify_divisor:
+        _check_ladder(cfg, e.nvars)
     chart = BlowupChart.from_json(json.loads(args.chart))
     result = pullback(e, chart)
     doc = result.to_json()
@@ -274,6 +289,8 @@ def _cmd_corpus(args) -> int:
         for entry in corpus_list():
             print(emit_json(entry.to_json()))
         return 0
+    entries = [lookup(n) for n in names] if names else corpus_list()
+    _check_ladder(cfg, max(entry.nvars for entry in entries))
     reports = verify_corpus(names, cfg.k_max, cfg.tol, cfg.seed, cfg.jobs)
     for rep in reports:
         print(emit_json(rep.to_json()))
@@ -370,12 +387,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ArcanError as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so that the
+        # flush at exit does not fail again, as the Python docs suggest.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("arcan: error: stdout closed before the output was written",
+              file=sys.stderr)
         return 1
 
 

@@ -25,22 +25,22 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ArcDomainError, DomainError, FloatOverflow, NegativeLeading, \
     OddValuation, ZeroDenominator, ZeroDivisor
-from .jets import LaneJet, LaurentJet, Scalar, _exact_div, jet_sqrt, \
-    sqrt_scalar
+from .jets import LaneJet, LaurentJet, RationalJet, Scalar, _exact_div, \
+    jet_sqrt, sqrt_scalar
 
 
 def _node(cls):
     """A frozen dataclass that computes its hash once.
 
     The generated hash hashes the whole subtree, so without the cache every
-    lookup of a tree (the tape cache keys on it) would cost a walk over it.
+    lookup of a subtree (`compile_tape` hash-conses on them) would cost a
+    walk over it.
     """
     cls = dataclass(frozen=True)(cls)
     subtree_hash = cls.__hash__
@@ -146,13 +146,17 @@ _OP_CODES = {RationalConst: _CONST, Var: _VAR, Add: _ADD, Sub: _SUB, Mul: _MUL,
              Div: _DIV, IntPow: _POW, Sqrt: _SQRT, Guard: _GUARD}
 
 
-@lru_cache(maxsize=256)
 def compile_tape(node: Node) -> tuple[tuple, ...]:
     """Postorder program for a tree, one instruction per distinct subtree.
 
     Structurally equal subtrees share one slot (frozen nodes hash by
-    value).  The last slot holds the value of `node`.
+    value).  The last slot holds the value of `node`.  The tape is kept on
+    the node, as its hash is, so each later call returns the same tuple.
     """
+    try:
+        return node._tape
+    except AttributeError:
+        pass
     slots: dict[Node, int] = {}
     tape: list[tuple] = []
 
@@ -179,7 +183,8 @@ def compile_tape(node: Node) -> tuple[tuple, ...]:
         return slots[n]
 
     visit(node)
-    return tuple(tape)
+    object.__setattr__(node, "_tape", tuple(tape))
+    return node._tape
 
 
 def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt,
@@ -398,9 +403,13 @@ def eval_point(e: Expr, x: Sequence[Scalar], exact: bool = False) -> Scalar:
 
 def eval_point_flagged(e: Expr, x: Sequence[Scalar], exact: bool = False):
     """Pointwise value plus a flag telling whether any guard fired at x."""
+    _check_point(e, x)
+    return _eval_tape(e.root, x, exact, False)
+
+
+def _check_point(e: Expr, x: Sequence[Scalar]) -> None:
     if len(x) != e.nvars:
         raise ValueError(f"point has {len(x)} coordinates, expression has {e.nvars}")
-    return _eval_tape(e.root, x, exact, False)
 
 
 def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
@@ -410,6 +419,7 @@ def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
     a neighbourhood, hence an analytic germ; this is the sound fast path the
     region scans use to skip interpolation work.
     """
+    _check_point(e, x)
     try:
         _eval_tape(e.root, x, exact, True)
     except (DomainError, ZeroDenominator):
@@ -497,12 +507,29 @@ class _RegularLanes:
 # --- evaluation along arcs ---------------------------------------------------
 
 def eval_jets(node: Node, var_jets: Sequence[LaurentJet], order: int,
-              exact: bool = False) -> LaurentJet:
-    """Evaluate over jet arithmetic; guards use series semantics."""
+              exact: bool = False) -> LaurentJet | RationalJet:
+    """Evaluate over jet arithmetic; guards use series semantics.
+
+    Exact evaluation runs on `RationalJet`s (a variable jet with float
+    coefficients stays a `LaurentJet`) and returns one, or a `LaurentJet`
+    where a square root's lead is not a rational square; `to_laurent()`
+    turns either into a `LaurentJet`.
+    """
+    if exact:
+        return run_tape(compile_tape(node), [_exact_jet(j) for j in var_jets],
+                        lambda c: RationalJet.constant(c, order), jet_sqrt,
+                        _transparent_guard)
     return run_tape(compile_tape(node), var_jets,
-                    lambda c: LaurentJet.constant(c if exact else float(c),
-                                                  order),
+                    lambda c: LaurentJet.constant(float(c), order),
                     jet_sqrt, _transparent_guard)
+
+
+def _exact_jet(jet):
+    """A `LaurentJet` with int and Fraction coefficients as a `RationalJet`."""
+    if isinstance(jet, LaurentJet) and all(
+            isinstance(c, (int, Fraction)) for c in jet.coeffs):
+        return RationalJet.from_laurent(jet)
+    return jet
 
 
 def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
@@ -564,7 +591,8 @@ class ArcSpec:
             t = LaurentJet(1, (one,) + (0,) * (order - 1), order)
         else:
             t = LaurentJet.zero(0)  # t is O(t^1): invisible in a window of order 0
-        return tuple(eval_jets(c.root, (t,), order, exact) for c in self.components)
+        return tuple(eval_jets(c.root, (t,), order, exact).to_laurent()
+                     for c in self.components)
 
 
 def eval_arc(e: Expr, arc: ArcSpec, order: int, exact: bool = False) -> LaurentJet:
@@ -573,7 +601,7 @@ def eval_arc(e: Expr, arc: ArcSpec, order: int, exact: bool = False) -> LaurentJ
         raise ValueError(f"arc has {arc.nvars} components, expression has {e.nvars}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    return eval_jets(e.root, arc.jets(order, exact), order, exact)
+    return eval_jets(e.root, arc.jets(order, exact), order, exact).to_laurent()
 
 
 ANALYTIC = "Analytic"

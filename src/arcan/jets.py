@@ -3,22 +3,29 @@
 A jet stores finitely many coefficients of a series around t = 0 together
 with the highest exponent that is still trustworthy (the window).  Every
 operation propagates windows conservatively, so any coefficient read out of
-a jet is one the arithmetic actually determined.  Coefficients may be exact
-`fractions.Fraction` values or floats; the two interoperate, and operations
-on exact inputs stay exact unless a square root forces an irrational
-leading coefficient.
+a jet is one the arithmetic actually determined.
 
-`LaurentJet` admits a negative valuation, which encodes a pole at t = 0 of
-the composed function along an arc; `taylor_coeff` reads a pole-free jet's
-coefficients.  `LaneJet` holds the float jets of many arcs ("lanes") that
-share one valuation and order, as one numpy array, and reproduces
-`LaurentJet`'s float arithmetic lane by lane, bit for bit.
+`LaurentJet` holds float or exact (`int`/`fractions.Fraction`)
+coefficients; the two interoperate, and operations on exact inputs stay
+exact unless a square root forces an irrational leading coefficient.  It
+admits a negative valuation, which encodes a pole at t = 0 of the composed
+function along an arc; `taylor_coeff` reads a pole-free jet's
+coefficients.  `RationalJet` is the exact jet the evaluator runs on:
+integer numerators over one positive denominator, reduced once per
+operation instead of once per coefficient (fraction-free, as in
+Bareiss's elimination).  Where its square root meets a lead that is not a
+rational square it hands over a `LaurentJet`, and from there on the
+evaluation takes `LaurentJet`'s mixed `Fraction`/float path.  `LaneJet`
+holds the float jets of many arcs ("lanes") that share one valuation and
+order, as one numpy array, and reproduces `LaurentJet`'s float arithmetic
+lane by lane, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -116,6 +123,10 @@ class LaurentJet:
             raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
         return self.coeff(k)
 
+    def to_laurent(self) -> "LaurentJet":
+        """The jet itself, so that either kind converts with `to_laurent()`."""
+        return self
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentJet):
             return NotImplemented
@@ -212,25 +223,31 @@ class LaurentJet:
             raise ValueError("negative exponents go through division")
         if exponent == 0:
             return LaurentJet.constant(1, self.order)
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent)
 
 
-def jet_sqrt(a: LaurentJet) -> LaurentJet:
+def _power(base, exponent: int):
+    """base ** exponent (exponent >= 1) by repeated squaring, in any jet kind."""
+    result = None
+    e = exponent
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def jet_sqrt(a: "LaurentJet | RationalJet") -> "LaurentJet | RationalJet":
     """Series square root with positive leading coefficient.
 
     Requires an even valuation and a strictly positive leading coefficient;
     either failure means the arc left the region where the function admits a
-    real series.
+    real series.  A `RationalJet` takes its own exact recurrence.
     """
+    if isinstance(a, RationalJet):
+        return a.sqrt()
     if a.is_zero:
         return LaurentJet.zero(a.order // 2)
     if a.valuation % 2 != 0:
@@ -248,6 +265,254 @@ def jet_sqrt(a: LaurentJet) -> LaurentJet:
         out[i] = _exact_div(acc, 2 * r0)
     v = a.valuation // 2
     return LaurentJet(v, out, v + rel)
+
+
+def _support(nums: list[int], rel: int) -> int:
+    """Length of nums[:rel + 1] without its trailing zeros (nums[0] != 0)."""
+    n = min(len(nums), rel + 1)
+    while not nums[n - 1]:
+        n -= 1
+    return n
+
+
+class RationalJet:
+    """An exact Laurent jet: integer numerators over one denominator.
+
+    Coefficient i, of t^(valuation + i), is nums[i] / den.  Normalised
+    form: den > 0, gcd(den, *nums) == 1 and nums[0] != 0, except for the
+    zero jet, which has no numerators, den 1 and valuation order + 1, as
+    in `LaurentJet`.  Each operation runs an integer recurrence and reduces
+    its result once (one `math.gcd` call), where `Fraction` coefficients
+    would reduce every product and sum.  Windows, valuations and errors
+    (types and messages) are `LaurentJet`'s, so `to_laurent()` of a result
+    equals the `LaurentJet` computed from equal `Fraction` inputs.  An
+    operation with a `LaurentJet` operand converts this jet with
+    `to_laurent()` first and returns the `LaurentJet` result.
+    """
+
+    __slots__ = ("valuation", "order", "nums", "den")
+
+    def __init__(self, valuation: int, nums: list[int], den: int, order: int):
+        """Takes normalised fields as they are; see `_reduced`."""
+        self.valuation = valuation
+        self.order = order
+        self.nums = nums
+        self.den = den
+
+    @staticmethod
+    def _reduced(valuation: int, nums: list[int], den: int,
+                 order: int) -> "RationalJet":
+        """The normalised jet of nums / den (den nonzero, either sign)."""
+        lead = 0
+        while lead < len(nums) and not nums[lead]:
+            lead += 1
+        if lead == len(nums):
+            return RationalJet.zero(order)
+        if lead:
+            nums = nums[lead:]
+            valuation += lead
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return RationalJet(valuation, nums, den, order)
+
+    # --- constructors and conversion ----------------------------------------
+
+    @staticmethod
+    def zero(order: int) -> "RationalJet":
+        return RationalJet(order + 1, [], 1, order)
+
+    @staticmethod
+    def constant(value: int | Fraction, order: int) -> "RationalJet":
+        if value == 0:
+            return RationalJet.zero(order)
+        if order < 0:  # as in LaurentJet.constant: t^0 lies beyond the window
+            raise ValueError("coefficient count does not match valuation/order")
+        value = Fraction(value)
+        return RationalJet(0, [value.numerator] + [0] * order,
+                           value.denominator, order)
+
+    @staticmethod
+    def from_laurent(jet: LaurentJet) -> "RationalJet":
+        """The jet of a `LaurentJet` whose coefficients are ints or Fractions."""
+        if jet.is_zero:
+            return RationalJet.zero(jet.order)
+        den = math.lcm(*(c.denominator for c in jet.coeffs))
+        return RationalJet(jet.valuation,
+                           [c.numerator * (den // c.denominator)
+                            for c in jet.coeffs], den, jet.order)
+
+    def to_laurent(self) -> LaurentJet:
+        """The same jet with `Fraction` coefficients."""
+        den = self.den
+        return LaurentJet(self.valuation, [Fraction(c, den) for c in self.nums],
+                          self.order)
+
+    # --- inspection ---------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def taylor_coeff(self, k: int) -> Fraction:
+        """`LaurentJet.taylor_coeff`, always as a `Fraction`."""
+        if self.nums and self.valuation < 0:
+            raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
+        if k > self.order:
+            raise ValueError(f"coefficient {k} beyond retained order {self.order}")
+        if k < self.valuation:
+            return Fraction(0)
+        return Fraction(self.nums[k - self.valuation], self.den)
+
+    # --- arithmetic ---------------------------------------------------------
+
+    def __neg__(self) -> "RationalJet":
+        return RationalJet(self.valuation, [-c for c in self.nums], self.den,
+                           self.order)
+
+    def _sum(self, other: "RationalJet", sign: int) -> "RationalJet":
+        """self + sign * other over the lcm of the two denominators."""
+        k = min(self.order, other.order)
+        lo = min(self.valuation, other.valuation)
+        if lo > k:
+            return RationalJet.zero(k)
+        g = math.gcd(self.den, other.den)
+        acc = [0] * (k - lo + 1)
+        for src, scale in ((self, other.den // g),
+                           (other, sign * (self.den // g))):
+            part = src.nums[:max(k - src.valuation + 1, 0)]
+            if scale != 1:
+                part = [c * scale for c in part]
+            start = src.valuation - lo
+            end = start + len(part)
+            acc[start:end] = map(add, acc[start:end], part)
+        return RationalJet._reduced(lo, acc, self.den // g * other.den, k)
+
+    def __add__(self, other):
+        if isinstance(other, RationalJet):
+            return self._sum(other, 1)
+        return self.to_laurent() + other
+
+    def __sub__(self, other):
+        if isinstance(other, RationalJet):
+            return self._sum(other, -1)
+        return self.to_laurent() - other
+
+    def __mul__(self, other):
+        if not isinstance(other, RationalJet):
+            return self.to_laurent() * other
+        if not self.nums or not other.nums:
+            order = min(self.order + other.valuation, other.order + self.valuation)
+            return RationalJet.zero(order)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.nums, other.nums
+        na, nb = _support(a, rel), _support(b, rel)
+        if na > nb:
+            a, b, na, nb = b, a, nb, na
+        # Polynomial jets end in zeros: only the first na + nb - 1
+        # coefficients can be nonzero, and only na terms of each.
+        a = a[:na]
+        top = min(na + nb - 1, rel + 1)
+        out = [sum(map(mul, a[:i + 1], b[i::-1])) for i in range(top)]
+        out += [0] * (rel + 1 - top)
+        v = self.valuation + other.valuation
+        return RationalJet._reduced(v, out, self.den * other.den, v + rel)
+
+    def __truediv__(self, other):
+        """Fraction-free long division.
+
+        With b0 = B[0], Q_i = A_i b0^i - sum_{j=1..i} B_j b0^(j-1) Q_{i-j}
+        and the quotient's coefficient i is Q_i db / (da b0^(i+1)), all put
+        over the denominator da b0^(rel+1).
+        """
+        if not isinstance(other, RationalJet):
+            return self.to_laurent() / other
+        if not other.nums:
+            raise ZeroDivisor(
+                "every retained coefficient of the divisor is zero "
+                f"(window O(t^{other.order + 1}))")
+        if not self.nums:
+            return RationalJet.zero(self.order - other.valuation)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.nums, other.nums
+        b0 = b[0]
+        scaled = []          # B_j b0^(j-1), j = 1..rel, up to B's last nonzero
+        power = 1
+        for j in range(1, _support(b, rel)):
+            scaled.append(b[j] * power)
+            power *= b0
+        q = []
+        power = 1            # b0^i
+        for i in range(rel + 1):
+            q.append(a[i] * power - sum(map(mul, scaled[:i], q[::-1])))
+            power *= b0
+        nums = [0] * (rel + 1)
+        shift = other.den    # db b0^(rel-i)
+        for i in range(rel, -1, -1):
+            nums[i] = q[i] * shift
+            shift *= b0
+        v = self.valuation - other.valuation
+        return RationalJet._reduced(v, nums, self.den * power, v + rel)
+
+    def __radd__(self, other):
+        return other + self.to_laurent()
+
+    def __rsub__(self, other):
+        return other - self.to_laurent()
+
+    def __rmul__(self, other):
+        return other * self.to_laurent()
+
+    def __rtruediv__(self, other):
+        return other / self.to_laurent()
+
+    def pow_int(self, exponent: int) -> "RationalJet":
+        if exponent < 0:
+            raise ValueError("negative exponents go through division")
+        if exponent == 0:
+            return RationalJet.constant(1, self.order)
+        return _power(self, exponent)
+
+    def sqrt(self) -> "RationalJet | LaurentJet":
+        """`jet_sqrt`, exact while the lead is the square of a rational.
+
+        With a0 = A[0] = den (p/q)^2, U_i = A_i (4 a0)^(i-1) -
+        sum_{j=1..i-1} U_j U_{i-j} and the root's coefficient i >= 1 is
+        (p/q) U_i / (2^(2i-1) a0^i), which over the denominator
+        q (4 a0)^rel has the numerator 2 p U_i (4 a0)^(rel-i).  Any other
+        lead makes the root irrational: the result is then `jet_sqrt` of
+        `to_laurent()`, whose coefficients are floats.
+        """
+        if not self.nums:
+            return RationalJet.zero(self.order // 2)
+        if self.valuation % 2 != 0:
+            raise OddValuation(f"leading exponent {self.valuation} is odd")
+        a = self.nums
+        a0, den = a[0], self.den
+        if a0 < 0:
+            raise NegativeLeading(
+                f"leading coefficient {Fraction(a0, den)} is negative")
+        g = math.gcd(a0, den)
+        p, q = math.isqrt(a0 // g), math.isqrt(den // g)
+        if p * p * g != a0 or q * q * g != den:
+            return jet_sqrt(self.to_laurent())
+        rel = self.order - self.valuation
+        four_a0 = 4 * a0
+        u = [0]              # U_0 is not used
+        power = 1            # (4 a0)^(i-1)
+        for i in range(1, rel + 1):
+            u.append(a[i] * power - sum(map(mul, u[1:i], u[i - 1:0:-1])))
+            power *= four_a0
+        nums = [p * power] + [0] * rel
+        shift = 2 * p        # 2 p (4 a0)^(rel-i)
+        for i in range(rel, 0, -1):
+            nums[i] = u[i] * shift
+            shift *= four_a0
+        v = self.valuation // 2
+        return RationalJet._reduced(v, nums, q * power, v + rel)
 
 
 class LaneJet:
@@ -405,13 +670,4 @@ class LaneJet:
             # The scalar path returns an integer constant jet, whose exact
             # divisions (int / int -> Fraction) floats would not reproduce.
             raise IrregularBatch("zeroth power")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent)

@@ -3,7 +3,9 @@
 The seeded generators use `random`; `trees` is a Hypothesis strategy.
 `walker_eval_point_flagged` and `walker_regular_at` are the recursive
 pointwise evaluator that the tape evaluator replaced, kept as its
-reference.
+reference.  `fraction_gateaux_series` is exact jet evaluation over
+`LaurentJet`s with `Fraction` coefficients, which `RationalJet` replaced,
+kept as its reference.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 
 from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
-    RationalConst, Sqrt, Sub, Var
-from arcan.jets import LaurentJet, Scalar, sqrt_scalar
+    RationalConst, Sqrt, Sub, Var, compile_tape, run_tape
+from arcan.jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -244,3 +246,15 @@ def walker_regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool
     except (DomainError, ZeroDenominator):
         return False
     return True
+
+
+# --- exact jets over Fraction coefficients (reference for RationalJet) ----------
+
+def fraction_gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
+                            order: int) -> LaurentJet:
+    """Exact jet of t -> f(x + t v), every coefficient a reduced Fraction."""
+    pad = (0,) * (order - 1)
+    var_jets = [LaurentJet(0, (xi, vi) + pad, order) for xi, vi in zip(x, v)]
+    return run_tape(compile_tape(e.root), var_jets,
+                    lambda c: LaurentJet.constant(c, order), jet_sqrt,
+                    lambda body, default: body)

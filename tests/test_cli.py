@@ -37,6 +37,25 @@ class TestClassifyCommand:
         assert doc["point"] == ["1/2", "0"]
         assert doc["status"] == "AnalyticUpTo"
 
+    def test_rational_residuals_are_quoted_fractions(self, capsys):
+        # h_k below a jet's valuation is an exact zero, printed as "0".
+        code, out = run_cli(capsys, [
+            "classify", "x*y", "--point", "0,0", "--mode", "rational",
+            "--kmax", "3"])
+        assert code == 0
+        assert out == (
+            '{"point": ["0", "0"], "status": "AnalyticUpTo", "kMax": 3, '
+            '"perOrder": [{"k": 0, "residuals": ["0", "0"], "scale": 1, '
+            '"nodeSeed": 0, "fitted": {"nvars": 2, "degree": 0, '
+            '"coeffs": ["0"]}}, {"k": 1, "residuals": ["0", "0"], '
+            '"scale": 1, "nodeSeed": 0, "fitted": {"nvars": 2, "degree": 1, '
+            '"coeffs": ["0", "0"]}}, {"k": 2, "residuals": ["0", "0", "0"], '
+            '"scale": 113, "nodeSeed": 0, "fitted": {"nvars": 2, '
+            '"degree": 2, "coeffs": ["0", "1", "0"]}}, {"k": 3, '
+            '"residuals": ["0", "0", "0", "0"], "scale": 1, "nodeSeed": 0, '
+            '"fitted": {"nvars": 2, "degree": 3, '
+            '"coeffs": ["0", "0", "0", "0"]}}]}\n')
+
 
 class TestScanCommand:
     ARGS = ["scan", "guard(x^3/(x^2+y^2),0)",
@@ -88,6 +107,15 @@ class TestArcCommand:
         doc = json.loads(out)
         assert doc["kind"] == "Pole"
         assert doc["valuation"] == -2
+
+    def test_rational_coefficients_are_quoted_fractions(self, capsys):
+        code, out = run_cli(capsys, [
+            "arc", "x*y + 1", "--arc", "t, t^2", "--mode", "rational"])
+        assert code == 0
+        coeffs = ", ".join(['"1"', '"0"', '"0"', '"1"'] + ['"0"'] * 17)
+        assert out == (
+            '{"kind": "Analytic", "valuation": 0, "order": 20, '
+            f'"coeffs": [{coeffs}], "pointValue": "1", "mismatch": "0"}}\n')
 
 
 class TestBlowupCommand:
@@ -180,6 +208,17 @@ class TestUsageContract:
         (["arc", "x", "--arc", "t", "--arc-tol", "inf"], "--arc-tol"),
         (["blowup", "x*y", "--chart", '{"n":2,"center":[1,2],"axis":1}',
           "--classify-divisor", "-2"], "--classify-divisor"),
+        (["classify", "x", "--point", "1", "--order", "405"], "--order"),
+        (["classify", "x", "--point", "1", "--kmax", "0"], "--kmax"),
+        (["classify", "x", "--point", "1", "--kmax", "101"], "--kmax"),
+        (["classify", "x", "--point", "1", "--kmax", "100000"], "--kmax"),
+        # d(3, 62) = 2016 directions per order
+        (["classify", "x+y+z", "--point", "1,1,1", "--kmax", "62"], "--kmax"),
+        (["scan", "x+y+z", "--grid", "x:0:1:1;y:0:1:1;z:0:1:1",
+          "--kmax", "62"], "--kmax"),
+        (["corpus", "E6", "--kmax", "100"], "--kmax"),
+        (["blowup", "x*y*z", "--chart", '{"n":3,"center":[1,2],"axis":1}',
+          "--classify-divisor", "1", "--kmax", "62"], "--kmax"),
     ])
     def test_numeric_arguments_are_checked(self, capsys, argv, flag):
         code = cli.main(argv)
@@ -197,6 +236,14 @@ class TestUsageContract:
         assert cli.main(["blowup", "x*y", "--chart",
                          '{"n":2,"center":[1,2],"axis":1}',
                          "--classify-divisor", "0"]) == 0
+        assert cli.main(["arc", "x", "--arc", "t", "--order", "404",
+                         "--kmax", "100"]) == 0
+
+    def test_ladder_bound_admits_three_variables_at_kmax_60(self):
+        # d(3, 60) = 1891; checked without running the ladder
+        cli._check_ladder(cli.RunConfig(k_max=60), 3)
+        with pytest.raises(cli.ArcanError, match="2016 directions"):
+            cli._check_ladder(cli.RunConfig(k_max=62), 3)
 
     def test_jobs_must_fit_the_machine(self, capsys, monkeypatch):
         # Rejected before any worker pool exists: a pool must never start.
@@ -259,14 +306,28 @@ class TestUsageContract:
 
 
 class TestModuleEntryPoint:
+    ENV = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
     def test_python_dash_m_arcan_help(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-m", "arcan", "--help"],
-                              env=env, capture_output=True, text=True,
+                              env=self.ENV, capture_output=True, text=True,
                               timeout=60)
         assert done.returncode == 0
         assert done.stdout.startswith("usage: arcan")
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # The reader closes its end before arcan writes anything.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arcan", "classify", "x*y", "--point",
+             "1,2"], env=self.ENV, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err.startswith("arcan: error: ")
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestJsonEmitter:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcan.classify import classify_point
 from arcan.corpus import arc_analytic_entries, lookup
 from arcan.errors import ArcDomainError, DomainError, FloatOverflow, \
     ZeroDenominator
@@ -127,11 +128,15 @@ class TestPointOnTheTape:
 
 
 class TestTape:
-    def test_equal_trees_share_one_tape(self):
+    def test_equal_trees_compile_to_equal_tapes(self):
         first = lookup("E6").expr().root
         second = lookup("E6").expr().root
         assert first is not second and first == second
-        assert compile_tape(second) is compile_tape(first)
+        assert compile_tape(second) == compile_tape(first)
+
+    def test_a_node_keeps_its_tape(self):
+        root = lookup("E6").expr().root
+        assert compile_tape(root) is compile_tape(root)
 
     def test_hash_matches_for_equal_subtrees(self):
         # Structurally equal subtrees hash alike and share one tape slot.
@@ -149,6 +154,15 @@ class TestRegularAt:
         e2 = parse("sqrt(x^4 + y^4)")
         assert regular_at(e2, (0.5, 0.5))
         assert not regular_at(e2, (0.0, 0.0))
+
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_point_length_must_match(self, point):
+        with pytest.raises(ValueError, match="point has"):
+            regular_at(parse("x+y"), point)
+
+    def test_shortcut_checks_the_point_length(self):
+        with pytest.raises(ValueError, match="point has 3 coordinates"):
+            classify_point(parse("x+y"), (1.0, 2.0, 3.0), shortcut=True)
 
 
 class TestEvalArc:

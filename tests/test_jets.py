@@ -1,15 +1,21 @@
 """Jet arithmetic: examples, error cases, and ring-law properties."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arcan.classify import DEFAULT_COND_CAP, _PointSession, default_order, \
+    gateaux_series
+from arcan.corpus import corpus_list, lookup
 from arcan.errors import NegativeLeading, OddValuation, PoleAtOrigin, ZeroDivisor
-from arcan.jets import LaurentJet, jet_sqrt
+from arcan.jets import LaurentJet, RationalJet, jet_sqrt
 
-from helpers import coeff_norm, jets_agree, random_laurent, random_poly_jet
+from helpers import coeff_norm, fraction_gateaux_series, jets_agree, \
+    random_laurent, random_poly_jet
 
 F = Fraction
 
@@ -205,3 +211,128 @@ class TestNormalization:
         a = LaurentJet(0, [F(1)], 0)
         with pytest.raises(AttributeError):
             a.valuation = 3
+
+
+# --- RationalJet ------------------------------------------------------------------
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def outcome(fn):
+    """What fn() gives: the jet bit for bit, or its exception type and message."""
+    try:
+        jet = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return bits(jet.to_laurent())
+
+
+def bits(jet: LaurentJet) -> tuple:
+    """A LaurentJet's window and exact coefficients (floats as hex)."""
+    return (jet.valuation, jet.order,
+            tuple(c.hex() if isinstance(c, float) else Fraction(c)
+                  for c in jet.coeffs))
+
+
+@st.composite
+def fraction_jets(draw):
+    """Exact LaurentJets: valuation -2..3, order 0..10, zero jets included."""
+    order = draw(st.integers(0, 10))
+    valuation = draw(st.integers(-2, min(3, order + 1)))
+    coeffs = draw(st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        min_size=order - valuation + 1, max_size=order - valuation + 1))
+    if draw(st.booleans()):
+        # a polynomial in t: trailing zeros, as along straight lines
+        cut = draw(st.integers(1, len(coeffs) or 1))
+        coeffs = coeffs[:cut] + [Fraction(0)] * (len(coeffs) - cut)
+    return LaurentJet(valuation, coeffs, order)
+
+
+class TestRationalJet:
+    @settings(max_examples=400, deadline=None)
+    @given(fraction_jets(), fraction_jets(), st.integers(0, 4),
+           st.booleans())
+    def test_agrees_with_fraction_laurent_jets(self, a, b, exponent, square):
+        ra, rb = RationalJet.from_laurent(a), RationalJet.from_laurent(b)
+        assert bits(ra.to_laurent()) == bits(a)
+        for op in ARITHMETIC:
+            assert outcome(lambda: op(ra, rb)) == outcome(lambda: op(a, b)), op
+        assert outcome(lambda: ra.pow_int(exponent)) \
+            == outcome(lambda: a.pow_int(exponent))
+        # results feed later operations: a quotient's square root
+        assert outcome(lambda: jet_sqrt(ra / rb)) \
+            == outcome(lambda: jet_sqrt(a / b))
+        radicand = a * a if square else a
+        assert outcome(lambda: jet_sqrt(RationalJet.from_laurent(radicand))) \
+            == outcome(lambda: jet_sqrt(radicand))
+
+    def test_normalised_form(self):
+        a = RationalJet.from_laurent(LaurentJet(0, [F(2, 3), F(4, 3)], 1))
+        assert (a.nums, a.den) == ([2, 4], 3)
+        b = RationalJet.from_laurent(LaurentJet(0, [F(1, 3), F(2, 3)], 1))
+        total = a + b
+        assert (total.valuation, total.nums, total.den) == (0, [1, 2], 1)
+        diff = a - a
+        assert diff.is_zero and (diff.valuation, diff.den) == (2, 1)
+        # the quotient's denominator starts as 1 * (-2)^3: its sign moves up
+        q = RationalJet.constant(F(1), 2) / RationalJet.constant(F(-2), 2)
+        assert (q.nums, q.den) == ([-1, 0, 0], 2)
+
+    def test_taylor_coeff_is_always_a_fraction(self):
+        jet = RationalJet.from_laurent(LaurentJet(2, [F(3), 0], 3))
+        values = [jet.taylor_coeff(k) for k in range(4)]
+        assert values == [0, 0, 3, 0]
+        assert all(type(c) is Fraction for c in values)
+        with pytest.raises(ValueError, match="beyond retained order 3"):
+            jet.taylor_coeff(4)
+        pole = RationalJet.from_laurent(LaurentJet(-1, [F(1)], -1))
+        with pytest.raises(PoleAtOrigin):
+            pole.taylor_coeff(0)
+
+    def test_sqrt_errors_keep_their_messages(self):
+        negative = RationalJet.from_laurent(LaurentJet(0, [F(-3, 4), 1], 1))
+        with pytest.raises(NegativeLeading,
+                           match="leading coefficient -3/4 is negative"):
+            negative.sqrt()
+        with pytest.raises(OddValuation, match="leading exponent 1 is odd"):
+            RationalJet.from_laurent(LaurentJet(1, [F(4)], 1)).sqrt()
+
+    def test_sqrt_of_a_non_square_lead_degrades_to_floats(self):
+        root = RationalJet.from_laurent(LaurentJet(0, [F(2), F(1)], 1)).sqrt()
+        assert isinstance(root, LaurentJet)
+        assert root.coeffs[0] == math.sqrt(2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_operands_give_the_laurent_result(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            order = rng.randint(0, 10)
+            exact = random_laurent(rng, order, min_val=-2)
+            other = random_laurent(rng, rng.randint(0, 10), min_val=-2,
+                                   exact=rng.random() < 0.3)
+            rational = RationalJet.from_laurent(exact)
+            for op in ARITHMETIC:
+                assert outcome(lambda: op(rational, other)) \
+                    == outcome(lambda: op(exact, other)), op
+                assert outcome(lambda: op(other, rational)) \
+                    == outcome(lambda: op(other, exact)), op
+
+
+def _exact_points():
+    """Every corpus exact-locus and regular point at k_max 8, and the two
+    points that are Inconclusive at k_max 10 in rational mode."""
+    cases = [(entry.name, tuple(p), 8) for entry in corpus_list()
+             for p in entry.exact_locus_points + entry.regular_points]
+    return cases + [("E5", (1, 0, 0), 10), ("E6", (Fraction(1, 2), 0, 0), 10)]
+
+
+@pytest.mark.parametrize("name, point, k_max", _exact_points())
+def test_exact_series_equal_the_fraction_path(name, point, k_max):
+    e = lookup(name).expr()
+    order = default_order(k_max)
+    session = _PointSession(e, point, order, True, 0, DEFAULT_COND_CAP, k_max)
+    for i in range(150):
+        v = session.dir(i)
+        assert outcome(lambda: gateaux_series(e, point, v, order, exact=True)) \
+            == outcome(lambda: fraction_gateaux_series(e, point, v, order)), v
