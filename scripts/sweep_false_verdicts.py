@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Count wrong float verdicts of the full ladder over the corpus grids.
+
+Runs `classify_point` (shortcut off, k_max 10) at every point of every
+corpus entry's `scan_axes` grid and of an E6 slab near the oval
+(x in [-1/4, 13/4] step 1/8, y in [-1, 1] step 1/8, z in [1/16, 1/4] step
+1/16), under seeds 0-3: 51,816 points.  It does so twice: with per-point
+seeds `derive_seed(seed, "scan", i)` (i the grid index), and with the seed
+itself shared by every point, as `arcan scan` runs them.  Each verdict is
+judged against the entry's locus: a NonAnalytic verdict off the locus is
+false, any other verdict on it is missed.
+
+Prints the counts by seeding, grid and kind, and every wrong point; exits 1
+on any false or missed verdict.  Takes several minutes on one core:
+
+    PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]
+"""
+
+import argparse
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
+
+from arcan.classify import INCONCLUSIVE, NON_ANALYTIC, classify_point, \
+    grid_points
+from arcan.corpus import corpus_list, lookup
+from arcan.seeds import derive_seed
+
+K_MAX = 10
+SEEDS = (0, 1, 2, 3)
+SLAB = ((Fraction(-1, 4), Fraction(13, 4), Fraction(1, 8)),
+        (Fraction(-1), Fraction(1), Fraction(1, 8)),
+        (Fraction(1, 16), Fraction(1, 4), Fraction(1, 16)))
+SEEDINGS = ("per-point", "shared")
+
+
+def grids():
+    """(label, corpus entry name, axes) of every grid the sweep covers."""
+    out = [(entry.name, entry.name, entry.scan_axes) for entry in corpus_list()]
+    return out + [("E6-slab", "E6", SLAB)]
+
+
+def sweep(task):
+    """Wrong and Inconclusive verdicts of one grid under one seed and seeding."""
+    label, name, axes, seed, seeding = task
+    entry = lookup(name)
+    e = entry.expr()
+    wrong, inconclusive = [], 0
+    points = grid_points(axes)
+    for i, pt in enumerate(points):
+        pseed = derive_seed(seed, "scan", i) if seeding == "per-point" else seed
+        v = classify_point(e, pt, K_MAX, seed=pseed, shortcut=False)
+        on_locus = entry.locus.contains(pt)
+        if v.status == INCONCLUSIVE:
+            inconclusive += 1
+        if (v.status == NON_ANALYTIC) != on_locus:
+            kind = "missed" if on_locus else "false"
+            wrong.append((kind, i, pt, v.status, v.k_star))
+    return label, seed, seeding, len(points), wrong, inconclusive
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default 1)")
+    args = parser.parse_args(argv)
+    tasks = [(label, name, axes, seed, seeding) for seeding in SEEDINGS
+             for seed in SEEDS for label, name, axes in grids()]
+    totals = {s: {"points": 0, "false": 0, "missed": 0, "inconclusive": 0}
+              for s in SEEDINGS}
+    started = time.perf_counter()
+    with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        for label, seed, seeding, count, wrong, inconclusive in \
+                pool.map(sweep, tasks):
+            total = totals[seeding]
+            total["points"] += count
+            total["inconclusive"] += inconclusive
+            for kind, i, pt, status, k_star in wrong:
+                total[kind] += 1
+                print(f"{seeding} seed {seed} {label} i={i} "
+                      f"{tuple(map(str, pt))}: {kind} {status}({k_star})")
+    for seeding, total in totals.items():
+        print(f"{seeding}: " + ", ".join(f"{v} {k}" for k, v in total.items()))
+    print(f"{time.perf_counter() - started:.0f} s")
+    bad = sum(t["false"] + t["missed"] for t in totals.values())
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

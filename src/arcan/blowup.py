@@ -90,9 +90,13 @@ class BlowupChart:
                 "axis": self.axis + 1}
 
     @staticmethod
-    def from_json(doc: dict) -> "BlowupChart":
-        return BlowupChart(doc["n"], tuple(i - 1 for i in doc["center"]),
-                           doc["axis"] - 1)
+    def from_json(doc) -> "BlowupChart":
+        n, center, axis = (doc.get(key) for key in ("n", "center", "axis")) \
+            if isinstance(doc, dict) else (None, None, None)
+        if not all(isinstance(i, int) for i in [n, axis, *(
+                center if isinstance(center, list) else [None])]):
+            raise ValueError('a chart is {"n": int, "center": [int], "axis": int}')
+        return make_chart(n, center, axis)
 
 
 def make_chart(nvars: int, center: Sequence[int], axis: int) -> BlowupChart:
@@ -108,11 +112,6 @@ class PullbackResult:
     cancelled_power: int
     non_rational: bool
     chart: BlowupChart
-
-    @property
-    def exceptional_divisor(self) -> int:
-        """0-based coordinate whose vanishing cuts out the divisor {s = 0}."""
-        return self.chart.axis
 
     def to_json(self) -> dict:
         from .parser import to_text, var_name

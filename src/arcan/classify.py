@@ -5,25 +5,24 @@ The detector rests on the directional series coefficients
     h_k(x, v) = (1/k!) d^k/dt^k f(x + t v) |_{t=0},
 
 which are k-homogeneous in v and, at a point where f is an analytic germ,
-polynomial in v.  `poly_test` probes one order k: it reads h_k(x, .) off
-jets along d(n,k) generic directions, fits the unique candidate homogeneous
-polynomial through those values, and measures the mismatch at fresh
-validation directions.  A pole along a direction, or a validation residual
-above tolerance, certifies the differential is not polynomial at that
-order; `classify_point` runs the ladder k = 0..k_max and reports the first
-failing order.  A finite ladder cannot prove analyticity, so the positive
-verdict is the honest `AnalyticUpTo(k_max)`.
+polynomial in v.  `poly_test` probes one order k and `classify_point` runs
+the ladder k = 0..k_max, reporting the first failing order.  A pole along a
+direction, or a residual above tol * (1 + max |h_k|), certifies that the
+differential is not polynomial at that order.  A finite ladder cannot
+prove analyticity, so the positive verdict is the honest
+`AnalyticUpTo(k_max)`.
 
-In float mode a point's jets come from one batched pass: every direction
-the ladder will need is evaluated at once as a lane of a `LaneJet`, bit
-for bit as the scalar `LaurentJet` path would, and each order gathers one
-evaluation matrix from per-direction power tables for its condition
-estimate, fit and validation.  A batch whose lanes cannot share one
-valuation and order (or that meets a zero divisor, a failing square root
-or a non-finite value) falls back to the scalar path, so verdicts, reasons
-and residual digits do not depend on the batching.  Exact (rational) mode
-always runs the scalar path, on `RationalJet`s, and reads each h_k as a
-`Fraction`.
+Float mode tests order k by least squares: h_k at 2·d(n,k) directions
+must lie in the column space of their degree-k evaluation matrix V = QR,
+and the residual |h - Q Qᵀ h| is bounded by the error of h itself, not
+amplified by the condition of V (Golub & Van Loan, *Matrix Computations*,
+§5.3).  A cached `Design` holds the directions of (seed, n, k_max) and
+each order's Q and R⁻¹, shared by every point of a scan; a point's jets
+come from one batched pass over it (`eval_lanes`), bit for bit as the
+scalar path, to which a batch the lanes cannot share falls back.  Exact
+(rational) mode fits on d(n,k) lattice directions of a per-point stream,
+rejected by condition estimate, validates at d(n,k) more, and reads each
+h_k as a `Fraction`.
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -42,6 +41,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
 from .homog import HomoPoly, NodeSet, condition_estimate, dim_homog, \
-    fit_matrix, gather_matrix, interp_fit, matrix_condition, power_table
+    gather_matrix, interp_fit
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
 from .seeds import derive_seed, direction
 
@@ -69,12 +69,15 @@ _SHORTCUT_BLOCK = 4096
 # Largest grid a scan builds: 10**6 float points take ~75 MB, and a scan's
 # task list about as much again.
 MAX_GRID_POINTS = 10 ** 6
-# Largest ladder the CLI runs: k_max, the d(n, k_max) directions its top
-# order fits on (x+y+z at k_max 60 needs 1891), and the retained jet order
+# Largest ladder the CLI runs: k_max, the d(n, k_max) monomials of its top
+# order (x+y+z at k_max 60 has 1891), and the retained jet order
 # (2 * MAX_K_MAX + 4 is the default at the top k_max).
 MAX_K_MAX = 100
 MAX_LADDER_DIRECTIONS = 2000
 MAX_ORDER = 404
+# Bytes of QR factors a design keeps: ~0.4 MB at n=3, k_max 10, but ~600 MB
+# at k_max 60, whose orders beyond the budget are factored again per point.
+MAX_DESIGN_BYTES = 64 * 2 ** 20
 
 
 def default_order(k_max: int) -> int:
@@ -117,10 +120,101 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
     return _series(e, xs, vs, order, exact).taylor_coeff(k)
 
 
-# --- per-point direction/jet bookkeeping --------------------------------------
+# --- the float ladder's direction design ---------------------------------------
+
+class Design:
+    """The directions of every float ladder under one (seed, n, k_top).
+
+    The first 2·d(n, k_top) directions of the seeded stream and their
+    coordinate powers.  Order k tests on the first 2·d(n, k), whatever
+    k_top; `factors(k)` is Q and R⁻¹ of their evaluation matrix V = QR,
+    kept while the design's factors fit in MAX_DESIGN_BYTES.
+    """
+
+    def __init__(self, seed: int, n: int, k_top: int):
+        self.seed, self.n = seed, n
+        rng = random.Random(derive_seed(seed, "directions", n))
+        self.directions = np.array([direction(rng, n, False)
+                                    for _ in range(2 * dim_homog(n, k_top))])
+        self.powers = np.ones(self.directions.shape + (k_top + 1,))
+        for e in range(1, k_top + 1):
+            self.powers[:, :, e] = self.powers[:, :, e - 1] * self.directions
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
+        directions; GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps."""
+        held = self._factors.get(k)
+        if held is not None:
+            return held
+        rows = 2 * dim_homog(self.n, k)
+        q, r = np.linalg.qr(gather_matrix(self.powers[:rows], self.n, k))
+        diag = np.abs(np.diagonal(r))
+        if not diag.min() > diag.max() * rows * np.finfo(float).eps:
+            raise GenericityFailure(
+                f"the directions of order {k} are not generic "
+                f"(|R_ii| from {diag.min():.3g} to {diag.max():.3g})")
+        factors = q, np.linalg.inv(r)
+        kept = sum(a.nbytes + b.nbytes for a, b in self._factors.values())
+        if kept + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
+            self._factors[k] = factors
+        return factors
+
+
+@lru_cache(maxsize=1)
+def design(seed: int, n: int, k_top: int) -> Design:
+    """The design of a float ladder; the last one built is kept."""
+    return Design(seed, n, k_top)
+
+
+class _DesignJets:
+    """Float jets of f(x + t v) at one point, v running over a design's rows.
+
+    One `eval_lanes` pass per LANES_PER_PASS directions bounds the memory a
+    pass holds.  A pass the lanes cannot share (`IrregularBatch`) leaves its
+    directions to the scalar path, evaluated when read and raising what it
+    raises; lanes equal the scalar jets bit for bit.
+    """
+
+    def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray):
+        self.e, self.x, self.order, self.directions = e, x, order, directions
+        self._passes: list[LaneJet | None] = []
+        for start in range(0, len(directions), LANES_PER_PASS):
+            try:
+                with np.errstate(all="ignore"):
+                    self._passes.append(eval_lanes(
+                        e.root, x, directions[start:start + LANES_PER_PASS],
+                        order))
+            except IrregularBatch:
+                self._passes.append(None)
+        self._scalar: dict[int, LaurentJet] = {}
+
+    def jet(self, i: int) -> LaurentJet:
+        batch = self._passes[i // LANES_PER_PASS]
+        if batch is not None:
+            return batch.lane(i % LANES_PER_PASS)
+        v = tuple(self.directions[i].tolist())
+        if i not in self._scalar:
+            self._scalar[i] = _series(self.e, self.x, v, self.order, False)
+        return self._scalar[i]
+
+    def taylor_values(self, k: int, count: int) -> list:
+        """h_k along the first `count` directions; raises as the first bad jet."""
+        out: list = []
+        for start in range(0, count, LANES_PER_PASS):
+            stop = min(count, start + LANES_PER_PASS)
+            batch = self._passes[start // LANES_PER_PASS]
+            if batch is None:
+                out += [self.jet(i).taylor_coeff(k) for i in range(start, stop)]
+            else:
+                out += batch.taylor_column(k)[:stop - start]
+        return out
+
+
+# --- the exact ladder's direction pool ------------------------------------------
 
 class _PointSession:
-    """Seeded direction pool and jet cache for one classification point.
+    """Seeded lattice directions and exact jets for one rational point.
 
     Directions are drawn one at a time from a per-point stream; order k
     fits on the prefix slice of length d(n,k) and validates on the next
@@ -129,139 +223,43 @@ class _PointSession:
     evaluation matrix is badly conditioned falls back to a fresh block at
     the pool's high-water mark, the number of directions the ladder has
     asked for so far (deterministically).
-
-    In float mode the session draws the 2·d(n, k_top) directions the
-    ladder will need up front and evaluates their jets in one batched pass
-    (`eval_lanes`); a retry block beyond them is batched the same way when
-    it is first read.  Each direction keeps a table of its coordinate
-    powers, from which every order gathers one evaluation matrix for its
-    condition estimate, fit and validation.  Directions drawn ahead do not
-    move the high-water mark, so retry blocks start where they would
-    without the batch.  A batch the lanes cannot share (`IrregularBatch`)
-    is dropped, and its directions' jets come from the scalar path when
-    they are read, raising what the scalar path raises.  Exact mode is
-    always scalar and keeps each direction's `RationalJet`.
     """
 
-    def __init__(self, e: Expr, x: tuple, order: int, exact: bool, seed: int,
-                 cond_cap: float, k_top: int):
-        self.e = e
-        self.x = x
-        self.order = order
-        self.exact = exact
-        self.seed = seed
-        self.cond_cap = cond_cap
-        self.n = e.nvars
-        self.k_top = k_top
+    def __init__(self, e: Expr, x: tuple, order: int, seed: int,
+                 cond_cap: float):
+        self.e, self.x, self.order, self.n = e, x, order, e.nvars
+        self.seed, self.cond_cap = seed, cond_cap
         self._rng = random.Random(derive_seed(seed, "directions", self.n))
         self._dirs: list[tuple] = []
         self._asked = 0
-        self._jets: dict[int, LaurentJet | RationalJet] = {}
-        self._lane: dict[int, tuple[LaneJet, int]] = {}
-        self._scalar: set[int] = set()
-        self._fit_idx: dict[int, tuple[list[int], float, np.ndarray | None]] = {}
-        self._powers: list[list[list[float]]] = []
-        self._power_array: np.ndarray | None = None
-        if not exact:
-            ahead = 2 * dim_homog(self.n, k_top)
-            self._draw(ahead)
-            self._batch(range(ahead))
-
-    def _draw(self, count: int) -> None:
-        while len(self._dirs) < count:
-            v = direction(self._rng, self.n, self.exact)
-            self._dirs.append(v)
-            if not self.exact:
-                self._powers.append(power_table(v, self.k_top))
+        self._jets: dict[int, RationalJet | LaurentJet] = {}
 
     def _ensure(self, count: int) -> None:
         self._asked = max(self._asked, count)
-        self._draw(count)
+        while len(self._dirs) < count:
+            self._dirs.append(direction(self._rng, self.n, True))
 
     def dir(self, i: int) -> tuple:
         self._ensure(i + 1)
         return self._dirs[i]
 
-    def _batch(self, indices: Sequence[int]) -> None:
-        """Evaluate the float jets of drawn directions not held yet, in one pass.
+    def jet(self, i: int) -> RationalJet | LaurentJet:
+        if i not in self._jets:
+            self._jets[i] = _series(self.e, self.x, self.dir(i), self.order,
+                                    True)
+        return self._jets[i]
 
-        At most LANES_PER_PASS directions share a pass, which bounds the
-        memory a pass holds for large n and k_max.  An irregular batch
-        leaves its directions to the scalar path.
-        """
-        todo = [i for i in indices
-                if i not in self._lane and i not in self._jets
-                and i not in self._scalar]
-        if self.exact:
-            return
-        for start in range(0, len(todo), LANES_PER_PASS):
-            chunk = todo[start:start + LANES_PER_PASS]
-            try:
-                with np.errstate(all="ignore"):
-                    batch = eval_lanes(self.e.root, self.x,
-                                       np.array([self._dirs[i] for i in chunk]),
-                                       self.order)
-            except IrregularBatch:
-                self._scalar.update(chunk)
-                continue
-            for row, i in enumerate(chunk):
-                self._lane[i] = (batch, row)
-
-    def jet(self, i: int) -> LaurentJet | RationalJet:
-        j = self._jets.get(i)
-        if j is None:
-            v = self.dir(i)
-            held = self._lane.get(i)
-            if held is not None:
-                j = held[0].lane(held[1])
-            else:
-                j = _series(self.e, self.x, v, self.order, self.exact)
-            self._jets[i] = j
-        return j
-
-    def taylor_values(self, k: int, indices: Sequence[int]) -> list:
-        """h_k at each direction, in order; raises as the first bad jet does."""
-        self._batch(indices)
-        columns: dict[int, list] = {}
-        out = []
-        for i in indices:
-            held = self._lane.get(i)
-            if held is None:
-                out.append(self.jet(i).taylor_coeff(k))
-                continue
-            batch, row = held
-            column = columns.get(id(batch))
-            if column is None:
-                column = columns[id(batch)] = batch.taylor_column(k)
-            out.append(column[row])
-        return out
-
-    def matrix(self, indices: Sequence[int], k: int) -> np.ndarray:
-        """Float evaluation matrix of degree k at the given directions."""
-        if self._power_array is None or len(self._power_array) < len(self._powers):
-            self._power_array = np.array(self._powers)
-        return gather_matrix(self._power_array[indices], self.n, k)
-
-    def fit_indices(self, k: int) -> tuple[list[int], float, np.ndarray | None]:
-        """Fit directions of order k, their condition and (float) matrix."""
-        cached = self._fit_idx.get(k)
-        if cached is not None:
-            return cached
+    def fit_indices(self, k: int) -> tuple[list[int], float]:
+        """Fit directions of order k and their condition estimate."""
         d = dim_homog(self.n, k)
         self._ensure(2 * d)
         candidate = list(range(d))
         cond = math.inf
         for _ in range(8):
-            if self.exact:
-                matrix = None
-                cond = condition_estimate([self.dir(i) for i in candidate],
-                                          self.n, k)
-            else:
-                matrix = self.matrix(candidate, k)
-                cond = matrix_condition(matrix)
+            cond = condition_estimate([self.dir(i) for i in candidate],
+                                      self.n, k)
             if math.isfinite(cond) and cond <= self.cond_cap:
-                self._fit_idx[k] = (candidate, cond, matrix)
-                return self._fit_idx[k]
+                return candidate, cond
             start = self._asked
             self._ensure(start + d)
             candidate = list(range(start, start + d))
@@ -269,73 +267,110 @@ class _PointSession:
             f"no well-conditioned fit directions for order {k} "
             f"(last estimate {cond:.3g})")
 
-    def validation_indices(self, k: int, m: int) -> list[int]:
-        d = dim_homog(self.n, k)
-        self._ensure(d + m)
-        return list(range(d, d + m))
-
 
 # --- the per-order polynomiality test -----------------------------------------
 
 @dataclass(frozen=True)
 class PolyTestResult:
-    """Outcome of probing one order k at one point."""
+    """Outcome of probing one order k at one point (a verdict's evidence):
+    it passes iff no direction meets a pole and `margin` <= 1."""
 
     k: int
-    polynomial: bool
     fitted: HomoPoly | None
     residuals: tuple
     scale: float
-    max_residual: float
+    threshold: float
     node_seed: int
     pole_direction: tuple | None = None
 
+    @property
+    def polynomial(self) -> bool:
+        return self.pole_direction is None \
+            and max(self.residuals, default=0) <= self.threshold
+
+    @property
+    def max_residual(self) -> float:
+        if self.pole_direction is not None:
+            return math.inf
+        return float(max(self.residuals, default=0))
+
+    @property
+    def margin(self) -> float:
+        if self.threshold:
+            return self.max_residual / self.threshold
+        return 0.0 if self.max_residual == 0 else math.inf
+
+
+def _least_squares_test(plan: Design, jets: _DesignJets, k: int, tol: float,
+                        point_value: Scalar | None) -> PolyTestResult:
+    """Float order test: the residuals of h_k at the 2·d(n, k) directions
+    are |h - Q Qᵀ h|, and the fitted polynomial is R⁻¹ Qᵀ h."""
+    q, r_inv = plan.factors(k)
+    try:
+        h = np.array(jets.taylor_values(k, len(q)), dtype=float)
+    except PoleAtOrigin:
+        bad = next(i for i in range(len(q)) if not jets.jet(i).is_zero
+                   and jets.jet(i).valuation < 0)
+        return PolyTestResult(k, None, (), 1.0, tol, plan.seed,
+                              tuple(plan.directions[bad].tolist()))
+    projection = q.T @ h
+    residuals = np.abs(h - q @ projection).tolist()
+    # + 0.0 turns the -0.0 of an all-zero h into 0.0
+    fitted = HomoPoly(plan.n, k, tuple((r_inv @ projection + 0.0).tolist()))
+    if k == 0 and point_value is not None:
+        residuals.append(abs(fitted.coeffs[0] - point_value))
+    scale = 1.0 + float(np.abs(h).max())
+    return PolyTestResult(k, fitted, tuple(residuals), scale, tol * scale,
+                          plan.seed)
+
 
 def _poly_test_session(session: _PointSession, k: int, tol: float,
-                       validation_count: int | None,
                        point_value: Scalar | None) -> PolyTestResult:
-    fit_idx, cond, matrix = session.fit_indices(k)
-    m = validation_count if validation_count is not None \
-        else dim_homog(session.n, k)
-    val_idx = session.validation_indices(k, m)
-
+    """Exact order test: fit on d(n, k) directions, validate on d more."""
+    fit_idx, cond = session.fit_indices(k)
+    val_idx = list(range(len(fit_idx), 2 * len(fit_idx)))
     try:
-        fit_values = session.taylor_values(k, fit_idx)
-        val_values = session.taylor_values(k, val_idx)
+        fit_values = [session.jet(i).taylor_coeff(k) for i in fit_idx]
+        val_values = [session.jet(i).taylor_coeff(k) for i in val_idx]
     except PoleAtOrigin:
         bad = next(i for i in fit_idx + val_idx
                    if not session.jet(i).is_zero
                    and session.jet(i).valuation < 0)
-        return PolyTestResult(k, False, None, (), 1.0, math.inf,
-                              session.seed, session.dir(bad))
-
-    scale = 1.0 + max((abs(v) for v in fit_values), default=0)
-    if session.exact:
-        nodes = NodeSet(session.n, k, tuple(session.dir(i) for i in fit_idx),
-                        cond, session.seed, session.exact)
-        fitted = interp_fit(fit_values, nodes)
-        predicted = [fitted(session.dir(i)) for i in val_idx]
-    else:
-        fitted = fit_matrix(matrix, fit_values, session.n, k)
-        predicted = fitted.eval_rows(session.matrix(val_idx, k))
-    residuals = [abs(value - p) for value, p in zip(val_values, predicted)]
+        return PolyTestResult(k, None, (), 1.0, tol, session.seed,
+                              session.dir(bad))
+    nodes = NodeSet(session.n, k, tuple(session.dir(i) for i in fit_idx),
+                    cond, session.seed, True)
+    fitted = interp_fit(fit_values, nodes)
+    residuals = [abs(value - fitted(session.dir(i)))
+                 for value, i in zip(val_values, val_idx)]
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
-    max_residual = max(residuals, default=0)
-    ok = max_residual <= tol * scale
-    return PolyTestResult(k, ok, fitted, tuple(residuals), float(scale),
-                          float(max_residual), session.seed)
+    scale = 1.0 + max((abs(v) for v in fit_values), default=0)
+    return PolyTestResult(k, fitted, tuple(residuals), scale, tol * scale,
+                          session.seed)
+
+
+def _order_test(e: Expr, xs: tuple, seed: int, k_top: int, order: int,
+                exact: bool, cond_cap: float, tol: float,
+                point_value: Scalar | None):
+    """The per-order test of a ladder up to k_top at xs, as k -> result."""
+    if exact:
+        session = _PointSession(e, xs, order, seed, cond_cap)
+        return lambda k: _poly_test_session(session, k, tol, point_value)
+    plan = design(seed, e.nvars, k_top)
+    jets = _DesignJets(e, xs, order, plan.directions)
+    return lambda k: _least_squares_test(plan, jets, k, tol, point_value)
 
 
 def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
-              validation_count: int | None = None, tol: float = DEFAULT_TOL,
-              order: int | None = None, exact: bool = False,
+              tol: float = DEFAULT_TOL, order: int | None = None,
+              exact: bool = False,
               cond_cap: float = DEFAULT_COND_CAP) -> PolyTestResult:
     """Decide whether h_k(x, .) looks polynomial of degree k.
 
-    Fits from d(n,k) generic directions and validates at as many fresh
-    ones (by default); `polynomial` is True iff every validation residual
-    is at most tol * (1 + max |h_k| over the fit directions).
+    `polynomial` is True iff every residual is at most tol * (1 + max
+    |h_k|), over the 2·d(n,k) directions of the float least-squares test or
+    the d(n,k) fit directions of the exact test; `cond_cap` is exact-only.
     """
     if order is None:
         order = default_order(max(k, 1))
@@ -344,21 +379,11 @@ def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
         point_value = eval_point(e, xs, exact)
     except DomainError:
         point_value = None
-    session = _PointSession(e, xs, order, exact, node_seed, cond_cap, k)
-    return _poly_test_session(session, k, tol, validation_count, point_value)
+    return _order_test(e, xs, node_seed, k, order, exact, cond_cap, tol,
+                       point_value)(k)
 
 
 # --- the pointwise verdict ----------------------------------------------------
-
-@dataclass(frozen=True)
-class OrderEvidence:
-    k: int
-    fitted: HomoPoly | None
-    residuals: tuple
-    scale: float
-    node_seed: int
-    pole_direction: tuple | None = None
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -372,7 +397,7 @@ class Verdict:
     reason: str | None = None
     guard_triggered: bool = False
     shortcut: bool = False
-    evidence: tuple[OrderEvidence, ...] = field(default=())
+    evidence: tuple[PolyTestResult, ...] = field(default=())
 
     @property
     def flagged(self) -> bool:
@@ -386,10 +411,11 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
                    cond_cap: float = DEFAULT_COND_CAP) -> Verdict:
     """Run the polynomiality ladder k = 0..k_max at one point.
 
-    NonAnalytic(k_star) means orders below k_star passed and k_star failed
-    validation; AnalyticUpTo(k_max) means every order passed.  Genericity
-    failures and directions leaving the function's real domain yield an
-    Inconclusive verdict rather than a guess.
+    NonAnalytic(k_star) means orders below k_star passed and k_star failed;
+    AnalyticUpTo(k_max) means every order passed.  Non-generic directions
+    and directions leaving the function's real domain yield an
+    Inconclusive verdict rather than a guess.  `cond_cap` applies to
+    exact mode only: it bounds the condition estimate of a fit.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -406,20 +432,16 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     except DomainError:
         point_value = None
 
-    session = _PointSession(e, xs, order, exact, seed, cond_cap, k_max)
-    evidence: list[OrderEvidence] = []
+    test = _order_test(e, xs, seed, k_max, order, exact, cond_cap, tol,
+                       point_value)
+    evidence: list[PolyTestResult] = []
     for k in range(k_max + 1):
         try:
-            result = _poly_test_session(session, k, tol, None, point_value)
-        except GenericityFailure as exc:
+            result = test(k)
+        except (GenericityFailure, ArcDomainError) as exc:
             return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
                            guard_triggered=guard_flag, evidence=tuple(evidence))
-        except ArcDomainError as exc:
-            return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
-                           guard_triggered=guard_flag, evidence=tuple(evidence))
-        evidence.append(OrderEvidence(k, result.fitted, result.residuals,
-                                      result.scale, result.node_seed,
-                                      result.pole_direction))
+        evidence.append(result)
         if not result.polynomial:
             return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
                            residual=result.max_residual,
@@ -496,14 +518,16 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               cond_cap: float = DEFAULT_COND_CAP):
     """Yield one verdict per grid point, in grid (row-major) order.
 
-    Each point gets a seed derived from (seed, grid index), so the verdicts
-    do not depend on worker scheduling, and a permissible error at one point
-    becomes an Inconclusive verdict instead of aborting the scan.
+    Every point runs its ladder under the scan seed, so the float points
+    share one direction design and the verdicts do not depend on worker
+    scheduling.  A permissible error at one point becomes an Inconclusive
+    verdict instead of aborting the scan.  `cond_cap` applies to exact
+    mode only.
 
     In float mode with the shortcut on, one tape pass per block of
     `_SHORTCUT_BLOCK` points (`regular_lanes`) decides the shortcut,
     exactly as `regular_at` would point by point.  A point it finds regular
-    gets `AnalyticUpTo(k_max)` with `shortcut` set, and no seed or ladder;
+    gets `AnalyticUpTo(k_max)` with `shortcut` set, and no ladder;
     every other point runs the ladder, as it would after `regular_at`
     (which returns False there, or raises what the ladder's own point
     evaluation raises).  Only these points reach the worker pool when
@@ -512,8 +536,8 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     """
     points = grid_points(axes, exact)
     regular = _shortcut_plan(e, points, exact, shortcut)
-    tasks = ((e, points[i], k_max, tol, derive_seed(seed, "scan", i), order,
-              exact, shortcut and exact, cond_cap)
+    tasks = ((e, points[i], k_max, tol, seed, order, exact,
+              shortcut and exact, cond_cap)
              for i in np.flatnonzero(~regular).tolist())
     if jobs <= 1:
         yield from _in_grid_order(points, regular, map(_scan_one, tasks),
@@ -669,7 +693,8 @@ def verdict_to_json(v: Verdict) -> dict:
     per_order = []
     for ev in v.evidence:
         entry: dict = {"k": ev.k, "residuals": list(ev.residuals),
-                       "scale": ev.scale, "nodeSeed": ev.node_seed}
+                       "scale": ev.scale, "threshold": ev.threshold,
+                       "margin": ev.margin, "nodeSeed": ev.node_seed}
         if ev.fitted is not None:
             entry["fitted"] = ev.fitted.to_json()
         if ev.pole_direction is not None:

@@ -393,7 +393,8 @@ def main(argv=None) -> int:
     except ArcanError as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, ZeroDivisionError,
+            json.JSONDecodeError) as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -222,7 +222,10 @@ class LaurentJet:
         if exponent < 0:
             raise ValueError("negative exponents go through division")
         if exponent == 0:
-            return LaurentJet.constant(1, self.order)
+            # The constant 1, in the base's window; a pole's window ends
+            # below t^0, so it keeps the base's relative precision instead.
+            return LaurentJet.constant(
+                1, max(self.order, self.order - self.valuation))
         return _power(self, exponent)
 
 
@@ -472,8 +475,9 @@ class RationalJet:
     def pow_int(self, exponent: int) -> "RationalJet":
         if exponent < 0:
             raise ValueError("negative exponents go through division")
-        if exponent == 0:
-            return RationalJet.constant(1, self.order)
+        if exponent == 0:  # in the window LaurentJet.pow_int gives
+            return RationalJet.constant(
+                1, max(self.order, self.order - self.valuation))
         return _power(self, exponent)
 
     def sqrt(self) -> "RationalJet | LaurentJet":

@@ -35,6 +35,8 @@ _NAMED_VARS = {"x": 0, "y": 1, "z": 2}
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 10_000
+# ASCII only: str.isdigit() also accepts superscripts, which int() rejects.
+_DIGITS = frozenset("0123456789")
 
 
 class _Token:
@@ -61,10 +63,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and text[i + 1:i + 2] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -215,7 +217,8 @@ class _Parser:
             return self.varmap[name]
         if name in _NAMED_VARS:
             return _NAMED_VARS[name]
-        if name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1:
+        if name[:1] == "x" and _DIGITS.issuperset(name[1:]) \
+                and name[1:] and int(name[1:]) >= 1:
             return int(name[1:]) - 1
         raise ExprSyntaxError(f"unknown variable {name!r}", tok.pos)
 

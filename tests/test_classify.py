@@ -5,14 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arcan import classify
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
-    arc_symmetry_check, classify_point, flagged_points, gateaux_coeff, \
-    grid_points, loja_estimate, poly_test, scan_region, verdict_to_json
-from arcan.corpus import corpus_list
+    Design, arc_symmetry_check, classify_point, design, flagged_points, \
+    gateaux_coeff, grid_points, loja_estimate, poly_test, scan_region, \
+    verdict_to_json
+from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
 from arcan.expr import ArcSpec, eval_arc
+from arcan.homog import HomoPoly, dim_homog
 from arcan.parser import parse, parse_arc
+from arcan.seeds import derive_seed
 
 from helpers import random_arc, random_point, random_polynomial_expr, \
     random_safe_rational_expr
@@ -158,6 +163,107 @@ class TestClassifyPoint:
 
 def derived(i: int, j: int) -> int:
     return 7919 * i + j
+
+
+# E6 points of its cube (`scan_axes`) and of a slab near the oval that the
+# fit-then-validate float test flagged at k_max 10 under the scan seed 0 of
+# per-point seeding, derive_seed(0, "scan", i): round-off amplified by the
+# fit's Lebesgue factor, by a margin of 1.1 to 9.2.
+SLAB = ((F(-1, 4), F(13, 4), F(1, 8)), (F(-1), F(1), F(1, 8)),
+        (F(1, 16), F(1, 4), F(1, 16)))
+FORMER_FALSE_POSITIVES = [
+    ("cube", 2642, (F(1, 8), F(-3, 4), F(-1, 8))),
+    ("cube", 2661, (F(1, 8), F(-5, 8), F(1, 8))),
+    ("cube", 3186, (F(3, 8), -1, F(-1, 8))),
+    ("cube", 3188, (F(3, 8), -1, F(1, 8))),
+    ("cube", 3202, (F(3, 8), F(-7, 8), F(-1, 4))),
+    ("cube", 3458, (F(3, 8), 1, F(-1, 8))),
+    ("cube", 3783, (F(5, 8), F(-7, 8), F(1, 8))),
+    ("cube", 4090, (F(3, 4), F(-3, 4), F(1, 4))),
+    ("slab", 255, (F(1, 8), F(1, 2), F(1, 4))),
+    ("slab", 716, (1, F(1, 8), F(1, 16))),
+]
+
+
+class HeldValues:
+    """Stands in for a point's jets: h_k along the design's directions."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def taylor_values(self, k, count):
+        return self.values[:count]
+
+
+class TestLeastSquaresLadder:
+    @pytest.mark.parametrize("grid, index, point", FORMER_FALSE_POSITIVES)
+    def test_former_false_positives_are_analytic(self, grid, index, point):
+        e6 = lookup("E6")
+        axes = e6.scan_axes if grid == "cube" else SLAB
+        x = grid_points(axes)[index]
+        assert x == tuple(float(c) for c in point)
+        v = classify_point(e6.expr(), x, k_max=10,
+                           seed=derive_seed(0, "scan", index))
+        assert v.status == ANALYTIC_UP_TO
+        assert max(ev.margin for ev in v.evidence) < 0.01
+
+    def test_roadmap_false_positive_is_analytic(self):
+        v = classify_point(lookup("E6").expr(), (0.25, 1.0, 0.25), k_max=10,
+                           seed=3)
+        assert v.status == ANALYTIC_UP_TO
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), k=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 32), coeff_seed=st.integers(0, 2 ** 32),
+           spread=st.sampled_from([1.0, 1e3, 1e-3]))
+    def test_polynomial_data_passes_with_a_small_margin(self, n, k, seed,
+                                                        coeff_seed, spread):
+        rng = random.Random(coeff_seed)
+        P = HomoPoly(n, k, tuple(rng.uniform(-spread, spread)
+                                 for _ in range(dim_homog(n, k))))
+        plan = Design(seed, n, k)
+        values = HeldValues([P(v) for v in plan.directions.tolist()])
+        result = classify._least_squares_test(plan, values, k, 1e-7, None)
+        assert result.polynomial
+        assert result.margin <= 1e-3
+        assert len(result.residuals) == 2 * dim_homog(n, k)
+
+    def test_repeated_direction_is_inconclusive(self, monkeypatch):
+        design.cache_clear()
+        monkeypatch.setattr(classify, "direction",
+                            lambda rng, n, exact: (0.6, 0.8))
+        try:
+            v = classify_point(parse("x*y"), (0.5, 0.5), k_max=2, seed=11)
+        finally:
+            design.cache_clear()
+        assert v.status == INCONCLUSIVE
+        assert "not generic" in v.reason
+        assert [ev.k for ev in v.evidence] == [0]
+
+    def test_design_cache_and_factor_budget(self, monkeypatch):
+        assert design(5, 3, 6) is design(5, 3, 6)
+        assert design(6, 3, 6) is not design(5, 3, 6)
+        plan = Design(5, 3, 10)
+        sizes = [sum(m.nbytes for m in plan.factors(k)) for k in range(11)]
+        budget = sum(sizes[:6])
+        monkeypatch.setattr(classify, "MAX_DESIGN_BYTES", budget)
+        held = Design(5, 3, 10)
+        for k in range(11):
+            q, r = held.factors(k)
+            assert q.tobytes() == plan.factors(k)[0].tobytes()
+        assert sorted(held._factors) == list(range(6))
+        assert sum(m.nbytes for f in held._factors.values() for m in f) \
+            == budget
+
+    def test_evidence_reports_threshold_and_margin(self):
+        v = classify_point(E1, (0, 0), k_max=3, seed=1)
+        for ev, entry in zip(v.evidence, verdict_to_json(v)["perOrder"]):
+            assert ev.threshold == pytest.approx(1e-7 * ev.scale)
+            assert entry["threshold"] == ev.threshold
+            assert entry["margin"] == ev.margin
+            assert (ev.margin <= 1) == (ev.k < v.k_star)
+        exact = classify_point(E1, (0, 0), k_max=3, seed=1, exact=True)
+        assert all(isinstance(ev.margin, float) for ev in exact.evidence)
 
 
 class TestScanRegion:

@@ -43,18 +43,34 @@ class TestClassifyCommand:
             "classify", "x*y", "--point", "0,0", "--mode", "rational",
             "--kmax", "3"])
         assert code == 0
+        # threshold and margin are floats in both modes
+        tol = '"threshold": 9.9999999999999995e-08, "margin": 0'
         assert out == (
             '{"point": ["0", "0"], "status": "AnalyticUpTo", "kMax": 3, '
             '"perOrder": [{"k": 0, "residuals": ["0", "0"], "scale": 1, '
-            '"nodeSeed": 0, "fitted": {"nvars": 2, "degree": 0, '
+            f'{tol}, "nodeSeed": 0, "fitted": {{"nvars": 2, "degree": 0, '
             '"coeffs": ["0"]}}, {"k": 1, "residuals": ["0", "0"], '
-            '"scale": 1, "nodeSeed": 0, "fitted": {"nvars": 2, "degree": 1, '
-            '"coeffs": ["0", "0"]}}, {"k": 2, "residuals": ["0", "0", "0"], '
-            '"scale": 113, "nodeSeed": 0, "fitted": {"nvars": 2, '
-            '"degree": 2, "coeffs": ["0", "1", "0"]}}, {"k": 3, '
-            '"residuals": ["0", "0", "0", "0"], "scale": 1, "nodeSeed": 0, '
-            '"fitted": {"nvars": 2, "degree": 3, '
+            f'"scale": 1, {tol}, "nodeSeed": 0, "fitted": {{"nvars": 2, '
+            '"degree": 1, "coeffs": ["0", "0"]}}, {"k": 2, '
+            '"residuals": ["0", "0", "0"], "scale": 113, '
+            '"threshold": 1.13e-05, "margin": 0, "nodeSeed": 0, '
+            '"fitted": {"nvars": 2, "degree": 2, "coeffs": ["0", "1", "0"]}}, '
+            f'{{"k": 3, "residuals": ["0", "0", "0", "0"], "scale": 1, {tol}, '
+            '"nodeSeed": 0, "fitted": {"nvars": 2, "degree": 3, '
             '"coeffs": ["0", "0", "0", "0"]}}]}\n')
+
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_zeroth_power_of_a_pole_is_the_constant_one(self, capsys, mode):
+        # (1/x^20)^0 is 1 wherever 1/x^20 is defined, as (1/x^30)*x^30 is
+        verdicts = []
+        for text in ("(1/x^20)^0", "(1/x^30)*x^30"):
+            code, out = run_cli(capsys, ["classify", text, "--point", "0",
+                                         "--kmax", "2", "--mode", mode])
+            assert code == 0
+            verdicts.append(json.loads(out))
+        assert verdicts[0]["status"] == "AnalyticUpTo"
+        assert verdicts[0] == verdicts[1]
 
 
 class TestScanCommand:
@@ -86,6 +102,16 @@ class TestScanCommand:
         csv_statuses = sorted(r.split(",")[idx] for r in rows[1:])
         assert json_statuses == csv_statuses
 
+    def test_worker_count_changes_no_line(self, capsys):
+        args = ["scan", "guard(x^3/(x^2+y^2),0)", "--grid",
+                "x:-0.5:0.5:0.25;y:-0.5:0.5:0.5", "--kmax", "4", "--seed", "3",
+                "--no-shortcut"]
+        _, serial = run_cli(capsys, args + ["--jobs", "1"])
+        _, parallel = run_cli(capsys, args + ["--jobs", "2"])
+        assert serial == parallel
+        assert {json.loads(l)["perOrder"][0]["nodeSeed"]
+                for l in serial.splitlines()} == {3}
+
     def test_grid_must_cover_all_variables(self, capsys):
         code, _ = run_cli(capsys, [
             "scan", "x+y", "--grid", "x:-1:1:0.5"])
@@ -107,6 +133,15 @@ class TestArcCommand:
         doc = json.loads(out)
         assert doc["kind"] == "Pole"
         assert doc["valuation"] == -2
+
+    def test_zeroth_power_of_a_pole_is_the_constant_one(self, capsys):
+        code, out = run_cli(capsys, ["arc", "(1/x^20)^0", "--arc", "t",
+                                     "--kmax", "2"])
+        assert code == 0
+        _, same = run_cli(capsys, ["arc", "(1/x^30)*x^30", "--arc", "t",
+                                   "--kmax", "2"])
+        assert json.loads(out)["kind"] == "RemovableMismatch"
+        assert out == same
 
     def test_rational_coefficients_are_quoted_fractions(self, capsys):
         code, out = run_cli(capsys, [

@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arcan.classify import Design
 from arcan.errors import GenericityFailure, PremiseViolated
 from arcan.homog import HomoPoly, dim_homog, euler_check, evaluation_matrix, \
-    fd_reconstruct, gather_matrix, interp_fit, monomials, power_table, \
-    random_poly, sample_nodes, shrink_bound_check
+    fd_reconstruct, gather_matrix, interp_fit, monomials, random_poly, \
+    sample_nodes, shrink_bound_check
 from arcan.linalg import solve_exact
-from arcan.seeds import unit_vector
 
 F = Fraction
 
@@ -64,31 +64,35 @@ class TestHomoPoly:
 
 
 class TestPowerTables:
-    """The gathered matrix and row evaluation reproduce the scalar formulas."""
-
-    @staticmethod
-    def directions(n, m, seed):
-        rng = random.Random(seed)
-        return [unit_vector(rng, n) for _ in range(m)]
+    """A design's power array and the matrices gathered from it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_gathered_matrix_is_bit_identical(self, n):
-        dirs = self.directions(n, 40, n)
-        powers = np.array([power_table(v, 10) for v in dirs])
-        for k in range(11):
-            gathered = gather_matrix(powers, n, k)
-            assert gathered.tobytes() == evaluation_matrix(dirs, n, k).tobytes()
+        # Each entry multiplies the monomial's coordinate powers left to
+        # right, and the powers are the directions' to rounding.
+        plan = Design(n, n, 6)
+        dirs = plan.directions
+        for e in range(7):
+            np.testing.assert_allclose(plan.powers[:, :, e], dirs ** e,
+                                       rtol=1e-14)
+        for k in range(7):
+            gathered = gather_matrix(plan.powers, n, k)
+            expected = [[math.prod(plan.powers[r, c, exp[c]] for c in range(n))
+                         for exp in monomials(n, k)] for r in range(len(dirs))]
+            assert gathered.tobytes() == np.array(expected).tobytes()
+            np.testing.assert_allclose(
+                gathered, evaluation_matrix(dirs.tolist(), n, k), rtol=1e-13)
 
     @pytest.mark.parametrize("k", [0, 1, 4, 10])
     def test_row_evaluation_is_bit_identical(self, k):
-        rng = random.Random(k)
-        dirs = self.directions(3, 50, 100 + k)
-        coeffs = [0.0 if rng.random() < 0.2 else rng.uniform(-1e3, 1e3)
-                  for _ in range(dim_homog(3, k))]
-        P = HomoPoly(3, k, tuple(coeffs))
-        rows = P.eval_rows(evaluation_matrix(dirs, 3, k))
-        assert np.array(rows).tobytes() == \
-            np.array([float(P(v)) for v in dirs]).tobytes()
+        # Order k tests on the same rows, and so gets the same factors,
+        # whatever the top order of the design.
+        low, high = Design(7, 3, k), Design(7, 3, 10)
+        rows = 2 * dim_homog(3, k)
+        assert len(low.directions) == rows
+        assert low.directions.tobytes() == high.directions[:rows].tobytes()
+        for a, b in zip(low.factors(k), high.factors(k)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSampleNodes:

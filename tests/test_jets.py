@@ -331,7 +331,7 @@ def _exact_points():
 def test_exact_series_equal_the_fraction_path(name, point, k_max):
     e = lookup(name).expr()
     order = default_order(k_max)
-    session = _PointSession(e, point, order, True, 0, DEFAULT_COND_CAP, k_max)
+    session = _PointSession(e, point, order, 0, DEFAULT_COND_CAP)
     for i in range(150):
         v = session.dir(i)
         assert outcome(lambda: gateaux_series(e, point, v, order, exact=True)) \

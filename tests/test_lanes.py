@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from arcan import classify
-from arcan.classify import _PointSession, classify_point, grid_points, \
+from arcan.classify import Design, _DesignJets, classify_point, grid_points, \
     verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
@@ -35,11 +35,15 @@ def bits(jet):
             [struct.pack("<d", float(c)) for c in jet.coeffs])
 
 
-def outcome(thunk):
+def outcome(thunk, as_bits=bits):
     try:
-        return ("value", bits(thunk()))
+        return ("value", as_bits(thunk()))
     except ArcanError as exc:
         return ("raise", type(exc), str(exc))
+
+
+def float_bits(value):
+    return struct.pack("<d", float(value))
 
 
 def corpus_points():
@@ -65,16 +69,16 @@ def test_lanes_match_scalar_jets_bit_for_bit(name, x):
 def test_large_ladders_split_into_bounded_passes():
     e = parse("x1 * x2 * x3 / (x1^2 + x2^2 + x3^2 + x4^2)")
     x = (0.5, 0.25, 0.125, 0.375)
-    session = _PointSession(e, x, ORDER, False, 0, 1e6, 10)
+    plan = Design(0, 4, 10)
+    jets = _DesignJets(e, x, ORDER, plan.directions)
     ahead = 2 * dim_homog(4, 10)
-    assert ahead > classify.LANES_PER_PASS
-    passes = {}
+    assert len(plan.directions) == ahead > classify.LANES_PER_PASS
     for i in range(ahead):
-        batch, _ = session._lane[i]
-        passes[id(batch)] = batch.lanes
-        assert bits(session.jet(i)) == bits(scalar_jet(e, x, session.dir(i)))
-    assert len(passes) > 1
-    assert max(passes.values()) <= classify.LANES_PER_PASS
+        v = tuple(plan.directions[i].tolist())
+        assert bits(jets.jet(i)) == bits(scalar_jet(e, x, v))
+    assert len(jets._passes) > 1
+    assert max(batch.lanes for batch in jets._passes) \
+        <= classify.LANES_PER_PASS
 
 
 # (expression, point, directions, the batch's reason to fall back)
@@ -96,14 +100,17 @@ def test_irregular_batch_falls_back_to_the_scalar_path(monkeypatch, text, x,
     with np.errstate(all="ignore"), pytest.raises(IrregularBatch, match=reason):
         eval_lanes(e.root, x, np.array(dirs), ORDER)
 
-    # A session drawing exactly these directions answers as the scalar path.
+    # A design drawing exactly these directions answers as the scalar path.
     assert len(dirs) == 2 * dim_homog(e.nvars, 1)
     stream = iter(dirs)
     monkeypatch.setattr(classify, "direction", lambda rng, n, exact: next(stream))
-    session = _PointSession(e, x, ORDER, False, 0, 1e6, 1)
+    jets = _DesignJets(e, x, ORDER, Design(0, e.nvars, 1).directions)
+    assert jets._passes == [None]
     for i, v in enumerate(dirs):
-        assert outcome(lambda: session.jet(i)) == \
+        assert outcome(lambda: jets.jet(i)) == \
             outcome(lambda: scalar_jet(e, x, v))
+        assert outcome(lambda: jets.taylor_values(1, i + 1)[i], float_bits) \
+            == outcome(lambda: scalar_jet(e, x, v).taylor_coeff(1), float_bits)
 
 
 def _grid_lines(cases):
@@ -119,8 +126,7 @@ def _grid_lines(cases):
 
 
 def test_batched_ladder_matches_the_scalar_ladder(monkeypatch):
-    # Grid indices 3 and 4 retry a fit block under scan seed 1; 364 is the
-    # origin and 365 a z-axis point (NonAnalytic for E5).
+    # 364 is the origin and 365 a z-axis point (NonAnalytic for E5).
     cases = [(name, i, s) for name in ("E5", "E6")
              for i, s in ((3, 1), (4, 1), (40, 0), (200, 0), (364, 0),
                           (365, 1), (482, 1), (700, 0))]
@@ -139,36 +145,3 @@ def test_batched_ladder_matches_the_scalar_ladder(monkeypatch):
         raise IrregularBatch("forced")
     monkeypatch.setattr(classify, "eval_lanes", always_irregular)
     assert _grid_lines(cases) == batched
-
-
-@pytest.mark.parametrize("index, k, starts", [(3, 9, (110,)),
-                                               (4, 10, (132, 198))])
-def test_retry_block_starts_at_the_high_water_mark(monkeypatch, index, k,
-                                                   starts):
-    # E5 under scan seed 1: order k rejects its first block.  The retry
-    # blocks start at 2*d(3,k), the pool size the ladder has asked for,
-    # not at the 2*d(3,10) directions evaluated ahead.
-    tried, accepted = [], {}
-    original_fit = _PointSession.fit_indices
-    original_cond = classify.matrix_condition
-
-    def spy_fit(self, order):
-        result = original_fit(self, order)
-        accepted[order] = result[0]
-        return result
-
-    def spy_cond(matrix):
-        tried.append(len(matrix))
-        return original_cond(matrix)
-    monkeypatch.setattr(_PointSession, "fit_indices", spy_fit)
-    monkeypatch.setattr(classify, "matrix_condition", spy_cond)
-    points = grid_points(CUBE)
-    classify_point(lookup("E5").expr(), points[index], k_max=10,
-                   seed=derive_seed(1, "scan", index))
-    d = dim_homog(3, k)
-    assert starts[0] == 2 * d
-    assert accepted[k] == list(range(starts[-1], starts[-1] + d))
-    assert tried.count(d) == len(starts) + 1
-    for j in range(11):
-        if j != k:
-            assert accepted[j] == list(range(dim_homog(3, j)))

@@ -140,10 +140,15 @@ class TestParse:
     def test_unknown_token(self):
         with pytest.raises(ExprSyntaxError):
             parse("x $ y")
+        # digits are ASCII: str.isdigit() also accepts superscripts
+        for text in ("²", "x + ٣"):
+            with pytest.raises(ExprSyntaxError):
+                parse(text)
 
     def test_unknown_variable(self):
-        with pytest.raises(ExprSyntaxError):
-            parse("foo + 1")
+        for text in ("foo + 1", "x²", "x1²"):
+            with pytest.raises(ExprSyntaxError):
+                parse(text)
 
 
 class TestPrinter:

@@ -15,7 +15,6 @@ from arcan.errors import ArcanError, FloatOverflow
 from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, regular_at, \
     regular_lanes
 from arcan.parser import parse
-from arcan.seeds import derive_seed
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, trees
 
@@ -90,13 +89,13 @@ def scan_lines(e, axes, seed, jobs, k_max=8):
 
 
 def pointwise_lines(e, axes, seed, k_max=8):
-    """Each grid point through `classify_point` with the shortcut, as a
-    scan seeds it, and an ArcanError as an Inconclusive verdict."""
+    """Each grid point through `classify_point` with the shortcut, under
+    the scan seed, and an ArcanError as an Inconclusive verdict."""
     lines = []
     for i, pt in enumerate(grid_points(axes)):
         try:
-            v = classify_point(e, pt, k_max, seed=derive_seed(seed, "scan", i),
-                               order=20, shortcut=True)
+            v = classify_point(e, pt, k_max, seed=seed, order=20,
+                               shortcut=True)
         except ArcanError as exc:
             v = Verdict(pt, INCONCLUSIVE, k_max, reason=str(exc))
         lines.append(line(i, v))
