@@ -10,20 +10,25 @@ itself shared by every point, as `arcan scan` runs them.  Each verdict is
 judged against the entry's locus: a NonAnalytic verdict off the locus is
 false, any other verdict on it is missed.
 
-Prints the counts by seeding, grid and kind, and every wrong point; exits 1
-on any false or missed verdict.  Takes several minutes on one core:
+Prints the counts by seeding, grid and kind, and every wrong point, and per
+seeding how far apart right verdicts stay from the threshold: the largest
+margin (residual over threshold) of a right AnalyticUpTo verdict, and the
+smallest margin of the failing order of a right NonAnalytic verdict (inf
+for a pole).  Exits 1 on any false or missed verdict.  Takes several
+minutes on one core:
 
     PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]
 """
 
 import argparse
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from arcan.classify import INCONCLUSIVE, NON_ANALYTIC, classify_point, \
-    grid_points
+from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
+    classify_point, grid_points
 from arcan.corpus import corpus_list, lookup
 from arcan.seeds import derive_seed
 
@@ -42,11 +47,13 @@ def grids():
 
 
 def sweep(task):
-    """Wrong and Inconclusive verdicts of one grid under one seed and seeding."""
+    """Wrong and Inconclusive verdicts of one grid under one seed and
+    seeding, and the margins of its right ones."""
     label, name, axes, seed, seeding = task
     entry = lookup(name)
     e = entry.expr()
     wrong, inconclusive = [], 0
+    analytic_margin, failing_margin = 0.0, math.inf
     points = grid_points(axes)
     for i, pt in enumerate(points):
         pseed = derive_seed(seed, "scan", i) if seeding == "per-point" else seed
@@ -57,7 +64,13 @@ def sweep(task):
         if (v.status == NON_ANALYTIC) != on_locus:
             kind = "missed" if on_locus else "false"
             wrong.append((kind, i, pt, v.status, v.k_star))
-    return label, seed, seeding, len(points), wrong, inconclusive
+        elif v.status == ANALYTIC_UP_TO:
+            analytic_margin = max([analytic_margin]
+                                  + [ev.margin for ev in v.evidence])
+        elif v.status == NON_ANALYTIC:
+            failing_margin = min(failing_margin, v.evidence[-1].margin)
+    return (label, seed, seeding, len(points), wrong, inconclusive,
+            analytic_margin, failing_margin)
 
 
 def main(argv=None) -> int:
@@ -69,19 +82,25 @@ def main(argv=None) -> int:
              for seed in SEEDS for label, name, axes in grids()]
     totals = {s: {"points": 0, "false": 0, "missed": 0, "inconclusive": 0}
               for s in SEEDINGS}
+    margins = {s: [0.0, math.inf] for s in SEEDINGS}
     started = time.perf_counter()
     with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for label, seed, seeding, count, wrong, inconclusive in \
-                pool.map(sweep, tasks):
+        for label, seed, seeding, count, wrong, inconclusive, analytic, \
+                failing in pool.map(sweep, tasks):
             total = totals[seeding]
             total["points"] += count
             total["inconclusive"] += inconclusive
+            margins[seeding][0] = max(margins[seeding][0], analytic)
+            margins[seeding][1] = min(margins[seeding][1], failing)
             for kind, i, pt, status, k_star in wrong:
                 total[kind] += 1
                 print(f"{seeding} seed {seed} {label} i={i} "
                       f"{tuple(map(str, pt))}: {kind} {status}({k_star})")
     for seeding, total in totals.items():
         print(f"{seeding}: " + ", ".join(f"{v} {k}" for k, v in total.items()))
+        analytic, failing = margins[seeding]
+        print(f"{seeding}: largest AnalyticUpTo margin {analytic:.3g}, "
+              f"smallest NonAnalytic failing margin {failing:.3g}")
     print(f"{time.perf_counter() - started:.0f} s")
     bad = sum(t["false"] + t["missed"] for t in totals.values())
     return 1 if bad else 0

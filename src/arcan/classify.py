@@ -16,13 +16,17 @@ Float mode tests order k by least squares: h_k at 2·d(n,k) directions
 must lie in the column space of their degree-k evaluation matrix V = QR,
 and the residual |h - Q Qᵀ h| is bounded by the error of h itself, not
 amplified by the condition of V (Golub & Van Loan, *Matrix Computations*,
-§5.3).  A cached `Design` holds the directions of (seed, n, k_max) and
-each order's Q and R⁻¹, shared by every point of a scan; a point's jets
-come from one batched pass over it (`eval_lanes`), bit for bit as the
-scalar path, to which a batch the lanes cannot share falls back.  Exact
-(rational) mode fits on d(n,k) lattice directions of a per-point stream,
-rejected by condition estimate, validates at d(n,k) more, and reads each
-h_k as a `Fraction`.
+§5.3).  The directions come from one canonical `Design` per n, drawn from
+a stream no seed changes and factored once per process, order by order.
+A seed only rotates it: the ladder evaluates its jets along U M for the
+seed's orthogonal M, and since V_k(U M) = V_k(U)·S_k(M) with S_k(M)
+invertible, the canonical Q serves every seed.  `design` caches the
+rotated view (`SeededDesign`) shared by every point of a scan; a point's
+jets come from one batched pass over it (`eval_lanes`), bit for bit as
+the scalar path, to which a batch the lanes cannot share falls back.
+Exact (rational) mode fits on d(n,k) lattice directions of a per-point
+stream, rejected by condition estimate, validates at d(n,k) more, and
+reads each h_k as a `Fraction`.
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -75,8 +79,9 @@ MAX_GRID_POINTS = 10 ** 6
 MAX_K_MAX = 100
 MAX_LADDER_DIRECTIONS = 2000
 MAX_ORDER = 404
-# Bytes of QR factors a design keeps: ~0.4 MB at n=3, k_max 10, but ~600 MB
-# at k_max 60, whose orders beyond the budget are factored again per point.
+# Bytes of QR factors the canonical designs keep, together with the G_k of
+# the cached rotated view: ~0.5 MB at n=3, k_max 10, but ~1.8 GB at k_max 60,
+# whose orders beyond the budget are computed again per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
 
 
@@ -123,48 +128,135 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
 # --- the float ladder's direction design ---------------------------------------
 
 class Design:
-    """The directions of every float ladder under one (seed, n, k_top).
+    """The canonical directions of every float ladder in n variables.
 
-    The first 2·d(n, k_top) directions of the seeded stream and their
-    coordinate powers.  Order k tests on the first 2·d(n, k), whatever
-    k_top; `factors(k)` is Q and R⁻¹ of their evaluation matrix V = QR,
-    kept while the design's factors fit in MAX_DESIGN_BYTES.
+    Drawn through `direction` from one stream that no seed changes, and
+    extended on demand; in one variable the design is exactly (1, -1).
+    Order k tests on the rows [0, 2·d(n, k)) whatever the ladder's top
+    order, so `factors(k)` depends on (n, k) only.  A seed does not redraw
+    the design: it rotates it (`SeededDesign`), which leaves each order's
+    column space, and so its least-squares residuals, unchanged.
     """
 
-    def __init__(self, seed: int, n: int, k_top: int):
-        self.seed, self.n = seed, n
-        rng = random.Random(derive_seed(seed, "directions", n))
-        self.directions = np.array([direction(rng, n, False)
-                                    for _ in range(2 * dim_homog(n, k_top))])
-        self.powers = np.ones(self.directions.shape + (k_top + 1,))
-        for e in range(1, k_top + 1):
-            self.powers[:, :, e] = self.powers[:, :, e - 1] * self.directions
+    def __init__(self, n: int):
+        self.n = n
+        self._rng = random.Random(derive_seed("canonical design", n))
+        self.directions = np.array([[1.0], [-1.0]]) if n == 1 \
+            else np.empty((0, n))
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, count: int) -> np.ndarray:
+        """The first `count` directions."""
+        if count > len(self.directions):
+            more = [direction(self._rng, self.n, False)
+                    for _ in range(count - len(self.directions))]
+            self.directions = np.concatenate([self.directions, more])
+        return self.directions[:count]
+
+    def factors(self, k: int, reserved: int = 0
+                ) -> tuple[np.ndarray, np.ndarray]:
         """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
-        directions; GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps."""
+        directions, computed once per process.
+
+        GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
+        design is fixed, an order fails so for every seed alike.  The
+        factors are kept while those of every canonical design, plus the
+        caller's `reserved` bytes, fit in MAX_DESIGN_BYTES.
+        """
         held = self._factors.get(k)
         if held is not None:
             return held
         rows = 2 * dim_homog(self.n, k)
-        q, r = np.linalg.qr(gather_matrix(self.powers[:rows], self.n, k))
+        q, r = np.linalg.qr(gather_matrix(_powers(self.rows(rows), k),
+                                          self.n, k))
         diag = np.abs(np.diagonal(r))
         if not diag.min() > diag.max() * rows * np.finfo(float).eps:
             raise GenericityFailure(
                 f"the directions of order {k} are not generic "
                 f"(|R_ii| from {diag.min():.3g} to {diag.max():.3g})")
         factors = q, np.linalg.inv(r)
-        kept = sum(a.nbytes + b.nbytes for a, b in self._factors.values())
-        if kept + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
+        if _held_bytes() + reserved + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
             self._factors[k] = factors
         return factors
 
 
+# The canonical design of each n, built on first use.
+_DESIGNS: dict[int, Design] = {}
+
+
+def canonical_design(n: int) -> Design:
+    """The canonical design of n variables, one per process."""
+    held = _DESIGNS.get(n)
+    if held is None:
+        held = _DESIGNS[n] = Design(n)
+    return held
+
+
+def _held_bytes() -> int:
+    """Bytes of the factors that the canonical designs keep."""
+    return sum(a.nbytes for d in _DESIGNS.values()
+               for pair in d._factors.values() for a in pair)
+
+
+def _powers(directions: np.ndarray, top: int) -> np.ndarray:
+    """v_c ** e at [r, c, e] for e <= top, by repeated multiplication."""
+    powers = np.ones(directions.shape + (top + 1,))
+    for e in range(1, top + 1):
+        powers[:, :, e] = powers[:, :, e - 1] * directions
+    return powers
+
+
+def rotation(seed: int, n: int) -> np.ndarray:
+    """The seed's orthogonal n×n matrix: Q of the QR of n² Gaussian draws,
+    its columns times the signs of R's diagonal, so it is Haar-distributed
+    (Mezzadri, Notices AMS 54, 2007)."""
+    rng = random.Random(derive_seed(seed, "directions", n))
+    q, r = np.linalg.qr(np.array([rng.gauss(0.0, 1.0)
+                                  for _ in range(n * n)]).reshape(n, n))
+    return q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
+
+
+class SeededDesign:
+    """The directions of every float ladder under one (seed, n, k_top).
+
+    The canonical design's first 2·d(n, k_top) rows U, rotated by the
+    seed's M: jets are evaluated along W = U M.  A degree-k form p in v
+    gives the form q(u) = p(u M) on U, so order k's residuals are
+    |h - Q Qᵀ h| with the canonical Q, and q's coefficients are
+    c_q = R⁻¹Qᵀh.  Since p(u) = q(u Mᵀ), p's are the least-squares fit on
+    U of q's values at U Mᵀ: c_p = R⁻¹Qᵀ G_k c_q, with G_k the evaluation
+    matrix of U Mᵀ, kept while it and the canonical factors fit in
+    MAX_DESIGN_BYTES.
+    """
+
+    def __init__(self, seed: int, n: int, k_top: int):
+        self.seed, self.n = seed, n
+        self.canonical = canonical_design(n)
+        self.rotation = rotation(seed, n)
+        u = self.canonical.rows(2 * dim_homog(n, k_top))
+        self.directions = u @ self.rotation
+        self._back_powers = _powers(u @ self.rotation.T, k_top)
+        self._back: dict[int, np.ndarray] = {}
+
+    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray,
+                                       np.ndarray | None]:
+        """Q and R⁻¹ of order k, and G_k (None at k = 0, where c_p = c_q)."""
+        reserved = sum(g.nbytes for g in self._back.values())
+        q, r_inv = self.canonical.factors(k, reserved)
+        if k == 0:
+            return q, r_inv, None
+        back = self._back.get(k)
+        if back is None:
+            back = gather_matrix(self._back_powers[:len(q)], self.n, k)
+            if _held_bytes() + reserved + back.nbytes <= MAX_DESIGN_BYTES:
+                self._back[k] = back
+        return q, r_inv, back
+
+
 @lru_cache(maxsize=1)
-def design(seed: int, n: int, k_top: int) -> Design:
+def design(seed: int, n: int, k_top: int) -> SeededDesign:
     """The design of a float ladder; the last one built is kept."""
-    return Design(seed, n, k_top)
+    return SeededDesign(seed, n, k_top)
 
 
 class _DesignJets:
@@ -222,7 +314,9 @@ class _PointSession:
     evaluated once and shared by every order that uses it.  A slice whose
     evaluation matrix is badly conditioned falls back to a fresh block at
     the pool's high-water mark, the number of directions the ladder has
-    asked for so far (deterministically).
+    asked for so far (deterministically).  In one variable each odd
+    direction is the negation of the one before, so an order validates on
+    the other side of the point from its fit.
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, seed: int,
@@ -237,7 +331,11 @@ class _PointSession:
     def _ensure(self, count: int) -> None:
         self._asked = max(self._asked, count)
         while len(self._dirs) < count:
-            self._dirs.append(direction(self._rng, self.n, True))
+            if self.n == 1 and len(self._dirs) % 2:
+                # one variable: validate on the other side of the point
+                self._dirs.append((-self._dirs[-1][0],))
+            else:
+                self._dirs.append(direction(self._rng, self.n, True))
 
     def dir(self, i: int) -> tuple:
         self._ensure(i + 1)
@@ -301,11 +399,12 @@ class PolyTestResult:
         return 0.0 if self.max_residual == 0 else math.inf
 
 
-def _least_squares_test(plan: Design, jets: _DesignJets, k: int, tol: float,
-                        point_value: Scalar | None) -> PolyTestResult:
+def _least_squares_test(plan: SeededDesign, jets: _DesignJets, k: int,
+                        tol: float, point_value: Scalar | None) -> PolyTestResult:
     """Float order test: the residuals of h_k at the 2·d(n, k) directions
-    are |h - Q Qᵀ h|, and the fitted polynomial is R⁻¹ Qᵀ h."""
-    q, r_inv = plan.factors(k)
+    are |h - Q Qᵀ h|, and the fitted polynomial's coefficients in v are
+    R⁻¹Qᵀ G_k R⁻¹Qᵀ h (see `SeededDesign`)."""
+    q, r_inv, back = plan.factors(k)
     try:
         h = np.array(jets.taylor_values(k, len(q)), dtype=float)
     except PoleAtOrigin:
@@ -315,8 +414,11 @@ def _least_squares_test(plan: Design, jets: _DesignJets, k: int, tol: float,
                               tuple(plan.directions[bad].tolist()))
     projection = q.T @ h
     residuals = np.abs(h - q @ projection).tolist()
+    coeffs = r_inv @ projection
+    if back is not None:
+        coeffs = r_inv @ (q.T @ (back @ coeffs))
     # + 0.0 turns the -0.0 of an all-zero h into 0.0
-    fitted = HomoPoly(plan.n, k, tuple((r_inv @ projection + 0.0).tolist()))
+    fitted = HomoPoly(plan.n, k, tuple((coeffs + 0.0).tolist()))
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
     scale = 1.0 + float(np.abs(h).max())

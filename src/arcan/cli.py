@@ -177,11 +177,15 @@ def _axis_index(name: str) -> int:
 def _parse_grid(text: str, nvars: int) -> list[tuple]:
     """Parse 'x:lo:hi:step;y:lo:hi:step' into per-variable-index axes."""
     axes: dict[int, tuple] = {}
+    names: dict[int, str] = {}
     for part in text.split(";"):
         fields = part.split(":")
         if len(fields) != 4:
             raise ArcanError(f"grid axis {part!r} must be name:lo:hi:step")
         idx = _axis_index(fields[0])
+        if idx in axes:
+            raise ArcanError(f"grid axis {names[idx]!r} given twice")
+        names[idx] = fields[0].strip()
         axes[idx] = tuple(Fraction(f.strip()) for f in fields[1:])
     if sorted(axes) != list(range(nvars)):
         raise ArcanError(

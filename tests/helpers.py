@@ -5,7 +5,9 @@ The seeded generators use `random`; `trees` is a Hypothesis strategy.
 pointwise evaluator that the tape evaluator replaced, kept as its
 reference.  `fraction_gateaux_series` is exact jet evaluation over
 `LaurentJet`s with `Fraction` coefficients, which `RationalJet` replaced,
-kept as its reference.
+kept as its reference.  `qr_residuals` is the float order test as it was
+before the canonical design: a QR of the evaluation matrix at the very
+directions the jets were taken along.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
 from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var, compile_tape, run_tape
+from arcan.homog import evaluation_matrix
 from arcan.jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
 
 
@@ -258,3 +262,14 @@ def fraction_gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
     return run_tape(compile_tape(e.root), var_jets,
                     lambda c: LaurentJet.constant(c, order), jet_sqrt,
                     lambda body, default: body)
+
+
+# --- the per-seed QR (reference for the rotated canonical design) ---------------
+
+def qr_residuals(directions: Sequence[Sequence[float]], values: Sequence[float],
+                 n: int, k: int) -> np.ndarray:
+    """|h - Q Qᵀ h| for V = QR, V the degree-k evaluation matrix of the
+    directions and h their values."""
+    q, _ = np.linalg.qr(evaluation_matrix(directions, n, k))
+    h = np.asarray(values, dtype=float)
+    return np.abs(h - q @ (q.T @ h))

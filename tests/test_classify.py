@@ -4,14 +4,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcan import classify
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
-    Design, arc_symmetry_check, classify_point, design, flagged_points, \
-    gateaux_coeff, grid_points, loja_estimate, poly_test, scan_region, \
-    verdict_to_json
+    Design, SeededDesign, arc_symmetry_check, canonical_design, \
+    classify_point, design, flagged_points, gateaux_coeff, grid_points, \
+    loja_estimate, poly_test, rotation, scan_region, verdict_to_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
 from arcan.expr import ArcSpec, eval_arc
@@ -19,8 +20,8 @@ from arcan.homog import HomoPoly, dim_homog
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
-from helpers import random_arc, random_point, random_polynomial_expr, \
-    random_safe_rational_expr
+from helpers import qr_residuals, random_arc, random_point, \
+    random_polynomial_expr, random_safe_rational_expr
 
 F = Fraction
 
@@ -221,14 +222,66 @@ class TestLeastSquaresLadder:
         rng = random.Random(coeff_seed)
         P = HomoPoly(n, k, tuple(rng.uniform(-spread, spread)
                                  for _ in range(dim_homog(n, k))))
-        plan = Design(seed, n, k)
+        plan = SeededDesign(seed, n, k)
         values = HeldValues([P(v) for v in plan.directions.tolist()])
         result = classify._least_squares_test(plan, values, k, 1e-7, None)
         assert result.polynomial
         assert result.margin <= 1e-3
         assert len(result.residuals) == 2 * dim_homog(n, k)
+        # the fit's coefficients are in v, not in the canonical u
+        np.testing.assert_allclose(result.fitted.coeffs, P.coeffs, rtol=0,
+                                   atol=1e-9 * max(map(abs, P.coeffs)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), k=st.integers(0, 10),
+           seed=st.integers(0, 2 ** 32), family=st.sampled_from([0, 1]))
+    def test_residuals_equal_a_qr_at_the_rotated_directions(self, n, k, seed,
+                                                            family):
+        # The canonical Q spans what a QR of the rotated directions' own
+        # evaluation matrix spans, so non-polynomial data leaves the same
+        # residuals.
+        plan = SeededDesign(seed, n, k)
+        dirs = plan.directions.tolist()
+        if family == 0:
+            h = [abs(v[0]) ** (k | 1) for v in dirs]
+        else:
+            h = [math.hypot(*v) ** k / (v[0] + 2) for v in dirs]
+        result = classify._least_squares_test(plan, HeldValues(h), k, 1e-7,
+                                              None)
+        expected = qr_residuals(dirs, h, n, k)
+        assert max(result.residuals) == pytest.approx(
+            float(expected.max()), rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_seed_only_rotates_the_canonical_design(self, n):
+        rows = 2 * dim_homog(n, 6)
+        canonical = canonical_design(n).rows(rows).copy()
+        for seed in range(5):
+            m = rotation(seed, n)
+            np.testing.assert_allclose(m @ m.T, np.eye(n), rtol=0, atol=1e-14)
+            plan = SeededDesign(seed, n, 6)
+            assert plan.canonical is canonical_design(n)
+            assert canonical_design(n).rows(rows).tobytes() \
+                == canonical.tobytes()
+            np.testing.assert_allclose(plan.directions @ m.T, canonical,
+                                       rtol=0, atol=1e-14)
+        assert not np.array_equal(rotation(0, n), rotation(1, n))
+        if n == 1:
+            assert canonical.tolist() == [[1.0], [-1.0]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_canonical_orders_are_generic(self, n):
+        plan = Design(n)
+        for k in range(11):
+            q, r_inv = plan.factors(k)
+            assert q.shape == (2 * dim_homog(n, k), dim_homog(n, k))
+
+    def test_top_order_24_in_three_variables_is_analytic(self):
+        v = classify_point(parse("x+y+z"), (1, 1, 1), k_max=24)
+        assert v.status == ANALYTIC_UP_TO
 
     def test_repeated_direction_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(classify, "_DESIGNS", {})
         design.cache_clear()
         monkeypatch.setattr(classify, "direction",
                             lambda rng, n, exact: (0.6, 0.8))
@@ -243,17 +296,24 @@ class TestLeastSquaresLadder:
     def test_design_cache_and_factor_budget(self, monkeypatch):
         assert design(5, 3, 6) is design(5, 3, 6)
         assert design(6, 3, 6) is not design(5, 3, 6)
-        plan = Design(5, 3, 10)
-        sizes = [sum(m.nbytes for m in plan.factors(k)) for k in range(11)]
-        budget = sum(sizes[:6])
+        assert design(6, 3, 6).canonical is design(5, 3, 6).canonical
+        unbounded = Design(3)
+        full = [unbounded.factors(k) for k in range(11)]
+        budget = sum(q.nbytes + r.nbytes for q, r in full[:6])
+        monkeypatch.setattr(classify, "_DESIGNS", {})
         monkeypatch.setattr(classify, "MAX_DESIGN_BYTES", budget)
-        held = Design(5, 3, 10)
-        for k in range(11):
-            q, r = held.factors(k)
-            assert q.tobytes() == plan.factors(k)[0].tobytes()
-        assert sorted(held._factors) == list(range(6))
-        assert sum(m.nbytes for f in held._factors.values() for m in f) \
-            == budget
+        views = [SeededDesign(5, 3, 10), SeededDesign(5, 2, 10)]
+        for plan in views:
+            for k in range(11):
+                q, r_inv, _ = plan.factors(k)
+                if plan.n == 3:
+                    assert q.tobytes() == full[k][0].tobytes()
+                    assert r_inv.tobytes() == full[k][1].tobytes()
+            # what the canonical designs and this view keep, together
+            kept = classify._held_bytes() \
+                + sum(g.nbytes for g in plan._back.values())
+            assert 0 < kept <= budget
+        assert sorted(classify._DESIGNS) == [2, 3]
 
     def test_evidence_reports_threshold_and_margin(self):
         v = classify_point(E1, (0, 0), k_max=3, seed=1)
@@ -264,6 +324,25 @@ class TestLeastSquaresLadder:
             assert (ev.margin <= 1) == (ev.k < v.k_star)
         exact = classify_point(E1, (0, 0), k_max=3, seed=1, exact=True)
         assert all(isinstance(ev.margin, float) for ev in exact.evidence)
+
+
+class TestOneVariable:
+    """A one-variable ladder tests both sides of the point."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("text, k_star", [
+        ("sqrt(x^2)", 1), ("guard(x^3/sqrt(x^2), 0)", 2)])
+    def test_a_kink_fails_at_every_seed(self, text, k_star, exact):
+        e = parse(text)
+        for seed in range(20):
+            v = classify_point(e, (0,), k_max=4, seed=seed, exact=exact)
+            assert (v.status, v.k_star) == (NON_ANALYTIC, k_star), seed
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_full_ladder_scan_flags_the_kink(self, seed):
+        verdicts = scan_region(parse("sqrt(x^2)"), [(-1, 1, F(1, 2))],
+                               seed=seed, shortcut=False)
+        assert flagged_points(verdicts) == [(0.0,)]
 
 
 class TestScanRegion:

@@ -117,6 +117,18 @@ class TestScanCommand:
             "scan", "x+y", "--grid", "x:-1:1:0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize("expr, grid", [
+        ("x", "x:0:1:1;x:5:6:1"),
+        # x1 names the same axis as x
+        ("x*y", "x:0:0:1;y:0:0:1;x1:7:7:1"),
+    ])
+    def test_repeated_grid_axis_is_refused(self, capsys, expr, grid):
+        code = cli.main(["scan", expr, "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "arcan: error: grid axis 'x' given twice\n"
+
 
 class TestArcCommand:
     def test_removable_mismatch_report(self, capsys):

@@ -1,13 +1,17 @@
-"""Hostile input, generated: the parser and the CLI fail only as documented."""
+"""Hostile input, generated: the parser and the CLI fail only as documented,
+and the printer's text parses back to the tree it printed."""
 
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from arcan import cli
 from arcan.errors import ArityError, ExprSyntaxError
-from arcan.parser import parse
+from arcan.expr import Div, Expr, IntPow, RationalConst
+from arcan.parser import MAX_EXPONENT, parse, to_text
+
+from helpers import trees
 
 GRAMMAR = "xyz0123456789+-*/^()., guardsqrt"
 EXPRESSIONS = ["x", "x+y", "1/x", "x*y/(x^2+y^2)", "guard(x*y/(x^2+y^2),0)",
@@ -62,6 +66,36 @@ def test_parse_raises_only_syntax_or_arity_errors(text):
         parse(text)
     except (ExprSyntaxError, ArityError):
         pass
+
+
+def children(node) -> list:
+    return [getattr(node, name) for name in ("left", "right", "base", "arg",
+                                             "body") if hasattr(node, name)]
+
+
+def nested_exponents(node) -> int:
+    """The largest product of exponents along a root-to-leaf path."""
+    inner = max(map(nested_exponents, children(node)), default=1)
+    return inner * node.exponent if isinstance(node, IntPow) else inner
+
+
+def literal_quotient(node) -> bool:
+    """Whether the tree divides a constant by a nonzero constant, a
+    quotient the parser folds into one constant."""
+    if isinstance(node, Div) and isinstance(node.left, RationalConst) \
+            and isinstance(node.right, RationalConst) and node.right.value:
+        return True
+    return any(map(literal_quotient, children(node)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees())
+def test_printed_trees_parse_back_to_themselves(tree):
+    # the parser refuses the first and folds the second
+    assume(nested_exponents(tree) <= MAX_EXPONENT)
+    assume(not literal_quotient(tree))
+    e = Expr(tree, 2)
+    assert parse(to_text(e), nvars=2) == e
 
 
 @st.composite

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arcan.classify import Design
+from arcan.classify import Design, _powers
 from arcan.errors import GenericityFailure, PremiseViolated
 from arcan.homog import HomoPoly, dim_homog, euler_check, evaluation_matrix, \
     fd_reconstruct, gather_matrix, interp_fit, monomials, random_poly, \
@@ -70,14 +70,13 @@ class TestPowerTables:
     def test_gathered_matrix_is_bit_identical(self, n):
         # Each entry multiplies the monomial's coordinate powers left to
         # right, and the powers are the directions' to rounding.
-        plan = Design(n, n, 6)
-        dirs = plan.directions
+        dirs = Design(n).rows(2 * dim_homog(n, 6))
+        powers = _powers(dirs, 6)
         for e in range(7):
-            np.testing.assert_allclose(plan.powers[:, :, e], dirs ** e,
-                                       rtol=1e-14)
+            np.testing.assert_allclose(powers[:, :, e], dirs ** e, rtol=1e-14)
         for k in range(7):
-            gathered = gather_matrix(plan.powers, n, k)
-            expected = [[math.prod(plan.powers[r, c, exp[c]] for c in range(n))
+            gathered = gather_matrix(powers, n, k)
+            expected = [[math.prod(powers[r, c, exp[c]] for c in range(n))
                          for exp in monomials(n, k)] for r in range(len(dirs))]
             assert gathered.tobytes() == np.array(expected).tobytes()
             np.testing.assert_allclose(
@@ -86,11 +85,12 @@ class TestPowerTables:
     @pytest.mark.parametrize("k", [0, 1, 4, 10])
     def test_row_evaluation_is_bit_identical(self, k):
         # Order k tests on the same rows, and so gets the same factors,
-        # whatever the top order of the design.
-        low, high = Design(7, 3, k), Design(7, 3, 10)
+        # whatever the top order the design was first drawn to.
+        low, high = Design(3), Design(3)
+        high.rows(2 * dim_homog(3, 10))
         rows = 2 * dim_homog(3, k)
+        assert low.rows(rows).tobytes() == high.directions[:rows].tobytes()
         assert len(low.directions) == rows
-        assert low.directions.tobytes() == high.directions[:rows].tobytes()
         for a, b in zip(low.factors(k), high.factors(k)):
             assert a.tobytes() == b.tobytes()
 

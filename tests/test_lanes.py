@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from arcan import classify
-from arcan.classify import Design, _DesignJets, classify_point, grid_points, \
-    verdict_to_json
+from arcan.classify import SeededDesign, _DesignJets, classify_point, \
+    grid_points, verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, IrregularBatch
@@ -69,7 +69,7 @@ def test_lanes_match_scalar_jets_bit_for_bit(name, x):
 def test_large_ladders_split_into_bounded_passes():
     e = parse("x1 * x2 * x3 / (x1^2 + x2^2 + x3^2 + x4^2)")
     x = (0.5, 0.25, 0.125, 0.375)
-    plan = Design(0, 4, 10)
+    plan = SeededDesign(0, 4, 10)
     jets = _DesignJets(e, x, ORDER, plan.directions)
     ahead = 2 * dim_homog(4, 10)
     assert len(plan.directions) == ahead > classify.LANES_PER_PASS
@@ -94,17 +94,13 @@ FALLBACKS = [
 
 
 @pytest.mark.parametrize("text, x, dirs, reason", FALLBACKS)
-def test_irregular_batch_falls_back_to_the_scalar_path(monkeypatch, text, x,
-                                                      dirs, reason):
+def test_irregular_batch_falls_back_to_the_scalar_path(text, x, dirs, reason):
     e = parse(text, nvars=len(x))
     with np.errstate(all="ignore"), pytest.raises(IrregularBatch, match=reason):
         eval_lanes(e.root, x, np.array(dirs), ORDER)
 
-    # A design drawing exactly these directions answers as the scalar path.
-    assert len(dirs) == 2 * dim_homog(e.nvars, 1)
-    stream = iter(dirs)
-    monkeypatch.setattr(classify, "direction", lambda rng, n, exact: next(stream))
-    jets = _DesignJets(e, x, ORDER, Design(0, e.nvars, 1).directions)
+    # Jets along exactly these directions answer as the scalar path.
+    jets = _DesignJets(e, x, ORDER, np.array(dirs))
     assert jets._passes == [None]
     for i, v in enumerate(dirs):
         assert outcome(lambda: jets.jet(i)) == \
