@@ -24,9 +24,9 @@ invertible, the canonical Q serves every seed.  `design` caches the
 rotated view (`SeededDesign`) shared by every point of a scan; a point's
 jets come from one batched pass over it (`eval_lanes`), bit for bit as
 the scalar path, to which a batch the lanes cannot share falls back.
-Exact (rational) mode fits on d(n,k) lattice directions of a per-point
-stream, rejected by condition estimate, validates at d(n,k) more, and
-reads each h_k as a `Fraction`.
+Exact (rational) mode reads each h_k as a `Fraction` along one canonical
+`LatticeDesign` per n under the seed's signed permutation, which keeps each
+fit block's condition, checked once per process, the same for every seed.
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -54,10 +54,11 @@ from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     GenericityFailure, IrregularBatch, PoleAtOrigin
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
-from .homog import HomoPoly, NodeSet, condition_estimate, dim_homog, \
-    gather_matrix, interp_fit
+from .homog import HomoPoly, NodeSet, dim_homog, gather_matrix, interp_fit, \
+    lattice_design, signed_permutation
+from .homog import condition_estimate  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
-from .seeds import derive_seed, direction
+from .seeds import derive_seed, unit_vector
 
 ANALYTIC_UP_TO = "AnalyticUpTo"
 NON_ANALYTIC = "NonAnalytic"
@@ -65,7 +66,6 @@ INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_K_MAX = 8
 DEFAULT_TOL = 1e-7
-DEFAULT_COND_CAP = 1e6
 # Directions per batched jet pass: 2*d(3,10) = 132 fit in one.
 LANES_PER_PASS = 256
 # Grid points per pass of a scan's regularity shortcut (a few MB at most).
@@ -130,7 +130,7 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
 class Design:
     """The canonical directions of every float ladder in n variables.
 
-    Drawn through `direction` from one stream that no seed changes, and
+    Drawn through `unit_vector` from one stream that no seed changes, and
     extended on demand; in one variable the design is exactly (1, -1).
     Order k tests on the rows [0, 2·d(n, k)) whatever the ladder's top
     order, so `factors(k)` depends on (n, k) only.  A seed does not redraw
@@ -148,7 +148,7 @@ class Design:
     def rows(self, count: int) -> np.ndarray:
         """The first `count` directions."""
         if count > len(self.directions):
-            more = [direction(self._rng, self.n, False)
+            more = [unit_vector(self._rng, self.n)
                     for _ in range(count - len(self.directions))]
             self.directions = np.concatenate([self.directions, more])
         return self.directions[:count]
@@ -303,69 +303,6 @@ class _DesignJets:
         return out
 
 
-# --- the exact ladder's direction pool ------------------------------------------
-
-class _PointSession:
-    """Seeded lattice directions and exact jets for one rational point.
-
-    Directions are drawn one at a time from a per-point stream; order k
-    fits on the prefix slice of length d(n,k) and validates on the next
-    slice.  Prefixes overlap across orders, so each direction's jet is
-    evaluated once and shared by every order that uses it.  A slice whose
-    evaluation matrix is badly conditioned falls back to a fresh block at
-    the pool's high-water mark, the number of directions the ladder has
-    asked for so far (deterministically).  In one variable each odd
-    direction is the negation of the one before, so an order validates on
-    the other side of the point from its fit.
-    """
-
-    def __init__(self, e: Expr, x: tuple, order: int, seed: int,
-                 cond_cap: float):
-        self.e, self.x, self.order, self.n = e, x, order, e.nvars
-        self.seed, self.cond_cap = seed, cond_cap
-        self._rng = random.Random(derive_seed(seed, "directions", self.n))
-        self._dirs: list[tuple] = []
-        self._asked = 0
-        self._jets: dict[int, RationalJet | LaurentJet] = {}
-
-    def _ensure(self, count: int) -> None:
-        self._asked = max(self._asked, count)
-        while len(self._dirs) < count:
-            if self.n == 1 and len(self._dirs) % 2:
-                # one variable: validate on the other side of the point
-                self._dirs.append((-self._dirs[-1][0],))
-            else:
-                self._dirs.append(direction(self._rng, self.n, True))
-
-    def dir(self, i: int) -> tuple:
-        self._ensure(i + 1)
-        return self._dirs[i]
-
-    def jet(self, i: int) -> RationalJet | LaurentJet:
-        if i not in self._jets:
-            self._jets[i] = _series(self.e, self.x, self.dir(i), self.order,
-                                    True)
-        return self._jets[i]
-
-    def fit_indices(self, k: int) -> tuple[list[int], float]:
-        """Fit directions of order k and their condition estimate."""
-        d = dim_homog(self.n, k)
-        self._ensure(2 * d)
-        candidate = list(range(d))
-        cond = math.inf
-        for _ in range(8):
-            cond = condition_estimate([self.dir(i) for i in candidate],
-                                      self.n, k)
-            if math.isfinite(cond) and cond <= self.cond_cap:
-                return candidate, cond
-            start = self._asked
-            self._ensure(start + d)
-            candidate = list(range(start, start + d))
-        raise GenericityFailure(
-            f"no well-conditioned fit directions for order {k} "
-            f"(last estimate {cond:.3g})")
-
-
 # --- the per-order polynomiality test -----------------------------------------
 
 @dataclass(frozen=True)
@@ -426,39 +363,45 @@ def _least_squares_test(plan: SeededDesign, jets: _DesignJets, k: int,
                           plan.seed)
 
 
-def _poly_test_session(session: _PointSession, k: int, tol: float,
-                       point_value: Scalar | None) -> PolyTestResult:
-    """Exact order test: fit on d(n, k) directions, validate on d more."""
-    fit_idx, cond = session.fit_indices(k)
-    val_idx = list(range(len(fit_idx), 2 * len(fit_idx)))
-    try:
-        fit_values = [session.jet(i).taylor_coeff(k) for i in fit_idx]
-        val_values = [session.jet(i).taylor_coeff(k) for i in val_idx]
-    except PoleAtOrigin:
-        bad = next(i for i in fit_idx + val_idx
-                   if not session.jet(i).is_zero
-                   and session.jet(i).valuation < 0)
-        return PolyTestResult(k, None, (), 1.0, tol, session.seed,
-                              session.dir(bad))
-    nodes = NodeSet(session.n, k, tuple(session.dir(i) for i in fit_idx),
-                    cond, session.seed, True)
-    fitted = interp_fit(fit_values, nodes)
-    residuals = [abs(value - fitted(session.dir(i)))
-                 for value, i in zip(val_values, val_idx)]
-    if k == 0 and point_value is not None:
-        residuals.append(abs(fitted.coeffs[0] - point_value))
-    scale = 1.0 + max((abs(v) for v in fit_values), default=0)
-    return PolyTestResult(k, fitted, tuple(residuals), scale, tol * scale,
-                          session.seed)
+class _LatticeTest:
+    """The exact order test at one rational point: h_k, a `Fraction` along
+    the lattice rows under the seed's signed permutation, is fit on rows
+    [0, d(n, k)) and validated on [d, 2d); each jet is evaluated once."""
+
+    def __init__(self, e: Expr, x: tuple, order: int, seed: int, tol: float,
+                 point_value: Scalar | None):
+        self.e, self.x, self.order, self.seed = e, x, order, seed
+        self.tol, self.point_value = tol, point_value
+        self.lattice = lattice_design(e.nvars)
+        self.flip = signed_permutation(seed, e.nvars)
+        self.directions, self.jets = [], []
+
+    def __call__(self, k: int) -> PolyTestResult:
+        n, d = self.e.nvars, dim_homog(self.e.nvars, k)
+        fresh = self.lattice.block(k)[len(self.directions):]
+        self.directions += [tuple(s * u[i] for i, s in self.flip) for u in fresh]
+        dirs, values = self.directions[:2 * d], []
+        for i, v in enumerate(dirs):
+            if i == len(self.jets):
+                self.jets.append(_series(self.e, self.x, v, self.order, True))
+            try:
+                values.append(self.jets[i].taylor_coeff(k))
+            except PoleAtOrigin:
+                return PolyTestResult(k, None, (), 1.0, self.tol, self.seed, v)
+        fitted = interp_fit(values[:d], NodeSet(n, k, tuple(dirs[:d]), True))
+        residuals = [abs(h - fitted(v)) for h, v in zip(values[d:], dirs[d:])]
+        if k == 0 and self.point_value is not None:
+            residuals.append(abs(fitted.coeffs[0] - self.point_value))
+        scale = 1.0 + max(abs(h) for h in values[:d])
+        return PolyTestResult(k, fitted, tuple(residuals), scale,
+                              self.tol * scale, self.seed)
 
 
 def _order_test(e: Expr, xs: tuple, seed: int, k_top: int, order: int,
-                exact: bool, cond_cap: float, tol: float,
-                point_value: Scalar | None):
+                exact: bool, tol: float, point_value: Scalar | None):
     """The per-order test of a ladder up to k_top at xs, as k -> result."""
     if exact:
-        session = _PointSession(e, xs, order, seed, cond_cap)
-        return lambda k: _poly_test_session(session, k, tol, point_value)
+        return _LatticeTest(e, xs, order, seed, tol, point_value)
     plan = design(seed, e.nvars, k_top)
     jets = _DesignJets(e, xs, order, plan.directions)
     return lambda k: _least_squares_test(plan, jets, k, tol, point_value)
@@ -466,13 +409,12 @@ def _order_test(e: Expr, xs: tuple, seed: int, k_top: int, order: int,
 
 def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
               tol: float = DEFAULT_TOL, order: int | None = None,
-              exact: bool = False,
-              cond_cap: float = DEFAULT_COND_CAP) -> PolyTestResult:
+              exact: bool = False) -> PolyTestResult:
     """Decide whether h_k(x, .) looks polynomial of degree k.
 
     `polynomial` is True iff every residual is at most tol * (1 + max
     |h_k|), over the 2·d(n,k) directions of the float least-squares test or
-    the d(n,k) fit directions of the exact test; `cond_cap` is exact-only.
+    the d(n,k) validation directions of the exact test.
     """
     if order is None:
         order = default_order(max(k, 1))
@@ -481,8 +423,7 @@ def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
         point_value = eval_point(e, xs, exact)
     except DomainError:
         point_value = None
-    return _order_test(e, xs, node_seed, k, order, exact, cond_cap, tol,
-                       point_value)(k)
+    return _order_test(e, xs, node_seed, k, order, exact, tol, point_value)(k)
 
 
 # --- the pointwise verdict ----------------------------------------------------
@@ -509,15 +450,13 @@ class Verdict:
 def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
                    tol: float = DEFAULT_TOL, seed: int = 0,
                    order: int | None = None, exact: bool = False,
-                   shortcut: bool = False,
-                   cond_cap: float = DEFAULT_COND_CAP) -> Verdict:
+                   shortcut: bool = False) -> Verdict:
     """Run the polynomiality ladder k = 0..k_max at one point.
 
     NonAnalytic(k_star) means orders below k_star passed and k_star failed;
     AnalyticUpTo(k_max) means every order passed.  Non-generic directions
     and directions leaving the function's real domain yield an
-    Inconclusive verdict rather than a guess.  `cond_cap` applies to
-    exact mode only: it bounds the condition estimate of a fit.
+    Inconclusive verdict rather than a guess.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -534,8 +473,7 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     except DomainError:
         point_value = None
 
-    test = _order_test(e, xs, seed, k_max, order, exact, cond_cap, tol,
-                       point_value)
+    test = _order_test(e, xs, seed, k_max, order, exact, tol, point_value)
     evidence: list[PolyTestResult] = []
     for k in range(k_max + 1):
         try:
@@ -590,10 +528,9 @@ def _as_fraction(v) -> Fraction:
 
 
 def _scan_one(args) -> Verdict:
-    e, pt, k_max, tol, pseed, order, exact, shortcut, cond_cap = args
+    e, pt, k_max, tol, pseed, order, exact, shortcut = args
     try:
-        return classify_point(e, pt, k_max, tol, pseed, order, exact,
-                              shortcut, cond_cap)
+        return classify_point(e, pt, k_max, tol, pseed, order, exact, shortcut)
     except ArcanError as exc:
         return Verdict(tuple(pt), INCONCLUSIVE, k_max, reason=str(exc))
 
@@ -616,15 +553,13 @@ def _shortcut_plan(e: Expr, points: list[tuple], exact: bool,
 def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               tol: float = DEFAULT_TOL, seed: int = 0,
               order: int | None = None, exact: bool = False,
-              shortcut: bool = True, jobs: int = 1,
-              cond_cap: float = DEFAULT_COND_CAP):
+              shortcut: bool = True, jobs: int = 1):
     """Yield one verdict per grid point, in grid (row-major) order.
 
     Every point runs its ladder under the scan seed, so the float points
     share one direction design and the verdicts do not depend on worker
     scheduling.  A permissible error at one point becomes an Inconclusive
-    verdict instead of aborting the scan.  `cond_cap` applies to exact
-    mode only.
+    verdict instead of aborting the scan.
 
     In float mode with the shortcut on, one tape pass per block of
     `_SHORTCUT_BLOCK` points (`regular_lanes`) decides the shortcut,
@@ -639,7 +574,7 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     points = grid_points(axes, exact)
     regular = _shortcut_plan(e, points, exact, shortcut)
     tasks = ((e, points[i], k_max, tol, seed, order, exact,
-              shortcut and exact, cond_cap)
+              shortcut and exact)
              for i in np.flatnonzero(~regular).tolist())
     if jobs <= 1:
         yield from _in_grid_order(points, regular, map(_scan_one, tasks),
@@ -663,11 +598,10 @@ def _in_grid_order(points: list[tuple], regular: np.ndarray, results,
 def scan_region(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
                 tol: float = DEFAULT_TOL, seed: int = 0,
                 order: int | None = None, exact: bool = False,
-                shortcut: bool = True, jobs: int = 1,
-                cond_cap: float = DEFAULT_COND_CAP) -> list[Verdict]:
+                shortcut: bool = True, jobs: int = 1) -> list[Verdict]:
     """Classify every grid point; see `iter_scan` for the contract."""
     return list(iter_scan(e, axes, k_max, tol, seed, order, exact, shortcut,
-                          jobs, cond_cap))
+                          jobs))
 
 
 def flagged_points(verdicts: Sequence[Verdict]) -> list[tuple]:
@@ -709,7 +643,7 @@ def arc_symmetry_check(e: Expr, arc: ArcSpec, samples: int = 64,
     def classify_at(t: float) -> str:
         pt = tuple(eval_point(c, (t,), exact) for c in arc.components)
         v = _scan_one((e, pt, k_max, tol, derive_seed(seed, "arcsym", t),
-                       order, exact, shortcut, DEFAULT_COND_CAP))
+                       order, exact, shortcut))
         return v.status
 
     neg = tuple(classify_at(-t) for t in ts)

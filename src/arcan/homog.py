@@ -3,12 +3,13 @@
 The space of degree-k homogeneous polynomials in n variables has dimension
 C(n+k-1, k), one coefficient per exponent vector summing to k; coefficients
 are stored in graded-lexicographic order (descending lex within the fixed
-degree).  Sampling directions generically makes evaluation at C(n+k-1, k)
-of them a linear isomorphism, which `sample_nodes` realizes by rejection on
-a condition estimate and `interp_fit` inverts, exactly over the rationals
-or in floats.  The float ladder instead keeps an array of coordinate powers
-for a fixed set of directions and gathers each order's evaluation matrix
-from it (`gather_matrix`), which it factors once for a least-squares test.
+degree).  Evaluation at C(n+k-1, k) generic directions is a linear
+isomorphism, which `interp_fit` inverts, exactly over the rationals or in
+floats.  Exact directions are rows of one canonical `LatticeDesign` per n
+under a seed's `signed_permutation`.  The float ladder instead keeps an
+array of coordinate powers for a fixed set of directions and gathers each
+order's evaluation matrix from it (`gather_matrix`), which it factors once
+for a least-squares test.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -34,7 +35,10 @@ import numpy as np
 from .errors import GenericityFailure, PremiseViolated, SingularSystem
 from .jets import Scalar
 from .linalg import solve_exact
-from .seeds import derive_seed, direction
+from .seeds import derive_seed, lattice_vector, unit_vector
+
+# Largest condition estimate of a lattice fit block or a float node set.
+MAX_CONDITION = 1e6
 
 
 def dim_homog(n: int, k: int) -> int:
@@ -152,8 +156,6 @@ class NodeSet:
     nvars: int
     degree: int
     nodes: tuple[tuple[Scalar, ...], ...]
-    cond: float
-    seed: int | None
     exact: bool
 
     def matrix(self) -> list[list[Scalar]]:
@@ -173,26 +175,94 @@ def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> flo
         return math.inf
 
 
-def sample_nodes(n: int, k: int, seed: int, cond_cap: float = 1e6,
-                 exact: bool = False, retries: int = 64) -> NodeSet:
-    """Rejection-sample a generic node set, deterministically from the seed.
+class LatticeDesign:
+    """The canonical lattice directions of every exact ladder in n variables.
 
-    Float mode draws unit-sphere directions; exact mode draws small-integer
-    directions so downstream solves stay in cheap rational arithmetic.
+    `lattice_vector` draws from one stream that no seed changes; in one
+    variable the rows are exactly (1,), (-1,).  No row has a zero
+    coordinate: a signed permutation keeps zeros in place, so an axis row,
+    where a denominator can vanish identically, would fail a fixed share of
+    seeds.  A draw with a zero, or parallel to an earlier row, is skipped;
+    the rows are finite (62 in two variables), so 1000 skips in a row raise
+    GenericityFailure.
     """
-    if cond_cap <= 0:
-        raise ValueError("cond_cap must be positive")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._rng = random.Random(derive_seed("canonical lattice design", n))
+        self.directions: list[tuple[int, ...]] = [(1,), (-1,)] if n == 1 else []
+        self._lines = set(map(_line, self.directions))
+        self._conditions: dict[int, float] = {}
+
+    def rows(self, count: int) -> list[tuple[int, ...]]:
+        """The first `count` rows."""
+        skips = 0
+        while len(self.directions) < count:
+            if skips == 1000:
+                raise GenericityFailure(f"the lattice design of {self.n} variables "
+                                        f"has only {len(self.directions)} rows")
+            v = lattice_vector(self._rng, self.n)
+            skips += 1
+            if all(v) and _line(v) not in self._lines:
+                self.directions.append(v)
+                self._lines.add(_line(v))
+                skips = 0
+        return self.directions[:count]
+
+    def block(self, k: int) -> list[tuple[int, ...]]:
+        """Order k's rows [0, 2·d(n, k)), of which it fits on the first half;
+        GenericityFailure for every seed alike unless the fit rows' condition
+        estimate, taken once per process, is at most MAX_CONDITION."""
+        d = dim_homog(self.n, k)
+        rows = self.rows(2 * d)
+        if k not in self._conditions:
+            self._conditions[k] = condition_estimate(rows[:d], self.n, k)
+        if not self._conditions[k] <= MAX_CONDITION:
+            raise GenericityFailure(f"the lattice directions of order {k} are not "
+                                    f"generic (condition {self._conditions[k]:.3g})")
+        return rows
+
+
+def _line(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive vector of v's line whose first nonzero entry is > 0."""
+    return tuple(c // math.gcd(*v) for c in max(v, tuple(-c for c in v)))
+
+
+# The lattice design of n variables, one per process.
+lattice_design = lru_cache(maxsize=None)(LatticeDesign)
+
+
+def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The seed's signed permutation M, as a pair (i, sign) per coordinate
+    j of u M: (u M)_j = sign * u[i].  M is integer and orthogonal, so
+    V_k(U M) is V_k(U) with columns permuted and negated: a lattice block's
+    rank, condition and parallel rows do not depend on the seed."""
+    rng = random.Random(derive_seed(seed, "directions", n))
+    sources = list(range(n))
+    rng.shuffle(sources)
+    return tuple((i, rng.choice((1, -1))) for i in sources)
+
+
+def sample_nodes(n: int, k: int, seed: int, exact: bool = False) -> NodeSet:
+    """A generic node set of d(n, k) directions, deterministically from the seed.
+
+    Exact mode takes the exact ladder's fit block of order k.  Float mode
+    draws up to 64 node sets of unit directions, until one's condition
+    estimate is at most MAX_CONDITION.
+    """
     d = dim_homog(n, k)
+    if exact:
+        flip = signed_permutation(seed, n)
+        fit = lattice_design(n).block(k)[:d]
+        return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit), True)
     rng = random.Random(derive_seed(seed, "nodes", n, k))
-    last = math.inf
-    for _ in range(retries):
-        nodes = tuple(direction(rng, n, exact) for _ in range(d))
-        last = condition_estimate(nodes, n, k)
-        if math.isfinite(last) and last <= cond_cap:
-            return NodeSet(n, k, nodes, last, seed, exact)
-    raise GenericityFailure(
-        f"no node set with condition <= {cond_cap} in {retries} attempts "
-        f"(last estimate {last:.3g})")
+    for _ in range(64):
+        nodes = tuple(unit_vector(rng, n) for _ in range(d))
+        cond = condition_estimate(nodes, n, k)
+        if cond <= MAX_CONDITION:
+            return NodeSet(n, k, nodes, False)
+    raise GenericityFailure(f"no node set with condition <= {MAX_CONDITION:g} "
+                            f"in 64 attempts (last estimate {cond:.3g})")
 
 
 def interp_fit(values: Sequence[Scalar], nodeset: NodeSet) -> HomoPoly:

@@ -29,19 +29,15 @@ def unit_vector(rng: random.Random, n: int) -> tuple[float, ...]:
             return tuple(c / norm for c in v)
 
 
-def lattice_vector(rng: random.Random, n: int, scale: int = 16) -> tuple[int, ...]:
-    """A small-integer direction roughly uniform on the sphere.
+def lattice_vector(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A nonzero small-integer direction roughly uniform on the sphere: a
+    unit vector scaled by 16 and rounded.
 
     Exact-arithmetic paths use these instead of float unit vectors: integer
     coordinates keep Vandermonde systems over the rationals cheap to solve
     exactly, and genericity is all the interpolation needs.
     """
     while True:
-        u = unit_vector(rng, n)
-        v = tuple(round(scale * c) for c in u)
+        v = tuple(round(16 * c) for c in unit_vector(rng, n))
         if any(v):
             return v
-
-
-def direction(rng: random.Random, n: int, exact: bool):
-    return lattice_vector(rng, n) if exact else unit_vector(rng, n)

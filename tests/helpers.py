@@ -12,6 +12,7 @@ directions the jets were taken along.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var, compile_tape, run_tape
-from arcan.homog import evaluation_matrix
+from arcan.homog import evaluation_matrix, signed_permutation
 from arcan.jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
 
 
@@ -273,3 +274,14 @@ def qr_residuals(directions: Sequence[Sequence[float]], values: Sequence[float],
     q, _ = np.linalg.qr(evaluation_matrix(directions, n, k))
     h = np.asarray(values, dtype=float)
     return np.abs(h - q @ (q.T @ h))
+
+
+def permutation_seeds(n: int) -> dict:
+    """One seed per signed permutation of n coordinates, keyed by the
+    permutation as `signed_permutation` gives it: 2^n n! seeds."""
+    found: dict = {}
+    seed = 0
+    while len(found) < 2 ** n * math.factorial(n):
+        found.setdefault(signed_permutation(seed, n), seed)
+        seed += 1
+    return found

@@ -283,8 +283,7 @@ class TestLeastSquaresLadder:
     def test_repeated_direction_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(classify, "_DESIGNS", {})
         design.cache_clear()
-        monkeypatch.setattr(classify, "direction",
-                            lambda rng, n, exact: (0.6, 0.8))
+        monkeypatch.setattr(classify, "unit_vector", lambda rng, n: (0.6, 0.8))
         try:
             v = classify_point(parse("x*y"), (0.5, 0.5), k_max=2, seed=11)
         finally:

@@ -52,13 +52,24 @@ class TestClassifyCommand:
             '"coeffs": ["0"]}}, {"k": 1, "residuals": ["0", "0"], '
             f'"scale": 1, {tol}, "nodeSeed": 0, "fitted": {{"nvars": 2, '
             '"degree": 1, "coeffs": ["0", "0"]}}, {"k": 2, '
-            '"residuals": ["0", "0", "0"], "scale": 113, '
-            '"threshold": 1.13e-05, "margin": 0, "nodeSeed": 0, '
+            '"residuals": ["0", "0", "0"], "scale": 131, '
+            '"threshold": 1.31e-05, "margin": 0, "nodeSeed": 0, '
             '"fitted": {"nvars": 2, "degree": 2, "coeffs": ["0", "1", "0"]}}, '
             f'{{"k": 3, "residuals": ["0", "0", "0", "0"], "scale": 1, {tol}, '
             '"nodeSeed": 0, "fitted": {"nvars": 2, "degree": 3, '
             '"coeffs": ["0", "0", "0", "0"]}}]}\n')
 
+    def test_a_long_rational_ladder_ends_inconclusive(self, capsys):
+        # The lattice design's fit blocks grow ill-conditioned at order 18
+        # in two variables; its 62 directions would run out at order 30.
+        start = time.perf_counter()
+        code, out = run_cli(capsys, [
+            "classify", "x*y", "--point", "1,2", "--kmax", "100",
+            "--mode", "rational"])
+        assert time.perf_counter() - start < 10
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "Inconclusive"
+        assert "order 18" in doc["reason"]
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_zeroth_power_of_a_pole_is_the_constant_one(self, capsys, mode):

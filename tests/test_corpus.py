@@ -2,14 +2,19 @@
 
 import importlib.util
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
+from arcan import cli
+from arcan.classify import NON_ANALYTIC, classify_point
 from arcan.corpus import ARC_ANALYTIC, ARC_MEROMORPHIC_ONLY, DISCONTINUOUS, \
     NOT_C2, NOT_DIFFERENTIABLE, NOT_LIPSCHITZ, OvalLocus, arc_analytic_entries, \
     corpus_list, lookup
 from arcan.expr import eval_point
+
+from helpers import permutation_seeds
 
 F = Fraction
 
@@ -96,3 +101,31 @@ class TestLoci:
         assert f"({script.EPS})" in lookup("E6").source
         assert script.main() == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestExactChecks:
+    """The exact checks of `arcan corpus` hold whatever the seed."""
+
+    @pytest.mark.parametrize("name, seed", [
+        # a validation direction repeated a fit direction up to sign
+        ("E1", "5360874646403647522"), ("E1", "1436822614659119867"),
+        # a direction fell on E5's axis (0, 0, 1), where its denominator
+        # vanishes identically
+        ("E5", "3380286699141575858"), ("E5", "4091971518205606762")])
+    def test_former_failing_seeds_pass(self, capsys, name, seed):
+        assert cli.main(["corpus", name, "--seed", seed]) == 0
+        assert '"passed": false' not in capsys.readouterr().out
+
+    def test_every_signed_permutation_flags_every_locus_point(self):
+        # A seed only picks a signed permutation of the coordinates, so
+        # these cases cover every seed.
+        for entry in corpus_list():
+            n = entry.nvars
+            seeds = permutation_seeds(n)
+            assert set(seeds) == {tuple(zip(p, s)) for p in permutations(range(n))
+                                  for s in product((1, -1), repeat=n)}
+            e = entry.expr()
+            for pt in entry.exact_locus_points:
+                for seed in seeds.values():
+                    v = classify_point(e, pt, k_max=4, seed=seed, exact=True)
+                    assert v.status == NON_ANALYTIC, (entry.name, pt, seed)

@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arcan import homog
 from arcan.classify import Design, _powers
 from arcan.errors import GenericityFailure, PremiseViolated
-from arcan.homog import HomoPoly, dim_homog, euler_check, evaluation_matrix, \
-    fd_reconstruct, gather_matrix, interp_fit, monomials, random_poly, \
-    sample_nodes, shrink_bound_check
+from arcan.homog import HomoPoly, LatticeDesign, condition_estimate, dim_homog, \
+    euler_check, evaluation_matrix, fd_reconstruct, gather_matrix, interp_fit, \
+    lattice_design, monomials, random_poly, sample_nodes, \
+    shrink_bound_check, signed_permutation
 from arcan.linalg import solve_exact
 
 F = Fraction
@@ -108,13 +110,59 @@ class TestSampleNodes:
         sol = solve_exact(rows, [1, 0, 0, 0])
         assert any(c != 0 for c in sol)
 
-    def test_condition_cap_one_fails(self):
+    def test_condition_cap_one_fails(self, monkeypatch):
+        monkeypatch.setattr(homog, "MAX_CONDITION", 1.0)
         with pytest.raises(GenericityFailure):
-            sample_nodes(2, 1, seed=5, cond_cap=1.0, retries=8)
+            sample_nodes(2, 1, seed=5)
 
     def test_deterministic(self):
         assert sample_nodes(3, 2, seed=9).nodes == sample_nodes(3, 2, seed=9).nodes
         assert sample_nodes(3, 2, seed=9).nodes != sample_nodes(3, 2, seed=10).nodes
+
+
+class TestLatticeDesign:
+    def test_one_variable_rows_are_both_signs(self):
+        assert lattice_design(1).rows(2) == [(1,), (-1,)]
+        with pytest.raises(GenericityFailure):
+            LatticeDesign(1).rows(3)
+
+    @pytest.mark.parametrize("n, k", [(2, 12), (3, 10), (4, 6)])
+    def test_rows_are_off_the_axes_distinct_and_well_conditioned(self, n, k):
+        rows = lattice_design(n).rows(2 * dim_homog(n, k))
+        assert all(all(u) for u in rows)
+        lines = {tuple(c * (1 if u[0] > 0 else -1) // math.gcd(*u) for c in u)
+                 for u in rows}
+        assert len(lines) == len(rows)
+        for j in range(k + 1):
+            assert lattice_design(n).block(j) == rows[:2 * dim_homog(n, j)]
+
+    def test_two_variables_run_out_of_rows(self):
+        # scale-16 lattice directions off the axes: 62 lines in the plane
+        design = LatticeDesign(2)
+        assert len(design.rows(62)) == 62
+        with pytest.raises(GenericityFailure):
+            design.rows(63)
+
+    def test_many_variables_end_the_draw(self):
+        # in 60 variables nearly every scale-16 draw has a zero coordinate
+        with pytest.raises(GenericityFailure):
+            LatticeDesign(60).rows(1)
+
+    def test_exact_nodes_are_the_permuted_fit_block(self):
+        fit = lattice_design(3).rows(dim_homog(3, 4))
+        cond = condition_estimate(fit, 3, 4)
+        for seed in range(8):
+            flip = signed_permutation(seed, 3)
+            ns = sample_nodes(3, 4, seed, exact=True)
+            assert ns.nodes == tuple(tuple(s * u[i] for i, s in flip) for u in fit)
+            assert condition_estimate(ns.nodes, 3, 4) == pytest.approx(cond)
+
+    def test_an_ill_conditioned_fit_block_fails_for_every_seed(self, monkeypatch):
+        monkeypatch.setattr(homog, "MAX_CONDITION", 10.0)
+        sample_nodes(2, 1, seed=0, exact=True)
+        for seed in range(4):
+            with pytest.raises(GenericityFailure):
+                sample_nodes(2, 2, seed, exact=True)
 
 
 class TestInterpFit:
