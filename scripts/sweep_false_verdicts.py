@@ -1,28 +1,25 @@
 #!/usr/bin/env python3
 """Count wrong verdicts of the full ladder, float and rational, on the corpus.
 
-Runs `classify_point` (shortcut off, k_max 10) at every point of every
-corpus entry's `scan_axes` grid and of an E6 slab near the oval
+A seed only picks a signed permutation of the coordinates, so the 2ⁿ·n!
+permutations are every design a seed can give; this sweeps all of them.
+
+Float: runs `classify_point` (shortcut off, k_max 10) at every point of
+every corpus entry's `scan_axes` grid and of an E6 slab near the oval
 (x in [-1/4, 13/4] step 1/8, y in [-1, 1] step 1/8, z in [1/16, 1/4] step
-1/16), under seeds 0-3: 51,816 points.  It does so twice: with per-point
-seeds `derive_seed(seed, "scan", i)` (i the grid index), and with the seed
-itself shared by every point, as `arcan scan` runs them.  Each verdict is
-judged against the entry's locus: a NonAnalytic verdict off the locus is
-false, any other verdict on it is missed.
+1/16), under every signed permutation: 12,954 points, 575,552 verdicts.
+Rational: every corpus exact-locus point (which must be NonAnalytic) and
+regular point (AnalyticUpTo), among them E5 (1, 0, 0) and E6 (1/2, 0, 0),
+at k_max 8 and 10, under every signed permutation: 584 cases per k_max.
 
-Prints the counts by seeding, grid and kind, and every wrong point, and per
-seeding how far apart right verdicts stay from the threshold: the largest
-margin (residual over threshold) of a right AnalyticUpTo verdict, and the
-smallest margin of the failing order of a right NonAnalytic verdict (inf
-for a pole).
-
-Then it sweeps rational mode: every corpus exact-locus point (which must be
-NonAnalytic) and regular point (AnalyticUpTo), among them E5 (1, 0, 0) and
-E6 (1/2, 0, 0), at k_max 8 and 10, under every signed permutation of the
-coordinates, the whole set of designs a seed can pick: 584 cases per k_max.
-It prints the same counts and margins.  Exits 1 on any false or missed
-verdict, or any Inconclusive rational one.  Takes several minutes on one
-core:
+Each verdict is judged against the entry's locus: a NonAnalytic verdict off
+the locus is false, any other verdict on it is missed.  Prints every wrong
+verdict, the counts per arithmetic, and how far apart right verdicts stay
+from the threshold: the largest margin (residual over threshold) of a right
+AnalyticUpTo verdict, and the smallest margin of the failing order of a
+right NonAnalytic verdict (inf for a pole).  Exits 1 on any false, missed or
+Inconclusive verdict.  Takes about 14 minutes with 2 workers on a 2-core
+x86_64 machine:
 
     PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]
 """
@@ -38,48 +35,18 @@ from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
     classify_point, grid_points
 from arcan.corpus import corpus_list, lookup
 from arcan.homog import signed_permutation
-from arcan.seeds import derive_seed
 
 K_MAX = 10
 RATIONAL_K_MAX = (8, 10)
-SEEDS = (0, 1, 2, 3)
 SLAB = ((Fraction(-1, 4), Fraction(13, 4), Fraction(1, 8)),
         (Fraction(-1), Fraction(1), Fraction(1, 8)),
         (Fraction(1, 16), Fraction(1, 4), Fraction(1, 16)))
-SEEDINGS = ("per-point", "shared")
 
 
 def grids():
-    """(label, corpus entry name, axes) of every grid the sweep covers."""
+    """(label, corpus entry name, axes) of every grid the float sweep covers."""
     out = [(entry.name, entry.name, entry.scan_axes) for entry in corpus_list()]
     return out + [("E6-slab", "E6", SLAB)]
-
-
-def sweep(task):
-    """Wrong and Inconclusive verdicts of one grid under one seed and
-    seeding, and the margins of its right ones."""
-    label, name, axes, seed, seeding = task
-    entry = lookup(name)
-    e = entry.expr()
-    wrong, inconclusive = [], 0
-    analytic_margin, failing_margin = 0.0, math.inf
-    points = grid_points(axes)
-    for i, pt in enumerate(points):
-        pseed = derive_seed(seed, "scan", i) if seeding == "per-point" else seed
-        v = classify_point(e, pt, K_MAX, seed=pseed, shortcut=False)
-        on_locus = entry.locus.contains(pt)
-        if v.status == INCONCLUSIVE:
-            inconclusive += 1
-        if (v.status == NON_ANALYTIC) != on_locus:
-            kind = "missed" if on_locus else "false"
-            wrong.append((kind, i, pt, v.status, v.k_star))
-        elif v.status == ANALYTIC_UP_TO:
-            analytic_margin = max([analytic_margin]
-                                  + [ev.margin for ev in v.evidence])
-        elif v.status == NON_ANALYTIC:
-            failing_margin = min(failing_margin, v.evidence[-1].margin)
-    return (label, seed, seeding, len(points), wrong, inconclusive,
-            analytic_margin, failing_margin)
 
 
 def permutation_seeds(n):
@@ -92,32 +59,62 @@ def permutation_seeds(n):
     return list(found.values())
 
 
+class Tally:
+    """Verdict counts of one task, and the margins of its right verdicts."""
+
+    def __init__(self):
+        self.count, self.inconclusive, self.wrong = 0, 0, []
+        self.analytic_margin, self.failing_margin = 0.0, math.inf
+
+    def judge(self, v, on_locus, where):
+        self.count += 1
+        if v.status == INCONCLUSIVE:
+            self.inconclusive += 1
+            print(f"{where}: Inconclusive ({v.reason})", flush=True)
+        if (v.status == NON_ANALYTIC) != on_locus:
+            kind = "missed" if on_locus else "false"
+            self.wrong.append(kind)
+            print(f"{where}: {kind} {v.status}({v.k_star})", flush=True)
+        elif v.status == ANALYTIC_UP_TO:
+            self.analytic_margin = max([self.analytic_margin]
+                                       + [ev.margin for ev in v.evidence])
+        elif v.status == NON_ANALYTIC:
+            self.failing_margin = min(self.failing_margin,
+                                      v.evidence[-1].margin)
+
+
+def sweep_float(task):
+    """The tally of one grid under one signed permutation's seed."""
+    label, name, axes, seed = task
+    entry = lookup(name)
+    e = entry.expr()
+    tally = Tally()
+    for i, pt in enumerate(grid_points(axes)):
+        v = classify_point(e, pt, K_MAX, seed=seed, shortcut=False)
+        tally.judge(v, entry.locus.contains(pt),
+                    f"float seed {seed} {label} i={i} {tuple(map(str, pt))}")
+    return "float", tally
+
+
 def sweep_rational(task):
-    """The same tally for one corpus entry's exact-locus and regular points
-    in rational mode at one k_max, under every signed permutation."""
+    """The tally of one corpus entry's exact-locus and regular points in
+    rational mode at one k_max, under every signed permutation."""
     name, k_max = task
     entry = lookup(name)
     e = entry.expr()
     cases = [(pt, True) for pt in entry.exact_locus_points] \
         + [(pt, False) for pt in entry.regular_points]
-    wrong, inconclusive = [], 0
-    analytic_margin, failing_margin = 0.0, math.inf
-    seeds = permutation_seeds(entry.nvars)
+    tally = Tally()
     for pt, on_locus in cases:
-        for seed in seeds:
+        for seed in permutation_seeds(entry.nvars):
             v = classify_point(e, pt, k_max, seed=seed, exact=True)
-            if v.status == INCONCLUSIVE:
-                inconclusive += 1
-            if (v.status == NON_ANALYTIC) != on_locus:
-                kind = "missed" if on_locus else "false"
-                wrong.append((kind, seed, pt, v.status, v.k_star))
-            elif v.status == ANALYTIC_UP_TO:
-                analytic_margin = max([analytic_margin]
-                                      + [ev.margin for ev in v.evidence])
-            elif v.status == NON_ANALYTIC:
-                failing_margin = min(failing_margin, v.evidence[-1].margin)
-    return (name, k_max, len(cases) * len(seeds), wrong, inconclusive,
-            analytic_margin, failing_margin)
+            tally.judge(v, on_locus, f"rational k_max {k_max} seed {seed} "
+                                     f"{name} {tuple(map(str, pt))}")
+    return "rational", tally
+
+
+def run(task):
+    return sweep_float(task) if len(task) == 4 else sweep_rational(task)
 
 
 def main(argv=None) -> int:
@@ -125,45 +122,32 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
     args = parser.parse_args(argv)
-    tasks = [(label, name, axes, seed, seeding) for seeding in SEEDINGS
-             for seed in SEEDS for label, name, axes in grids()]
-    totals = {s: {"points": 0, "false": 0, "missed": 0, "inconclusive": 0}
-              for s in SEEDINGS + ("rational",)}
-    margins = {s: [0.0, math.inf] for s in totals}
+    tasks = [(label, name, axes, seed) for label, name, axes in grids()
+             for seed in permutation_seeds(lookup(name).nvars)]
+    tasks += [(entry.name, k_max) for k_max in RATIONAL_K_MAX
+              for entry in corpus_list()]
+    totals = {kind: Tally() for kind in ("float", "rational")}
     started = time.perf_counter()
     with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for label, seed, seeding, count, wrong, inconclusive, analytic, \
-                failing in pool.map(sweep, tasks):
-            total = totals[seeding]
-            total["points"] += count
-            total["inconclusive"] += inconclusive
-            margins[seeding][0] = max(margins[seeding][0], analytic)
-            margins[seeding][1] = min(margins[seeding][1], failing)
-            for kind, i, pt, status, k_star in wrong:
-                total[kind] += 1
-                print(f"{seeding} seed {seed} {label} i={i} "
-                      f"{tuple(map(str, pt))}: {kind} {status}({k_star})")
-        rational = [(entry.name, k_max) for k_max in RATIONAL_K_MAX
-                    for entry in corpus_list()]
-        for name, k_max, count, wrong, inconclusive, analytic, failing \
-                in pool.map(sweep_rational, rational):
-            total = totals["rational"]
-            total["points"] += count
-            total["inconclusive"] += inconclusive
-            margins["rational"][0] = max(margins["rational"][0], analytic)
-            margins["rational"][1] = min(margins["rational"][1], failing)
-            for kind, seed, pt, status, k_star in wrong:
-                total[kind] += 1
-                print(f"rational k_max {k_max} seed {seed} {name} "
-                      f"{tuple(map(str, pt))}: {kind} {status}({k_star})")
-    for seeding, total in totals.items():
-        print(f"{seeding}: " + ", ".join(f"{v} {k}" for k, v in total.items()))
-        analytic, failing = margins[seeding]
-        print(f"{seeding}: largest AnalyticUpTo margin {analytic:.3g}, "
-              f"smallest NonAnalytic failing margin {failing:.3g}")
+        for kind, tally in pool.map(run, tasks):
+            total = totals[kind]
+            total.count += tally.count
+            total.inconclusive += tally.inconclusive
+            total.wrong += tally.wrong
+            total.analytic_margin = max(total.analytic_margin,
+                                        tally.analytic_margin)
+            total.failing_margin = min(total.failing_margin,
+                                       tally.failing_margin)
+    for kind, total in totals.items():
+        print(f"{kind}: {total.count} points, "
+              f"{total.wrong.count('false')} false, "
+              f"{total.wrong.count('missed')} missed, "
+              f"{total.inconclusive} inconclusive")
+        print(f"{kind}: largest AnalyticUpTo margin "
+              f"{total.analytic_margin:.3g}, smallest NonAnalytic failing "
+              f"margin {total.failing_margin:.3g}")
     print(f"{time.perf_counter() - started:.0f} s")
-    bad = sum(t["false"] + t["missed"] for t in totals.values()) \
-        + totals["rational"]["inconclusive"]
+    bad = sum(len(t.wrong) + t.inconclusive for t in totals.values())
     return 1 if bad else 0
 
 

@@ -16,17 +16,18 @@ Float mode tests order k by least squares: h_k at 2·d(n,k) directions
 must lie in the column space of their degree-k evaluation matrix V = QR,
 and the residual |h - Q Qᵀ h| is bounded by the error of h itself, not
 amplified by the condition of V (Golub & Van Loan, *Matrix Computations*,
-§5.3).  The directions come from one canonical `Design` per n, drawn from
-a stream no seed changes and factored once per process, order by order.
-A seed only rotates it: the ladder evaluates its jets along U M for the
-seed's orthogonal M, and since V_k(U M) = V_k(U)·S_k(M) with S_k(M)
-invertible, the canonical Q serves every seed.  `design` caches the
-rotated view (`SeededDesign`) shared by every point of a scan; a point's
-jets come from one batched pass over it (`eval_lanes`), bit for bit as
-the scalar path, to which a batch the lanes cannot share falls back.
-Exact (rational) mode reads each h_k as a `Fraction` along one canonical
-`LatticeDesign` per n under the seed's signed permutation, which keeps each
-fit block's condition, checked once per process, the same for every seed.
+§5.3).  Both modes take their directions from one canonical design per n
+(`homog.Design` in floats, `homog.LatticeDesign` for rationals), checked
+once per process, and a seed only picks a signed permutation M of the
+coordinates: the ladder evaluates its jets along U M.  V_k(U M) is V_k(U)
+with its columns permuted and negated, so the canonical Q gives every
+seed's residuals, and the fitted coefficients in v are those in u gathered
+and sign-flipped (`homog.monomial_map`).  `design` caches the permuted
+float view (`SeededDesign`) shared by every point of a scan; a point's
+jets come from one batched pass over it (`eval_lanes`), bit for bit as the
+scalar path, to which a batch the lanes cannot share falls back.  Exact
+(rational) mode reads each h_k as a `Fraction` along the lattice rows,
+fits on the first half of each order's block and validates on the rest.
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -41,7 +42,6 @@ shortcut point by point.
 from __future__ import annotations
 
 import math
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,11 +54,11 @@ from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     GenericityFailure, IrregularBatch, PoleAtOrigin
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
-from .homog import HomoPoly, NodeSet, dim_homog, gather_matrix, interp_fit, \
-    lattice_design, signed_permutation
+from .homog import HomoPoly, NodeSet, canonical_design, dim_homog, \
+    interp_fit, lattice_design, monomial_map, signed_permutation
 from .homog import condition_estimate  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
-from .seeds import derive_seed, unit_vector
+from .seeds import derive_seed
 
 ANALYTIC_UP_TO = "AnalyticUpTo"
 NON_ANALYTIC = "NonAnalytic"
@@ -79,10 +79,6 @@ MAX_GRID_POINTS = 10 ** 6
 MAX_K_MAX = 100
 MAX_LADDER_DIRECTIONS = 2000
 MAX_ORDER = 404
-# Bytes of QR factors the canonical designs keep, together with the G_k of
-# the cached rotated view: ~0.5 MB at n=3, k_max 10, but ~1.8 GB at k_max 60,
-# whose orders beyond the budget are computed again per point.
-MAX_DESIGN_BYTES = 64 * 2 ** 20
 
 
 def default_order(k_max: int) -> int:
@@ -127,130 +123,30 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
 
 # --- the float ladder's direction design ---------------------------------------
 
-class Design:
-    """The canonical directions of every float ladder in n variables.
-
-    Drawn through `unit_vector` from one stream that no seed changes, and
-    extended on demand; in one variable the design is exactly (1, -1).
-    Order k tests on the rows [0, 2·d(n, k)) whatever the ladder's top
-    order, so `factors(k)` depends on (n, k) only.  A seed does not redraw
-    the design: it rotates it (`SeededDesign`), which leaves each order's
-    column space, and so its least-squares residuals, unchanged.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._rng = random.Random(derive_seed("canonical design", n))
-        self.directions = np.array([[1.0], [-1.0]]) if n == 1 \
-            else np.empty((0, n))
-        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def rows(self, count: int) -> np.ndarray:
-        """The first `count` directions."""
-        if count > len(self.directions):
-            more = [unit_vector(self._rng, self.n)
-                    for _ in range(count - len(self.directions))]
-            self.directions = np.concatenate([self.directions, more])
-        return self.directions[:count]
-
-    def factors(self, k: int, reserved: int = 0
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
-        directions, computed once per process.
-
-        GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
-        design is fixed, an order fails so for every seed alike.  The
-        factors are kept while those of every canonical design, plus the
-        caller's `reserved` bytes, fit in MAX_DESIGN_BYTES.
-        """
-        held = self._factors.get(k)
-        if held is not None:
-            return held
-        rows = 2 * dim_homog(self.n, k)
-        q, r = np.linalg.qr(gather_matrix(_powers(self.rows(rows), k),
-                                          self.n, k))
-        diag = np.abs(np.diagonal(r))
-        if not diag.min() > diag.max() * rows * np.finfo(float).eps:
-            raise GenericityFailure(
-                f"the directions of order {k} are not generic "
-                f"(|R_ii| from {diag.min():.3g} to {diag.max():.3g})")
-        factors = q, np.linalg.inv(r)
-        if _held_bytes() + reserved + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
-            self._factors[k] = factors
-        return factors
-
-
-# The canonical design of each n, built on first use.
-_DESIGNS: dict[int, Design] = {}
-
-
-def canonical_design(n: int) -> Design:
-    """The canonical design of n variables, one per process."""
-    held = _DESIGNS.get(n)
-    if held is None:
-        held = _DESIGNS[n] = Design(n)
-    return held
-
-
-def _held_bytes() -> int:
-    """Bytes of the factors that the canonical designs keep."""
-    return sum(a.nbytes for d in _DESIGNS.values()
-               for pair in d._factors.values() for a in pair)
-
-
-def _powers(directions: np.ndarray, top: int) -> np.ndarray:
-    """v_c ** e at [r, c, e] for e <= top, by repeated multiplication."""
-    powers = np.ones(directions.shape + (top + 1,))
-    for e in range(1, top + 1):
-        powers[:, :, e] = powers[:, :, e - 1] * directions
-    return powers
-
-
-def rotation(seed: int, n: int) -> np.ndarray:
-    """The seed's orthogonal n×n matrix: Q of the QR of n² Gaussian draws,
-    its columns times the signs of R's diagonal, so it is Haar-distributed
-    (Mezzadri, Notices AMS 54, 2007)."""
-    rng = random.Random(derive_seed(seed, "directions", n))
-    q, r = np.linalg.qr(np.array([rng.gauss(0.0, 1.0)
-                                  for _ in range(n * n)]).reshape(n, n))
-    return q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
-
-
 class SeededDesign:
     """The directions of every float ladder under one (seed, n, k_top).
 
-    The canonical design's first 2·d(n, k_top) rows U, rotated by the
-    seed's M: jets are evaluated along W = U M.  A degree-k form p in v
-    gives the form q(u) = p(u M) on U, so order k's residuals are
-    |h - Q Qᵀ h| with the canonical Q, and q's coefficients are
-    c_q = R⁻¹Qᵀh.  Since p(u) = q(u Mᵀ), p's are the least-squares fit on
-    U of q's values at U Mᵀ: c_p = R⁻¹Qᵀ G_k c_q, with G_k the evaluation
-    matrix of U Mᵀ, kept while it and the canonical factors fit in
-    MAX_DESIGN_BYTES.
+    The canonical design's first 2·d(n, k_top) rows U under the seed's
+    signed permutation M: jets are evaluated along W = U M.  A degree-k form
+    p in v gives the form q(u) = p(u M) on U, so order k's residuals are
+    |h - Q Qᵀ h| with the canonical Q, q's coefficients are R⁻¹Qᵀh, and p's
+    are those gathered and sign-flipped by M's monomial map, kept per order.
     """
 
     def __init__(self, seed: int, n: int, k_top: int):
         self.seed, self.n = seed, n
         self.canonical = canonical_design(n)
-        self.rotation = rotation(seed, n)
+        self.flip = signed_permutation(seed, n)
         u = self.canonical.rows(2 * dim_homog(n, k_top))
-        self.directions = u @ self.rotation
-        self._back_powers = _powers(u @ self.rotation.T, k_top)
-        self._back: dict[int, np.ndarray] = {}
+        self.directions = u[:, [i for i, _ in self.flip]] \
+            * np.array([s for _, s in self.flip], dtype=float)
+        self._maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray,
-                                       np.ndarray | None]:
-        """Q and R⁻¹ of order k, and G_k (None at k = 0, where c_p = c_q)."""
-        reserved = sum(g.nbytes for g in self._back.values())
-        q, r_inv = self.canonical.factors(k, reserved)
-        if k == 0:
-            return q, r_inv, None
-        back = self._back.get(k)
-        if back is None:
-            back = gather_matrix(self._back_powers[:len(q)], self.n, k)
-            if _held_bytes() + reserved + back.nbytes <= MAX_DESIGN_BYTES:
-                self._back[k] = back
-        return q, r_inv, back
+    def factors(self, k: int) -> tuple[np.ndarray, ...]:
+        """Q and R⁻¹ of order k, and the (index, sign) of its monomial map."""
+        if k not in self._maps:
+            self._maps[k] = monomial_map(self.flip, k)
+        return self.canonical.factors(k) + self._maps[k]
 
 
 @lru_cache(maxsize=1)
@@ -340,8 +236,8 @@ def _least_squares_test(plan: SeededDesign, jets: _DesignJets, k: int,
                         tol: float, point_value: Scalar | None) -> PolyTestResult:
     """Float order test: the residuals of h_k at the 2·d(n, k) directions
     are |h - Q Qᵀ h|, and the fitted polynomial's coefficients in v are
-    R⁻¹Qᵀ G_k R⁻¹Qᵀ h (see `SeededDesign`)."""
-    q, r_inv, back = plan.factors(k)
+    sign · (R⁻¹Qᵀh)[index] (see `SeededDesign`)."""
+    q, r_inv, index, sign = plan.factors(k)
     try:
         h = np.array(jets.taylor_values(k, len(q)), dtype=float)
     except PoleAtOrigin:
@@ -351,9 +247,7 @@ def _least_squares_test(plan: SeededDesign, jets: _DesignJets, k: int,
                               tuple(plan.directions[bad].tolist()))
     projection = q.T @ h
     residuals = np.abs(h - q @ projection).tolist()
-    coeffs = r_inv @ projection
-    if back is not None:
-        coeffs = r_inv @ (q.T @ (back @ coeffs))
+    coeffs = (r_inv @ projection)[index] * sign
     # + 0.0 turns the -0.0 of an all-zero h into 0.0
     fitted = HomoPoly(plan.n, k, tuple((coeffs + 0.0).tolist()))
     if k == 0 and point_value is not None:

@@ -1,15 +1,14 @@
-"""Homogeneous polynomials, generic interpolation nodes, and two identities.
+"""Homogeneous polynomials, the direction designs, and two identities.
 
 The space of degree-k homogeneous polynomials in n variables has dimension
 C(n+k-1, k), one coefficient per exponent vector summing to k; coefficients
 are stored in graded-lexicographic order (descending lex within the fixed
 degree).  Evaluation at C(n+k-1, k) generic directions is a linear
 isomorphism, which `interp_fit` inverts, exactly over the rationals or in
-floats.  Exact directions are rows of one canonical `LatticeDesign` per n
-under a seed's `signed_permutation`.  The float ladder instead keeps an
-array of coordinate powers for a fixed set of directions and gathers each
-order's evaluation matrix from it (`gather_matrix`), which it factors once
-for a least-squares test.
+floats.  Every direction arcan samples is a row of one canonical design per
+n, float (`Design`) or lattice (`LatticeDesign`), checked once per process,
+under the seed's `signed_permutation`, which keeps every block's rank and
+condition; `monomial_map` carries a form's coefficients across it.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -37,8 +36,12 @@ from .jets import Scalar
 from .linalg import solve_exact
 from .seeds import derive_seed, lattice_vector, unit_vector
 
-# Largest condition estimate of a lattice fit block or a float node set.
+# Largest condition estimate of a fit block, lattice or float.
 MAX_CONDITION = 1e6
+# Bytes of QR factors the canonical float designs keep, together: ~0.3 MB at
+# n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget are
+# computed again per point.
+MAX_DESIGN_BYTES = 64 * 2 ** 20
 
 
 def dim_homog(n: int, k: int) -> int:
@@ -175,6 +178,101 @@ def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> flo
         return math.inf
 
 
+def _checked_fit(conditions: dict[int, float], fit, n: int, k: int,
+                 what: str):
+    """Order k's fit rows, or GenericityFailure (for every seed alike) if
+    their condition estimate, taken once per design, exceeds MAX_CONDITION."""
+    if k not in conditions:
+        conditions[k] = condition_estimate(fit, n, k)
+    if not conditions[k] <= MAX_CONDITION:
+        raise GenericityFailure(f"the {what} of order {k} are not generic "
+                                f"(condition {conditions[k]:.3g})")
+    return fit
+
+
+class Design:
+    """The canonical directions of every float ladder in n variables.
+
+    Drawn through `unit_vector` from one stream that no seed changes, and
+    extended on demand; in one variable the design is exactly (1, -1).
+    Order k tests on the rows [0, 2·d(n, k)) whatever the ladder's top
+    order, so `factors(k)` depends on (n, k) only; float `sample_nodes`
+    fits on the first d(n, k) of them (`fit_rows`).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._rng = random.Random(derive_seed("canonical design", n))
+        self.directions = np.array([[1.0], [-1.0]]) if n == 1 \
+            else np.empty((0, n))
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._conditions: dict[int, float] = {}
+
+    def rows(self, count: int) -> np.ndarray:
+        """The first `count` directions."""
+        if count > len(self.directions):
+            more = [unit_vector(self._rng, self.n)
+                    for _ in range(count - len(self.directions))]
+            self.directions = np.concatenate([self.directions, more])
+        return self.directions[:count]
+
+    def fit_rows(self, k: int) -> np.ndarray:
+        """The first d(n, k) rows, checked as `_checked_fit` does."""
+        return _checked_fit(self._conditions, self.rows(dim_homog(self.n, k)),
+                            self.n, k, "directions")
+
+    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
+        directions, computed once per process.
+
+        GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
+        design is fixed, an order fails so for every seed alike.  The
+        factors are kept while those of every canonical design fit in
+        MAX_DESIGN_BYTES.
+        """
+        held = self._factors.get(k)
+        if held is not None:
+            return held
+        rows = 2 * dim_homog(self.n, k)
+        q, r = np.linalg.qr(gather_matrix(_powers(self.rows(rows), k),
+                                          self.n, k))
+        diag = np.abs(np.diagonal(r))
+        if not diag.min() > diag.max() * rows * np.finfo(float).eps:
+            raise GenericityFailure(
+                f"the directions of order {k} are not generic "
+                f"(|R_ii| from {diag.min():.3g} to {diag.max():.3g})")
+        factors = q, np.linalg.inv(r)
+        if _held_bytes() + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
+            self._factors[k] = factors
+        return factors
+
+
+# The canonical float design of each n, built on first use.
+_DESIGNS: dict[int, Design] = {}
+
+
+def canonical_design(n: int) -> Design:
+    """The canonical float design of n variables, one per process."""
+    held = _DESIGNS.get(n)
+    if held is None:
+        held = _DESIGNS[n] = Design(n)
+    return held
+
+
+def _held_bytes() -> int:
+    """Bytes of the factors that the canonical float designs keep."""
+    return sum(a.nbytes for d in _DESIGNS.values()
+               for pair in d._factors.values() for a in pair)
+
+
+def _powers(directions: np.ndarray, top: int) -> np.ndarray:
+    """v_c ** e at [r, c, e] for e <= top, by repeated multiplication."""
+    powers = np.ones(directions.shape + (top + 1,))
+    for e in range(1, top + 1):
+        powers[:, :, e] = powers[:, :, e - 1] * directions
+    return powers
+
+
 class LatticeDesign:
     """The canonical lattice directions of every exact ladder in n variables.
 
@@ -210,16 +308,11 @@ class LatticeDesign:
         return self.directions[:count]
 
     def block(self, k: int) -> list[tuple[int, ...]]:
-        """Order k's rows [0, 2·d(n, k)), of which it fits on the first half;
-        GenericityFailure for every seed alike unless the fit rows' condition
-        estimate, taken once per process, is at most MAX_CONDITION."""
+        """Order k's rows [0, 2·d(n, k)), of which it fits on the first
+        half, checked as `_checked_fit` does."""
         d = dim_homog(self.n, k)
         rows = self.rows(2 * d)
-        if k not in self._conditions:
-            self._conditions[k] = condition_estimate(rows[:d], self.n, k)
-        if not self._conditions[k] <= MAX_CONDITION:
-            raise GenericityFailure(f"the lattice directions of order {k} are not "
-                                    f"generic (condition {self._conditions[k]:.3g})")
+        _checked_fit(self._conditions, rows[:d], self.n, k, "lattice directions")
         return rows
 
 
@@ -235,34 +328,41 @@ lattice_design = lru_cache(maxsize=None)(LatticeDesign)
 def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
     """The seed's signed permutation M, as a pair (i, sign) per coordinate
     j of u M: (u M)_j = sign * u[i].  M is integer and orthogonal, so
-    V_k(U M) is V_k(U) with columns permuted and negated: a lattice block's
-    rank, condition and parallel rows do not depend on the seed."""
+    V_k(U M) is V_k(U) with columns permuted and negated: a block's rank,
+    condition and parallel rows do not depend on the seed."""
     rng = random.Random(derive_seed(seed, "directions", n))
     sources = list(range(n))
     rng.shuffle(sources)
     return tuple((i, rng.choice((1, -1))) for i in sources)
 
 
+def monomial_map(flip: tuple[tuple[int, int], ...], k: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with p's coefficients = sign * q's[index] for the
+    degree-k forms q(u) = p(u M), M the signed permutation `flip`: v^a
+    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i]."""
+    exps = _exponent_array(len(flip), k)
+    moved = np.empty_like(exps)
+    moved[:, [i for i, _ in flip]] = exps
+    # The b's are the basis permuted: sorted descending, they are the basis.
+    index = np.empty(len(exps), dtype=np.intp)
+    index[np.lexsort(moved.T[::-1])[::-1]] = np.arange(len(exps))
+    odd = exps[:, [j for j, (_, s) in enumerate(flip) if s < 0]].sum(axis=1) % 2
+    return index, 1.0 - 2.0 * odd
+
+
 def sample_nodes(n: int, k: int, seed: int, exact: bool = False) -> NodeSet:
     """A generic node set of d(n, k) directions, deterministically from the seed.
 
-    Exact mode takes the exact ladder's fit block of order k.  Float mode
-    draws up to 64 node sets of unit directions, until one's condition
-    estimate is at most MAX_CONDITION.
+    The first d(n, k) rows of the mode's canonical design, the ones its
+    ladder fits order k on, under the seed's signed permutation: lattice
+    rows in exact mode, unit vectors in float mode.
     """
-    d = dim_homog(n, k)
-    if exact:
-        flip = signed_permutation(seed, n)
-        fit = lattice_design(n).block(k)[:d]
-        return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit), True)
-    rng = random.Random(derive_seed(seed, "nodes", n, k))
-    for _ in range(64):
-        nodes = tuple(unit_vector(rng, n) for _ in range(d))
-        cond = condition_estimate(nodes, n, k)
-        if cond <= MAX_CONDITION:
-            return NodeSet(n, k, nodes, False)
-    raise GenericityFailure(f"no node set with condition <= {MAX_CONDITION:g} "
-                            f"in 64 attempts (last estimate {cond:.3g})")
+    flip = signed_permutation(seed, n)
+    fit = lattice_design(n).block(k)[:dim_homog(n, k)] if exact \
+        else canonical_design(n).fit_rows(k).tolist()
+    return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit),
+                   exact)
 
 
 def interp_fit(values: Sequence[Scalar], nodeset: NodeSet) -> HomoPoly:

@@ -222,10 +222,12 @@ class LaurentJet:
         if exponent < 0:
             raise ValueError("negative exponents go through division")
         if exponent == 0:
-            # The constant 1, in the base's window; a pole's window ends
-            # below t^0, so it keeps the base's relative precision instead.
+            # The constant 1 in the kind of the base's lead, in the base's
+            # window; a pole's window ends below t^0, so it keeps the base's
+            # relative precision instead.
+            one = self.coeffs[0] ** 0 if self.coeffs else 1
             return LaurentJet.constant(
-                1, max(self.order, self.order - self.valuation))
+                one, max(self.order, self.order - self.valuation))
         return _power(self, exponent)
 
 
@@ -671,7 +673,10 @@ class LaneJet:
 
     def pow_int(self, exponent: int) -> "LaneJet":
         if exponent == 0:
-            # The scalar path returns an integer constant jet, whose exact
+            # A zero base gives the scalar path an integer 1, whose exact
             # divisions (int / int -> Fraction) floats would not reproduce.
-            raise IrregularBatch("zeroth power")
+            if self.is_zero:
+                raise IrregularBatch("zeroth power of zero")
+            return LaneJet.constant(
+                1.0, self.lanes, max(self.order, self.order - self.valuation))
         return _power(self, exponent)

@@ -265,7 +265,7 @@ def fraction_gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
                     lambda body, default: body)
 
 
-# --- the per-seed QR (reference for the rotated canonical design) ---------------
+# --- the per-seed QR (reference for the permuted canonical design) -------------
 
 def qr_residuals(directions: Sequence[Sequence[float]], values: Sequence[float],
                  n: int, k: int) -> np.ndarray:

@@ -8,20 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcan import classify
+from arcan import classify, homog
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
-    Design, SeededDesign, arc_symmetry_check, canonical_design, \
-    classify_point, design, flagged_points, gateaux_coeff, grid_points, \
-    loja_estimate, poly_test, rotation, scan_region, verdict_to_json
+    SeededDesign, arc_symmetry_check, classify_point, design, \
+    flagged_points, gateaux_coeff, grid_points, loja_estimate, poly_test, \
+    scan_region, verdict_to_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
 from arcan.expr import ArcSpec, eval_arc
-from arcan.homog import HomoPoly, dim_homog
+from arcan.homog import Design, HomoPoly, canonical_design, dim_homog, \
+    signed_permutation
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
-from helpers import qr_residuals, random_arc, random_point, \
-    random_polynomial_expr, random_safe_rational_expr
+from helpers import permutation_seeds, qr_residuals, random_arc, \
+    random_point, random_polynomial_expr, random_safe_rational_expr
 
 F = Fraction
 
@@ -48,6 +49,13 @@ class TestGateauxCoeff:
     def test_pole_raises(self):
         with pytest.raises(PoleAtOrigin):
             gateaux_coeff(INV, (0, 0), (1, 0), 0)
+
+    def test_zeroth_powers_stay_float_or_exact(self):
+        e = parse("x^0/y^0")
+        h0 = gateaux_coeff(e, (0.5, 0.25), (1.0, 2.0), 0)
+        assert type(h0) is float and h0 == 1.0
+        exact = gateaux_coeff(e, (F(1, 2), F(1, 4)), (1, 2), 0, exact=True)
+        assert exact == 1 and isinstance(exact, (int, F))
 
     def test_matches_arc_evaluation_exactly(self):
         # cross-module consistency: same jets along the straight arc
@@ -237,7 +245,7 @@ class TestLeastSquaresLadder:
            seed=st.integers(0, 2 ** 32), family=st.sampled_from([0, 1]))
     def test_residuals_equal_a_qr_at_the_rotated_directions(self, n, k, seed,
                                                             family):
-        # The canonical Q spans what a QR of the rotated directions' own
+        # The canonical Q spans what a QR of the permuted directions' own
         # evaluation matrix spans, so non-polynomial data leaves the same
         # residuals.
         plan = SeededDesign(seed, n, k)
@@ -253,21 +261,37 @@ class TestLeastSquaresLadder:
             float(expected.max()), rel=1e-9, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_a_seed_only_rotates_the_canonical_design(self, n):
+    def test_a_float_seed_permutes_the_canonical_rows(self, n):
         rows = 2 * dim_homog(n, 6)
         canonical = canonical_design(n).rows(rows).copy()
         for seed in range(5):
-            m = rotation(seed, n)
-            np.testing.assert_allclose(m @ m.T, np.eye(n), rtol=0, atol=1e-14)
+            flip = signed_permutation(seed, n)
             plan = SeededDesign(seed, n, 6)
             assert plan.canonical is canonical_design(n)
             assert canonical_design(n).rows(rows).tobytes() \
                 == canonical.tobytes()
-            np.testing.assert_allclose(plan.directions @ m.T, canonical,
-                                       rtol=0, atol=1e-14)
-        assert not np.array_equal(rotation(0, n), rotation(1, n))
+            expected = [[s * u[i] for i, s in flip] for u in canonical.tolist()]
+            assert plan.directions.tolist() == expected
         if n == 1:
             assert canonical.tolist() == [[1.0], [-1.0]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_signed_permutation_fits_coefficients_in_v(self, n):
+        # q(u) = P(u M) is fitted on the canonical rows; gathering and
+        # sign-flipping its coefficients must give P's own, for every M.
+        rng = random.Random(n)
+        polys = [HomoPoly(n, k, tuple(rng.uniform(-1, 1)
+                                      for _ in range(dim_homog(n, k))))
+                 for k in range(7)]
+        for seed in permutation_seeds(n).values():
+            plan = SeededDesign(seed, n, 6)
+            for k, P in enumerate(polys):
+                values = HeldValues([P(v) for v in plan.directions.tolist()])
+                result = classify._least_squares_test(plan, values, k, 1e-7,
+                                                      None)
+                assert result.polynomial
+                np.testing.assert_allclose(result.fitted.coeffs, P.coeffs,
+                                           rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_canonical_orders_are_generic(self, n):
@@ -281,9 +305,9 @@ class TestLeastSquaresLadder:
         assert v.status == ANALYTIC_UP_TO
 
     def test_repeated_direction_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(classify, "_DESIGNS", {})
+        monkeypatch.setattr(homog, "_DESIGNS", {})
         design.cache_clear()
-        monkeypatch.setattr(classify, "unit_vector", lambda rng, n: (0.6, 0.8))
+        monkeypatch.setattr(homog, "unit_vector", lambda rng, n: (0.6, 0.8))
         try:
             v = classify_point(parse("x*y"), (0.5, 0.5), k_max=2, seed=11)
         finally:
@@ -299,20 +323,17 @@ class TestLeastSquaresLadder:
         unbounded = Design(3)
         full = [unbounded.factors(k) for k in range(11)]
         budget = sum(q.nbytes + r.nbytes for q, r in full[:6])
-        monkeypatch.setattr(classify, "_DESIGNS", {})
-        monkeypatch.setattr(classify, "MAX_DESIGN_BYTES", budget)
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", budget)
         views = [SeededDesign(5, 3, 10), SeededDesign(5, 2, 10)]
         for plan in views:
             for k in range(11):
-                q, r_inv, _ = plan.factors(k)
+                q, r_inv, _, _ = plan.factors(k)
                 if plan.n == 3:
                     assert q.tobytes() == full[k][0].tobytes()
                     assert r_inv.tobytes() == full[k][1].tobytes()
-            # what the canonical designs and this view keep, together
-            kept = classify._held_bytes() \
-                + sum(g.nbytes for g in plan._back.values())
-            assert 0 < kept <= budget
-        assert sorted(classify._DESIGNS) == [2, 3]
+            assert 0 < homog._held_bytes() <= budget
+        assert sorted(homog._DESIGNS) == [2, 3]
 
     def test_evidence_reports_threshold_and_margin(self):
         v = classify_point(E1, (0, 0), k_max=3, seed=1)

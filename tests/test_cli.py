@@ -150,6 +150,13 @@ class TestArcCommand:
         assert doc["kind"] == "RemovableMismatch"
         assert doc["mismatch"] == 0.5
 
+    def test_float_zeroth_powers_print_as_floats(self, capsys):
+        code, out = run_cli(capsys, ["arc", "x^0/y^0 + x", "--arc", "t, 1+t"])
+        assert code == 0
+        coeffs = json.loads(out)["coeffs"]
+        assert coeffs == [1, 1] + [0] * 19
+        assert not any(isinstance(c, str) for c in coeffs)
+
     def test_pole_report(self, capsys):
         code, out = run_cli(capsys, [
             "arc", "guard(1/(x^2+y^2),0)", "--arc", "t, 0"])

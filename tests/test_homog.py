@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from arcan import homog
-from arcan.classify import Design, _powers
 from arcan.errors import GenericityFailure, PremiseViolated
-from arcan.homog import HomoPoly, LatticeDesign, condition_estimate, dim_homog, \
-    euler_check, evaluation_matrix, fd_reconstruct, gather_matrix, interp_fit, \
+from arcan.homog import Design, HomoPoly, LatticeDesign, _powers, \
+    canonical_design, condition_estimate, dim_homog, euler_check, \
+    evaluation_matrix, fd_reconstruct, gather_matrix, interp_fit, \
     lattice_design, monomials, random_poly, sample_nodes, \
     shrink_bound_check, signed_permutation
 from arcan.linalg import solve_exact
+from arcan.verify import check_interp_roundtrip
 
 F = Fraction
 
@@ -117,7 +118,31 @@ class TestSampleNodes:
 
     def test_deterministic(self):
         assert sample_nodes(3, 2, seed=9).nodes == sample_nodes(3, 2, seed=9).nodes
-        assert sample_nodes(3, 2, seed=9).nodes != sample_nodes(3, 2, seed=10).nodes
+        # a seed acts through its signed permutation only (seed 10 picks
+        # the same one as seed 9)
+        same = [sample_nodes(3, 2, seed=9).nodes == sample_nodes(3, 2, s).nodes
+                for s in range(12)]
+        assert same == [signed_permutation(9, 3) == signed_permutation(s, 3)
+                        for s in range(12)]
+        assert same[10] and not all(same)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_float_nodes_are_the_permuted_canonical_fit_rows(self, n):
+        # every shape `verify interp-roundtrip` draws: k <= 6
+        for k in range(7):
+            fit = canonical_design(n).rows(dim_homog(n, k)).tolist()
+            assert condition_estimate(fit, n, k) <= 2.1e4
+            for seed in range(12):
+                flip = signed_permutation(seed, n)
+                ns = sample_nodes(n, k, seed)
+                assert not ns.exact
+                assert ns.nodes == tuple(tuple(s * u[i] for i, s in flip)
+                                         for u in fit)
+
+    def test_float_roundtrip_seed_two_passes(self):
+        # random node sets with condition up to 1e6 missed 1e-10 here
+        report = check_interp_roundtrip(1000, 2, exact=False)
+        assert report.passed and report.worst_residual <= 1e-10
 
 
 class TestLatticeDesign:
