@@ -17,8 +17,10 @@ the locus is false, any other verdict on it is missed.  Prints every wrong
 verdict, the counts per arithmetic, and how far apart right verdicts stay
 from the threshold: the largest margin (residual over threshold) of a right
 AnalyticUpTo verdict, and the smallest margin of the failing order of a
-right NonAnalytic verdict (inf for a pole).  Exits 1 on any false, missed or
-Inconclusive verdict.  Takes about 14 minutes with 2 workers on a 2-core
+right NonAnalytic verdict (inf for a pole).  An order whose values are all
+exact has threshold 0 and margin 0 (pass) or inf (fail), so the rational
+margins other than 0 and inf come from orders with float values (an
+irrational `sqrt`).  Exits 1 on any false, missed or Inconclusive verdict.  Takes about 14 minutes with 2 workers on a 2-core
 x86_64 machine:
 
     PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]

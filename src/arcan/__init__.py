@@ -7,8 +7,7 @@ verdicts transform under blow-ups of coordinate subspaces.
 """
 
 from .blowup import BlowupChart, FiberLiftReport, PullbackResult, \
-    classify_pullback, fiber_lift_check, make_chart, pullback, \
-    pullback_sequence
+    classify_pullback, fiber_lift_check, make_chart, pullback
 from .classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, LojaFit, \
     Verdict, arc_symmetry_check, classify_point, gateaux_coeff, gateaux_series, \
     loja_estimate, poly_test, scan_region
@@ -33,6 +32,6 @@ __all__ = [
     "fd_reconstruct", "fiber_lift_check", "gateaux_coeff", "gateaux_series",
     "interp_fit", "jet_sqrt", "loja_estimate", "lookup", "make_chart",
     "monomials", "parse", "parse_arc", "poly_test", "pullback", "regular_at",
-    "pullback_sequence", "sample_nodes", "scan_region",
+    "sample_nodes", "scan_region",
     "shrink_bound_check", "to_text",
 ]

@@ -74,17 +74,6 @@ class BlowupChart:
                 out[i] = s * chart_point[i]
         return tuple(out)
 
-    def invert(self, base_point: Sequence[Scalar]) -> tuple:
-        """Chart coordinates over a base point with nonzero axis coordinate."""
-        s = base_point[self.axis]
-        if s == 0:
-            raise ValueError("point lies over the center; chart inverse undefined")
-        out = list(base_point)
-        for i in self.center:
-            if i != self.axis:
-                out[i] = base_point[i] / s
-        return tuple(out)
-
     def to_json(self) -> dict:
         return {"n": self.nvars, "center": [i + 1 for i in self.center],
                 "axis": self.axis + 1}
@@ -170,26 +159,6 @@ def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
     simplified, cancelled, non_rational = _cancel_divisor_power(
         substituted, chart.axis, e.nvars)
     return PullbackResult(Expr(simplified, e.nvars), cancelled, non_rational, chart)
-
-
-def pullback_sequence(e: Expr, charts: Sequence[BlowupChart]) -> PullbackResult:
-    """Fold `pullback` over successive charts, each in its own frame.
-
-    No global atlas is kept: the k-th chart acts on the coordinates produced
-    by the (k-1)-th.  Cancelled powers accumulate and the non-rational flag
-    sticks once set; the reported chart is the last one applied.
-    """
-    if not charts:
-        raise ValueError("need at least one chart")
-    cancelled = 0
-    non_rational = False
-    result = None
-    for chart in charts:
-        result = pullback(e, chart)
-        e = result.expr
-        cancelled += result.cancelled_power
-        non_rational = non_rational or result.non_rational
-    return PullbackResult(e, cancelled, non_rational, charts[-1])
 
 
 def classify_pullback(e: Expr, chart: BlowupChart,

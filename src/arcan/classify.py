@@ -7,27 +7,29 @@ The detector rests on the directional series coefficients
 which are k-homogeneous in v and, at a point where f is an analytic germ,
 polynomial in v.  `poly_test` probes one order k and `classify_point` runs
 the ladder k = 0..k_max, reporting the first failing order.  A pole along a
-direction, or a residual above tol * (1 + max |h_k|), certifies that the
-differential is not polynomial at that order.  A finite ladder cannot
-prove analyticity, so the positive verdict is the honest
-`AnalyticUpTo(k_max)`.
+direction, a nonzero exact residual, or a float residual above
+tol * (1 + max |h_k|) certifies that the differential is not polynomial
+at that order.  A finite ladder cannot prove analyticity, so the positive
+verdict is the honest `AnalyticUpTo(k_max)`.
 
-Float mode tests order k by least squares: h_k at 2·d(n,k) directions
-must lie in the column space of their degree-k evaluation matrix V = QR,
-and the residual |h - Q Qᵀ h| is bounded by the error of h itself, not
-amplified by the condition of V (Golub & Van Loan, *Matrix Computations*,
-§5.3).  Both modes take their directions from one canonical design per n
-(`homog.Design` in floats, `homog.LatticeDesign` for rationals), checked
-once per process, and a seed only picks a signed permutation M of the
-coordinates: the ladder evaluates its jets along U M.  V_k(U M) is V_k(U)
-with its columns permuted and negated, so the canonical Q gives every
-seed's residuals, and the fitted coefficients in v are those in u gathered
-and sign-flipped (`homog.monomial_map`).  `design` caches the permuted
-float view (`SeededDesign`) shared by every point of a scan; a point's
-jets come from one batched pass over it (`eval_lanes`), bit for bit as the
-scalar path, to which a batch the lanes cannot share falls back.  Exact
-(rational) mode reads each h_k as a `Fraction` along the lattice rows,
-fits on the first half of each order's block and validates on the rest.
+Both modes run one ladder.  Their directions come from one canonical
+design per n (`homog.Design` in floats, `homog.LatticeDesign` for
+rationals), and a seed only picks a signed permutation M of the
+coordinates: the ladder evaluates its jets along U M.  `design` caches
+the permuted view (`SeededDesign`) shared by every point of a scan, and
+order k reads h_k along its first 2·d(n,k) rows; only the fit differs.
+Float mode tests order k by least squares: h_k must lie in the column
+space of the rows' degree-k evaluation matrix V = QR, and the residual
+|h - Q Qᵀ h| is bounded by the error of h itself, not amplified by the
+condition of V (Golub & Van Loan, *Matrix Computations*, §5.3).  V_k(U M)
+is V_k(U) with its columns permuted and negated, so the canonical Q gives
+every seed's residuals, and the fitted coefficients in v are those in u
+gathered and sign-flipped (`homog.monomial_map`).  A point's float jets
+come from one batched pass over the rows (`eval_lanes`), bit for bit as
+the scalar path, to which a batch the lanes cannot share falls back.
+Exact (rational) mode evaluates its jets on the scalar path, reads each
+h_k as a `Fraction`, interpolates on the first half of the order's rows
+and validates on the rest; the exact solve proves the fit block's rank.
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -51,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
-    GenericityFailure, IrregularBatch, PoleAtOrigin
+    GenericityFailure, IrregularBatch, PoleAtOrigin, SingularSystem
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
 from .homog import HomoPoly, NodeSet, canonical_design, dim_homog, \
@@ -121,25 +123,29 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
     return _series(e, xs, vs, order, exact).taylor_coeff(k)
 
 
-# --- the float ladder's direction design ---------------------------------------
+# --- the ladder's direction design --------------------------------------------
 
 class SeededDesign:
-    """The directions of every float ladder under one (seed, n, k_top).
+    """The directions of every ladder under one (seed, n, k_top, exact).
 
-    The canonical design's first 2·d(n, k_top) rows U under the seed's
-    signed permutation M: jets are evaluated along W = U M.  A degree-k form
-    p in v gives the form q(u) = p(u M) on U, so order k's residuals are
-    |h - Q Qᵀ h| with the canonical Q, q's coefficients are R⁻¹Qᵀh, and p's
-    are those gathered and sign-flipped by M's monomial map, kept per order.
+    The canonical design's first 2·d(n, k_top) rows U (float `Design` or
+    `LatticeDesign`) under the seed's signed permutation M: jets are
+    evaluated along W = U M, and order k reads the rows [0, 2·d(n, k)).
+    In floats a degree-k form p in v gives the form q(u) = p(u M) on U, so
+    order k's residuals are |h - Q Qᵀ h| with the canonical Q, q's
+    coefficients are R⁻¹Qᵀh, and p's are those gathered and sign-flipped by
+    M's monomial map, kept per order.  Exactly, p is interpolated on the
+    rows [0, d) and checked on [d, 2d).
     """
 
-    def __init__(self, seed: int, n: int, k_top: int):
-        self.seed, self.n = seed, n
-        self.canonical = canonical_design(n)
+    def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
+        self.seed, self.n, self.exact = seed, n, exact
+        self.canonical = lattice_design(n) if exact else canonical_design(n)
         self.flip = signed_permutation(seed, n)
         u = self.canonical.rows(2 * dim_homog(n, k_top))
-        self.directions = u[:, [i for i, _ in self.flip]] \
-            * np.array([s for _, s in self.flip], dtype=float)
+        kind = object if exact else float
+        self.directions = np.array(u, dtype=kind)[:, [i for i, _ in self.flip]] \
+            * np.array([s for _, s in self.flip], dtype=kind)
         self._maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def factors(self, k: int) -> tuple[np.ndarray, ...]:
@@ -148,26 +154,63 @@ class SeededDesign:
             self._maps[k] = monomial_map(self.flip, k)
         return self.canonical.factors(k) + self._maps[k]
 
+    def fit(self, k: int, values: list) -> tuple[HomoPoly, list, float]:
+        """The form fitted to h_k's `values` along the order's 2·d(n, k)
+        rows, the residuals it leaves, and the scale 1 + max |h_k|."""
+        if self.exact:
+            return self._interpolate(k, values)
+        q, r_inv, index, sign = self.factors(k)
+        h = np.array(values, dtype=float)
+        projection = q.T @ h
+        residuals = np.abs(h - q @ projection).tolist()
+        coeffs = (r_inv @ projection)[index] * sign
+        # + 0.0 turns the -0.0 of an all-zero h into 0.0
+        fitted = HomoPoly(self.n, k, tuple((coeffs + 0.0).tolist()))
+        return fitted, residuals, 1.0 + float(np.abs(h).max())
+
+    def _interpolate(self, k: int, values: list):
+        """`fit` exactly: the rows [0, d) fix p, the rows [d, 2d) check it.
+
+        The exact solve proves the fit block's rank: it is singular only
+        over Q, for every seed alike, and then the order is not generic.
+        """
+        d = dim_homog(self.n, k)
+        rows = [tuple(u) for u in self.directions[:2 * d].tolist()]
+        try:
+            fitted = interp_fit(values[:d], NodeSet(self.n, k, tuple(rows[:d]),
+                                                   True))
+        except SingularSystem as exc:
+            raise GenericityFailure(f"the lattice directions of order {k} are "
+                                    f"not generic ({exc})") from exc
+        residuals = [abs(h - fitted(u)) for h, u in zip(values[d:], rows[d:])]
+        return fitted, residuals, 1.0 + max(map(abs, values))
+
 
 @lru_cache(maxsize=1)
-def design(seed: int, n: int, k_top: int) -> SeededDesign:
-    """The design of a float ladder; the last one built is kept."""
-    return SeededDesign(seed, n, k_top)
+def design(seed: int, n: int, k_top: int, exact: bool = False) -> SeededDesign:
+    """The design of a ladder; the last one built is kept."""
+    return SeededDesign(seed, n, k_top, exact)
 
 
 class _DesignJets:
-    """Float jets of f(x + t v) at one point, v running over a design's rows.
+    """Jets of f(x + t v) at one point, v running over a design's rows.
 
-    One `eval_lanes` pass per LANES_PER_PASS directions bounds the memory a
-    pass holds.  A pass the lanes cannot share (`IrregularBatch`) leaves its
-    directions to the scalar path, evaluated when read and raising what it
+    Float jets come from one `eval_lanes` pass per LANES_PER_PASS
+    directions, which bounds the memory a pass holds.  A pass the lanes
+    cannot share (`IrregularBatch`), and every exact jet, is left to the
+    scalar path: evaluated when first read, once, and raising what it
     raises; lanes equal the scalar jets bit for bit.
     """
 
-    def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray):
-        self.e, self.x, self.order, self.directions = e, x, order, directions
+    def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray,
+                 exact: bool = False):
+        self.e, self.x, self.order, self.exact = e, x, order, exact
+        self.directions = directions
         self._passes: list[LaneJet | None] = []
         for start in range(0, len(directions), LANES_PER_PASS):
+            if exact:
+                self._passes.append(None)
+                continue
             try:
                 with np.errstate(all="ignore"):
                     self._passes.append(eval_lanes(
@@ -175,15 +218,16 @@ class _DesignJets:
                         order))
             except IrregularBatch:
                 self._passes.append(None)
-        self._scalar: dict[int, LaurentJet] = {}
+        self._scalar: dict[int, LaurentJet | RationalJet] = {}
 
-    def jet(self, i: int) -> LaurentJet:
+    def jet(self, i: int) -> LaurentJet | RationalJet:
         batch = self._passes[i // LANES_PER_PASS]
         if batch is not None:
             return batch.lane(i % LANES_PER_PASS)
-        v = tuple(self.directions[i].tolist())
         if i not in self._scalar:
-            self._scalar[i] = _series(self.e, self.x, v, self.order, False)
+            v = tuple(self.directions[i].tolist())
+            self._scalar[i] = _series(self.e, self.x, v, self.order,
+                                      self.exact)
         return self._scalar[i]
 
     def taylor_values(self, k: int, count: int) -> list:
@@ -232,73 +276,37 @@ class PolyTestResult:
         return 0.0 if self.max_residual == 0 else math.inf
 
 
-def _least_squares_test(plan: SeededDesign, jets: _DesignJets, k: int,
-                        tol: float, point_value: Scalar | None) -> PolyTestResult:
-    """Float order test: the residuals of h_k at the 2·d(n, k) directions
-    are |h - Q Qᵀ h|, and the fitted polynomial's coefficients in v are
-    sign · (R⁻¹Qᵀh)[index] (see `SeededDesign`)."""
-    q, r_inv, index, sign = plan.factors(k)
+def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
+                  point_value: Scalar | None) -> PolyTestResult:
+    """Order k's test on h_k along the plan's rows [0, 2·d(n, k)).
+
+    A pole along a row fails the order.  Otherwise `plan.fit` fits the
+    form; at k = 0 the point value is one more residual.  An order whose
+    residuals are all exact (int or Fraction) passes only if every one is
+    0; one with a float residual passes if none exceeds tol * scale.
+    """
+    count = 2 * dim_homog(plan.n, k)
     try:
-        h = np.array(jets.taylor_values(k, len(q)), dtype=float)
+        values = jets.taylor_values(k, count)
     except PoleAtOrigin:
-        bad = next(i for i in range(len(q)) if not jets.jet(i).is_zero
+        bad = next(i for i in range(count) if not jets.jet(i).is_zero
                    and jets.jet(i).valuation < 0)
         return PolyTestResult(k, None, (), 1.0, tol, plan.seed,
                               tuple(plan.directions[bad].tolist()))
-    projection = q.T @ h
-    residuals = np.abs(h - q @ projection).tolist()
-    coeffs = (r_inv @ projection)[index] * sign
-    # + 0.0 turns the -0.0 of an all-zero h into 0.0
-    fitted = HomoPoly(plan.n, k, tuple((coeffs + 0.0).tolist()))
+    fitted, residuals, scale = plan.fit(k, values)
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
-    scale = 1.0 + float(np.abs(h).max())
-    return PolyTestResult(k, fitted, tuple(residuals), scale, tol * scale,
-                          plan.seed)
-
-
-class _LatticeTest:
-    """The exact order test at one rational point: h_k, a `Fraction` along
-    the lattice rows under the seed's signed permutation, is fit on rows
-    [0, d(n, k)) and validated on [d, 2d); each jet is evaluated once."""
-
-    def __init__(self, e: Expr, x: tuple, order: int, seed: int, tol: float,
-                 point_value: Scalar | None):
-        self.e, self.x, self.order, self.seed = e, x, order, seed
-        self.tol, self.point_value = tol, point_value
-        self.lattice = lattice_design(e.nvars)
-        self.flip = signed_permutation(seed, e.nvars)
-        self.directions, self.jets = [], []
-
-    def __call__(self, k: int) -> PolyTestResult:
-        n, d = self.e.nvars, dim_homog(self.e.nvars, k)
-        fresh = self.lattice.block(k)[len(self.directions):]
-        self.directions += [tuple(s * u[i] for i, s in self.flip) for u in fresh]
-        dirs, values = self.directions[:2 * d], []
-        for i, v in enumerate(dirs):
-            if i == len(self.jets):
-                self.jets.append(_series(self.e, self.x, v, self.order, True))
-            try:
-                values.append(self.jets[i].taylor_coeff(k))
-            except PoleAtOrigin:
-                return PolyTestResult(k, None, (), 1.0, self.tol, self.seed, v)
-        fitted = interp_fit(values[:d], NodeSet(n, k, tuple(dirs[:d]), True))
-        residuals = [abs(h - fitted(v)) for h, v in zip(values[d:], dirs[d:])]
-        if k == 0 and self.point_value is not None:
-            residuals.append(abs(fitted.coeffs[0] - self.point_value))
-        scale = 1.0 + max(abs(h) for h in values[:d])
-        return PolyTestResult(k, fitted, tuple(residuals), scale,
-                              self.tol * scale, self.seed)
+    exact = all(isinstance(r, (int, Fraction)) for r in residuals)
+    return PolyTestResult(k, fitted, tuple(residuals), scale,
+                          0.0 if exact else tol * scale, plan.seed)
 
 
 def _order_test(e: Expr, xs: tuple, seed: int, k_top: int, order: int,
                 exact: bool, tol: float, point_value: Scalar | None):
     """The per-order test of a ladder up to k_top at xs, as k -> result."""
-    if exact:
-        return _LatticeTest(e, xs, order, seed, tol, point_value)
-    plan = design(seed, e.nvars, k_top)
-    jets = _DesignJets(e, xs, order, plan.directions)
-    return lambda k: _least_squares_test(plan, jets, k, tol, point_value)
+    plan = design(seed, e.nvars, k_top, exact)
+    jets = _DesignJets(e, xs, order, plan.directions, exact)
+    return lambda k: _order_result(plan, jets, k, tol, point_value)
 
 
 def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
@@ -306,9 +314,10 @@ def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
               exact: bool = False) -> PolyTestResult:
     """Decide whether h_k(x, .) looks polynomial of degree k.
 
-    `polynomial` is True iff every residual is at most tol * (1 + max
-    |h_k|), over the 2·d(n,k) directions of the float least-squares test or
-    the d(n,k) validation directions of the exact test.
+    `polynomial` is True iff no direction meets a pole and the residuals,
+    over the 2·d(n,k) directions of the float least-squares test or the
+    d(n,k) validation directions of the exact test, are all exactly 0
+    (exact values) or at most tol * (1 + max |h_k|) (float values).
     """
     if order is None:
         order = default_order(max(k, 1))
@@ -367,19 +376,20 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     except DomainError:
         point_value = None
 
-    test = _order_test(e, xs, seed, k_max, order, exact, tol, point_value)
     evidence: list[PolyTestResult] = []
-    for k in range(k_max + 1):
-        try:
+    try:
+        test = _order_test(e, xs, seed, k_max, order, exact, tol, point_value)
+        for k in range(k_max + 1):
             result = test(k)
-        except (GenericityFailure, ArcDomainError) as exc:
-            return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
-                           guard_triggered=guard_flag, evidence=tuple(evidence))
-        evidence.append(result)
-        if not result.polynomial:
-            return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
-                           residual=result.max_residual,
-                           guard_triggered=guard_flag, evidence=tuple(evidence))
+            evidence.append(result)
+            if not result.polynomial:
+                return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
+                               residual=result.max_residual,
+                               guard_triggered=guard_flag,
+                               evidence=tuple(evidence))
+    except (GenericityFailure, ArcDomainError) as exc:
+        return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
+                       guard_triggered=guard_flag, evidence=tuple(evidence))
     return Verdict(xs, ANALYTIC_UP_TO, k_max, guard_triggered=guard_flag,
                    evidence=tuple(evidence))
 

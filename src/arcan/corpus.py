@@ -214,7 +214,3 @@ def lookup(name: str) -> CorpusEntry:
         if entry.name == name:
             return entry
     raise KeyError(f"no corpus entry named {name!r}")
-
-
-def arc_analytic_entries() -> tuple[CorpusEntry, ...]:
-    return tuple(e for e in _ENTRIES if ARC_ANALYTIC in e.tags)

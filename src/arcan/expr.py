@@ -191,8 +191,9 @@ def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt,
              guard):
     """Run a tape over any algebra: `+ - * /`, `pow_int`, `sqrt`, `guard`.
 
-    `constant(value)` builds a constant and `guard(body, default)` the
-    value of a guard from its body's.  A zero divisor or a failed square
+    `constant(value)` builds a constant, also the 1 of a zeroth power
+    (`pow_int(exponent, constant)`), and `guard(body, default)` the value
+    of a guard from its body's.  A zero divisor or a failed square
     root of a jet becomes `ArcDomainError`; the batched algebra raises
     `IrregularBatch` instead, which passes through.
     """
@@ -216,7 +217,7 @@ def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt,
                     "denominator vanishes identically along the arc "
                     "(to the retained order)") from exc
         elif op == _POW:
-            r = slots[a].pow_int(b)
+            r = slots[a].pow_int(b, constant)
         elif op == _SQRT:
             try:
                 r = sqrt(slots[a])
@@ -372,7 +373,7 @@ class _Point:
     def __truediv__(self, other: "_Point") -> "_Point":
         return self._apply(self.run.divide, other)
 
-    def pow_int(self, exponent: int) -> "_Point":
+    def pow_int(self, exponent: int, constant=None) -> "_Point":
         return self._apply(lambda base: _power(base, exponent))
 
     def sqrt(self) -> "_Point":
@@ -485,7 +486,7 @@ class _RegularLanes:
         self.irregular |= other.value == 0
         return self._like(self.value / other.value)
 
-    def pow_int(self, e: int) -> "_RegularLanes":
+    def pow_int(self, e: int, constant=None) -> "_RegularLanes":
         bases = self.value.tolist()
         try:
             powers = [c ** e for c in bases]

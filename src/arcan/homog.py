@@ -6,9 +6,9 @@ are stored in graded-lexicographic order (descending lex within the fixed
 degree).  Evaluation at C(n+k-1, k) generic directions is a linear
 isomorphism, which `interp_fit` inverts, exactly over the rationals or in
 floats.  Every direction arcan samples is a row of one canonical design per
-n, float (`Design`) or lattice (`LatticeDesign`), checked once per process,
-under the seed's `signed_permutation`, which keeps every block's rank and
-condition; `monomial_map` carries a form's coefficients across it.
+n, float (`Design`) or lattice (`LatticeDesign`), under the seed's
+`signed_permutation`, which keeps every block's rank and condition;
+`monomial_map` carries a form's coefficients across it.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -36,7 +36,7 @@ from .jets import Scalar
 from .linalg import solve_exact
 from .seeds import derive_seed, lattice_vector, unit_vector
 
-# Largest condition estimate of a fit block, lattice or float.
+# Largest condition estimate of a float fit block (`Design.fit_rows`).
 MAX_CONDITION = 1e6
 # Bytes of QR factors the canonical float designs keep, together: ~0.3 MB at
 # n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget are
@@ -178,18 +178,6 @@ def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> flo
         return math.inf
 
 
-def _checked_fit(conditions: dict[int, float], fit, n: int, k: int,
-                 what: str):
-    """Order k's fit rows, or GenericityFailure (for every seed alike) if
-    their condition estimate, taken once per design, exceeds MAX_CONDITION."""
-    if k not in conditions:
-        conditions[k] = condition_estimate(fit, n, k)
-    if not conditions[k] <= MAX_CONDITION:
-        raise GenericityFailure(f"the {what} of order {k} are not generic "
-                                f"(condition {conditions[k]:.3g})")
-    return fit
-
-
 class Design:
     """The canonical directions of every float ladder in n variables.
 
@@ -217,9 +205,17 @@ class Design:
         return self.directions[:count]
 
     def fit_rows(self, k: int) -> np.ndarray:
-        """The first d(n, k) rows, checked as `_checked_fit` does."""
-        return _checked_fit(self._conditions, self.rows(dim_homog(self.n, k)),
-                            self.n, k, "directions")
+        """The first d(n, k) rows, or GenericityFailure (for every seed
+        alike) if their condition estimate, taken once per design, exceeds
+        MAX_CONDITION."""
+        fit = self.rows(dim_homog(self.n, k))
+        if k not in self._conditions:
+            self._conditions[k] = condition_estimate(fit, self.n, k)
+        if not self._conditions[k] <= MAX_CONDITION:
+            raise GenericityFailure(f"the directions of order {k} are not "
+                                    f"generic (condition "
+                                    f"{self._conditions[k]:.3g})")
+        return fit
 
     def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
@@ -280,9 +276,11 @@ class LatticeDesign:
     variable the rows are exactly (1,), (-1,).  No row has a zero
     coordinate: a signed permutation keeps zeros in place, so an axis row,
     where a denominator can vanish identically, would fail a fixed share of
-    seeds.  A draw with a zero, or parallel to an earlier row, is skipped;
-    the rows are finite (62 in two variables), so 1000 skips in a row raise
-    GenericityFailure.
+    seeds.  A draw parallel to an earlier row is skipped; the rows are
+    finite (318 in two variables), so 1000 skips in a row raise
+    GenericityFailure.  Order k fits on the rows [0, d(n, k)) and
+    validates on [d, 2d); nothing here checks their rank, which the exact
+    solve proves.
     """
 
     def __init__(self, n: int):
@@ -290,7 +288,6 @@ class LatticeDesign:
         self._rng = random.Random(derive_seed("canonical lattice design", n))
         self.directions: list[tuple[int, ...]] = [(1,), (-1,)] if n == 1 else []
         self._lines = set(map(_line, self.directions))
-        self._conditions: dict[int, float] = {}
 
     def rows(self, count: int) -> list[tuple[int, ...]]:
         """The first `count` rows."""
@@ -301,19 +298,11 @@ class LatticeDesign:
                                         f"has only {len(self.directions)} rows")
             v = lattice_vector(self._rng, self.n)
             skips += 1
-            if all(v) and _line(v) not in self._lines:
+            if _line(v) not in self._lines:
                 self.directions.append(v)
                 self._lines.add(_line(v))
                 skips = 0
         return self.directions[:count]
-
-    def block(self, k: int) -> list[tuple[int, ...]]:
-        """Order k's rows [0, 2·d(n, k)), of which it fits on the first
-        half, checked as `_checked_fit` does."""
-        d = dim_homog(self.n, k)
-        rows = self.rows(2 * d)
-        _checked_fit(self._conditions, rows[:d], self.n, k, "lattice directions")
-        return rows
 
 
 def _line(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -356,10 +345,11 @@ def sample_nodes(n: int, k: int, seed: int, exact: bool = False) -> NodeSet:
 
     The first d(n, k) rows of the mode's canonical design, the ones its
     ladder fits order k on, under the seed's signed permutation: lattice
-    rows in exact mode, unit vectors in float mode.
+    rows in exact mode, unit vectors in float mode (checked as
+    `Design.fit_rows` does).
     """
     flip = signed_permutation(seed, n)
-    fit = lattice_design(n).block(k)[:dim_homog(n, k)] if exact \
+    fit = lattice_design(n).rows(dim_homog(n, k)) if exact \
         else canonical_design(n).fit_rows(k).tolist()
     return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit),
                    exact)

@@ -143,13 +143,6 @@ class LaurentJet:
             f"{c}*t^{self.valuation + i}" for i, c in enumerate(self.coeffs) if c != 0)
         return f"LaurentJet({terms} + O(t^{self.order + 1}))"
 
-    def eval_poly(self, t: Scalar) -> Scalar:
-        """Evaluate the retained terms as a (Laurent) polynomial at t != 0."""
-        acc = 0
-        for i, c in enumerate(reversed(self.coeffs)):
-            acc = acc * t + c
-        return acc * t ** self.valuation if self.coeffs else 0 * t
-
     # --- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "LaurentJet":
@@ -218,14 +211,20 @@ class LaurentJet:
         v = self.valuation - other.valuation
         return LaurentJet(v, q, v + rel)
 
-    def pow_int(self, exponent: int) -> "LaurentJet":
+    def pow_int(self, exponent: int, constant=None) -> "LaurentJet":
+        """self ** exponent; `constant` is the evaluator's constant builder,
+        whose 1 a zero base raises to the 0th power (a zero jet cannot tell
+        float from exact; without it the 1 is an int)."""
         if exponent < 0:
             raise ValueError("negative exponents go through division")
         if exponent == 0:
             # The constant 1 in the kind of the base's lead, in the base's
             # window; a pole's window ends below t^0, so it keeps the base's
             # relative precision instead.
-            one = self.coeffs[0] ** 0 if self.coeffs else 1
+            if self.coeffs:
+                one = self.coeffs[0] ** 0
+            else:
+                one = 1 if constant is None else constant(1).taylor_coeff(0)
             return LaurentJet.constant(
                 one, max(self.order, self.order - self.valuation))
         return _power(self, exponent)
@@ -474,7 +473,7 @@ class RationalJet:
     def __rtruediv__(self, other):
         return other / self.to_laurent()
 
-    def pow_int(self, exponent: int) -> "RationalJet":
+    def pow_int(self, exponent: int, constant=None) -> "RationalJet":
         if exponent < 0:
             raise ValueError("negative exponents go through division")
         if exponent == 0:  # in the window LaurentJet.pow_int gives
@@ -671,12 +670,10 @@ class LaneJet:
         v = self.valuation // 2
         return LaneJet(v, out, v + rel)
 
-    def pow_int(self, exponent: int) -> "LaneJet":
+    def pow_int(self, exponent: int, constant=None) -> "LaneJet":
         if exponent == 0:
-            # A zero base gives the scalar path an integer 1, whose exact
-            # divisions (int / int -> Fraction) floats would not reproduce.
-            if self.is_zero:
-                raise IrregularBatch("zeroth power of zero")
-            return LaneJet.constant(
-                1.0, self.lanes, max(self.order, self.order - self.valuation))
+            window = max(self.order, self.order - self.valuation)
+            if window < 0:  # the scalar path raises LaurentJet's error
+                raise IrregularBatch("zeroth power with an empty window")
+            return LaneJet.constant(1.0, self.lanes, window)
         return _power(self, exponent)

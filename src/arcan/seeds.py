@@ -29,15 +29,16 @@ def unit_vector(rng: random.Random, n: int) -> tuple[float, ...]:
             return tuple(c / norm for c in v)
 
 
+# The coordinates a lattice direction draws from.
+_LATTICE_COORDS = tuple(c for c in range(-16, 17) if c)
+
+
 def lattice_vector(rng: random.Random, n: int) -> tuple[int, ...]:
-    """A nonzero small-integer direction roughly uniform on the sphere: a
-    unit vector scaled by 16 and rounded.
+    """A small-integer direction with no zero coordinate: each coordinate
+    uniform on the nonzero integers -16..16.
 
     Exact-arithmetic paths use these instead of float unit vectors: integer
     coordinates keep Vandermonde systems over the rationals cheap to solve
     exactly, and genericity is all the interpolation needs.
     """
-    while True:
-        v = tuple(round(16 * c) for c in unit_vector(rng, n))
-        if any(v):
-            return v
+    return tuple(rng.choice(_LATTICE_COORDS) for _ in range(n))

@@ -7,7 +7,8 @@ reference.  `fraction_gateaux_series` is exact jet evaluation over
 `LaurentJet`s with `Fraction` coefficients, which `RationalJet` replaced,
 kept as its reference.  `qr_residuals` is the float order test as it was
 before the canonical design: a QR of the evaluation matrix at the very
-directions the jets were taken along.
+directions the jets were taken along.  `chart_invert`, `pullback_sequence`,
+`eval_poly` and `arc_analytic_entries` are small tools only the tests use.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from arcan.blowup import BlowupChart, PullbackResult, pullback
+from arcan.corpus import ARC_ANALYTIC, CorpusEntry, corpus_list
 from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var, compile_tape, run_tape
@@ -285,3 +288,49 @@ def permutation_seeds(n: int) -> dict:
         found.setdefault(signed_permutation(seed, n), seed)
         seed += 1
     return found
+
+
+# --- tools only the tests use ----------------------------------------------------
+
+def chart_invert(chart: BlowupChart, base_point: Sequence[Scalar]) -> tuple:
+    """Chart coordinates over a base point with nonzero axis coordinate."""
+    s = base_point[chart.axis]
+    if s == 0:
+        raise ValueError("point lies over the center; chart inverse undefined")
+    out = list(base_point)
+    for i in chart.center:
+        if i != chart.axis:
+            out[i] = base_point[i] / s
+    return tuple(out)
+
+
+def pullback_sequence(e: Expr, charts: Sequence[BlowupChart]) -> PullbackResult:
+    """Fold `pullback` over successive charts, each in its own frame.
+
+    No global atlas is kept: the k-th chart acts on the coordinates produced
+    by the (k-1)-th.  Cancelled powers accumulate and the non-rational flag
+    sticks once set; the reported chart is the last one applied.
+    """
+    if not charts:
+        raise ValueError("need at least one chart")
+    cancelled = 0
+    non_rational = False
+    for chart in charts:
+        result = pullback(e, chart)
+        e = result.expr
+        cancelled += result.cancelled_power
+        non_rational = non_rational or result.non_rational
+    return PullbackResult(e, cancelled, non_rational, charts[-1])
+
+
+def eval_poly(jet: LaurentJet, t: Scalar) -> Scalar:
+    """A jet's retained terms as a (Laurent) polynomial, evaluated at t != 0."""
+    acc = 0
+    for c in reversed(jet.coeffs):
+        acc = acc * t + c
+    return acc * t ** jet.valuation if jet.coeffs else 0 * t
+
+
+def arc_analytic_entries() -> tuple[CorpusEntry, ...]:
+    """The corpus entries tagged arc-analytic."""
+    return tuple(e for e in corpus_list() if ARC_ANALYTIC in e.tags)

@@ -232,7 +232,7 @@ class TestLeastSquaresLadder:
                                  for _ in range(dim_homog(n, k))))
         plan = SeededDesign(seed, n, k)
         values = HeldValues([P(v) for v in plan.directions.tolist()])
-        result = classify._least_squares_test(plan, values, k, 1e-7, None)
+        result = classify._order_result(plan, values, k, 1e-7, None)
         assert result.polynomial
         assert result.margin <= 1e-3
         assert len(result.residuals) == 2 * dim_homog(n, k)
@@ -254,8 +254,7 @@ class TestLeastSquaresLadder:
             h = [abs(v[0]) ** (k | 1) for v in dirs]
         else:
             h = [math.hypot(*v) ** k / (v[0] + 2) for v in dirs]
-        result = classify._least_squares_test(plan, HeldValues(h), k, 1e-7,
-                                              None)
+        result = classify._order_result(plan, HeldValues(h), k, 1e-7, None)
         expected = qr_residuals(dirs, h, n, k)
         assert max(result.residuals) == pytest.approx(
             float(expected.max()), rel=1e-9, abs=1e-14)
@@ -287,8 +286,7 @@ class TestLeastSquaresLadder:
             plan = SeededDesign(seed, n, 6)
             for k, P in enumerate(polys):
                 values = HeldValues([P(v) for v in plan.directions.tolist()])
-                result = classify._least_squares_test(plan, values, k, 1e-7,
-                                                      None)
+                result = classify._order_result(plan, values, k, 1e-7, None)
                 assert result.polynomial
                 np.testing.assert_allclose(result.fitted.coeffs, P.coeffs,
                                            rtol=0, atol=1e-12)
@@ -344,6 +342,66 @@ class TestLeastSquaresLadder:
             assert (ev.margin <= 1) == (ev.k < v.k_star)
         exact = classify_point(E1, (0, 0), k_max=3, seed=1, exact=True)
         assert all(isinstance(ev.margin, float) for ev in exact.evidence)
+
+
+class TestExactLadder:
+    """Rational mode on the seeded lattice design, decided exactly."""
+
+    @pytest.mark.parametrize("p", range(31))
+    def test_a_scaled_e1_fails_order_one_at_every_scale(self, p):
+        # an exact residual fails at any size: no float tolerance applies
+        e = parse(f"guard(x^3/(x^2+y^2)/{10 ** p}, 0)")
+        v = classify_point(e, (0, 0), k_max=4, seed=p, exact=True)
+        assert (v.status, v.k_star) == (NON_ANALYTIC, 1)
+        failing = v.evidence[-1]
+        assert failing.threshold == 0 and failing.margin == math.inf
+        assert all(isinstance(r, F) for r in failing.residuals)
+
+    def test_exact_orders_have_a_zero_threshold(self):
+        v = classify_point(parse("x*y + x^3"), (1, 2), k_max=5, seed=3,
+                           exact=True)
+        assert v.status == ANALYTIC_UP_TO
+        for entry in verdict_to_json(v)["perOrder"]:
+            assert set(entry["residuals"]) == {F(0)}
+            assert (entry["threshold"], entry["margin"]) == (0, 0)
+
+    def test_float_valued_orders_keep_the_float_tolerance(self):
+        # sqrt(2) is irrational: E2's jets at (1, 1) carry floats
+        v = classify_point(E2, (1, 1), k_max=4, seed=1, exact=True)
+        assert v.status == ANALYTIC_UP_TO
+        degraded = [ev for ev in v.evidence
+                    if any(isinstance(r, float) for r in ev.residuals)]
+        assert degraded
+        for ev in degraded:
+            assert ev.threshold == pytest.approx(1e-7 * ev.scale)
+
+    def test_x_plus_y_plus_z_at_kmax_24_is_conclusive(self):
+        # the lattice fit blocks pass condition 1e6 at order 8; only their
+        # rank matters
+        v = classify_point(parse("x+y+z"), (1, 1, 1), k_max=24, exact=True)
+        assert v.status == ANALYTIC_UP_TO
+
+    def test_forty_variables_at_kmax_2_are_conclusive(self):
+        e = parse("+".join(f"x{i}" for i in range(1, 41)))
+        v = classify_point(e, (1,) * 40, k_max=2, exact=True)
+        assert v.status == ANALYTIC_UP_TO
+
+    def test_a_row_shortage_is_inconclusive(self):
+        # the plane's 318 lattice lines cover order 158, not 159
+        v = classify_point(parse("x*y"), (1, 2), k_max=159, exact=True)
+        assert v.status == INCONCLUSIVE
+        assert "only 318 rows" in v.reason and v.evidence == ()
+
+    def test_the_design_is_shared_and_permuted_per_seed(self):
+        rows = homog.lattice_design(3).rows(2 * dim_homog(3, 4))
+        for seed in range(6):
+            plan = design(seed, 3, 4, True)
+            assert plan is design(seed, 3, 4, True)
+            flip = signed_permutation(seed, 3)
+            assert plan.directions.tolist() == [[s * u[i] for i, s in flip]
+                                                for u in rows]
+            assert all(type(c) is int for c in plan.directions.flat)
+        assert design(0, 3, 4) is not design(0, 3, 4, True)
 
 
 class TestOneVariable:

@@ -10,11 +10,10 @@ import pytest
 from arcan import cli
 from arcan.classify import NON_ANALYTIC, classify_point
 from arcan.corpus import ARC_ANALYTIC, ARC_MEROMORPHIC_ONLY, DISCONTINUOUS, \
-    NOT_C2, NOT_DIFFERENTIABLE, NOT_LIPSCHITZ, OvalLocus, arc_analytic_entries, \
-    corpus_list, lookup
+    NOT_C2, NOT_DIFFERENTIABLE, NOT_LIPSCHITZ, OvalLocus, corpus_list, lookup
 from arcan.expr import eval_point
 
-from helpers import permutation_seeds
+from helpers import arc_analytic_entries, permutation_seeds
 
 F = Fraction
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcan.classify import classify_point
-from arcan.corpus import arc_analytic_entries, lookup
+from arcan.corpus import lookup
 from arcan.errors import ArcDomainError, DomainError, FloatOverflow, \
     ZeroDenominator
 from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, Expr, \
@@ -16,9 +16,9 @@ from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, Expr, \
     regular_at
 from arcan.parser import parse, parse_arc
 
-from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, random_arc, \
-    random_polynomial_expr, trees, walker_eval_point_flagged, \
-    walker_regular_at
+from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_analytic_entries, \
+    eval_poly, random_arc, random_polynomial_expr, trees, \
+    walker_eval_point_flagged, walker_regular_at
 
 F = Fraction
 
@@ -256,7 +256,7 @@ class TestSeriesPointConsistency:
             for t0 in (1e-2, -1e-2, 1e-3, -1e-3):
                 direct = eval_point(e, tuple(
                     eval_point(c, (t0,)) for c in arc.components))
-                series = jet.eval_poly(t0)
+                series = eval_poly(jet, t0)
                 assert abs(series - direct) <= 1e-9 * (1 + abs(direct))
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arcan import homog
+from arcan import classify, homog
 from arcan.errors import GenericityFailure, PremiseViolated
 from arcan.homog import Design, HomoPoly, LatticeDesign, _powers, \
     canonical_design, condition_estimate, dim_homog, euler_check, \
@@ -15,6 +15,7 @@ from arcan.homog import Design, HomoPoly, LatticeDesign, _powers, \
     lattice_design, monomials, random_poly, sample_nodes, \
     shrink_bound_check, signed_permutation
 from arcan.linalg import solve_exact
+from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
 
 F = Fraction
@@ -152,26 +153,25 @@ class TestLatticeDesign:
             LatticeDesign(1).rows(3)
 
     @pytest.mark.parametrize("n, k", [(2, 12), (3, 10), (4, 6)])
-    def test_rows_are_off_the_axes_distinct_and_well_conditioned(self, n, k):
+    def test_rows_are_off_the_axes_and_distinct(self, n, k):
         rows = lattice_design(n).rows(2 * dim_homog(n, k))
-        assert all(all(u) for u in rows)
+        assert all(all(u) and max(map(abs, u)) <= 16 for u in rows)
         lines = {tuple(c * (1 if u[0] > 0 else -1) // math.gcd(*u) for c in u)
                  for u in rows}
         assert len(lines) == len(rows)
-        for j in range(k + 1):
-            assert lattice_design(n).block(j) == rows[:2 * dim_homog(n, j)]
 
     def test_two_variables_run_out_of_rows(self):
-        # scale-16 lattice directions off the axes: 62 lines in the plane
+        # nonzero coordinates up to 16: 318 lines in the plane, enough for
+        # the 202 rows of order 100
         design = LatticeDesign(2)
-        assert len(design.rows(62)) == 62
+        assert len(design.rows(318)) == 318
         with pytest.raises(GenericityFailure):
-            design.rows(63)
+            design.rows(319)
 
-    def test_many_variables_end_the_draw(self):
-        # in 60 variables nearly every scale-16 draw has a zero coordinate
-        with pytest.raises(GenericityFailure):
-            LatticeDesign(60).rows(1)
+    def test_forty_variables_draw_rows_off_the_axes(self):
+        # a scale-16 rounded unit vector almost always had a zero here
+        rows = LatticeDesign(40).rows(2 * dim_homog(40, 2))
+        assert len(rows) == 1640 and all(all(u) for u in rows)
 
     def test_exact_nodes_are_the_permuted_fit_block(self):
         fit = lattice_design(3).rows(dim_homog(3, 4))
@@ -182,12 +182,26 @@ class TestLatticeDesign:
             assert ns.nodes == tuple(tuple(s * u[i] for i, s in flip) for u in fit)
             assert condition_estimate(ns.nodes, 3, 4) == pytest.approx(cond)
 
-    def test_an_ill_conditioned_fit_block_fails_for_every_seed(self, monkeypatch):
-        monkeypatch.setattr(homog, "MAX_CONDITION", 10.0)
-        sample_nodes(2, 1, seed=0, exact=True)
-        for seed in range(4):
-            with pytest.raises(GenericityFailure):
-                sample_nodes(2, 2, seed, exact=True)
+    def test_a_singular_fit_block_is_inconclusive_for_every_seed(
+            self, monkeypatch):
+        # Pairwise independent rows whose first three are linearly
+        # dependent: order 1's fit block is singular over Q, and a signed
+        # permutation keeps it so.
+        rows = iter([(1, 1, 1), (1, 2, 3), (2, 3, 4),
+                     (1, -1, 2), (3, 1, -2), (2, -3, 1)])
+        monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: next(rows))
+        lattice_design.cache_clear()
+        classify.design.cache_clear()
+        try:
+            for seed in range(8):
+                v = classify.classify_point(parse("x*y*z"), (1, 1, 1),
+                                            k_max=1, seed=seed, exact=True)
+                assert v.status == classify.INCONCLUSIVE
+                assert "order 1 are not generic" in v.reason
+                assert [ev.k for ev in v.evidence] == [0]
+        finally:
+            lattice_design.cache_clear()
+            classify.design.cache_clear()
 
 
 class TestInterpFit:

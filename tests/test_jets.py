@@ -14,8 +14,8 @@ from arcan.errors import NegativeLeading, OddValuation, PoleAtOrigin, ZeroDiviso
 from arcan.homog import dim_homog, lattice_design
 from arcan.jets import LaurentJet, RationalJet, jet_sqrt
 
-from helpers import coeff_norm, fraction_gateaux_series, jets_agree, \
-    random_laurent, random_poly_jet
+from helpers import coeff_norm, eval_poly, fraction_gateaux_series, \
+    jets_agree, random_laurent, random_poly_jet
 
 F = Fraction
 
@@ -191,9 +191,10 @@ class TestLeibnizConsistency:
             for _ in range(5):
                 t = rng.uniform(-0.5, 0.5)
                 h = 1e-6
-                numeric = (a.eval_poly(t + h) * b.eval_poly(t + h)
-                           - a.eval_poly(t - h) * b.eval_poly(t - h)) / (2 * h)
-                assert abs(c_prime.eval_poly(t) - numeric) < 1e-8 * (1 + abs(numeric))
+                numeric = (eval_poly(a, t + h) * eval_poly(b, t + h)
+                           - eval_poly(a, t - h) * eval_poly(b, t - h)) / (2 * h)
+                assert abs(eval_poly(c_prime, t) - numeric) \
+                    < 1e-8 * (1 + abs(numeric))
 
 
 class TestNormalization:
