@@ -10,7 +10,9 @@ every corpus entry's `scan_axes` grid and of an E6 slab near the oval
 1/16), under every signed permutation: 12,954 points, 575,552 verdicts.
 Rational: every corpus exact-locus point (which must be NonAnalytic) and
 regular point (AnalyticUpTo), among them E5 (1, 0, 0) and E6 (1/2, 0, 0),
-at k_max 8 and 10, under every signed permutation: 584 cases per k_max.
+at k_max 8, 10 and 12, under every signed permutation: 584 cases per
+k_max.  From order 11 the raw lattice fit blocks have condition above
+1e10, so k_max 12 checks the float fits of `sqrt` orders past that.
 
 Each verdict is judged against the entry's locus: a NonAnalytic verdict off
 the locus is false, any other verdict on it is missed.  Prints every wrong
@@ -20,8 +22,9 @@ AnalyticUpTo verdict, and the smallest margin of the failing order of a
 right NonAnalytic verdict (inf for a pole).  An order whose values are all
 exact has threshold 0 and margin 0 (pass) or inf (fail), so the rational
 margins other than 0 and inf come from orders with float values (an
-irrational `sqrt`).  Exits 1 on any false, missed or Inconclusive verdict.  Takes about 14 minutes with 2 workers on a 2-core
-x86_64 machine:
+irrational `sqrt`).  Exits 1 on any false, missed or Inconclusive
+verdict.  Takes about 16 minutes with 2 workers on a 2-core x86_64
+machine:
 
     PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]
 """
@@ -39,7 +42,7 @@ from arcan.corpus import corpus_list, lookup
 from arcan.homog import signed_permutation
 
 K_MAX = 10
-RATIONAL_K_MAX = (8, 10)
+RATIONAL_K_MAX = (8, 10, 12)
 SLAB = ((Fraction(-1, 4), Fraction(13, 4), Fraction(1, 8)),
         (Fraction(-1), Fraction(1), Fraction(1, 8)),
         (Fraction(1, 16), Fraction(1, 4), Fraction(1, 16)))

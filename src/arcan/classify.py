@@ -30,6 +30,8 @@ the scalar path, to which a batch the lanes cannot share falls back.
 Exact (rational) mode evaluates its jets on the scalar path, reads each
 h_k as a `Fraction`, interpolates on the first half of the order's rows
 and validates on the rest; the exact solve proves the fit block's rank.
+Float values there (an irrational `sqrt`) are fitted on those rows scaled
+to unit length, a block whose condition is checked once per (n, k).
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -56,9 +58,9 @@ from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     GenericityFailure, IrregularBatch, PoleAtOrigin, SingularSystem
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
-from .homog import HomoPoly, NodeSet, canonical_design, dim_homog, \
-    interp_fit, lattice_design, monomial_map, signed_permutation
-from .homog import condition_estimate  # noqa: F401 (perfbench/tracing.py wraps it here)
+from .homog import MAX_CONDITION, HomoPoly, NodeSet, canonical_design, \
+    condition_estimate, dim_homog, interp_fit, lattice_design, monomial_map, \
+    signed_permutation
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
 from .seeds import derive_seed
 
@@ -135,14 +137,19 @@ class SeededDesign:
     order k's residuals are |h - Q Qᵀ h| with the canonical Q, q's
     coefficients are R⁻¹Qᵀh, and p's are those gathered and sign-flipped by
     M's monomial map, kept per order.  Exactly, p is interpolated on the
-    rows [0, d) and checked on [d, 2d).
+    rows [0, d) and checked on [d, 2d).  The lattice rows are finite: an
+    order beyond them raises GenericityFailure, the orders below still run.
     """
 
     def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
         self.seed, self.n, self.exact = seed, n, exact
         self.canonical = lattice_design(n) if exact else canonical_design(n)
         self.flip = signed_permutation(seed, n)
-        u = self.canonical.rows(2 * dim_homog(n, k_top))
+        self.shortage = ""
+        try:
+            u = self.canonical.rows(2 * dim_homog(n, k_top))
+        except GenericityFailure as exc:
+            u, self.shortage = self.canonical.directions, str(exc)
         kind = object if exact else float
         self.directions = np.array(u, dtype=kind)[:, [i for i, _ in self.flip]] \
             * np.array([s for _, s in self.flip], dtype=kind)
@@ -173,17 +180,41 @@ class SeededDesign:
 
         The exact solve proves the fit block's rank: it is singular only
         over Q, for every seed alike, and then the order is not generic.
+        Float values (an irrational `sqrt`) are solved in floats on the
+        rows scaled to unit length, h_k(x, u/|u|) = h_k(x, u)/|u|^k, which
+        `_unit_condition` must find well conditioned.
         """
         d = dim_homog(self.n, k)
         rows = [tuple(u) for u in self.directions[:2 * d].tolist()]
+        fit_rows, fit_values = rows[:d], values[:d]
+        exact = all(isinstance(h, (int, Fraction)) for h in fit_values)
+        if not exact:
+            condition = _unit_condition(self.n, k)
+            if not condition <= MAX_CONDITION:
+                raise GenericityFailure(f"the lattice directions of order "
+                                        f"{k} are not generic (condition "
+                                        f"{condition:.3g})")
+            norms = [math.hypot(*u) for u in fit_rows]
+            fit_rows = [tuple(c / r for c in u) for u, r in zip(fit_rows, norms)]
+            fit_values = [float(h) / r ** k for h, r in zip(fit_values, norms)]
         try:
-            fitted = interp_fit(values[:d], NodeSet(self.n, k, tuple(rows[:d]),
-                                                   True))
+            fitted = interp_fit(fit_values, NodeSet(self.n, k, tuple(fit_rows),
+                                                    exact))
         except SingularSystem as exc:
             raise GenericityFailure(f"the lattice directions of order {k} are "
                                     f"not generic ({exc})") from exc
         residuals = [abs(h - fitted(u)) for h, u in zip(values[d:], rows[d:])]
         return fitted, residuals, 1.0 + max(map(abs, values))
+
+
+@lru_cache(maxsize=None)
+def _unit_condition(n: int, k: int) -> float:
+    """Condition estimate of order k's lattice fit rows scaled to unit
+    length, the block a float fit solves; a seed's signed permutation
+    keeps it, so it is taken once per (n, k)."""
+    rows = lattice_design(n).rows(dim_homog(n, k))
+    return condition_estimate([tuple(c / math.hypot(*u) for c in u)
+                               for u in rows], n, k)
 
 
 @lru_cache(maxsize=1)
@@ -286,6 +317,8 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
     0; one with a float residual passes if none exceeds tol * scale.
     """
     count = 2 * dim_homog(plan.n, k)
+    if count > len(plan.directions):  # the lattice rows ran out
+        raise GenericityFailure(plan.shortage)
     try:
         values = jets.taylor_values(k, count)
     except PoleAtOrigin:

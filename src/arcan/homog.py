@@ -36,7 +36,8 @@ from .jets import Scalar
 from .linalg import solve_exact
 from .seeds import derive_seed, lattice_vector, unit_vector
 
-# Largest condition estimate of a float fit block (`Design.fit_rows`).
+# Largest condition estimate of a float fit block: `Design.fit_rows`, and
+# the unit-length lattice rows a float-valued exact order solves on.
 MAX_CONDITION = 1e6
 # Bytes of QR factors the canonical float designs keep, together: ~0.3 MB at
 # n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget are

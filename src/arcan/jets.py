@@ -211,20 +211,18 @@ class LaurentJet:
         v = self.valuation - other.valuation
         return LaurentJet(v, q, v + rel)
 
-    def pow_int(self, exponent: int, constant=None) -> "LaurentJet":
+    def pow_int(self, exponent: int, constant) -> "LaurentJet":
         """self ** exponent; `constant` is the evaluator's constant builder,
         whose 1 a zero base raises to the 0th power (a zero jet cannot tell
-        float from exact; without it the 1 is an int)."""
+        float from exact)."""
         if exponent < 0:
             raise ValueError("negative exponents go through division")
         if exponent == 0:
             # The constant 1 in the kind of the base's lead, in the base's
             # window; a pole's window ends below t^0, so it keeps the base's
             # relative precision instead.
-            if self.coeffs:
-                one = self.coeffs[0] ** 0
-            else:
-                one = 1 if constant is None else constant(1).taylor_coeff(0)
+            one = self.coeffs[0] ** 0 if self.coeffs \
+                else constant(1).taylor_coeff(0)
             return LaurentJet.constant(
                 one, max(self.order, self.order - self.valuation))
         return _power(self, exponent)

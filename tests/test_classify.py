@@ -1,5 +1,6 @@
 """Directional coefficients, the polynomiality ladder, scans, and estimates."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -365,15 +366,19 @@ class TestExactLadder:
             assert set(entry["residuals"]) == {F(0)}
             assert (entry["threshold"], entry["margin"]) == (0, 0)
 
-    def test_float_valued_orders_keep_the_float_tolerance(self):
-        # sqrt(2) is irrational: E2's jets at (1, 1) carry floats
-        v = classify_point(E2, (1, 1), k_max=4, seed=1, exact=True)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_valued_orders_keep_the_float_tolerance(self, seed):
+        # sqrt(2) is irrational: E2's jets at (1, 1) carry floats.  They are
+        # fitted on the unit rows, below condition 1e6 through order 16;
+        # the raw integer rows reach 1.5e13 at order 11.
+        v = classify_point(E2, (1, 1), k_max=16, seed=seed, exact=True)
         assert v.status == ANALYTIC_UP_TO
         degraded = [ev for ev in v.evidence
                     if any(isinstance(r, float) for r in ev.residuals)]
         assert degraded
         for ev in degraded:
             assert ev.threshold == pytest.approx(1e-7 * ev.scale)
+            assert ev.margin < 1e-3
 
     def test_x_plus_y_plus_z_at_kmax_24_is_conclusive(self):
         # the lattice fit blocks pass condition 1e6 at order 8; only their
@@ -386,11 +391,29 @@ class TestExactLadder:
         v = classify_point(e, (1,) * 40, k_max=2, exact=True)
         assert v.status == ANALYTIC_UP_TO
 
-    def test_a_row_shortage_is_inconclusive(self):
-        # the plane's 318 lattice lines cover order 158, not 159
-        v = classify_point(parse("x*y"), (1, 2), k_max=159, exact=True)
+    def test_a_row_shortage_keeps_the_orders_below(self, monkeypatch):
+        # a stream of four lines: orders 0 and 1 run, order 2 needs six rows
+        lines = itertools.cycle([(1, 2), (2, -1), (3, 1), (1, -3)])
+        monkeypatch.setattr(homog, "lattice_vector",
+                            lambda rng, n: next(lines))
+        homog.lattice_design.cache_clear()
+        design.cache_clear()
+        try:
+            v = classify_point(parse("x*y"), (1, 2), k_max=3, exact=True)
+        finally:
+            homog.lattice_design.cache_clear()
+            design.cache_clear()
+        assert v.status == INCONCLUSIVE and "only 4 rows" in v.reason
+        assert [ev.k for ev in v.evidence] == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_an_ill_conditioned_float_fit_is_inconclusive(self, seed):
+        # order 17's unit rows have condition 1.9e6 > MAX_CONDITION; the
+        # float values of E2 at (1, 1) go through that solve
+        v = classify_point(E2, (1, 1), k_max=20, seed=seed, exact=True)
         assert v.status == INCONCLUSIVE
-        assert "only 318 rows" in v.reason and v.evidence == ()
+        assert "order 17 are not generic (condition" in v.reason
+        assert [ev.k for ev in v.evidence] == list(range(17))
 
     def test_the_design_is_shared_and_permuted_per_seed(self):
         rows = homog.lattice_design(3).rows(2 * dim_homog(3, 4))
