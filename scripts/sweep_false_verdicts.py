@@ -11,8 +11,11 @@ every corpus entry's `scan_axes` grid and of an E6 slab near the oval
 Rational: every corpus exact-locus point (which must be NonAnalytic) and
 regular point (AnalyticUpTo), among them E5 (1, 0, 0) and E6 (1/2, 0, 0),
 at k_max 8, 10 and 12, under every signed permutation: 584 cases per
-k_max.  From order 11 the raw lattice fit blocks have condition above
-1e10, so k_max 12 checks the float fits of `sqrt` orders past that.
+k_max; and E2's points at k_max 20 (8 permutations).  Orders with float
+values (an irrational `sqrt`, as at E2 (1, 1)) take the least-squares
+test on the lattice rows scaled to unit length.  The square solve it
+replaced, on the first half of those rows, passed condition 1e6 from
+order 17 in two variables; k_max 20 checks the orders past that.
 
 Each verdict is judged against the entry's locus: a NonAnalytic verdict off
 the locus is false, any other verdict on it is missed.  Prints every wrong
@@ -43,6 +46,8 @@ from arcan.homog import signed_permutation
 
 K_MAX = 10
 RATIONAL_K_MAX = (8, 10, 12)
+# (corpus entry, k_max) of the rational half's one deeper ladder
+DEEP_RATIONAL = ("E2", 20)
 SLAB = ((Fraction(-1, 4), Fraction(13, 4), Fraction(1, 8)),
         (Fraction(-1), Fraction(1), Fraction(1, 8)),
         (Fraction(1, 16), Fraction(1, 4), Fraction(1, 16)))
@@ -130,7 +135,7 @@ def main(argv=None) -> int:
     tasks = [(label, name, axes, seed) for label, name, axes in grids()
              for seed in permutation_seeds(lookup(name).nvars)]
     tasks += [(entry.name, k_max) for k_max in RATIONAL_K_MAX
-              for entry in corpus_list()]
+              for entry in corpus_list()] + [DEEP_RATIONAL]
     totals = {kind: Tally() for kind in ("float", "rational")}
     started = time.perf_counter()
     with ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:

@@ -10,7 +10,7 @@ from .blowup import BlowupChart, FiberLiftReport, PullbackResult, \
     classify_pullback, fiber_lift_check, make_chart, pullback
 from .classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, LojaFit, \
     Verdict, arc_symmetry_check, classify_point, gateaux_coeff, gateaux_series, \
-    loja_estimate, poly_test, scan_region
+    loja_estimate, scan_region
 from .corpus import CorpusEntry, corpus_list, lookup
 from .errors import ArcanError
 from .expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcReport, ArcSpec, Expr, \
@@ -31,7 +31,7 @@ __all__ = [
     "corpus_list", "dim_homog", "euler_check", "eval_arc", "eval_point",
     "fd_reconstruct", "fiber_lift_check", "gateaux_coeff", "gateaux_series",
     "interp_fit", "jet_sqrt", "loja_estimate", "lookup", "make_chart",
-    "monomials", "parse", "parse_arc", "poly_test", "pullback", "regular_at",
+    "monomials", "parse", "parse_arc", "pullback", "regular_at",
     "sample_nodes", "scan_region",
     "shrink_bound_check", "to_text",
 ]

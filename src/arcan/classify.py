@@ -5,8 +5,8 @@ The detector rests on the directional series coefficients
     h_k(x, v) = (1/k!) d^k/dt^k f(x + t v) |_{t=0},
 
 which are k-homogeneous in v and, at a point where f is an analytic germ,
-polynomial in v.  `poly_test` probes one order k and `classify_point` runs
-the ladder k = 0..k_max, reporting the first failing order.  A pole along a
+polynomial in v.  `classify_point` probes the orders k = 0..k_max in turn
+(the ladder) and reports the first failing order.  A pole along a
 direction, a nonzero exact residual, or a float residual above
 tol * (1 + max |h_k|) certifies that the differential is not polynomial
 at that order.  A finite ladder cannot prove analyticity, so the positive
@@ -17,21 +17,21 @@ design per n (`homog.Design` in floats, `homog.LatticeDesign` for
 rationals), and a seed only picks a signed permutation M of the
 coordinates: the ladder evaluates its jets along U M.  `design` caches
 the permuted view (`SeededDesign`) shared by every point of a scan, and
-order k reads h_k along its first 2·d(n,k) rows; only the fit differs.
-Float mode tests order k by least squares: h_k must lie in the column
-space of the rows' degree-k evaluation matrix V = QR, and the residual
-|h - Q Qᵀ h| is bounded by the error of h itself, not amplified by the
-condition of V (Golub & Van Loan, *Matrix Computations*, §5.3).  V_k(U M)
-is V_k(U) with its columns permuted and negated, so the canonical Q gives
-every seed's residuals, and the fitted coefficients in v are those in u
-gathered and sign-flipped (`homog.monomial_map`).  A point's float jets
+order k reads h_k along its first 2·d(n,k) rows.  An order whose values
+are all exact (rational mode, jets on the scalar path, each h_k a
+`Fraction`) is interpolated on the first half of its rows and validated
+on the rest; the exact solve proves the fit block's rank.  Every other
+order, in either mode, is tested by one least-squares rule: h_k must lie
+in the column space of the degree-k evaluation matrix V = QR of the rows
+scaled to unit length, and the residual |h - Q Qᵀ h| is bounded by the
+error of h itself, not amplified by the condition of V (Golub & Van
+Loan, *Matrix Computations*, §5.3).  V_k(U M) is V_k(U) with its columns
+permuted and negated, so the canonical Q gives every seed's residuals,
+and the fitted coefficients in v are those in u gathered and
+sign-flipped (`homog.monomial_map`).  Float rows have unit length; along
+a lattice row w, h_k(x, w/|w|) = h_k(x, w)/|w|^k.  A point's float jets
 come from one batched pass over the rows (`eval_lanes`), bit for bit as
 the scalar path, to which a batch the lanes cannot share falls back.
-Exact (rational) mode evaluates its jets on the scalar path, reads each
-h_k as a `Fraction`, interpolates on the first half of the order's rows
-and validates on the rest; the exact solve proves the fit block's rank.
-Float values there (an irrational `sqrt`) are fitted on those rows scaled
-to unit length, a block whose condition is checked once per (n, k).
 
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
@@ -55,12 +55,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
-    GenericityFailure, IrregularBatch, PoleAtOrigin, SingularSystem
+    GenericityFailure, IrregularBatch, PoleAtOrigin, ShortWindow, \
+    SingularSystem
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
-from .homog import MAX_CONDITION, HomoPoly, NodeSet, canonical_design, \
-    condition_estimate, dim_homog, interp_fit, lattice_design, monomial_map, \
-    signed_permutation
+# condition_estimate is unused here; the benchmark's tracer patches it.
+from .homog import HomoPoly, NodeSet, canonical_design, condition_estimate, \
+    dim_homog, interp_fit, lattice_design, monomial_map, signed_permutation
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
 from .seeds import derive_seed
 
@@ -133,12 +134,13 @@ class SeededDesign:
     The canonical design's first 2·d(n, k_top) rows U (float `Design` or
     `LatticeDesign`) under the seed's signed permutation M: jets are
     evaluated along W = U M, and order k reads the rows [0, 2·d(n, k)).
-    In floats a degree-k form p in v gives the form q(u) = p(u M) on U, so
-    order k's residuals are |h - Q Qᵀ h| with the canonical Q, q's
-    coefficients are R⁻¹Qᵀh, and p's are those gathered and sign-flipped by
-    M's monomial map, kept per order.  Exactly, p is interpolated on the
-    rows [0, d) and checked on [d, 2d).  The lattice rows are finite: an
-    order beyond them raises GenericityFailure, the orders below still run.
+    All-exact values are interpolated on the rows [0, d) and checked on
+    [d, 2d).  Others are fitted by least squares: a degree-k form p in v
+    is q(u) = p(u M) on U, so the residuals are |h - Q Qᵀ h| with the Q of
+    U's unit rows (lattice h divided by |w|^k first), q's coefficients
+    are R⁻¹Qᵀh, and p's those gathered and sign-flipped by M's monomial
+    map, kept per order.  The lattice rows are finite: an order beyond
+    them raises GenericityFailure, the orders below still run.
     """
 
     def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
@@ -163,11 +165,15 @@ class SeededDesign:
 
     def fit(self, k: int, values: list) -> tuple[HomoPoly, list, float]:
         """The form fitted to h_k's `values` along the order's 2·d(n, k)
-        rows, the residuals it leaves, and the scale 1 + max |h_k|."""
-        if self.exact:
+        rows, the residuals it leaves, and the scale 1 + max |h_k| (at unit
+        length for a least-squares fit)."""
+        if self.exact and all(isinstance(h, (int, Fraction)) for h in values):
             return self._interpolate(k, values)
         q, r_inv, index, sign = self.factors(k)
         h = np.array(values, dtype=float)
+        if self.exact:  # h_k(x, w/|w|) = h_k(x, w)/|w|^k
+            h = h / np.linalg.norm(self.directions[:len(h)].astype(float),
+                                   axis=1) ** k
         projection = q.T @ h
         residuals = np.abs(h - q @ projection).tolist()
         coeffs = (r_inv @ projection)[index] * sign
@@ -180,41 +186,17 @@ class SeededDesign:
 
         The exact solve proves the fit block's rank: it is singular only
         over Q, for every seed alike, and then the order is not generic.
-        Float values (an irrational `sqrt`) are solved in floats on the
-        rows scaled to unit length, h_k(x, u/|u|) = h_k(x, u)/|u|^k, which
-        `_unit_condition` must find well conditioned.
         """
         d = dim_homog(self.n, k)
         rows = [tuple(u) for u in self.directions[:2 * d].tolist()]
-        fit_rows, fit_values = rows[:d], values[:d]
-        exact = all(isinstance(h, (int, Fraction)) for h in fit_values)
-        if not exact:
-            condition = _unit_condition(self.n, k)
-            if not condition <= MAX_CONDITION:
-                raise GenericityFailure(f"the lattice directions of order "
-                                        f"{k} are not generic (condition "
-                                        f"{condition:.3g})")
-            norms = [math.hypot(*u) for u in fit_rows]
-            fit_rows = [tuple(c / r for c in u) for u, r in zip(fit_rows, norms)]
-            fit_values = [float(h) / r ** k for h, r in zip(fit_values, norms)]
         try:
-            fitted = interp_fit(fit_values, NodeSet(self.n, k, tuple(fit_rows),
-                                                    exact))
+            fitted = interp_fit(values[:d], NodeSet(self.n, k, tuple(rows[:d]),
+                                                    True))
         except SingularSystem as exc:
             raise GenericityFailure(f"the lattice directions of order {k} are "
                                     f"not generic ({exc})") from exc
         residuals = [abs(h - fitted(u)) for h, u in zip(values[d:], rows[d:])]
         return fitted, residuals, 1.0 + max(map(abs, values))
-
-
-@lru_cache(maxsize=None)
-def _unit_condition(n: int, k: int) -> float:
-    """Condition estimate of order k's lattice fit rows scaled to unit
-    length, the block a float fit solves; a seed's signed permutation
-    keeps it, so it is taken once per (n, k)."""
-    rows = lattice_design(n).rows(dim_homog(n, k))
-    return condition_estimate([tuple(c / math.hypot(*u) for c in u)
-                               for u in rows], n, k)
 
 
 @lru_cache(maxsize=1)
@@ -334,34 +316,6 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
                           0.0 if exact else tol * scale, plan.seed)
 
 
-def _order_test(e: Expr, xs: tuple, seed: int, k_top: int, order: int,
-                exact: bool, tol: float, point_value: Scalar | None):
-    """The per-order test of a ladder up to k_top at xs, as k -> result."""
-    plan = design(seed, e.nvars, k_top, exact)
-    jets = _DesignJets(e, xs, order, plan.directions, exact)
-    return lambda k: _order_result(plan, jets, k, tol, point_value)
-
-
-def poly_test(e: Expr, x: Sequence[Scalar], k: int, node_seed: int = 0,
-              tol: float = DEFAULT_TOL, order: int | None = None,
-              exact: bool = False) -> PolyTestResult:
-    """Decide whether h_k(x, .) looks polynomial of degree k.
-
-    `polynomial` is True iff no direction meets a pole and the residuals,
-    over the 2·d(n,k) directions of the float least-squares test or the
-    d(n,k) validation directions of the exact test, are all exactly 0
-    (exact values) or at most tol * (1 + max |h_k|) (float values).
-    """
-    if order is None:
-        order = default_order(max(k, 1))
-    xs = tuple(x) if exact else tuple(float(c) for c in x)
-    try:
-        point_value = eval_point(e, xs, exact)
-    except DomainError:
-        point_value = None
-    return _order_test(e, xs, node_seed, k, order, exact, tol, point_value)(k)
-
-
 # --- the pointwise verdict ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -392,7 +346,8 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     NonAnalytic(k_star) means orders below k_star passed and k_star failed;
     AnalyticUpTo(k_max) means every order passed.  Non-generic directions
     and directions leaving the function's real domain yield an
-    Inconclusive verdict rather than a guess.
+    Inconclusive verdict rather than a guess, and so do jets whose window
+    (`order`, the CLI's --order) ends below a coefficient the ladder reads.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -411,9 +366,10 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
 
     evidence: list[PolyTestResult] = []
     try:
-        test = _order_test(e, xs, seed, k_max, order, exact, tol, point_value)
+        plan = design(seed, e.nvars, k_max, exact)
+        jets = _DesignJets(e, xs, order, plan.directions, exact)
         for k in range(k_max + 1):
-            result = test(k)
+            result = _order_result(plan, jets, k, tol, point_value)
             evidence.append(result)
             if not result.polynomial:
                 return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
@@ -422,6 +378,11 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
                                evidence=tuple(evidence))
     except (GenericityFailure, ArcDomainError) as exc:
         return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
+                       guard_triggered=guard_flag, evidence=tuple(evidence))
+    except ShortWindow as exc:
+        return Verdict(xs, INCONCLUSIVE, k_max,
+                       reason=f"{exc}: divisions shortened the jets of "
+                              f"--order {order}; a larger --order keeps more",
                        guard_triggered=guard_flag, evidence=tuple(evidence))
     return Verdict(xs, ANALYTIC_UP_TO, k_max, guard_triggered=guard_flag,
                    evidence=tuple(evidence))

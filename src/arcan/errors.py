@@ -23,6 +23,10 @@ class PoleAtOrigin(ArcanError):
     """A Taylor coefficient was requested from a series with a pole at t=0."""
 
 
+class ShortWindow(ArcanError):
+    """A coefficient beyond a jet's retained order (`--order`) was read."""
+
+
 class IrregularBatch(ArcanError):
     """Lanes of a batched jet need the scalar path (caught by the batch's user)."""
 

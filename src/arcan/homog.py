@@ -8,7 +8,9 @@ isomorphism, which `interp_fit` inverts, exactly over the rationals or in
 floats.  Every direction arcan samples is a row of one canonical design per
 n, float (`Design`) or lattice (`LatticeDesign`), under the seed's
 `signed_permutation`, which keeps every block's rank and condition;
-`monomial_map` carries a form's coefficients across it.
+`monomial_map` carries a form's coefficients across it.  Both designs keep
+the QR factors of each order's rows scaled to unit length (`factors`),
+which the ladder's least-squares test reads.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -36,12 +38,12 @@ from .jets import Scalar
 from .linalg import solve_exact
 from .seeds import derive_seed, lattice_vector, unit_vector
 
-# Largest condition estimate of a float fit block: `Design.fit_rows`, and
-# the unit-length lattice rows a float-valued exact order solves on.
+# Largest condition estimate of the float nodes `sample_nodes` gives
+# (`Design.fit_rows`); the ladders check rank on the R diagonal instead.
 MAX_CONDITION = 1e6
-# Bytes of QR factors the canonical float designs keep, together: ~0.3 MB at
-# n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget are
-# computed again per point.
+# Bytes of QR factors the canonical designs keep, float and lattice
+# together: ~0.3 MB at n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders
+# beyond the budget are computed again per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
 
 
@@ -179,7 +181,41 @@ def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> flo
         return math.inf
 
 
-class Design:
+class _Canonical:
+    """What both canonical designs share: order k's QR factors, taken on
+    its first 2·d(n, k) rows scaled to unit length (`unit`)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
+        unit rows, computed once per process.
+
+        GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
+        design is fixed, an order fails so for every seed alike.  The
+        factors are kept while those of every canonical design, float and
+        lattice, fit in MAX_DESIGN_BYTES.
+        """
+        held = self._factors.get(k)
+        if held is not None:
+            return held
+        rows = 2 * dim_homog(self.n, k)
+        q, r = np.linalg.qr(gather_matrix(_powers(self.unit(rows), k),
+                                          self.n, k))
+        diag = np.abs(np.diagonal(r))
+        if not diag.min() > diag.max() * rows * np.finfo(float).eps:
+            raise GenericityFailure(
+                f"the directions of order {k} are not generic "
+                f"(|R_ii| from {diag.min():.3g} to {diag.max():.3g})")
+        factors = q, np.linalg.inv(r)
+        if _held_bytes() + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
+            self._factors[k] = factors
+        return factors
+
+
+class Design(_Canonical):
     """The canonical directions of every float ladder in n variables.
 
     Drawn through `unit_vector` from one stream that no seed changes, and
@@ -190,11 +226,10 @@ class Design:
     """
 
     def __init__(self, n: int):
-        self.n = n
+        super().__init__(n)
         self._rng = random.Random(derive_seed("canonical design", n))
         self.directions = np.array([[1.0], [-1.0]]) if n == 1 \
             else np.empty((0, n))
-        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._conditions: dict[int, float] = {}
 
     def rows(self, count: int) -> np.ndarray:
@@ -204,6 +239,9 @@ class Design:
                     for _ in range(count - len(self.directions))]
             self.directions = np.concatenate([self.directions, more])
         return self.directions[:count]
+
+    # The rows have unit length: `factors` takes them as they are.
+    unit = rows
 
     def fit_rows(self, k: int) -> np.ndarray:
         """The first d(n, k) rows, or GenericityFailure (for every seed
@@ -218,46 +256,25 @@ class Design:
                                     f"{self._conditions[k]:.3g})")
         return fit
 
-    def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
-        directions, computed once per process.
 
-        GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
-        design is fixed, an order fails so for every seed alike.  The
-        factors are kept while those of every canonical design fit in
-        MAX_DESIGN_BYTES.
-        """
-        held = self._factors.get(k)
-        if held is not None:
-            return held
-        rows = 2 * dim_homog(self.n, k)
-        q, r = np.linalg.qr(gather_matrix(_powers(self.rows(rows), k),
-                                          self.n, k))
-        diag = np.abs(np.diagonal(r))
-        if not diag.min() > diag.max() * rows * np.finfo(float).eps:
-            raise GenericityFailure(
-                f"the directions of order {k} are not generic "
-                f"(|R_ii| from {diag.min():.3g} to {diag.max():.3g})")
-        factors = q, np.linalg.inv(r)
-        if _held_bytes() + q.nbytes + r.nbytes <= MAX_DESIGN_BYTES:
-            self._factors[k] = factors
-        return factors
+# The canonical designs of each n, float and lattice, built on first use.
+_DESIGNS: dict[tuple[type, int], _Canonical] = {}
 
 
-# The canonical float design of each n, built on first use.
-_DESIGNS: dict[int, Design] = {}
+def _canonical(kind: type, n: int):
+    held = _DESIGNS.get((kind, n))
+    if held is None:
+        held = _DESIGNS[kind, n] = kind(n)
+    return held
 
 
 def canonical_design(n: int) -> Design:
     """The canonical float design of n variables, one per process."""
-    held = _DESIGNS.get(n)
-    if held is None:
-        held = _DESIGNS[n] = Design(n)
-    return held
+    return _canonical(Design, n)
 
 
 def _held_bytes() -> int:
-    """Bytes of the factors that the canonical float designs keep."""
+    """Bytes of the factors that the canonical designs keep."""
     return sum(a.nbytes for d in _DESIGNS.values()
                for pair in d._factors.values() for a in pair)
 
@@ -270,7 +287,7 @@ def _powers(directions: np.ndarray, top: int) -> np.ndarray:
     return powers
 
 
-class LatticeDesign:
+class LatticeDesign(_Canonical):
     """The canonical lattice directions of every exact ladder in n variables.
 
     `lattice_vector` draws from one stream that no seed changes; in one
@@ -279,13 +296,14 @@ class LatticeDesign:
     where a denominator can vanish identically, would fail a fixed share of
     seeds.  A draw parallel to an earlier row is skipped; the rows are
     finite (318 in two variables), so 1000 skips in a row raise
-    GenericityFailure.  Order k fits on the rows [0, d(n, k)) and
-    validates on [d, 2d); nothing here checks their rank, which the exact
-    solve proves.
+    GenericityFailure.  An order whose values are all exact fits on the
+    rows [0, d(n, k)) and validates on [d, 2d), and the exact solve proves
+    the fit block's rank; any other order is tested by least squares on
+    `factors(k)`, the QR factors of its 2d rows scaled to unit length.
     """
 
     def __init__(self, n: int):
-        self.n = n
+        super().__init__(n)
         self._rng = random.Random(derive_seed("canonical lattice design", n))
         self.directions: list[tuple[int, ...]] = [(1,), (-1,)] if n == 1 else []
         self._lines = set(map(_line, self.directions))
@@ -305,14 +323,20 @@ class LatticeDesign:
                 skips = 0
         return self.directions[:count]
 
+    def unit(self, count: int) -> np.ndarray:
+        """The first `count` rows divided by their lengths, in floats."""
+        rows = np.array(self.rows(count), dtype=float).reshape(-1, self.n)
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
 
 def _line(v: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive vector of v's line whose first nonzero entry is > 0."""
     return tuple(c // math.gcd(*v) for c in max(v, tuple(-c for c in v)))
 
 
-# The lattice design of n variables, one per process.
-lattice_design = lru_cache(maxsize=None)(LatticeDesign)
+def lattice_design(n: int) -> LatticeDesign:
+    """The lattice design of n variables, one per process."""
+    return _canonical(LatticeDesign, n)
 
 
 def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:

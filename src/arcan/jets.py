@@ -31,7 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import IrregularBatch, NegativeLeading, OddValuation, PoleAtOrigin, \
-    ZeroDivisor
+    ShortWindow, ZeroDivisor
 
 Scalar = Union[int, float, Fraction]
 
@@ -99,7 +99,8 @@ class LaurentJet:
 
     @staticmethod
     def constant(value: Scalar, order: int) -> "LaurentJet":
-        if value == 0:
+        """The constant `value`; a window ending below t^0 holds only zeros."""
+        if value == 0 or order < 0:
             return LaurentJet.zero(order)
         return LaurentJet(0, (value,) + (0,) * order, order)
 
@@ -112,7 +113,7 @@ class LaurentJet:
     def coeff(self, k: int) -> Scalar:
         """Coefficient of t^k; raises if k lies beyond the trusted window."""
         if k > self.order:
-            raise ValueError(f"coefficient {k} beyond retained order {self.order}")
+            raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
         if k < self.valuation:
             return 0
         return self.coeffs[k - self.valuation]
@@ -220,7 +221,7 @@ class LaurentJet:
         if exponent == 0:
             # The constant 1 in the kind of the base's lead, in the base's
             # window; a pole's window ends below t^0, so it keeps the base's
-            # relative precision instead.
+            # relative precision instead, and may still end below t^0.
             one = self.coeffs[0] ** 0 if self.coeffs \
                 else constant(1).taylor_coeff(0)
             return LaurentJet.constant(
@@ -329,10 +330,8 @@ class RationalJet:
 
     @staticmethod
     def constant(value: int | Fraction, order: int) -> "RationalJet":
-        if value == 0:
+        if value == 0 or order < 0:  # as in LaurentJet.constant
             return RationalJet.zero(order)
-        if order < 0:  # as in LaurentJet.constant: t^0 lies beyond the window
-            raise ValueError("coefficient count does not match valuation/order")
         value = Fraction(value)
         return RationalJet(0, [value.numerator] + [0] * order,
                            value.denominator, order)
@@ -364,7 +363,7 @@ class RationalJet:
         if self.nums and self.valuation < 0:
             raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
         if k > self.order:
-            raise ValueError(f"coefficient {k} beyond retained order {self.order}")
+            raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
         if k < self.valuation:
             return Fraction(0)
         return Fraction(self.nums[k - self.valuation], self.den)
@@ -557,6 +556,8 @@ class LaneJet:
 
     @staticmethod
     def constant(value: float, lanes: int, order: int) -> "LaneJet":
+        if order < 0:  # as in LaurentJet.constant
+            return LaneJet.zero(lanes, order)
         coeffs = np.zeros((order + 1, lanes))
         coeffs[0] = value
         return LaneJet(0, coeffs, order)
@@ -587,7 +588,7 @@ class LaneJet:
         if not self.is_zero and self.valuation < 0:
             raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
         if k > self.order:
-            raise ValueError(f"coefficient {k} beyond retained order {self.order}")
+            raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
         if k < self.valuation:
             return [0] * self.lanes
         return self.coeffs[k - self.valuation].tolist()
@@ -670,8 +671,6 @@ class LaneJet:
 
     def pow_int(self, exponent: int, constant=None) -> "LaneJet":
         if exponent == 0:
-            window = max(self.order, self.order - self.valuation)
-            if window < 0:  # the scalar path raises LaurentJet's error
-                raise IrregularBatch("zeroth power with an empty window")
-            return LaneJet.constant(1.0, self.lanes, window)
+            return LaneJet.constant(1.0, self.lanes,
+                                    max(self.order, self.order - self.valuation))
         return _power(self, exponent)

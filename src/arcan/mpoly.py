@@ -2,7 +2,8 @@
 
 Just enough algebra to flatten a rational expression subtree into a single
 numerator/denominator pair and strip monomial content in one chosen
-variable; exponent tuples key a dict of Fraction coefficients.
+variable; exponent tuples key a dict of Fraction coefficients.  A product
+of more than `MAX_PRODUCT_TERMS` term pairs is refused before it is built.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from fractions import Fraction
 from .expr import Add, Div, Guard, IntPow, Mul, Node, RationalConst, Sqrt, Sub, Var
 
 Poly = dict[tuple[int, ...], Fraction]
+
+# Largest product an expansion forms, in term pairs len(a) * len(b), each
+# ~7 us: expanding (x+y+z)^30 needs 18,360, (x+y+z)^200 4.6 million.
+MAX_PRODUCT_TERMS = 10 ** 5
 
 
 def p_const(c: Fraction, nvars: int) -> Poly:
@@ -40,6 +45,9 @@ def p_neg(a: Poly) -> Poly:
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
+    if len(a) * len(b) > MAX_PRODUCT_TERMS:
+        raise ValueError(f"expanding a product of {len(a)} by {len(b)} terms "
+                         f"exceeds the {MAX_PRODUCT_TERMS} term pairs allowed")
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -127,26 +135,29 @@ def shift_down(p: Poly, var: int, power: int) -> Poly:
 
 
 def to_node(p: Poly, nvars: int) -> Node:
-    """Rebuild an expression node, terms in descending graded-lex order."""
+    """Rebuild an expression node, terms in descending graded-lex order.
+
+    Sums and products are balanced trees, O(log terms) deep, so the
+    parenthesized text `to_text` prints reparses within the parser's depth
+    bound.
+    """
     if not p:
         return RationalConst(Fraction(0))
     keys = sorted(p, key=lambda e: (sum(e), e), reverse=True)
     terms = []
     for e in keys:
         c = p[e]
-        factors: list[Node] = []
-        for i, ei in enumerate(e):
-            if ei == 1:
-                factors.append(Var(i))
-            elif ei >= 2:
-                factors.append(IntPow(Var(i), ei))
+        factors: list[Node] = [Var(i) if ei == 1 else IntPow(Var(i), ei)
+                               for i, ei in enumerate(e) if ei]
         if not factors or c != 1:
             factors.insert(0, RationalConst(c))
-        term = factors[0]
-        for f in factors[1:]:
-            term = Mul(term, f)
-        terms.append(term)
-    node = terms[0]
-    for t in terms[1:]:
-        node = Add(node, t)
-    return node
+        terms.append(_balanced(Mul, factors))
+    return _balanced(Add, terms)
+
+
+def _balanced(op, nodes: list[Node]) -> Node:
+    """nodes[0] op nodes[1] op ... as a tree ceil(log2(len)) deep."""
+    if len(nodes) == 1:
+        return nodes[0]
+    half = (len(nodes) + 1) // 2
+    return op(_balanced(op, nodes[:half]), _balanced(op, nodes[half:]))

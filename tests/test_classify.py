@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from arcan import classify, homog
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
     SeededDesign, arc_symmetry_check, classify_point, design, \
-    flagged_points, gateaux_coeff, grid_points, loja_estimate, poly_test, \
-    scan_region, verdict_to_json
+    flagged_points, gateaux_coeff, grid_points, loja_estimate, scan_region, \
+    verdict_to_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
 from arcan.expr import ArcSpec, eval_arc
-from arcan.homog import Design, HomoPoly, canonical_design, dim_homog, \
-    signed_permutation
+from arcan.homog import Design, HomoPoly, LatticeDesign, canonical_design, \
+    dim_homog, gather_matrix, signed_permutation
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
@@ -86,23 +86,26 @@ class TestGateauxCoeff:
 
 
 class TestPolyTest:
+    """One order's evidence, as the ladder reports it."""
+
     def test_non_polynomial_first_order(self):
-        result = poly_test(E1, (0, 0), 1, node_seed=3)
+        result = classify_point(E1, (0, 0), k_max=1, seed=3).evidence[1]
         assert not result.polynomial
         assert result.max_residual > 1e-3
 
     def test_polynomial_differentials_of_polynomials(self):
         e = parse("x^3 + x * y^2")
+        evidence = classify_point(e, (1, 2), k_max=3, seed=5).evidence
         for k in range(0, 4):
-            result = poly_test(e, (1, 2), k, node_seed=5)
+            result = evidence[k]
             assert result.polynomial, f"k={k}: {result.max_residual}"
 
     def test_sqrt_second_order(self):
-        result = poly_test(E2, (0, 0), 2, node_seed=7)
+        result = classify_point(E2, (0, 0), k_max=2, seed=7).evidence[2]
         assert not result.polynomial
 
     def test_pole_reported_as_evidence(self):
-        result = poly_test(INV, (0, 0), 0, node_seed=9)
+        result = classify_point(INV, (0, 0), k_max=1, seed=9).evidence[0]
         assert not result.polynomial
         assert result.pole_direction is not None
         assert result.max_residual == math.inf
@@ -110,7 +113,7 @@ class TestPolyTest:
     def test_guarded_value_mismatch_caught_at_order_zero(self):
         # the series germ is x but the assigned value is 3: order 0 must fail
         e = parse("guard((x^2 + y^2) * x / (x^2 + y^2), 3)")
-        result = poly_test(e, (0, 0), 0, node_seed=11)
+        result = classify_point(e, (0, 0), k_max=1, seed=11).evidence[0]
         assert not result.polynomial
 
 
@@ -332,7 +335,33 @@ class TestLeastSquaresLadder:
                     assert q.tobytes() == full[k][0].tobytes()
                     assert r_inv.tobytes() == full[k][1].tobytes()
             assert 0 < homog._held_bytes() <= budget
-        assert sorted(homog._DESIGNS) == [2, 3]
+        assert sorted(homog._DESIGNS) == [(Design, 2), (Design, 3)]
+
+    def test_lattice_factors_share_the_code_and_the_budget(self, monkeypatch):
+        # Q and R of the lattice rows scaled to unit length, kept while the
+        # factors of both kinds of design fit in one budget
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        for k in range(9):
+            q, r_inv = homog.lattice_design(3).factors(k)
+            rows = np.array(homog.lattice_design(3).rows(2 * dim_homog(3, k)),
+                            dtype=float)
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            v = gather_matrix(homog._powers(unit, k), 3, k)
+            np.testing.assert_allclose(q @ np.linalg.inv(r_inv), v,
+                                       atol=1e-12)
+        held = homog._held_bytes()
+        assert held > 0
+        monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", held)
+        homog.canonical_design(3).factors(8)
+        assert homog._held_bytes() == held
+        assert 8 not in homog.canonical_design(3)._factors
+
+    @pytest.mark.parametrize("n, k_top", [(2, 60), (3, 24)])
+    def test_unit_lattice_rows_pass_the_rank_check(self, n, k_top):
+        lattice = LatticeDesign(n)
+        for k in range(k_top + 1):
+            q, _ = lattice.factors(k)
+            assert q.shape == (2 * dim_homog(n, k), dim_homog(n, k))
 
     def test_evidence_reports_threshold_and_margin(self):
         v = classify_point(E1, (0, 0), k_max=3, seed=1)
@@ -368,9 +397,8 @@ class TestExactLadder:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_float_valued_orders_keep_the_float_tolerance(self, seed):
-        # sqrt(2) is irrational: E2's jets at (1, 1) carry floats.  They are
-        # fitted on the unit rows, below condition 1e6 through order 16;
-        # the raw integer rows reach 1.5e13 at order 11.
+        # sqrt(2) is irrational: E2's jets at (1, 1) carry floats, tested by
+        # least squares on the lattice rows scaled to unit length.
         v = classify_point(E2, (1, 1), k_max=16, seed=seed, exact=True)
         assert v.status == ANALYTIC_UP_TO
         degraded = [ev for ev in v.evidence
@@ -396,24 +424,34 @@ class TestExactLadder:
         lines = itertools.cycle([(1, 2), (2, -1), (3, 1), (1, -3)])
         monkeypatch.setattr(homog, "lattice_vector",
                             lambda rng, n: next(lines))
-        homog.lattice_design.cache_clear()
+        monkeypatch.setattr(homog, "_DESIGNS", {})
         design.cache_clear()
         try:
             v = classify_point(parse("x*y"), (1, 2), k_max=3, exact=True)
         finally:
-            homog.lattice_design.cache_clear()
             design.cache_clear()
         assert v.status == INCONCLUSIVE and "only 4 rows" in v.reason
         assert [ev.k for ev in v.evidence] == [0, 1]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_an_ill_conditioned_float_fit_is_inconclusive(self, seed):
-        # order 17's unit rows have condition 1.9e6 > MAX_CONDITION; the
-        # float values of E2 at (1, 1) go through that solve
+    def test_float_valued_orders_pass_through_order_20(self, seed):
+        # A square solve on the unit rows passed a condition gate (1e6)
+        # only through order 16, and was Inconclusive at order 17.  The
+        # least-squares residual does not grow with the rows' condition.
         v = classify_point(E2, (1, 1), k_max=20, seed=seed, exact=True)
-        assert v.status == INCONCLUSIVE
-        assert "order 17 are not generic (condition" in v.reason
-        assert [ev.k for ev in v.evidence] == list(range(17))
+        assert v.status == ANALYTIC_UP_TO
+        assert max(ev.margin for ev in v.evidence) <= 1e-6
+        for ev in v.evidence:
+            # every order has float values; k = 0 adds the point value
+            assert all(type(r) is float for r in ev.residuals)
+            assert len(ev.residuals) == 2 * dim_homog(2, ev.k) + (ev.k == 0)
+
+    def test_float_valued_orders_in_three_variables(self):
+        # was Inconclusive at order 13 (condition 2.43e6 on the unit rows)
+        v = classify_point(parse("sqrt(x^4+y^4+z^4)"), (1, 1, 1), k_max=16,
+                           exact=True)
+        assert v.status == ANALYTIC_UP_TO
+        assert max(ev.margin for ev in v.evidence) <= 1e-6
 
     def test_the_design_is_shared_and_permuted_per_seed(self):
         rows = homog.lattice_design(3).rows(2 * dim_homog(3, 4))

@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from arcan import cli
+from arcan.expr import eval_point
+from arcan.parser import parse
 
 
 def run_cli(capsys, argv):
@@ -141,6 +144,21 @@ class TestScanCommand:
         assert captured.err == "arcan: error: grid axis 'x' given twice\n"
 
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("text", ["((x-x)/x^30)^0",
+                                      "guard((x-x)/x^30, 0) + x"])
+    def test_a_short_jet_window_is_inconclusive(self, capsys, text, mode):
+        # at x = 0 the division by x^30 leaves jets that end below t^0
+        code, out = run_cli(capsys, ["scan", text, "--grid", "x:-1:1:1",
+                                     "--kmax", "2", "--mode", mode])
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["status"] for line in lines] == \
+            ["AnalyticUpTo", "Inconclusive", "AnalyticUpTo"]
+        assert "retained order" in lines[1]["reason"]
+        assert "--order 8" in lines[1]["reason"]
+
+
 class TestArcCommand:
     def test_removable_mismatch_report(self, capsys):
         code, out = run_cli(capsys, [
@@ -204,6 +222,27 @@ class TestBlowupCommand:
         assert doc["cancelledPower"] == 2
         statuses = {v["status"] for v in doc["divisorVerdicts"]}
         assert statuses == {"AnalyticUpTo"}
+
+
+    CHART3 = '{"n":3,"center":[1,2],"axis":1}'
+
+    @pytest.mark.parametrize("power", [20, 30])
+    def test_a_long_expansion_reparses(self, capsys, power):
+        code, out = run_cli(capsys, ["blowup", f"(x+y+z)^{power}/x",
+                                     "--chart", self.CHART3])
+        assert code == 0
+        e = parse(json.loads(out)["expr"])
+        # in the chart x = s and y = s y: (s + s y + z)^power / s
+        s, y, z = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+        assert eval_point(e, (s, y, z), True) == (s + s * y + z) ** power / s
+
+    def test_an_expansion_past_the_bound_is_refused(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["blowup", "(x+y+z)^200/x", "--chart", self.CHART3])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 10
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("arcan: error: expanding a product")
 
 
 class TestVerifyCommand:

@@ -190,7 +190,7 @@ class TestLatticeDesign:
         rows = iter([(1, 1, 1), (1, 2, 3), (2, 3, 4),
                      (1, -1, 2), (3, 1, -2), (2, -3, 1)])
         monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: next(rows))
-        lattice_design.cache_clear()
+        monkeypatch.setattr(homog, "_DESIGNS", {})
         classify.design.cache_clear()
         try:
             for seed in range(8):
@@ -200,7 +200,6 @@ class TestLatticeDesign:
                 assert "order 1 are not generic" in v.reason
                 assert [ev.k for ev in v.evidence] == [0]
         finally:
-            lattice_design.cache_clear()
             classify.design.cache_clear()
 
 

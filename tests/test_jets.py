@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from arcan.classify import default_order, gateaux_series
 from arcan.corpus import corpus_list, lookup
-from arcan.errors import NegativeLeading, OddValuation, PoleAtOrigin, ZeroDivisor
+from arcan.errors import NegativeLeading, OddValuation, PoleAtOrigin, \
+    ShortWindow, ZeroDivisor
 from arcan.homog import dim_homog, lattice_design
 from arcan.jets import LaurentJet, RationalJet, jet_sqrt
 
@@ -116,7 +117,7 @@ class TestDeriveCoeff:
             LaurentJet(-2, [F(1), 0, 0], 0).taylor_coeff(0)
 
     def test_beyond_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShortWindow):
             taylor(1, 2).taylor_coeff(5)
 
 
@@ -286,7 +287,7 @@ class TestRationalJet:
         values = [jet.taylor_coeff(k) for k in range(4)]
         assert values == [0, 0, 3, 0]
         assert all(type(c) is Fraction for c in values)
-        with pytest.raises(ValueError, match="beyond retained order 3"):
+        with pytest.raises(ShortWindow, match="beyond retained order 3"):
             jet.taylor_coeff(4)
         pole = RationalJet.from_laurent(LaurentJet(-1, [F(1)], -1))
         with pytest.raises(PoleAtOrigin):
