@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Count wrong verdicts of the full ladder, float and rational, on the corpus.
 
-A seed only picks a signed permutation of the coordinates, so the 2ⁿ·n!
-permutations are every design a seed can give; this sweeps all of them.
+Both arithmetics read one canonical design per n: rational ladders its
+integer rows, float ladders those rows scaled to unit length.  A seed only
+picks a signed permutation of the coordinates, so the 2ⁿ·n! permutations
+are every design a seed can give; this sweeps all of them.
 
 Float: runs `classify_point` (shortcut off, k_max 10) at every point of
 every corpus entry's `scan_axes` grid and of an E6 slab near the oval
@@ -12,10 +14,10 @@ Rational: every corpus exact-locus point (which must be NonAnalytic) and
 regular point (AnalyticUpTo), among them E5 (1, 0, 0) and E6 (1/2, 0, 0),
 at k_max 8, 10 and 12, under every signed permutation: 584 cases per
 k_max; and E2's points at k_max 20 (8 permutations).  Orders with float
-values (an irrational `sqrt`, as at E2 (1, 1)) take the least-squares
-test on the lattice rows scaled to unit length.  The square solve it
-replaced, on the first half of those rows, passed condition 1e6 from
-order 17 in two variables; k_max 20 checks the orders past that.
+values (an irrational `sqrt`, as at E2 (1, 1)) take the float ladders'
+least-squares test on the unit rows; k_max 20 checks them past order 16,
+where a square solve on the first half of those rows would exceed
+condition 1e6.
 
 Each verdict is judged against the entry's locus: a NonAnalytic verdict off
 the locus is false, any other verdict on it is missed.  Prints every wrong
@@ -26,7 +28,7 @@ right NonAnalytic verdict (inf for a pole).  An order whose values are all
 exact has threshold 0 and margin 0 (pass) or inf (fail), so the rational
 margins other than 0 and inf come from orders with float values (an
 irrational `sqrt`).  Exits 1 on any false, missed or Inconclusive
-verdict.  Takes about 16 minutes with 2 workers on a 2-core x86_64
+verdict.  Takes about 12 minutes with 2 workers on a 2-core x86_64
 machine:
 
     PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]

@@ -111,10 +111,11 @@ class PullbackResult:
                 "chart": self.chart.to_json()}
 
 
-def _cancel_divisor_power(node: Node, s_index: int, nvars: int):
+def _cancel_divisor_power(node: Node, s_index: int, nvars: int,
+                          budget: mpoly.Budget):
     """Expand rational division subtrees and strip their common s-power."""
     if isinstance(node, Div):
-        pair = mpoly.to_fraction_pair(node, nvars)
+        pair = mpoly.to_fraction_pair(node, nvars, budget)
         if pair is not None:
             num, den = pair
             vn = mpoly.min_exponent(num, s_index)
@@ -125,21 +126,21 @@ def _cancel_divisor_power(node: Node, s_index: int, nvars: int):
             num = mpoly.shift_down(num, s_index, c)
             den = mpoly.shift_down(den, s_index, c)
             return Div(mpoly.to_node(num, nvars), mpoly.to_node(den, nvars)), c, False
-        left, cl, _ = _cancel_divisor_power(node.left, s_index, nvars)
-        right, cr, _ = _cancel_divisor_power(node.right, s_index, nvars)
+        left, cl, _ = _cancel_divisor_power(node.left, s_index, nvars, budget)
+        right, cr, _ = _cancel_divisor_power(node.right, s_index, nvars, budget)
         return Div(left, right), cl + cr, True
     if isinstance(node, (Add, Sub, Mul)):
-        left, cl, fl = _cancel_divisor_power(node.left, s_index, nvars)
-        right, cr, fr = _cancel_divisor_power(node.right, s_index, nvars)
+        left, cl, fl = _cancel_divisor_power(node.left, s_index, nvars, budget)
+        right, cr, fr = _cancel_divisor_power(node.right, s_index, nvars, budget)
         return type(node)(left, right), cl + cr, fl or fr
     if isinstance(node, IntPow):
-        base, c, f = _cancel_divisor_power(node.base, s_index, nvars)
+        base, c, f = _cancel_divisor_power(node.base, s_index, nvars, budget)
         return IntPow(base, node.exponent), c, f
     if isinstance(node, Sqrt):
-        arg, c, f = _cancel_divisor_power(node.arg, s_index, nvars)
+        arg, c, f = _cancel_divisor_power(node.arg, s_index, nvars, budget)
         return Sqrt(arg), c, f
     if isinstance(node, Guard):
-        body, c, f = _cancel_divisor_power(node.body, s_index, nvars)
+        body, c, f = _cancel_divisor_power(node.body, s_index, nvars, budget)
         return Guard(body, node.default), c, f
     return node, 0, False
 
@@ -151,13 +152,15 @@ def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
     the highest power of s dividing both numerator and denominator is
     removed; guard defaults are carried through unchanged.  Square roots
     block the expansion of the subtree containing them, which is flagged
-    (not an error) and leaves that division unsimplified.
+    (not an error) and leaves that division unsimplified.  All expansions
+    of one pullback share one `mpoly.Budget` of term pairs; overdrawing it
+    raises ValueError.
     """
     if e.nvars != chart.nvars:
         raise ValueError("chart and expression dimensions differ")
     substituted = substitute(e.root, chart.substitution_map())
     simplified, cancelled, non_rational = _cancel_divisor_power(
-        substituted, chart.axis, e.nvars)
+        substituted, chart.axis, e.nvars, mpoly.Budget())
     return PullbackResult(Expr(simplified, e.nvars), cancelled, non_rational, chart)
 
 

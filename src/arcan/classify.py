@@ -13,23 +13,24 @@ at that order.  A finite ladder cannot prove analyticity, so the positive
 verdict is the honest `AnalyticUpTo(k_max)`.
 
 Both modes run one ladder.  Their directions come from one canonical
-design per n (`homog.Design` in floats, `homog.LatticeDesign` for
-rationals), and a seed only picks a signed permutation M of the
-coordinates: the ladder evaluates its jets along U M.  `design` caches
-the permuted view (`SeededDesign`) shared by every point of a scan, and
-order k reads h_k along its first 2·d(n,k) rows.  An order whose values
-are all exact (rational mode, jets on the scalar path, each h_k a
-`Fraction`) is interpolated on the first half of its rows and validated
-on the rest; the exact solve proves the fit block's rank.  Every other
-order, in either mode, is tested by one least-squares rule: h_k must lie
-in the column space of the degree-k evaluation matrix V = QR of the rows
-scaled to unit length, and the residual |h - Q Qᵀ h| is bounded by the
-error of h itself, not amplified by the condition of V (Golub & Van
-Loan, *Matrix Computations*, §5.3).  V_k(U M) is V_k(U) with its columns
-permuted and negated, so the canonical Q gives every seed's residuals,
-and the fitted coefficients in v are those in u gathered and
-sign-flipped (`homog.monomial_map`).  Float rows have unit length; along
-a lattice row w, h_k(x, w/|w|) = h_k(x, w)/|w|^k.  A point's float jets
+design per n (`homog.LatticeDesign`), and a seed only picks a signed
+permutation M of the coordinates: the ladder evaluates its jets along
+U M, with U the design's integer rows in rational mode and those rows
+scaled to unit length in float mode.  `design` caches the permuted view
+(`SeededDesign`) shared by every point of a scan, and order k reads h_k
+along its first 2·d(n,k) rows.  An order whose values are all exact
+(rational mode, jets on the scalar path, each h_k a `Fraction`) is
+interpolated on the first half of its rows and validated on the rest;
+the exact solve proves the fit block's rank.  Every other order, in
+either mode, is tested by one least-squares rule: h_k must lie in the
+column space of the degree-k evaluation matrix V = QR of the unit rows,
+and the residual |h - Q Qᵀ h| is bounded by the error of h itself, not
+amplified by the condition of V (Golub & Van Loan, *Matrix
+Computations*, §5.3).  V_k(U M) is V_k(U) with its columns permuted and
+negated, so the canonical Q gives every seed's residuals, and the fitted
+coefficients in v are those in u gathered and sign-flipped
+(`homog.monomial_map`).  Along an integer row w, h_k(x, w/|w|) =
+h_k(x, w)/|w|^k.  A point's float jets
 come from one batched pass over the rows (`eval_lanes`), bit for bit as
 the scalar path, to which a batch the lanes cannot share falls back.
 
@@ -61,7 +62,7 @@ from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
 from .homog import HomoPoly, NodeSet, canonical_design, condition_estimate, \
-    dim_homog, interp_fit, lattice_design, monomial_map, signed_permutation
+    dim_homog, interp_fit, monomial_map, signed_permutation
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
 from .seeds import derive_seed
 
@@ -131,27 +132,29 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
 class SeededDesign:
     """The directions of every ladder under one (seed, n, k_top, exact).
 
-    The canonical design's first 2·d(n, k_top) rows U (float `Design` or
-    `LatticeDesign`) under the seed's signed permutation M: jets are
-    evaluated along W = U M, and order k reads the rows [0, 2·d(n, k)).
-    All-exact values are interpolated on the rows [0, d) and checked on
-    [d, 2d).  Others are fitted by least squares: a degree-k form p in v
-    is q(u) = p(u M) on U, so the residuals are |h - Q Qᵀ h| with the Q of
-    U's unit rows (lattice h divided by |w|^k first), q's coefficients
-    are R⁻¹Qᵀh, and p's those gathered and sign-flipped by M's monomial
-    map, kept per order.  The lattice rows are finite: an order beyond
-    them raises GenericityFailure, the orders below still run.
+    The canonical design's first 2·d(n, k_top) rows U under the seed's
+    signed permutation M, integer rows in rational mode and unit rows in
+    float mode: jets are evaluated along W = U M, and order k reads the
+    rows [0, 2·d(n, k)).  All-exact values are interpolated on the rows
+    [0, d) and checked on [d, 2d).  Others are fitted by least squares: a
+    degree-k form p in v is q(u) = p(u M) on U, so the residuals are
+    |h - Q Qᵀ h| with the Q of U's unit rows (integer-row h divided by
+    |w|^k first), q's coefficients are R⁻¹Qᵀh, and p's those gathered and
+    sign-flipped by M's monomial map, kept per order.  The rows are
+    finite: an order beyond them raises GenericityFailure, the orders
+    below still run.
     """
 
     def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
         self.seed, self.n, self.exact = seed, n, exact
-        self.canonical = lattice_design(n) if exact else canonical_design(n)
+        self.canonical = canonical_design(n)
         self.flip = signed_permutation(seed, n)
         self.shortage = ""
+        rows = self.canonical.rows if exact else self.canonical.unit
         try:
-            u = self.canonical.rows(2 * dim_homog(n, k_top))
+            u = rows(2 * dim_homog(n, k_top))
         except GenericityFailure as exc:
-            u, self.shortage = self.canonical.directions, str(exc)
+            u, self.shortage = rows(len(self.canonical.directions)), str(exc)
         kind = object if exact else float
         self.directions = np.array(u, dtype=kind)[:, [i for i, _ in self.flip]] \
             * np.array([s for _, s in self.flip], dtype=kind)
@@ -190,8 +193,7 @@ class SeededDesign:
         d = dim_homog(self.n, k)
         rows = [tuple(u) for u in self.directions[:2 * d].tolist()]
         try:
-            fitted = interp_fit(values[:d], NodeSet(self.n, k, tuple(rows[:d]),
-                                                    True))
+            fitted = interp_fit(values[:d], NodeSet(self.n, k, tuple(rows[:d])))
         except SingularSystem as exc:
             raise GenericityFailure(f"the lattice directions of order {k} are "
                                     f"not generic ({exc})") from exc
@@ -299,7 +301,7 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
     0; one with a float residual passes if none exceeds tol * scale.
     """
     count = 2 * dim_homog(plan.n, k)
-    if count > len(plan.directions):  # the lattice rows ran out
+    if count > len(plan.directions):  # the design's rows ran out
         raise GenericityFailure(plan.shortage)
     try:
         values = jets.taylor_values(k, count)

@@ -64,7 +64,9 @@ class ArcDomainError(ArcanError):
 # --- interpolation ----------------------------------------------------------
 
 class GenericityFailure(ArcanError):
-    """No acceptably conditioned node set found within the retry budget."""
+    """The canonical design cannot serve an order: its unit rows fail the
+    R-diagonal rank check, its rows run out, or an exact fit block is
+    singular over the rationals."""
 
 
 class SingularSystem(ArcanError):

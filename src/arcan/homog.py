@@ -1,16 +1,16 @@
-"""Homogeneous polynomials, the direction designs, and two identities.
+"""Homogeneous polynomials, the direction design, and two identities.
 
 The space of degree-k homogeneous polynomials in n variables has dimension
 C(n+k-1, k), one coefficient per exponent vector summing to k; coefficients
 are stored in graded-lexicographic order (descending lex within the fixed
 degree).  Evaluation at C(n+k-1, k) generic directions is a linear
-isomorphism, which `interp_fit` inverts, exactly over the rationals or in
-floats.  Every direction arcan samples is a row of one canonical design per
-n, float (`Design`) or lattice (`LatticeDesign`), under the seed's
-`signed_permutation`, which keeps every block's rank and condition;
-`monomial_map` carries a form's coefficients across it.  Both designs keep
-the QR factors of each order's rows scaled to unit length (`factors`),
-which the ladder's least-squares test reads.
+isomorphism, which `interp_fit` inverts exactly over the rationals.  Every
+direction arcan samples is a row of one canonical design per n
+(`LatticeDesign`), under the seed's `signed_permutation`, which keeps every
+block's rank and condition: its integer rows in rational mode, the rows
+scaled to unit length in float mode.  `monomial_map` carries a form's
+coefficients across the permutation, and `factors` keeps the QR factors of
+each order's unit rows, which the ladder's least-squares test reads.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -33,17 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenericityFailure, PremiseViolated, SingularSystem
+from .errors import GenericityFailure, PremiseViolated
 from .jets import Scalar
 from .linalg import solve_exact
-from .seeds import derive_seed, lattice_vector, unit_vector
+from .seeds import derive_seed, lattice_vector
 
-# Largest condition estimate of the float nodes `sample_nodes` gives
-# (`Design.fit_rows`); the ladders check rank on the R diagonal instead.
-MAX_CONDITION = 1e6
-# Bytes of QR factors the canonical designs keep, float and lattice
-# together: ~0.3 MB at n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders
-# beyond the budget are computed again per point.
+# Bytes of QR factors the canonical designs keep, every n together: ~0.3 MB
+# at n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget
+# are computed again per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
 
 
@@ -162,7 +159,6 @@ class NodeSet:
     nvars: int
     degree: int
     nodes: tuple[tuple[Scalar, ...], ...]
-    exact: bool
 
     def matrix(self) -> list[list[Scalar]]:
         exps = monomials(self.nvars, self.degree)
@@ -174,6 +170,7 @@ def evaluation_matrix(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> np.n
     return np.array([[float(_mono_value(e, node)) for e in exps] for node in nodes])
 
 
+# condition_estimate is unused here; the benchmark's tracer patches it.
 def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> float:
     try:
         return float(np.linalg.cond(evaluation_matrix(nodes, n, k)))
@@ -181,13 +178,51 @@ def condition_estimate(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> flo
         return math.inf
 
 
-class _Canonical:
-    """What both canonical designs share: order k's QR factors, taken on
-    its first 2·d(n, k) rows scaled to unit length (`unit`)."""
+class LatticeDesign:
+    """The canonical directions of every ladder in n variables.
+
+    `lattice_vector` draws the integer rows from one stream that no seed
+    changes; in one variable they are exactly (1,), (-1,).  No row has a
+    zero coordinate: a signed permutation keeps zeros in place, so an axis
+    row, where a denominator can vanish identically, would fail a fixed
+    share of seeds.  A draw parallel to an earlier row is skipped; the rows
+    are finite (318 in two variables), so 1000 skips in a row raise
+    GenericityFailure.  Rational ladders evaluate along the integer rows,
+    float ladders along the rows scaled to unit length (`unit`).  Order k
+    tests on the rows [0, 2·d(n, k)) whatever the ladder's top order, so
+    `factors(k)` depends on (n, k) only.
+    """
 
     def __init__(self, n: int):
         self.n = n
+        self._rng = random.Random(derive_seed("canonical lattice design", n))
+        self.directions: list[tuple[int, ...]] = [(1,), (-1,)] if n == 1 else []
+        self._lines = set(map(_line, self.directions))
+        self._unit = np.empty((0, n))
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def rows(self, count: int) -> list[tuple[int, ...]]:
+        """The first `count` rows."""
+        skips = 0
+        while len(self.directions) < count:
+            if skips == 1000:
+                raise GenericityFailure(f"the lattice design of {self.n} variables "
+                                        f"has only {len(self.directions)} rows")
+            v = lattice_vector(self._rng, self.n)
+            skips += 1
+            if _line(v) not in self._lines:
+                self.directions.append(v)
+                self._lines.add(_line(v))
+                skips = 0
+        return self.directions[:count]
+
+    def unit(self, count: int) -> np.ndarray:
+        """The first `count` rows divided by their lengths, in floats; kept
+        as one array, extended on demand."""
+        if count > len(self._unit):
+            rows = np.array(self.rows(count), dtype=float).reshape(-1, self.n)
+            self._unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        return self._unit[:count]
 
     def factors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Q and R⁻¹ of order k's evaluation matrix V = QR at its 2·d(n, k)
@@ -195,8 +230,8 @@ class _Canonical:
 
         GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
         design is fixed, an order fails so for every seed alike.  The
-        factors are kept while those of every canonical design, float and
-        lattice, fit in MAX_DESIGN_BYTES.
+        factors are kept while those of every canonical design fit in
+        MAX_DESIGN_BYTES.
         """
         held = self._factors.get(k)
         if held is not None:
@@ -215,62 +250,21 @@ class _Canonical:
         return factors
 
 
-class Design(_Canonical):
-    """The canonical directions of every float ladder in n variables.
-
-    Drawn through `unit_vector` from one stream that no seed changes, and
-    extended on demand; in one variable the design is exactly (1, -1).
-    Order k tests on the rows [0, 2·d(n, k)) whatever the ladder's top
-    order, so `factors(k)` depends on (n, k) only; float `sample_nodes`
-    fits on the first d(n, k) of them (`fit_rows`).
-    """
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._rng = random.Random(derive_seed("canonical design", n))
-        self.directions = np.array([[1.0], [-1.0]]) if n == 1 \
-            else np.empty((0, n))
-        self._conditions: dict[int, float] = {}
-
-    def rows(self, count: int) -> np.ndarray:
-        """The first `count` directions."""
-        if count > len(self.directions):
-            more = [unit_vector(self._rng, self.n)
-                    for _ in range(count - len(self.directions))]
-            self.directions = np.concatenate([self.directions, more])
-        return self.directions[:count]
-
-    # The rows have unit length: `factors` takes them as they are.
-    unit = rows
-
-    def fit_rows(self, k: int) -> np.ndarray:
-        """The first d(n, k) rows, or GenericityFailure (for every seed
-        alike) if their condition estimate, taken once per design, exceeds
-        MAX_CONDITION."""
-        fit = self.rows(dim_homog(self.n, k))
-        if k not in self._conditions:
-            self._conditions[k] = condition_estimate(fit, self.n, k)
-        if not self._conditions[k] <= MAX_CONDITION:
-            raise GenericityFailure(f"the directions of order {k} are not "
-                                    f"generic (condition "
-                                    f"{self._conditions[k]:.3g})")
-        return fit
+def _line(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive vector of v's line whose first nonzero entry is > 0."""
+    return tuple(c // math.gcd(*v) for c in max(v, tuple(-c for c in v)))
 
 
-# The canonical designs of each n, float and lattice, built on first use.
-_DESIGNS: dict[tuple[type, int], _Canonical] = {}
+# The canonical design of each n, built on first use.
+_DESIGNS: dict[int, LatticeDesign] = {}
 
 
-def _canonical(kind: type, n: int):
-    held = _DESIGNS.get((kind, n))
+def canonical_design(n: int) -> LatticeDesign:
+    """The canonical design of n variables, one per process."""
+    held = _DESIGNS.get(n)
     if held is None:
-        held = _DESIGNS[kind, n] = kind(n)
+        held = _DESIGNS[n] = LatticeDesign(n)
     return held
-
-
-def canonical_design(n: int) -> Design:
-    """The canonical float design of n variables, one per process."""
-    return _canonical(Design, n)
 
 
 def _held_bytes() -> int:
@@ -285,58 +279,6 @@ def _powers(directions: np.ndarray, top: int) -> np.ndarray:
     for e in range(1, top + 1):
         powers[:, :, e] = powers[:, :, e - 1] * directions
     return powers
-
-
-class LatticeDesign(_Canonical):
-    """The canonical lattice directions of every exact ladder in n variables.
-
-    `lattice_vector` draws from one stream that no seed changes; in one
-    variable the rows are exactly (1,), (-1,).  No row has a zero
-    coordinate: a signed permutation keeps zeros in place, so an axis row,
-    where a denominator can vanish identically, would fail a fixed share of
-    seeds.  A draw parallel to an earlier row is skipped; the rows are
-    finite (318 in two variables), so 1000 skips in a row raise
-    GenericityFailure.  An order whose values are all exact fits on the
-    rows [0, d(n, k)) and validates on [d, 2d), and the exact solve proves
-    the fit block's rank; any other order is tested by least squares on
-    `factors(k)`, the QR factors of its 2d rows scaled to unit length.
-    """
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._rng = random.Random(derive_seed("canonical lattice design", n))
-        self.directions: list[tuple[int, ...]] = [(1,), (-1,)] if n == 1 else []
-        self._lines = set(map(_line, self.directions))
-
-    def rows(self, count: int) -> list[tuple[int, ...]]:
-        """The first `count` rows."""
-        skips = 0
-        while len(self.directions) < count:
-            if skips == 1000:
-                raise GenericityFailure(f"the lattice design of {self.n} variables "
-                                        f"has only {len(self.directions)} rows")
-            v = lattice_vector(self._rng, self.n)
-            skips += 1
-            if _line(v) not in self._lines:
-                self.directions.append(v)
-                self._lines.add(_line(v))
-                skips = 0
-        return self.directions[:count]
-
-    def unit(self, count: int) -> np.ndarray:
-        """The first `count` rows divided by their lengths, in floats."""
-        rows = np.array(self.rows(count), dtype=float).reshape(-1, self.n)
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def _line(v: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive vector of v's line whose first nonzero entry is > 0."""
-    return tuple(c // math.gcd(*v) for c in max(v, tuple(-c for c in v)))
-
-
-def lattice_design(n: int) -> LatticeDesign:
-    """The lattice design of n variables, one per process."""
-    return _canonical(LatticeDesign, n)
 
 
 def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -365,37 +307,26 @@ def monomial_map(flip: tuple[tuple[int, int], ...], k: int
     return index, 1.0 - 2.0 * odd
 
 
-def sample_nodes(n: int, k: int, seed: int, exact: bool = False) -> NodeSet:
+def sample_nodes(n: int, k: int, seed: int) -> NodeSet:
     """A generic node set of d(n, k) directions, deterministically from the seed.
 
-    The first d(n, k) rows of the mode's canonical design, the ones its
-    ladder fits order k on, under the seed's signed permutation: lattice
-    rows in exact mode, unit vectors in float mode (checked as
-    `Design.fit_rows` does).
+    The first d(n, k) integer rows of the canonical design, the ones a
+    rational ladder fits order k on, under the seed's signed permutation.
     """
     flip = signed_permutation(seed, n)
-    fit = lattice_design(n).rows(dim_homog(n, k)) if exact \
-        else canonical_design(n).fit_rows(k).tolist()
-    return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit),
-                   exact)
+    fit = canonical_design(n).rows(dim_homog(n, k))
+    return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit))
 
 
 def interp_fit(values: Sequence[Scalar], nodeset: NodeSet) -> HomoPoly:
-    """The unique homogeneous P of the node set's degree with P(v_i) = values[i]."""
+    """The unique homogeneous P of the node set's degree with P(v_i) =
+    values[i], solved exactly over the rationals (a float value is read as
+    the rational it is); SingularSystem if the nodes are not generic."""
     d = dim_homog(nodeset.nvars, nodeset.degree)
     if len(values) != d:
         raise ValueError(f"need {d} values, got {len(values)}")
-    use_exact = nodeset.exact and all(
-        isinstance(v, (int, Fraction)) for v in values)
-    if use_exact:
-        coeffs = solve_exact(nodeset.matrix(), list(values))
-        return HomoPoly(nodeset.nvars, nodeset.degree, tuple(coeffs))
-    m = evaluation_matrix(nodeset.nodes, nodeset.nvars, nodeset.degree)
-    try:
-        sol = np.linalg.solve(m, np.array([float(v) for v in values]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return HomoPoly(nodeset.nvars, nodeset.degree, tuple(float(c) for c in sol))
+    coeffs = solve_exact(nodeset.matrix(), list(values))
+    return HomoPoly(nodeset.nvars, nodeset.degree, tuple(coeffs))
 
 
 def fd_reconstruct(P: HomoPoly, a: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

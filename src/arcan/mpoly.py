@@ -2,8 +2,9 @@
 
 Just enough algebra to flatten a rational expression subtree into a single
 numerator/denominator pair and strip monomial content in one chosen
-variable; exponent tuples key a dict of Fraction coefficients.  A product
-of more than `MAX_PRODUCT_TERMS` term pairs is refused before it is built.
+variable; exponent tuples key a dict of Fraction coefficients.  The
+products of one expansion share a `Budget` of `MAX_PRODUCT_TERMS` term
+pairs, and a product that would overdraw it is refused before it is built.
 """
 
 from __future__ import annotations
@@ -14,9 +15,17 @@ from .expr import Add, Div, Guard, IntPow, Mul, Node, RationalConst, Sqrt, Sub, 
 
 Poly = dict[tuple[int, ...], Fraction]
 
-# Largest product an expansion forms, in term pairs len(a) * len(b), each
-# ~7 us: expanding (x+y+z)^30 needs 18,360, (x+y+z)^200 4.6 million.
+# Term pairs len(a) * len(b) that the products of one expansion may form
+# in all, each ~7 us: pulling (x+y+z)^40/x back forms 51,872, (x+y+z)^200/x
+# 4.6 million.
 MAX_PRODUCT_TERMS = 10 ** 5
+
+
+class Budget:
+    """The term pairs an expansion's products may still form."""
+
+    def __init__(self):
+        self.left = MAX_PRODUCT_TERMS
 
 
 def p_const(c: Fraction, nvars: int) -> Poly:
@@ -44,10 +53,13 @@ def p_neg(a: Poly) -> Poly:
     return {e: -c for e, c in a.items()}
 
 
-def p_mul(a: Poly, b: Poly) -> Poly:
-    if len(a) * len(b) > MAX_PRODUCT_TERMS:
+def p_mul(a: Poly, b: Poly, budget: Budget) -> Poly:
+    pairs = len(a) * len(b)
+    if pairs > budget.left:
         raise ValueError(f"expanding a product of {len(a)} by {len(b)} terms "
-                         f"exceeds the {MAX_PRODUCT_TERMS} term pairs allowed")
+                         f"takes the expansion past the {MAX_PRODUCT_TERMS} "
+                         f"term pairs allowed")
+    budget.left -= pairs
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -60,21 +72,22 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def p_pow(a: Poly, k: int, nvars: int) -> Poly:
+def p_pow(a: Poly, k: int, nvars: int, budget: Budget) -> Poly:
     if k < 0:
         raise ValueError("negative power")
     result = p_const(Fraction(1), nvars)
     base = a
     while k:
         if k & 1:
-            result = p_mul(result, base)
+            result = p_mul(result, base, budget)
         k >>= 1
         if k:
-            base = p_mul(base, base)
+            base = p_mul(base, base, budget)
     return result
 
 
-def to_fraction_pair(node: Node, nvars: int) -> tuple[Poly, Poly] | None:
+def to_fraction_pair(node: Node, nvars: int,
+                     budget: Budget) -> tuple[Poly, Poly] | None:
     """Flatten a rational subtree to (numerator, denominator); None if it
     contains sqrt or guard nodes."""
     if isinstance(node, RationalConst):
@@ -82,35 +95,36 @@ def to_fraction_pair(node: Node, nvars: int) -> tuple[Poly, Poly] | None:
     if isinstance(node, Var):
         return p_var(node.index, nvars), p_const(Fraction(1), nvars)
     if isinstance(node, (Add, Sub)):
-        lhs = to_fraction_pair(node.left, nvars)
-        rhs = to_fraction_pair(node.right, nvars)
+        lhs = to_fraction_pair(node.left, nvars, budget)
+        rhs = to_fraction_pair(node.right, nvars, budget)
         if lhs is None or rhs is None:
             return None
         n1, d1 = lhs
         n2, d2 = rhs
         if isinstance(node, Sub):
             n2 = p_neg(n2)
-        return p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2)
+        return p_add(p_mul(n1, d2, budget), p_mul(n2, d1, budget)), \
+            p_mul(d1, d2, budget)
     if isinstance(node, Mul):
-        lhs = to_fraction_pair(node.left, nvars)
-        rhs = to_fraction_pair(node.right, nvars)
+        lhs = to_fraction_pair(node.left, nvars, budget)
+        rhs = to_fraction_pair(node.right, nvars, budget)
         if lhs is None or rhs is None:
             return None
-        return p_mul(lhs[0], rhs[0]), p_mul(lhs[1], rhs[1])
+        return p_mul(lhs[0], rhs[0], budget), p_mul(lhs[1], rhs[1], budget)
     if isinstance(node, Div):
-        lhs = to_fraction_pair(node.left, nvars)
-        rhs = to_fraction_pair(node.right, nvars)
+        lhs = to_fraction_pair(node.left, nvars, budget)
+        rhs = to_fraction_pair(node.right, nvars, budget)
         if lhs is None or rhs is None:
             return None
         if not rhs[0]:
             raise ZeroDivisionError("division by an identically zero denominator")
-        return p_mul(lhs[0], rhs[1]), p_mul(lhs[1], rhs[0])
+        return p_mul(lhs[0], rhs[1], budget), p_mul(lhs[1], rhs[0], budget)
     if isinstance(node, IntPow):
-        base = to_fraction_pair(node.base, nvars)
+        base = to_fraction_pair(node.base, nvars, budget)
         if base is None:
             return None
-        return p_pow(base[0], node.exponent, nvars), \
-            p_pow(base[1], node.exponent, nvars)
+        return p_pow(base[0], node.exponent, nvars, budget), \
+            p_pow(base[1], node.exponent, nvars, budget)
     if isinstance(node, (Sqrt, Guard)):
         return None
     raise TypeError(f"not an expression node: {node!r}")

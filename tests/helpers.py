@@ -8,7 +8,8 @@ reference.  `fraction_gateaux_series` is exact jet evaluation over
 kept as its reference.  `qr_residuals` is the float order test as it was
 before the canonical design: a QR of the evaluation matrix at the very
 directions the jets were taken along.  `chart_invert`, `pullback_sequence`,
-`eval_poly` and `arc_analytic_entries` are small tools only the tests use.
+`eval_poly`, `arc_analytic_entries` and `unit_vector` are small tools
+only the tests use.
 """
 
 from __future__ import annotations
@@ -329,6 +330,15 @@ def eval_poly(jet: LaurentJet, t: Scalar) -> Scalar:
     for c in reversed(jet.coeffs):
         acc = acc * t + c
     return acc * t ** jet.valuation if jet.coeffs else 0 * t
+
+
+def unit_vector(rng: random.Random, n: int) -> tuple[float, ...]:
+    """A uniformly distributed direction on the unit sphere of R^n."""
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        norm = sum(c * c for c in v) ** 0.5
+        if norm > 1e-8:
+            return tuple(c / norm for c in v)
 
 
 def arc_analytic_entries() -> tuple[CorpusEntry, ...]:

@@ -17,7 +17,7 @@ from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
 from arcan.expr import ArcSpec, eval_arc
-from arcan.homog import Design, HomoPoly, LatticeDesign, canonical_design, \
+from arcan.homog import HomoPoly, LatticeDesign, canonical_design, \
     dim_homog, gather_matrix, signed_permutation
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
@@ -266,12 +266,12 @@ class TestLeastSquaresLadder:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a_float_seed_permutes_the_canonical_rows(self, n):
         rows = 2 * dim_homog(n, 6)
-        canonical = canonical_design(n).rows(rows).copy()
+        canonical = canonical_design(n).unit(rows).copy()
         for seed in range(5):
             flip = signed_permutation(seed, n)
             plan = SeededDesign(seed, n, 6)
             assert plan.canonical is canonical_design(n)
-            assert canonical_design(n).rows(rows).tobytes() \
+            assert canonical_design(n).unit(rows).tobytes() \
                 == canonical.tobytes()
             expected = [[s * u[i] for i, s in flip] for u in canonical.tolist()]
             assert plan.directions.tolist() == expected
@@ -296,8 +296,17 @@ class TestLeastSquaresLadder:
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_float_rows_are_the_rational_rows_at_unit_length(self, n):
+        # one design for both arithmetics, under every signed permutation
+        for seed in permutation_seeds(n).values():
+            rational = np.array(design(seed, n, 8, True).directions,
+                                dtype=float)
+            unit = rational / np.linalg.norm(rational, axis=1, keepdims=True)
+            assert design(seed, n, 8).directions.tobytes() == unit.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_canonical_orders_are_generic(self, n):
-        plan = Design(n)
+        plan = LatticeDesign(n)
         for k in range(11):
             q, r_inv = plan.factors(k)
             assert q.shape == (2 * dim_homog(n, k), dim_homog(n, k))
@@ -307,22 +316,24 @@ class TestLeastSquaresLadder:
         assert v.status == ANALYTIC_UP_TO
 
     def test_repeated_direction_is_inconclusive(self, monkeypatch):
+        # a repeated draw is skipped: a stream of one line runs the design
+        # short before order 0's two rows
         monkeypatch.setattr(homog, "_DESIGNS", {})
         design.cache_clear()
-        monkeypatch.setattr(homog, "unit_vector", lambda rng, n: (0.6, 0.8))
+        monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: (3, 4))
         try:
             v = classify_point(parse("x*y"), (0.5, 0.5), k_max=2, seed=11)
         finally:
             design.cache_clear()
         assert v.status == INCONCLUSIVE
-        assert "not generic" in v.reason
-        assert [ev.k for ev in v.evidence] == [0]
+        assert "has only 1 rows" in v.reason
+        assert v.evidence == ()
 
     def test_design_cache_and_factor_budget(self, monkeypatch):
         assert design(5, 3, 6) is design(5, 3, 6)
         assert design(6, 3, 6) is not design(5, 3, 6)
         assert design(6, 3, 6).canonical is design(5, 3, 6).canonical
-        unbounded = Design(3)
+        unbounded = LatticeDesign(3)
         full = [unbounded.factors(k) for k in range(11)]
         budget = sum(q.nbytes + r.nbytes for q, r in full[:6])
         monkeypatch.setattr(homog, "_DESIGNS", {})
@@ -335,15 +346,15 @@ class TestLeastSquaresLadder:
                     assert q.tobytes() == full[k][0].tobytes()
                     assert r_inv.tobytes() == full[k][1].tobytes()
             assert 0 < homog._held_bytes() <= budget
-        assert sorted(homog._DESIGNS) == [(Design, 2), (Design, 3)]
+        assert sorted(homog._DESIGNS) == [2, 3]
 
     def test_lattice_factors_share_the_code_and_the_budget(self, monkeypatch):
         # Q and R of the lattice rows scaled to unit length, kept while the
-        # factors of both kinds of design fit in one budget
+        # factors of every n's design fit in one budget
         monkeypatch.setattr(homog, "_DESIGNS", {})
         for k in range(9):
-            q, r_inv = homog.lattice_design(3).factors(k)
-            rows = np.array(homog.lattice_design(3).rows(2 * dim_homog(3, k)),
+            q, r_inv = canonical_design(3).factors(k)
+            rows = np.array(canonical_design(3).rows(2 * dim_homog(3, k)),
                             dtype=float)
             unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
             v = gather_matrix(homog._powers(unit, k), 3, k)
@@ -352,9 +363,9 @@ class TestLeastSquaresLadder:
         held = homog._held_bytes()
         assert held > 0
         monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", held)
-        homog.canonical_design(3).factors(8)
+        canonical_design(2).factors(8)
         assert homog._held_bytes() == held
-        assert 8 not in homog.canonical_design(3)._factors
+        assert 8 not in canonical_design(2)._factors
 
     @pytest.mark.parametrize("n, k_top", [(2, 60), (3, 24)])
     def test_unit_lattice_rows_pass_the_rank_check(self, n, k_top):
@@ -454,7 +465,7 @@ class TestExactLadder:
         assert max(ev.margin for ev in v.evidence) <= 1e-6
 
     def test_the_design_is_shared_and_permuted_per_seed(self):
-        rows = homog.lattice_design(3).rows(2 * dim_homog(3, 4))
+        rows = canonical_design(3).rows(2 * dim_homog(3, 4))
         for seed in range(6):
             plan = design(seed, 3, 4, True)
             assert plan is design(seed, 3, 4, True)

@@ -226,7 +226,7 @@ class TestBlowupCommand:
 
     CHART3 = '{"n":3,"center":[1,2],"axis":1}'
 
-    @pytest.mark.parametrize("power", [20, 30])
+    @pytest.mark.parametrize("power", [20, 30, 40])
     def test_a_long_expansion_reparses(self, capsys, power):
         code, out = run_cli(capsys, ["blowup", f"(x+y+z)^{power}/x",
                                      "--chart", self.CHART3])
@@ -243,6 +243,18 @@ class TestBlowupCommand:
         assert time.perf_counter() - start < 10
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("arcan: error: expanding a product")
+
+    def test_one_budget_bounds_all_expansions_of_a_pullback(self, capsys):
+        # Twelve powers, each under the bound alone: the budget is the
+        # whole pullback's, so it runs out within the second power.
+        text = "(" + " + ".join(["(x+y+z)^40"] * 12) + ")/x"
+        start = time.perf_counter()
+        code = cli.main(["blowup", text, "--chart", self.CHART3])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 2
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("arcan: error: expanding a product")
+        assert "100000 term pairs" in captured.err
 
 
 class TestVerifyCommand:

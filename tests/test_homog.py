@@ -9,11 +9,10 @@ import pytest
 
 from arcan import classify, homog
 from arcan.errors import GenericityFailure, PremiseViolated
-from arcan.homog import Design, HomoPoly, LatticeDesign, _powers, \
-    canonical_design, condition_estimate, dim_homog, euler_check, \
-    evaluation_matrix, fd_reconstruct, gather_matrix, interp_fit, \
-    lattice_design, monomials, random_poly, sample_nodes, \
-    shrink_bound_check, signed_permutation
+from arcan.homog import HomoPoly, LatticeDesign, _powers, canonical_design, \
+    condition_estimate, dim_homog, euler_check, evaluation_matrix, \
+    fd_reconstruct, gather_matrix, interp_fit, monomials, random_poly, \
+    sample_nodes, shrink_bound_check, signed_permutation
 from arcan.linalg import solve_exact
 from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
@@ -74,7 +73,7 @@ class TestPowerTables:
     def test_gathered_matrix_is_bit_identical(self, n):
         # Each entry multiplies the monomial's coordinate powers left to
         # right, and the powers are the directions' to rounding.
-        dirs = Design(n).rows(2 * dim_homog(n, 6))
+        dirs = LatticeDesign(n).unit(2 * dim_homog(n, 6))
         powers = _powers(dirs, 6)
         for e in range(7):
             np.testing.assert_allclose(powers[:, :, e], dirs ** e, rtol=1e-14)
@@ -88,13 +87,13 @@ class TestPowerTables:
 
     @pytest.mark.parametrize("k", [0, 1, 4, 10])
     def test_row_evaluation_is_bit_identical(self, k):
-        # Order k tests on the same rows, and so gets the same factors,
+        # Order k tests on the same unit rows, and so gets the same factors,
         # whatever the top order the design was first drawn to.
-        low, high = Design(3), Design(3)
-        high.rows(2 * dim_homog(3, 10))
+        low, high = LatticeDesign(3), LatticeDesign(3)
+        high.unit(2 * dim_homog(3, 10))
         rows = 2 * dim_homog(3, k)
-        assert low.rows(rows).tobytes() == high.directions[:rows].tobytes()
-        assert len(low.directions) == rows
+        assert low.unit(rows).tobytes() == high.unit(rows).tobytes()
+        assert len(low.directions) == len(low.unit(rows)) == rows
         for a, b in zip(low.factors(k), high.factors(k)):
             assert a.tobytes() == b.tobytes()
 
@@ -103,19 +102,35 @@ class TestSampleNodes:
     def test_two_directions_not_collinear(self):
         ns = sample_nodes(2, 1, seed=5)
         (a, b), (c, d) = ns.nodes
-        assert abs(a * d - b * c) > 1e-6
+        assert a * d - b * c != 0
 
     def test_four_node_matrix_invertible_exactly(self):
-        ns = sample_nodes(2, 3, seed=5, exact=True)
+        ns = sample_nodes(2, 3, seed=5)
         rows = ns.matrix()
         # direct oracle: exact solve against a basis vector must succeed
         sol = solve_exact(rows, [1, 0, 0, 0])
         assert any(c != 0 for c in sol)
 
-    def test_condition_cap_one_fails(self, monkeypatch):
-        monkeypatch.setattr(homog, "MAX_CONDITION", 1.0)
-        with pytest.raises(GenericityFailure):
-            sample_nodes(2, 1, seed=5)
+    def test_a_rank_deficient_order_fails_for_every_seed(self, monkeypatch):
+        # Six pairwise independent rows in one plane: order 1's unit rows
+        # have rank 2, the R-diagonal check fails, and a signed
+        # permutation keeps it so.
+        rows = iter([(1, 1, 1), (1, 2, 3), (2, 3, 4),
+                     (3, 4, 5), (1, 3, 5), (4, 5, 6)])
+        monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: next(rows))
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        with pytest.raises(GenericityFailure, match="order 1 are not generic"):
+            canonical_design(3).factors(1)
+        classify.design.cache_clear()
+        try:
+            for seed in range(8):
+                v = classify.classify_point(parse("x*y*z"), (1, 1, 1),
+                                            k_max=1, seed=seed)
+                assert v.status == classify.INCONCLUSIVE
+                assert "order 1 are not generic" in v.reason
+                assert [ev.k for ev in v.evidence] == [0]
+        finally:
+            classify.design.cache_clear()
 
     def test_deterministic(self):
         assert sample_nodes(3, 2, seed=9).nodes == sample_nodes(3, 2, seed=9).nodes
@@ -129,32 +144,44 @@ class TestSampleNodes:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_float_nodes_are_the_permuted_canonical_fit_rows(self, n):
-        # every shape `verify interp-roundtrip` draws: k <= 6
+        # every shape `verify interp-roundtrip` draws: k <= 6.  A float
+        # ladder's rows are the permuted integer rows scaled to unit
+        # length; its first d(n, k) are the exact nodes so scaled.
         for k in range(7):
-            fit = canonical_design(n).rows(dim_homog(n, k)).tolist()
-            assert condition_estimate(fit, n, k) <= 2.1e4
+            d = dim_homog(n, k)
+            unit = canonical_design(n).unit(2 * d)
+            assert condition_estimate(unit[:d].tolist(), n, k) <= 1e4
             for seed in range(12):
                 flip = signed_permutation(seed, n)
-                ns = sample_nodes(n, k, seed)
-                assert not ns.exact
-                assert ns.nodes == tuple(tuple(s * u[i] for i, s in flip)
-                                         for u in fit)
+                plan = classify.SeededDesign(seed, n, k)
+                assert plan.directions.tolist() == [
+                    [s * u[i] for i, s in flip] for u in unit.tolist()]
+                nodes = np.array(sample_nodes(n, k, seed).nodes, dtype=float)
+                scaled = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+                assert scaled.tobytes() == plan.directions[:d].tobytes()
 
     def test_float_roundtrip_seed_two_passes(self):
         # random node sets with condition up to 1e6 missed 1e-10 here
         report = check_interp_roundtrip(1000, 2, exact=False)
         assert report.passed and report.worst_residual <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_float_roundtrip_is_at_round_off(self, seed):
+        # the ladder's least-squares fit on 2·d unit rows
+        report = check_interp_roundtrip(1000, seed, exact=False)
+        assert report.worst_residual <= 1e-12
+
 
 class TestLatticeDesign:
     def test_one_variable_rows_are_both_signs(self):
-        assert lattice_design(1).rows(2) == [(1,), (-1,)]
+        assert canonical_design(1).rows(2) == [(1,), (-1,)]
+        assert canonical_design(1).unit(2).tolist() == [[1.0], [-1.0]]
         with pytest.raises(GenericityFailure):
             LatticeDesign(1).rows(3)
 
     @pytest.mark.parametrize("n, k", [(2, 12), (3, 10), (4, 6)])
     def test_rows_are_off_the_axes_and_distinct(self, n, k):
-        rows = lattice_design(n).rows(2 * dim_homog(n, k))
+        rows = canonical_design(n).rows(2 * dim_homog(n, k))
         assert all(all(u) and max(map(abs, u)) <= 16 for u in rows)
         lines = {tuple(c * (1 if u[0] > 0 else -1) // math.gcd(*u) for c in u)
                  for u in rows}
@@ -174,11 +201,11 @@ class TestLatticeDesign:
         assert len(rows) == 1640 and all(all(u) for u in rows)
 
     def test_exact_nodes_are_the_permuted_fit_block(self):
-        fit = lattice_design(3).rows(dim_homog(3, 4))
+        fit = canonical_design(3).rows(dim_homog(3, 4))
         cond = condition_estimate(fit, 3, 4)
         for seed in range(8):
             flip = signed_permutation(seed, 3)
-            ns = sample_nodes(3, 4, seed, exact=True)
+            ns = sample_nodes(3, 4, seed)
             assert ns.nodes == tuple(tuple(s * u[i] for i, s in flip) for u in fit)
             assert condition_estimate(ns.nodes, 3, 4) == pytest.approx(cond)
 
@@ -205,13 +232,13 @@ class TestLatticeDesign:
 
 class TestInterpFit:
     def test_recovers_exact_member(self):
-        ns = sample_nodes(2, 3, seed=11, exact=True)
+        ns = sample_nodes(2, 3, seed=11)
         p = HomoPoly(2, 3, (F(0), F(1), F(0), F(0)))
         fitted = interp_fit([p(v) for v in ns.nodes], ns)
         assert fitted.coeffs == p.coeffs
 
     def test_zero_values_give_zero_polynomial(self):
-        ns = sample_nodes(3, 2, seed=11, exact=True)
+        ns = sample_nodes(3, 2, seed=11)
         fitted = interp_fit([F(0)] * 6, ns)
         assert all(c == 0 for c in fitted.coeffs)
 
@@ -219,10 +246,10 @@ class TestInterpFit:
         # v -> v1^3/(v1^2+v2^2) is 1-homogeneous but not linear: fitting at
         # two nodes must miss at a third by a clear margin
         def h(v):
-            return v[0] ** 3 / (v[0] ** 2 + v[1] ** 2)
+            return F(v[0] ** 3, v[0] ** 2 + v[1] ** 2)
         ns = sample_nodes(2, 1, seed=3)
         fitted = interp_fit([h(v) for v in ns.nodes], ns)
-        probe = sample_nodes(2, 1, seed=4).nodes[0]
+        probe = canonical_design(2).rows(3)[2]
         assert abs(h(probe) - fitted(probe)) > 1e-3
 
     def test_roundtrip_exact_small_sweep(self):
@@ -230,17 +257,20 @@ class TestInterpFit:
         for trial in range(60):
             n, k = rng.randint(1, 4), rng.randint(0, 5)
             p = random_poly(n, k, rng)
-            ns = sample_nodes(n, k, seed=1000 + trial, exact=True)
+            ns = sample_nodes(n, k, seed=1000 + trial)
             fitted = interp_fit([p(v) for v in ns.nodes], ns)
             assert fitted.coeffs == p.coeffs
 
     def test_roundtrip_float(self):
+        # float values take the ladder's least-squares fit on 2·d unit rows
         rng = random.Random(14)
         for trial in range(40):
             n, k = rng.randint(1, 4), rng.randint(0, 6)
             p = random_poly(n, k, rng, exact=False)
-            ns = sample_nodes(n, k, seed=2000 + trial)
-            fitted = interp_fit([p(v) for v in ns.nodes], ns)
+            plan = classify.SeededDesign(2000 + trial, n, k)
+            fitted, residuals, _ = plan.fit(
+                k, [p(v) for v in plan.directions.tolist()])
+            assert len(residuals) == 2 * dim_homog(n, k)
             for a, b in zip(p.coeffs, fitted.coeffs):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 

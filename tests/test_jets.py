@@ -12,7 +12,7 @@ from arcan.classify import default_order, gateaux_series
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import NegativeLeading, OddValuation, PoleAtOrigin, \
     ShortWindow, ZeroDivisor
-from arcan.homog import dim_homog, lattice_design
+from arcan.homog import canonical_design, dim_homog
 from arcan.jets import LaurentJet, RationalJet, jet_sqrt
 
 from helpers import coeff_norm, eval_poly, fraction_gateaux_series, \
@@ -334,6 +334,6 @@ def _exact_points():
 def test_exact_series_equal_the_fraction_path(name, point, k_max):
     e = lookup(name).expr()
     order = default_order(k_max)
-    for v in lattice_design(e.nvars).rows(2 * dim_homog(e.nvars, k_max)):
+    for v in canonical_design(e.nvars).rows(2 * dim_homog(e.nvars, k_max)):
         assert outcome(lambda: gateaux_series(e, point, v, order, exact=True)) \
             == outcome(lambda: fraction_gateaux_series(e, point, v, order)), v

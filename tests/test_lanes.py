@@ -17,7 +17,9 @@ from arcan.expr import eval_jets, eval_lanes
 from arcan.homog import dim_homog
 from arcan.jets import LaurentJet
 from arcan.parser import parse
-from arcan.seeds import derive_seed, unit_vector
+from arcan.seeds import derive_seed
+
+from helpers import unit_vector
 
 ORDER = 24
 CUBE = ((Fraction(-1), Fraction(1), Fraction(1, 4)),) * 3
