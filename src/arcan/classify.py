@@ -9,8 +9,9 @@ polynomial in v.  `classify_point` probes the orders k = 0..k_max in turn
 (the ladder) and reports the first failing order.  A pole along a
 direction, a nonzero exact residual, or a float residual above
 tol * (1 + max |h_k|) certifies that the differential is not polynomial
-at that order.  A finite ladder cannot prove analyticity, so the positive
-verdict is the honest `AnalyticUpTo(k_max)`.
+at that order; a float order whose values or residuals overflow certifies
+nothing, and the verdict is `Inconclusive`.  A finite ladder cannot prove
+analyticity, so the positive verdict is the honest `AnalyticUpTo(k_max)`.
 
 Both modes run one ladder.  Their directions come from one canonical
 design per n (`homog.LatticeDesign`), and a seed only picks a signed
@@ -56,8 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
-    GenericityFailure, IrregularBatch, PoleAtOrigin, ShortWindow, \
-    SingularSystem
+    FloatOverflow, GenericityFailure, IrregularBatch, PoleAtOrigin, \
+    ShortWindow, SingularSystem
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
@@ -90,6 +91,14 @@ MAX_ORDER = 404
 def default_order(k_max: int) -> int:
     """Retained jet order: divisions shift valuations, so keep headroom."""
     return 2 * k_max + 4
+
+
+def _magnitude(x: Scalar) -> float:
+    """float(x) of an x >= 0, or inf for an exact x beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 # --- directional series coefficients -----------------------------------------
@@ -140,9 +149,8 @@ class SeededDesign:
     degree-k form p in v is q(u) = p(u M) on U, so the residuals are
     |h - Q Qᵀ h| with the Q of U's unit rows (integer-row h divided by
     |w|^k first), q's coefficients are R⁻¹Qᵀh, and p's those gathered and
-    sign-flipped by M's monomial map, kept per order.  The rows are
-    finite: an order beyond them raises GenericityFailure, the orders
-    below still run.
+    sign-flipped by M's monomial map.  The rows are finite: an order
+    beyond them raises GenericityFailure, the orders below still run.
     """
 
     def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
@@ -158,13 +166,10 @@ class SeededDesign:
         kind = object if exact else float
         self.directions = np.array(u, dtype=kind)[:, [i for i, _ in self.flip]] \
             * np.array([s for _, s in self.flip], dtype=kind)
-        self._maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def factors(self, k: int) -> tuple[np.ndarray, ...]:
         """Q and R⁻¹ of order k, and the (index, sign) of its monomial map."""
-        if k not in self._maps:
-            self._maps[k] = monomial_map(self.flip, k)
-        return self.canonical.factors(k) + self._maps[k]
+        return self.canonical.factors(k) + monomial_map(self.flip, k)
 
     def fit(self, k: int, values: list) -> tuple[HomoPoly, list, float]:
         """The form fitted to h_k's `values` along the order's 2·d(n, k)
@@ -177,9 +182,17 @@ class SeededDesign:
         if self.exact:  # h_k(x, w/|w|) = h_k(x, w)/|w|^k
             h = h / np.linalg.norm(self.directions[:len(h)].astype(float),
                                    axis=1) ** k
-        projection = q.T @ h
-        residuals = np.abs(h - q @ projection).tolist()
-        coeffs = (r_inv @ projection)[index] * sign
+        with np.errstate(over="ignore", invalid="ignore"):
+            projection = q.T @ h
+            residuals = np.abs(h - q @ projection)
+            coeffs = (r_inv @ projection)[index] * sign
+        # A non-finite value makes a residual non-finite: then the order
+        # gives no evidence either way.
+        if not np.isfinite(residuals).all():
+            raise FloatOverflow(
+                f"order {k}: h_{k} or its residuals overflow the float "
+                "range; --mode rational evaluates rational inputs exactly")
+        residuals = residuals.tolist()
         # + 0.0 turns the -0.0 of an all-zero h into 0.0
         fitted = HomoPoly(self.n, k, tuple((coeffs + 0.0).tolist()))
         return fitted, residuals, 1.0 + float(np.abs(h).max())
@@ -198,7 +211,7 @@ class SeededDesign:
             raise GenericityFailure(f"the lattice directions of order {k} are "
                                     f"not generic ({exc})") from exc
         residuals = [abs(h - fitted(u)) for h, u in zip(values[d:], rows[d:])]
-        return fitted, residuals, 1.0 + max(map(abs, values))
+        return fitted, residuals, 1.0 + _magnitude(max(map(abs, values)))
 
 
 @lru_cache(maxsize=1)
@@ -214,7 +227,9 @@ class _DesignJets:
     directions, which bounds the memory a pass holds.  A pass the lanes
     cannot share (`IrregularBatch`), and every exact jet, is left to the
     scalar path: evaluated when first read, once, and raising what it
-    raises; lanes equal the scalar jets bit for bit.
+    raises; lanes equal the scalar jets bit for bit.  Where a rational
+    jet meets the float of an irrational square root, an exact value
+    beyond the float range raises FloatOverflow.
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray,
@@ -241,8 +256,13 @@ class _DesignJets:
             return batch.lane(i % LANES_PER_PASS)
         if i not in self._scalar:
             v = tuple(self.directions[i].tolist())
-            self._scalar[i] = _series(self.e, self.x, v, self.order,
-                                      self.exact)
+            try:
+                self._scalar[i] = _series(self.e, self.x, v, self.order,
+                                          self.exact)
+            except OverflowError as exc:
+                raise FloatOverflow(
+                    f"the jet along {v} overflows the float range "
+                    f"({exc})") from exc
         return self._scalar[i]
 
     def taylor_values(self, k: int, count: int) -> list:
@@ -282,7 +302,7 @@ class PolyTestResult:
     def max_residual(self) -> float:
         if self.pole_direction is not None:
             return math.inf
-        return float(max(self.residuals, default=0))
+        return _magnitude(max(self.residuals, default=0))
 
     @property
     def margin(self) -> float:
@@ -378,7 +398,7 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
                                residual=result.max_residual,
                                guard_triggered=guard_flag,
                                evidence=tuple(evidence))
-    except (GenericityFailure, ArcDomainError) as exc:
+    except (GenericityFailure, ArcDomainError, FloatOverflow) as exc:
         return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
                        guard_triggered=guard_flag, evidence=tuple(evidence))
     except ShortWindow as exc:

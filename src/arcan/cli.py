@@ -156,9 +156,15 @@ def _check_ladder(cfg: RunConfig, nvars: int) -> None:
             f"per order, more than the {MAX_LADDER_DIRECTIONS} allowed")
 
 
-def _parse_number(text: str, exact: bool):
+def _parse_number(text: str, exact: bool, what: str = "coordinate"):
     value = Fraction(text.strip())
-    return value if exact else float(value)
+    if exact:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ArcanError(f"{what} {text.strip()} is beyond the float range; "
+                         "--mode rational keeps it exact") from None
 
 
 def _parse_point(text: str, exact: bool) -> tuple:
@@ -174,8 +180,9 @@ def _axis_index(name: str) -> int:
     raise ArcanError(f"unknown grid axis {name!r}")
 
 
-def _parse_grid(text: str, nvars: int) -> list[tuple]:
-    """Parse 'x:lo:hi:step;y:lo:hi:step' into per-variable-index axes."""
+def _parse_grid(text: str, nvars: int, exact: bool) -> list[tuple]:
+    """Parse 'x:lo:hi:step;y:lo:hi:step' into per-variable-index axes of
+    exact bounds; in float mode lo and hi must lie in the float range."""
     axes: dict[int, tuple] = {}
     names: dict[int, str] = {}
     for part in text.split(";"):
@@ -186,6 +193,8 @@ def _parse_grid(text: str, nvars: int) -> list[tuple]:
         if idx in axes:
             raise ArcanError(f"grid axis {names[idx]!r} given twice")
         names[idx] = fields[0].strip()
+        for bound in fields[1:3]:
+            _parse_number(bound, exact, f"grid axis {names[idx]!r} bound")
         axes[idx] = tuple(Fraction(f.strip()) for f in fields[1:])
     if sorted(axes) != list(range(nvars)):
         raise ArcanError(
@@ -214,7 +223,7 @@ def _cmd_scan(args) -> int:
     cfg = _config(args)
     e = parse(args.expr)
     _check_ladder(cfg, e.nvars)
-    axes = _parse_grid(args.grid, e.nvars)
+    axes = _parse_grid(args.grid, e.nvars, cfg.exact)
     stream = iter_scan(e, axes, cfg.k_max, cfg.tol, cfg.seed, cfg.jet_order,
                        cfg.exact, shortcut=not args.no_shortcut, jobs=cfg.jobs)
     if cfg.fmt == "csv":

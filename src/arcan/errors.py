@@ -54,7 +54,8 @@ class ZeroDenominator(DomainError):
 
 
 class FloatOverflow(ArcanError):
-    """A power in float point evaluation left the range of floats."""
+    """Float arithmetic left the range of floats: a power in point
+    evaluation, or the values or residuals of a ladder order."""
 
 
 class ArcDomainError(ArcanError):

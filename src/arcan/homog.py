@@ -42,6 +42,10 @@ from .seeds import derive_seed, lattice_vector
 # at n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget
 # are computed again per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
+# Monomial maps kept, one per (flip, k): n = 3 has 48 signed permutations,
+# so k_max 10 needs 528.  A map takes 16 bytes per monomial: under the
+# CLI's cap of 2000 monomials, 32 kB each and 32 MB for all.
+MAX_MONOMIAL_MAPS = 1024
 
 
 def dim_homog(n: int, k: int) -> int:
@@ -292,11 +296,13 @@ def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, rng.choice((1, -1))) for i in sources)
 
 
+@lru_cache(maxsize=MAX_MONOMIAL_MAPS)
 def monomial_map(flip: tuple[tuple[int, int], ...], k: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(index, sign) with p's coefficients = sign * q's[index] for the
     degree-k forms q(u) = p(u M), M the signed permutation `flip`: v^a
-    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i]."""
+    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i].  Kept per
+    (flip, k), so both arrays are read-only."""
     exps = _exponent_array(len(flip), k)
     moved = np.empty_like(exps)
     moved[:, [i for i, _ in flip]] = exps
@@ -304,7 +310,9 @@ def monomial_map(flip: tuple[tuple[int, int], ...], k: int
     index = np.empty(len(exps), dtype=np.intp)
     index[np.lexsort(moved.T[::-1])[::-1]] = np.arange(len(exps))
     odd = exps[:, [j for j, (_, s) in enumerate(flip) if s < 0]].sum(axis=1) % 2
-    return index, 1.0 - 2.0 * odd
+    sign = 1.0 - 2.0 * odd
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
 
 
 def sample_nodes(n: int, k: int, seed: int) -> NodeSet:

@@ -531,6 +531,17 @@ class LaneJet:
     leading zeros in some lanes only, a zero divisor, an odd valuation or a
     negative lead under `sqrt`, a non-finite coefficient (where skipping
     zero terms, as `LaurentJet.__mul__` does, is no longer exact).
+
+    `*` skips structural zeros as the scalar product does: it steps only
+    through the rows of the left factor that are nonzero in some lane, and
+    each step stops at the right factor's last nonzero row.  A line jet
+    has two nonzero rows, and low-degree products stay short.  The skipped
+    terms are 0·b and a·0, which are ±0 because every coefficient is
+    finite.  The sums start at +0.0 and, rounding to nearest, never become
+    −0.0, and adding ±0 to a value other than −0.0 leaves it unchanged; so
+    skipping them changes no bit.  `/` and `sqrt` do not skip: their
+    recurrences subtract, the scalar path runs them over trailing zero
+    coefficients too, and x − (−0.0) is not x when x is −0.0.
     """
 
     __slots__ = ("valuation", "order", "coeffs")
@@ -624,8 +635,12 @@ class LaneJet:
         rel = min(self.order - self.valuation, other.order - other.valuation)
         a, b = self.coeffs, other.coeffs
         out = np.zeros((rel + 1, self.lanes))
-        for i in range(rel + 1):
-            out[i:] += a[i] * b[:rel + 1 - i]
+        # Only rows nonzero in some lane contribute; see the class docstring.
+        rows = np.flatnonzero(a[:rel + 1].any(axis=1)).tolist()
+        nb = int(np.flatnonzero(b[:rel + 1].any(axis=1))[-1]) + 1
+        for i in rows:
+            m = min(nb, rel + 1 - i)
+            out[i:i + m] += a[i] * b[:m]
         v = self.valuation + other.valuation
         return LaneJet(v, out, v + rel)
 

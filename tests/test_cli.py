@@ -86,6 +86,64 @@ class TestClassifyCommand:
         assert verdicts[0]["status"] == "AnalyticUpTo"
         assert verdicts[0] == verdicts[1]
 
+    @pytest.mark.parametrize("expr, point", [("x*y", "1e200,1e200"),
+                                             ("x+y", "1e308,1e308")])
+    def test_a_float_overflow_is_inconclusive(self, expr, point):
+        # h_0 is inf: the order's residuals say nothing either way
+        done = subprocess.run(
+            [sys.executable, "-m", "arcan", "classify", expr, "--point",
+             point, "--kmax", "2"], env=TestModuleEntryPoint.ENV,
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        assert doc["status"] == "Inconclusive"
+        assert "order 0" in doc["reason"] and "overflow" in doc["reason"]
+        assert "--mode rational" in doc["reason"]
+
+    @pytest.mark.parametrize("expr, point", [("x^2000", "2"), ("x", "1e400")])
+    def test_exact_values_beyond_the_float_range(self, capsys, expr, point):
+        code, out = run_cli(capsys, ["classify", expr, "--point", point,
+                                     "--kmax", "2", "--mode", "rational"])
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "AnalyticUpTo"
+        assert doc["perOrder"][0]["scale"] == "inf"
+        assert doc["perOrder"][0]["margin"] == 0
+
+    def test_an_exact_residual_beyond_the_float_range(self, capsys):
+        code, out = run_cli(capsys, [
+            "classify", "guard(x^3/(x^2+y^2),0) * 10^500", "--point", "0,0",
+            "--kmax", "2", "--mode", "rational"])
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["status"], doc["kStar"], doc["residual"]) == \
+            ("NonAnalytic", 1, "inf")
+        assert doc["perOrder"][1]["margin"] == "inf"
+
+    def test_a_float_jet_beyond_the_float_range_is_inconclusive(self,
+                                                                capsys):
+        # an irrational sqrt makes the jets float; times 10^400 they overflow
+        code, out = run_cli(capsys, [
+            "classify", "sqrt(x^2+y^2) * 10^400", "--point", "0,0",
+            "--kmax", "2", "--mode", "rational"])
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "Inconclusive"
+        assert "overflows the float range" in doc["reason"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "x*y", "--point", "1,-1e400"], "coordinate -1e400"),
+        (["scan", "x*y", "--grid", "x:0:1:1;y:0:1e309:1e309"],
+         "grid axis 'y' bound 1e309"),
+    ])
+    def test_float_inputs_beyond_the_float_range(self, capsys, argv,
+                                                 message):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (f"arcan: error: {message} is beyond the "
+                                "float range; --mode rational keeps it "
+                                "exact\n")
+        assert cli.main(argv + ["--mode", "rational", "--kmax", "2"]) == 0
+
 
 class TestScanCommand:
     ARGS = ["scan", "guard(x^3/(x^2+y^2),0)",

@@ -11,11 +11,13 @@ from arcan import classify, homog
 from arcan.errors import GenericityFailure, PremiseViolated
 from arcan.homog import HomoPoly, LatticeDesign, _powers, canonical_design, \
     condition_estimate, dim_homog, euler_check, evaluation_matrix, \
-    fd_reconstruct, gather_matrix, interp_fit, monomials, random_poly, \
-    sample_nodes, shrink_bound_check, signed_permutation
+    fd_reconstruct, gather_matrix, interp_fit, monomial_map, monomials, \
+    random_poly, sample_nodes, shrink_bound_check, signed_permutation
 from arcan.linalg import solve_exact
 from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
+
+from helpers import permutation_seeds
 
 F = Fraction
 
@@ -228,6 +230,26 @@ class TestLatticeDesign:
                 assert [ev.k for ev in v.evidence] == [0]
         finally:
             classify.design.cache_clear()
+
+
+class TestMonomialMap:
+    def test_a_repeated_map_is_the_same_read_only_arrays(self):
+        flip = signed_permutation(5, 3)
+        index, sign = monomial_map(flip, 4)
+        again = monomial_map(flip, 4)
+        assert again[0] is index and again[1] is sign
+        for a in (index, sign):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_the_kept_maps_are_bounded(self):
+        assert monomial_map.cache_info().maxsize == homog.MAX_MONOMIAL_MAPS
+        flips = permutation_seeds(3)
+        for flip in flips:
+            for k in range(homog.MAX_MONOMIAL_MAPS // len(flips) + 1):
+                monomial_map(flip, k)
+        assert monomial_map.cache_info().currsize \
+            == homog.MAX_MONOMIAL_MAPS
 
 
 class TestInterpFit:

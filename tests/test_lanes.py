@@ -15,7 +15,7 @@ from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, IrregularBatch
 from arcan.expr import eval_jets, eval_lanes
 from arcan.homog import dim_homog
-from arcan.jets import LaurentJet
+from arcan.jets import LaneJet, LaurentJet
 from arcan.parser import parse
 from arcan.seeds import derive_seed
 
@@ -190,3 +190,44 @@ def test_batched_ladder_matches_the_scalar_ladder(monkeypatch):
         raise IrregularBatch("forced")
     monkeypatch.setattr(classify, "eval_lanes", always_irregular)
     assert _grid_lines(cases) == batched
+
+
+# Entries of the sparse-product operands: negatives make 0·b a −0.0.
+ENTRIES = (-3.0, -1.5, -0.25, 0.5, 1.0, 2.0)
+
+
+def sparse_operand(rng, lanes, valuation, order):
+    """A `LaneJet` with all-zero rows inside and at the end, rows zero in
+    some lanes only, and zeros of both signs; its lead row is nonzero."""
+    rows = []
+    for r in range(order - valuation + 1):
+        if r and rng.random() < 0.4:
+            rows.append([rng.choice((0.0, -0.0)) for _ in range(lanes)])
+            continue
+        rows.append([rng.choice(ENTRIES) if r == 0 or rng.random() < 0.6
+                     else rng.choice((0.0, -0.0)) for _ in range(lanes)])
+    trailing = rng.randrange(len(rows))
+    for r in range(max(trailing, 1), len(rows)):
+        rows[r] = [0.0] * lanes
+    return LaneJet(valuation, np.array(rows), order)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_sparse_lane_products_match_scalar_products_bit_for_bit(case):
+    rng = random.Random(derive_seed("sparse products", case))
+    lanes = rng.randint(1, 6)
+    operands = []
+    for _ in range(2):  # unequal windows: valuations and orders differ
+        valuation = rng.randint(-2, 2)
+        operands.append(sparse_operand(rng, lanes, valuation,
+                                       valuation + rng.randint(0, 12)))
+    a, b = operands
+    product = a * b
+    for i in range(lanes):
+        assert bits(product.lane(i)) == bits(a.lane(i) * b.lane(i))
+    for exponent in range(13):
+        power = a.pow_int(exponent)
+        for i in range(lanes):
+            # a base with a nonzero lead never calls the constant builder
+            assert bits(power.lane(i)) == \
+                bits(a.lane(i).pow_int(exponent, None))
