@@ -35,6 +35,13 @@ h_k(x, w)/|w|^k.  A point's float jets
 come from one batched pass over the rows (`eval_lanes`), bit for bit as
 the scalar path, to which a batch the lanes cannot share falls back.
 
+The ladder reads no coefficient above k_max, so its jets run truncated
+after t^k_max first, and are run again to the window `order` (the CLI's
+--order, by default 2·k_max + 4) only where the narrow window could
+change the verdict: where it divides by a jet that vanishes in it, reads
+past a window that divisions shortened, takes the square root of a jet
+that vanishes in it, or overflows the float range (`_ladder`).
+
 Region scans and arc-symmetry checks reuse the pointwise verdict.  They
 default to a sound fast path: where every denominator and square-root
 radicand stays away from zero the function is a composition of analytic
@@ -81,15 +88,18 @@ _SHORTCUT_BLOCK = 4096
 # task list about as much again.
 MAX_GRID_POINTS = 10 ** 6
 # Largest ladder the CLI runs: k_max, the d(n, k_max) monomials of its top
-# order (x+y+z at k_max 60 has 1891), and the retained jet order
-# (2 * MAX_K_MAX + 4 is the default at the top k_max).
+# order (x+y+z at k_max 60 has 1891), and the widest window its jets may
+# widen to (2 * MAX_K_MAX + 4 is the default at the top k_max).
 MAX_K_MAX = 100
 MAX_LADDER_DIRECTIONS = 2000
 MAX_ORDER = 404
 
 
 def default_order(k_max: int) -> int:
-    """Retained jet order: divisions shift valuations, so keep headroom."""
+    """The widest retained jet order of a ladder: its jets run to k_max
+    first, and widen to this only where the window k_max could change
+    the verdict (`_ladder`); divisions shift valuations, so keep
+    headroom."""
     return 2 * k_max + 4
 
 
@@ -110,14 +120,15 @@ def gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
 
 
 def _series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], order: int,
-            exact: bool) -> LaurentJet | RationalJet:
+            exact: bool,
+            provisional: bool = False) -> LaurentJet | RationalJet:
     """`gateaux_series` as `eval_jets` returns it (exact: a `RationalJet`)."""
     if len(x) != e.nvars or len(v) != e.nvars:
         raise ValueError("point and direction must match the expression dimension")
     pad = (0,) * (order - 1)
     var_jets = tuple(LaurentJet(0, (xi, vi) + pad, order)
                      for xi, vi in zip(x, v))
-    return eval_jets(e.root, var_jets, order, exact)
+    return eval_jets(e.root, var_jets, order, exact, provisional)
 
 
 def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
@@ -221,21 +232,25 @@ def design(seed: int, n: int, k_top: int, exact: bool = False) -> SeededDesign:
 
 
 class _DesignJets:
-    """Jets of f(x + t v) at one point, v running over a design's rows.
+    """Jets of f(x + t v) at one point, v running over a design's rows,
+    truncated after t^order (the window).
 
     Float jets come from one `eval_lanes` pass per LANES_PER_PASS
     directions, which bounds the memory a pass holds.  A pass the lanes
-    cannot share (`IrregularBatch`), and every exact jet, is left to the
-    scalar path: evaluated when first read, once, and raising what it
-    raises; lanes equal the scalar jets bit for bit.  Where a rational
-    jet meets the float of an irrational square root, an exact value
-    beyond the float range raises FloatOverflow.
+    cannot share (`IrregularBatch`, or a constant beyond the float range),
+    and every exact jet, is left to the scalar path: evaluated when first
+    read, once, and raising what it raises; lanes equal the scalar jets
+    bit for bit.  Where a rational jet meets the float of an irrational
+    square root, an exact value beyond the float range raises
+    FloatOverflow.  In a `provisional` window, one the ladder widens when
+    it cannot decide, a square root of a radicand that vanishes in the
+    window raises ShortWindow (`eval_jets`).
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray,
-                 exact: bool = False):
+                 exact: bool = False, provisional: bool = False):
         self.e, self.x, self.order, self.exact = e, x, order, exact
-        self.directions = directions
+        self.directions, self.provisional = directions, provisional
         self._passes: list[LaneJet | None] = []
         for start in range(0, len(directions), LANES_PER_PASS):
             if exact:
@@ -245,8 +260,9 @@ class _DesignJets:
                 with np.errstate(all="ignore"):
                     self._passes.append(eval_lanes(
                         e.root, x, directions[start:start + LANES_PER_PASS],
-                        order))
-            except IrregularBatch:
+                        order, provisional))
+            except (IrregularBatch, OverflowError):
+                # the scalar path names a constant beyond the float range
                 self._passes.append(None)
         self._scalar: dict[int, LaurentJet | RationalJet] = {}
 
@@ -258,7 +274,7 @@ class _DesignJets:
             v = tuple(self.directions[i].tolist())
             try:
                 self._scalar[i] = _series(self.e, self.x, v, self.order,
-                                          self.exact)
+                                          self.exact, self.provisional)
             except OverflowError as exc:
                 raise FloatOverflow(
                     f"the jet along {v} overflows the float range "
@@ -370,6 +386,11 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     and directions leaving the function's real domain yield an
     Inconclusive verdict rather than a guess, and so do jets whose window
     (`order`, the CLI's --order) ends below a coefficient the ladder reads.
+
+    The jets run in the window k_max first, and in the window `order`
+    only where that pass could change the verdict (`_ladder`).  A point
+    value beyond the float range is left to the ladder, as one outside
+    the domain is.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -377,19 +398,49 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
         order = default_order(k_max)
     xs = tuple(x) if exact else tuple(float(c) for c in x)
 
-    if shortcut and regular_at(e, xs, exact):
-        return Verdict(xs, ANALYTIC_UP_TO, k_max, shortcut=True)
+    if shortcut:
+        try:
+            if regular_at(e, xs, exact):
+                return Verdict(xs, ANALYTIC_UP_TO, k_max, shortcut=True)
+        except (FloatOverflow, OverflowError):
+            pass  # not shown regular, as regular_lanes has it
+    if order > k_max:
+        verdict = _ladder(e, xs, k_max, tol, seed, k_max, exact,
+                          provisional=True)
+        if verdict is not None:
+            return verdict
+    return _ladder(e, xs, k_max, tol, seed, order, exact)
 
+
+def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, seed: int,
+            window: int, exact: bool,
+            provisional: bool = False) -> Verdict | None:
+    """The ladder at xs on jets truncated after t^window.
+
+    Coefficient i of `+ - * / sqrt` reads only operand coefficients up to
+    i, and every jet kind adds its terms in the same order whatever the
+    window, so each coefficient a narrower window holds equals the wider
+    window's bit for bit.  The two differ only at a jet that vanishes in
+    the narrower window: a divisor there raises ArcDomainError, a read past
+    a shortened window ShortWindow, and a radicand there, in a provisional
+    window, ShortWindow too (`eval_jets`).  An exact value may also leave
+    the float range in the wider window only.  A provisional ladder returns
+    None on ShortWindow, ArcDomainError and FloatOverflow, for the caller
+    to run the ladder in a wider window; GenericityFailure depends only on
+    the design, and is final in any window.  So a provisional verdict is
+    the wider window's, except where only a coefficient beyond the
+    narrower window would leave the float range.
+    """
     guard_flag = False
     try:
         point_value, guard_flag = eval_point_flagged(e, xs, exact)
-    except DomainError:
+    except (DomainError, FloatOverflow, OverflowError):
         point_value = None
 
     evidence: list[PolyTestResult] = []
     try:
         plan = design(seed, e.nvars, k_max, exact)
-        jets = _DesignJets(e, xs, order, plan.directions, exact)
+        jets = _DesignJets(e, xs, window, plan.directions, exact, provisional)
         for k in range(k_max + 1):
             result = _order_result(plan, jets, k, tol, point_value)
             evidence.append(result)
@@ -398,13 +449,17 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
                                residual=result.max_residual,
                                guard_triggered=guard_flag,
                                evidence=tuple(evidence))
-    except (GenericityFailure, ArcDomainError, FloatOverflow) as exc:
+    except GenericityFailure as exc:
         return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
                        guard_triggered=guard_flag, evidence=tuple(evidence))
-    except ShortWindow as exc:
-        return Verdict(xs, INCONCLUSIVE, k_max,
-                       reason=f"{exc}: divisions shortened the jets of "
-                              f"--order {order}; a larger --order keeps more",
+    except (ArcDomainError, FloatOverflow, ShortWindow) as exc:
+        if provisional:
+            return None
+        reason = str(exc)
+        if isinstance(exc, ShortWindow):
+            reason += (f": divisions shortened the jets of --order {window}; "
+                       "a larger --order keeps more")
+        return Verdict(xs, INCONCLUSIVE, k_max, reason=reason,
                        guard_triggered=guard_flag, evidence=tuple(evidence))
     return Verdict(xs, ANALYTIC_UP_TO, k_max, guard_triggered=guard_flag,
                    evidence=tuple(evidence))

@@ -333,7 +333,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-7,
                    help="validation residual tolerance (default 1e-7)")
     p.add_argument("--order", type=int, default=None,
-                   help="retained jet order (auto-raised to 2*kmax+4)")
+                   help="widest retained jet order (auto-raised to "
+                        "2*kmax+4); a ladder's jets run to kmax first and "
+                        "widen to it only where that could change the "
+                        "verdict")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (default: ARCAN_SEED or 0)")
     p.add_argument("--format", choices=("json", "csv"), default="json",

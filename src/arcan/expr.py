@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ArcDomainError, DomainError, FloatOverflow, NegativeLeading, \
-    OddValuation, ZeroDenominator, ZeroDivisor
+    OddValuation, ShortWindow, ZeroDenominator, ZeroDivisor
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar, _exact_div, \
     jet_sqrt, sqrt_scalar
 
@@ -507,22 +507,44 @@ class _RegularLanes:
 
 # --- evaluation along arcs ---------------------------------------------------
 
+def _window_sqrt(sqrt, provisional: bool):
+    """The `sqrt` hook of a jet pass.
+
+    In a provisional window, one its caller widens when the window cannot
+    decide, a radicand that vanishes in the window raises ShortWindow.
+    Its root would be a zero jet whose window a later product with a
+    positive valuation lengthens, while a wider window may find the
+    radicand's lead at an odd exponent or negative, and leave the domain.
+    """
+    if not provisional:
+        return sqrt
+
+    def root(a):
+        if a.is_zero:
+            raise ShortWindow("a square root's radicand vanishes to its "
+                              f"retained order {a.order}")
+        return sqrt(a)
+    return root
+
+
 def eval_jets(node: Node, var_jets: Sequence[LaurentJet], order: int,
-              exact: bool = False) -> LaurentJet | RationalJet:
+              exact: bool = False,
+              provisional: bool = False) -> LaurentJet | RationalJet:
     """Evaluate over jet arithmetic; guards use series semantics.
 
     Exact evaluation runs on `RationalJet`s (a variable jet with float
     coefficients stays a `LaurentJet`) and returns one, or a `LaurentJet`
     where a square root's lead is not a rational square; `to_laurent()`
-    turns either into a `LaurentJet`.
+    turns either into a `LaurentJet`.  `provisional`: see `_window_sqrt`.
     """
+    sqrt = _window_sqrt(jet_sqrt, provisional)
     if exact:
         return run_tape(compile_tape(node), [_exact_jet(j) for j in var_jets],
-                        lambda c: RationalJet.constant(c, order), jet_sqrt,
+                        lambda c: RationalJet.constant(c, order), sqrt,
                         _transparent_guard)
     return run_tape(compile_tape(node), var_jets,
                     lambda c: LaurentJet.constant(float(c), order),
-                    jet_sqrt, _transparent_guard)
+                    sqrt, _transparent_guard)
 
 
 def _exact_jet(jet):
@@ -534,18 +556,20 @@ def _exact_jet(jet):
 
 
 def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
-               order: int) -> LaneJet:
+               order: int, provisional: bool = False) -> LaneJet:
     """Float jets of f(x + t v) for every row v of `directions`, in one pass.
 
-    Each lane equals, bit for bit, what `eval_jets` gives for that line;
-    raises `IrregularBatch` where the lanes need the scalar path.
+    Each lane equals, bit for bit, what `eval_jets` gives for that line
+    (with the same `provisional`); raises `IrregularBatch` where the lanes
+    need the scalar path.
     """
     lanes = len(directions)
     var_jets = [LaneJet.line(xi, directions[:, i], order)
                 for i, xi in enumerate(x)]
     return run_tape(compile_tape(node), var_jets,
                     lambda c: LaneJet.constant(float(c), lanes, order),
-                    LaneJet.sqrt, _transparent_guard)
+                    _window_sqrt(LaneJet.sqrt, provisional),
+                    _transparent_guard)
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcan import classify, homog
-from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
-    SeededDesign, arc_symmetry_check, classify_point, design, \
-    flagged_points, gateaux_coeff, grid_points, loja_estimate, scan_region, \
-    verdict_to_json
+from arcan.classify import ANALYTIC_UP_TO, DEFAULT_TOL, INCONCLUSIVE, \
+    NON_ANALYTIC, SeededDesign, _ladder, arc_symmetry_check, \
+    classify_point, default_order, design, flagged_points, gateaux_coeff, \
+    grid_points, loja_estimate, scan_region, verdict_to_json
+from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
-from arcan.expr import ArcSpec, eval_arc
+from arcan.expr import ArcSpec, Expr, eval_arc
 from arcan.homog import HomoPoly, LatticeDesign, canonical_design, \
     dim_homog, gather_matrix, signed_permutation
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
-from helpers import permutation_seeds, qr_residuals, random_arc, \
-    random_point, random_polynomial_expr, random_safe_rational_expr
+from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, permutation_seeds, \
+    qr_residuals, random_arc, random_point, random_polynomial_expr, \
+    random_safe_rational_expr, trees
 
 F = Fraction
 
@@ -474,6 +476,83 @@ class TestExactLadder:
                                                 for u in rows]
             assert all(type(c) is int for c in plan.directions.flat)
         assert design(0, 3, 4) is not design(0, 3, 4, True)
+
+
+def half_binomial_source(top: int) -> str:
+    """The sum of binom(1/2, j) x^j over j = 0..top, as exact source: the
+    Taylor polynomial of sqrt(1 + x) of degree top."""
+    terms, c = [], F(1)
+    for j in range(top + 1):
+        terms.append(f"({c})*x^{j}")
+        c *= (F(1, 2) - j) / (j + 1)
+    return " + ".join(terms)
+
+
+# (exact, tree, point): exact powers of 1100 nest into integers too large
+# to build; float trees meet constants and powers beyond the float range
+WINDOW_CASES = st.one_of(
+    st.tuples(st.just(False), trees(FRACTIONS + [BEYOND_FLOATS]),
+              st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE))),
+    st.tuples(st.just(True), trees(FRACTIONS, (0, 1, 2, 3)),
+              st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE))
+              .map(lambda p: tuple(map(F, p)))))
+
+
+class TestJetWindow:
+    """Jets run in the window k_max first, in `order` only where that
+    window could change the verdict."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("power", [5, 6])
+    def test_a_radicand_vanishing_in_the_window_widens_it(self, power,
+                                                          exact):
+        # sqrt(1+x) - P11(x) begins with binom(1/2, 12) x^12 < 0: it is
+        # zero in the window 10, and its root a zero jet that x^5 or x^6
+        # would carry to order 10; the window 24 sees the negative lead.
+        e = parse(f"sqrt(sqrt(1+x) - ({half_binomial_source(11)})) "
+                  f"* x^{power}")
+        lead = F(-29393, 4194304)
+        v = classify_point(e, (0,), 10, exact=exact)
+        assert v.status == INCONCLUSIVE
+        assert v.reason == ("arc leaves the real domain of sqrt: leading "
+                            f"coefficient {lead if exact else float(lead)} "
+                            "is negative")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("order", [None, 10, 40])
+    @pytest.mark.parametrize("text, point", [
+        ("guard(x^3/(x^2+y^2), 0)", (0, 0)),
+        ("1/x + y", (0, 0)),
+        ("x/(y-y)", (1, 1)),
+        ("sqrt(x-x) + y", (0, 0)),
+        ("sqrt(x^2+y^2)", (0, 0)),
+        ("sqrt(x^4+y^4)", (1, 1)),
+        ("x^12/(x^2+y^2)^6", (0, 0)),
+        ("x^40/(x^2+y^2)^15", (0, 0)),
+        ("1/(y-y+x^30)", (0, 0)),
+        ("(x-x)/y^30 + x", (0, 0)),
+        ("x*y/(x^2+y^2)^8 * (x^2+y^2)^8", (0, 0)),
+    ])
+    def test_window_edges_give_the_ladder_at_order(self, text, point, order,
+                                                   exact):
+        e = parse(text, nvars=2)
+        pt = tuple(map(F, point)) if exact else tuple(map(float, point))
+        expected = _ladder(e, pt, 10, DEFAULT_TOL, 0,
+                           order or default_order(10), exact)
+        assert emit_json(verdict_to_json(classify_point(
+            e, pt, 10, order=order, exact=exact))) \
+            == emit_json(verdict_to_json(expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(WINDOW_CASES, st.integers(1, 3), st.integers(0, 3))
+    def test_the_verdict_is_the_ladder_at_order(self, case, k_max, seed):
+        exact, root, point = case
+        e = Expr(root, 2)
+        expected = _ladder(e, point, k_max, DEFAULT_TOL, seed,
+                           default_order(k_max), exact)
+        assert emit_json(verdict_to_json(classify_point(
+            e, point, k_max, seed=seed, exact=exact))) \
+            == emit_json(verdict_to_json(expected))
 
 
 class TestOneVariable:

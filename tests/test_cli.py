@@ -100,6 +100,33 @@ class TestClassifyCommand:
         assert "order 0" in doc["reason"] and "overflow" in doc["reason"]
         assert "--mode rational" in doc["reason"]
 
+    @pytest.mark.parametrize("expr, point, mode, reason", [
+        ("sqrt(2)*x^2000", "2", "float",
+         "order 0: h_0 or its residuals overflow the float range"),
+        ("sqrt(2)*x^2000", "2", "rational",
+         "the jet along (-1,) overflows the float range"),
+        ("x^1000", "3", "float",
+         "order 0: h_0 or its residuals overflow the float range"),
+    ], ids=["irrational-float", "irrational-rational", "power-float"])
+    def test_a_point_value_beyond_the_float_range_is_left_to_the_ladder(
+            self, expr, point, mode, reason):
+        done = subprocess.run(
+            [sys.executable, "-m", "arcan", "classify", expr, "--point",
+             point, "--kmax", "2", "--mode", mode],
+            env=TestModuleEntryPoint.ENV, capture_output=True, text=True,
+            timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        assert doc["status"] == "Inconclusive"
+        assert doc["reason"].startswith(reason)
+
+    def test_a_ladder_decides_where_the_point_value_overflows(self, capsys):
+        # 0 * x^2000 + x is x: the point value overflows in x^2000, the
+        # jets of (x - x) * x^2000 are zero
+        code, out = run_cli(capsys, ["classify", "(x-x)*x^2000 + x",
+                                     "--point", "2", "--kmax", "3"])
+        assert code == 0 and json.loads(out)["status"] == "AnalyticUpTo"
+
     @pytest.mark.parametrize("expr, point", [("x^2000", "2"), ("x", "1e400")])
     def test_exact_values_beyond_the_float_range(self, capsys, expr, point):
         code, out = run_cli(capsys, ["classify", expr, "--point", point,
@@ -157,6 +184,16 @@ class TestScanCommand:
         assert len(lines) == 25
         flagged = [l for l in lines if l["status"] == "NonAnalytic"]
         assert [l["point"] for l in flagged] == [[0.0, 0.0]]
+
+    def test_a_point_value_beyond_the_float_range_ends_no_scan(self, capsys):
+        # the rational shortcut's point evaluation overflows at x = 2
+        code, out = run_cli(capsys, ["scan", "sqrt(2)*x^2000", "--grid",
+                                     "x:1:2:1", "--mode", "rational",
+                                     "--kmax", "2"])
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert code == 0
+        assert [l["status"] for l in lines] == ["AnalyticUpTo", "Inconclusive"]
+        assert "overflows the float range" in lines[1]["reason"]
 
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(capsys, self.ARGS)
@@ -449,8 +486,7 @@ class TestUsageContract:
     @pytest.mark.parametrize("expr", [
         "x^99999",
         "(" * 3000 + "x" + ")" * 3000,
-        "x^1000",  # parses, but 3.0 ** 1000 overflows a float
-    ], ids=["huge-exponent", "deep-parens", "float-overflow"])
+    ], ids=["huge-exponent", "deep-parens"])
     def test_hostile_expressions_end_in_an_error(self, capsys, expr):
         code = cli.main(["classify", expr, "--point", "3"])
         captured = capsys.readouterr()
