@@ -9,13 +9,15 @@ at every corpus exact-locus and regular point (23 points), at k_max 8 and
 10, under seeds 0, 1 and 2.  Prints, per arithmetic, the number of
 verdicts and the SHA-256 of their `emit_json(verdict_to_json(...))` lines,
 each ended by a newline.  Equal digests on two commits mean byte-identical
-output, residual digits included.  Takes about a minute and a half on a
-2-core x86_64 machine:
+output, residual digits included.  Each half's wall time, in-process, goes
+to stderr.  Takes about a minute and a half on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
 """
 
 import hashlib
+import sys
+import time
 
 from arcan.classify import classify_point, grid_points, verdict_to_json
 from arcan.cli import emit_json
@@ -55,8 +57,12 @@ def digest(verdicts) -> str:
 
 
 def main() -> None:
-    print(f"float: {digest(float_verdicts())}", flush=True)
-    print(f"rational: {digest(rational_verdicts())}")
+    for name, verdicts in (("float", float_verdicts),
+                           ("rational", rational_verdicts)):
+        start = time.perf_counter()
+        print(f"{name}: {digest(verdicts())}", flush=True)
+        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,
+              flush=True)
 
 
 if __name__ == "__main__":

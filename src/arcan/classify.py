@@ -19,19 +19,19 @@ permutation M of the coordinates: the ladder evaluates its jets along
 U M, with U the design's integer rows in rational mode and those rows
 scaled to unit length in float mode.  `design` caches the permuted view
 (`SeededDesign`) shared by every point of a scan, and order k reads h_k
-along its first 2·d(n,k) rows.  An order whose values are all exact
-(rational mode, jets on the scalar path, each h_k a `Fraction`) is
-interpolated on the first half of its rows and validated on the rest;
-the exact solve proves the fit block's rank.  Every other order, in
-either mode, is tested by one least-squares rule: h_k must lie in the
-column space of the degree-k evaluation matrix V = QR of the unit rows,
-and the residual |h - Q Qᵀ h| is bounded by the error of h itself, not
-amplified by the condition of V (Golub & Van Loan, *Matrix
-Computations*, §5.3).  V_k(U M) is V_k(U) with its columns permuted and
-negated, so the canonical Q gives every seed's residuals, and the fitted
-coefficients in v are those in u gathered and sign-flipped
-(`homog.monomial_map`).  Along an integer row w, h_k(x, w/|w|) =
-h_k(x, w)/|w|^k.  A point's float jets
+along its first 2·d(n,k) rows.  One fit, `homog.interp_fit`, tests every
+order.  V_k(U M) is V_k(U) with its columns permuted and negated, so it
+fits on blocks of the canonical rows built once per (n, k), and the
+fitted coefficients in v are those in u gathered and sign-flipped
+(`homog.monomial_map`).  An order whose values are all exact (rational
+mode, jets on the scalar path, each h_k a `Fraction`) is interpolated on
+the first half of its rows and validated on the rest; the exact solve
+proves the fit block's rank.  Every other order, in either mode, is
+tested by one least-squares rule: h_k must lie in the column space of
+the degree-k evaluation matrix V = QR of the unit rows, and the residual
+|h - Q Qᵀ h| is bounded by the error of h itself, not amplified by the
+condition of V (Golub & Van Loan, *Matrix Computations*, §5.3).  Along
+an integer row w, h_k(x, w/|w|) = h_k(x, w)/|w|^k.  A point's float jets
 come from one batched pass over the rows (`eval_lanes`), bit for bit as
 the scalar path, to which a batch the lanes cannot share falls back.
 
@@ -65,12 +65,12 @@ import numpy as np
 
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     FloatOverflow, GenericityFailure, IrregularBatch, PoleAtOrigin, \
-    ShortWindow, SingularSystem
+    ShortWindow
 from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
     eval_point_flagged, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
-from .homog import HomoPoly, NodeSet, canonical_design, condition_estimate, \
-    dim_homog, interp_fit, monomial_map, signed_permutation
+from .homog import HomoPoly, _magnitude, canonical_design, \
+    condition_estimate, dim_homog, interp_fit, signed_permutation
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
 from .seeds import derive_seed
 
@@ -103,26 +103,13 @@ def default_order(k_max: int) -> int:
     return 2 * k_max + 4
 
 
-def _magnitude(x: Scalar) -> float:
-    """float(x) of an x >= 0, or inf for an exact x beyond the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
-
-
 # --- directional series coefficients -----------------------------------------
-
-def gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
-                   order: int, exact: bool = False) -> LaurentJet:
-    """Laurent jet of t -> f(x + t v) at t = 0."""
-    return _series(e, x, v, order, exact).to_laurent()
-
 
 def _series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], order: int,
             exact: bool,
             provisional: bool = False) -> LaurentJet | RationalJet:
-    """`gateaux_series` as `eval_jets` returns it (exact: a `RationalJet`)."""
+    """The jet of t -> f(x + t v) at t = 0, as `eval_jets` returns it
+    (exact: a `RationalJet`)."""
     if len(x) != e.nvars or len(v) != e.nvars:
         raise ValueError("point and direction must match the expression dimension")
     pad = (0,) * (order - 1)
@@ -153,15 +140,11 @@ class SeededDesign:
     """The directions of every ladder under one (seed, n, k_top, exact).
 
     The canonical design's first 2·d(n, k_top) rows U under the seed's
-    signed permutation M, integer rows in rational mode and unit rows in
-    float mode: jets are evaluated along W = U M, and order k reads the
-    rows [0, 2·d(n, k)).  All-exact values are interpolated on the rows
-    [0, d) and checked on [d, 2d).  Others are fitted by least squares: a
-    degree-k form p in v is q(u) = p(u M) on U, so the residuals are
-    |h - Q Qᵀ h| with the Q of U's unit rows (integer-row h divided by
-    |w|^k first), q's coefficients are R⁻¹Qᵀh, and p's those gathered and
-    sign-flipped by M's monomial map.  The rows are finite: an order
-    beyond them raises GenericityFailure, the orders below still run.
+    signed permutation M (`flip`), integer rows in rational mode and unit
+    rows in float mode: jets are evaluated along W = U M, and order k
+    reads the rows [0, 2·d(n, k)), which `interp_fit` fits on U.  The rows
+    are finite: an order beyond them raises GenericityFailure, the orders
+    below still run.
     """
 
     def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
@@ -177,52 +160,6 @@ class SeededDesign:
         kind = object if exact else float
         self.directions = np.array(u, dtype=kind)[:, [i for i, _ in self.flip]] \
             * np.array([s for _, s in self.flip], dtype=kind)
-
-    def factors(self, k: int) -> tuple[np.ndarray, ...]:
-        """Q and R⁻¹ of order k, and the (index, sign) of its monomial map."""
-        return self.canonical.factors(k) + monomial_map(self.flip, k)
-
-    def fit(self, k: int, values: list) -> tuple[HomoPoly, list, float]:
-        """The form fitted to h_k's `values` along the order's 2·d(n, k)
-        rows, the residuals it leaves, and the scale 1 + max |h_k| (at unit
-        length for a least-squares fit)."""
-        if self.exact and all(isinstance(h, (int, Fraction)) for h in values):
-            return self._interpolate(k, values)
-        q, r_inv, index, sign = self.factors(k)
-        h = np.array(values, dtype=float)
-        if self.exact:  # h_k(x, w/|w|) = h_k(x, w)/|w|^k
-            h = h / np.linalg.norm(self.directions[:len(h)].astype(float),
-                                   axis=1) ** k
-        with np.errstate(over="ignore", invalid="ignore"):
-            projection = q.T @ h
-            residuals = np.abs(h - q @ projection)
-            coeffs = (r_inv @ projection)[index] * sign
-        # A non-finite value makes a residual non-finite: then the order
-        # gives no evidence either way.
-        if not np.isfinite(residuals).all():
-            raise FloatOverflow(
-                f"order {k}: h_{k} or its residuals overflow the float "
-                "range; --mode rational evaluates rational inputs exactly")
-        residuals = residuals.tolist()
-        # + 0.0 turns the -0.0 of an all-zero h into 0.0
-        fitted = HomoPoly(self.n, k, tuple((coeffs + 0.0).tolist()))
-        return fitted, residuals, 1.0 + float(np.abs(h).max())
-
-    def _interpolate(self, k: int, values: list):
-        """`fit` exactly: the rows [0, d) fix p, the rows [d, 2d) check it.
-
-        The exact solve proves the fit block's rank: it is singular only
-        over Q, for every seed alike, and then the order is not generic.
-        """
-        d = dim_homog(self.n, k)
-        rows = [tuple(u) for u in self.directions[:2 * d].tolist()]
-        try:
-            fitted = interp_fit(values[:d], NodeSet(self.n, k, tuple(rows[:d])))
-        except SingularSystem as exc:
-            raise GenericityFailure(f"the lattice directions of order {k} are "
-                                    f"not generic ({exc})") from exc
-        residuals = [abs(h - fitted(u)) for h, u in zip(values[d:], rows[d:])]
-        return fitted, residuals, 1.0 + _magnitude(max(map(abs, values)))
 
 
 @lru_cache(maxsize=1)
@@ -331,7 +268,7 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
                   point_value: Scalar | None) -> PolyTestResult:
     """Order k's test on h_k along the plan's rows [0, 2·d(n, k)).
 
-    A pole along a row fails the order.  Otherwise `plan.fit` fits the
+    A pole along a row fails the order.  Otherwise `interp_fit` fits the
     form; at k = 0 the point value is one more residual.  An order whose
     residuals are all exact (int or Fraction) passes only if every one is
     0; one with a float residual passes if none exceeds tol * scale.
@@ -346,7 +283,7 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
                    and jets.jet(i).valuation < 0)
         return PolyTestResult(k, None, (), 1.0, tol, plan.seed,
                               tuple(plan.directions[bad].tolist()))
-    fitted, residuals, scale = plan.fit(k, values)
+    fitted, residuals, scale = interp_fit(values, plan.flip, k, plan.exact)
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
     exact = all(isinstance(r, (int, Fraction)) for r in residuals)
@@ -369,10 +306,6 @@ class Verdict:
     guard_triggered: bool = False
     shortcut: bool = False
     evidence: tuple[PolyTestResult, ...] = field(default=())
-
-    @property
-    def flagged(self) -> bool:
-        return self.status == NON_ANALYTIC
 
 
 def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,

@@ -626,7 +626,13 @@ def eval_arc(e: Expr, arc: ArcSpec, order: int, exact: bool = False) -> LaurentJ
         raise ValueError(f"arc has {arc.nvars} components, expression has {e.nvars}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    return eval_jets(e.root, arc.jets(order, exact), order, exact).to_laurent()
+    try:
+        return eval_jets(e.root, arc.jets(order, exact), order, exact).to_laurent()
+    except OverflowError as exc:
+        from .parser import to_text
+        gamma = ", ".join(to_text(c, ("t",)) for c in arc.components)
+        raise FloatOverflow(f"the jet along the arc t -> {gamma} overflows "
+                            f"the float range ({exc})") from exc
 
 
 ANALYTIC = "Analytic"

@@ -1,16 +1,14 @@
-"""Homogeneous polynomials, the direction design, and two identities.
+"""Homogeneous polynomials, the direction design, the fit, and two identities.
 
 The space of degree-k homogeneous polynomials in n variables has dimension
 C(n+k-1, k), one coefficient per exponent vector summing to k; coefficients
 are stored in graded-lexicographic order (descending lex within the fixed
-degree).  Evaluation at C(n+k-1, k) generic directions is a linear
-isomorphism, which `interp_fit` inverts exactly over the rationals.  Every
-direction arcan samples is a row of one canonical design per n
-(`LatticeDesign`), under the seed's `signed_permutation`, which keeps every
-block's rank and condition: its integer rows in rational mode, the rows
-scaled to unit length in float mode.  `monomial_map` carries a form's
-coefficients across the permutation, and `factors` keeps the QR factors of
-each order's unit rows, which the ladder's least-squares test reads.
+degree).  Every direction arcan samples is a row of one canonical design
+per n (`LatticeDesign`), under the seed's `signed_permutation` M: its
+integer rows in rational mode, the rows scaled to unit length in float
+mode.  p(u M) = q(u), so `interp_fit`, the one fit of both arithmetics,
+fits q on blocks built once per (n, k), the unit rows' QR `factors` or
+the integer `block`, and `monomial_map` carries q's coefficients to p's.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,14 +32,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenericityFailure, PremiseViolated
+from .errors import FloatOverflow, GenericityFailure, PremiseViolated, \
+    SingularSystem
 from .jets import Scalar
 from .linalg import solve_exact
 from .seeds import derive_seed, lattice_vector
 
-# Bytes of QR factors the canonical designs keep, every n together: ~0.3 MB
-# at n=3, k_max 10, but ~1.1 GB at k_max 60, whose orders beyond the budget
-# are computed again per point.
+# Bytes of QR factors and integer blocks the canonical designs keep, every
+# n together: ~0.3 MB of factors at n=3, k_max 10, but ~1.1 GB at k_max 60,
+# whose orders beyond the budget are computed again per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
 # Monomial maps kept, one per (flip, k): n = 3 has 48 signed permutations,
 # so k_max 10 needs 528.  A map takes 16 bytes per monomial: under the
@@ -81,7 +81,8 @@ def _exponent_array(n: int, k: int) -> np.ndarray:
 
 
 def gather_matrix(powers: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Float evaluation matrix of the directions whose powers are given.
+    """Evaluation matrix of the directions whose powers are given, in the
+    powers' dtype (Python ints in an object array stay exact).
 
     `powers` has shape (directions, n, top + 1) with top >= k and holds
     v_c ** e at [r, c, e].  Entry (r, j) multiplies the coordinate powers of
@@ -141,10 +142,6 @@ class HomoPoly:
         return {"nvars": self.nvars, "degree": self.degree,
                 "coeffs": list(self.coeffs)}
 
-    @staticmethod
-    def from_json(doc: dict) -> "HomoPoly":
-        return HomoPoly(doc["nvars"], doc["degree"], tuple(doc["coeffs"]))
-
 
 def random_poly(n: int, k: int, rng: random.Random, exact: bool = True) -> HomoPoly:
     """A random homogeneous polynomial with small nonzero coefficients."""
@@ -154,19 +151,6 @@ def random_poly(n: int, k: int, rng: random.Random, exact: bool = True) -> HomoP
         den = rng.randint(1, 4)
         coeffs.append(Fraction(num, den) if exact else num / den)
     return HomoPoly(n, k, tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class NodeSet:
-    """Interpolation directions with an invertible evaluation matrix."""
-
-    nvars: int
-    degree: int
-    nodes: tuple[tuple[Scalar, ...], ...]
-
-    def matrix(self) -> list[list[Scalar]]:
-        exps = monomials(self.nvars, self.degree)
-        return [[_mono_value(e, node) for e in exps] for node in self.nodes]
 
 
 def evaluation_matrix(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> np.ndarray:
@@ -194,7 +178,7 @@ class LatticeDesign:
     GenericityFailure.  Rational ladders evaluate along the integer rows,
     float ladders along the rows scaled to unit length (`unit`).  Order k
     tests on the rows [0, 2·d(n, k)) whatever the ladder's top order, so
-    `factors(k)` depends on (n, k) only.
+    `factors(k)` and `block(k)` depend on (n, k) only.
     """
 
     def __init__(self, n: int):
@@ -204,6 +188,7 @@ class LatticeDesign:
         self._lines = set(map(_line, self.directions))
         self._unit = np.empty((0, n))
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[int, tuple[np.ndarray, int]] = {}
 
     def rows(self, count: int) -> list[tuple[int, ...]]:
         """The first `count` rows."""
@@ -253,6 +238,20 @@ class LatticeDesign:
             self._factors[k] = factors
         return factors
 
+    def block(self, k: int) -> np.ndarray:
+        """Order k's evaluation matrix at its 2·d(n, k) integer rows, as
+        Python ints, kept (counted at the ints' own size) while everything
+        the canonical designs keep fits in MAX_DESIGN_BYTES."""
+        held = self._blocks.get(k)
+        if held is not None:
+            return held[0]
+        rows = np.array(self.rows(2 * dim_homog(self.n, k)), dtype=object)
+        block = gather_matrix(_powers(rows, k), self.n, k)
+        size = block.nbytes + sum(map(sys.getsizeof, block.flat))
+        if _held_bytes() + size <= MAX_DESIGN_BYTES:
+            self._blocks[k] = block, size
+        return block
+
 
 def _line(v: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive vector of v's line whose first nonzero entry is > 0."""
@@ -272,14 +271,16 @@ def canonical_design(n: int) -> LatticeDesign:
 
 
 def _held_bytes() -> int:
-    """Bytes of the factors that the canonical designs keep."""
-    return sum(a.nbytes for d in _DESIGNS.values()
-               for pair in d._factors.values() for a in pair)
+    """Bytes of the factors and blocks that the canonical designs keep."""
+    return sum(sum(a.nbytes for pair in d._factors.values() for a in pair)
+               + sum(size for _, size in d._blocks.values())
+               for d in _DESIGNS.values())
 
 
 def _powers(directions: np.ndarray, top: int) -> np.ndarray:
-    """v_c ** e at [r, c, e] for e <= top, by repeated multiplication."""
-    powers = np.ones(directions.shape + (top + 1,))
+    """v_c ** e at [r, c, e] for e <= top, by repeated multiplication, in
+    the directions' dtype."""
+    powers = np.ones(directions.shape + (top + 1,), dtype=directions.dtype)
     for e in range(1, top + 1):
         powers[:, :, e] = powers[:, :, e - 1] * directions
     return powers
@@ -315,26 +316,80 @@ def monomial_map(flip: tuple[tuple[int, int], ...], k: int
     return index, sign
 
 
-def sample_nodes(n: int, k: int, seed: int) -> NodeSet:
-    """A generic node set of d(n, k) directions, deterministically from the seed.
+def sample_nodes(flip: tuple[tuple[int, int], ...], k: int,
+                 exact: bool = True) -> list[tuple[Scalar, ...]]:
+    """The directions `interp_fit` reads at order k under the signed
+    permutation `flip`: the canonical design's first d(n, k) integer rows
+    if `exact` (exact values are solved on those alone), else its first
+    2·d(n, k) rows at unit length."""
+    d = dim_homog(len(flip), k)
+    design = canonical_design(len(flip))
+    rows = design.rows(d) if exact else design.unit(2 * d).tolist()
+    return [tuple(s * u[i] for i, s in flip) for u in rows]
 
-    The first d(n, k) integer rows of the canonical design, the ones a
-    rational ladder fits order k on, under the seed's signed permutation.
+
+def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
+               k: int, exact: bool = False) -> tuple[HomoPoly, list, float]:
+    """The degree-k form p fitted to h_k's `values` along the canonical rows
+    U under the signed permutation M = `flip`, the residuals it leaves,
+    and the scale 1 + max |h_k| (at unit length for a least-squares fit).
+
+    q(u) = p(u M) is fitted on U.  In `exact` mode all-exact values are
+    interpolated: q solves the first d(n, k) rows of the integer `block`,
+    which proves their rank (GenericityFailure if singular over Q, for
+    every seed alike), and leaves |h - q(u)| on the other rows, integer
+    dot products over q's common denominator.  Other values take least
+    squares on 2·d(n, k) unit rows, an integer row's h_k divided by |u|^k:
+    residuals |h - Q Qᵀ h| (FloatOverflow if not finite) and q = R⁻¹Qᵀh.
     """
-    flip = signed_permutation(seed, n)
-    fit = canonical_design(n).rows(dim_homog(n, k))
-    return NodeSet(n, k, tuple(tuple(s * u[i] for i, s in flip) for u in fit))
+    n = len(flip)
+    design = canonical_design(n)
+    index, sign = monomial_map(flip, k)
+    if exact and all(isinstance(h, (int, Fraction)) for h in values):
+        d = dim_homog(n, k)
+        block = design.block(k)
+        try:
+            q = solve_exact(block[:d].tolist(), values[:d])
+        except SingularSystem as exc:
+            raise GenericityFailure(f"the lattice directions of order {k} "
+                                    f"are not generic ({exc})") from exc
+        fitted = HomoPoly(n, k, tuple(q[i] if s > 0 else -q[i] for i, s
+                                      in zip(index.tolist(), sign.tolist())))
+        if any(q):
+            den = math.lcm(*(c.denominator for c in q))
+            dots = block[d:len(values)] @ np.array(
+                [c.numerator * (den // c.denominator) for c in q], dtype=object)
+            residuals = [abs(h - Fraction(dot, den))
+                         for h, dot in zip(values[d:], dots.tolist())]
+        else:  # p(u) is then the int 0, as `HomoPoly.__call__` sums no term
+            residuals = [abs(h) for h in values[d:]]
+        return fitted, residuals, 1.0 + _magnitude(max(map(abs, values)))
+    q, r_inv = design.factors(k)
+    h = np.array(values, dtype=float)
+    if exact:  # h_k(x, u/|u|) = h_k(x, u)/|u|^k, and M keeps every |u|
+        h = h / np.linalg.norm(np.array(design.rows(len(h)), dtype=float),
+                               axis=1) ** k
+    with np.errstate(over="ignore", invalid="ignore"):
+        projection = q.T @ h
+        residuals = np.abs(h - q @ projection)
+        coeffs = (r_inv @ projection)[index] * sign
+    # A non-finite value makes a residual non-finite: then the order
+    # gives no evidence either way.
+    if not np.isfinite(residuals).all():
+        raise FloatOverflow(
+            f"order {k}: h_{k} or its residuals overflow the float "
+            "range; --mode rational evaluates rational inputs exactly")
+    # + 0.0 turns the -0.0 of an all-zero h into 0.0
+    fitted = HomoPoly(n, k, tuple((coeffs + 0.0).tolist()))
+    return fitted, residuals.tolist(), 1.0 + float(np.abs(h).max())
 
 
-def interp_fit(values: Sequence[Scalar], nodeset: NodeSet) -> HomoPoly:
-    """The unique homogeneous P of the node set's degree with P(v_i) =
-    values[i], solved exactly over the rationals (a float value is read as
-    the rational it is); SingularSystem if the nodes are not generic."""
-    d = dim_homog(nodeset.nvars, nodeset.degree)
-    if len(values) != d:
-        raise ValueError(f"need {d} values, got {len(values)}")
-    coeffs = solve_exact(nodeset.matrix(), list(values))
-    return HomoPoly(nodeset.nvars, nodeset.degree, tuple(coeffs))
+def _magnitude(x: Scalar) -> float:
+    """float(x) of an x >= 0, or inf for an exact x beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def fd_reconstruct(P: HomoPoly, a: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

@@ -26,6 +26,7 @@ Text beyond any of these bounds raises `ExprSyntaxError`.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ArityError, ExprSyntaxError
 from .expr import Add, Div, Expr, Guard, IntPow, Mul, Node, RationalConst, Sqrt, \
@@ -270,12 +271,14 @@ def var_name(index: int, nvars: int) -> str:
     return f"x{index + 1}"
 
 
-def to_text(e: Expr) -> str:
-    """Fully parenthesized canonical form; reparses to the same tree."""
-    return _print(e.root, e.nvars)
+def to_text(e: Expr, names: Sequence[str] = ()) -> str:
+    """Fully parenthesized canonical form; reparses to the same tree.
+    Variable i prints as names[i], by default as `var_name` has it."""
+    return _print(e.root, names or [var_name(i, e.nvars)
+                                    for i in range(e.nvars)])
 
 
-def _print(node: Node, nvars: int) -> str:
+def _print(node: Node, names: Sequence[str]) -> str:
     if isinstance(node, RationalConst):
         # fractions and negatives get their own parentheses so that an
         # enclosing power or product reparses to the same node
@@ -284,19 +287,19 @@ def _print(node: Node, nvars: int) -> str:
             return f"({text})"
         return text
     if isinstance(node, Var):
-        return var_name(node.index, nvars)
+        return names[node.index]
     if isinstance(node, Add):
-        return f"({_print(node.left, nvars)} + {_print(node.right, nvars)})"
+        return f"({_print(node.left, names)} + {_print(node.right, names)})"
     if isinstance(node, Sub):
-        return f"({_print(node.left, nvars)} - {_print(node.right, nvars)})"
+        return f"({_print(node.left, names)} - {_print(node.right, names)})"
     if isinstance(node, Mul):
-        return f"({_print(node.left, nvars)} * {_print(node.right, nvars)})"
+        return f"({_print(node.left, names)} * {_print(node.right, names)})"
     if isinstance(node, Div):
-        return f"({_print(node.left, nvars)} / {_print(node.right, nvars)})"
+        return f"({_print(node.left, names)} / {_print(node.right, names)})"
     if isinstance(node, IntPow):
-        return f"({_print(node.base, nvars)} ^ {node.exponent})"
+        return f"({_print(node.base, names)} ^ {node.exponent})"
     if isinstance(node, Sqrt):
-        return f"sqrt({_print(node.arg, nvars)})"
+        return f"sqrt({_print(node.arg, names)})"
     if isinstance(node, Guard):
-        return f"guard({_print(node.body, nvars)}, {node.default})"
+        return f"guard({_print(node.body, names)}, {node.default})"
     raise TypeError(f"not an expression node: {node!r}")

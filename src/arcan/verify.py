@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import ANALYTIC_UP_TO, NON_ANALYTIC, SeededDesign, \
-    classify_point, flagged_points, grid_points, loja_estimate, scan_region
+from .classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point, \
+    flagged_points, grid_points, loja_estimate, scan_region
 from .corpus import ARC_MEROMORPHIC_ONLY, CorpusEntry, corpus_list, lookup
 from .expr import REMOVABLE_MISMATCH, arc_check
 from .homog import euler_check, fd_reconstruct, interp_fit, random_poly, \
-    sample_nodes, shrink_bound_check
+    sample_nodes, shrink_bound_check, signed_permutation
 from .parser import parse, parse_arc
 from .seeds import derive_seed
 
@@ -89,10 +89,10 @@ def check_euler(trials: int = 1000, seed: int = 0, exact: bool = True,
 def check_interp_roundtrip(trials: int = 1000, seed: int = 0,
                            exact: bool = True, max_n: int = 4,
                            max_k: int = 6) -> IdentityReport:
-    """Fit through sampled values recovers the sampled polynomial.
-
-    Exact trials interpolate on `sample_nodes`; float trials take the
-    ladder's own least-squares fit on the order's 2·d(n, k) unit rows.
+    """The ladder's own fit through sampled values recovers the sampled
+    polynomial: exact trials evaluate it at the d(n, k) integer rows the
+    exact fit solves on, float trials at the order's 2·d(n, k) unit rows
+    (`sample_nodes`).
     """
     rng = random.Random(derive_seed(seed, "interp"))
     worst = 0
@@ -100,13 +100,9 @@ def check_interp_roundtrip(trials: int = 1000, seed: int = 0,
         n = rng.randint(1, max_n)
         k = rng.randint(0, max_k)
         poly = random_poly(n, k, rng, exact)
-        node_seed = derive_seed(seed, "interp-nodes", i)
-        if exact:
-            nodes = sample_nodes(n, k, node_seed)
-            fitted = interp_fit([poly(v) for v in nodes.nodes], nodes)
-        else:
-            plan = SeededDesign(node_seed, n, k)
-            fitted = plan.fit(k, [poly(v) for v in plan.directions.tolist()])[0]
+        flip = signed_permutation(derive_seed(seed, "interp-nodes", i), n)
+        values = [poly(v) for v in sample_nodes(flip, k, exact)]
+        fitted = interp_fit(values, flip, k, exact)[0]
         for c_in, c_out in zip(poly.coeffs, fitted.coeffs):
             denom = max(1, abs(c_in)) if not exact else 1
             worst = max(worst, abs(c_out - c_in) / denom)

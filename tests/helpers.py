@@ -7,7 +7,9 @@ reference.  `fraction_gateaux_series` is exact jet evaluation over
 `LaurentJet`s with `Fraction` coefficients, which `RationalJet` replaced,
 kept as its reference.  `qr_residuals` is the float order test as it was
 before the canonical design: a QR of the evaluation matrix at the very
-directions the jets were taken along.  `chart_invert`, `pullback_sequence`,
+directions the jets were taken along.  `seeded_exact_fit` is the exact
+fit as it was before the canonical integer blocks: a solve on the
+seed-permuted rows themselves.  `chart_invert`, `pullback_sequence`,
 `eval_poly`, `arc_analytic_entries` and `unit_vector` are small tools
 only the tests use.
 """
@@ -27,8 +29,10 @@ from arcan.corpus import ARC_ANALYTIC, CorpusEntry, corpus_list
 from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var, compile_tape, run_tape
-from arcan.homog import evaluation_matrix, signed_permutation
+from arcan.homog import HomoPoly, canonical_design, dim_homog, \
+    evaluation_matrix, monomials, signed_permutation
 from arcan.jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
+from arcan.linalg import solve_exact
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -278,6 +282,25 @@ def qr_residuals(directions: Sequence[Sequence[float]], values: Sequence[float],
     q, _ = np.linalg.qr(evaluation_matrix(directions, n, k))
     h = np.asarray(values, dtype=float)
     return np.abs(h - q @ (q.T @ h))
+
+
+def permuted_rows(flip, count: int) -> list[tuple[int, ...]]:
+    """The canonical design's first `count` integer rows under `flip`."""
+    rows = canonical_design(len(flip)).rows(count)
+    return [tuple(s * u[i] for i, s in flip) for u in rows]
+
+
+def seeded_exact_fit(values: Sequence[Scalar], flip, k: int):
+    """The exact fit of `values` along the permuted rows: the form solved on
+    the first d(n, k) rows' own evaluation matrix, and |h - p(w)| from
+    `HomoPoly.__call__` on the others."""
+    n = len(flip)
+    d = dim_homog(n, k)
+    rows = permuted_rows(flip, len(values))
+    matrix = [[math.prod(c ** e for c, e in zip(w, exps))
+               for exps in monomials(n, k)] for w in rows[:d]]
+    fitted = HomoPoly(n, k, tuple(solve_exact(matrix, values[:d])))
+    return fitted, [abs(h - fitted(w)) for h, w in zip(values[d:], rows[d:])]
 
 
 def permutation_seeds(n: int) -> dict:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -337,18 +338,46 @@ class TestLeastSquaresLadder:
         assert design(6, 3, 6).canonical is design(5, 3, 6).canonical
         unbounded = LatticeDesign(3)
         full = [unbounded.factors(k) for k in range(11)]
+        blocks = [unbounded.block(k) for k in range(11)]
         budget = sum(q.nbytes + r.nbytes for q, r in full[:6])
         monkeypatch.setattr(homog, "_DESIGNS", {})
         monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", budget)
         views = [SeededDesign(5, 3, 10), SeededDesign(5, 2, 10)]
         for plan in views:
             for k in range(11):
-                q, r_inv, _, _ = plan.factors(k)
+                q, r_inv = plan.canonical.factors(k)
+                block = plan.canonical.block(k)
                 if plan.n == 3:
                     assert q.tobytes() == full[k][0].tobytes()
                     assert r_inv.tobytes() == full[k][1].tobytes()
+                    assert block.tolist() == blocks[k].tolist()
             assert 0 < homog._held_bytes() <= budget
         assert sorted(homog._DESIGNS) == [2, 3]
+
+    def test_integer_blocks_count_at_their_ints_size(self, monkeypatch):
+        # A block holds Python ints: its bytes are the array's pointers and
+        # every int object.  One beyond the budget is built again per call.
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        lattice = canonical_design(3)
+        block = lattice.block(10)
+        ints = sum(map(sys.getsizeof, block.flat))
+        assert ints > block.nbytes
+        assert homog._held_bytes() == block.nbytes + ints
+        assert lattice.block(10) is block
+        monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", homog._held_bytes())
+        again = lattice.block(9)
+        assert lattice.block(9) is not again
+        assert again.tolist() == lattice.block(9).tolist()
+        assert homog._held_bytes() == block.nbytes + ints
+        assert 9 not in lattice._blocks
+        # an exact ladder still decides beyond the budget
+        design.cache_clear()
+        try:
+            v = classify_point(parse("x*y*z"), (1, 1, 1), k_max=9, seed=3,
+                               exact=True)
+        finally:
+            design.cache_clear()
+        assert v.status == ANALYTIC_UP_TO
 
     def test_lattice_factors_share_the_code_and_the_budget(self, monkeypatch):
         # Q and R of the lattice rows scaled to unit length, kept while the

@@ -305,6 +305,16 @@ class TestArcCommand:
             '{"kind": "Analytic", "valuation": 0, "order": 20, '
             f'"coeffs": [{coeffs}], "pointValue": "1", "mismatch": "0"}}\n')
 
+    def test_an_exact_jet_beyond_the_float_range_names_the_arc(self, capsys):
+        # an irrational sqrt makes the jet float; 2^2000 does not fit one
+        code = cli.main(["arc", "sqrt(2)*x^2000*y", "--arc", "t+2, t^2-1/3",
+                         "--mode", "rational", "--kmax", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(
+            "arcan: error: the jet along the arc t -> (t + 2), "
+            "((t ^ 2) - (1/3)) overflows the float range (")
+
 
 class TestBlowupCommand:
     def test_pullback_with_divisor_classification(self, capsys):

@@ -17,7 +17,7 @@ from arcan.linalg import solve_exact
 from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
 
-from helpers import permutation_seeds
+from helpers import permutation_seeds, permuted_rows, seeded_exact_fit
 
 F = Fraction
 
@@ -54,10 +54,6 @@ class TestHomoPoly:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             HomoPoly(2, 2, (1, 2))
-
-    def test_json_roundtrip(self):
-        p = HomoPoly(3, 2, tuple(F(i, 3) for i in range(6)))
-        assert HomoPoly.from_json(p.to_json()) == p
 
     def test_eval_many_matches_scalar(self):
         rng = random.Random(7)
@@ -99,16 +95,26 @@ class TestPowerTables:
         for a, b in zip(low.factors(k), high.factors(k)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("n, k", [(1, 5), (2, 12), (3, 10), (4, 6)])
+    def test_integer_block_is_the_exact_evaluation_matrix(self, n, k):
+        design = LatticeDesign(n)
+        block = design.block(k)
+        assert block.shape == (2 * dim_homog(n, k), dim_homog(n, k))
+        assert block.tolist() == [
+            [math.prod(c ** e for c, e in zip(u, exps))
+             for exps in monomials(n, k)]
+            for u in design.rows(2 * dim_homog(n, k))]
+        assert {type(a) for a in block.flat} == {int}
+
 
 class TestSampleNodes:
     def test_two_directions_not_collinear(self):
-        ns = sample_nodes(2, 1, seed=5)
-        (a, b), (c, d) = ns.nodes
+        (a, b), (c, d) = sample_nodes(signed_permutation(5, 2), 1)
         assert a * d - b * c != 0
 
     def test_four_node_matrix_invertible_exactly(self):
-        ns = sample_nodes(2, 3, seed=5)
-        rows = ns.matrix()
+        rows = [[math.prod(c ** e for c, e in zip(v, exps))
+                 for exps in monomials(2, 3)] for v in sample_nodes(signed_permutation(5, 2), 3)]
         # direct oracle: exact solve against a basis vector must succeed
         sol = solve_exact(rows, [1, 0, 0, 0])
         assert any(c != 0 for c in sol)
@@ -135,11 +141,12 @@ class TestSampleNodes:
             classify.design.cache_clear()
 
     def test_deterministic(self):
-        assert sample_nodes(3, 2, seed=9).nodes == sample_nodes(3, 2, seed=9).nodes
+        def nodes(seed):
+            return sample_nodes(signed_permutation(seed, 3), 2)
+        assert nodes(9) == nodes(9)
         # a seed acts through its signed permutation only (seed 10 picks
         # the same one as seed 9)
-        same = [sample_nodes(3, 2, seed=9).nodes == sample_nodes(3, 2, s).nodes
-                for s in range(12)]
+        same = [nodes(9) == nodes(s) for s in range(12)]
         assert same == [signed_permutation(9, 3) == signed_permutation(s, 3)
                         for s in range(12)]
         assert same[10] and not all(same)
@@ -147,8 +154,9 @@ class TestSampleNodes:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_float_nodes_are_the_permuted_canonical_fit_rows(self, n):
         # every shape `verify interp-roundtrip` draws: k <= 6.  A float
-        # ladder's rows are the permuted integer rows scaled to unit
-        # length; its first d(n, k) are the exact nodes so scaled.
+        # ladder's rows are the float nodes, the permuted integer rows
+        # scaled to unit length; its first d(n, k) are the exact nodes so
+        # scaled.
         for k in range(7):
             d = dim_homog(n, k)
             unit = canonical_design(n).unit(2 * d)
@@ -158,7 +166,9 @@ class TestSampleNodes:
                 plan = classify.SeededDesign(seed, n, k)
                 assert plan.directions.tolist() == [
                     [s * u[i] for i, s in flip] for u in unit.tolist()]
-                nodes = np.array(sample_nodes(n, k, seed).nodes, dtype=float)
+                assert sample_nodes(flip, k, exact=False) \
+                    == list(map(tuple, plan.directions.tolist()))
+                nodes = np.array(sample_nodes(flip, k), dtype=float)
                 scaled = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
                 assert scaled.tobytes() == plan.directions[:d].tobytes()
 
@@ -207,9 +217,9 @@ class TestLatticeDesign:
         cond = condition_estimate(fit, 3, 4)
         for seed in range(8):
             flip = signed_permutation(seed, 3)
-            ns = sample_nodes(3, 4, seed)
-            assert ns.nodes == tuple(tuple(s * u[i] for i, s in flip) for u in fit)
-            assert condition_estimate(ns.nodes, 3, 4) == pytest.approx(cond)
+            ns = sample_nodes(flip, 4)
+            assert ns == [tuple(s * u[i] for i, s in flip) for u in fit]
+            assert condition_estimate(ns, 3, 4) == pytest.approx(cond)
 
     def test_a_singular_fit_block_is_inconclusive_for_every_seed(
             self, monkeypatch):
@@ -254,33 +264,65 @@ class TestMonomialMap:
 
 class TestInterpFit:
     def test_recovers_exact_member(self):
-        ns = sample_nodes(2, 3, seed=11)
+        flip = signed_permutation(11, 2)
         p = HomoPoly(2, 3, (F(0), F(1), F(0), F(0)))
-        fitted = interp_fit([p(v) for v in ns.nodes], ns)
-        assert fitted.coeffs == p.coeffs
+        fitted, residuals, _ = interp_fit(
+            [p(v) for v in sample_nodes(flip, 3)], flip, 3, True)
+        assert fitted.coeffs == p.coeffs and residuals == []
 
     def test_zero_values_give_zero_polynomial(self):
-        ns = sample_nodes(3, 2, seed=11)
-        fitted = interp_fit([F(0)] * 6, ns)
+        fitted, _, _ = interp_fit([F(0)] * 6, signed_permutation(11, 3), 2,
+                                  exact=True)
         assert all(c == 0 for c in fitted.coeffs)
 
     def test_non_polynomial_function_leaves_residual(self):
         # v -> v1^3/(v1^2+v2^2) is 1-homogeneous but not linear: fitting at
-        # two nodes must miss at a third by a clear margin
+        # two rows must miss at the other two by a clear margin
         def h(v):
             return F(v[0] ** 3, v[0] ** 2 + v[1] ** 2)
-        ns = sample_nodes(2, 1, seed=3)
-        fitted = interp_fit([h(v) for v in ns.nodes], ns)
-        probe = canonical_design(2).rows(3)[2]
-        assert abs(h(probe) - fitted(probe)) > 1e-3
+        flip = signed_permutation(3, 2)
+        _, residuals, _ = interp_fit([h(v) for v in permuted_rows(flip, 4)],
+                                     flip, 1, exact=True)
+        assert min(residuals) > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_solve_on_the_permuted_rows(self, n):
+        # The fit on the canonical block, carried across the permutation,
+        # is the solve on the permuted rows themselves, with residuals of
+        # the same values and types: a zero form leaves |h| as it is (the
+        # int 0 of int zeros), a nonzero one Fractions.
+        rng = random.Random(n)
+        for k in range(7):
+            d = dim_homog(n, k)
+            p = random_poly(n, k, rng)
+            noise = [F(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(2 * d)]
+            families = [
+                lambda rows: [p(v) for v in rows],
+                lambda rows: noise,
+                lambda rows: [F(v[0] ** (k + 2), sum(c * c for c in v[:2]))
+                              for v in rows],
+                lambda rows: [0] * (2 * d),
+                lambda rows: [F(0)] * (2 * d),
+                lambda rows: [0] * d + noise[d:]]
+            for flip in permutation_seeds(n):
+                rows = permuted_rows(flip, 2 * d)
+                for family in families:
+                    values = family(rows)
+                    fitted, residuals, _ = interp_fit(values, flip, k, True)
+                    want, want_residuals = seeded_exact_fit(values, flip, k)
+                    assert fitted == want
+                    assert [(type(r), r) for r in residuals] \
+                        == [(type(r), r) for r in want_residuals]
 
     def test_roundtrip_exact_small_sweep(self):
         rng = random.Random(13)
         for trial in range(60):
             n, k = rng.randint(1, 4), rng.randint(0, 5)
             p = random_poly(n, k, rng)
-            ns = sample_nodes(n, k, seed=1000 + trial)
-            fitted = interp_fit([p(v) for v in ns.nodes], ns)
+            flip = signed_permutation(1000 + trial, n)
+            fitted, _, _ = interp_fit([p(v) for v in sample_nodes(flip, k)],
+                                      flip, k, exact=True)
             assert fitted.coeffs == p.coeffs
 
     def test_roundtrip_float(self):
@@ -289,9 +331,9 @@ class TestInterpFit:
         for trial in range(40):
             n, k = rng.randint(1, 4), rng.randint(0, 6)
             p = random_poly(n, k, rng, exact=False)
-            plan = classify.SeededDesign(2000 + trial, n, k)
-            fitted, residuals, _ = plan.fit(
-                k, [p(v) for v in plan.directions.tolist()])
+            flip = signed_permutation(2000 + trial, n)
+            fitted, residuals, _ = interp_fit(
+                [p(v) for v in sample_nodes(flip, k, exact=False)], flip, k)
             assert len(residuals) == 2 * dim_homog(n, k)
             for a, b in zip(p.coeffs, fitted.coeffs):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))

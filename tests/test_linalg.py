@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcan import linalg
 from arcan.errors import SingularSystem
-from arcan.homog import random_poly, sample_nodes
+from arcan.homog import canonical_design, random_poly
 from arcan.linalg import DIXON_MIN_SIZE, P, solve_bareiss, solve_dixon, \
     solve_exact
 
@@ -60,11 +60,12 @@ class TestDixonMatchesBareiss:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interpolation_system_84(self, seed):
-        # The largest system the identity suite solves: n=4, k=6.
-        nodes = sample_nodes(4, 6, seed)
+        # The largest system the identity suite solves: n=4, k=6, on the
+        # canonical integer block.
+        design = canonical_design(4)
         poly = random_poly(4, 6, random.Random(seed), exact=True)
-        rows = nodes.matrix()
-        values = [poly(v) for v in nodes.nodes]
+        rows = design.block(6)[:84].tolist()
+        values = [poly(v) for v in design.rows(84)]
         assert len(rows) == 84
         assert solve_dixon(rows, values) == list(poly.coeffs)
         assert solve_exact(rows, values) == list(poly.coeffs)
