@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .classify import ANALYTIC_UP_TO, DEFAULT_TOL, NON_ANALYTIC, Verdict, \
@@ -28,7 +29,7 @@ from .expr import Add, Div, Expr, Guard, IntPow, Mul, Node, Sqrt, Sub, Var, \
     substitute
 from .jets import Scalar
 from . import mpoly
-from .seeds import derive_seed
+from .seeds import derive_seed, sample_scalar
 
 
 @dataclass(frozen=True)
@@ -56,23 +57,9 @@ class BlowupChart:
         if self.axis not in center:
             raise ValueError("chart axis must belong to the center")
 
-    @property
-    def jacobian_power(self) -> int:
-        """The chart map's Jacobian determinant is s to this power."""
-        return len(self.center) - 1
-
     def substitution_map(self) -> dict[int, Node]:
         return {i: Mul(Var(self.axis), Var(i))
                 for i in self.center if i != self.axis}
-
-    def apply(self, chart_point: Sequence[Scalar]) -> tuple:
-        """Map chart coordinates to the original coordinates."""
-        s = chart_point[self.axis]
-        out = list(chart_point)
-        for i in self.center:
-            if i != self.axis:
-                out[i] = s * chart_point[i]
-        return tuple(out)
 
     def to_json(self) -> dict:
         return {"n": self.nvars, "center": [i + 1 for i in self.center],
@@ -206,9 +193,11 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
     NonAnalytic, and regular points of the center accumulate at it (some
     nearby center sample classifies analytic).  Under those premises every
     sampled fiber point must classify NonAnalytic; an analytic fiber point
-    would certify the base point analytic, a contradiction.
+    would certify the base point analytic, a contradiction.  In exact mode
+    the base point is taken as exact rationals and each sample draw as a
+    small one (`sample_scalar`).
     """
-    base_point = tuple(base_point)
+    base_point = tuple(map(Fraction, base_point) if exact else base_point)
     if len(base_point) != e.nvars:
         raise ValueError("base point dimension mismatch")
     if any(base_point[i] != 0 for i in chart.center):
@@ -226,7 +215,8 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
     for j in range(n_center):
         pt = list(base_point)
         for i in free_center:
-            pt[i] += center_delta * (rng.random() * 1.5 + 0.5) * rng.choice((-1, 1))
+            pt[i] += sample_scalar(center_delta * (rng.random() * 1.5 + 0.5)
+                                   * rng.choice((-1, 1)), exact)
         v = classify_point(e, tuple(pt), k_max, tol,
                            derive_seed(seed, "center", j), order, exact,
                            shortcut=True)
@@ -244,7 +234,8 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
         pt[chart.axis] = 0
         for i in chart.center:
             if i != chart.axis:
-                pt[i] = fiber_box * (2 * rng.random() - 1)
+                pt[i] = sample_scalar(fiber_box * (2 * rng.random() - 1),
+                                      exact)
         fiber_points.append(tuple(pt))
     verdicts = tuple(classify_pullback(e, chart, fiber_points, k_max, tol,
                                        derive_seed(seed, "fiber"), exact, order))

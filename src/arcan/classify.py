@@ -72,7 +72,7 @@ from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
 from .homog import HomoPoly, _magnitude, canonical_design, \
     condition_estimate, dim_homog, interp_fit, signed_permutation
 from .jets import LaneJet, LaurentJet, RationalJet, Scalar
-from .seeds import derive_seed
+from .seeds import derive_seed, sample_scalar
 
 ANALYTIC_UP_TO = "AnalyticUpTo"
 NON_ANALYTIC = "NonAnalytic"
@@ -546,6 +546,7 @@ def arc_symmetry_check(e: Expr, arc: ArcSpec, samples: int = 64,
     """
     if arc.nvars != e.nvars:
         raise ValueError("arc dimension does not match the expression")
+    t_max = sample_scalar(t_max, exact)
     ts = [t_max * (i + 1) / samples for i in range(samples)]
 
     def classify_at(t: float) -> str:

@@ -17,7 +17,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -30,7 +29,7 @@ from .errors import ArcanError
 from .expr import arc_check
 from .homog import dim_homog
 from .parser import parse, parse_arc
-from .seeds import derive_seed
+from .seeds import derive_seed, sample_scalar
 from .verify import IDENTITIES, run_identity, verify_corpus
 
 
@@ -97,31 +96,24 @@ def _csv_cell(obj) -> str:
     return str(obj)
 
 
-# --- configuration ------------------------------------------------------------
+# --- options ------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    mode: str = "float"
-    k_max: int = 8
-    tol: float = 1e-7
-    order: int | None = None
-    seed: int = 0
-    fmt: str = "json"
-    jobs: int = 1
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == "rational"
-
-    @property
-    def jet_order(self) -> int:
-        floor = default_order(self.k_max)
-        if self.order is None or self.order < floor:
-            return floor
-        return self.order
+def _bounded(flag: str, value: int, lo: int, hi: int) -> int:
+    if not lo <= value <= hi:
+        raise ArcanError(f"{flag} must be between {lo} and {hi}")
+    return value
 
 
-def _env_seed() -> int:
+def _tol(value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ArcanError("--tol must be a finite number above 0")
+    return value
+
+
+def _seed(value: int | None) -> int:
+    """--seed, else ARCAN_SEED, else 0."""
+    if value is not None:
+        return value
     raw = os.environ.get("ARCAN_SEED")
     if raw is None:
         return 0
@@ -131,28 +123,24 @@ def _env_seed() -> int:
         raise ArcanError(f"ARCAN_SEED must be an integer, got {raw!r}")
 
 
-def _config(args) -> RunConfig:
-    if not 1 <= args.kmax <= MAX_K_MAX:
-        raise ArcanError(f"--kmax must be between 1 and {MAX_K_MAX}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ArcanError("--tol must be a finite number above 0")
-    if args.order is not None and not 0 <= args.order <= MAX_ORDER:
-        raise ArcanError(f"--order must be between 0 and {MAX_ORDER}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise ArcanError(f"--jobs must be between 1 and {cpus}")
-    seed = args.seed if args.seed is not None else _env_seed()
-    return RunConfig(mode=args.mode, k_max=args.kmax, tol=args.tol,
-                     order=args.order, seed=seed, fmt=args.format,
-                     jobs=args.jobs)
+def _ladder_options(args) -> dict:
+    """A ladder's keyword arguments from --mode, --kmax, --tol, --order and
+    --seed, each checked; --order is raised to 2*kmax+4."""
+    k_max = _bounded("--kmax", args.kmax, 1, MAX_K_MAX)
+    tol = _tol(args.tol)
+    order = default_order(k_max)
+    if args.order is not None:
+        order = max(order, _bounded("--order", args.order, 0, MAX_ORDER))
+    return dict(k_max=k_max, tol=tol, seed=_seed(args.seed), order=order,
+                exact=args.mode == "rational")
 
 
-def _check_ladder(cfg: RunConfig, nvars: int) -> None:
+def _check_ladder(k_max: int, nvars: int) -> None:
     """Refuse a ladder whose top order needs too many directions."""
-    d = dim_homog(nvars, cfg.k_max)
+    d = dim_homog(nvars, k_max)
     if d > MAX_LADDER_DIRECTIONS:
         raise ArcanError(
-            f"--kmax {cfg.k_max} in {nvars} variables needs {d} directions "
+            f"--kmax {k_max} in {nvars} variables needs {d} directions "
             f"per order, more than the {MAX_LADDER_DIRECTIONS} allowed")
 
 
@@ -205,13 +193,11 @@ def _parse_grid(text: str, nvars: int, exact: bool) -> list[tuple]:
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    cfg = _config(args)
+    opts = _ladder_options(args)
     e = parse(args.expr)
-    _check_ladder(cfg, e.nvars)
-    point = _parse_point(args.point, cfg.exact)
-    verdict = classify_point(e, point, cfg.k_max, cfg.tol, cfg.seed,
-                             cfg.jet_order, cfg.exact)
-    print(emit_json(verdict_to_json(verdict)))
+    _check_ladder(opts["k_max"], e.nvars)
+    point = _parse_point(args.point, opts["exact"])
+    print(emit_json(verdict_to_json(classify_point(e, point, **opts))))
     return 0
 
 
@@ -220,13 +206,14 @@ def _verdict_csv_row(index: int, v) -> list:
 
 
 def _cmd_scan(args) -> int:
-    cfg = _config(args)
+    opts = _ladder_options(args)
+    jobs = _bounded("--jobs", args.jobs, 1, os.cpu_count() or 1)
     e = parse(args.expr)
-    _check_ladder(cfg, e.nvars)
-    axes = _parse_grid(args.grid, e.nvars, cfg.exact)
-    stream = iter_scan(e, axes, cfg.k_max, cfg.tol, cfg.seed, cfg.jet_order,
-                       cfg.exact, shortcut=not args.no_shortcut, jobs=cfg.jobs)
-    if cfg.fmt == "csv":
+    _check_ladder(opts["k_max"], e.nvars)
+    axes = _parse_grid(args.grid, e.nvars, opts["exact"])
+    stream = iter_scan(e, axes, shortcut=not args.no_shortcut, jobs=jobs,
+                       **opts)
+    if args.format == "csv":
         from .parser import var_name
         names = [var_name(i, e.nvars) for i in range(e.nvars)]
         print(",".join(["index", *names, "status", "kStar", "residual"]))
@@ -241,12 +228,12 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_arc(args) -> int:
-    cfg = _config(args)
+    order = _bounded("--order", args.order, 0, MAX_ORDER)
     if not (math.isfinite(args.arc_tol) and args.arc_tol >= 0):
         raise ArcanError("--arc-tol must be a finite number of at least 0")
     e = parse(args.expr)
     arc = parse_arc(args.arc)
-    report = arc_check(e, arc, cfg.jet_order, args.arc_tol, cfg.exact)
+    report = arc_check(e, arc, order, args.arc_tol, args.mode == "rational")
     doc = {
         "kind": report.kind,
         "valuation": report.laurent.valuation,
@@ -260,51 +247,62 @@ def _cmd_arc(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    cfg = _config(args)
+    opts = _ladder_options(args)
     if args.classify_divisor < 0:
         raise ArcanError("--classify-divisor must be at least 0")
     e = parse(args.expr)
     if args.classify_divisor:
-        _check_ladder(cfg, e.nvars)
+        _check_ladder(opts["k_max"], e.nvars)
     chart = BlowupChart.from_json(json.loads(args.chart))
-    result = pullback(e, chart)
-    doc = result.to_json()
+    doc = pullback(e, chart).to_json()
     if args.classify_divisor:
-        rng = random.Random(derive_seed(cfg.seed, "divisor-points"))
+        exact = opts["exact"]
+        rng = random.Random(derive_seed(opts["seed"], "divisor-points"))
         points = []
         for _ in range(args.classify_divisor):
-            pt = [0.0] * e.nvars
+            pt = [Fraction(0) if exact else 0.0] * e.nvars
             for i in chart.center:
                 if i != chart.axis:
-                    pt[i] = rng.uniform(-2.0, 2.0)
+                    pt[i] = sample_scalar(rng.uniform(-2.0, 2.0), exact)
             points.append(tuple(pt))
-        verdicts = classify_pullback(e, chart, points, cfg.k_max, cfg.tol,
-                                     cfg.seed, cfg.exact, cfg.jet_order)
+        verdicts = classify_pullback(e, chart, points, **opts)
         doc["divisorVerdicts"] = [verdict_to_json(v) for v in verdicts]
     print(emit_json(doc))
     return 0
 
 
+# The identities that check float machinery only.
+_FLOAT_IDENTITIES = ("alibaba", "loja")
+
+
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
+    seed = _seed(args.seed)
     if args.trials < 1:
         raise ArcanError("--trials must be at least 1")
-    report = run_identity(args.identity, args.trials, cfg.seed,
-                          exact=(cfg.mode == "rational"))
+    exact = args.mode == "rational"
+    if exact and args.identity in _FLOAT_IDENTITIES:
+        raise ArcanError(f"verify {args.identity} runs in float mode only")
+    report = run_identity(args.identity, args.trials, seed, exact)
     print(emit_json(report.to_json()))
     return 0 if report.passed else 2
 
 
 def _cmd_corpus(args) -> int:
-    cfg = _config(args)
-    names = [args.name] if args.name else None
+    k_max = _bounded("--kmax", args.kmax, 1, MAX_K_MAX)
+    tol = _tol(args.tol)
+    jobs = _bounded("--jobs", args.jobs, 1, os.cpu_count() or 1)
+    seed = _seed(args.seed)
+    try:
+        entries = [lookup(args.name)] if args.name else corpus_list()
+    except KeyError as exc:
+        raise ArcanError(exc.args[0]) from None
     if args.list:
-        for entry in corpus_list():
+        for entry in entries:
             print(emit_json(entry.to_json()))
         return 0
-    entries = [lookup(n) for n in names] if names else corpus_list()
-    _check_ladder(cfg, max(entry.nvars for entry in entries))
-    reports = verify_corpus(names, cfg.k_max, cfg.tol, cfg.seed, cfg.jobs)
+    _check_ladder(k_max, max(entry.nvars for entry in entries))
+    names = [args.name] if args.name else None
+    reports = verify_corpus(names, k_max, tol, seed, jobs)
     for rep in reports:
         print(emit_json(rep.to_json()))
     failed = [r.name for r in reports if not r.passed]
@@ -325,24 +323,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("float", "rational"), default="float",
-                   help="coefficient arithmetic (default float)")
-    p.add_argument("--kmax", type=int, default=8,
-                   help="highest differential order tested (default 8)")
-    p.add_argument("--tol", type=float, default=1e-7,
-                   help="validation residual tolerance (default 1e-7)")
-    p.add_argument("--order", type=int, default=None,
-                   help="widest retained jet order (auto-raised to "
-                        "2*kmax+4); a ladder's jets run to kmax first and "
-                        "widen to it only where that could change the "
-                        "verdict")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed (default: ARCAN_SEED or 0)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output encoding for scans (default json lines)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for scans (default 1)")
+# The options more than one subcommand takes; each subcommand takes only
+# the options it reads.
+_SHARED = {
+    "--mode": dict(choices=("float", "rational"), default="float",
+                   help="coefficient arithmetic (default float)"),
+    "--kmax": dict(type=int, default=8,
+                   help="highest differential order tested (default 8)"),
+    "--tol": dict(type=float, default=1e-7,
+                  help="validation residual tolerance (default 1e-7)"),
+    "--order": dict(type=int, default=None,
+                    help="widest retained jet order (auto-raised to "
+                         "2*kmax+4); a ladder's jets run to kmax first and "
+                         "widen to it only where that could change the "
+                         "verdict"),
+    "--seed": dict(type=int, default=None,
+                   help="base seed (default: ARCAN_SEED or 0)"),
+    "--jobs": dict(type=int, default=1,
+                   help="worker processes for scans (default 1)"),
+}
+_LADDER = ("--mode", "--kmax", "--tol", "--order", "--seed")
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify one point")
     p.add_argument("expr")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    _add_common(p)
+    _add_shared(p, *_LADDER)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("scan", help="classify every point of a grid")
@@ -363,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help='per-axis bounds, e.g. "x:-1:1:0.125;y:-1:1:0.125"')
     p.add_argument("--no-shortcut", action="store_true",
                    help="run the full ladder even at manifestly regular points")
-    _add_common(p)
+    _add_shared(p, *_LADDER)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="output encoding (default json lines)")
+    _add_shared(p, "--jobs")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("arc", help="series-vs-value report along one arc")
@@ -372,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help='comma-separated polynomial components in t, e.g. "t, t^2"')
     p.add_argument("--arc-tol", type=float, default=1e-9,
                    help="mismatch tolerance for the basepoint comparison")
-    _add_common(p)
+    _add_shared(p, "--mode")
+    p.add_argument("--order", type=int, default=20,
+                   help="the series window: coefficients through t^order "
+                        "(default 20)")
     p.set_defaults(func=_cmd_arc)
 
     p = sub.add_parser("blowup", help="pull an expression back through a chart")
@@ -381,19 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help='chart JSON, e.g. \'{"n":3,"center":[2,3],"axis":3}\'')
     p.add_argument("--classify-divisor", type=int, default=0, metavar="N",
                    help="also classify N sampled points of the divisor")
-    _add_common(p)
+    _add_shared(p, *_LADDER)
     p.set_defaults(func=_cmd_blowup)
 
     p = sub.add_parser("verify", help="run a randomized identity check")
     p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("--trials", type=int, default=1000)
-    _add_common(p)
+    _add_shared(p, "--mode", "--seed")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("corpus", help="run the fixture suite")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--list", action="store_true", help="print entries and exit")
-    _add_common(p)
+    p.add_argument("--list", action="store_true",
+                   help="print the entries (or the named one) and exit")
+    _add_shared(p, "--kmax", "--tol", "--seed", "--jobs")
     p.set_defaults(func=_cmd_corpus)
 
     return parser
@@ -406,11 +418,8 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except ArcanError as exc:
-        print(f"arcan: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OverflowError, ZeroDivisionError,
-            json.JSONDecodeError) as exc:
+    except (ArcanError, ValueError, KeyError, OverflowError,
+            ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"arcan: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

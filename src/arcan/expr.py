@@ -593,23 +593,6 @@ class ArcSpec:
         return tuple(eval_point(c, (Fraction(0),) if exact else (0.0,), exact)
                      for c in self.components)
 
-    @staticmethod
-    def from_coeffs(rows: Sequence[Sequence[Scalar]]) -> "ArcSpec":
-        """Build an arc from per-component coefficient lists (low degree first)."""
-        comps = []
-        for row in rows:
-            node: Node = RationalConst(Fraction(0))
-            for i, c in enumerate(row):
-                if c == 0:
-                    continue
-                term: Node = RationalConst(Fraction(c))
-                if i >= 1:
-                    tnode: Node = Var(0) if i == 1 else IntPow(Var(0), i)
-                    term = Mul(term, tnode) if Fraction(c) != 1 else tnode
-                node = term if node == RationalConst(Fraction(0)) else Add(node, term)
-            comps.append(Expr(node, 1))
-        return ArcSpec(tuple(comps))
-
     def jets(self, order: int, exact: bool = False) -> tuple[LaurentJet, ...]:
         one = Fraction(1) if exact else 1.0
         if order >= 1:

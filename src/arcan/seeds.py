@@ -5,12 +5,15 @@ whose seeds are derived here, so identical inputs give identical outputs on
 every platform and regardless of worker scheduling.  `lattice_vector`
 draws the rows of the canonical design (`homog.LatticeDesign`), the one
 source of the directions both arithmetics evaluate along.
+`sample_scalar` turns a float draw into the coordinate an arithmetic
+samples: exact ladders run on small exact rationals.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 
 
 def derive_seed(*parts) -> int:
@@ -20,6 +23,12 @@ def derive_seed(*parts) -> int:
         h.update(repr(p).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
+
+
+def sample_scalar(u: float, exact: bool):
+    """A float draw as a sample coordinate: in exact mode the nearest
+    fraction with denominator at most 64, in float mode `u` itself."""
+    return Fraction(u).limit_denominator(64) if exact else u
 
 
 # The coordinates a lattice direction draws from.

@@ -9,9 +9,10 @@ kept as its reference.  `qr_residuals` is the float order test as it was
 before the canonical design: a QR of the evaluation matrix at the very
 directions the jets were taken along.  `seeded_exact_fit` is the exact
 fit as it was before the canonical integer blocks: a solve on the
-seed-permuted rows themselves.  `chart_invert`, `pullback_sequence`,
-`eval_poly`, `arc_analytic_entries` and `unit_vector` are small tools
-only the tests use.
+seed-permuted rows themselves.  `arc_from_coeffs`, `chart_apply`,
+`jacobian_power`, `chart_invert`, `pullback_sequence`, `eval_poly`,
+`arc_analytic_entries` and `unit_vector` are small tools only the tests
+use.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def random_arc(rng: random.Random, nvars: int, degree: int = 4,
         if all(c == 0 for c in row[1:]):
             row[1] = rand_nonzero_fraction(rng, span=4)
         rows.append(row)
-    return ArcSpec.from_coeffs(rows)
+    return arc_from_coeffs(rows)
 
 
 def random_point(rng: random.Random, nvars: int, box: float = 1.0) -> tuple:
@@ -315,6 +316,38 @@ def permutation_seeds(n: int) -> dict:
 
 
 # --- tools only the tests use ----------------------------------------------------
+
+def arc_from_coeffs(rows: Sequence[Sequence[Scalar]]) -> ArcSpec:
+    """Build an arc from per-component coefficient lists (low degree first)."""
+    comps = []
+    for row in rows:
+        node = RationalConst(Fraction(0))
+        for i, c in enumerate(row):
+            if c == 0:
+                continue
+            term = RationalConst(Fraction(c))
+            if i >= 1:
+                tnode = Var(0) if i == 1 else IntPow(Var(0), i)
+                term = Mul(term, tnode) if Fraction(c) != 1 else tnode
+            node = term if node == RationalConst(Fraction(0)) else Add(node, term)
+        comps.append(Expr(node, 1))
+    return ArcSpec(tuple(comps))
+
+
+def chart_apply(chart: BlowupChart, chart_point: Sequence[Scalar]) -> tuple:
+    """Map chart coordinates to the original coordinates."""
+    s = chart_point[chart.axis]
+    out = list(chart_point)
+    for i in chart.center:
+        if i != chart.axis:
+            out[i] = s * chart_point[i]
+    return tuple(out)
+
+
+def jacobian_power(chart: BlowupChart) -> int:
+    """The chart map's Jacobian determinant is s to this power."""
+    return len(chart.center) - 1
+
 
 def chart_invert(chart: BlowupChart, base_point: Sequence[Scalar]) -> tuple:
     """Chart coordinates over a base point with nonzero axis coordinate."""

@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from arcan import blowup
 from arcan.blowup import BlowupChart, classify_pullback, fiber_lift_check, \
     make_chart, pullback
-from arcan.classify import ANALYTIC_UP_TO, NON_ANALYTIC
+from arcan.classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point
 from arcan.errors import BadCenter, PremiseViolated
 from arcan.expr import Expr, eval_point, substitute
 from arcan.parser import parse
 
-from helpers import chart_invert, pullback_sequence, random_point, \
-    random_safe_rational_expr
+from helpers import chart_apply, chart_invert, jacobian_power, \
+    pullback_sequence, random_point, random_safe_rational_expr
 
 F = Fraction
 
@@ -25,11 +26,11 @@ XAXIS_CHART = make_chart(3, (2, 3), 3)
 
 class TestCharts:
     def test_point_blowup_substitution(self):
-        assert POINT_CHART.apply((2.0, 3.0)) == (2.0, 6.0)  # (s, s*y)
+        assert chart_apply(POINT_CHART, (2.0, 3.0)) == (2.0, 6.0)  # (s, s*y)
 
     def test_subspace_chart_formula(self):
         # (x, y, z) -> (x, s*y, s) for the chart of the x-axis with axis z
-        assert XAXIS_CHART.apply((5.0, 2.0, 0.5)) == (5.0, 1.0, 0.5)
+        assert chart_apply(XAXIS_CHART, (5.0, 2.0, 0.5)) == (5.0, 1.0, 0.5)
 
     def test_codimension_one_rejected(self):
         with pytest.raises(BadCenter):
@@ -40,9 +41,9 @@ class TestCharts:
             make_chart(3, (2, 3), 1)
 
     def test_jacobian_power(self):
-        assert POINT_CHART.jacobian_power == 1
-        assert XAXIS_CHART.jacobian_power == 1
-        assert make_chart(3, (1, 2, 3), 2).jacobian_power == 2
+        assert jacobian_power(POINT_CHART) == 1
+        assert jacobian_power(XAXIS_CHART) == 1
+        assert jacobian_power(make_chart(3, (1, 2, 3), 2)) == 2
 
     def test_json_roundtrip(self):
         doc = XAXIS_CHART.to_json()
@@ -51,7 +52,7 @@ class TestCharts:
 
     def test_invert(self):
         pt = (1.5, -0.75)
-        assert chart_invert(POINT_CHART, POINT_CHART.apply(pt)) == pt
+        assert chart_invert(POINT_CHART, chart_apply(POINT_CHART, pt)) == pt
         with pytest.raises(ValueError):
             chart_invert(POINT_CHART, (0.0, 1.0))
 
@@ -67,7 +68,7 @@ class TestPullback:
             s = rng.uniform(0.05, 2.0) * rng.choice((-1, 1))
             y = rng.uniform(-2.0, 2.0)
             lhs = eval_point(result.expr, (s, y))
-            rhs = eval_point(E1, POINT_CHART.apply((s, y)))
+            rhs = eval_point(E1, chart_apply(POINT_CHART, (s, y)))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
     def test_no_division_means_no_cancellation(self):
@@ -87,7 +88,7 @@ class TestPullback:
             pt = (rng.uniform(-1, 1), rng.uniform(-2, 2),
                   rng.uniform(0.05, 1.5) * rng.choice((-1, 1)))
             lhs = eval_point(result.expr, pt)
-            rhs = eval_point(ZCONE, XAXIS_CHART.apply(pt))
+            rhs = eval_point(ZCONE, chart_apply(XAXIS_CHART, pt))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
     def test_sqrt_blocks_expansion_with_flag(self):
@@ -97,7 +98,7 @@ class TestPullback:
         assert result.cancelled_power == 0
         pt = (0.7, -0.3)
         assert eval_point(result.expr, pt) == pytest.approx(
-            eval_point(e, POINT_CHART.apply(pt)), rel=1e-12)
+            eval_point(e, chart_apply(POINT_CHART, pt)), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -117,7 +118,7 @@ class TestPullback:
                     pt[axis] = 0.5
                 pt = tuple(pt)
                 lhs = eval_point(result.expr, pt)
-                rhs = eval_point(e, chart.apply(pt))
+                rhs = eval_point(e, chart_apply(chart, pt))
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
     def test_cancellation_preserves_values(self):
@@ -142,7 +143,7 @@ class TestPullback:
         for _ in range(100):
             pt_a = (rng.uniform(-1, 1), rng.uniform(0.1, 2) * rng.choice((-1, 1)),
                     rng.uniform(0.1, 2) * rng.choice((-1, 1)))
-            base = chart_a.apply(pt_a)
+            base = chart_apply(chart_a, pt_a)
             pt_b = chart_invert(chart_b, base)
             va = eval_point(pa.expr, pt_a)
             vb = eval_point(pb.expr, pt_b)
@@ -163,7 +164,7 @@ class TestPullback:
         for _ in range(30):
             pt = tuple(rng.uniform(0.1, 1.5) * rng.choice((-1, 1))
                        for _ in range(3))
-            base = charts[0].apply(charts[1].apply(pt))
+            base = chart_apply(charts[0], chart_apply(charts[1], pt))
             lhs = eval_point(folded.expr, pt)
             rhs = eval_point(ZCONE, base)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
@@ -238,3 +239,18 @@ class TestFiberLift:
     def test_base_point_must_lie_on_center(self):
         with pytest.raises(ValueError):
             fiber_lift_check(ZCONE, XAXIS_CHART, (0.0, 1.0, 0.0), k_max=2)
+
+    def test_exact_mode_samples_exact_points(self, monkeypatch):
+        seen = []
+
+        def spy(e, x, *args, **kwargs):
+            seen.append(tuple(x))
+            return classify_point(e, x, *args, **kwargs)
+        monkeypatch.setattr(blowup, "classify_point", spy)
+        report = fiber_lift_check(ZCONE, XAXIS_CHART, (0.0, 0.0, 0.0),
+                                  k_max=2, seed=67, n_fiber=4, n_center=3,
+                                  exact=True)
+        assert report.consistent and len(seen) == 1 + 3 + 4
+        assert all(type(c) in (int, F) for pt in seen for c in pt)
+        assert {ev.threshold for v in report.fiber_verdicts
+                for ev in v.evidence} == {0}

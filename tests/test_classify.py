@@ -18,15 +18,15 @@ from arcan.classify import ANALYTIC_UP_TO, DEFAULT_TOL, INCONCLUSIVE, \
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
-from arcan.expr import ArcSpec, Expr, eval_arc
+from arcan.expr import Expr, eval_arc
 from arcan.homog import HomoPoly, LatticeDesign, canonical_design, \
     dim_homog, gather_matrix, signed_permutation
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
-from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, permutation_seeds, \
-    qr_residuals, random_arc, random_point, random_polynomial_expr, \
-    random_safe_rational_expr, trees
+from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_from_coeffs, \
+    permutation_seeds, qr_residuals, random_arc, random_point, \
+    random_polynomial_expr, random_safe_rational_expr, trees
 
 F = Fraction
 
@@ -70,7 +70,7 @@ class TestGateauxCoeff:
             x = random_point(rng, nvars)
             v = random_point(rng, nvars)
             rows = [[xi, vi] for xi, vi in zip(x, v)]
-            jet = eval_arc(e, ArcSpec.from_coeffs(rows), order=10)
+            jet = eval_arc(e, arc_from_coeffs(rows), order=10)
             for k in range(0, 7):
                 assert gateaux_coeff(e, x, v, k, order=10) == jet.taylor_coeff(k)
 
@@ -663,6 +663,21 @@ class TestArcSymmetry:
             report = arc_symmetry_check(e, arc, samples=64, k_max=3, seed=6)
             if report.negative_uniformly_analytic:
                 assert report.positive_exceptions <= 2
+
+    def test_exact_mode_samples_exact_points(self, monkeypatch):
+        seen = []
+        verdicts = []
+
+        def spy(e, x, *args, **kwargs):
+            seen.append(tuple(x))
+            verdicts.append(classify_point(e, x, *args, **kwargs))
+            return verdicts[-1]
+        monkeypatch.setattr(classify, "classify_point", spy)
+        report = arc_symmetry_check(E5, parse_arc("0, 0, t"), samples=4,
+                                    k_max=2, seed=5, exact=True)
+        assert not report.violation and len(seen) == 8
+        assert all(type(c) in (int, F) for pt in seen for c in pt)
+        assert {ev.threshold for v in verdicts for ev in v.evidence} == {0}
 
 
 class TestLojaEstimate:

@@ -1,16 +1,20 @@
 """CLI contract: output schemas, determinism, encodings, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arcan import cli
+from arcan.classify import classify_point
 from arcan.expr import eval_point
 from arcan.parser import parse
 
@@ -287,12 +291,21 @@ class TestArcCommand:
         assert doc["kind"] == "Pole"
         assert doc["valuation"] == -2
 
+    @pytest.mark.parametrize("order", [4, 30])
+    def test_order_is_the_series_window(self, capsys, order):
+        # not raised to a ladder's 2*kmax+4: arc runs no ladder
+        code, out = run_cli(capsys, ["arc", "x", "--arc", "t", "--order",
+                                     str(order)])
+        doc = json.loads(out)
+        assert (code, doc["order"]) == (0, order)
+        assert doc["coeffs"] == [1] + [0] * (order - 1)
+
     def test_zeroth_power_of_a_pole_is_the_constant_one(self, capsys):
         code, out = run_cli(capsys, ["arc", "(1/x^20)^0", "--arc", "t",
-                                     "--kmax", "2"])
+                                     "--order", "8"])
         assert code == 0
         _, same = run_cli(capsys, ["arc", "(1/x^30)*x^30", "--arc", "t",
-                                   "--kmax", "2"])
+                                   "--order", "8"])
         assert json.loads(out)["kind"] == "RemovableMismatch"
         assert out == same
 
@@ -308,7 +321,7 @@ class TestArcCommand:
     def test_an_exact_jet_beyond_the_float_range_names_the_arc(self, capsys):
         # an irrational sqrt makes the jet float; 2^2000 does not fit one
         code = cli.main(["arc", "sqrt(2)*x^2000*y", "--arc", "t+2, t^2-1/3",
-                         "--mode", "rational", "--kmax", "2"])
+                         "--mode", "rational", "--order", "8"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith(
@@ -327,6 +340,26 @@ class TestBlowupCommand:
         assert doc["cancelledPower"] == 2
         statuses = {v["status"] for v in doc["divisorVerdicts"]}
         assert statuses == {"AnalyticUpTo"}
+
+    def test_rational_divisor_points_are_exact(self, capsys, monkeypatch):
+        from arcan import blowup
+        seen = []
+
+        def spy(e, x, *args, **kwargs):
+            seen.append(tuple(x))
+            return classify_point(e, x, *args, **kwargs)
+        monkeypatch.setattr(blowup, "classify_point", spy)
+        code, out = run_cli(capsys, [
+            "blowup", "guard(x^3/(x^2+y^2),0)",
+            "--chart", '{"n":2,"center":[1,2],"axis":1}',
+            "--classify-divisor", "3", "--kmax", "3", "--mode", "rational"])
+        assert code == 0 and len(seen) == 3
+        assert all(type(c) in (int, Fraction) for pt in seen for c in pt)
+        for verdict in json.loads(out)["divisorVerdicts"]:
+            assert verdict["status"] == "AnalyticUpTo"
+            assert all(isinstance(c, str) for c in verdict["point"])
+            assert {(entry["threshold"], entry["margin"])
+                    for entry in verdict["perOrder"]} == {(0, 0)}
 
 
     CHART3 = '{"n":3,"center":[1,2],"axis":1}'
@@ -377,6 +410,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["worstResidual"] == 0
 
+    @pytest.mark.parametrize("identity", ["alibaba", "loja"])
+    def test_float_identities_refuse_rational_mode(self, capsys, identity):
+        code = cli.main(["verify", identity, "--mode", "rational"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (f"arcan: error: verify {identity} runs in "
+                                "float mode only\n")
+
 
 class TestCorpusCommand:
     def test_single_entry(self, capsys):
@@ -391,6 +432,27 @@ class TestCorpusCommand:
         assert code == 0
         names = [json.loads(l)["name"] for l in out.strip().splitlines()]
         assert names == ["E1", "E2", "E3", "E4", "E5", "E6"]
+
+    def test_listing_one_entry(self, capsys):
+        code, out = run_cli(capsys, ["corpus", "--list", "E4"])
+        assert code == 0
+        assert [json.loads(l)["name"] for l in out.splitlines()] == ["E4"]
+
+    @pytest.mark.parametrize("argv", [["corpus", "E9"],
+                                      ["corpus", "--list", "E9"]])
+    def test_unknown_entry(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "arcan: error: no corpus entry named 'E9'\n"
+
+    def test_rational_mode_is_refused(self, capsys):
+        # corpus scans run in float arithmetic only
+        with pytest.raises(SystemExit) as err:
+            cli.main(["corpus", "E1", "--mode", "rational"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "arcan: error: unrecognized arguments: --mode rational\n")
 
     def test_mismatch_exits_two(self, capsys, monkeypatch):
         from arcan.verify import EntryReport
@@ -467,14 +529,13 @@ class TestUsageContract:
         assert cli.main(["blowup", "x*y", "--chart",
                          '{"n":2,"center":[1,2],"axis":1}',
                          "--classify-divisor", "0"]) == 0
-        assert cli.main(["arc", "x", "--arc", "t", "--order", "404",
-                         "--kmax", "100"]) == 0
+        assert cli.main(["arc", "x", "--arc", "t", "--order", "404"]) == 0
 
     def test_ladder_bound_admits_three_variables_at_kmax_60(self):
         # d(3, 60) = 1891; checked without running the ladder
-        cli._check_ladder(cli.RunConfig(k_max=60), 3)
+        cli._check_ladder(60, 3)
         with pytest.raises(cli.ArcanError, match="2016 directions"):
-            cli._check_ladder(cli.RunConfig(k_max=62), 3)
+            cli._check_ladder(62, 3)
 
     def test_jobs_must_fit_the_machine(self, capsys, monkeypatch):
         # Rejected before any worker pool exists: a pool must never start.
@@ -533,6 +594,91 @@ class TestUsageContract:
         monkeypatch.delenv("ARCAN_SEED")
         _, explicit = run_cli(capsys, argv + ["--seed", "17"])
         assert from_env == explicit
+
+
+# Each subcommand's flags, and a valid value for each flag.
+FLAGS = {
+    "classify": ["--point", "--mode", "--kmax", "--tol", "--order", "--seed"],
+    "scan": ["--grid", "--no-shortcut", "--mode", "--kmax", "--tol",
+             "--order", "--seed", "--format", "--jobs"],
+    "arc": ["--arc", "--arc-tol", "--mode", "--order"],
+    "blowup": ["--chart", "--classify-divisor", "--mode", "--kmax", "--tol",
+               "--order", "--seed"],
+    "verify": ["--trials", "--mode", "--seed"],
+    "corpus": ["--list", "--kmax", "--tol", "--seed", "--jobs"],
+}
+CHART = '{"n":2,"center":[1,2],"axis":1}'
+VALUES = {"--point": "0", "--grid": "x:0:1:1", "--no-shortcut": None,
+          "--mode": "float", "--kmax": "2", "--tol": "1e-6", "--order": "8",
+          "--seed": "1", "--format": "csv", "--jobs": "1", "--arc": "t",
+          "--arc-tol": "0", "--chart": CHART, "--classify-divisor": "1",
+          "--trials": "1", "--list": None}
+# A cheap valid invocation of each subcommand.
+BASE = {"classify": ["classify", "x", "--point", "0"],
+        "scan": ["scan", "x", "--grid", "x:0:1:1"],
+        "arc": ["arc", "x", "--arc", "t"],
+        "blowup": ["blowup", "x*y", "--chart", CHART],
+        "verify": ["verify", "binoms", "--trials", "1"],
+        "corpus": ["corpus", "E1", "--list"]}
+
+
+def flag_argv(flag: str) -> list:
+    return [flag] if VALUES[flag] is None else [flag, VALUES[flag]]
+
+
+def parser_flags() -> dict:
+    """Each subcommand's long options, as build_parser() declares them."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: [flag for action in p._actions
+                   for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"]
+            for name, p in sub.choices.items()}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_declares_exactly_its_flags(self):
+        assert {name: sorted(flags) for name, flags in parser_flags().items()} \
+            == {name: sorted(flags) for name, flags in FLAGS.items()}
+        assert sum(map(len, FLAGS.values())) == 34
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in FLAGS for flag in FLAGS[command]])
+    def test_a_subcommand_takes_its_flags(self, command, flag):
+        args = cli.build_parser().parse_args(BASE[command] + flag_argv(flag))
+        assert args.command == command
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in FLAGS for flag in sorted(VALUES)
+        if flag not in FLAGS[command]])
+    def test_any_other_flag_is_unrecognized(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main(BASE[command] + flag_argv(flag))
+        captured = capsys.readouterr()
+        assert err.value.code == 1 and captured.out == ""
+        assert "arcan: error: unrecognized arguments: " + flag in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_readme_lists_each_subcommand_s_flags(self):
+        # the README's per-subcommand flag lines follow build_parser()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = {match[1]: re.findall(r"--[a-z-]+", match[2])
+                  for match in re.finditer(r"^- `(\w+)`: (.*)$", readme,
+                                           re.MULTILINE)}
+        assert listed == parser_flags()
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_arcan_seed_is_read_by_the_commands_taking_seed(
+            self, capsys, monkeypatch, command):
+        monkeypatch.setenv("ARCAN_SEED", "x")
+        code = cli.main(BASE[command])
+        captured = capsys.readouterr()
+        if "--seed" in FLAGS[command]:
+            assert code == 1
+            assert captured.err == ("arcan: error: ARCAN_SEED must be an "
+                                    "integer, got 'x'\n")
+        else:
+            assert (code, captured.err) == (0, "")
 
 
 class TestModuleEntryPoint:

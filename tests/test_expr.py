@@ -17,7 +17,7 @@ from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, Expr, \
 from arcan.parser import parse, parse_arc
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_analytic_entries, \
-    eval_poly, random_arc, random_polynomial_expr, trees, \
+    arc_from_coeffs, eval_poly, random_arc, random_polynomial_expr, trees, \
     walker_eval_point_flagged, walker_regular_at
 
 F = Fraction
@@ -213,7 +213,7 @@ class TestArcSpec:
         assert arc.basepoint() == (0.0, 0.0)
 
     def test_from_coeffs_matches_parse(self):
-        built = ArcSpec.from_coeffs([[F(1), F(2)], [F(0), F(0), F(3)]])
+        built = arc_from_coeffs([[F(1), F(2)], [F(0), F(0), F(3)]])
         parsed = parse_arc("1 + 2*t, 3*t^2")
         for order in (3, 6):
             assert built.jets(order, exact=True) == parsed.jets(order, exact=True)

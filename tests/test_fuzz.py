@@ -46,13 +46,15 @@ OPTIONS = {
     "--no-shortcut": None,
     "--help": None,
 }
-COMMON = ["--mode", "--kmax", "--tol", "--order", "--seed", "--format",
-          "--jobs", "--help"]
+LADDER = ["--mode", "--kmax", "--tol", "--order", "--seed"]
 # Each command with the options it requires and the others it takes.
-COMMANDS = {"classify": (["--point"], []), "scan": (["--grid"], ["--no-shortcut"]),
-            "arc": (["--arc"], ["--arc-tol"]),
-            "blowup": (["--chart"], ["--classify-divisor"]),
-            "verify": (["--trials"], []), "corpus": ([], ["--list"]),
+COMMANDS = {"classify": (["--point"], LADDER),
+            "scan": (["--grid"], LADDER + ["--no-shortcut", "--format",
+                                            "--jobs"]),
+            "arc": (["--arc"], ["--arc-tol", "--mode", "--order"]),
+            "blowup": (["--chart"], LADDER + ["--classify-divisor"]),
+            "verify": (["--trials"], ["--mode", "--seed"]),
+            "corpus": ([], ["--list", "--kmax", "--tol", "--seed", "--jobs"]),
             "bogus": ([], [])}
 IDENTITIES = ["binoms", "euler", "loja", "alibaba", "interp-roundtrip"]
 POSITIONALS = EXPRESSIONS + IDENTITIES + ["E1", "E4", "E9"]
@@ -105,7 +107,7 @@ def argvs(draw):
     """
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, own = COMMANDS[command]
-    others = st.sampled_from(sorted(set(COMMON + own)))
+    others = st.sampled_from(sorted(own + ["--help"]))
     options = required + draw(st.lists(
         others | others | st.sampled_from(sorted(OPTIONS)), max_size=3))
     positional = IDENTITIES if command == "verify" else EXPRESSIONS
