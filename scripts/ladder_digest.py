@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Digests of the full ladder's output, float and rational, on the corpus.
+"""Digests of the full ladder's output, float and rational, and of default
+scans, on the corpus.
 
 Float: runs `classify_point` in float mode with the shortcut off at k_max
 10 at every point of every corpus entry's `scan_axes` grid (E1–E6, 10,982
@@ -8,20 +9,28 @@ s = 0, 1 and i the point's grid index.  Rational: runs it in rational mode
 at every corpus exact-locus and regular point (23 points), at k_max 8 and
 10, under seeds 0, 1 and 2.  Prints, per arithmetic, the number of
 verdicts and the SHA-256 of their `emit_json(verdict_to_json(...))` lines,
-each ended by a newline.  Equal digests on two commits mean byte-identical
-output, residual digits included.  Each half's wall time, in-process, goes
-to stderr.  Takes about a minute and a half on a 2-core x86_64 machine:
+each ended by a newline.  Scan: runs `arcan scan` in-process, shortcut on,
+over every corpus entry's grid as the CLI reads it (E5 in two variables,
+over the window of the two), in JSON and CSV, under --seed 0 and 1, and
+prints the number of lines and the SHA-256 of the concatenated stdout.
+Equal digests on two commits mean byte-identical output, residual digits
+included.  Each part's wall time, in-process, goes to stderr.  Takes about
+a minute and a half on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 import time
 
+from arcan import cli
 from arcan.classify import classify_point, grid_points, verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list
+from arcan.parser import parse, var_name
 from arcan.seeds import derive_seed
 
 K_MAX = 10
@@ -47,6 +56,32 @@ def rational_verdicts():
                     yield classify_point(e, x, k_max, seed=seed, exact=True)
 
 
+def scan_outputs():
+    for entry in corpus_list():
+        nvars = parse(entry.source).nvars
+        grid = ";".join(f"{var_name(a, nvars)}:{lo}:{hi}:{step}"
+                        for a, (lo, hi, step)
+                        in enumerate(entry.scan_axes[:nvars]))
+        for fmt in ("json", "csv"):
+            for seed in SCAN_SEEDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["scan", entry.source, "--grid", grid,
+                                     "--format", fmt, "--seed", str(seed)])
+                if code != 0:
+                    sys.exit(f"scan of {entry.name} exited {code}")
+                yield out.getvalue()
+
+
+def scan_digest() -> str:
+    h = hashlib.sha256()
+    lines = 0
+    for text in scan_outputs():
+        h.update(text.encode())
+        lines += text.count("\n")
+    return f"{lines} lines sha256 {h.hexdigest()}"
+
+
 def digest(verdicts) -> str:
     h = hashlib.sha256()
     count = 0
@@ -57,10 +92,11 @@ def digest(verdicts) -> str:
 
 
 def main() -> None:
-    for name, verdicts in (("float", float_verdicts),
-                           ("rational", rational_verdicts)):
+    for name, run in (("float", lambda: digest(float_verdicts())),
+                      ("rational", lambda: digest(rational_verdicts())),
+                      ("scan", scan_digest)):
         start = time.perf_counter()
-        print(f"{name}: {digest(verdicts())}", flush=True)
+        print(f"{name}: {run()}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,
               flush=True)
 

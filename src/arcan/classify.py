@@ -48,8 +48,10 @@ radicand stays away from zero the function is a composition of analytic
 germs, and no sampling is needed (`regular_at`).  A float scan decides
 that shortcut for a block of grid points in one tape pass
 (`regular_lanes`, one lane per point), and every point it does not find
-regular runs the ladder.  Rational scans, and single points, decide the
-shortcut point by point.
+regular runs the ladder.  A point it finds regular gets no `Verdict`:
+`iter_scan` yields it with verdict None, `scan_region` leaves it out, and
+the CLI writes its line from fixed text.  Rational scans, and single
+points, decide the shortcut point by point.
 """
 
 from __future__ import annotations
@@ -401,7 +403,16 @@ def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, seed: int,
 # --- region scans -------------------------------------------------------------
 
 def grid_points(axes: Sequence[tuple], exact: bool = False) -> list[tuple]:
-    """Row-major lattice for per-axis (lo, hi, step) bounds, endpoints included.
+    """Row-major lattice for per-axis (lo, hi, step) bounds, endpoints included:
+    the product of `grid_axis_values`."""
+    points: list[tuple] = [()]
+    for values in grid_axis_values(axes, exact):
+        points = [p + (v,) for p in points for v in values]
+    return points
+
+
+def grid_axis_values(axes: Sequence[tuple], exact: bool = False) -> list[list]:
+    """Each axis's coordinates, lo, lo + step, ... up to hi, of a grid.
 
     Coordinates are generated in exact rational arithmetic so the point
     count never depends on float rounding, then converted per mode.  A grid
@@ -423,10 +434,7 @@ def grid_points(axes: Sequence[tuple], exact: bool = False) -> list[tuple]:
     for lo_f, step_f, count in bounds:
         values = [lo_f + i * step_f for i in range(count)]
         axis_values.append(values if exact else [float(v) for v in values])
-    points: list[tuple] = [()]
-    for values in axis_values:
-        points = [p + (v,) for p in points for v in values]
-    return points
+    return axis_values
 
 
 def _as_fraction(v) -> Fraction:
@@ -462,7 +470,7 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               tol: float = DEFAULT_TOL, seed: int = 0,
               order: int | None = None, exact: bool = False,
               shortcut: bool = True, jobs: int = 1):
-    """Yield one verdict per grid point, in grid (row-major) order.
+    """Yield (point, verdict) per grid point, in grid (row-major) order.
 
     Every point runs its ladder under the scan seed, so the float points
     share one direction design and the verdicts do not depend on worker
@@ -472,12 +480,13 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     In float mode with the shortcut on, one tape pass per block of
     `_SHORTCUT_BLOCK` points (`regular_lanes`) decides the shortcut,
     exactly as `regular_at` would point by point.  A point it finds regular
-    gets `AnalyticUpTo(k_max)` with `shortcut` set, and no ladder;
-    every other point runs the ladder, as it would after `regular_at`
-    (which returns False there, or raises what the ladder's own point
-    evaluation raises).  Only these points reach the worker pool when
-    `jobs` > 1.  Rational mode decides the shortcut point by point in
-    `classify_point`.
+    is `AnalyticUpTo(k_max)` by the shortcut, and is yielded with verdict
+    None: no ladder runs and no `Verdict` is built there.  Every other
+    point runs the ladder, as it would after `regular_at` (which returns
+    False there, or raises what the ladder's own point evaluation raises).
+    Only these points reach the worker pool when `jobs` > 1.  Rational mode
+    decides the shortcut point by point in `classify_point`, so its every
+    point has a verdict.
     """
     points = grid_points(axes, exact)
     regular = _shortcut_plan(e, points, exact, shortcut)
@@ -485,31 +494,34 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               shortcut and exact)
              for i in np.flatnonzero(~regular).tolist())
     if jobs <= 1:
-        yield from _in_grid_order(points, regular, map(_scan_one, tasks),
-                                  k_max)
+        yield from _in_grid_order(points, regular, map(_scan_one, tasks))
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from _in_grid_order(points, regular,
-                                  pool.map(_scan_one, tasks, chunksize=64),
-                                  k_max)
+                                  pool.map(_scan_one, tasks, chunksize=64))
 
 
-def _in_grid_order(points: list[tuple], regular: np.ndarray, results,
-                   k_max: int):
-    """Shortcut verdicts of the regular points merged with `results`."""
+def _in_grid_order(points: list[tuple], regular: np.ndarray, results):
+    """(point, None) at the regular points, merged with `results`."""
     results = iter(results)
     for pt, hit in zip(points, regular.tolist()):
-        yield Verdict(pt, ANALYTIC_UP_TO, k_max, shortcut=True) if hit \
-            else next(results)
+        yield pt, None if hit else next(results)
 
 
 def scan_region(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
                 tol: float = DEFAULT_TOL, seed: int = 0,
                 order: int | None = None, exact: bool = False,
                 shortcut: bool = True, jobs: int = 1) -> list[Verdict]:
-    """Classify every grid point; see `iter_scan` for the contract."""
-    return list(iter_scan(e, axes, k_max, tol, seed, order, exact, shortcut,
-                          jobs))
+    """The verdicts of a scan's points that ran the ladder, in grid order.
+
+    A point the shortcut finds regular, by the block pass or (rational
+    mode) in `classify_point`, is `AnalyticUpTo(k_max)` and is left out,
+    so `flagged_points` of the list is the scan's.  See `iter_scan` for
+    the contract.
+    """
+    return [v for _, v in iter_scan(e, axes, k_max, tol, seed, order, exact,
+                                    shortcut, jobs)
+            if v is not None and not v.shortcut]
 
 
 def flagged_points(verdicts: Sequence[Verdict]) -> list[tuple]:

@@ -12,6 +12,7 @@ mismatch from `corpus` or a failed `verify` identity.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -22,8 +23,9 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .blowup import BlowupChart, classify_pullback, pullback
-from .classify import MAX_K_MAX, MAX_LADDER_DIRECTIONS, MAX_ORDER, \
-    classify_point, default_order, iter_scan, verdict_to_json
+from .classify import ANALYTIC_UP_TO, MAX_K_MAX, MAX_LADDER_DIRECTIONS, \
+    MAX_ORDER, Verdict, classify_point, default_order, grid_axis_values, \
+    iter_scan, verdict_to_json
 from .corpus import corpus_list, lookup
 from .errors import ArcanError
 from .expr import arc_check
@@ -201,8 +203,72 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _verdict_csv_row(index: int, v) -> list:
-    return [index, *v.point, v.status, v.k_star, v.residual]
+def _json_line(index: int, v) -> str:
+    return emit_json({**verdict_to_json(v), "index": index})
+
+
+def _csv_line(index: int, v) -> str:
+    return ",".join(_csv_cell(c) for c in
+                    [index, *v.point, v.status, v.k_star, v.residual])
+
+
+def _shortcut_lines(line, cell, k_max: int, axis_values: list[list]):
+    """Every grid point's line as a block-shortcut point's, in grid order.
+
+    `line` renders one shortcut verdict whose index and coordinates are
+    marker strings, and the text around the markers, as `cell` renders
+    them, is every line's fixed text: the generic line stays the one
+    definition of the format.  Each coordinate is rendered once per axis
+    value, not per point; they cannot be keyed by value, as 0.0 == -0.0.
+    """
+    n = len(axis_values)
+    marks = [f"\0{i}\0" for i in range(n + 1)]
+    text = line(marks[n], Verdict(tuple(marks[:n]), ANALYTIC_UP_TO, k_max,
+                                  shortcut=True))
+    first, last, index = cell(marks[0]), cell(marks[n - 1]), cell(marks[n])
+    head, _, rest = text.partition(first)
+    sep = rest.partition(cell(marks[1]))[0] if n > 1 else ""
+    tail = text.partition(last)[2]
+    coords = _row_major([[cell(c) for c in values] for values in axis_values],
+                        sep)
+    if index in tail:
+        mid, _, tail = tail.partition(index)
+        return (f"{head}{c}{mid}{i}{tail}" for i, c in enumerate(coords))
+    head, _, mid = head.partition(index)
+    return (f"{head}{i}{mid}{c}{tail}" for i, c in enumerate(coords))
+
+
+def _row_major(axis_texts: list[list[str]], sep: str):
+    """Each grid point's coordinate texts joined by `sep`, in row-major
+    order; the axes after the first are joined once, up front."""
+    rest = axis_texts[-1]
+    for texts in reversed(axis_texts[1:-1]):
+        rest = [t + sep + r for t in texts for r in rest]
+    if len(axis_texts) == 1:
+        return iter(rest)
+    return (t + sep + r for t in axis_texts[0] for r in rest)
+
+
+# Characters per write of a scan's output; 64 KB blocks raised the
+# benchmark's peak RSS and gained no speed.
+_BLOCK_CHARS = 1 << 13
+
+
+def _write_blocks(lines) -> None:
+    """Write `lines` to stdout, each ended by a newline, in blocks of
+    about `_BLOCK_CHARS` characters."""
+    block: list[str] = []
+    held = 0
+    for text in lines:
+        block.append(text)
+        held += len(text)
+        if held >= _BLOCK_CHARS:
+            block.append("")
+            sys.stdout.write("\n".join(block))
+            block, held = [], 0
+    if block:
+        block.append("")
+        sys.stdout.write("\n".join(block))
 
 
 def _cmd_scan(args) -> int:
@@ -211,19 +277,20 @@ def _cmd_scan(args) -> int:
     e = parse(args.expr)
     _check_ladder(opts["k_max"], e.nvars)
     axes = _parse_grid(args.grid, e.nvars, opts["exact"])
-    stream = iter_scan(e, axes, shortcut=not args.no_shortcut, jobs=jobs,
-                       **opts)
     if args.format == "csv":
         from .parser import var_name
         names = [var_name(i, e.nvars) for i in range(e.nvars)]
-        print(",".join(["index", *names, "status", "kStar", "residual"]))
-        for i, v in enumerate(stream):
-            print(",".join(_csv_cell(c) for c in _verdict_csv_row(i, v)))
+        header = [",".join(["index", *names, "status", "kStar", "residual"])]
+        line, cell = _csv_line, _csv_cell
     else:
-        for i, v in enumerate(stream):
-            doc = verdict_to_json(v)
-            doc["index"] = i
-            print(emit_json(doc))
+        header, line, cell = [], _json_line, emit_json
+    shortcut_lines = _shortcut_lines(line, cell, opts["k_max"],
+                                     grid_axis_values(axes, opts["exact"]))
+    stream = iter_scan(e, axes, shortcut=not args.no_shortcut, jobs=jobs,
+                       **opts)
+    _write_blocks(itertools.chain(header, (
+        text if v is None else line(i, v)
+        for i, ((_, v), text) in enumerate(zip(stream, shortcut_lines)))))
     return 0
 
 
@@ -276,13 +343,23 @@ _FLOAT_IDENTITIES = ("alibaba", "loja")
 
 
 def _cmd_verify(args) -> int:
-    seed = _seed(args.seed)
-    if args.trials < 1:
-        raise ArcanError("--trials must be at least 1")
     exact = args.mode == "rational"
     if exact and args.identity in _FLOAT_IDENTITIES:
         raise ArcanError(f"verify {args.identity} runs in float mode only")
-    report = run_identity(args.identity, args.trials, seed, exact)
+    if args.identity == "loja":
+        given = [flag for flag, value in (("--trials", args.trials),
+                                          ("--seed", args.seed))
+                 if value is not None]
+        if given:
+            raise ArcanError(f"verify loja takes no {' or '.join(given)}: "
+                             "its two growth fits are fixed")
+        seed = trials = 0  # read by no fit
+    else:
+        seed = _seed(args.seed)
+        trials = 1000 if args.trials is None else args.trials
+        if trials < 1:
+            raise ArcanError("--trials must be at least 1")
+    report = run_identity(args.identity, trials, seed, exact)
     print(emit_json(report.to_json()))
     return 0 if report.passed else 2
 
@@ -397,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a randomized identity check")
     p.add_argument("identity", choices=IDENTITIES)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=None,
+                   help="random trials (default 1000); verify loja takes none")
     _add_shared(p, "--mode", "--seed")
     p.set_defaults(func=_cmd_verify)
 

@@ -418,6 +418,25 @@ class TestVerifyCommand:
         assert captured.err == (f"arcan: error: verify {identity} runs in "
                                 "float mode only\n")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--trials", "1000"], "--trials"), (["--seed", "3"], "--seed"),
+        (["--trials", "5", "--seed", "3"], "--trials or --seed")])
+    def test_loja_refuses_the_flags_it_cannot_read(self, capsys, flags,
+                                                    named):
+        # its two growth fits run on a fixed grid: "trials" is always 2
+        code = cli.main(["verify", "loja", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (f"arcan: error: verify loja takes no {named}: "
+                                "its two growth fits are fixed\n")
+
+    def test_loja_without_the_flags(self, capsys):
+        code, out = run_cli(capsys, ["verify", "loja"])
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["identity"], doc["trials"], doc["passed"]) \
+            == ("loja", 2, True)
+
 
 class TestCorpusCommand:
     def test_single_entry(self, capsys):
@@ -692,12 +711,15 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert done.stdout.startswith("usage: arcan")
 
-    def test_closed_stdout_exits_one_without_a_traceback(self):
+    @pytest.mark.parametrize("argv", [
+        ["classify", "x*y", "--point", "1,2"],
+        # 4913 lines, written in blocks
+        ["scan", "x*y*z", "--grid", "x:-1:1:1/8;y:-1:1:1/8;z:-1:1:1/8"]])
+    def test_closed_stdout_exits_one_without_a_traceback(self, argv):
         # The reader closes its end before arcan writes anything.
         proc = subprocess.Popen(
-            [sys.executable, "-m", "arcan", "classify", "x*y", "--point",
-             "1,2"], env=self.ENV, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True)
+            [sys.executable, "-m", "arcan", *argv], env=self.ENV,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()

@@ -1,5 +1,7 @@
 """A scan's regularity shortcut, decided per block of points, against `regular_at`."""
 
+import contextlib
+import io
 import os
 from fractions import Fraction
 
@@ -7,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcan import cli
+from arcan import classify, cli
 from arcan.classify import INCONCLUSIVE, Verdict, classify_point, grid_points, \
-    iter_scan, verdict_to_json
+    iter_scan, scan_region, verdict_to_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, FloatOverflow
 from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, regular_at, \
     regular_lanes
-from arcan.parser import parse
+from arcan.parser import parse, var_name
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, trees
 
@@ -79,27 +81,53 @@ class TestRegularLanes:
         assert not regular_lanes(e.root, np.array([(1.0,), (2.0,)])).any()
 
 
-def line(i, v):
-    return cli.emit_json({**verdict_to_json(v), "index": i})
-
-
-def scan_lines(e, axes, seed, jobs, k_max=8):
-    return [line(i, v) for i, v in enumerate(
-        iter_scan(e, axes, k_max, seed=seed, order=20, jobs=jobs))]
-
-
-def pointwise_lines(e, axes, seed, k_max=8):
+def pointwise_verdicts(e, axes, seed, k_max=8, exact=False):
     """Each grid point through `classify_point` with the shortcut, under
     the scan seed, and an ArcanError as an Inconclusive verdict."""
-    lines = []
-    for i, pt in enumerate(grid_points(axes)):
+    verdicts = []
+    for pt in grid_points(axes, exact):
         try:
             v = classify_point(e, pt, k_max, seed=seed, order=20,
-                               shortcut=True)
+                               exact=exact, shortcut=True)
         except ArcanError as exc:
             v = Verdict(pt, INCONCLUSIVE, k_max, reason=str(exc))
-        lines.append(line(i, v))
-    return lines
+        verdicts.append(v)
+    return verdicts
+
+
+def pointwise_lines(e, axes, seed, k_max=8, exact=False, fmt="json"):
+    """The generic serializer's scan output over `pointwise_verdicts`."""
+    verdicts = pointwise_verdicts(e, axes, seed, k_max, exact)
+    if fmt == "csv":
+        names = [var_name(i, e.nvars) for i in range(e.nvars)]
+        return [",".join(["index", *names, "status", "kStar", "residual"])] \
+            + [cli._csv_line(i, v) for i, v in enumerate(verdicts)]
+    return [cli.emit_json({**verdict_to_json(v), "index": i})
+            for i, v in enumerate(verdicts)]
+
+
+def grid_text(e, axes):
+    return ";".join(f"{var_name(a, e.nvars)}:{lo}:{hi}:{step}"
+                    for a, (lo, hi, step) in enumerate(axes))
+
+
+def cli_text(source, nvars):
+    """The source as the CLI must read it to see `nvars` variables."""
+    e = parse(source)
+    if nvars is None or nvars == e.nvars:
+        return source
+    return f"{source} + 0*{var_name(nvars - 1, nvars)}"
+
+
+def cli_scan_lines(text, axes, seed, jobs=1, k_max=8, fmt="json",
+                   mode="float"):
+    argv = ["scan", text, "--grid", grid_text(parse(text), axes),
+            "--seed", str(seed), "--kmax", str(k_max), "--format", fmt,
+            "--mode", mode, "--jobs", str(jobs)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue().splitlines()
 
 
 JOBS = [1, 2] if (os.cpu_count() or 1) >= 2 else [1]
@@ -113,22 +141,53 @@ class TestScanByteIdentity:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name, source, nvars, axes", GRIDS,
                              ids=[g[0] for g in GRIDS])
-    def test_block_pass_changes_no_line(self, name, source, nvars, axes, seed):
+    def test_cli_scan_equals_the_generic_lines(self, name, source, nvars,
+                                               axes, seed):
+        text = cli_text(source, nvars)
+        e = parse(text)
+        assert e.nvars == len(axes)
+        for fmt in ("json", "csv"):
+            expected = pointwise_lines(e, axes, seed, fmt=fmt)
+            for jobs in JOBS:
+                assert cli_scan_lines(text, axes, seed, jobs, fmt=fmt) \
+                    == expected, (fmt, jobs)
+
+    @pytest.mark.parametrize("name, source, nvars, axes", GRIDS,
+                             ids=[g[0] for g in GRIDS])
+    def test_no_verdict_exactly_at_the_regular_points(self, name, source,
+                                                      nvars, axes):
         e = parse(source, nvars=nvars)
-        expected = pointwise_lines(e, axes, seed)
-        for jobs in JOBS:
-            assert scan_lines(e, axes, seed, jobs) == expected
+        pairs = list(iter_scan(e, axes, seed=1, order=20))
+        assert [pt for pt, _ in pairs] == grid_points(axes)
+        assert [v is None for _, v in pairs] \
+            == [walker(e, pt) is True for pt, _ in pairs]
+        ladder = [v for v in pointwise_verdicts(e, axes, 1) if not v.shortcut]
+        assert [v for _, v in pairs if v is not None] == ladder
+        assert scan_region(e, axes, seed=1, order=20) == ladder
 
     @pytest.mark.parametrize("text, axes", [
         ("x^2000 + 1/(y - y)", [(0, 3, 1), (0, 1, 1)]),
         ("1/(y - y) + x^2000", [(0, 3, 1), (0, 1, 1)]),
         ("1/(x^3 - 24389/1000)", [(Fraction(5, 2), Fraction(7, 2),
                                    Fraction(1, 10))]),
+        # coordinates whose 17 significant digits print unusually
+        ("sqrt(x^2) + y", [(Fraction(-2, 10 ** 5), Fraction(2, 10 ** 5),
+                            Fraction(1, 10 ** 5)),
+                           (10 ** 16, 10 ** 16 + 4, 1)]),
     ])
-    def test_events_and_their_order(self, text, axes):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_events_and_their_order(self, text, axes, fmt):
         e = parse(text)
-        assert scan_lines(e, axes, 0, 1, k_max=2) \
-            == pointwise_lines(e, axes, 0, k_max=2)
+        assert cli_scan_lines(text, axes, 0, k_max=2, fmt=fmt) \
+            == pointwise_lines(e, axes, 0, k_max=2, fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rational_scan_is_unchanged(self, fmt):
+        source, axes = lookup("E1").source, [(-1, 1, Fraction(1, 2))] * 2
+        assert cli_scan_lines(source, axes, 2, k_max=3, fmt=fmt,
+                              mode="rational") \
+            == pointwise_lines(parse(source), axes, 2, k_max=3, exact=True,
+                               fmt=fmt)
 
     def test_overflow_lines_are_unchanged(self, capsys):
         assert cli.main(["scan", "(x^200)^2", "--grid", "x:0:10:1"]) == 0
@@ -141,3 +200,30 @@ class TestScanByteIdentity:
         # 6.0 ** 400 is the first power beyond the float range
         assert len(overflows) == 5
         assert all('"status": "Inconclusive"' in line for line in overflows)
+
+
+class TestShortcutCost:
+    def test_a_float_scan_builds_no_verdict_at_a_shortcut_point(
+            self, monkeypatch):
+        entry = lookup("E6")
+        e = entry.expr()
+        regular = regular_lanes(e.root, np.array(grid_points(entry.scan_axes)))
+        ladder = int((~regular).sum())
+        assert ladder == 2  # the flagged points of the E6 window
+        counts = {"Verdict": 0, "verdict_to_json": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(classify, "Verdict")
+        counting(cli, "verdict_to_json")
+        lines = cli_scan_lines(entry.source, entry.scan_axes, 0)
+        assert len(lines) == len(regular)
+        assert counts["Verdict"] == ladder
+        # one more renders the shortcut lines' fixed text
+        assert counts["verdict_to_json"] == ladder + 1
