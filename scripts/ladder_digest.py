@@ -2,8 +2,8 @@
 """Digests of the full ladder's output, float and rational, and of default
 scans, on the corpus.
 
-Float: runs `classify_point` in float mode with the shortcut off at k_max
-10 at every point of every corpus entry's `scan_axes` grid (E1–E6, 10,982
+Float: runs `classify_point` (the full ladder) in float mode at k_max 10
+at every point of every corpus entry's `scan_axes` grid (E1–E6, 10,982
 points), under two seeds per point: `derive_seed(s, "scan", i)` for
 s = 0, 1 and i the point's grid index.  Rational: runs it in rational mode
 at every corpus exact-locus and regular point (23 points), at k_max 8 and
@@ -13,9 +13,10 @@ each ended by a newline.  Scan: runs `arcan scan` in-process, shortcut on,
 over every corpus entry's grid as the CLI reads it (E5 in two variables,
 over the window of the two), in JSON and CSV, under --seed 0 and 1, and
 prints the number of lines and the SHA-256 of the concatenated stdout.
-Equal digests on two commits mean byte-identical output, residual digits
-included.  Each part's wall time, in-process, goes to stderr.  Takes about
-a minute and a half on a 2-core x86_64 machine:
+Rational scan: the same, with `--mode rational --kmax 3` and each grid's
+step widened to 1/4.  Equal digests on two commits mean byte-identical
+output, residual digits included.  Each part's wall time, in-process,
+goes to stderr.  Takes about a minute on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
 """
@@ -25,6 +26,7 @@ import hashlib
 import io
 import sys
 import time
+from fractions import Fraction
 
 from arcan import cli
 from arcan.classify import classify_point, grid_points, verdict_to_json
@@ -35,6 +37,8 @@ from arcan.seeds import derive_seed
 
 K_MAX = 10
 SCAN_SEEDS = (0, 1)
+RATIONAL_SCAN = ("--mode", "rational", "--kmax", "3")
+RATIONAL_SCAN_STEP = Fraction(1, 4)
 RATIONAL_K_MAX = (8, 10)
 RATIONAL_SEEDS = (0, 1, 2)
 
@@ -56,27 +60,29 @@ def rational_verdicts():
                     yield classify_point(e, x, k_max, seed=seed, exact=True)
 
 
-def scan_outputs():
+def scan_outputs(options=(), step=None):
+    """Each corpus scan's stdout; `step`, if given, replaces every axis's."""
     for entry in corpus_list():
         nvars = parse(entry.source).nvars
-        grid = ";".join(f"{var_name(a, nvars)}:{lo}:{hi}:{step}"
-                        for a, (lo, hi, step)
+        grid = ";".join(f"{var_name(a, nvars)}:{lo}:{hi}:{step or axis_step}"
+                        for a, (lo, hi, axis_step)
                         in enumerate(entry.scan_axes[:nvars]))
         for fmt in ("json", "csv"):
             for seed in SCAN_SEEDS:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = cli.main(["scan", entry.source, "--grid", grid,
-                                     "--format", fmt, "--seed", str(seed)])
+                                     "--format", fmt, "--seed", str(seed),
+                                     *options])
                 if code != 0:
                     sys.exit(f"scan of {entry.name} exited {code}")
                 yield out.getvalue()
 
 
-def scan_digest() -> str:
+def scan_digest(outputs) -> str:
     h = hashlib.sha256()
     lines = 0
-    for text in scan_outputs():
+    for text in outputs:
         h.update(text.encode())
         lines += text.count("\n")
     return f"{lines} lines sha256 {h.hexdigest()}"
@@ -94,7 +100,9 @@ def digest(verdicts) -> str:
 def main() -> None:
     for name, run in (("float", lambda: digest(float_verdicts())),
                       ("rational", lambda: digest(rational_verdicts())),
-                      ("scan", scan_digest)):
+                      ("scan", lambda: scan_digest(scan_outputs())),
+                      ("rational-scan", lambda: scan_digest(scan_outputs(
+                          RATIONAL_SCAN, RATIONAL_SCAN_STEP)))):
         start = time.perf_counter()
         print(f"{name}: {run()}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,

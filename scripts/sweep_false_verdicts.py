@@ -6,7 +6,7 @@ integer rows, float ladders those rows scaled to unit length.  A seed only
 picks a signed permutation of the coordinates, so the 2ⁿ·n! permutations
 are every design a seed can give; this sweeps all of them.
 
-Float: runs `classify_point` (shortcut off, k_max 10) at every point of
+Float: runs `classify_point` (the full ladder, k_max 10) at every point of
 every corpus entry's `scan_axes` grid and of an E6 slab near the oval
 (x in [-1/4, 13/4] step 1/8, y in [-1, 1] step 1/8, z in [1/16, 1/4] step
 1/16), under every signed permutation: 12,954 points, 575,552 verdicts.
@@ -102,7 +102,7 @@ def sweep_float(task):
     e = entry.expr()
     tally = Tally()
     for i, pt in enumerate(grid_points(axes)):
-        v = classify_point(e, pt, K_MAX, seed=seed, shortcut=False)
+        v = classify_point(e, pt, K_MAX, seed=seed)
         tally.judge(v, entry.locus.contains(pt),
                     f"float seed {seed} {label} i={i} {tuple(map(str, pt))}")
     return "float", tally

@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classify import ANALYTIC_UP_TO, DEFAULT_TOL, NON_ANALYTIC, Verdict, \
-    classify_point
+    classify_point, regular_points
 from .errors import BadCenter, PremiseViolated
 from .expr import Add, Div, Expr, Guard, IntPow, Mul, Node, Sqrt, Sub, Var, \
-    substitute
+    contains, substitute
 from .jets import Scalar
 from . import mpoly
 from .seeds import derive_seed, sample_scalar
@@ -102,9 +102,8 @@ def _cancel_divisor_power(node: Node, s_index: int, nvars: int,
                           budget: mpoly.Budget):
     """Expand rational division subtrees and strip their common s-power."""
     if isinstance(node, Div):
-        pair = mpoly.to_fraction_pair(node, nvars, budget)
-        if pair is not None:
-            num, den = pair
+        if not contains(node, (Sqrt, Guard)):
+            num, den = mpoly.to_fraction_pair(node, nvars, budget)
             vn = mpoly.min_exponent(num, s_index)
             vd = mpoly.min_exponent(den, s_index)
             if vd is None:
@@ -154,8 +153,8 @@ def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
 def classify_pullback(e: Expr, chart: BlowupChart,
                       points_on_divisor: Sequence[Sequence[Scalar]],
                       k_max: int = 6, tol: float = DEFAULT_TOL, seed: int = 0,
-                      exact: bool = False, order: int | None = None,
-                      shortcut: bool = False) -> list[Verdict]:
+                      exact: bool = False,
+                      order: int | None = None) -> list[Verdict]:
     """Classify the pulled-back expression at points of {s = 0}."""
     pb = pullback(e, chart)
     verdicts = []
@@ -165,7 +164,7 @@ def classify_pullback(e: Expr, chart: BlowupChart,
                 f"point {tuple(pt)} is not on the exceptional divisor")
         verdicts.append(classify_point(
             pb.expr, pt, k_max, tol, derive_seed(seed, "divisor", i),
-            order, exact, shortcut))
+            order, exact))
     return verdicts
 
 
@@ -195,7 +194,8 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
     sampled fiber point must classify NonAnalytic; an analytic fiber point
     would certify the base point analytic, a contradiction.  In exact mode
     the base point is taken as exact rationals and each sample draw as a
-    small one (`sample_scalar`).
+    small one (`sample_scalar`).  The center samples pass the regularity
+    shortcut together (`regular_points`); the rest run the ladder.
     """
     base_point = tuple(map(Fraction, base_point) if exact else base_point)
     if len(base_point) != e.nvars:
@@ -211,17 +211,18 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
 
     free_center = [i for i in range(e.nvars) if i not in chart.center]
     rng = random.Random(derive_seed(seed, "center-samples"))
-    regular = 0
-    for j in range(n_center):
+    center_points = []
+    for _ in range(n_center):
         pt = list(base_point)
         for i in free_center:
             pt[i] += sample_scalar(center_delta * (rng.random() * 1.5 + 0.5)
                                    * rng.choice((-1, 1)), exact)
-        v = classify_point(e, tuple(pt), k_max, tol,
-                           derive_seed(seed, "center", j), order, exact,
-                           shortcut=True)
-        if v.status == ANALYTIC_UP_TO:
-            regular += 1
+        center_points.append(tuple(pt))
+    hits = regular_points(e, center_points, exact).tolist()
+    regular = sum(hit or classify_point(
+        e, pt, k_max, tol, derive_seed(seed, "center", j), order,
+        exact).status == ANALYTIC_UP_TO
+        for j, (pt, hit) in enumerate(zip(center_points, hits)))
     if regular == 0:
         raise PremiseViolated(
             "no nearby regular point of the center was found; the base point "

@@ -42,16 +42,17 @@ change the verdict: where it divides by a jet that vanishes in it, reads
 past a window that divisions shortened, takes the square root of a jet
 that vanishes in it, or overflows the float range (`_ladder`).
 
-Region scans and arc-symmetry checks reuse the pointwise verdict.  They
-default to a sound fast path: where every denominator and square-root
-radicand stays away from zero the function is a composition of analytic
-germs, and no sampling is needed (`regular_at`).  A float scan decides
-that shortcut for a block of grid points in one tape pass
-(`regular_lanes`, one lane per point), and every point it does not find
-regular runs the ladder.  A point it finds regular gets no `Verdict`:
-`iter_scan` yields it with verdict None, `scan_region` leaves it out, and
-the CLI writes its line from fixed text.  Rational scans, and single
-points, decide the shortcut point by point.
+Region scans, arc-symmetry checks and fibre-lift centre samples reuse
+the pointwise verdict behind a sound fast path: where every denominator
+and square-root radicand stays away from zero the function is a
+composition of analytic germs, and no sampling is needed.
+`regular_points` alone decides that shortcut, for float points a block
+at a time in one tape pass (`regular_lanes`, one lane per point), for
+exact points one at a time (`regular_at`).  Only the points it does not
+find regular run the ladder.  A point it finds regular gets no
+`Verdict`: `iter_scan` yields it with verdict None, `scan_region` leaves
+it out, and the CLI writes its line from fixed text.  `classify_point`
+always runs the ladder.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ import numpy as np
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     FloatOverflow, GenericityFailure, IrregularBatch, PoleAtOrigin, \
     ShortWindow
-from .expr import ArcSpec, Expr, eval_jets, eval_lanes, eval_point, \
-    eval_point_flagged, regular_at, regular_lanes
+from .expr import ArcSpec, Expr, _check_point, eval_jets, eval_lanes, \
+    eval_point, eval_point_flagged, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
 from .homog import HomoPoly, _magnitude, canonical_design, \
     condition_estimate, dim_homog, interp_fit, signed_permutation
@@ -84,7 +85,7 @@ DEFAULT_K_MAX = 8
 DEFAULT_TOL = 1e-7
 # Directions per batched jet pass: 2*d(3,10) = 132 fit in one.
 LANES_PER_PASS = 256
-# Grid points per pass of a scan's regularity shortcut (a few MB at most).
+# Float points per pass of the regularity shortcut (a few MB at most).
 _SHORTCUT_BLOCK = 4096
 # Largest grid a scan builds: 10**6 float points take ~75 MB, and a scan's
 # task list about as much again.
@@ -312,8 +313,7 @@ class Verdict:
 
 def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
                    tol: float = DEFAULT_TOL, seed: int = 0,
-                   order: int | None = None, exact: bool = False,
-                   shortcut: bool = False) -> Verdict:
+                   order: int | None = None, exact: bool = False) -> Verdict:
     """Run the polynomiality ladder k = 0..k_max at one point.
 
     NonAnalytic(k_star) means orders below k_star passed and k_star failed;
@@ -332,13 +332,6 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     if order is None:
         order = default_order(k_max)
     xs = tuple(x) if exact else tuple(float(c) for c in x)
-
-    if shortcut:
-        try:
-            if regular_at(e, xs, exact):
-                return Verdict(xs, ANALYTIC_UP_TO, k_max, shortcut=True)
-        except (FloatOverflow, OverflowError):
-            pass  # not shown regular, as regular_lanes has it
     if order > k_max:
         verdict = _ladder(e, xs, k_max, tol, seed, k_max, exact,
                           provisional=True)
@@ -444,25 +437,34 @@ def _as_fraction(v) -> Fraction:
 
 
 def _scan_one(args) -> Verdict:
-    e, pt, k_max, tol, pseed, order, exact, shortcut = args
+    e, pt, k_max, tol, pseed, order, exact = args
     try:
-        return classify_point(e, pt, k_max, tol, pseed, order, exact, shortcut)
+        return classify_point(e, pt, k_max, tol, pseed, order, exact)
     except ArcanError as exc:
         return Verdict(tuple(pt), INCONCLUSIVE, k_max, reason=str(exc))
 
 
-def _shortcut_plan(e: Expr, points: list[tuple], exact: bool,
-                   shortcut: bool) -> np.ndarray:
-    """The points of a scan's grid that `regular_at` finds regular.
+def regular_points(e: Expr, points: Sequence[tuple],
+                   exact: bool) -> np.ndarray:
+    """Which points `regular_at` finds regular, as a boolean array.
 
-    Decided a block at a time, one tape pass per block.  Rational mode
-    decides nothing here; its points take the shortcut one at a time.
+    Float points are decided a block of `_SHORTCUT_BLOCK` at a time, one
+    tape pass per block (`regular_lanes`); exact points one at a time.  A
+    point whose check overflows the float range is not regular: the
+    ladder decides it.  A point of the wrong length raises ValueError.
     """
     regular = np.zeros(len(points), dtype=bool)
-    if shortcut and not exact:
+    if not exact:
         for start in range(0, len(points), _SHORTCUT_BLOCK):
             block = np.array(points[start:start + _SHORTCUT_BLOCK], dtype=float)
+            _check_point(e, block[0])
             regular[start:start + len(block)] = regular_lanes(e.root, block)
+        return regular
+    for i, pt in enumerate(points):
+        try:
+            regular[i] = regular_at(e, pt, exact)
+        except (FloatOverflow, OverflowError):
+            pass
     return regular
 
 
@@ -477,21 +479,17 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     scheduling.  A permissible error at one point becomes an Inconclusive
     verdict instead of aborting the scan.
 
-    In float mode with the shortcut on, one tape pass per block of
-    `_SHORTCUT_BLOCK` points (`regular_lanes`) decides the shortcut,
-    exactly as `regular_at` would point by point.  A point it finds regular
-    is `AnalyticUpTo(k_max)` by the shortcut, and is yielded with verdict
+    With the shortcut on, `regular_points` decides it for the whole grid,
+    in either arithmetic.  A point it finds regular is
+    `AnalyticUpTo(k_max)` by the shortcut, and is yielded with verdict
     None: no ladder runs and no `Verdict` is built there.  Every other
-    point runs the ladder, as it would after `regular_at` (which returns
-    False there, or raises what the ladder's own point evaluation raises).
-    Only these points reach the worker pool when `jobs` > 1.  Rational mode
-    decides the shortcut point by point in `classify_point`, so its every
-    point has a verdict.
+    point runs the ladder, and only these points reach the worker pool
+    when `jobs` > 1.
     """
     points = grid_points(axes, exact)
-    regular = _shortcut_plan(e, points, exact, shortcut)
-    tasks = ((e, points[i], k_max, tol, seed, order, exact,
-              shortcut and exact)
+    regular = regular_points(e, points, exact) if shortcut \
+        else np.zeros(len(points), dtype=bool)
+    tasks = ((e, points[i], k_max, tol, seed, order, exact)
              for i in np.flatnonzero(~regular).tolist())
     if jobs <= 1:
         yield from _in_grid_order(points, regular, map(_scan_one, tasks))
@@ -514,14 +512,13 @@ def scan_region(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
                 shortcut: bool = True, jobs: int = 1) -> list[Verdict]:
     """The verdicts of a scan's points that ran the ladder, in grid order.
 
-    A point the shortcut finds regular, by the block pass or (rational
-    mode) in `classify_point`, is `AnalyticUpTo(k_max)` and is left out,
-    so `flagged_points` of the list is the scan's.  See `iter_scan` for
-    the contract.
+    A point the shortcut finds regular is `AnalyticUpTo(k_max)` and is
+    left out, so `flagged_points` of the list is the scan's.  See
+    `iter_scan` for the contract.
     """
     return [v for _, v in iter_scan(e, axes, k_max, tol, seed, order, exact,
                                     shortcut, jobs)
-            if v is not None and not v.shortcut]
+            if v is not None]
 
 
 def flagged_points(verdicts: Sequence[Verdict]) -> list[tuple]:
@@ -547,28 +544,31 @@ def arc_symmetry_check(e: Expr, arc: ArcSpec, samples: int = 64,
                        k_max: int = 4, tol: float = DEFAULT_TOL,
                        seed: int = 0, t_max: float = 0.5,
                        allowed_exceptions: int = 2, exact: bool = False,
-                       shortcut: bool = True,
                        order: int | None = None) -> ArcSymmetryReport:
     """Check that non-analyticity cannot appear on just one side of t = 0.
 
     A violation needs every sampled t < 0 point analytic while more than
     `allowed_exceptions` of the t > 0 samples classify NonAnalytic; finitely
     many positive-side exceptions are legitimate, so a small allowance is
-    part of the check, not a fudge.
+    part of the check, not a fudge.  Each side's points pass the
+    regularity shortcut together (`regular_points`); the rest run the
+    ladder, each under a seed of its own t.
     """
     if arc.nvars != e.nvars:
         raise ValueError("arc dimension does not match the expression")
     t_max = sample_scalar(t_max, exact)
     ts = [t_max * (i + 1) / samples for i in range(samples)]
 
-    def classify_at(t: float) -> str:
-        pt = tuple(eval_point(c, (t,), exact) for c in arc.components)
-        v = _scan_one((e, pt, k_max, tol, derive_seed(seed, "arcsym", t),
-                       order, exact, shortcut))
-        return v.status
+    def statuses(side: list) -> tuple[str, ...]:
+        points = [tuple(eval_point(c, (t,), exact) for c in arc.components)
+                  for t in side]
+        regular = regular_points(e, points, exact).tolist()
+        return tuple(ANALYTIC_UP_TO if hit else _scan_one(
+            (e, pt, k_max, tol, derive_seed(seed, "arcsym", t), order,
+             exact)).status for t, pt, hit in zip(side, points, regular))
 
-    neg = tuple(classify_at(-t) for t in ts)
-    pos = tuple(classify_at(t) for t in ts)
+    neg = statuses([-t for t in ts])
+    pos = statuses(ts)
     negative_uniform = all(s == ANALYTIC_UP_TO for s in neg)
     exceptions = sum(1 for s in pos if s == NON_ANALYTIC)
     violation = negative_uniform and exceptions > allowed_exceptions

@@ -313,10 +313,15 @@ def _cmd_arc(args) -> int:
     return 0
 
 
+# Most divisor points `blowup --classify-divisor` classifies: the document
+# holds every verdict before it prints, about 4.9 KB per point at --kmax 8.
+MAX_DIVISOR_POINTS = 1000
+
+
 def _cmd_blowup(args) -> int:
     opts = _ladder_options(args)
-    if args.classify_divisor < 0:
-        raise ArcanError("--classify-divisor must be at least 0")
+    _bounded("--classify-divisor", args.classify_divisor, 0,
+             MAX_DIVISOR_POINTS)
     e = parse(args.expr)
     if args.classify_divisor:
         _check_ladder(opts["k_max"], e.nvars)

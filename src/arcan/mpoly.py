@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Add, Div, Guard, IntPow, Mul, Node, RationalConst, Sqrt, Sub, Var
+from .expr import Add, Div, IntPow, Mul, Node, RationalConst, Sub, Var
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -87,9 +87,9 @@ def p_pow(a: Poly, k: int, nvars: int, budget: Budget) -> Poly:
 
 
 def to_fraction_pair(node: Node, nvars: int,
-                     budget: Budget) -> tuple[Poly, Poly] | None:
-    """Flatten a rational subtree to (numerator, denominator); None if it
-    contains sqrt or guard nodes."""
+                     budget: Budget) -> tuple[Poly, Poly]:
+    """Flatten a subtree free of sqrt and guard nodes to (numerator,
+    denominator)."""
     if isinstance(node, RationalConst):
         return p_const(node.value, nvars), p_const(Fraction(1), nvars)
     if isinstance(node, Var):
@@ -97,8 +97,6 @@ def to_fraction_pair(node: Node, nvars: int,
     if isinstance(node, (Add, Sub)):
         lhs = to_fraction_pair(node.left, nvars, budget)
         rhs = to_fraction_pair(node.right, nvars, budget)
-        if lhs is None or rhs is None:
-            return None
         n1, d1 = lhs
         n2, d2 = rhs
         if isinstance(node, Sub):
@@ -108,26 +106,18 @@ def to_fraction_pair(node: Node, nvars: int,
     if isinstance(node, Mul):
         lhs = to_fraction_pair(node.left, nvars, budget)
         rhs = to_fraction_pair(node.right, nvars, budget)
-        if lhs is None or rhs is None:
-            return None
         return p_mul(lhs[0], rhs[0], budget), p_mul(lhs[1], rhs[1], budget)
     if isinstance(node, Div):
         lhs = to_fraction_pair(node.left, nvars, budget)
         rhs = to_fraction_pair(node.right, nvars, budget)
-        if lhs is None or rhs is None:
-            return None
         if not rhs[0]:
             raise ZeroDivisionError("division by an identically zero denominator")
         return p_mul(lhs[0], rhs[1], budget), p_mul(lhs[1], rhs[0], budget)
     if isinstance(node, IntPow):
         base = to_fraction_pair(node.base, nvars, budget)
-        if base is None:
-            return None
         return p_pow(base[0], node.exponent, nvars, budget), \
             p_pow(base[1], node.exponent, nvars, budget)
-    if isinstance(node, (Sqrt, Guard)):
-        return None
-    raise TypeError(f"not an expression node: {node!r}")
+    raise TypeError(f"not a rational expression node: {node!r}")
 
 
 def min_exponent(p: Poly, var: int) -> int | None:

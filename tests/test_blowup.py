@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from arcan import blowup
+from arcan import blowup, mpoly
 from arcan.blowup import BlowupChart, classify_pullback, fiber_lift_check, \
     make_chart, pullback
-from arcan.classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point
+from arcan.classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point, \
+    regular_points
 from arcan.errors import BadCenter, PremiseViolated
 from arcan.expr import Expr, eval_point, substitute
 from arcan.parser import parse
@@ -99,6 +100,25 @@ class TestPullback:
         pt = (0.7, -0.3)
         assert eval_point(result.expr, pt) == pytest.approx(
             eval_point(e, chart_apply(POINT_CHART, pt)), rel=1e-12)
+
+    def test_a_division_by_a_sqrt_expands_its_operand_once(self, monkeypatch):
+        budgets = []
+
+        class Recorded(mpoly.Budget):
+            def __init__(self):
+                super().__init__()
+                budgets.append(self)
+        monkeypatch.setattr(mpoly, "Budget", Recorded)
+        chart = make_chart(3, (1, 2), 1)
+
+        def spent(text):
+            pullback(parse(text), chart)
+            return mpoly.MAX_PRODUCT_TERMS - budgets[-1].left
+        assert spent("((x+y+z)^36/x)/sqrt(x^2+1)") \
+            == spent("(x+y+z)^36/x") == 34854
+        # 51,872 pairs: within the budget once, not twice
+        result = pullback(parse("((x+y+z)^40/x)/sqrt(x^2+1)"), chart)
+        assert result.non_rational
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -241,16 +261,24 @@ class TestFiberLift:
             fiber_lift_check(ZCONE, XAXIS_CHART, (0.0, 1.0, 0.0), k_max=2)
 
     def test_exact_mode_samples_exact_points(self, monkeypatch):
-        seen = []
+        seen, center = [], []
 
         def spy(e, x, *args, **kwargs):
             seen.append(tuple(x))
             return classify_point(e, x, *args, **kwargs)
+
+        def center_spy(e, points, exact):
+            center.extend(points)
+            return regular_points(e, points, exact)
         monkeypatch.setattr(blowup, "classify_point", spy)
+        monkeypatch.setattr(blowup, "regular_points", center_spy)
         report = fiber_lift_check(ZCONE, XAXIS_CHART, (0.0, 0.0, 0.0),
                                   k_max=2, seed=67, n_fiber=4, n_center=3,
                                   exact=True)
-        assert report.consistent and len(seen) == 1 + 3 + 4
-        assert all(type(c) in (int, F) for pt in seen for c in pt)
+        # the three center samples are regular: only the base point and
+        # the four fiber points run the ladder
+        assert report.consistent and report.regular_center_samples == 3
+        assert len(center) == 3 and len(seen) == 1 + 4
+        assert all(type(c) in (int, F) for pt in seen + center for c in pt)
         assert {ev.threshold for v in report.fiber_verdicts
                 for ev in v.evidence} == {0}

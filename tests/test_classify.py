@@ -14,7 +14,8 @@ from arcan import classify, homog
 from arcan.classify import ANALYTIC_UP_TO, DEFAULT_TOL, INCONCLUSIVE, \
     NON_ANALYTIC, SeededDesign, _ladder, arc_symmetry_check, \
     classify_point, default_order, design, flagged_points, gateaux_coeff, \
-    grid_points, loja_estimate, scan_region, verdict_to_json
+    grid_points, loja_estimate, regular_points, scan_region, \
+    verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
@@ -145,11 +146,10 @@ class TestClassifyPoint:
 
     def test_shortcut_agrees_with_full_ladder(self):
         rng = random.Random(23)
-        for _ in range(20):
-            x = random_point(rng, 2)
-            fast = classify_point(E1, x, k_max=3, seed=2, shortcut=True)
-            full = classify_point(E1, x, k_max=3, seed=2, shortcut=False)
-            assert fast.status == full.status == ANALYTIC_UP_TO
+        points = [random_point(rng, 2) for _ in range(20)]
+        assert regular_points(E1, points, False).all()
+        assert all(classify_point(E1, x, k_max=3, seed=2).status
+                   == ANALYTIC_UP_TO for x in points)
 
     def test_analytic_baseline_residuals(self):
         # random polynomial and safe rational functions: every order passes

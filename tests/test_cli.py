@@ -550,6 +550,22 @@ class TestUsageContract:
                          "--classify-divisor", "0"]) == 0
         assert cli.main(["arc", "x", "--arc", "t", "--order", "404"]) == 0
 
+    def test_classify_divisor_is_bounded_before_any_work(self, capsys,
+                                                         monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran before --classify-divisor was checked")
+        for name in ("parse", "pullback", "classify_pullback"):
+            monkeypatch.setattr(cli, name, unreachable)
+        code = cli.main(["blowup", "x*y", "--chart",
+                         '{"n":2,"center":[1,2],"axis":1}',
+                         "--classify-divisor",
+                         str(cli.MAX_DIVISOR_POINTS + 1)])
+        captured = capsys.readouterr()
+        assert cli.MAX_DIVISOR_POINTS == 1000
+        assert code == 1 and captured.out == ""
+        assert captured.err == "arcan: error: --classify-divisor must be " \
+            "between 0 and 1000\n"
+
     def test_ladder_bound_admits_three_variables_at_kmax_60(self):
         # d(3, 60) = 1891; checked without running the ladder
         cli._check_ladder(60, 3)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcan.classify import classify_point
+from arcan.classify import classify_point, regular_points
 from arcan.corpus import lookup
 from arcan.errors import ArcDomainError, DomainError, FloatOverflow, \
     ZeroDenominator
@@ -160,9 +160,14 @@ class TestRegularAt:
         with pytest.raises(ValueError, match="point has"):
             regular_at(parse("x+y"), point)
 
-    def test_shortcut_checks_the_point_length(self):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_shortcut_checks_the_point_length(self, exact):
+        e = parse("x+y")
         with pytest.raises(ValueError, match="point has 3 coordinates"):
-            classify_point(parse("x+y"), (1.0, 2.0, 3.0), shortcut=True)
+            regular_points(e, [(1, 2), (1, 2, 3)] if exact else [(1, 2, 3)],
+                           exact)
+        with pytest.raises(ValueError, match="point has 3 coordinates"):
+            classify_point(e, (1, 2, 3), exact=exact)
 
 
 class TestEvalArc:

@@ -1,8 +1,10 @@
-"""A scan's regularity shortcut, decided per block of points, against `regular_at`."""
+"""The regularity shortcut, decided by `regular_points` for scans,
+arc-symmetry checks and fibre-lift samples, against `regular_at`."""
 
 import contextlib
 import io
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,21 +12,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcan import classify, cli
-from arcan.classify import INCONCLUSIVE, Verdict, classify_point, grid_points, \
-    iter_scan, scan_region, verdict_to_json
+from arcan.blowup import fiber_lift_check, make_chart
+from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, Verdict, \
+    arc_symmetry_check, classify_point, grid_points, iter_scan, \
+    regular_points, scan_region, verdict_to_json
 from arcan.corpus import corpus_list, lookup
-from arcan.errors import ArcanError, FloatOverflow
-from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, regular_at, \
-    regular_lanes
-from arcan.parser import parse, var_name
+from arcan.errors import ArcanError, FloatOverflow, PremiseViolated
+from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, \
+    eval_point, regular_at, regular_lanes
+from arcan.parser import parse, parse_arc, var_name
+from arcan.seeds import derive_seed, sample_scalar
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, trees
 
 
-def walker(e, pt):
+def walker(e, pt, exact=False):
     """What `regular_at` gives at one point: True, False or "overflow"."""
     try:
-        return regular_at(e, pt)
+        return regular_at(e, pt, exact)
     except (FloatOverflow, OverflowError):
         return "overflow"
 
@@ -81,18 +86,23 @@ class TestRegularLanes:
         assert not regular_lanes(e.root, np.array([(1.0,), (2.0,)])).any()
 
 
+def pointwise_verdict(e, pt, k_max, tol, seed, order, exact):
+    """One point's verdict decided on its own: a shortcut verdict where
+    `regular_at` is True (an overflow is not), else `classify_point`, and
+    an ArcanError as an Inconclusive verdict."""
+    if walker(e, pt, exact) is True:
+        return Verdict(pt, ANALYTIC_UP_TO, k_max, shortcut=True)
+    try:
+        return classify_point(e, pt, k_max, tol, seed, order, exact)
+    except ArcanError as exc:
+        return Verdict(pt, INCONCLUSIVE, k_max, reason=str(exc))
+
+
 def pointwise_verdicts(e, axes, seed, k_max=8, exact=False):
-    """Each grid point through `classify_point` with the shortcut, under
-    the scan seed, and an ArcanError as an Inconclusive verdict."""
-    verdicts = []
-    for pt in grid_points(axes, exact):
-        try:
-            v = classify_point(e, pt, k_max, seed=seed, order=20,
-                               exact=exact, shortcut=True)
-        except ArcanError as exc:
-            v = Verdict(pt, INCONCLUSIVE, k_max, reason=str(exc))
-        verdicts.append(v)
-    return verdicts
+    """`pointwise_verdict` at each grid point, under the scan seed."""
+    return [pointwise_verdict(e, pt, k_max, classify.DEFAULT_TOL, seed, 20,
+                              exact)
+            for pt in grid_points(axes, exact)]
 
 
 def pointwise_lines(e, axes, seed, k_max=8, exact=False, fmt="json"):
@@ -203,13 +213,16 @@ class TestScanByteIdentity:
 
 
 class TestShortcutCost:
-    def test_a_float_scan_builds_no_verdict_at_a_shortcut_point(
-            self, monkeypatch):
-        entry = lookup("E6")
-        e = entry.expr()
-        regular = regular_lanes(e.root, np.array(grid_points(entry.scan_axes)))
-        ladder = int((~regular).sum())
-        assert ladder == 2  # the flagged points of the E6 window
+    @pytest.mark.parametrize("name, mode, step", [
+        ("E6", "float", None), ("E1", "rational", Fraction(1, 4))])
+    def test_a_scan_builds_no_verdict_at_a_shortcut_point(
+            self, monkeypatch, name, mode, step):
+        entry = lookup(name)
+        e, exact = entry.expr(), mode == "rational"
+        axes = [(lo, hi, step or s) for lo, hi, s in entry.scan_axes]
+        points = grid_points(axes, exact)
+        ladder = int((~regular_points(e, points, exact)).sum())
+        assert ladder == {"E6": 2, "E1": 1}[name]  # the flagged points
         counts = {"Verdict": 0, "verdict_to_json": 0}
 
         def counting(owner, name):
@@ -222,8 +235,109 @@ class TestShortcutCost:
 
         counting(classify, "Verdict")
         counting(cli, "verdict_to_json")
-        lines = cli_scan_lines(entry.source, entry.scan_axes, 0)
-        assert len(lines) == len(regular)
+        lines = cli_scan_lines(entry.source, axes, 0, mode=mode)
+        assert len(lines) == len(points)
         assert counts["Verdict"] == ladder
         # one more renders the shortcut lines' fixed text
         assert counts["verdict_to_json"] == ladder + 1
+
+
+class TestRegularPoints:
+    @pytest.mark.parametrize("name, source, nvars, axes", GRIDS,
+                             ids=[g[0] for g in GRIDS])
+    def test_rational_equals_regular_at(self, name, source, nvars, axes):
+        e = parse(source, nvars=nvars)
+        points = grid_points(axes, exact=True)
+        assert regular_points(e, points, True).tolist() \
+            == [walker(e, pt, True) is True for pt in points]
+
+    @pytest.mark.parametrize("text", ["sqrt(x^2 + y^2 - 1/2)",
+                                      "x^2000 + 1/(y - y)", "1/(x*y)"])
+    def test_float_blocks_equal_regular_at(self, text, monkeypatch):
+        monkeypatch.setattr(classify, "_SHORTCUT_BLOCK", 7)
+        e = parse(text, nvars=2)
+        points = grid_points([(0, 3, Fraction(1, 2))] * 2)
+        assert regular_points(e, points, False).tolist() \
+            == [walker(e, pt) is True for pt in points]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_an_overflow_is_not_regular(self, exact):
+        e = parse("sqrt(2)*x^2000")
+        points = grid_points([(1, 2, 1)], exact)
+        assert [walker(e, pt, exact) for pt in points] == [True, "overflow"]
+        assert regular_points(e, points, exact).tolist() == [True, False]
+
+
+# (expression, arc): regular samples, samples on the locus, samples whose
+# check overflows, and samples outside the domain.
+ARCS = [("guard(x^3/(x^2 + y^2), 0)", "t, t"),
+        ("sqrt(x^2) + y", "t^2 - 1/16, t"),
+        ("sqrt(y^2) + x", "t, 0"),
+        ("sqrt(2)*x^2000 + y", "t + 2, t"),
+        ("sqrt(x - 1/8) + y", "t, t^2")]
+
+
+def pointwise_arc_statuses(e, arc, samples, k_max, seed, exact):
+    """Each side's statuses with every sample decided on its own."""
+    t_max = sample_scalar(0.5, exact)
+    ts = [t_max * (i + 1) / samples for i in range(samples)]
+    return tuple(tuple(pointwise_verdict(
+        e, tuple(eval_point(c, (t,), exact) for c in arc.components), k_max,
+        classify.DEFAULT_TOL, derive_seed(seed, "arcsym", t), None,
+        exact).status for t in side) for side in ([-t for t in ts], ts))
+
+
+def pointwise_center_count(e, chart, base, k_max, seed, n_center, exact):
+    """Fibre-lift centre samples that classify analytic, drawn as
+    `fiber_lift_check` draws them and each decided on its own."""
+    base = tuple(map(Fraction, base) if exact else base)
+    rng = random.Random(derive_seed(seed, "center-samples"))
+    count = 0
+    for j in range(n_center):
+        pt = list(base)
+        for i in range(e.nvars):
+            if i not in chart.center:
+                pt[i] += sample_scalar(0.25 * (rng.random() * 1.5 + 0.5)
+                                       * rng.choice((-1, 1)), exact)
+        count += pointwise_verdict(e, tuple(pt), k_max, classify.DEFAULT_TOL,
+                                   derive_seed(seed, "center", j), None,
+                                   exact).status == ANALYTIC_UP_TO
+    return count
+
+
+class TestSampledChecks:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("text, arc", ARCS)
+    def test_arc_symmetry_equals_the_pointwise_reference(self, text, arc,
+                                                         exact):
+        e, spec = parse(text, nvars=2), parse_arc(arc)
+        report = arc_symmetry_check(e, spec, samples=8, k_max=2, seed=3,
+                                    exact=exact)
+        neg, pos = pointwise_arc_statuses(e, spec, 8, 2, 3, exact)
+        assert (report.negative_statuses, report.positive_statuses) \
+            == (neg, pos)
+        assert report.negative_uniformly_analytic \
+            == all(s == ANALYTIC_UP_TO for s in neg)
+        assert report.positive_exceptions \
+            == sum(s == classify.NON_ANALYTIC for s in pos)
+        assert type(report.positive_exceptions) is int
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("text, center, axis", [
+        ("guard(z^3/(z^2 + x^2 + y^2), 0)", (2, 3), 3),
+        # no centre sample is regular, and the ladder finds one analytic
+        ("guard(z^3/(z^2 + x^2 + y^2), 0) + guard(y*(y+z)/(y+z), 0)",
+         (2, 3), 3),
+        ("guard(x^3/(x^2 + y^2), 0)", (1, 2), 1)])
+    def test_fiber_lift_equals_the_pointwise_reference(self, text, center,
+                                                       axis, exact):
+        e, chart = parse(text, nvars=3), make_chart(3, center, axis)
+        expected = pointwise_center_count(e, chart, (0, 0, 0), 2, 7, 6, exact)
+        try:
+            report = fiber_lift_check(e, chart, (0, 0, 0), k_max=2, seed=7,
+                                      n_fiber=2, n_center=6, exact=exact)
+        except PremiseViolated as exc:
+            assert expected == 0 and "no nearby regular point" in str(exc)
+            return
+        assert report.regular_center_samples == expected
+        assert type(report.regular_center_samples) is int
