@@ -14,9 +14,13 @@ over every corpus entry's grid as the CLI reads it (E5 in two variables,
 over the window of the two), in JSON and CSV, under --seed 0 and 1, and
 prints the number of lines and the SHA-256 of the concatenated stdout.
 Rational scan: the same, with `--mode rational --kmax 3` and each grid's
-step widened to 1/4.  Equal digests on two commits mean byte-identical
-output, residual digits included.  Each part's wall time, in-process,
-goes to stderr.  Takes about a minute on a 2-core x86_64 machine:
+step widened to 1/4.  Pullback: pulls every corpus entry back along
+each of its `resolution_charts` and each axis chart of the blow-up of
+the origin (centre = all variables), and prints the number of pullbacks
+and the SHA-256 of their `emit_json(pullback(...).to_json())` lines (an
+error's type and message in place of a document).  Equal digests on two
+commits mean byte-identical output, residual digits included.  Each
+part's wall time, in-process, goes to stderr.  Takes about a minute on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
 """
@@ -29,6 +33,7 @@ import time
 from fractions import Fraction
 
 from arcan import cli
+from arcan.blowup import BlowupChart, pullback
 from arcan.classify import classify_point, grid_points, verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list
@@ -88,13 +93,30 @@ def scan_digest(outputs) -> str:
     return f"{lines} lines sha256 {h.hexdigest()}"
 
 
-def digest(verdicts) -> str:
+def pullback_lines():
+    for entry in corpus_list():
+        e = entry.expr()
+        origin = tuple(range(e.nvars))
+        for chart in entry.resolution_charts + tuple(
+                BlowupChart(e.nvars, origin, axis) for axis in origin):
+            try:
+                yield emit_json(pullback(e, chart).to_json())
+            except Exception as exc:
+                yield f"{type(exc).__name__}: {exc}"
+
+
+def lines_digest(lines, noun: str) -> str:
     h = hashlib.sha256()
     count = 0
-    for v in verdicts:
-        h.update(emit_json(verdict_to_json(v)).encode() + b"\n")
+    for line in lines:
+        h.update(line.encode() + b"\n")
         count += 1
-    return f"{count} verdicts sha256 {h.hexdigest()}"
+    return f"{count} {noun} sha256 {h.hexdigest()}"
+
+
+def digest(verdicts) -> str:
+    return lines_digest((emit_json(verdict_to_json(v)) for v in verdicts),
+                        "verdicts")
 
 
 def main() -> None:
@@ -102,7 +124,9 @@ def main() -> None:
                       ("rational", lambda: digest(rational_verdicts())),
                       ("scan", lambda: scan_digest(scan_outputs())),
                       ("rational-scan", lambda: scan_digest(scan_outputs(
-                          RATIONAL_SCAN, RATIONAL_SCAN_STEP)))):
+                          RATIONAL_SCAN, RATIONAL_SCAN_STEP))),
+                      ("pullback", lambda: lines_digest(pullback_lines(),
+                                                        "pullbacks"))):
         start = time.perf_counter()
         print(f"{name}: {run()}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,

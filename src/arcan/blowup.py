@@ -20,13 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import ANALYTIC_UP_TO, DEFAULT_TOL, NON_ANALYTIC, Verdict, \
     classify_point, regular_points
 from .errors import BadCenter, PremiseViolated
-from .expr import Add, Div, Expr, Guard, IntPow, Mul, Node, Sqrt, Sub, Var, \
-    contains, substitute
+from .expr import Add, Div, Expr, Guard, Mul, Node, RationalConst, Sqrt, Sub, \
+    Var, _fold, substitute
 from .jets import Scalar
 from . import mpoly
 from .seeds import derive_seed, sample_scalar
@@ -98,37 +98,40 @@ class PullbackResult:
                 "chart": self.chart.to_json()}
 
 
-def _cancel_divisor_power(node: Node, s_index: int, nvars: int,
-                          budget: mpoly.Budget):
-    """Expand rational division subtrees and strip their common s-power."""
-    if isinstance(node, Div):
-        if not contains(node, (Sqrt, Guard)):
-            num, den = mpoly.to_fraction_pair(node, nvars, budget)
-            vn = mpoly.min_exponent(num, s_index)
-            vd = mpoly.min_exponent(den, s_index)
-            if vd is None:
-                raise ZeroDivisionError("identically zero denominator")
-            c = vd if vn is None else min(vn, vd)
-            num = mpoly.shift_down(num, s_index, c)
-            den = mpoly.shift_down(den, s_index, c)
-            return Div(mpoly.to_node(num, nvars), mpoly.to_node(den, nvars)), c, False
-        left, cl, _ = _cancel_divisor_power(node.left, s_index, nvars, budget)
-        right, cr, _ = _cancel_divisor_power(node.right, s_index, nvars, budget)
-        return Div(left, right), cl + cr, True
-    if isinstance(node, (Add, Sub, Mul)):
-        left, cl, fl = _cancel_divisor_power(node.left, s_index, nvars, budget)
-        right, cr, fr = _cancel_divisor_power(node.right, s_index, nvars, budget)
-        return type(node)(left, right), cl + cr, fl or fr
-    if isinstance(node, IntPow):
-        base, c, f = _cancel_divisor_power(node.base, s_index, nvars, budget)
-        return IntPow(base, node.exponent), c, f
-    if isinstance(node, Sqrt):
-        arg, c, f = _cancel_divisor_power(node.arg, s_index, nvars, budget)
-        return Sqrt(arg), c, f
-    if isinstance(node, Guard):
-        body, c, f = _cancel_divisor_power(node.body, s_index, nvars, budget)
-        return Guard(body, node.default), c, f
-    return node, 0, False
+class _Slot(NamedTuple):
+    """A slot of the pullback pass: `node` is the subtree in chart
+    coordinates, `blocked` tells whether a sqrt or guard lies in it, and
+    `reaches` lists in walk order the divisions a walk from it expands."""
+    node: Node
+    rebuilt: Node
+    power: int
+    non_rational: bool
+    blocked: bool
+    reaches: dict
+
+
+def _pullback_pass(root: Node, expanded: dict) -> _Slot:
+    """The root's slot, each division that `expanded` keys replaced by its
+    (expansion, cancelled power).  A walk stops at, and expands, each
+    division in which no sqrt or guard blocks the expansion."""
+    def leaf(node: Node) -> _Slot:
+        return _Slot(node, node, 0, False, False, {})
+
+    def combine(kind, *args) -> _Slot:
+        operands = args if kind in (Add, Sub, Mul, Div) else args[:1]
+        extra = args[len(operands):]
+        node = kind(*(o.node for o in operands), *extra)
+        blocked = kind in (Sqrt, Guard) or any(o.blocked for o in operands)
+        reaches = {node: None} if kind is Div and not blocked \
+            else dict.fromkeys(d for o in operands for d in o.reaches)
+        if node in expanded:
+            return _Slot(node, *expanded[node], False, False, reaches)
+        return _Slot(node, kind(*(o.rebuilt for o in operands), *extra),
+                     sum(o.power for o in operands),
+                     kind is Div or any(o.non_rational for o in operands),
+                     blocked, reaches)
+    return _fold(root, lambda i: leaf(Var(i)),
+                 lambda c: leaf(RationalConst(c)), combine)
 
 
 def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
@@ -139,15 +142,24 @@ def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
     removed; guard defaults are carried through unchanged.  Square roots
     block the expansion of the subtree containing them, which is flagged
     (not an error) and leaves that division unsimplified.  All expansions
-    of one pullback share one `mpoly.Budget` of term pairs; overdrawing it
+    of one pullback share one `mpoly.Budget` of term pairs, which each
+    distinct subtree of an expanded division charges once; overdrawing it
     raises ValueError.
     """
     if e.nvars != chart.nvars:
         raise ValueError("chart and expression dimensions differ")
     substituted = substitute(e.root, chart.substitution_map())
-    simplified, cancelled, non_rational = _cancel_divisor_power(
-        substituted, chart.axis, e.nvars, mpoly.Budget())
-    return PullbackResult(Expr(simplified, e.nvars), cancelled, non_rational, chart)
+    budget = mpoly.Budget()
+    expanded = {}
+    for division in _pullback_pass(substituted, {}).reaches:
+        num, den = mpoly.to_fraction_pair(division, e.nvars, budget)
+        c = min(m[chart.axis] for m in (*num, *den))  # den is never 0
+        num, den = (mpoly.to_node(mpoly.shift_down(p, chart.axis, c),
+                                  e.nvars) for p in (num, den))
+        expanded[division] = Div(num, den), c
+    result = _pullback_pass(substituted, expanded)
+    return PullbackResult(Expr(result.rebuilt, e.nvars), result.power,
+                          result.non_rational, chart)
 
 
 def classify_pullback(e: Expr, chart: BlowupChart,

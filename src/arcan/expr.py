@@ -16,7 +16,10 @@ arithmetic (`eval_jets`, or `eval_lanes` for a batch of float lines at
 one point) and ignores guard defaults, because the series of the body is
 what the germ at t = 0 sees.  Over numpy columns, one lane per point, it
 decides `regular_at` for a block of float points at once
-(`regular_lanes`).
+(`regular_lanes`).  Structural passes run on it too (`_fold`), each
+distinct subtree once: `substitute`, `is_polynomial`, printing
+(`parser.to_text`), and the fraction expansion and pullback of
+`mpoly.to_fraction_pair` and `blowup.pullback`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partialmethod
 from typing import Sequence, Union
 
 import numpy as np
@@ -240,55 +244,70 @@ def max_var_index(node: Node) -> int:
     return max((a for op, a, _ in compile_tape(node) if op == _VAR), default=-1)
 
 
-def contains(node: Node, kind) -> bool:
-    """True when the tree has a node of class `kind` (a class or a tuple)."""
-    codes = {code for cls, code in _OP_CODES.items() if issubclass(cls, kind)}
-    return any(op in codes for op, _, _ in compile_tape(node))
+def _fold(node: Node, var, constant, combine):
+    """Run `node`'s tape over a structural pass: `var(i)` and
+    `constant(value)` give the leaves' values, and `combine(kind, *args)`
+    an op's, from its node class and its operands' values (then its
+    exponent or default).  Each distinct subtree is combined once."""
+    leaves = [_Fold(var(i), combine) for i in range(max_var_index(node) + 1)]
+    return run_tape(compile_tape(node), leaves,
+                    lambda c: _Fold(constant(c), combine), _Fold.sqrt,
+                    _Fold.guard).value
+
+
+class _Fold:
+    """One slot of `_fold`, whose ops call `combine`."""
+
+    __slots__ = ("value", "combine")
+
+    def __init__(self, value, combine):
+        self.value = value
+        self.combine = combine
+
+    def _op(self, kind, *args) -> "_Fold":
+        args = (a.value if isinstance(a, _Fold) else a for a in args)
+        return _Fold(self.combine(kind, self.value, *args), self.combine)
+
+    __add__ = partialmethod(_op, Add)
+    __sub__ = partialmethod(_op, Sub)
+    __mul__ = partialmethod(_op, Mul)
+    __truediv__ = partialmethod(_op, Div)
+    sqrt = partialmethod(_op, Sqrt)
+    guard = partialmethod(_op, Guard)
+
+    def pow_int(self, exponent: int, constant=None) -> "_Fold":
+        return self._op(IntPow, exponent)
+
+
+def substitute(node: Node, mapping: dict[int, Node]) -> Node:
+    """Replace each Var(i) present in `mapping` by the given node."""
+    return _fold(node, lambda i: mapping.get(i, Var(i)), RationalConst,
+                 lambda kind, *args: kind(*args))
 
 
 def is_polynomial(node: Node) -> bool:
     """True when the node evaluates to a polynomial of the variables.
 
     Division is tolerated only by a constant subtree (a nonzero rational),
-    which is still a polynomial; `sqrt` and `guard` never are.
+    which is still a polynomial; `sqrt` and `guard` never are.  The pass
+    carries (polynomial?, the exact value of a constant subtree or None).
     """
-    if isinstance(node, (RationalConst, Var)):
-        return True
-    if isinstance(node, (Add, Sub, Mul)):
-        return is_polynomial(node.left) and is_polynomial(node.right)
-    if isinstance(node, Div):
-        if max_var_index(node.right) >= 0 \
-                or contains(node.right, (Sqrt, Guard)):
-            return False
-        try:
-            divisor, _ = _eval_tape(node.right, (), True, False)
-        except ZeroDenominator:
-            return False
-        return divisor != 0 and is_polynomial(node.left)
-    if isinstance(node, IntPow):
-        return is_polynomial(node.base)
-    return False
+    return _fold(node, lambda i: (True, None), lambda c: (True, c),
+                 _polynomial)[0]
 
 
-def substitute(node: Node, mapping: dict[int, Node]) -> Node:
-    """Replace each Var(i) present in `mapping` by the given node."""
-    if isinstance(node, Var):
-        return mapping.get(node.index, node)
-    if isinstance(node, Add):
-        return Add(substitute(node.left, mapping), substitute(node.right, mapping))
-    if isinstance(node, Sub):
-        return Sub(substitute(node.left, mapping), substitute(node.right, mapping))
-    if isinstance(node, Mul):
-        return Mul(substitute(node.left, mapping), substitute(node.right, mapping))
-    if isinstance(node, Div):
-        return Div(substitute(node.left, mapping), substitute(node.right, mapping))
-    if isinstance(node, IntPow):
-        return IntPow(substitute(node.base, mapping), node.exponent)
-    if isinstance(node, Sqrt):
-        return Sqrt(substitute(node.arg, mapping))
-    if isinstance(node, Guard):
-        return Guard(substitute(node.body, mapping), node.default)
-    return node
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+               Div: operator.truediv}
+
+
+def _polynomial(kind, a, b=None):
+    if kind is IntPow:
+        return a[0], None if a[1] is None else a[1] ** b
+    if kind in (Sqrt, Guard) or kind is Div and not b[1]:
+        return False, None  # a divisor must be a nonzero constant
+    if a[1] is None or b[1] is None:
+        return a[0] and b[0], None
+    return True, _ARITHMETIC[kind](a[1], b[1])
 
 
 # --- pointwise evaluation ----------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Add, Div, IntPow, Mul, Node, RationalConst, Sub, Var
+from .expr import Add, Div, Guard, IntPow, Mul, Node, RationalConst, Sqrt, \
+    Sub, Var, _fold
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -47,10 +48,6 @@ def p_add(a: Poly, b: Poly) -> Poly:
         else:
             out[e] = s
     return out
-
-
-def p_neg(a: Poly) -> Poly:
-    return {e: -c for e, c in a.items()}
 
 
 def p_mul(a: Poly, b: Poly, budget: Budget) -> Poly:
@@ -89,42 +86,28 @@ def p_pow(a: Poly, k: int, nvars: int, budget: Budget) -> Poly:
 def to_fraction_pair(node: Node, nvars: int,
                      budget: Budget) -> tuple[Poly, Poly]:
     """Flatten a subtree free of sqrt and guard nodes to (numerator,
-    denominator)."""
-    if isinstance(node, RationalConst):
-        return p_const(node.value, nvars), p_const(Fraction(1), nvars)
-    if isinstance(node, Var):
-        return p_var(node.index, nvars), p_const(Fraction(1), nvars)
-    if isinstance(node, (Add, Sub)):
-        lhs = to_fraction_pair(node.left, nvars, budget)
-        rhs = to_fraction_pair(node.right, nvars, budget)
-        n1, d1 = lhs
-        n2, d2 = rhs
-        if isinstance(node, Sub):
-            n2 = p_neg(n2)
+    denominator), in one tape pass: each distinct subtree once."""
+    one = p_const(Fraction(1), nvars)
+
+    def combine(kind, a, b=None):
+        if kind is IntPow:
+            return p_pow(a[0], b, nvars, budget), p_pow(a[1], b, nvars, budget)
+        if kind in (Sqrt, Guard):
+            raise TypeError(f"{kind.__name__.lower()} in a rational subtree")
+        (n1, d1), (n2, d2) = a, b
+        if kind is Div:
+            if not n2:
+                raise ZeroDivisionError("division by an identically zero denominator")
+            n2, d2 = d2, n2  # times the reciprocal
+        if kind in (Mul, Div):
+            return p_mul(n1, n2, budget), p_mul(d1, d2, budget)
+        if kind is Sub:
+            n2 = {e: -c for e, c in n2.items()}
         return p_add(p_mul(n1, d2, budget), p_mul(n2, d1, budget)), \
             p_mul(d1, d2, budget)
-    if isinstance(node, Mul):
-        lhs = to_fraction_pair(node.left, nvars, budget)
-        rhs = to_fraction_pair(node.right, nvars, budget)
-        return p_mul(lhs[0], rhs[0], budget), p_mul(lhs[1], rhs[1], budget)
-    if isinstance(node, Div):
-        lhs = to_fraction_pair(node.left, nvars, budget)
-        rhs = to_fraction_pair(node.right, nvars, budget)
-        if not rhs[0]:
-            raise ZeroDivisionError("division by an identically zero denominator")
-        return p_mul(lhs[0], rhs[1], budget), p_mul(lhs[1], rhs[0], budget)
-    if isinstance(node, IntPow):
-        base = to_fraction_pair(node.base, nvars, budget)
-        return p_pow(base[0], node.exponent, nvars, budget), \
-            p_pow(base[1], node.exponent, nvars, budget)
-    raise TypeError(f"not a rational expression node: {node!r}")
 
-
-def min_exponent(p: Poly, var: int) -> int | None:
-    """Smallest exponent of the chosen variable across monomials; None if p = 0."""
-    if not p:
-        return None
-    return min(e[var] for e in p)
+    return _fold(node, lambda i: (p_var(i, nvars), one),
+                 lambda c: (p_const(c, nvars), one), combine)
 
 
 def shift_down(p: Poly, var: int, power: int) -> Poly:

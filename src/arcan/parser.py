@@ -16,10 +16,10 @@ reparses to the same node.  The printer emits a fully parenthesized form.
 
 Text may nest at most `MAX_DEPTH` levels (parentheses, `sqrt`, `guard`,
 unary minus) and build a tree at most `MAX_DEPTH` nodes deep, which keeps
-the parser and every recursive walk over the tree well inside Python's
-recursion limit.  An exponent may be at most `MAX_EXPONENT`, and so may
-the product of the exponents nested along any path of the tree, which
-bounds the degree a power tower can reach (`(x^10000)^10000` is refused).
+the parser and `compile_tape` well inside Python's recursion limit.  An
+exponent may be at most `MAX_EXPONENT`, and so may the product of the
+exponents nested along any path of the tree, which bounds the degree a
+power tower can reach (`(x^10000)^10000` is refused).
 Text beyond any of these bounds raises `ExprSyntaxError`.
 """
 
@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .errors import ArityError, ExprSyntaxError
 from .expr import Add, Div, Expr, Guard, IntPow, Mul, Node, RationalConst, Sqrt, \
-    Sub, Var
+    Sub, Var, _fold
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2}
 
@@ -271,35 +271,21 @@ def var_name(index: int, nvars: int) -> str:
     return f"x{index + 1}"
 
 
+_FORMATS = {Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})",
+            Div: "({} / {})", IntPow: "({} ^ {})", Sqrt: "sqrt({})",
+            Guard: "guard({}, {})"}
+
+
 def to_text(e: Expr, names: Sequence[str] = ()) -> str:
     """Fully parenthesized canonical form; reparses to the same tree.
     Variable i prints as names[i], by default as `var_name` has it."""
-    return _print(e.root, names or [var_name(i, e.nvars)
-                                    for i in range(e.nvars)])
+    names = names or [var_name(i, e.nvars) for i in range(e.nvars)]
+    return _fold(e.root, names.__getitem__, _constant_text,
+                 lambda kind, *args: _FORMATS[kind].format(*args))
 
 
-def _print(node: Node, names: Sequence[str]) -> str:
-    if isinstance(node, RationalConst):
-        # fractions and negatives get their own parentheses so that an
-        # enclosing power or product reparses to the same node
-        text = str(node.value)
-        if node.value < 0 or node.value.denominator != 1:
-            return f"({text})"
-        return text
-    if isinstance(node, Var):
-        return names[node.index]
-    if isinstance(node, Add):
-        return f"({_print(node.left, names)} + {_print(node.right, names)})"
-    if isinstance(node, Sub):
-        return f"({_print(node.left, names)} - {_print(node.right, names)})"
-    if isinstance(node, Mul):
-        return f"({_print(node.left, names)} * {_print(node.right, names)})"
-    if isinstance(node, Div):
-        return f"({_print(node.left, names)} / {_print(node.right, names)})"
-    if isinstance(node, IntPow):
-        return f"({_print(node.base, names)} ^ {node.exponent})"
-    if isinstance(node, Sqrt):
-        return f"sqrt({_print(node.arg, names)})"
-    if isinstance(node, Guard):
-        return f"guard({_print(node.body, names)}, {node.default})"
-    raise TypeError(f"not an expression node: {node!r}")
+def _constant_text(value: Fraction) -> str:
+    # fractions and negatives get their own parentheses so that an
+    # enclosing power or product reparses to the same node
+    return f"({value})" if value < 0 or value.denominator != 1 \
+        else str(value)

@@ -3,7 +3,10 @@
 The seeded generators use `random`; `trees` is a Hypothesis strategy.
 `walker_eval_point_flagged` and `walker_regular_at` are the recursive
 pointwise evaluator that the tape evaluator replaced, kept as its
-reference.  `fraction_gateaux_series` is exact jet evaluation over
+reference.  `walker_to_fraction_pair`, `walker_pullback`,
+`walker_substitute`, `walker_is_polynomial` and `walker_to_text` are the
+recursive structural walkers that the tape passes replaced, kept as
+their reference.  `fraction_gateaux_series` is exact jet evaluation over
 `LaurentJet`s with `Fraction` coefficients, which `RationalJet` replaced,
 kept as its reference.  `qr_residuals` is the float order test as it was
 before the canonical design: a QR of the evaluation matrix at the very
@@ -25,6 +28,7 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from arcan import mpoly
 from arcan.blowup import BlowupChart, PullbackResult, pullback
 from arcan.corpus import ARC_ANALYTIC, CorpusEntry, corpus_list
 from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
@@ -34,6 +38,7 @@ from arcan.homog import HomoPoly, canonical_design, dim_homog, \
     evaluation_matrix, monomials, signed_permutation
 from arcan.jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
 from arcan.linalg import solve_exact
+from arcan.parser import var_name
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -167,9 +172,9 @@ FRACTIONS = [Fraction(p, q) for p in range(-2, 3) for q in (1, 2)]
 BEYOND_FLOATS = Fraction(10 ** 400)
 
 
-def trees(constants=FRACTIONS, exponents=(0, 1, 2, 3, 1100)):
-    """Random `+ - * / ^ sqrt guard` trees in two variables."""
-    leaves = st.one_of(st.builds(Var, st.integers(0, 1)),
+def trees(constants=FRACTIONS, exponents=(0, 1, 2, 3, 1100), nvars=2):
+    """Random `+ - * / ^ sqrt guard` trees in `nvars` variables."""
+    leaves = st.one_of(st.builds(Var, st.integers(0, nvars - 1)),
                        st.builds(RationalConst, st.sampled_from(constants)))
 
     def extend(children):
@@ -260,6 +265,166 @@ def walker_regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool
     except (DomainError, ZeroDenominator):
         return False
     return True
+
+
+# --- the recursive structural walkers (reference for the tape passes) -----------
+
+def _contains(node, kind) -> bool:
+    if isinstance(node, kind):
+        return True
+    return any(_contains(child, kind) for child in _children(node))
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return node.left, node.right
+    if isinstance(node, IntPow):
+        return (node.base,)
+    if isinstance(node, Sqrt):
+        return (node.arg,)
+    if isinstance(node, Guard):
+        return (node.body,)
+    return ()
+
+
+def walker_to_fraction_pair(node, nvars: int, budget: mpoly.Budget):
+    """Flatten a subtree free of sqrt and guard nodes to (numerator,
+    denominator)."""
+    if isinstance(node, RationalConst):
+        return mpoly.p_const(node.value, nvars), mpoly.p_const(Fraction(1), nvars)
+    if isinstance(node, Var):
+        return mpoly.p_var(node.index, nvars), mpoly.p_const(Fraction(1), nvars)
+    if isinstance(node, (Add, Sub)):
+        n1, d1 = walker_to_fraction_pair(node.left, nvars, budget)
+        n2, d2 = walker_to_fraction_pair(node.right, nvars, budget)
+        if isinstance(node, Sub):
+            n2 = {e: -c for e, c in n2.items()}
+        return mpoly.p_add(mpoly.p_mul(n1, d2, budget),
+                           mpoly.p_mul(n2, d1, budget)), \
+            mpoly.p_mul(d1, d2, budget)
+    if isinstance(node, Mul):
+        lhs = walker_to_fraction_pair(node.left, nvars, budget)
+        rhs = walker_to_fraction_pair(node.right, nvars, budget)
+        return mpoly.p_mul(lhs[0], rhs[0], budget), \
+            mpoly.p_mul(lhs[1], rhs[1], budget)
+    if isinstance(node, Div):
+        lhs = walker_to_fraction_pair(node.left, nvars, budget)
+        rhs = walker_to_fraction_pair(node.right, nvars, budget)
+        if not rhs[0]:
+            raise ZeroDivisionError("division by an identically zero denominator")
+        return mpoly.p_mul(lhs[0], rhs[1], budget), \
+            mpoly.p_mul(lhs[1], rhs[0], budget)
+    if isinstance(node, IntPow):
+        num, den = walker_to_fraction_pair(node.base, nvars, budget)
+        return mpoly.p_pow(num, node.exponent, nvars, budget), \
+            mpoly.p_pow(den, node.exponent, nvars, budget)
+    raise TypeError(f"not a rational expression node: {node!r}")
+
+
+def _walker_cancel(node, s_index: int, nvars: int, budget: mpoly.Budget):
+    """Expand rational division subtrees and strip their common s-power."""
+    if isinstance(node, Div):
+        if not _contains(node, (Sqrt, Guard)):
+            num, den = walker_to_fraction_pair(node, nvars, budget)
+            vn = min((m[s_index] for m in num), default=None)
+            vd = min((m[s_index] for m in den), default=None)
+            if vd is None:
+                raise ZeroDivisionError("identically zero denominator")
+            c = vd if vn is None else min(vn, vd)
+            num = mpoly.shift_down(num, s_index, c)
+            den = mpoly.shift_down(den, s_index, c)
+            return Div(mpoly.to_node(num, nvars), mpoly.to_node(den, nvars)), \
+                c, False
+        left, cl, _ = _walker_cancel(node.left, s_index, nvars, budget)
+        right, cr, _ = _walker_cancel(node.right, s_index, nvars, budget)
+        return Div(left, right), cl + cr, True
+    if isinstance(node, (Add, Sub, Mul)):
+        left, cl, fl = _walker_cancel(node.left, s_index, nvars, budget)
+        right, cr, fr = _walker_cancel(node.right, s_index, nvars, budget)
+        return type(node)(left, right), cl + cr, fl or fr
+    if isinstance(node, IntPow):
+        base, c, f = _walker_cancel(node.base, s_index, nvars, budget)
+        return IntPow(base, node.exponent), c, f
+    if isinstance(node, Sqrt):
+        arg, c, f = _walker_cancel(node.arg, s_index, nvars, budget)
+        return Sqrt(arg), c, f
+    if isinstance(node, Guard):
+        body, c, f = _walker_cancel(node.body, s_index, nvars, budget)
+        return Guard(body, node.default), c, f
+    return node, 0, False
+
+
+def walker_pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
+    """Substitute chart coordinates and cancel each division's s-power."""
+    if e.nvars != chart.nvars:
+        raise ValueError("chart and expression dimensions differ")
+    substituted = walker_substitute(e.root, chart.substitution_map())
+    simplified, cancelled, non_rational = _walker_cancel(
+        substituted, chart.axis, e.nvars, mpoly.Budget())
+    return PullbackResult(Expr(simplified, e.nvars), cancelled, non_rational,
+                          chart)
+
+
+def walker_substitute(node, mapping: dict):
+    """Replace each Var(i) present in `mapping` by the given node."""
+    if isinstance(node, Var):
+        return mapping.get(node.index, node)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return type(node)(walker_substitute(node.left, mapping),
+                          walker_substitute(node.right, mapping))
+    if isinstance(node, IntPow):
+        return IntPow(walker_substitute(node.base, mapping), node.exponent)
+    if isinstance(node, Sqrt):
+        return Sqrt(walker_substitute(node.arg, mapping))
+    if isinstance(node, Guard):
+        return Guard(walker_substitute(node.body, mapping), node.default)
+    return node
+
+
+def walker_is_polynomial(node) -> bool:
+    """True when the node evaluates to a polynomial of the variables."""
+    if isinstance(node, (RationalConst, Var)):
+        return True
+    if isinstance(node, (Add, Sub, Mul)):
+        return walker_is_polynomial(node.left) \
+            and walker_is_polynomial(node.right)
+    if isinstance(node, Div):
+        if _contains(node.right, (Var, Sqrt, Guard)):
+            return False
+        try:
+            divisor = _eval_point(node.right, (), True, False, [])
+        except ZeroDenominator:
+            return False
+        return divisor != 0 and walker_is_polynomial(node.left)
+    if isinstance(node, IntPow):
+        return walker_is_polynomial(node.base)
+    return False
+
+
+def walker_to_text(e: Expr, names: Sequence[str] = ()) -> str:
+    """Fully parenthesized canonical form."""
+    return _print(e.root, names or [var_name(i, e.nvars)
+                                    for i in range(e.nvars)])
+
+
+def _print(node, names: Sequence[str]) -> str:
+    if isinstance(node, RationalConst):
+        text = str(node.value)
+        if node.value < 0 or node.value.denominator != 1:
+            return f"({text})"
+        return text
+    if isinstance(node, Var):
+        return names[node.index]
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+        return f"({_print(node.left, names)} {op} {_print(node.right, names)})"
+    if isinstance(node, IntPow):
+        return f"({_print(node.base, names)} ^ {node.exponent})"
+    if isinstance(node, Sqrt):
+        return f"sqrt({_print(node.arg, names)})"
+    if isinstance(node, Guard):
+        return f"guard({_print(node.body, names)}, {node.default})"
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --- exact jets over Fraction coefficients (reference for RationalJet) ----------

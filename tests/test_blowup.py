@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcan import blowup, mpoly
 from arcan.blowup import BlowupChart, classify_pullback, fiber_lift_check, \
@@ -11,11 +12,13 @@ from arcan.blowup import BlowupChart, classify_pullback, fiber_lift_check, \
 from arcan.classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point, \
     regular_points
 from arcan.errors import BadCenter, PremiseViolated
-from arcan.expr import Expr, eval_point, substitute
-from arcan.parser import parse
+from arcan.expr import Add, Div, Expr, Mul, Sqrt, eval_point, is_polynomial, \
+    substitute
+from arcan.parser import parse, to_text
 
-from helpers import chart_apply, chart_invert, jacobian_power, \
-    pullback_sequence, random_point, random_safe_rational_expr
+from helpers import FRACTIONS, chart_apply, chart_invert, jacobian_power, \
+    pullback_sequence, random_point, random_safe_rational_expr, trees, \
+    walker_is_polynomial, walker_pullback, walker_substitute, walker_to_text
 
 F = Fraction
 
@@ -119,6 +122,30 @@ class TestPullback:
         # 51,872 pairs: within the budget once, not twice
         result = pullback(parse("((x+y+z)^40/x)/sqrt(x^2+1)"), chart)
         assert result.non_rational
+
+    def test_a_repeated_subtree_is_expanded_once(self, monkeypatch):
+        budgets = []
+
+        class Recorded(mpoly.Budget):
+            def __init__(self):
+                super().__init__()
+                budgets.append(self)
+        monkeypatch.setattr(mpoly, "Budget", Recorded)
+        chart = make_chart(3, (1, 2), 1)
+
+        def spent(text):
+            pullback(parse(text), chart)
+            return mpoly.MAX_PRODUCT_TERMS - budgets[-1].left
+        # the sum of the two 496-term numerators over 1 costs 2 * 496 + 1
+        assert spent("((x+y+z)^30 + (x+y+z)^30)/x") \
+            == spent("(x+y+z)^30/x") + 2 * 496 + 1 == 23518
+        # twice 51,872 pairs would pass the budget; once does not
+        e = parse("((x+y+z)^40 + (x+y+z)^40)/x")
+        result = pullback(e, chart)
+        assert result.cancelled_power == 0 and not result.non_rational
+        pt = (F(1, 2), F(-1, 3), F(1, 5))
+        assert eval_point(result.expr, pt, True) \
+            == eval_point(e, chart_apply(chart, pt), True)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -282,3 +309,72 @@ class TestFiberLift:
         assert all(type(c) in (int, F) for pt in seen + center for c in pt)
         assert {ev.threshold for v in report.fiber_verdicts
                 for ev in v.evidence} == {0}
+
+
+def outcome(call):
+    """A call's result, or its error's type and message."""
+    try:
+        return "returns", call()
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def refused(result) -> bool:
+    return result[0] == "raises" and "term pairs allowed" in result[2]
+
+
+def with_repeats(nvars: int):
+    """`trees` in `nvars` variables, and trees that repeat a division."""
+    t = trees(FRACTIONS, (0, 1, 2, 3, 7), nvars)
+    return st.one_of(t, st.builds(
+        lambda a, b: Add(Div(a, b), Mul(Sqrt(a), Div(a, b))), t, t))
+
+
+class TestPassesMatchTheWalkers:
+    """The tape passes against the recursive walkers they replaced.
+
+    A pullback may differ only where the walker's budget refused a product
+    that the tape pass, expanding each distinct subtree once, no longer
+    needs: the pass then gives what the walker gives on a budget without
+    bound, or its own refusal further on.  A budget of 10 term pairs makes
+    refusals common, so their text is compared too.
+    """
+
+    CHARTS = {2: [make_chart(2, (1, 2), 1), make_chart(2, (1, 2), 2)],
+              3: [make_chart(3, (1, 2), 1), make_chart(3, (2, 3), 3),
+                  make_chart(3, (1, 2, 3), 2)]}
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("max_terms", [10, mpoly.MAX_PRODUCT_TERMS])
+    def test_on_random_trees(self, nvars, max_terms, monkeypatch):
+        budgets = []
+
+        class Recorded(mpoly.Budget):
+            def __init__(self):
+                super().__init__()
+                budgets.append(self)
+        monkeypatch.setattr(mpoly, "Budget", Recorded)
+
+        def run(fn, e, chart, terms=max_terms):
+            monkeypatch.setattr(mpoly, "MAX_PRODUCT_TERMS", terms)
+            return outcome(lambda: fn(e, chart).to_json()), budgets[-1].left
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(with_repeats(nvars))
+        def check(root):
+            e = Expr(root, nvars)
+            assert to_text(e) == walker_to_text(e)
+            assert is_polynomial(root) == walker_is_polynomial(root)
+            for chart in self.CHARTS[nvars]:
+                mapping = chart.substitution_map()
+                assert substitute(root, mapping) \
+                    == walker_substitute(root, mapping)
+                ours, ours_left = run(pullback, e, chart)
+                theirs, theirs_left = run(walker_pullback, e, chart)
+                if ours == theirs:
+                    assert ours[0] == "raises" or ours_left >= theirs_left
+                    continue
+                assert refused(theirs)
+                assert refused(ours) \
+                    or ours == run(walker_pullback, e, chart, 10 ** 9)[0]
+        check()

@@ -374,6 +374,16 @@ class TestBlowupCommand:
         s, y, z = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
         assert eval_point(e, (s, y, z), True) == (s + s * y + z) ** power / s
 
+    def test_a_repeated_power_is_expanded_once(self, capsys):
+        # expanding (x+y+z)^40 twice would pass the budget
+        text = "((x+y+z)^40 + (x+y+z)^40)/x"
+        code, out = run_cli(capsys, ["blowup", text, "--chart", self.CHART3])
+        assert code == 0
+        pulled = parse(json.loads(out)["expr"])
+        s, y, z = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+        assert eval_point(pulled, (s, y, z), True) \
+            == eval_point(parse(text), (s, s * y, z), True)
+
     def test_an_expansion_past_the_bound_is_refused(self, capsys):
         start = time.perf_counter()
         code = cli.main(["blowup", "(x+y+z)^200/x", "--chart", self.CHART3])
@@ -383,9 +393,10 @@ class TestBlowupCommand:
         assert captured.err.startswith("arcan: error: expanding a product")
 
     def test_one_budget_bounds_all_expansions_of_a_pullback(self, capsys):
-        # Twelve powers, each under the bound alone: the budget is the
-        # whole pullback's, so it runs out within the second power.
-        text = "(" + " + ".join(["(x+y+z)^40"] * 12) + ")/x"
+        # Twelve distinct powers, each under the bound alone: the budget
+        # is the whole pullback's, so it runs out within the second power.
+        text = "(" + " + ".join(f"(x+y+{k}*z)^40" for k in range(1, 13)) \
+            + ")/x"
         start = time.perf_counter()
         code = cli.main(["blowup", text, "--chart", self.CHART3])
         captured = capsys.readouterr()

@@ -212,6 +212,8 @@ class TestArcSpec:
             ArcSpec((parse("sqrt(t)", varmap={"t": 0}),))
         with pytest.raises(ValueError):
             ArcSpec((parse("1/t", varmap={"t": 0}),))
+        with pytest.raises(ValueError):  # a constant divisor that is 0
+            ArcSpec((parse("t/(1-1)", varmap={"t": 0}),))
 
     def test_division_by_constant_is_polynomial(self):
         arc = parse_arc("t/2, t")
