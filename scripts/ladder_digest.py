@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Digests of the full ladder's output, float and rational, and of default
-scans, on the corpus.
+"""Digests of the full ladder's output, float and rational, of default
+scans and of `arcan corpus`, on the corpus.
 
 Float: runs `classify_point` (the full ladder) in float mode at k_max 10
 at every point of every corpus entry's `scan_axes` grid (E1–E6, 10,982
@@ -18,7 +18,10 @@ step widened to 1/4.  Pullback: pulls every corpus entry back along
 each of its `resolution_charts` and each axis chart of the blow-up of
 the origin (centre = all variables), and prints the number of pullbacks
 and the SHA-256 of their `emit_json(pullback(...).to_json())` lines (an
-error's type and message in place of a document).  Equal digests on two
+error's type and message in place of a document).  Corpus: runs `arcan
+corpus` in-process over every entry, under --seed 0 and 1, and prints
+the number of lines and the SHA-256 of the concatenated stdout (a
+mismatch exits 2 and stops the script).  Equal digests on two
 commits mean byte-identical output, residual digits included.  Each
 part's wall time, in-process, goes to stderr.  Takes about a minute on a 2-core x86_64 machine:
 
@@ -65,6 +68,21 @@ def rational_verdicts():
                     yield classify_point(e, x, k_max, seed=seed, exact=True)
 
 
+def cli_stdout(argv) -> str:
+    """In-process `arcan` stdout; exits the script on a nonzero status."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"arcan {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def corpus_outputs():
+    for seed in SCAN_SEEDS:
+        yield cli_stdout(["corpus", "--seed", str(seed)])
+
+
 def scan_outputs(options=(), step=None):
     """Each corpus scan's stdout; `step`, if given, replaces every axis's."""
     for entry in corpus_list():
@@ -74,14 +92,9 @@ def scan_outputs(options=(), step=None):
                         in enumerate(entry.scan_axes[:nvars]))
         for fmt in ("json", "csv"):
             for seed in SCAN_SEEDS:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(["scan", entry.source, "--grid", grid,
-                                     "--format", fmt, "--seed", str(seed),
-                                     *options])
-                if code != 0:
-                    sys.exit(f"scan of {entry.name} exited {code}")
-                yield out.getvalue()
+                yield cli_stdout(["scan", entry.source, "--grid", grid,
+                                  "--format", fmt, "--seed", str(seed),
+                                  *options])
 
 
 def scan_digest(outputs) -> str:
@@ -126,7 +139,8 @@ def main() -> None:
                       ("rational-scan", lambda: scan_digest(scan_outputs(
                           RATIONAL_SCAN, RATIONAL_SCAN_STEP))),
                       ("pullback", lambda: lines_digest(pullback_lines(),
-                                                        "pullbacks"))):
+                                                        "pullbacks")),
+                      ("corpus", lambda: scan_digest(corpus_outputs()))):
         start = time.perf_counter()
         print(f"{name}: {run()}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,

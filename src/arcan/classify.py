@@ -48,11 +48,12 @@ and square-root radicand stays away from zero the function is a
 composition of analytic germs, and no sampling is needed.
 `regular_points` alone decides that shortcut, for float points a block
 at a time in one tape pass (`regular_lanes`, one lane per point), for
-exact points one at a time (`regular_at`).  Only the points it does not
-find regular run the ladder.  A point it finds regular gets no
-`Verdict`: `iter_scan` yields it with verdict None, `scan_region` leaves
-it out, and the CLI writes its line from fixed text.  `classify_point`
-always runs the ladder.
+exact points one at a time (`regular_at`).  A float scan builds its grid
+once, as one array (`grid_array`), and only the indices the shortcut
+does not find regular are visited in Python: they run the ladder.  A
+point it finds regular gets no `Verdict`: `iter_scan` does not yield
+it, `scan_region` leaves it out, and the CLI writes its line from fixed
+text.  `classify_point` always runs the ladder.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ DEFAULT_TOL = 1e-7
 LANES_PER_PASS = 256
 # Float points per pass of the regularity shortcut (a few MB at most).
 _SHORTCUT_BLOCK = 4096
-# Largest grid a scan builds: 10**6 float points take ~75 MB, and a scan's
-# task list about as much again.
+# Largest grid a scan builds: 10**6 float points in 3 variables take 24 MB
+# as one array (48 MB while it is built), and as exact tuples ~75 MB.
 MAX_GRID_POINTS = 10 ** 6
+# Ladder points a scan hands a worker pool at once, ~5 MB of tasks.
+_POOL_BATCH = 1 << 14
 # Largest ladder the CLI runs: k_max, the d(n, k_max) monomials of its top
 # order (x+y+z at k_max 60 has 1891), and the widest window its jets may
 # widen to (2 * MAX_K_MAX + 4 is the default at the top k_max).
@@ -425,8 +428,15 @@ def grid_axis_values(axes: Sequence[tuple], exact: bool = False) -> list[list]:
                          f"{MAX_GRID_POINTS} allowed")
     axis_values = []
     for lo_f, step_f, count in bounds:
-        values = [lo_f + i * step_f for i in range(count)]
-        axis_values.append(values if exact else [float(v) for v in values])
+        if exact:
+            axis_values.append([lo_f + i * step_f for i in range(count)])
+            continue
+        # lo + i*step over one denominator: int / int rounds once, as
+        # float(Fraction) does
+        den = lo_f.denominator * step_f.denominator
+        lo_n = lo_f.numerator * step_f.denominator
+        step_n = step_f.numerator * lo_f.denominator
+        axis_values.append([(lo_n + i * step_n) / den for i in range(count)])
     return axis_values
 
 
@@ -444,19 +454,38 @@ def _scan_one(args) -> Verdict:
         return Verdict(tuple(pt), INCONCLUSIVE, k_max, reason=str(exc))
 
 
-def regular_points(e: Expr, points: Sequence[tuple],
+def grid_array(axes: Sequence[tuple]) -> np.ndarray:
+    """The float grid as one read-only (points, nvars) array whose rows
+    are `grid_points(axes)`, bit for bit."""
+    return _grid_array(tuple(tuple(map(_as_fraction, ax)) for ax in axes))
+
+
+@lru_cache(maxsize=1)
+def _grid_array(axes: tuple) -> np.ndarray:
+    """`grid_array` of exact bounds; the last grid is kept, so a corpus
+    check and its scan build it once."""
+    values = grid_axis_values(axes)
+    grid = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1) \
+        .reshape(-1, len(values))
+    grid.flags.writeable = False
+    return grid
+
+
+def regular_points(e: Expr, points: Sequence[tuple] | np.ndarray,
                    exact: bool) -> np.ndarray:
     """Which points `regular_at` finds regular, as a boolean array.
 
-    Float points are decided a block of `_SHORTCUT_BLOCK` at a time, one
-    tape pass per block (`regular_lanes`); exact points one at a time.  A
-    point whose check overflows the float range is not regular: the
-    ladder decides it.  A point of the wrong length raises ValueError.
+    Float points, a list of tuples or an array of rows, are decided a
+    block of `_SHORTCUT_BLOCK` at a time, one tape pass per block
+    (`regular_lanes`); exact points one at a time.  A point whose check
+    overflows the float range is not regular: the ladder decides it.  A
+    point of the wrong length raises ValueError.
     """
     regular = np.zeros(len(points), dtype=bool)
     if not exact:
+        points = np.asarray(points, dtype=float)
         for start in range(0, len(points), _SHORTCUT_BLOCK):
-            block = np.array(points[start:start + _SHORTCUT_BLOCK], dtype=float)
+            block = points[start:start + _SHORTCUT_BLOCK]
             _check_point(e, block[0])
             regular[start:start + len(block)] = regular_lanes(e.root, block)
         return regular
@@ -472,53 +501,52 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               tol: float = DEFAULT_TOL, seed: int = 0,
               order: int | None = None, exact: bool = False,
               shortcut: bool = True, jobs: int = 1):
-    """Yield (point, verdict) per grid point, in grid (row-major) order.
+    """Yield (index, verdict) at each grid point that runs the ladder, in
+    grid (row-major) order; `index` is the point's position in
+    `grid_points(axes, exact)`.
 
     Every point runs its ladder under the scan seed, so the float points
     share one direction design and the verdicts do not depend on worker
     scheduling.  A permissible error at one point becomes an Inconclusive
     verdict instead of aborting the scan.
 
-    With the shortcut on, `regular_points` decides it for the whole grid,
-    in either arithmetic.  A point it finds regular is
-    `AnalyticUpTo(k_max)` by the shortcut, and is yielded with verdict
-    None: no ladder runs and no `Verdict` is built there.  Every other
-    point runs the ladder, and only these points reach the worker pool
-    when `jobs` > 1.
+    A float grid is built once, as `grid_array`; an exact one as
+    `grid_points`.  With the shortcut on, `regular_points` decides it for
+    the whole grid.  A point it finds regular is `AnalyticUpTo(k_max)` by
+    the shortcut and is not yielded: no ladder runs and no `Verdict` is
+    built there.  Only the other indices are visited, and only their
+    points reach the worker pool when `jobs` > 1, `_POOL_BATCH` at a time.
     """
-    points = grid_points(axes, exact)
-    regular = regular_points(e, points, exact) if shortcut \
-        else np.zeros(len(points), dtype=bool)
-    tasks = ((e, points[i], k_max, tol, seed, order, exact)
-             for i in np.flatnonzero(~regular).tolist())
+    grid = grid_points(axes, True) if exact else grid_array(axes)
+    regular = regular_points(e, grid, exact) if shortcut \
+        else np.zeros(len(grid), dtype=bool)
+    ladder = np.flatnonzero(~regular).tolist()
+
+    def tasks(indices):
+        return ((e, grid[i] if exact else tuple(grid[i].tolist()), k_max,
+                 tol, seed, order, exact) for i in indices)
     if jobs <= 1:
-        yield from _in_grid_order(points, regular, map(_scan_one, tasks))
+        yield from zip(ladder, map(_scan_one, tasks(ladder)))
         return
+    # a pool takes all the tasks it is given at once: a batch at a time
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from _in_grid_order(points, regular,
-                                  pool.map(_scan_one, tasks, chunksize=64))
-
-
-def _in_grid_order(points: list[tuple], regular: np.ndarray, results):
-    """(point, None) at the regular points, merged with `results`."""
-    results = iter(results)
-    for pt, hit in zip(points, regular.tolist()):
-        yield pt, None if hit else next(results)
+        for start in range(0, len(ladder), _POOL_BATCH):
+            batch = ladder[start:start + _POOL_BATCH]
+            yield from zip(batch, pool.map(_scan_one, tasks(batch),
+                                           chunksize=64))
 
 
 def scan_region(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
                 tol: float = DEFAULT_TOL, seed: int = 0,
                 order: int | None = None, exact: bool = False,
                 shortcut: bool = True, jobs: int = 1) -> list[Verdict]:
-    """The verdicts of a scan's points that ran the ladder, in grid order.
+    """The verdicts `iter_scan` yields, in grid order.
 
     A point the shortcut finds regular is `AnalyticUpTo(k_max)` and is
-    left out, so `flagged_points` of the list is the scan's.  See
-    `iter_scan` for the contract.
+    left out, so `flagged_points` of the list is the scan's.
     """
     return [v for _, v in iter_scan(e, axes, k_max, tol, seed, order, exact,
-                                    shortcut, jobs)
-            if v is not None]
+                                    shortcut, jobs)]
 
 
 def flagged_points(verdicts: Sequence[Verdict]) -> list[tuple]:

@@ -249,26 +249,9 @@ def _row_major(axis_texts: list[list[str]], sep: str):
     return (t + sep + r for t in axis_texts[0] for r in rest)
 
 
-# Characters per write of a scan's output; 64 KB blocks raised the
-# benchmark's peak RSS and gained no speed.
-_BLOCK_CHARS = 1 << 13
-
-
-def _write_blocks(lines) -> None:
-    """Write `lines` to stdout, each ended by a newline, in blocks of
-    about `_BLOCK_CHARS` characters."""
-    block: list[str] = []
-    held = 0
-    for text in lines:
-        block.append(text)
-        held += len(text)
-        if held >= _BLOCK_CHARS:
-            block.append("")
-            sys.stdout.write("\n".join(block))
-            block, held = [], 0
-    if block:
-        block.append("")
-        sys.stdout.write("\n".join(block))
+# Shortcut lines per write of a scan's output, about 7 KB of JSON lines;
+# 64 KB blocks raised the benchmark's peak RSS and gained no speed.
+_BLOCK_LINES = 64
 
 
 def _cmd_scan(args) -> int:
@@ -280,17 +263,26 @@ def _cmd_scan(args) -> int:
     if args.format == "csv":
         from .parser import var_name
         names = [var_name(i, e.nvars) for i in range(e.nvars)]
-        header = [",".join(["index", *names, "status", "kStar", "residual"])]
+        header = ",".join(["index", *names, "status", "kStar", "residual\n"])
         line, cell = _csv_line, _csv_cell
     else:
-        header, line, cell = [], _json_line, emit_json
-    shortcut_lines = _shortcut_lines(line, cell, opts["k_max"],
-                                     grid_axis_values(axes, opts["exact"]))
-    stream = iter_scan(e, axes, shortcut=not args.no_shortcut, jobs=jobs,
+        header, line, cell = "", _json_line, emit_json
+    axis_values = grid_axis_values(axes, opts["exact"])
+    shortcut_lines = _shortcut_lines(line, cell, opts["k_max"], axis_values)
+    ladder = iter_scan(e, axes, shortcut=not args.no_shortcut, jobs=jobs,
                        **opts)
-    _write_blocks(itertools.chain(header, (
-        text if v is None else line(i, v)
-        for i, ((_, v), text) in enumerate(zip(stream, shortcut_lines)))))
+    write = sys.stdout.write
+    write(header)
+    done = 0  # the lines written
+    for i, v in itertools.chain(ladder, [(math.prod(map(len, axis_values)),
+                                          None)]):
+        for start in range(done, i, _BLOCK_LINES):
+            write("\n".join(itertools.islice(
+                shortcut_lines, min(_BLOCK_LINES, i - start))) + "\n")
+        if v is not None:
+            next(shortcut_lines)
+            write(line(i, v) + "\n")
+        done = i + 1
     return 0
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .blowup import BlowupChart, make_chart
 from .expr import Expr
 from .jets import Scalar
@@ -42,6 +44,11 @@ class PointLocus:
         return any(all(abs(xi - pi) <= tol for xi, pi in zip(x, p))
                    for p in self.points)
 
+    def contains_rows(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """`contains` at each float row of x, as a boolean array."""
+        p = np.array([[float(c) for c in p] for p in self.points])
+        return (abs(x[:, None, :] - p) <= tol).all(axis=2).any(axis=1)
+
     def describe(self) -> str:
         return "points " + ", ".join(str(tuple(map(str, p))) for p in self.points)
 
@@ -53,6 +60,10 @@ class SubspaceLocus:
 
     def contains(self, x: Sequence[Scalar], tol: float = 1e-9) -> bool:
         return all(abs(x[i]) <= tol for i in self.zero_axes)
+
+    def contains_rows(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """`contains` at each float row of x, as a boolean array."""
+        return (abs(x[:, list(self.zero_axes)]) <= tol).all(axis=1)
 
     def describe(self) -> str:
         names = "xyz" if self.nvars <= 3 else None
@@ -79,6 +90,12 @@ class OvalLocus:
             return _oval_poly(Fraction(x[0]), Fraction(x[1])) == 0 \
                 and Fraction(x[0]) < Fraction(3, 2)
         return abs(_oval_poly(float(x[0]), float(x[1]))) <= tol and x[0] < 1.5
+
+    def contains_rows(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """`contains` at each float row of x, as a boolean array: the same
+        float operations in the same order."""
+        return (abs(x[:, 2]) <= tol) \
+            & (abs(_oval_poly(x[:, 0], x[:, 1])) <= tol) & (x[:, 0] < 1.5)
 
     def describe(self) -> str:
         return "oval {y^2 + x(x-1)(x-2)(x-3) = 0, x < 3/2} x {z = 0}"

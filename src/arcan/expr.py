@@ -476,11 +476,11 @@ class _RegularLanes:
     """Float values of one tape slot across the lanes of `regular_lanes`.
 
     `+ - * /` and `sqrt` run in numpy, which rounds them as Python floats
-    do; powers run lane by lane as Python `float ** int`, because
-    `np.power` may round differently.  Every slot of a pass shares one
-    mask, `irregular`, of the lanes that met an event.  Past an event a
-    lane's values are meaningless, but the lane is already out of the
-    regular set.
+    do; powers run as Python `float ** int`, once per distinct base,
+    because `np.power` may round differently.  Every slot of a pass
+    shares one mask, `irregular`, of the lanes that met an event.  Past an
+    event a lane's values are meaningless, but the lane is already out of
+    the regular set.
     """
 
     __slots__ = ("value", "irregular")
@@ -506,18 +506,19 @@ class _RegularLanes:
         return self._like(self.value / other.value)
 
     def pow_int(self, e: int, constant=None) -> "_RegularLanes":
-        bases = self.value.tolist()
-        try:
-            powers = [c ** e for c in bases]
-        except OverflowError:
-            powers = []
-            for lane, c in enumerate(bases):
-                try:
-                    powers.append(c ** e)
-                except OverflowError:
-                    self.irregular[lane] = True
-                    powers.append(math.nan)
-        return self._like(np.array(powers, dtype=float))
+        # each distinct bit pattern once (-0.0 and 0.0, and NaN payloads,
+        # stay apart), then scattered back to its lanes
+        bases, lanes = np.unique(self.value.view(np.int64),
+                                 return_inverse=True)
+        powers = np.empty(len(bases))
+        overflow = np.zeros(len(bases), dtype=bool)
+        for i, c in enumerate(bases.view(np.float64).tolist()):
+            try:
+                powers[i] = c ** e
+            except OverflowError:
+                overflow[i], powers[i] = True, math.nan
+        self.irregular |= overflow[lanes]
+        return self._like(powers[lanes])
 
     def sqrt(self) -> "_RegularLanes":
         self.irregular |= self.value <= 0

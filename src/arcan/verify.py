@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point, \
-    flagged_points, grid_points, loja_estimate, scan_region
+    flagged_points, grid_array, grid_points, loja_estimate, scan_region
 from .corpus import ARC_MEROMORPHIC_ONLY, CorpusEntry, corpus_list, lookup
 from .expr import REMOVABLE_MISMATCH, arc_check
 from .homog import euler_check, fd_reconstruct, interp_fit, random_poly, \
@@ -202,8 +202,9 @@ def verify_entry(entry: CorpusEntry, k_max: int = 6, tol: float = 1e-7,
     verdicts = scan_region(e, entry.scan_axes, k_max, tol, seed,
                            shortcut=True, jobs=jobs)
     observed = tuple(sorted(flagged_points(verdicts)))
-    expected = tuple(sorted(
-        p for p in grid_points(entry.scan_axes) if entry.locus.contains(p)))
+    grid = grid_array(entry.scan_axes)
+    expected = tuple(sorted(map(tuple, grid[entry.locus.contains_rows(grid)]
+                                .tolist())))
     loci_match = observed == expected
 
     checks: list[tuple[str, bool]] = []

@@ -1,16 +1,21 @@
 """Corpus registry: structure, tags, and locus membership tests."""
 
 import importlib.util
+import math
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arcan import cli
-from arcan.classify import NON_ANALYTIC, classify_point
+from arcan.classify import NON_ANALYTIC, classify_point, grid_array, \
+    grid_points
 from arcan.corpus import ARC_ANALYTIC, ARC_MEROMORPHIC_ONLY, DISCONTINUOUS, \
-    NOT_C2, NOT_DIFFERENTIABLE, NOT_LIPSCHITZ, OvalLocus, corpus_list, lookup
+    NOT_C2, NOT_DIFFERENTIABLE, NOT_LIPSCHITZ, OvalLocus, PointLocus, \
+    SubspaceLocus, corpus_list, lookup
 from arcan.expr import eval_point
 
 from helpers import arc_analytic_entries, permutation_seeds
@@ -100,6 +105,53 @@ class TestLoci:
         assert f"({script.EPS})" in lookup("E6").source
         assert script.main() == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def near_locus_points(entry, count, seed, tol=1e-9):
+    """`count` float points within 1e-8 of the entry's locus: half of them
+    on it with each coordinate moved by at most 1e-8 (log-uniformly from
+    1e-13, or not at all), half on the edge of `contains`' tolerance
+    `tol`, where a change in rounding flips the membership."""
+    rng = random.Random(seed)
+    edge = [tol, -tol, math.nextafter(tol, 0), math.nextafter(tol, 1)]
+    points = []
+    for j in range(count):
+        locus, on_edge = entry.locus, j % 2
+        moved = (lambda: rng.choice(edge)) if on_edge else \
+            (lambda: rng.choice((0, -1, 1)) * 10 ** rng.uniform(-13, -8))
+        if isinstance(locus, PointLocus):
+            pt = [float(c) + moved() for c in rng.choice(locus.points)]
+        elif isinstance(locus, SubspaceLocus):
+            pt = [moved() if i in locus.zero_axes else rng.uniform(-1, 1)
+                  for i in range(locus.nvars)]
+        else:  # the oval: g(x, y) = 0, or g(x, y) about ±tol on the edge
+            x = rng.uniform(0, 1)
+            g = rng.choice((tol, -tol)) if on_edge else 0.0
+            y = rng.choice((-1, 1)) * math.sqrt(
+                max(0.0, g - x * (x - 1) * (x - 2) * (x - 3)))
+            pt = [x, y, moved()] if on_edge else \
+                [x + moved(), y + moved(), moved()]
+        points.append(tuple(pt))
+    return points
+
+
+class TestLocusRows:
+    """`contains_rows` equals `contains` point by point, in float."""
+
+    @pytest.mark.parametrize("name", [e.name for e in corpus_list()])
+    def test_on_the_scan_window(self, name):
+        entry = lookup(name)
+        grid = grid_array(entry.scan_axes)
+        assert entry.locus.contains_rows(grid).tolist() \
+            == [entry.locus.contains(p) for p in grid_points(entry.scan_axes)]
+
+    @pytest.mark.parametrize("name", [e.name for e in corpus_list()])
+    def test_near_the_locus(self, name):
+        entry = lookup(name)
+        points = near_locus_points(entry, 200, name)
+        mask = entry.locus.contains_rows(np.array(points)).tolist()
+        assert mask == [entry.locus.contains(p) for p in points]
+        assert 20 < sum(mask) < 180  # both sides of the tolerance
 
 
 class TestExactChecks:

@@ -3,6 +3,7 @@ arc-symmetry checks and fibre-lift samples, against `regular_at`."""
 
 import contextlib
 import io
+import math
 import os
 import random
 from fractions import Fraction
@@ -14,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from arcan import classify, cli
 from arcan.blowup import fiber_lift_check, make_chart
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, Verdict, \
-    arc_symmetry_check, classify_point, grid_points, iter_scan, \
+    arc_symmetry_check, classify_point, grid_array, grid_points, iter_scan, \
     regular_points, scan_region, verdict_to_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, FloatOverflow, PremiseViolated
 from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, \
-    eval_point, regular_at, regular_lanes
+    _RegularLanes, eval_point, regular_at, regular_lanes
 from arcan.parser import parse, parse_arc, var_name
 from arcan.seeds import derive_seed, sample_scalar
 
@@ -78,6 +79,31 @@ class TestRegularLanes:
         points = [(2.9,), (1.1,), (3.3,)]
         assert walker(e, (2.9,)) is False
         assert_matches_walker(e, points)
+
+    @pytest.mark.parametrize("power", [2, 3, 5])
+    def test_powers_equal_python_lane_by_lane(self, power):
+        # each distinct bit pattern is raised once: -0.0 and 0.0, and two
+        # NaN payloads, must not share a power
+        nan2 = np.array([0x7FF8000000000002]).view(np.float64)[0]
+        bases = np.array([0.0, -0.0, math.nan, nan2, math.inf, -math.inf,
+                          5e-324, 1e200, -1e200, 2.9, 2.9, -0.5, 0.0, 1e200,
+                          -0.0, nan2])
+        lanes = _RegularLanes(bases, np.zeros(len(bases), dtype=bool))
+        out = lanes.pow_int(power)
+        expected, overflow = [], []
+        for c in bases.tolist():
+            try:
+                expected.append(c ** power)
+                overflow.append(False)
+            except OverflowError:
+                expected.append(math.nan)
+                overflow.append(True)
+        overflow = np.array(overflow)
+        assert overflow.any()  # 1e200 ** 2 leaves the float range
+        assert out.irregular.tolist() == overflow.tolist()
+        assert lanes.irregular is out.irregular
+        assert out.value[~overflow].view(np.int64).tolist() \
+            == np.array(expected)[~overflow].view(np.int64).tolist()
 
     def test_a_constant_beyond_floats_makes_every_lane_irregular(self):
         e = parse(f"x + {BEYOND_FLOATS}")
@@ -167,13 +193,33 @@ class TestScanByteIdentity:
     def test_no_verdict_exactly_at_the_regular_points(self, name, source,
                                                       nvars, axes):
         e = parse(source, nvars=nvars)
+        points = grid_points(axes)
         pairs = list(iter_scan(e, axes, seed=1, order=20))
-        assert [pt for pt, _ in pairs] == grid_points(axes)
-        assert [v is None for _, v in pairs] \
-            == [walker(e, pt) is True for pt, _ in pairs]
+        irregular = np.flatnonzero(~regular_points(e, points, False))
+        assert [i for i, _ in pairs] == irregular.tolist() \
+            == [i for i, pt in enumerate(points) if walker(e, pt) is not True]
         ladder = [v for v in pointwise_verdicts(e, axes, 1) if not v.shortcut]
-        assert [v for _, v in pairs if v is not None] == ladder
+        assert [v for _, v in pairs] == ladder
+        assert all(v.point == points[i] for i, v in pairs)
         assert scan_region(e, axes, seed=1, order=20) == ladder
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("shortcut", [True, False])
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_every_ladder_point_in_grid_order(self, exact, shortcut, jobs,
+                                              monkeypatch):
+        monkeypatch.setattr(classify, "_POOL_BATCH", 4)  # batches of 4
+        e, axes = parse(lookup("E1").source), [(-1, 1, Fraction(1, 2))] * 2
+        points = grid_points(axes, exact)
+        pairs = list(iter_scan(e, axes, k_max=2, seed=3, exact=exact,
+                               shortcut=shortcut, jobs=jobs))
+        expected = [i for i, pt in enumerate(points)
+                    if not shortcut or walker(e, pt, exact) is not True]
+        assert [i for i, _ in pairs] == expected
+        assert [v for _, v in pairs] == [classify_point(
+            e, points[i], 2, seed=3, exact=exact) for i in expected]
+        assert all(type(c) is (Fraction if exact else float)
+                   for _, v in pairs for c in v.point)
 
     @pytest.mark.parametrize("text, axes", [
         ("x^2000 + 1/(y - y)", [(0, 3, 1), (0, 1, 1)]),
@@ -240,6 +286,34 @@ class TestShortcutCost:
         assert counts["Verdict"] == ladder
         # one more renders the shortcut lines' fixed text
         assert counts["verdict_to_json"] == ladder + 1
+
+
+class TestGridArray:
+    @pytest.mark.parametrize("axes", [g[3] for g in GRIDS] + [
+        [(Fraction(-7, 10), Fraction(13, 10), Fraction(1, 10))],
+        [(-1, 1, 0.1), (Fraction(-1, 3), 1, Fraction(1, 6))],
+        [(Fraction(-2, 10 ** 5), Fraction(2, 10 ** 5), Fraction(1, 10 ** 5)),
+         (10 ** 16, 10 ** 16 + 4, 1)],
+        # numerators beyond 2**53: each coordinate must round once
+        [(Fraction(-10 ** 17 - 1, 3), Fraction(-10 ** 17 + 20, 3),
+          Fraction(1, 7))]],
+        ids=[g[0] for g in GRIDS] + ["tenths", "mixed", "wide", "huge"])
+    def test_rows_are_the_grid_points(self, axes):
+        grid = grid_array(axes)
+        points = grid_points(axes)
+        assert grid.shape == (len(points), len(axes))
+        assert [tuple(row) for row in grid.tolist()] == points
+        # bit for bit, and each coordinate rounded once from its exact value
+        exact = [tuple(map(float, p)) for p in grid_points(axes, True)]
+        assert grid.view(np.int64).tolist() \
+            == np.array(exact).view(np.int64).tolist()
+        assert not grid.flags.writeable
+
+    def test_equal_bounds_of_other_types_are_other_grids(self):
+        # 0.1 is read as 1/10, Fraction(0.1) as the binary float
+        assert grid_array([(0, 1, 0.1)]).shape == (11, 1)
+        assert grid_array([(0, 1, Fraction(0.1))]).shape == (10, 1)
+        assert grid_array([(0, 1, 0.1)]).shape == (11, 1)
 
 
 class TestRegularPoints:
