@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Digests of the full ladder's output, float and rational, of default
-scans and of `arcan corpus`, on the corpus.
+scans, pullbacks, `arcan arc` and `arcan corpus`, on the corpus.
 
 Float: runs `classify_point` (the full ladder) in float mode at k_max 10
 at every point of every corpus entry's `scan_axes` grid (E1–E6, 10,982
@@ -18,10 +18,15 @@ step widened to 1/4.  Pullback: pulls every corpus entry back along
 each of its `resolution_charts` and each axis chart of the blow-up of
 the origin (centre = all variables), and prints the number of pullbacks
 and the SHA-256 of their `emit_json(pullback(...).to_json())` lines (an
-error's type and message in place of a document).  Corpus: runs `arcan
-corpus` in-process over every entry, under --seed 0 and 1, and prints
-the number of lines and the SHA-256 of the concatenated stdout (a
-mismatch exits 2 and stops the script).  Equal digests on two
+error's type and message in place of a document).  Arc: runs `arcan arc`
+in-process on every corpus entry along three fixed arcs (README's
+`t, t`, a line with a zero component, and `t, t^2`, each extended in
+three variables), in both modes, at `--order` 0, 4 and 10, and prints
+the number of runs and the SHA-256 of their stdout and, where a run
+fails, its exit status and stderr.  Corpus: runs `arcan corpus`
+in-process over every entry, under --seed 0 and 1, and prints the
+number of lines and the SHA-256 of the concatenated stdout (a mismatch
+exits 2 and stops the script).  Equal digests on two
 commits mean byte-identical output, residual digits included.  Each
 part's wall time, in-process, goes to stderr.  Takes about a minute on a 2-core x86_64 machine:
 
@@ -49,6 +54,8 @@ RATIONAL_SCAN = ("--mode", "rational", "--kmax", "3")
 RATIONAL_SCAN_STEP = Fraction(1, 4)
 RATIONAL_K_MAX = (8, 10)
 RATIONAL_SEEDS = (0, 1, 2)
+ARCS = {2: ("t, t", "t, 0", "t, t^2"), 3: ("t, t, t", "t, 0, t", "t, t^2, t^3")}
+ARC_ORDERS = (0, 4, 10)
 
 
 def float_verdicts():
@@ -76,6 +83,22 @@ def cli_stdout(argv) -> str:
     if code != 0:
         sys.exit(f"arcan {' '.join(argv)} exited {code}")
     return out.getvalue()
+
+
+def arc_outputs():
+    """Each `arcan arc` run's stdout, and its status and stderr if it fails."""
+    for entry in corpus_list():
+        for arc in ARCS[entry.nvars]:
+            for mode in ("float", "rational"):
+                for order in ARC_ORDERS:
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(err):
+                        code = cli.main(["arc", entry.source, "--arc", arc,
+                                         "--mode", mode,
+                                         "--order", str(order)])
+                    yield out.getvalue() + (
+                        f"exit {code}: {err.getvalue()}" if code else "")
 
 
 def corpus_outputs():
@@ -140,6 +163,7 @@ def main() -> None:
                           RATIONAL_SCAN, RATIONAL_SCAN_STEP))),
                       ("pullback", lambda: lines_digest(pullback_lines(),
                                                         "pullbacks")),
+                      ("arc", lambda: lines_digest(arc_outputs(), "runs")),
                       ("corpus", lambda: scan_digest(corpus_outputs()))):
         start = time.perf_counter()
         print(f"{name}: {run()}", flush=True)

@@ -17,7 +17,7 @@ from .expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcReport, ArcSpec, Expr, 
     arc_check, eval_arc, eval_point, regular_at
 from .homog import HomoPoly, dim_homog, euler_check, fd_reconstruct, \
     interp_fit, monomials, sample_nodes, shrink_bound_check
-from .jets import LaurentJet, jet_sqrt
+from .jets import jet_sqrt
 from .parser import parse, parse_arc, to_text
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ANALYTIC", "ANALYTIC_UP_TO", "ArcReport", "ArcSpec", "ArcanError",
     "BlowupChart", "CorpusEntry", "Expr", "FiberLiftReport", "HomoPoly",
-    "INCONCLUSIVE", "LaurentJet", "LojaFit", "NON_ANALYTIC",
+    "INCONCLUSIVE", "LojaFit", "NON_ANALYTIC",
     "POLE", "PullbackResult", "REMOVABLE_MISMATCH", "Verdict",
     "arc_check", "arc_symmetry_check", "classify_point", "classify_pullback",
     "corpus_list", "dim_homog", "euler_check", "eval_arc", "eval_point",

@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Sequence
 
 from .classify import ANALYTIC_UP_TO, DEFAULT_TOL, NON_ANALYTIC, Verdict, \
     classify_point, regular_points
@@ -100,38 +101,47 @@ class PullbackResult:
 
 class _Slot(NamedTuple):
     """A slot of the pullback pass: `node` is the subtree in chart
-    coordinates, `blocked` tells whether a sqrt or guard lies in it, and
-    `reaches` lists in walk order the divisions a walk from it expands."""
+    coordinates, `blocked` tells whether a sqrt or guard lies in it,
+    `pair` computes its (numerator, denominator) on first call, and
+    `reaches` maps in walk order the divisions a walk from it expands to
+    their `pair`."""
     node: Node
     rebuilt: Node
     power: int
     non_rational: bool
     blocked: bool
     reaches: dict
+    pair: Callable
 
 
-def _pullback_pass(root: Node, expanded: dict) -> _Slot:
+def _pullback_pass(root: Node, expanded: dict, fraction) -> _Slot:
     """The root's slot, each division that `expanded` keys replaced by its
     (expansion, cancelled power).  A walk stops at, and expands, each
-    division in which no sqrt or guard blocks the expansion."""
-    def leaf(node: Node) -> _Slot:
-        return _Slot(node, node, 0, False, False, {})
+    division in which no sqrt or guard blocks the expansion.  `fraction`
+    is `mpoly.fraction_ops`: a slot's pair is computed only when a
+    division above it is expanded, and once, whatever shares it."""
+    var, constant, fraction_combine = fraction
+
+    def leaf(node: Node, pair) -> _Slot:
+        return _Slot(node, node, 0, False, False, {}, lambda: pair)
 
     def combine(kind, *args) -> _Slot:
         operands = args if kind in (Add, Sub, Mul, Div) else args[:1]
         extra = args[len(operands):]
         node = kind(*(o.node for o in operands), *extra)
         blocked = kind in (Sqrt, Guard) or any(o.blocked for o in operands)
-        reaches = {node: None} if kind is Div and not blocked \
-            else dict.fromkeys(d for o in operands for d in o.reaches)
+        pair = cache(lambda: fraction_combine(
+            kind, *(o.pair() for o in operands), *extra))
+        reaches = {node: pair} if kind is Div and not blocked \
+            else {d: p for o in operands for d, p in o.reaches.items()}
         if node in expanded:
-            return _Slot(node, *expanded[node], False, False, reaches)
+            return _Slot(node, *expanded[node], False, False, reaches, pair)
         return _Slot(node, kind(*(o.rebuilt for o in operands), *extra),
                      sum(o.power for o in operands),
                      kind is Div or any(o.non_rational for o in operands),
-                     blocked, reaches)
-    return _fold(root, lambda i: leaf(Var(i)),
-                 lambda c: leaf(RationalConst(c)), combine)
+                     blocked, reaches, pair)
+    return _fold(root, lambda i: leaf(Var(i), var(i)),
+                 lambda c: leaf(RationalConst(c), constant(c)), combine)
 
 
 def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
@@ -142,22 +152,23 @@ def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
     removed; guard defaults are carried through unchanged.  Square roots
     block the expansion of the subtree containing them, which is flagged
     (not an error) and leaves that division unsimplified.  All expansions
-    of one pullback share one `mpoly.Budget` of term pairs, which each
-    distinct subtree of an expanded division charges once; overdrawing it
-    raises ValueError.
+    of one pullback run in one fraction pass, on one `mpoly.Budget` of
+    term pairs, which each distinct subtree below an expanded division
+    charges once; overdrawing it raises ValueError.
     """
     if e.nvars != chart.nvars:
         raise ValueError("chart and expression dimensions differ")
     substituted = substitute(e.root, chart.substitution_map())
-    budget = mpoly.Budget()
+    fraction = mpoly.fraction_ops(e.nvars, mpoly.Budget())
     expanded = {}
-    for division in _pullback_pass(substituted, {}).reaches:
-        num, den = mpoly.to_fraction_pair(division, e.nvars, budget)
+    for division, pair in _pullback_pass(substituted, {},
+                                         fraction).reaches.items():
+        num, den = pair()
         c = min(m[chart.axis] for m in (*num, *den))  # den is never 0
         num, den = (mpoly.to_node(mpoly.shift_down(p, chart.axis, c),
                                   e.nvars) for p in (num, den))
         expanded[division] = Div(num, den), c
-    result = _pullback_pass(substituted, expanded)
+    result = _pullback_pass(substituted, expanded, fraction)
     return PullbackResult(Expr(result.rebuilt, e.nvars), result.power,
                           result.non_rational, chart)
 

@@ -24,7 +24,7 @@ order.  V_k(U M) is V_k(U) with its columns permuted and negated, so it
 fits on blocks of the canonical rows built once per (n, k), and the
 fitted coefficients in v are those in u gathered and sign-flipped
 (`homog.monomial_map`).  An order whose values are all exact (rational
-mode, jets on the scalar path, each h_k a `Fraction`) is interpolated on
+mode, each h_k a `Fraction` read from a `RationalJet`) is interpolated on
 the first half of its rows and validated on the rest; the exact solve
 proves the fit block's rank.  Every other order, in either mode, is
 tested by one least-squares rule: h_k must lie in the column space of
@@ -32,8 +32,9 @@ the degree-k evaluation matrix V = QR of the unit rows, and the residual
 |h - Q Qᵀ h| is bounded by the error of h itself, not amplified by the
 condition of V (Golub & Van Loan, *Matrix Computations*, §5.3).  Along
 an integer row w, h_k(x, w/|w|) = h_k(x, w)/|w|^k.  A point's float jets
-come from one batched pass over the rows (`eval_lanes`), bit for bit as
-the scalar path, to which a batch the lanes cannot share falls back.
+come from one batched pass over the rows (`eval_lanes`); a batch the
+lanes cannot share is rerun one direction at a time, as one-lane jets
+equal to its lanes bit for bit.
 
 The ladder reads no coefficient above k_max, so its jets run truncated
 after t^k_max first, and are run again to the window `order` (the CLI's
@@ -75,7 +76,7 @@ from .expr import ArcSpec, Expr, _check_point, eval_jets, eval_lanes, \
 # condition_estimate is unused here; the benchmark's tracer patches it.
 from .homog import HomoPoly, _magnitude, canonical_design, \
     condition_estimate, dim_homog, interp_fit, signed_permutation
-from .jets import LaneJet, LaurentJet, RationalJet, Scalar
+from .jets import LaneJet, RationalJet, Scalar
 from .seeds import derive_seed, sample_scalar
 
 ANALYTIC_UP_TO = "AnalyticUpTo"
@@ -113,15 +114,15 @@ def default_order(k_max: int) -> int:
 
 def _series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], order: int,
             exact: bool,
-            provisional: bool = False) -> LaurentJet | RationalJet:
-    """The jet of t -> f(x + t v) at t = 0, as `eval_jets` returns it
-    (exact: a `RationalJet`)."""
+            provisional: bool = False) -> RationalJet | LaneJet:
+    """The jet of t -> f(x + t v) at t = 0, as `eval_jets` returns it: a
+    `RationalJet` (exact) or a one-lane `LaneJet`."""
     if len(x) != e.nvars or len(v) != e.nvars:
         raise ValueError("point and direction must match the expression dimension")
-    pad = (0,) * (order - 1)
-    var_jets = tuple(LaurentJet(0, (xi, vi) + pad, order)
-                     for xi, vi in zip(x, v))
-    return eval_jets(e.root, var_jets, order, exact, provisional)
+    line = RationalJet.line if exact \
+        else lambda xi, vi, order: LaneJet.line(xi, np.array([vi]), order)
+    return eval_jets(e.root, [line(xi, vi, order) for xi, vi in zip(x, v)],
+                     order, exact, provisional)
 
 
 def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
@@ -181,13 +182,13 @@ class _DesignJets:
     Float jets come from one `eval_lanes` pass per LANES_PER_PASS
     directions, which bounds the memory a pass holds.  A pass the lanes
     cannot share (`IrregularBatch`, or a constant beyond the float range),
-    and every exact jet, is left to the scalar path: evaluated when first
-    read, once, and raising what it raises; lanes equal the scalar jets
-    bit for bit.  Where a rational jet meets the float of an irrational
-    square root, an exact value beyond the float range raises
-    FloatOverflow.  In a `provisional` window, one the ladder widens when
-    it cannot decide, a square root of a radicand that vanishes in the
-    window raises ShortWindow (`eval_jets`).
+    and every exact jet, is rerun one direction at a time (`_series`):
+    evaluated when first read, once, and raising what it raises; a lane
+    equals its one-lane rerun bit for bit.  Where a rational jet meets the
+    float of an irrational square root, an exact value beyond the float
+    range raises FloatOverflow.  In a `provisional` window, one the ladder
+    widens when it cannot decide, a square root of a radicand that vanishes
+    in the window raises ShortWindow (`eval_jets`).
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray,
@@ -200,29 +201,33 @@ class _DesignJets:
                 self._passes.append(None)
                 continue
             try:
-                with np.errstate(all="ignore"):
-                    self._passes.append(eval_lanes(
-                        e.root, x, directions[start:start + LANES_PER_PASS],
-                        order, provisional))
+                self._passes.append(eval_lanes(
+                    e.root, x, directions[start:start + LANES_PER_PASS],
+                    order, provisional))
             except (IrregularBatch, OverflowError):
-                # the scalar path names a constant beyond the float range
+                # the rerun names a constant beyond the float range
                 self._passes.append(None)
-        self._scalar: dict[int, LaurentJet | RationalJet] = {}
+        self._reruns: dict[int, RationalJet | LaneJet] = {}
 
-    def jet(self, i: int) -> LaurentJet | RationalJet:
-        batch = self._passes[i // LANES_PER_PASS]
-        if batch is not None:
-            return batch.lane(i % LANES_PER_PASS)
-        if i not in self._scalar:
+    def jet(self, i: int) -> RationalJet | LaneJet:
+        """Direction i's jet alone (its rerun)."""
+        if i not in self._reruns:
             v = tuple(self.directions[i].tolist())
             try:
-                self._scalar[i] = _series(self.e, self.x, v, self.order,
+                self._reruns[i] = _series(self.e, self.x, v, self.order,
                                           self.exact, self.provisional)
             except OverflowError as exc:
                 raise FloatOverflow(
                     f"the jet along {v} overflows the float range "
                     f"({exc})") from exc
-        return self._scalar[i]
+        return self._reruns[i]
+
+    def has_pole(self, i: int) -> bool:
+        """Whether direction i's jet has a pole at t = 0, read from its
+        pass where it has one (the lanes share one valuation)."""
+        batch = self._passes[i // LANES_PER_PASS]
+        jet = self.jet(i) if batch is None else batch
+        return not jet.is_zero and jet.valuation < 0
 
     def taylor_values(self, k: int, count: int) -> list:
         """h_k along the first `count` directions; raises as the first bad jet."""
@@ -285,8 +290,7 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
     try:
         values = jets.taylor_values(k, count)
     except PoleAtOrigin:
-        bad = next(i for i in range(count) if not jets.jet(i).is_zero
-                   and jets.jet(i).valuation < 0)
+        bad = next(i for i in range(count) if jets.has_pole(i))
         return PolyTestResult(k, None, (), 1.0, tol, plan.seed,
                               tuple(plan.directions[bad].tolist()))
     fitted, residuals, scale = interp_fit(values, plan.flip, k, plan.exact)

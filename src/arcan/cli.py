@@ -297,7 +297,7 @@ def _cmd_arc(args) -> int:
         "kind": report.kind,
         "valuation": report.laurent.valuation,
         "order": report.laurent.order,
-        "coeffs": list(report.laurent.coeffs),
+        "coeffs": report.laurent.coefficients(),
         "pointValue": report.point_value,
         "mismatch": report.mismatch,
     }
@@ -390,11 +390,12 @@ def _cmd_corpus(args) -> int:
 # --- argument plumbing ----------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the documented contract is 1."""
+    """argparse exits 2 on bad usage, and a subcommand's parser names
+    itself; the documented contract is `arcan: error:` and exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"arcan: error: {message}\n")
 
 
 # The options more than one subcommand takes; each subcommand takes only

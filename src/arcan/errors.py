@@ -28,7 +28,8 @@ class ShortWindow(ArcanError):
 
 
 class IrregularBatch(ArcanError):
-    """Lanes of a batched jet need the scalar path (caught by the batch's user)."""
+    """Lanes of a batched jet part ways; the batch's user reruns them one
+    lane at a time."""
 
 
 # --- expressions ------------------------------------------------------------

@@ -12,14 +12,15 @@ Every evaluation compiles the tree once to a hash-consed postorder tape
 and honours guard defaults, or, strictly, treats every denominator zero
 and `sqrt` boundary as leaving the domain.  Along analytic arcs
 (`eval_arc`), it composes the expression with a polynomial arc in jet
-arithmetic (`eval_jets`, or `eval_lanes` for a batch of float lines at
-one point) and ignores guard defaults, because the series of the body is
-what the germ at t = 0 sees.  Over numpy columns, one lane per point, it
-decides `regular_at` for a block of float points at once
-(`regular_lanes`).  Structural passes run on it too (`_fold`), each
-distinct subtree once: `substitute`, `is_polynomial`, printing
-(`parser.to_text`), and the fraction expansion and pullback of
-`mpoly.to_fraction_pair` and `blowup.pullback`.
+arithmetic (`eval_jets`: exact `RationalJet`s or float `LaneJet`s, and
+`eval_lanes` for a batch of float lines at one point) and ignores guard
+defaults, because the series of the body is what the germ at t = 0
+sees.  Over numpy columns, one lane per point, it decides `regular_at`
+for a block of float points at once (`regular_lanes`).  Structural
+passes run on it too (`_fold`), each distinct subtree once:
+`substitute`, `is_polynomial`, printing (`parser.to_text`), and the
+pullback of `blowup.pullback` with its fraction expansion
+(`mpoly.fraction_ops`).
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 
 from .errors import ArcDomainError, DomainError, FloatOverflow, NegativeLeading, \
     OddValuation, ShortWindow, ZeroDenominator, ZeroDivisor
-from .jets import LaneJet, LaurentJet, RationalJet, Scalar, _exact_div, \
-    jet_sqrt, sqrt_scalar
+from .jets import LaneJet, RationalJet, Scalar, jet_sqrt, sqrt_scalar
 
 
 def _node(cls):
@@ -195,10 +195,9 @@ def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt,
              guard):
     """Run a tape over any algebra: `+ - * /`, `pow_int`, `sqrt`, `guard`.
 
-    `constant(value)` builds a constant, also the 1 of a zeroth power
-    (`pow_int(exponent, constant)`), and `guard(body, default)` the value
-    of a guard from its body's.  A zero divisor or a failed square
-    root of a jet becomes `ArcDomainError`; the batched algebra raises
+    `constant(value)` builds a constant, and `guard(body, default)` the
+    value of a guard from its body's.  A zero divisor or a failed square
+    root of a jet becomes `ArcDomainError`; a batch of lanes raises
     `IrregularBatch` instead, which passes through.
     """
     slots: list = []
@@ -221,7 +220,7 @@ def run_tape(tape: tuple[tuple, ...], var_values: Sequence, constant, sqrt,
                     "denominator vanishes identically along the arc "
                     "(to the retained order)") from exc
         elif op == _POW:
-            r = slots[a].pow_int(b, constant)
+            r = slots[a].pow_int(b)
         elif op == _SQRT:
             try:
                 r = sqrt(slots[a])
@@ -275,7 +274,7 @@ class _Fold:
     sqrt = partialmethod(_op, Sqrt)
     guard = partialmethod(_op, Guard)
 
-    def pow_int(self, exponent: int, constant=None) -> "_Fold":
+    def pow_int(self, exponent: int) -> "_Fold":
         return self._op(IntPow, exponent)
 
 
@@ -311,6 +310,13 @@ def _polynomial(kind, a, b=None):
 
 
 # --- pointwise evaluation ----------------------------------------------------
+
+def _exact_div(a: Scalar, b: Scalar) -> Scalar:
+    # int/int must stay exact; everything else already promotes correctly.
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
 
 class _PointRun:
     """The mode and guard flag of one point evaluation, and its scalar ops."""
@@ -392,7 +398,7 @@ class _Point:
     def __truediv__(self, other: "_Point") -> "_Point":
         return self._apply(self.run.divide, other)
 
-    def pow_int(self, exponent: int, constant=None) -> "_Point":
+    def pow_int(self, exponent: int) -> "_Point":
         return self._apply(lambda base: _power(base, exponent))
 
     def sqrt(self) -> "_Point":
@@ -505,7 +511,7 @@ class _RegularLanes:
         self.irregular |= other.value == 0
         return self._like(self.value / other.value)
 
-    def pow_int(self, e: int, constant=None) -> "_RegularLanes":
+    def pow_int(self, e: int) -> "_RegularLanes":
         # each distinct bit pattern once (-0.0 and 0.0, and NaN payloads,
         # stay apart), then scattered back to its lanes
         bases, lanes = np.unique(self.value.view(np.int64),
@@ -547,49 +553,43 @@ def _window_sqrt(sqrt, provisional: bool):
     return root
 
 
-def eval_jets(node: Node, var_jets: Sequence[LaurentJet], order: int,
-              exact: bool = False,
-              provisional: bool = False) -> LaurentJet | RationalJet:
+def eval_jets(node: Node, var_jets: Sequence[RationalJet | LaneJet],
+              order: int, exact: bool = False,
+              provisional: bool = False) -> RationalJet | LaneJet:
     """Evaluate over jet arithmetic; guards use series semantics.
 
-    Exact evaluation runs on `RationalJet`s (a variable jet with float
-    coefficients stays a `LaurentJet`) and returns one, or a `LaurentJet`
-    where a square root's lead is not a rational square; `to_laurent()`
-    turns either into a `LaurentJet`.  `provisional`: see `_window_sqrt`.
+    Exact evaluation runs on `RationalJet`s and returns one, or a one-lane
+    `LaneJet` of Python scalars past a square root whose lead is not a
+    rational square, exact in each coefficient no float reaches.  Float
+    evaluation runs on `LaneJet`s: one lane
+    each for a single arc, or a batch of lines (`eval_lanes`).
+    `provisional`: see `_window_sqrt`.
     """
-    sqrt = _window_sqrt(jet_sqrt, provisional)
     if exact:
-        return run_tape(compile_tape(node), [_exact_jet(j) for j in var_jets],
-                        lambda c: RationalJet.constant(c, order), sqrt,
+        def constant(c):
+            return RationalJet.constant(c, order)
+    else:
+        lanes = var_jets[0].lanes if var_jets else 1
+
+        def constant(c):
+            return LaneJet.constant(float(c), lanes, order)
+    with np.errstate(all="ignore"):
+        return run_tape(compile_tape(node), var_jets, constant,
+                        _window_sqrt(jet_sqrt, provisional),
                         _transparent_guard)
-    return run_tape(compile_tape(node), var_jets,
-                    lambda c: LaurentJet.constant(float(c), order),
-                    sqrt, _transparent_guard)
-
-
-def _exact_jet(jet):
-    """A `LaurentJet` with int and Fraction coefficients as a `RationalJet`."""
-    if isinstance(jet, LaurentJet) and all(
-            isinstance(c, (int, Fraction)) for c in jet.coeffs):
-        return RationalJet.from_laurent(jet)
-    return jet
 
 
 def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
                order: int, provisional: bool = False) -> LaneJet:
     """Float jets of f(x + t v) for every row v of `directions`, in one pass.
 
-    Each lane equals, bit for bit, what `eval_jets` gives for that line
-    (with the same `provisional`); raises `IrregularBatch` where the lanes
-    need the scalar path.
+    Each lane equals, bit for bit, the one-lane jet of its line (with the
+    same `provisional`); raises `IrregularBatch` where the lanes need to
+    be run one at a time.
     """
-    lanes = len(directions)
-    var_jets = [LaneJet.line(xi, directions[:, i], order)
-                for i, xi in enumerate(x)]
-    return run_tape(compile_tape(node), var_jets,
-                    lambda c: LaneJet.constant(float(c), lanes, order),
-                    _window_sqrt(LaneJet.sqrt, provisional),
-                    _transparent_guard)
+    return eval_jets(node, [LaneJet.line(xi, directions[:, i], order)
+                            for i, xi in enumerate(x)], order,
+                     provisional=provisional)
 
 
 @dataclass(frozen=True)
@@ -613,24 +613,28 @@ class ArcSpec:
         return tuple(eval_point(c, (Fraction(0),) if exact else (0.0,), exact)
                      for c in self.components)
 
-    def jets(self, order: int, exact: bool = False) -> tuple[LaurentJet, ...]:
-        one = Fraction(1) if exact else 1.0
-        if order >= 1:
-            t = LaurentJet(1, (one,) + (0,) * (order - 1), order)
-        else:
-            t = LaurentJet.zero(0)  # t is O(t^1): invisible in a window of order 0
-        return tuple(eval_jets(c.root, (t,), order, exact).to_laurent()
+    def jets(self, order: int,
+             exact: bool = False) -> tuple[RationalJet | LaneJet, ...]:
+        """Each component's jet through t^order: `RationalJet`s, or
+        one-lane `LaneJet`s in float mode."""
+        # t is O(t^1): invisible in a window of order 0
+        t = RationalJet.line(0, 1, order) if exact \
+            else LaneJet.line(0.0, np.ones(1), order)
+        return tuple(eval_jets(c.root, (t,), order, exact)
                      for c in self.components)
 
 
-def eval_arc(e: Expr, arc: ArcSpec, order: int, exact: bool = False) -> LaurentJet:
-    """Laurent jet of f(gamma(t)) at t = 0, with guard defaults ignored."""
+def eval_arc(e: Expr, arc: ArcSpec, order: int,
+             exact: bool = False) -> RationalJet | LaneJet:
+    """Laurent jet of f(gamma(t)) at t = 0, with guard defaults ignored:
+    a `RationalJet`, or a one-lane `LaneJet` in float mode and past an
+    irrational square root."""
     if arc.nvars != e.nvars:
         raise ValueError(f"arc has {arc.nvars} components, expression has {e.nvars}")
     if order < 0:
         raise ValueError("order must be non-negative")
     try:
-        return eval_jets(e.root, arc.jets(order, exact), order, exact).to_laurent()
+        return eval_jets(e.root, arc.jets(order, exact), order, exact)
     except OverflowError as exc:
         from .parser import to_text
         gamma = ", ".join(to_text(c, ("t",)) for c in arc.components)
@@ -645,10 +649,11 @@ POLE = "Pole"
 
 @dataclass(frozen=True)
 class ArcReport:
-    """Classification of the germ of f along one arc at t = 0."""
+    """Classification of the germ of f along one arc at t = 0; `laurent` is
+    its jet as `eval_arc` returns it."""
 
     kind: str
-    laurent: LaurentJet
+    laurent: RationalJet | LaneJet
     point_value: Scalar | None
     mismatch: Scalar | None
 
@@ -669,7 +674,7 @@ def arc_check(e: Expr, arc: ArcSpec, order: int, tol: float = 1e-9,
         point_value = eval_point(e, arc.basepoint(exact), exact)
     except DomainError:
         return ArcReport(REMOVABLE_MISMATCH, laurent, None, math.inf)
-    mismatch = abs(point_value - laurent.coeff(0))
+    mismatch = abs(point_value - laurent.taylor_coeff(0))
     if mismatch > tol:
         return ArcReport(REMOVABLE_MISMATCH, laurent, point_value, mismatch)
     return ArcReport(ANALYTIC, laurent, point_value, mismatch)

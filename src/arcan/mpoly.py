@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import Add, Div, Guard, IntPow, Mul, Node, RationalConst, Sqrt, \
-    Sub, Var, _fold
+    Sub, Var
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -83,10 +83,10 @@ def p_pow(a: Poly, k: int, nvars: int, budget: Budget) -> Poly:
     return result
 
 
-def to_fraction_pair(node: Node, nvars: int,
-                     budget: Budget) -> tuple[Poly, Poly]:
-    """Flatten a subtree free of sqrt and guard nodes to (numerator,
-    denominator), in one tape pass: each distinct subtree once."""
+def fraction_ops(nvars: int, budget: Budget):
+    """The variable, constant and `combine` functions of the fraction pass
+    (as `expr._fold` takes them), whose values are the (numerator,
+    denominator) pairs of subtrees free of sqrt and guard nodes."""
     one = p_const(Fraction(1), nvars)
 
     def combine(kind, a, b=None):
@@ -106,8 +106,8 @@ def to_fraction_pair(node: Node, nvars: int,
         return p_add(p_mul(n1, d2, budget), p_mul(n2, d1, budget)), \
             p_mul(d1, d2, budget)
 
-    return _fold(node, lambda i: (p_var(i, nvars), one),
-                 lambda c: (p_const(c, nvars), one), combine)
+    return (lambda i: (p_var(i, nvars), one),
+            lambda c: (p_const(c, nvars), one), combine)
 
 
 def shift_down(p: Poly, var: int, power: int) -> Poly:

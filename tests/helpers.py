@@ -6,11 +6,14 @@ pointwise evaluator that the tape evaluator replaced, kept as its
 reference.  `walker_to_fraction_pair`, `walker_pullback`,
 `walker_substitute`, `walker_is_polynomial` and `walker_to_text` are the
 recursive structural walkers that the tape passes replaced, kept as
-their reference.  `fraction_gateaux_series` is exact jet evaluation over
-`LaurentJet`s with `Fraction` coefficients, which `RationalJet` replaced,
-kept as its reference.  `qr_residuals` is the float order test as it was
-before the canonical design: a QR of the evaluation matrix at the very
-directions the jets were taken along.  `seeded_exact_fit` is the exact
+their reference.  `LaurentJet` is the scalar jet that `RationalJet` and
+one-lane `LaneJet`s replaced: Python floats or `Fraction`s, one
+coefficient at a time.  It is kept as their reference, with
+`laurent_series` (the scalar float path along a line),
+`fraction_gateaux_series` (exact jets over `Fraction` coefficients) and
+the conversions `laurent_of` and `rational_of`.  `qr_residuals` is the
+float order test as it was before the canonical design: a QR of the
+evaluation matrix at the very directions the jets were taken along.  `seeded_exact_fit` is the exact
 fit as it was before the canonical integer blocks: a solve on the
 seed-permuted rows themselves.  `arc_from_coeffs`, `chart_apply`,
 `jacobian_power`, `chart_invert`, `pullback_sequence`, `eval_poly`,
@@ -31,14 +34,208 @@ from hypothesis import strategies as st
 from arcan import mpoly
 from arcan.blowup import BlowupChart, PullbackResult, pullback
 from arcan.corpus import ARC_ANALYTIC, CorpusEntry, corpus_list
-from arcan.errors import DomainError, FloatOverflow, ZeroDenominator
+from arcan.errors import DomainError, FloatOverflow, NegativeLeading, \
+    OddValuation, PoleAtOrigin, ShortWindow, ZeroDenominator, ZeroDivisor
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
-    RationalConst, Sqrt, Sub, Var, compile_tape, run_tape
+    RationalConst, Sqrt, Sub, Var, _exact_div, compile_tape, run_tape
 from arcan.homog import HomoPoly, canonical_design, dim_homog, \
     evaluation_matrix, monomials, signed_permutation
-from arcan.jets import LaurentJet, Scalar, jet_sqrt, sqrt_scalar
+from arcan.jets import LaneJet, RationalJet, Scalar, sqrt_scalar
 from arcan.linalg import solve_exact
 from arcan.parser import var_name
+
+
+# --- the scalar jet (reference for RationalJet and one-lane LaneJets) ----------
+
+class LaurentJet:
+    """Finitely many series coefficients starting at exponent `valuation`.
+
+    Normalized form: the coefficient at t^valuation is nonzero, except for
+    the zero jet, which is stored with an empty coefficient tuple and
+    valuation = order + 1 (an empty window of known zeros).  Coefficients
+    are floats or exact (`int`/`Fraction`), and the two interoperate.
+    """
+
+    __slots__ = ("valuation", "order", "coeffs")
+
+    def __init__(self, valuation: int, coeffs: Sequence[Scalar],
+                 order: int | None = None):
+        coeffs = list(coeffs)
+        if order is None:
+            order = valuation + len(coeffs) - 1
+        if valuation + len(coeffs) - 1 != order:
+            raise ValueError("coefficient count does not match valuation/order")
+        while coeffs and coeffs[0] == 0:
+            coeffs.pop(0)
+            valuation += 1
+        if not coeffs:
+            valuation = order + 1
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentJet is immutable")
+
+    @staticmethod
+    def zero(order: int) -> "LaurentJet":
+        return LaurentJet(order + 1, (), order)
+
+    @staticmethod
+    def constant(value: Scalar, order: int) -> "LaurentJet":
+        """The constant `value`; a window ending below t^0 holds only zeros."""
+        if value == 0 or order < 0:
+            return LaurentJet.zero(order)
+        return LaurentJet(0, (value,) + (0,) * order, order)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, k: int) -> Scalar:
+        """Coefficient of t^k; raises if k lies beyond the trusted window."""
+        if k > self.order:
+            raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
+        if k < self.valuation:
+            return 0
+        return self.coeffs[k - self.valuation]
+
+    def taylor_coeff(self, k: int) -> Scalar:
+        """Coefficient of t^k of a pole-free jet (the k-th scaled derivative)."""
+        if not self.is_zero and self.valuation < 0:
+            raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
+        return self.coeff(k)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaurentJet):
+            return NotImplemented
+        return (self.valuation, self.order, self.coeffs) == (
+            other.valuation, other.order, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.valuation, self.order, self.coeffs))
+
+    def __neg__(self) -> "LaurentJet":
+        return LaurentJet(self.valuation, tuple(-c for c in self.coeffs), self.order)
+
+    def __add__(self, other: "LaurentJet") -> "LaurentJet":
+        k = min(self.order, other.order)
+        lo = min(self.valuation, other.valuation)
+        if lo > k:
+            return LaurentJet.zero(k)
+        acc = [0] * (k - lo + 1)
+        for src in (self, other):
+            for i, c in enumerate(src.coeffs):
+                e = src.valuation + i
+                if e <= k:
+                    acc[e - lo] += c
+        return LaurentJet(lo, acc, k)
+
+    def __sub__(self, other: "LaurentJet") -> "LaurentJet":
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentJet") -> "LaurentJet":
+        # The factor known to O(t^{order+1}) times the other's leading power
+        # bounds the trusted window of the product.
+        if self.is_zero or other.is_zero:
+            order = min(self.order + other.valuation, other.order + self.valuation)
+            return LaurentJet.zero(order)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (rel + 1)
+        for i in range(min(len(a), rel + 1)):
+            ai = a[i]
+            if ai == 0:
+                continue
+            for j in range(min(len(b), rel + 1 - i)):
+                out[i + j] += ai * b[j]
+        v = self.valuation + other.valuation
+        return LaurentJet(v, out, v + rel)
+
+    def __truediv__(self, other: "LaurentJet") -> "LaurentJet":
+        if other.is_zero:
+            raise ZeroDivisor(
+                "every retained coefficient of the divisor is zero "
+                f"(window O(t^{other.order + 1}))")
+        if self.is_zero:
+            return LaurentJet.zero(self.order - other.valuation)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.coeffs, other.coeffs
+        lead = b[0]
+        q = [0] * (rel + 1)
+        for i in range(rel + 1):
+            acc = a[i] if i < len(a) else 0
+            for j in range(1, min(i, len(b) - 1) + 1):
+                acc -= b[j] * q[i - j]
+            q[i] = _exact_div(acc, lead)
+        v = self.valuation - other.valuation
+        return LaurentJet(v, q, v + rel)
+
+    def pow_int(self, exponent: int, one: Scalar = 1.0) -> "LaurentJet":
+        """self ** exponent; the zeroth power is the constant 1 in the kind
+        of the lead, or `one` for a zero base (the float evaluator's 1 by
+        default), in `RationalJet.pow_int`'s window."""
+        if exponent < 0:
+            raise ValueError("negative exponents go through division")
+        if exponent == 0:
+            return LaurentJet.constant(
+                self.coeffs[0] ** 0 if self.coeffs else one,
+                max(self.order, self.order - self.valuation))
+        result, e, base = None, exponent, self
+        while e:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def sqrt(self) -> "LaurentJet":
+        """Series square root with positive leading coefficient."""
+        if self.is_zero:
+            return LaurentJet.zero(self.order // 2)
+        if self.valuation % 2 != 0:
+            raise OddValuation(f"leading exponent {self.valuation} is odd")
+        lead = self.coeffs[0]
+        if lead < 0:
+            raise NegativeLeading(f"leading coefficient {lead} is negative")
+        rel = self.order - self.valuation
+        r0 = sqrt_scalar(lead)
+        out = [r0] + [0] * rel
+        for i in range(1, rel + 1):
+            acc = self.coeffs[i] if i < len(self.coeffs) else 0
+            for j in range(1, i):
+                acc -= out[j] * out[i - j]
+            out[i] = _exact_div(acc, 2 * r0)
+        v = self.valuation // 2
+        return LaurentJet(v, out, v + rel)
+
+
+def laurent_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
+                   order: int) -> LaurentJet:
+    """The jet of t -> f(x + t v) over `LaurentJet`s, floats for float x, v."""
+    pad = (0,) * (order - 1)
+    var_jets = [LaurentJet(0, (xi, vi) + pad, order) for xi, vi in zip(x, v)]
+    return run_tape(compile_tape(e.root), var_jets,
+                    lambda c: LaurentJet.constant(float(c), order),
+                    LaurentJet.sqrt, lambda body, default: body)
+
+
+def laurent_of(jet: RationalJet | LaneJet, lane: int = 0) -> LaurentJet:
+    """A `RationalJet` with `Fraction` coefficients, or one lane of a
+    `LaneJet` with float ones, as a `LaurentJet`."""
+    if isinstance(jet, RationalJet):
+        return LaurentJet(jet.valuation, jet.coefficients(), jet.order)
+    return LaurentJet(jet.valuation, jet.coeffs[:, lane].tolist(), jet.order)
+
+
+def rational_of(jet: LaurentJet) -> RationalJet:
+    """A `LaurentJet` with int and Fraction coefficients as a `RationalJet`."""
+    if jet.is_zero:
+        return RationalJet.zero(jet.order)
+    den = math.lcm(*(Fraction(c).denominator for c in jet.coeffs))
+    return RationalJet(jet.valuation, [int(c * den) for c in jet.coeffs],
+                       den, jet.order)
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -435,7 +632,7 @@ def fraction_gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
     pad = (0,) * (order - 1)
     var_jets = [LaurentJet(0, (xi, vi) + pad, order) for xi, vi in zip(x, v)]
     return run_tape(compile_tape(e.root), var_jets,
-                    lambda c: LaurentJet.constant(c, order), jet_sqrt,
+                    lambda c: LaurentJet.constant(c, order), LaurentJet.sqrt,
                     lambda body, default: body)
 
 

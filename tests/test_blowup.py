@@ -147,6 +147,28 @@ class TestPullback:
         assert eval_point(result.expr, pt, True) \
             == eval_point(e, chart_apply(chart, pt), True)
 
+    @pytest.mark.parametrize("text", [
+        "(x+y+z)^40/x + (x+y+z)^40/y",
+        "((x+y+z)^40/x)/y + sqrt((x+y+z)^40/x)"])
+    def test_distinct_divisions_share_a_subtree_once(self, monkeypatch,
+                                                     text):
+        # Each division's own pass charged (x+y+z)^40 (51,872 pairs) again,
+        # past the budget; one pass for the whole pullback charges it once.
+        budgets = []
+
+        class Recorded(mpoly.Budget):
+            def __init__(self):
+                super().__init__()
+                budgets.append(self)
+        monkeypatch.setattr(mpoly, "Budget", Recorded)
+        chart = make_chart(3, (1, 2), 1)
+        e = parse(text)
+        result = pullback(e, chart)
+        assert mpoly.MAX_PRODUCT_TERMS - budgets[-1].left < 2 * 51872
+        pt = (F(1, 2), F(-1, 3), F(1, 5))
+        assert eval_point(result.expr, pt, True) \
+            == eval_point(e, chart_apply(chart, pt), True)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pullback(E1, XAXIS_CHART)

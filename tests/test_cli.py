@@ -140,6 +140,19 @@ class TestClassifyCommand:
         assert doc["perOrder"][0]["scale"] == "inf"
         assert doc["perOrder"][0]["margin"] == 0
 
+    def test_exact_orders_below_a_float_term_stay_exact(self, capsys):
+        # sqrt(2)*x^40 is float, but reaches no h_k of the ladder: order 1
+        # is solved exactly and fails on a residual of ~2e-12, which the
+        # float test (threshold 1e-7) would pass
+        code, out = run_cli(capsys, [
+            "classify", "guard(x^3/(x^2+y^2),0)/10^12 + sqrt(2)*x^40",
+            "--point", "0,0", "--mode", "rational"])
+        doc = json.loads(out)
+        assert (code, doc["status"], doc["kStar"]) == (0, "NonAnalytic", 1)
+        assert doc["perOrder"][1]["threshold"] == 0
+        assert doc["perOrder"][1]["residuals"] == [
+            "399/9605000000000000", "10089/4802500000000000"]
+
     def test_an_exact_residual_beyond_the_float_range(self, capsys):
         code, out = run_cli(capsys, [
             "classify", "guard(x^3/(x^2+y^2),0) * 10^500", "--point", "0,0",
@@ -317,6 +330,19 @@ class TestArcCommand:
         assert out == (
             '{"kind": "Analytic", "valuation": 0, "order": 20, '
             f'"coeffs": [{coeffs}], "pointValue": "1", "mismatch": "0"}}\n')
+
+    @pytest.mark.parametrize("expr, order, coeffs", [
+        ("x/3 + 0*sqrt(2)", 3, '"1/3", "0", "0"'),
+        ("x/3 + sqrt(2)*x^3", 4, '"1/3", "0", 1.4142135623730951, 0'),
+        ("(x/3 + sqrt(2)*x^3)^0 + (0*sqrt(2))^0", 2, '"2", 0, 0')])
+    def test_a_rational_coefficient_no_float_reaches_stays_exact(
+            self, capsys, expr, order, coeffs):
+        # past an irrational sqrt, each coefficient turns float only where
+        # a float reaches it; a zero jet carries no float
+        code, out = run_cli(capsys, ["arc", expr, "--arc", "t", "--mode",
+                                     "rational", "--order", str(order)])
+        assert code == 0
+        assert f'"coeffs": [{coeffs}]' in out
 
     def test_an_exact_jet_beyond_the_float_range_names_the_arc(self, capsys):
         # an irrational sqrt makes the jet float; 2^2000 does not fit one
@@ -503,6 +529,21 @@ class TestUsageContract:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("argv, value", [
+        (["classify", "x*y", "--point", "-1,2"], "--point=-1,2"),
+        (["arc", "sqrt(x)", "--arc", "-t^2"], "--arc=-t^2")])
+    def test_a_subcommand_s_usage_error_is_arcan_s(self, capsys, argv,
+                                                   value):
+        # a value beginning with "-" reads as a flag unless written --flag=
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out) == (1, "")
+        assert captured.err.splitlines()[-1] == (
+            f"arcan: error: argument {argv[2]}: expected one argument")
+        assert cli.main(argv[:2] + [value]) in (0, 1)
+        assert "expected one argument" not in capsys.readouterr().err
 
     def test_runtime_error_exits_one(self, capsys):
         code = cli.main(["classify", "x +", "--point", "0"])

@@ -17,8 +17,8 @@ from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, Expr, \
 from arcan.parser import parse, parse_arc
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_analytic_entries, \
-    arc_from_coeffs, eval_poly, random_arc, random_polynomial_expr, trees, \
-    walker_eval_point_flagged, walker_regular_at
+    arc_from_coeffs, eval_poly, laurent_of, random_arc, \
+    random_polynomial_expr, trees, walker_eval_point_flagged, walker_regular_at
 
 F = Fraction
 
@@ -175,8 +175,8 @@ class TestEvalArc:
         arc = parse_arc("t, t")
         jet = eval_arc(E1, arc, order=4)
         assert jet.valuation == 1
-        assert jet.coeffs[0] == pytest.approx(0.5)
-        assert all(abs(c) < 1e-14 for c in jet.coeffs[1:])
+        assert jet.coefficients()[0] == pytest.approx(0.5)
+        assert all(abs(c) < 1e-14 for c in jet.coefficients()[1:])
         # oracle: sample f along the arc and divide out the leading power
         for t in (1e-1, 1e-2, 1e-3, 1e-4):
             assert eval_point(E1, (t, t)) / t == pytest.approx(0.5, abs=1e-9)
@@ -185,13 +185,13 @@ class TestEvalArc:
         e = parse("guard(1 / (x^2 + y^2), 0)")
         jet = eval_arc(e, parse_arc("t, 0"), order=4)
         assert jet.valuation == -2
-        assert jet.coeffs[0] == pytest.approx(1.0)
+        assert jet.coefficients()[0] == pytest.approx(1.0)
 
     def test_polynomial_arc_exact(self):
         e = parse("x^2 + y^2")
         jet = eval_arc(e, parse_arc("t, 2*t"), order=4, exact=True)
         assert jet.valuation == 2
-        assert jet.coeffs[0] == 5
+        assert jet.coefficients()[0] == 5
 
     def test_arc_inside_zero_set_raises(self):
         with pytest.raises(ArcDomainError):
@@ -223,7 +223,8 @@ class TestArcSpec:
         built = arc_from_coeffs([[F(1), F(2)], [F(0), F(0), F(3)]])
         parsed = parse_arc("1 + 2*t, 3*t^2")
         for order in (3, 6):
-            assert built.jets(order, exact=True) == parsed.jets(order, exact=True)
+            assert [laurent_of(j) for j in built.jets(order, exact=True)] \
+                == [laurent_of(j) for j in parsed.jets(order, exact=True)]
 
     def test_basepoint(self):
         arc = parse_arc("1 + t, 2 - t^2")
@@ -263,7 +264,7 @@ class TestSeriesPointConsistency:
             for t0 in (1e-2, -1e-2, 1e-3, -1e-3):
                 direct = eval_point(e, tuple(
                     eval_point(c, (t0,)) for c in arc.components))
-                series = eval_poly(jet, t0)
+                series = eval_poly(laurent_of(jet), t0)
                 assert abs(series - direct) <= 1e-9 * (1 + abs(direct))
 
 

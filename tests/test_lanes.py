@@ -1,40 +1,42 @@
-"""Batched float jets (`LaneJet`, `eval_lanes`) against the scalar path."""
+"""Batched float jets (`LaneJet`, `eval_lanes`) against one-lane reruns and
+the scalar reference (`helpers.LaurentJet`)."""
 
 import random
-import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcan import classify
-from arcan.classify import SeededDesign, _DesignJets, classify_point, \
-    grid_points, verdict_to_json
+from arcan.classify import SeededDesign, _DesignJets, _series, \
+    classify_point, grid_points, verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, IrregularBatch
-from arcan.expr import eval_jets, eval_lanes
+from arcan.expr import Expr, eval_lanes
 from arcan.homog import dim_homog
-from arcan.jets import LaneJet, LaurentJet
+from arcan.jets import LaneJet
 from arcan.parser import parse
 from arcan.seeds import derive_seed
 
-from helpers import unit_vector
+from helpers import LATTICE, LaurentJet, laurent_of, laurent_series, trees, \
+    unit_vector
 
 ORDER = 24
 CUBE = ((Fraction(-1), Fraction(1), Fraction(1, 4)),) * 3
 
 
-def scalar_jet(e, x, v, order=ORDER):
-    pad = (0,) * (order - 1)
-    var_jets = tuple(LaurentJet(0, (xi, vi) + pad, order)
-                     for xi, vi in zip(x, v))
-    return eval_jets(e.root, var_jets, order)
-
-
-def bits(jet):
-    return (jet.valuation, jet.order,
-            [struct.pack("<d", float(c)) for c in jet.coeffs])
+def bits(jet, lane=0):
+    """A jet's window and its coefficients' bit patterns: a `LaurentJet`,
+    or one lane of a `LaneJet`.  Every NaN counts as one pattern: IEEE
+    arithmetic leaves the sign of a NaN to the order of operations (the
+    scalar jet subtracts as a + (−b)), and no reader tells NaNs apart."""
+    if not isinstance(jet, LaurentJet):
+        jet = laurent_of(jet, lane)
+    coeffs = np.array(jet.coeffs, dtype=float)
+    coeffs[np.isnan(coeffs)] = np.nan
+    return jet.valuation, jet.order, coeffs.view(np.int64).tolist()
 
 
 def outcome(thunk, as_bits=bits):
@@ -45,7 +47,12 @@ def outcome(thunk, as_bits=bits):
 
 
 def float_bits(value):
-    return struct.pack("<d", float(value))
+    return np.array([value], dtype=float).view(np.int64).tolist()
+
+
+def rerun(e, x, v, order=ORDER):
+    """The one-lane jet of one line, as `_DesignJets` reruns it."""
+    return _series(e, x, tuple(v), order, False)
 
 
 def corpus_points():
@@ -65,7 +72,9 @@ def test_lanes_match_scalar_jets_bit_for_bit(name, x):
     dirs = [unit_vector(rng, e.nvars) for _ in range(24)]
     batch = eval_lanes(e.root, x, np.array(dirs), ORDER)
     for i, v in enumerate(dirs):
-        assert bits(batch.lane(i)) == bits(scalar_jet(e, x, v))
+        reference = bits(laurent_series(e, x, v, ORDER))
+        assert bits(batch, i) == reference
+        assert bits(rerun(e, x, v)) == reference
 
 
 def test_zeroth_powers_stay_in_the_lanes():
@@ -77,8 +86,8 @@ def test_zeroth_powers_stay_in_the_lanes():
     dirs = [unit_vector(rng, 2) for _ in range(8)]
     batch = eval_lanes(e.root, x, np.array(dirs), ORDER)
     for i, v in enumerate(dirs):
-        jet = scalar_jet(e, x, v)
-        assert bits(batch.lane(i)) == bits(jet)
+        jet = laurent_series(e, x, v, ORDER)
+        assert bits(batch, i) == bits(jet) == bits(rerun(e, x, v))
         assert not any(isinstance(c, Fraction) for c in jet.coeffs)
 
 
@@ -90,8 +99,8 @@ def test_zeroth_power_of_zero_stays_in_the_lanes():
     dirs = [unit_vector(rng, 2) for _ in range(8)]
     batch = eval_lanes(e.root, x, np.array(dirs), ORDER)
     for i, v in enumerate(dirs):
-        jet = scalar_jet(e, x, v)
-        assert bits(batch.lane(i)) == bits(jet)
+        jet = laurent_series(e, x, v, ORDER)
+        assert bits(batch, i) == bits(jet) == bits(rerun(e, x, v))
         assert all(type(c) is float for c in jet.coeffs)
 
 
@@ -107,9 +116,11 @@ def test_a_window_short_of_t0_stays_in_the_lanes(text):
     jets = _DesignJets(e, (0.0,), 8, np.array(dirs))
     assert jets._passes != [None]
     for i, v in enumerate(dirs):
-        assert bits(batch.lane(i)) == bits(scalar_jet(e, (0.0,), v, 8))
+        reference = laurent_series(e, (0.0,), v, 8)
+        assert bits(batch, i) == bits(reference) \
+            == bits(rerun(e, (0.0,), v, 8))
         assert outcome(lambda: jets.taylor_values(0, 2)) == \
-            outcome(lambda: scalar_jet(e, (0.0,), v, 8).taylor_coeff(0))
+            outcome(lambda: reference.taylor_coeff(0))
     for exact in (False, True):
         v = classify_point(e, (0,), k_max=2, exact=exact)
         assert v.status == classify.INCONCLUSIVE
@@ -125,27 +136,32 @@ def test_large_ladders_split_into_bounded_passes():
     assert len(plan.directions) == ahead > classify.LANES_PER_PASS
     for i in range(ahead):
         v = tuple(plan.directions[i].tolist())
-        assert bits(jets.jet(i)) == bits(scalar_jet(e, x, v))
+        batch = jets._passes[i // classify.LANES_PER_PASS]
+        assert bits(batch, i % classify.LANES_PER_PASS) \
+            == bits(laurent_series(e, x, v, ORDER)) == bits(jets.jet(i))
     assert len(jets._passes) > 1
     assert max(batch.lanes for batch in jets._passes) \
         <= classify.LANES_PER_PASS
 
 
-# (expression, point, directions, the batch's reason to fall back)
-FALLBACKS = [
+# (expression, point, directions, the batch's reason to be rerun)
+IRREGULAR = [
     ("x", (0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)] * 2,
      "leading zeros differ"),
-    ("1/(x - x)", (0.5,), [(1.0,), (-1.0,)], "zero divisor"),
-    ("sqrt(x)", (0.0,), [(1.0,), (0.5,)], "odd valuation"),
-    ("sqrt(x)", (-1.0,), [(1.0,), (0.5,)], "negative leading"),
+    ("1/(x - x)", (0.5,), [(1.0,), (-1.0,)],
+     "every retained coefficient of the divisor is zero"),
+    ("sqrt(x)", (0.0,), [(1.0,), (0.5,)], "leading exponent 1 is odd"),
+    ("sqrt(x)", (-1.0,), [(1.0,), (0.5,)],
+     "leading coefficient -1.0 is negative"),
     ("x^2000", (2.0,), [(1.0,), (-1.0,)], "non-finite"),
 ]
 
 
-@pytest.mark.parametrize("text, x, dirs, reason", FALLBACKS)
-def test_irregular_batch_falls_back_to_the_scalar_path(text, x, dirs, reason):
+@pytest.mark.parametrize("text, x, dirs, reason", IRREGULAR)
+def test_an_irregular_batch_is_rerun_one_lane_at_a_time(text, x, dirs,
+                                                         reason):
     e = parse(text, nvars=len(x))
-    with np.errstate(all="ignore"), pytest.raises(IrregularBatch, match=reason):
+    with pytest.raises(IrregularBatch, match=reason):
         eval_lanes(e.root, x, np.array(dirs), ORDER)
 
     # Jets along exactly these directions answer as the scalar path.
@@ -153,9 +169,27 @@ def test_irregular_batch_falls_back_to_the_scalar_path(text, x, dirs, reason):
     assert jets._passes == [None]
     for i, v in enumerate(dirs):
         assert outcome(lambda: jets.jet(i)) == \
-            outcome(lambda: scalar_jet(e, x, v))
+            outcome(lambda: laurent_series(e, x, v, ORDER))
         assert outcome(lambda: jets.taylor_values(1, i + 1)[i], float_bits) \
-            == outcome(lambda: scalar_jet(e, x, v).taylor_coeff(1), float_bits)
+            == outcome(lambda: laurent_series(e, x, v, ORDER).taylor_coeff(1),
+                       float_bits)
+
+
+@pytest.mark.parametrize("text, x", [("x^2000", (2.0,)),
+                                     ("x^1100 - x^1100", (3.0,)),
+                                     ("1/x^1100 + x", (5.0,)),
+                                     ("(x - x)*x^2000 + x", (2.0,))])
+def test_a_one_lane_jet_keeps_non_finite_coefficients(text, x):
+    # The float range ends inside these jets; a lone lane, like the scalar
+    # path, carries inf and NaN on, bit for bit, so the ladder reads an
+    # order's values as they are (and (x - x)*x^2000 is the zero jet).
+    e = parse(text, nvars=1)
+    seen = []
+    for v in ((1.0,), (-0.5,)):
+        jet = rerun(e, x, v)
+        assert bits(jet) == bits(laurent_series(e, x, v, ORDER))
+        seen += jet.coefficients()
+    assert text.startswith("(x - x)") or not np.isfinite(seen).all()
 
 
 def _grid_lines(cases):
@@ -170,7 +204,7 @@ def _grid_lines(cases):
     return lines + [emit_json(verdict_to_json(v))]
 
 
-def test_batched_ladder_matches_the_scalar_ladder(monkeypatch):
+def test_batched_ladder_matches_the_one_lane_ladder(monkeypatch):
     # 364 is the origin and 365 a z-axis point (NonAnalytic for E5).
     cases = [(name, i, s) for name in ("E5", "E6")
              for i, s in ((3, 1), (4, 1), (40, 0), (200, 0), (364, 0),
@@ -190,6 +224,38 @@ def test_batched_ladder_matches_the_scalar_ladder(monkeypatch):
         raise IrregularBatch("forced")
     monkeypatch.setattr(classify, "eval_lanes", always_irregular)
     assert _grid_lines(cases) == batched
+
+
+# Coordinates of points and directions: zeros (so that lanes' leading
+# zeros differ) and magnitudes whose squares or powers leave the float
+# range.
+POINT_COORDS = LATTICE + (1e154, -1e200, 1e-200)
+DIRECTION_COORDS = (0.0, -0.0, 1.0, -0.5, 0.25, 3.0, 1e154, -1e300)
+PROPERTY_ORDER = 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(),
+       st.tuples(*[st.sampled_from(POINT_COORDS)] * 2),
+       st.lists(st.tuples(*[st.sampled_from(DIRECTION_COORDS)] * 2),
+                min_size=1, max_size=6))
+def test_lanes_reruns_and_the_scalar_reference_agree(root, x, dirs):
+    """Each direction's jet, bit for bit: a lane of the batch (unless the
+    batch is irregular), its one-lane rerun and the scalar `LaurentJet`,
+    non-finite coefficients included; where one raises, each raises the
+    same error and message."""
+    e = Expr(root, 2)
+    try:
+        batch = ("value", eval_lanes(root, x, np.array(dirs), PROPERTY_ORDER))
+    except (ArcanError, ValueError) as exc:
+        batch = ("raise", type(exc), str(exc))
+    for i, v in enumerate(dirs):
+        reference = outcome(lambda: laurent_series(e, x, v, PROPERTY_ORDER))
+        assert outcome(lambda: rerun(e, x, v, PROPERTY_ORDER)) == reference
+        if batch[0] == "value":
+            assert ("value", bits(batch[1], i)) == reference
+        elif batch[1] is not IrregularBatch:
+            assert batch == reference  # one lane, or alike in every lane
 
 
 # Entries of the sparse-product operands: negatives make 0·b a −0.0.
@@ -212,6 +278,10 @@ def sparse_operand(rng, lanes, valuation, order):
     return LaneJet(valuation, np.array(rows), order)
 
 
+def one_lane(jet, lane):
+    return LaneJet(jet.valuation, jet.coeffs[:, [lane]], jet.order)
+
+
 @pytest.mark.parametrize("case", range(40))
 def test_sparse_lane_products_match_scalar_products_bit_for_bit(case):
     rng = random.Random(derive_seed("sparse products", case))
@@ -224,10 +294,12 @@ def test_sparse_lane_products_match_scalar_products_bit_for_bit(case):
     a, b = operands
     product = a * b
     for i in range(lanes):
-        assert bits(product.lane(i)) == bits(a.lane(i) * b.lane(i))
+        reference = bits(laurent_of(a, i) * laurent_of(b, i))
+        assert bits(product, i) == reference
+        assert bits(one_lane(a, i) * one_lane(b, i)) == reference
     for exponent in range(13):
         power = a.pow_int(exponent)
         for i in range(lanes):
-            # a base with a nonzero lead never calls the constant builder
-            assert bits(power.lane(i)) == \
-                bits(a.lane(i).pow_int(exponent, None))
+            reference = bits(laurent_of(a, i).pow_int(exponent))
+            assert bits(power, i) == reference
+            assert bits(one_lane(a, i).pow_int(exponent)) == reference
