@@ -26,9 +26,14 @@ the number of runs and the SHA-256 of their stdout and, where a run
 fails, its exit status and stderr.  Corpus: runs `arcan corpus`
 in-process over every entry, under --seed 0 and 1, and prints the
 number of lines and the SHA-256 of the concatenated stdout (a mismatch
-exits 2 and stops the script).  Equal digests on two
+exits 2 and stops the script).  Verify: runs `arcan verify` in-process
+at `--trials 200` under --seed 0, 1 and 2, for `binoms`, `euler` and
+`interp-roundtrip` in both modes and `alibaba` in float mode, and prints
+the number of lines, one per run, and the SHA-256 of the concatenated
+stdout (a failed identity exits 2 and stops the script).  Equal digests on two
 commits mean byte-identical output, residual digits included.  Each
-part's wall time, in-process, goes to stderr.  Takes about a minute on a 2-core x86_64 machine:
+part's wall time, in-process, goes to stderr.  Takes about a minute and a
+half on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
 """
@@ -56,6 +61,11 @@ RATIONAL_K_MAX = (8, 10)
 RATIONAL_SEEDS = (0, 1, 2)
 ARCS = {2: ("t, t", "t, 0", "t, t^2"), 3: ("t, t, t", "t, 0, t", "t, t^2, t^3")}
 ARC_ORDERS = (0, 4, 10)
+VERIFY_RUNS = tuple((identity, mode)
+                    for identity in ("binoms", "euler", "interp-roundtrip")
+                    for mode in ("float", "rational")) + (("alibaba", "float"),)
+VERIFY_TRIALS = 200
+VERIFY_SEEDS = (0, 1, 2)
 
 
 def float_verdicts():
@@ -104,6 +114,13 @@ def arc_outputs():
 def corpus_outputs():
     for seed in SCAN_SEEDS:
         yield cli_stdout(["corpus", "--seed", str(seed)])
+
+
+def verify_outputs():
+    for identity, mode in VERIFY_RUNS:
+        for seed in VERIFY_SEEDS:
+            yield cli_stdout(["verify", identity, "--mode", mode, "--trials",
+                              str(VERIFY_TRIALS), "--seed", str(seed)])
 
 
 def scan_outputs(options=(), step=None):
@@ -164,7 +181,8 @@ def main() -> None:
                       ("pullback", lambda: lines_digest(pullback_lines(),
                                                         "pullbacks")),
                       ("arc", lambda: lines_digest(arc_outputs(), "runs")),
-                      ("corpus", lambda: scan_digest(corpus_outputs()))):
+                      ("corpus", lambda: scan_digest(corpus_outputs())),
+                      ("verify", lambda: scan_digest(verify_outputs()))):
         start = time.perf_counter()
         print(f"{name}: {run()}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,

@@ -27,7 +27,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +46,8 @@ MAX_DESIGN_BYTES = 64 * 2 ** 20
 # so k_max 10 needs 528.  A map takes 16 bytes per monomial: under the
 # CLI's cap of 2000 monomials, 32 kB each and 32 MB for all.
 MAX_MONOMIAL_MAPS = 1024
+# The numerators `random_poly` draws from.
+_NUMERATORS = tuple(i for i in range(-9, 10) if i != 0)
 
 
 def dim_homog(n: int, k: int) -> int:
@@ -67,12 +69,13 @@ def monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _mono_value(exponents: tuple[int, ...], v: Sequence[Scalar]) -> Scalar:
-    acc = 1
-    for base, e in zip(v, exponents):
-        if e:
-            acc = acc * base ** e
-    return acc
+def _power_table(v: Sequence[Scalar], k: int) -> list[list[Scalar]]:
+    """v_c ** e at [c][e] for e <= k, the int 1 at e = 0."""
+    return [[1, *(base ** e for e in range(1, k + 1))] for base in v]
+
+
+def _mono_value(exponents: tuple[int, ...], table: list[list[Scalar]]) -> Scalar:
+    return math.prod(map(list.__getitem__, table, exponents))
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +112,41 @@ class HomoPoly:
             raise ValueError(f"need {expected} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    def __call__(self, v: Sequence[Scalar]) -> Scalar:
+    @cached_property
+    def _integer_form(self) -> tuple | None:
+        """The coefficients as numerators over their common denominator D,
+        D, the coordinates a nonzero one's monomial reads, and whether a
+        nonzero one is a Fraction; None if a nonzero one is not exact."""
         exps = monomials(self.nvars, self.degree)
-        return sum(c * _mono_value(e, v) for c, e in zip(self.coeffs, exps) if c != 0)
+        nonzero = [(c, e) for c, e in zip(self.coeffs, exps) if c != 0]
+        if not all(isinstance(c, (int, Fraction)) for c, _ in nonzero):
+            return None
+        den = math.lcm(*(c.denominator for c, _ in nonzero))
+        return (tuple(c.numerator * (den // c.denominator) if c else 0
+                      for c in self.coeffs),
+                den, {i for _, e in nonzero for i, ei in enumerate(e) if ei},
+                any(isinstance(c, Fraction) for c, _ in nonzero))
+
+    def _operands(self, v: Sequence[Scalar]) -> tuple:
+        """Coefficients, point and power table to sum on, and how to finish.
+        An exact form at an exact point sums integers, the point as numerators
+        over B, then divides by D·B^k: a Fraction if a term would be one."""
+        form = self._integer_form
+        if form is None or not all(isinstance(c, (int, Fraction)) for c in v):
+            return self.coeffs, v, _power_table(v, self.degree), lambda t: t
+        nums, den, used, fraction = form
+        scale = math.lcm(*(c.denominator for c in v))
+        point = [c.numerator * (scale // c.denominator) for c in v]
+        den *= scale ** self.degree
+        fraction = fraction or any(isinstance(v[i], Fraction) for i in used)
+        return nums, point, _power_table(point, self.degree), \
+            (lambda t: Fraction(t, den)) if fraction else (lambda t: t // den)
+
+    def __call__(self, v: Sequence[Scalar]) -> Scalar:
+        coeffs, _, table, finish = self._operands(v)
+        exps = monomials(self.nvars, self.degree)
+        return finish(sum(c * _mono_value(e, table)
+                          for c, e in zip(coeffs, exps) if c != 0))
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (m, n) array of points."""
@@ -122,9 +157,10 @@ class HomoPoly:
 
     def directional_derivative(self, v: Sequence[Scalar]) -> Scalar:
         """The radial derivative sum_i v_i * dP/dv_i evaluated at v."""
+        coeffs, point, table, finish = self._operands(v)
         exps = monomials(self.nvars, self.degree)
         total = 0
-        for c, e in zip(self.coeffs, exps):
+        for c, e in zip(coeffs, exps):
             if c == 0:
                 continue
             for i, ei in enumerate(e):
@@ -134,9 +170,9 @@ class HomoPoly:
                 for l, el in enumerate(e):
                     power = el - (1 if l == i else 0)
                     if power:
-                        term = term * v[l] ** power
-                total += term * v[i]
-        return total
+                        term = term * table[l][power]
+                total += term * point[i]
+        return finish(total) if self.degree else 0  # k = 0 sums no term
 
     def to_json(self) -> dict:
         return {"nvars": self.nvars, "degree": self.degree,
@@ -147,7 +183,7 @@ def random_poly(n: int, k: int, rng: random.Random, exact: bool = True) -> HomoP
     """A random homogeneous polynomial with small nonzero coefficients."""
     coeffs = []
     for _ in range(dim_homog(n, k)):
-        num = rng.choice([i for i in range(-9, 10) if i != 0])
+        num = rng.choice(_NUMERATORS)
         den = rng.randint(1, 4)
         coeffs.append(Fraction(num, den) if exact else num / den)
     return HomoPoly(n, k, tuple(coeffs))
@@ -155,7 +191,8 @@ def random_poly(n: int, k: int, rng: random.Random, exact: bool = True) -> HomoP
 
 def evaluation_matrix(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> np.ndarray:
     exps = monomials(n, k)
-    return np.array([[float(_mono_value(e, node)) for e in exps] for node in nodes])
+    return np.array([[float(_mono_value(e, table)) for e in exps]
+                     for table in (_power_table(node, k) for node in nodes)])
 
 
 # condition_estimate is unused here; the benchmark's tracer patches it.

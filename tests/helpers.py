@@ -15,7 +15,11 @@ the conversions `laurent_of` and `rational_of`.  `qr_residuals` is the
 float order test as it was before the canonical design: a QR of the
 evaluation matrix at the very directions the jets were taken along.  `seeded_exact_fit` is the exact
 fit as it was before the canonical integer blocks: a solve on the
-seed-permuted rows themselves.  `arc_from_coeffs`, `chart_apply`,
+seed-permuted rows themselves.  `fraction_sum_value` and
+`fraction_sum_derivative` are `HomoPoly`'s evaluation and radial
+derivative as they were before exact forms were evaluated in integers over
+one common denominator: a sum of terms in the inputs' own arithmetic, a
+`Fraction` operation per factor.  `arc_from_coeffs`, `chart_apply`,
 `jacobian_power`, `chart_invert`, `pullback_sequence`, `eval_poly`,
 `arc_analytic_entries` and `unit_vector` are small tools only the tests
 use.
@@ -634,6 +638,42 @@ def fraction_gateaux_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
     return run_tape(compile_tape(e.root), var_jets,
                     lambda c: LaurentJet.constant(c, order), LaurentJet.sqrt,
                     lambda body, default: body)
+
+
+# --- the Fraction-sum evaluation (reference for HomoPoly's integer path) --------
+
+def _mono_value(exponents: tuple[int, ...], v: Sequence[Scalar]) -> Scalar:
+    acc = 1
+    for base, e in zip(v, exponents):
+        if e:
+            acc = acc * base ** e
+    return acc
+
+
+def fraction_sum_value(p: HomoPoly, v: Sequence[Scalar]) -> Scalar:
+    """p(v) as the sum of c * v^e over the nonzero coefficients, each term
+    in the coefficients' and coordinates' own arithmetic."""
+    exps = monomials(p.nvars, p.degree)
+    return sum(c * _mono_value(e, v) for c, e in zip(p.coeffs, exps) if c != 0)
+
+
+def fraction_sum_derivative(p: HomoPoly, v: Sequence[Scalar]) -> Scalar:
+    """sum_i v_i * dp/dv_i at v, term by term in the inputs' own arithmetic."""
+    exps = monomials(p.nvars, p.degree)
+    total = 0
+    for c, e in zip(p.coeffs, exps):
+        if c == 0:
+            continue
+        for i, ei in enumerate(e):
+            if ei == 0:
+                continue
+            term = c * ei
+            for l, el in enumerate(e):
+                power = el - (1 if l == i else 0)
+                if power:
+                    term = term * v[l] ** power
+            total += term * v[i]
+    return total
 
 
 # --- the per-seed QR (reference for the permuted canonical design) -------------

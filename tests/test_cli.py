@@ -565,6 +565,16 @@ class TestUsageContract:
         assert captured.out == ""
         assert captured.err.startswith("arcan: error: --trials")
 
+    @pytest.mark.parametrize("trials", ["0", "100001", "1000000000000"])
+    def test_trials_are_bounded(self, capsys, trials):
+        # a trial count that would run for days is refused up front
+        code = cli.main(["verify", "binoms", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == \
+            "arcan: error: --trials must be between 1 and 100000\n"
+
     @pytest.mark.parametrize("argv, flag", [
         (["classify", "x", "--point", "1", "--order", "-1"], "--order"),
         (["arc", "x", "--arc", "t", "--arc-tol", "-1"], "--arc-tol"),

@@ -17,7 +17,8 @@ from arcan.linalg import solve_exact
 from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
 
-from helpers import permutation_seeds, permuted_rows, seeded_exact_fit
+from helpers import fraction_sum_derivative, fraction_sum_value, \
+    permutation_seeds, permuted_rows, seeded_exact_fit
 
 F = Fraction
 
@@ -54,6 +55,39 @@ class TestHomoPoly:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             HomoPoly(2, 2, (1, 2))
+
+    def test_matches_the_fraction_sum(self):
+        # Value and radial derivative equal the term-by-term reference in
+        # value and type on exact inputs (an int where no term is a
+        # Fraction, the int 0 for a zero form), bit for bit on float ones.
+        rng = random.Random(24)
+        coefficient = {
+            "fraction": lambda: F(rng.randint(-9, 9), rng.randint(1, 6)),
+            "int": lambda: rng.randint(-9, 9),
+            "sparse": lambda: rng.choice((0, 0, 0, 3, F(-2, 5))),
+            "zero": lambda: rng.choice((0, F(0))),
+            "float": lambda: rng.uniform(-9, 9),
+            "mixed": lambda: rng.choice((rng.uniform(-1, 1), 2, F(1, 3), 0))}
+        coordinate = {
+            "fraction": lambda: F(rng.randint(-6, 6), rng.randint(1, 5)),
+            "int": lambda: rng.randint(-6, 6),
+            "mixed": lambda: rng.choice((0, -3, F(-7, 2), F(4, 2))),
+            "float": lambda: rng.choice((0.0, -0.0, rng.uniform(-3, 3))),
+            "mixed float": lambda: rng.choice((0.25, -3, F(1, 3)))}
+        for _ in range(2400):
+            n, k = rng.randint(1, 4), rng.randint(0, 8)
+            draw = coefficient[rng.choice(list(coefficient))]
+            p = HomoPoly(n, k, tuple(draw() for _ in range(dim_homog(n, k))))
+            for kind in rng.sample(list(coordinate), 2):
+                v = tuple(coordinate[kind]() for _ in range(n))
+                for got, want in ((p(v), fraction_sum_value(p, v)),
+                                  (p.directional_derivative(v),
+                                   fraction_sum_derivative(p, v))):
+                    assert type(got) is type(want), (p, v, got, want)
+                    if isinstance(want, float):
+                        assert got.hex() == want.hex(), (p, v, got, want)
+                    else:
+                        assert got == want, (p, v, got, want)
 
     def test_eval_many_matches_scalar(self):
         rng = random.Random(7)
