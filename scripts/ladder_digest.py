@@ -30,7 +30,13 @@ exits 2 and stops the script).  Verify: runs `arcan verify` in-process
 at `--trials 200` under --seed 0, 1 and 2, for `binoms`, `euler` and
 `interp-roundtrip` in both modes and `alibaba` in float mode, and prints
 the number of lines, one per run, and the SHA-256 of the concatenated
-stdout (a failed identity exits 2 and stops the script).  Equal digests on two
+stdout (a failed identity exits 2 and stops the script).  Sampled: runs
+`arc_symmetry_check` on every corpus entry along each of the arcs above,
+and `fiber_lift_check` at the origin along each of its
+`resolution_charts`, in both modes, with their default samples, and
+prints the number of checks and the SHA-256 of one line per check: its
+statuses (and the fibre lift's count of regular centre samples), or the
+`PremiseViolated` text.  Equal digests on two
 commits mean byte-identical output, residual digits included.  Each
 part's wall time, in-process, goes to stderr.  Takes about a minute and a
 half on a 2-core x86_64 machine:
@@ -46,11 +52,13 @@ import time
 from fractions import Fraction
 
 from arcan import cli
-from arcan.blowup import BlowupChart, pullback
-from arcan.classify import classify_point, grid_points, verdict_to_json
+from arcan.blowup import BlowupChart, fiber_lift_check, pullback
+from arcan.classify import arc_symmetry_check, classify_point, grid_points, \
+    verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list
-from arcan.parser import parse, var_name
+from arcan.errors import PremiseViolated
+from arcan.parser import parse, parse_arc, var_name
 from arcan.seeds import derive_seed
 
 K_MAX = 10
@@ -158,6 +166,31 @@ def pullback_lines():
                 yield f"{type(exc).__name__}: {exc}"
 
 
+def sampled_lines():
+    """One line per arc-symmetry and fibre-lift check: its statuses, or
+    the premise it found violated."""
+    for entry in corpus_list():
+        e = entry.expr()
+        for mode in ("float", "rational"):
+            exact = mode == "rational"
+            for arc in ARCS[entry.nvars]:
+                report = arc_symmetry_check(e, parse_arc(arc), exact=exact)
+                yield " ".join((entry.name, mode, arc, "|",
+                                *report.negative_statuses, "|",
+                                *report.positive_statuses))
+            for chart in entry.resolution_charts:
+                head = f"{entry.name} {mode} {emit_json(chart.to_json())}"
+                try:
+                    report = fiber_lift_check(e, chart, (0,) * e.nvars,
+                                              exact=exact)
+                except PremiseViolated as exc:
+                    yield f"{head} PremiseViolated: {exc}"
+                    continue
+                yield " ".join((head, report.base_verdict.status,
+                                *(v.status for v in report.fiber_verdicts),
+                                str(report.regular_center_samples)))
+
+
 def lines_digest(lines, noun: str) -> str:
     h = hashlib.sha256()
     count = 0
@@ -182,7 +215,9 @@ def main() -> None:
                                                         "pullbacks")),
                       ("arc", lambda: lines_digest(arc_outputs(), "runs")),
                       ("corpus", lambda: scan_digest(corpus_outputs())),
-                      ("verify", lambda: scan_digest(verify_outputs()))):
+                      ("verify", lambda: scan_digest(verify_outputs())),
+                      ("sampled", lambda: lines_digest(sampled_lines(),
+                                                       "checks"))):
         start = time.perf_counter()
         print(f"{name}: {run()}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,

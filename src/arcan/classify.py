@@ -47,10 +47,10 @@ Region scans, arc-symmetry checks and fibre-lift centre samples reuse
 the pointwise verdict behind a sound fast path: where every denominator
 and square-root radicand stays away from zero the function is a
 composition of analytic germs, and no sampling is needed.
-`regular_points` alone decides that shortcut, for float points a block
-at a time in one tape pass (`regular_lanes`, one lane per point), for
-exact points one at a time (`regular_at`).  A float scan builds its grid
-once, as one array (`grid_array`), and only the indices the shortcut
+`regular_points` alone decides that shortcut, in either arithmetic a
+block of points at a time in one tape pass (`regular_lanes`, one lane
+per point).  A scan builds its grid once, as one array (`grid_array`:
+floats, or the axes' own Fractions), and only the indices the shortcut
 does not find regular are visited in Python: they run the ladder.  A
 point it finds regular gets no `Verdict`: `iter_scan` does not yield
 it, `scan_region` leaves it out, and the CLI writes its line from fixed
@@ -71,6 +71,7 @@ import numpy as np
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     FloatOverflow, GenericityFailure, IrregularBatch, PoleAtOrigin, \
     ShortWindow
+# regular_at is unused here; the benchmark's tracer patches it.
 from .expr import ArcSpec, Expr, _check_point, eval_jets, eval_lanes, \
     eval_point, eval_point_flagged, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
@@ -87,10 +88,11 @@ DEFAULT_K_MAX = 8
 DEFAULT_TOL = 1e-7
 # Directions per batched jet pass: 2*d(3,10) = 132 fit in one.
 LANES_PER_PASS = 256
-# Float points per pass of the regularity shortcut (a few MB at most).
+# Points per pass of the regularity shortcut (a few MB at most).
 _SHORTCUT_BLOCK = 4096
-# Largest grid a scan builds: 10**6 float points in 3 variables take 24 MB
-# as one array (48 MB while it is built), and as exact tuples ~75 MB.
+# Largest grid a scan builds: 10**6 points in 3 variables take 24 MB as
+# one array (48 MB while it is built), as floats or as references to the
+# axes' own Fractions.
 MAX_GRID_POINTS = 10 ** 6
 # Ladder points a scan hands a worker pool at once, ~5 MB of tasks.
 _POOL_BATCH = 1 << 14
@@ -403,12 +405,8 @@ def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, seed: int,
 # --- region scans -------------------------------------------------------------
 
 def grid_points(axes: Sequence[tuple], exact: bool = False) -> list[tuple]:
-    """Row-major lattice for per-axis (lo, hi, step) bounds, endpoints included:
-    the product of `grid_axis_values`."""
-    points: list[tuple] = [()]
-    for values in grid_axis_values(axes, exact):
-        points = [p + (v,) for p in points for v in values]
-    return points
+    """The rows of `grid_array(axes, exact)` as tuples."""
+    return [tuple(row) for row in grid_array(axes, exact).tolist()]
 
 
 def grid_axis_values(axes: Sequence[tuple], exact: bool = False) -> list[list]:
@@ -458,17 +456,19 @@ def _scan_one(args) -> Verdict:
         return Verdict(tuple(pt), INCONCLUSIVE, k_max, reason=str(exc))
 
 
-def grid_array(axes: Sequence[tuple]) -> np.ndarray:
-    """The float grid as one read-only (points, nvars) array whose rows
-    are `grid_points(axes)`, bit for bit."""
-    return _grid_array(tuple(tuple(map(_as_fraction, ax)) for ax in axes))
+def grid_array(axes: Sequence[tuple], exact: bool = False) -> np.ndarray:
+    """Row-major lattice for per-axis (lo, hi, step) bounds, endpoints
+    included, as one read-only (points, nvars) array of the product of
+    `grid_axis_values`: floats, or exact, the axes' own Fractions."""
+    return _grid_array(tuple(tuple(map(_as_fraction, ax)) for ax in axes),
+                       exact)
 
 
 @lru_cache(maxsize=1)
-def _grid_array(axes: tuple) -> np.ndarray:
+def _grid_array(axes: tuple, exact: bool) -> np.ndarray:
     """`grid_array` of exact bounds; the last grid is kept, so a corpus
     check and its scan build it once."""
-    values = grid_axis_values(axes)
+    values = grid_axis_values(axes, exact)
     grid = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1) \
         .reshape(-1, len(values))
     grid.flags.writeable = False
@@ -479,25 +479,23 @@ def regular_points(e: Expr, points: Sequence[tuple] | np.ndarray,
                    exact: bool) -> np.ndarray:
     """Which points `regular_at` finds regular, as a boolean array.
 
-    Float points, a list of tuples or an array of rows, are decided a
-    block of `_SHORTCUT_BLOCK` at a time, one tape pass per block
-    (`regular_lanes`); exact points one at a time.  A point whose check
-    overflows the float range is not regular: the ladder decides it.  A
-    point of the wrong length raises ValueError.
+    The points, a list of tuples or an array of rows, are decided a block
+    of `_SHORTCUT_BLOCK` at a time (`regular_lanes`), in floats or, exact,
+    in Python scalars.  A point whose check overflows the float range is
+    not regular: the ladder decides it.  A point of the wrong length
+    raises ValueError; an array is checked by its shape.
     """
+    if not isinstance(points, np.ndarray):
+        for pt in points:  # ragged tuples would make a 1-D array of tuples
+            _check_point(e, pt)
+    elif len(points):
+        _check_point(e, points[0])
+    points = np.asarray(points, dtype=object if exact else float) \
+        .reshape(len(points), e.nvars)
     regular = np.zeros(len(points), dtype=bool)
-    if not exact:
-        points = np.asarray(points, dtype=float)
-        for start in range(0, len(points), _SHORTCUT_BLOCK):
-            block = points[start:start + _SHORTCUT_BLOCK]
-            _check_point(e, block[0])
-            regular[start:start + len(block)] = regular_lanes(e.root, block)
-        return regular
-    for i, pt in enumerate(points):
-        try:
-            regular[i] = regular_at(e, pt, exact)
-        except (FloatOverflow, OverflowError):
-            pass
+    for start in range(0, len(points), _SHORTCUT_BLOCK):
+        regular[start:start + _SHORTCUT_BLOCK] = regular_lanes(
+            e.root, points[start:start + _SHORTCUT_BLOCK])
     return regular
 
 
@@ -506,29 +504,29 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
               order: int | None = None, exact: bool = False,
               shortcut: bool = True, jobs: int = 1):
     """Yield (index, verdict) at each grid point that runs the ladder, in
-    grid (row-major) order; `index` is the point's position in
-    `grid_points(axes, exact)`.
+    grid (row-major) order; `index` is the point's row in
+    `grid_array(axes, exact)`.
 
     Every point runs its ladder under the scan seed, so the float points
     share one direction design and the verdicts do not depend on worker
     scheduling.  A permissible error at one point becomes an Inconclusive
     verdict instead of aborting the scan.
 
-    A float grid is built once, as `grid_array`; an exact one as
-    `grid_points`.  With the shortcut on, `regular_points` decides it for
-    the whole grid.  A point it finds regular is `AnalyticUpTo(k_max)` by
-    the shortcut and is not yielded: no ladder runs and no `Verdict` is
-    built there.  Only the other indices are visited, and only their
-    points reach the worker pool when `jobs` > 1, `_POOL_BATCH` at a time.
+    The grid is built once, as `grid_array`.  With the shortcut on,
+    `regular_points` decides it for the whole grid.  A point it finds
+    regular is `AnalyticUpTo(k_max)` by the shortcut and is not yielded:
+    no ladder runs and no `Verdict` is built there.  Only the other
+    indices are visited, and only their points reach the worker pool when
+    `jobs` > 1, `_POOL_BATCH` at a time.
     """
-    grid = grid_points(axes, True) if exact else grid_array(axes)
+    grid = grid_array(axes, exact)
     regular = regular_points(e, grid, exact) if shortcut \
         else np.zeros(len(grid), dtype=bool)
     ladder = np.flatnonzero(~regular).tolist()
 
     def tasks(indices):
-        return ((e, grid[i] if exact else tuple(grid[i].tolist()), k_max,
-                 tol, seed, order, exact) for i in indices)
+        return ((e, tuple(grid[i].tolist()), k_max, tol, seed, order, exact)
+                for i in indices)
     if jobs <= 1:
         yield from zip(ladder, map(_scan_one, tasks(ladder)))
         return

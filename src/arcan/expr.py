@@ -8,15 +8,16 @@ value on its denominator's zero set.
 
 Every evaluation compiles the tree once to a hash-consed postorder tape
 (`compile_tape`) and runs it over an algebra (`run_tape`).  Pointwise
-(`eval_point`, `regular_at`), the tape runs over float or exact scalars
-and honours guard defaults, or, strictly, treats every denominator zero
-and `sqrt` boundary as leaving the domain.  Along analytic arcs
-(`eval_arc`), it composes the expression with a polynomial arc in jet
-arithmetic (`eval_jets`: exact `RationalJet`s or float `LaneJet`s, and
-`eval_lanes` for a batch of float lines at one point) and ignores guard
-defaults, because the series of the body is what the germ at t = 0
-sees.  Over numpy columns, one lane per point, it decides `regular_at`
-for a block of float points at once (`regular_lanes`).  Structural
+(`eval_point`), the tape runs over float or exact scalars and honours
+guard defaults.  Along analytic arcs (`eval_arc`), it composes the
+expression with a polynomial arc in jet arithmetic (`eval_jets`: exact
+`RationalJet`s or float `LaneJet`s, and `eval_lanes` for a batch of
+float lines at one point) and ignores guard defaults, because the series
+of the body is what the germ at t = 0 sees.  Over numpy columns, one
+lane per point, float or exact, it decides regularity for a block of
+points at once (`regular_lanes`, and `regular_at` for one point),
+treating every denominator zero and `sqrt` boundary as leaving the
+domain.  Structural
 passes run on it too (`_fold`), each distinct subtree once:
 `substitute`, `is_polynomial`, printing (`parser.to_text`), and the
 pullback of `blowup.pullback` with its fraction expansion
@@ -321,9 +322,8 @@ def _exact_div(a: Scalar, b: Scalar) -> Scalar:
 class _PointRun:
     """The mode and guard flag of one point evaluation, and its scalar ops."""
 
-    def __init__(self, exact: bool, strict: bool):
+    def __init__(self, exact: bool):
         self.exact = exact
-        self.strict = strict
         self.fired = False
 
     def constant(self, c: Fraction) -> "_Point":
@@ -337,13 +337,11 @@ class _PointRun:
     def sqrt(self, arg: Scalar) -> Scalar:
         if arg < 0:
             raise DomainError(f"sqrt of negative value {arg}")
-        if self.strict and arg == 0:
-            raise DomainError("sqrt radicand vanishes")
         return sqrt_scalar(arg)
 
     def guard(self, body: "_Point", default: Fraction) -> "_Point":
-        """The default where the body divides by zero, unless strict."""
-        if isinstance(body.error, ZeroDenominator) and not self.strict:
+        """The default where the body divides by zero."""
+        if isinstance(body.error, ZeroDenominator):
             self.fired = True
             return self.constant(default)
         return body
@@ -405,22 +403,6 @@ class _Point:
         return self._apply(self.run.sqrt)
 
 
-def _eval_tape(node: Node, x: Sequence[Scalar], exact: bool,
-               strict: bool) -> tuple[Scalar, bool]:
-    """Value of `node` at x and whether a guard fired; raises its error.
-
-    Strict evaluation lets guards pass their body's errors through and
-    treats a vanishing `sqrt` radicand as leaving the domain.
-    """
-    run = _PointRun(exact, strict)
-    root = run_tape(compile_tape(node),
-                    [_Point(run, c if exact else float(c)) for c in x],
-                    run.constant, _Point.sqrt, run.guard)
-    if root.error is not None:
-        raise root.error
-    return root.value, run.fired
-
-
 def eval_point(e: Expr, x: Sequence[Scalar], exact: bool = False) -> Scalar:
     """Pointwise value of the expression, honouring guard defaults."""
     value, _ = eval_point_flagged(e, x, exact)
@@ -430,7 +412,13 @@ def eval_point(e: Expr, x: Sequence[Scalar], exact: bool = False) -> Scalar:
 def eval_point_flagged(e: Expr, x: Sequence[Scalar], exact: bool = False):
     """Pointwise value plus a flag telling whether any guard fired at x."""
     _check_point(e, x)
-    return _eval_tape(e.root, x, exact, False)
+    run = _PointRun(exact)
+    root = run_tape(compile_tape(e.root),
+                    [_Point(run, c if exact else float(c)) for c in x],
+                    run.constant, _Point.sqrt, run.guard)
+    if root.error is not None:
+        raise root.error
+    return root.value, run.fired
 
 
 def _check_point(e: Expr, x: Sequence[Scalar]) -> None:
@@ -443,47 +431,55 @@ def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
 
     At such a point the expression is a composition of functions analytic in
     a neighbourhood, hence an analytic germ; this is the sound fast path the
-    region scans use to skip interpolation work.
+    region scans use to skip interpolation work.  The one-point call of
+    `regular_lanes`, so an overflow is not regular.
     """
     _check_point(e, x)
-    try:
-        _eval_tape(e.root, x, exact, True)
-    except (DomainError, ZeroDenominator):
-        return False
-    return True
+    return bool(regular_lanes(
+        e.root, np.array([x], dtype=object if exact else float))[0])
 
 
 def regular_lanes(node: Node, points: np.ndarray) -> np.ndarray:
-    """`regular_at` in float mode for a block of points, one lane per row.
-
-    Runs the tape once over columns of `points` (shape (lanes, nvars)) and
-    returns a boolean array over the lanes, True exactly where
-    `regular_at` is True.  A lane is irregular where any slot meets an
-    event: a zero divisor, a radicand that is not positive, or a power or
-    constant beyond the float range.  Regularity means that no event
+    """Which rows of `points` (shape (lanes, nvars)) are regular points, as
+    a boolean array: one tape pass over its columns, one lane per row,
+    looking through guards.  A float block computes as float `eval_point`
+    does; a block of Python scalars (`object` dtype) as exact `eval_point`
+    does, each value exact until a square root makes it a float.  A lane
+    is irregular where any slot meets an event: a zero divisor, a radicand
+    that is not positive, a power or constant beyond the float range, or,
+    in an exact block, any op that raises.  Regularity means that no event
     happens anywhere, so which event comes first does not matter here.
     """
-    lanes = len(points)
+    lanes, exact = len(points), points.dtype == object
     irregular = np.zeros(lanes, dtype=bool)
     try:
         with np.errstate(all="ignore"):
             run_tape(compile_tape(node),
                      [_RegularLanes(points[:, i], irregular)
                       for i in range(points.shape[1])],
-                     lambda c: _RegularLanes(np.full(lanes, float(c)),
-                                             irregular),
+                     lambda c: _RegularLanes(np.full(
+                         lanes, c if exact else float(c), points.dtype),
+                         irregular),
                      _RegularLanes.sqrt, _transparent_guard)
     except OverflowError:  # a constant beyond the float range: every lane
         return np.zeros(lanes, dtype=bool)
     return ~irregular
 
 
-class _RegularLanes:
-    """Float values of one tape slot across the lanes of `regular_lanes`.
+# The exact lanes' division and square root, as the pointwise path's.
+_EXACT_DIV = np.frompyfunc(_exact_div, 2, 1)
+_EXACT_SQRT = np.frompyfunc(sqrt_scalar, 1, 1)
 
-    `+ - * /` and `sqrt` run in numpy, which rounds them as Python floats
-    do; powers run as Python `float ** int`, once per distinct base,
-    because `np.power` may round differently.  Every slot of a pass
+
+class _RegularLanes:
+    """Values of one tape slot across the lanes of `regular_lanes`.
+
+    Float lanes run `+ - * /` and `sqrt` in numpy, which rounds them as
+    Python floats do, and powers as Python `float ** int`, once per
+    distinct base, because `np.power` may round differently.  Exact lanes
+    are Python scalars in an `object` array, and each op runs as Python's.
+    There an op that raises aborts the whole array, so it is rerun lane by
+    lane, and a lane where it raises is irregular.  Every slot of a pass
     shares one mask, `irregular`, of the lanes that met an event.  Past an
     event a lane's values are meaningless, but the lane is already out of
     the regular set.
@@ -495,23 +491,37 @@ class _RegularLanes:
         self.value = value
         self.irregular = irregular
 
-    def _like(self, value: np.ndarray) -> "_RegularLanes":
-        return _RegularLanes(value, self.irregular)
+    def _map(self, op, *others: "_RegularLanes") -> "_RegularLanes":
+        """op over the lanes' values; only exact lanes raise."""
+        values = [self.value, *(o.value for o in others)]
+        try:
+            return _RegularLanes(op(*values), self.irregular)
+        except Exception:
+            out = np.zeros(len(self.value), dtype=object)
+            for i in range(len(out)):
+                try:
+                    out[i] = op(*(v[i:i + 1] for v in values))[0]
+                except Exception:
+                    self.irregular[i] = True
+            return _RegularLanes(out, self.irregular)
 
     def __add__(self, other: "_RegularLanes") -> "_RegularLanes":
-        return self._like(self.value + other.value)
+        return self._map(operator.add, other)
 
     def __sub__(self, other: "_RegularLanes") -> "_RegularLanes":
-        return self._like(self.value - other.value)
+        return self._map(operator.sub, other)
 
     def __mul__(self, other: "_RegularLanes") -> "_RegularLanes":
-        return self._like(self.value * other.value)
+        return self._map(operator.mul, other)
 
     def __truediv__(self, other: "_RegularLanes") -> "_RegularLanes":
         self.irregular |= other.value == 0
-        return self._like(self.value / other.value)
+        return self._map(_EXACT_DIV if self.value.dtype == object
+                         else operator.truediv, other)
 
     def pow_int(self, e: int) -> "_RegularLanes":
+        if self.value.dtype == object:
+            return self._map(lambda v: np.power(v, e))
         # each distinct bit pattern once (-0.0 and 0.0, and NaN payloads,
         # stay apart), then scattered back to its lanes
         bases, lanes = np.unique(self.value.view(np.int64),
@@ -524,11 +534,12 @@ class _RegularLanes:
             except OverflowError:
                 overflow[i], powers[i] = True, math.nan
         self.irregular |= overflow[lanes]
-        return self._like(powers[lanes])
+        return _RegularLanes(powers[lanes], self.irregular)
 
     def sqrt(self) -> "_RegularLanes":
         self.irregular |= self.value <= 0
-        return self._like(np.sqrt(self.value))
+        return self._map(_EXACT_SQRT if self.value.dtype == object
+                         else np.sqrt)
 
 
 # --- evaluation along arcs ---------------------------------------------------

@@ -74,10 +74,6 @@ def _power_table(v: Sequence[Scalar], k: int) -> list[list[Scalar]]:
     return [[1, *(base ** e for e in range(1, k + 1))] for base in v]
 
 
-def _mono_value(exponents: tuple[int, ...], table: list[list[Scalar]]) -> Scalar:
-    return math.prod(map(list.__getitem__, table, exponents))
-
-
 @lru_cache(maxsize=None)
 def _exponent_array(n: int, k: int) -> np.ndarray:
     return np.array(monomials(n, k), dtype=np.intp).reshape(-1, n)
@@ -145,15 +141,13 @@ class HomoPoly:
     def __call__(self, v: Sequence[Scalar]) -> Scalar:
         coeffs, _, table, finish = self._operands(v)
         exps = monomials(self.nvars, self.degree)
-        return finish(sum(c * _mono_value(e, table)
+        return finish(sum(c * math.prod(map(list.__getitem__, table, e))
                           for c, e in zip(coeffs, exps) if c != 0))
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (m, n) array of points."""
-        exps = np.array(monomials(self.nvars, self.degree), dtype=float)
-        coeffs = np.array([float(c) for c in self.coeffs])
-        powers = np.power(points[:, None, :], exps[None, :, :])
-        return powers.prod(axis=2) @ coeffs
+        return evaluation_matrix(points, self.nvars, self.degree) \
+            @ np.array([float(c) for c in self.coeffs])
 
     def directional_derivative(self, v: Sequence[Scalar]) -> Scalar:
         """The radial derivative sum_i v_i * dP/dv_i evaluated at v."""
@@ -189,10 +183,11 @@ def random_poly(n: int, k: int, rng: random.Random, exact: bool = True) -> HomoP
     return HomoPoly(n, k, tuple(coeffs))
 
 
-def evaluation_matrix(nodes: Sequence[Sequence[Scalar]], n: int, k: int) -> np.ndarray:
-    exps = monomials(n, k)
-    return np.array([[float(_mono_value(e, table)) for e in exps]
-                     for table in (_power_table(node, k) for node in nodes)])
+def evaluation_matrix(nodes: Sequence[Sequence[Scalar]] | np.ndarray, n: int,
+                      k: int) -> np.ndarray:
+    """The degree-k float evaluation matrix at the nodes, one row each."""
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, n)
+    return gather_matrix(_powers(nodes, k), n, k)
 
 
 # condition_estimate is unused here; the benchmark's tracer patches it.

@@ -179,10 +179,6 @@ class RationalJet:
 
     # --- arithmetic ---------------------------------------------------------
 
-    def __neg__(self) -> "RationalJet":
-        return RationalJet(self.valuation, [-c for c in self.nums], self.den,
-                           self.order)
-
     def _sum(self, other: "RationalJet", sign: int) -> "RationalJet":
         """self + sign * other over the lcm of the two denominators."""
         k = min(self.order, other.order)

@@ -390,6 +390,12 @@ def trees(constants=FRACTIONS, exponents=(0, 1, 2, 3, 1100), nvars=2):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+# (exact, tree): exact powers of 1100 nest into integers too large to build
+MODE_AND_TREE = st.one_of(
+    st.tuples(st.just(False), trees(FRACTIONS + [BEYOND_FLOATS])),
+    st.tuples(st.just(True), trees(FRACTIONS + [BEYOND_FLOATS], (0, 1, 2, 3))))
+
+
 # --- the recursive pointwise walker (reference for the tape evaluator) ----------
 
 def _const(value: Fraction, exact: bool) -> Scalar:
@@ -466,6 +472,17 @@ def walker_regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool
     except (DomainError, ZeroDenominator):
         return False
     return True
+
+
+def walker_finds_regular(e: Expr, x: Sequence[Scalar],
+                         exact: bool = False) -> bool:
+    """Whether `walker_regular_at` returns True: an error it raises (an
+    overflow, or a float divided by an exact value that rounds to 0) is
+    not regular."""
+    try:
+        return walker_regular_at(e, x, exact)
+    except Exception:
+        return False
 
 
 # --- the recursive structural walkers (reference for the tape passes) -----------

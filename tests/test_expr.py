@@ -16,9 +16,10 @@ from arcan.expr import ANALYTIC, POLE, REMOVABLE_MISMATCH, ArcSpec, Expr, \
     regular_at
 from arcan.parser import parse, parse_arc
 
-from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_analytic_entries, \
-    arc_from_coeffs, eval_poly, laurent_of, random_arc, \
-    random_polynomial_expr, trees, walker_eval_point_flagged, walker_regular_at
+from helpers import BEYOND_FLOATS, LATTICE, MODE_AND_TREE, \
+    arc_analytic_entries, arc_from_coeffs, eval_poly, laurent_of, random_arc, \
+    random_polynomial_expr, walker_eval_point_flagged, walker_finds_regular, \
+    walker_regular_at
 
 F = Fraction
 
@@ -75,16 +76,12 @@ def outcome(fn, *args):
 
 
 def assert_matches_walker(e, point, exact):
+    """The tape's value and error are the walker's; `regular_at` is True
+    exactly where the walker's check returns True, and an error the
+    walker raises (an overflow) is not regular."""
     assert outcome(eval_point_flagged, e, point, exact) \
         == outcome(walker_eval_point_flagged, e, point, exact)
-    assert outcome(regular_at, e, point, exact) \
-        == outcome(walker_regular_at, e, point, exact)
-
-
-# (exact, tree): exact powers of 1100 nest into integers too large to build
-MODE_AND_TREE = st.one_of(
-    st.tuples(st.just(False), trees(FRACTIONS + [BEYOND_FLOATS])),
-    st.tuples(st.just(True), trees(FRACTIONS + [BEYOND_FLOATS], (0, 1, 2, 3))))
+    assert regular_at(e, point, exact) is walker_finds_regular(e, point, exact)
 
 
 class TestPointOnTheTape:
@@ -119,12 +116,15 @@ class TestPointOnTheTape:
     def test_targeted_cases(self, text, point, exact, value, regular):
         e = parse(text)
         assert_matches_walker(e, point, exact)
-        for fn, expected in ((eval_point_flagged, value), (regular_at, regular)):
+        for fn, expected in ((eval_point_flagged, value),
+                             (walker_regular_at, regular)):
             if isinstance(expected, type):
                 with pytest.raises(expected):
                     fn(e, point, exact)
             else:
                 assert fn(e, point, exact) == expected
+        # where the walker's check overflows, the point is not regular
+        assert regular_at(e, point, exact) is (regular is True)
 
 
 class TestTape:

@@ -1,8 +1,10 @@
 """The regularity shortcut, decided by `regular_points` for scans,
-arc-symmetry checks and fibre-lift samples, against `regular_at`."""
+arc-symmetry checks and fibre-lift samples, against the recursive walker
+`walker_regular_at`."""
 
 import contextlib
 import io
+import itertools
 import math
 import os
 import random
@@ -10,13 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcan import classify, cli
 from arcan.blowup import fiber_lift_check, make_chart
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, Verdict, \
-    arc_symmetry_check, classify_point, grid_array, grid_points, iter_scan, \
-    regular_points, scan_region, verdict_to_json
+    arc_symmetry_check, classify_point, grid_array, grid_axis_values, \
+    grid_points, iter_scan, regular_points, scan_region, verdict_to_json
 from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, FloatOverflow, PremiseViolated
 from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, \
@@ -24,19 +26,21 @@ from arcan.expr import Div, Expr, IntPow, RationalConst, Sub, Var, \
 from arcan.parser import parse, parse_arc, var_name
 from arcan.seeds import derive_seed, sample_scalar
 
-from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, trees
+from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, MODE_AND_TREE, trees, \
+    walker_finds_regular, walker_regular_at
 
 
 def walker(e, pt, exact=False):
-    """What `regular_at` gives at one point: True, False or "overflow"."""
+    """What the recursive walker's check gives at one point: True, False
+    or "overflow"."""
     try:
-        return regular_at(e, pt, exact)
+        return walker_regular_at(e, pt, exact)
     except (FloatOverflow, OverflowError):
         return "overflow"
 
 
 def assert_matches_walker(e, points):
-    """A lane is regular exactly where `regular_at` is True."""
+    """A lane is regular exactly where the walker's check is True."""
     regular = regular_lanes(e.root, np.array(points, dtype=float))
     assert regular.tolist() == [walker(e, pt) is True for pt in points]
 
@@ -108,7 +112,8 @@ class TestRegularLanes:
     def test_a_constant_beyond_floats_makes_every_lane_irregular(self):
         e = parse(f"x + {BEYOND_FLOATS}")
         with pytest.raises(OverflowError):
-            regular_at(e, (1.0,))
+            walker_regular_at(e, (1.0,))
+        assert regular_at(e, (1.0,)) is False
         assert not regular_lanes(e.root, np.array([(1.0,), (2.0,)])).any()
 
 
@@ -309,6 +314,18 @@ class TestGridArray:
             == np.array(exact).view(np.int64).tolist()
         assert not grid.flags.writeable
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_the_grid_is_the_product_of_its_axes(self, exact):
+        axes = [(Fraction(-1, 3), 1, Fraction(1, 2)), (0, 1, 0.25), (2, 2, 1)]
+        values = grid_axis_values(axes, exact)
+        grid = grid_array(axes, exact)
+        assert grid.tolist() == [list(p) for p in itertools.product(*values)]
+        assert grid_points(axes, exact) == list(itertools.product(*values))
+        assert grid.dtype == (object if exact else float)
+        assert all(type(c) is (Fraction if exact else float)
+                   for c in grid.tolist()[0])
+        assert not grid.flags.writeable
+
     def test_equal_bounds_of_other_types_are_other_grids(self):
         # 0.1 is read as 1/10, Fraction(0.1) as the binary float
         assert grid_array([(0, 1, 0.1)]).shape == (11, 1)
@@ -333,6 +350,38 @@ class TestRegularPoints:
         points = grid_points([(0, 3, Fraction(1, 2))] * 2)
         assert regular_points(e, points, False).tolist() \
             == [walker(e, pt) is True for pt in points]
+
+    @settings(max_examples=300, deadline=None)
+    @given(MODE_AND_TREE, st.lists(st.tuples(st.sampled_from(LATTICE),
+                                             st.sampled_from(LATTICE)),
+                                   min_size=1, max_size=10))
+    # an irrational root times an exact value beyond the float range
+    @example((True, parse(f"sqrt(2) * {BEYOND_FLOATS} * x").root),
+             [(1.0, 0.0), (0.0, 0.0), (0.5, 1.0)])
+    def test_blocks_equal_the_walker_on_random_trees(self, mode_and_tree,
+                                                     points):
+        # irrational roots and values beyond the float range included: the
+        # trees take square roots of 1/2 and the constant 10^400
+        exact, root = mode_and_tree
+        e = Expr(root, 2)
+        if exact:
+            points = [tuple(map(Fraction, pt)) for pt in points]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_SHORTCUT_BLOCK", 3)
+            regular = regular_points(e, points, exact)
+        assert regular.tolist() == [walker_finds_regular(e, pt, exact)
+                                    for pt in points]
+        assert regular_points(e, np.array(points, dtype=object if exact
+                                          else float), exact).tolist() \
+            == regular.tolist()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_no_points_and_ragged_points(self, exact):
+        e = parse("x+y")
+        empty = regular_points(e, [], exact)
+        assert empty.dtype == bool and empty.shape == (0,)
+        with pytest.raises(ValueError, match="point has 3 coordinates"):
+            regular_points(e, [(1, 2), (1, 2, 3)], exact)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_an_overflow_is_not_regular(self, exact):
