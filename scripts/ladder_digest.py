@@ -9,10 +9,13 @@ s = 0, 1 and i the point's grid index.  Rational: runs it in rational mode
 at every corpus exact-locus and regular point (23 points), at k_max 8 and
 10, under seeds 0, 1 and 2.  Prints, per arithmetic, the number of
 verdicts and the SHA-256 of their `emit_json(verdict_to_json(...))` lines,
-each ended by a newline.  Scan: runs `arcan scan` in-process, shortcut on,
-over every corpus entry's grid as the CLI reads it (E5 in two variables,
-over the window of the two), in JSON and CSV, under --seed 0 and 1, and
-prints the number of lines and the SHA-256 of the concatenated stdout.
+each ended by a newline.  Status: hashes only each of those float and
+rational verdicts' point, status and `kStar`, one `emit_json` line per
+verdict, so that it stays put where only printed digits change.  Scan:
+runs `arcan scan` in-process, shortcut on, over every corpus entry's grid
+as the CLI reads it (E5 in two variables, over the window of the two), in
+JSON and CSV, under --seed 0 and 1, and prints the number of lines and
+the SHA-256 of the concatenated stdout.
 Rational scan: the same, with `--mode rational --kmax 3` and each grid's
 step widened to 1/4.  Pullback: pulls every corpus entry back along
 each of its `resolution_charts` and each axis chart of the blow-up of
@@ -200,14 +203,24 @@ def lines_digest(lines, noun: str) -> str:
     return f"{count} {noun} sha256 {h.hexdigest()}"
 
 
+# The point, status and kStar of every verdict `digest` hashed, in order.
+STATUS_LINES: list[str] = []
+
+
 def digest(verdicts) -> str:
-    return lines_digest((emit_json(verdict_to_json(v)) for v in verdicts),
-                        "verdicts")
+    def lines():
+        for v in verdicts:
+            STATUS_LINES.append(emit_json([list(v.point), v.status,
+                                           v.k_star]))
+            yield emit_json(verdict_to_json(v))
+    return lines_digest(lines(), "verdicts")
 
 
 def main() -> None:
     for name, run in (("float", lambda: digest(float_verdicts())),
                       ("rational", lambda: digest(rational_verdicts())),
+                      ("status", lambda: lines_digest(STATUS_LINES,
+                                                      "verdicts")),
                       ("scan", lambda: scan_digest(scan_outputs())),
                       ("rational-scan", lambda: scan_digest(scan_outputs(
                           RATIONAL_SCAN, RATIONAL_SCAN_STEP))),

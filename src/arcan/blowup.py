@@ -213,12 +213,14 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
 
     Premises checked on samples: the base point itself classifies
     NonAnalytic, and regular points of the center accumulate at it (some
-    nearby center sample classifies analytic).  Under those premises every
-    sampled fiber point must classify NonAnalytic; an analytic fiber point
-    would certify the base point analytic, a contradiction.  In exact mode
-    the base point is taken as exact rationals and each sample draw as a
-    small one (`sample_scalar`).  The center samples pass the regularity
-    shortcut together (`regular_points`); the rest run the ladder.
+    nearby center sample classifies analytic; a centre with no free
+    coordinate is the base point alone, which fails that at once).  Under
+    those premises every sampled fiber point must classify NonAnalytic;
+    an analytic fiber point would certify the base point analytic, a
+    contradiction.  In exact mode the base point is taken as exact
+    rationals and each sample draw as a small one (`sample_scalar`).  The
+    center samples pass the regularity shortcut together
+    (`regular_points`); the rest run the ladder.
     """
     base_point = tuple(map(Fraction, base_point) if exact else base_point)
     if len(base_point) != e.nvars:
@@ -235,7 +237,7 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
     free_center = [i for i in range(e.nvars) if i not in chart.center]
     rng = random.Random(derive_seed(seed, "center-samples"))
     center_points = []
-    for _ in range(n_center):
+    for _ in range(n_center if free_center else 0):
         pt = list(base_point)
         for i in free_center:
             pt[i] += sample_scalar(center_delta * (rng.random() * 1.5 + 0.5)

@@ -23,18 +23,19 @@ along its first 2·d(n,k) rows.  One fit, `homog.interp_fit`, tests every
 order.  V_k(U M) is V_k(U) with its columns permuted and negated, so it
 fits on blocks of the canonical rows built once per (n, k), and the
 fitted coefficients in v are those in u gathered and sign-flipped
-(`homog.monomial_map`).  An order whose values are all exact (rational
-mode, each h_k a `Fraction` read from a `RationalJet`) is interpolated on
-the first half of its rows and validated on the rest; the exact solve
-proves the fit block's rank.  Every other order, in either mode, is
-tested by one least-squares rule: h_k must lie in the column space of
-the degree-k evaluation matrix V = QR of the unit rows, and the residual
-|h - Q Qᵀ h| is bounded by the error of h itself, not amplified by the
-condition of V (Golub & Van Loan, *Matrix Computations*, §5.3).  Along
-an integer row w, h_k(x, w/|w|) = h_k(x, w)/|w|^k.  A point's float jets
-come from one batched pass over the rows (`eval_lanes`); a batch the
-lanes cannot share is rerun one direction at a time, as one-lane jets
-equal to its lanes bit for bit.
+(`homog.monomial_map`, kept by the canonical design).  An order whose
+values are all exact (rational mode, each h_k a `Fraction` read from a
+`RationalJet`) is interpolated on the first half of its rows and
+validated on the rest; the exact solve proves the fit block's rank.
+Every other order, in either mode, is tested by one least-squares rule:
+h_k must lie in the column space of the degree-k evaluation matrix
+V = QR of the unit rows, and the residual |h - Q Qᵀ h| is bounded by the
+error of h itself, not amplified by the condition of V (Golub & Van
+Loan, *Matrix Computations*, §5.3).  Along an integer row w,
+h_k(x, w/|w|) = h_k(x, w)/|w|^k.  A point's jets, float or exact, come
+from batched passes over the rows (`eval_lanes`); a batch the lanes
+cannot share is rerun one direction at a time, as one-lane jets equal to
+its lanes: bit for bit in floats, in value and type when exact.
 
 The ladder reads no coefficient above k_max, so its jets run truncated
 after t^k_max first, and are run again to the window `order` (the CLI's
@@ -60,6 +61,7 @@ text.  `classify_point` always runs the ladder.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,7 +75,7 @@ from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     ShortWindow
 # regular_at is unused here; the benchmark's tracer patches it.
 from .expr import ArcSpec, Expr, _check_point, eval_jets, eval_lanes, \
-    eval_point, eval_point_flagged, regular_at, regular_lanes
+    eval_point, eval_point_flagged, float_points, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
 from .homog import HomoPoly, _magnitude, canonical_design, \
     condition_estimate, dim_homog, interp_fit, signed_permutation
@@ -118,12 +120,11 @@ def _series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], order: int,
             exact: bool,
             provisional: bool = False) -> RationalJet | LaneJet:
     """The jet of t -> f(x + t v) at t = 0, as `eval_jets` returns it: a
-    `RationalJet` (exact) or a one-lane `LaneJet`."""
+    one-lane `RationalJet` (exact) or `LaneJet`."""
     if len(x) != e.nvars or len(v) != e.nvars:
         raise ValueError("point and direction must match the expression dimension")
-    line = RationalJet.line if exact \
-        else lambda xi, vi, order: LaneJet.line(xi, np.array([vi]), order)
-    return eval_jets(e.root, [line(xi, vi, order) for xi, vi in zip(x, v)],
+    line = RationalJet.line if exact else LaneJet.line
+    return eval_jets(e.root, [line(xi, (vi,), order) for xi, vi in zip(x, v)],
                      order, exact, provisional)
 
 
@@ -181,35 +182,42 @@ class _DesignJets:
     """Jets of f(x + t v) at one point, v running over a design's rows,
     truncated after t^order (the window).
 
-    Float jets come from one `eval_lanes` pass per LANES_PER_PASS
-    directions, which bounds the memory a pass holds.  A pass the lanes
-    cannot share (`IrregularBatch`, or a constant beyond the float range),
-    and every exact jet, is rerun one direction at a time (`_series`):
-    evaluated when first read, once, and raising what it raises; a lane
-    equals its one-lane rerun bit for bit.  Where a rational jet meets the
-    float of an irrational square root, an exact value beyond the float
-    range raises FloatOverflow.  In a `provisional` window, one the ladder
-    widens when it cannot decide, a square root of a radicand that vanishes
-    in the window raises ShortWindow (`eval_jets`).
+    The jets come from `eval_lanes` passes of at most LANES_PER_PASS
+    directions (bounding a pass's memory), each run when first read.  An
+    exact lane costs about what its direction alone does, so an exact
+    first pass holds just the rows of orders 0 and 1, where most points a
+    scan leaves to the ladder fail.  A pass the lanes cannot share
+    (`IrregularBatch`, a value beyond the float range, or a domain error
+    of a one-lane pass) is rerun one direction at a time (`_series`),
+    each raising what it raises where read.  A lane equals its rerun: bit
+    for bit in floats, in value and type when exact.  Where an exact jet
+    meets the float of an irrational square root, an exact value beyond
+    the float range raises FloatOverflow.  In a `provisional` window, one
+    the ladder widens when it cannot decide, a square root of a radicand
+    that vanishes in the window raises ShortWindow (`eval_jets`).
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray,
                  exact: bool = False, provisional: bool = False):
         self.e, self.x, self.order, self.exact = e, x, order, exact
         self.directions, self.provisional = directions, provisional
-        self._passes: list[LaneJet | None] = []
-        for start in range(0, len(directions), LANES_PER_PASS):
-            if exact:
-                self._passes.append(None)
-                continue
-            try:
-                self._passes.append(eval_lanes(
-                    e.root, x, directions[start:start + LANES_PER_PASS],
-                    order, provisional))
-            except (IrregularBatch, OverflowError):
-                # the rerun names a constant beyond the float range
-                self._passes.append(None)
+        first = 2 * directions.shape[1] if exact else LANES_PER_PASS
+        self._starts = [0, *range(first, len(directions), LANES_PER_PASS)]
+        self._stops = self._starts[1:] + [len(directions)]
+        self._passes: dict[int, RationalJet | LaneJet | None] = {}
         self._reruns: dict[int, RationalJet | LaneJet] = {}
+
+    def batch(self, p: int) -> RationalJet | LaneJet | None:
+        """Pass p's jets, or None where its directions run alone."""
+        if p not in self._passes:
+            try:
+                self._passes[p] = eval_lanes(
+                    self.e.root, self.x,
+                    self.directions[self._starts[p]:self._stops[p]],
+                    self.order, self.exact, self.provisional)
+            except (IrregularBatch, OverflowError, ArcDomainError):
+                self._passes[p] = None  # the reruns raise where read
+        return self._passes[p]
 
     def jet(self, i: int) -> RationalJet | LaneJet:
         """Direction i's jet alone (its rerun)."""
@@ -227,20 +235,22 @@ class _DesignJets:
     def has_pole(self, i: int) -> bool:
         """Whether direction i's jet has a pole at t = 0, read from its
         pass where it has one (the lanes share one valuation)."""
-        batch = self._passes[i // LANES_PER_PASS]
+        batch = self.batch(bisect_right(self._starts, i) - 1)
         jet = self.jet(i) if batch is None else batch
         return not jet.is_zero and jet.valuation < 0
 
     def taylor_values(self, k: int, count: int) -> list:
         """h_k along the first `count` directions; raises as the first bad jet."""
         out: list = []
-        for start in range(0, count, LANES_PER_PASS):
-            stop = min(count, start + LANES_PER_PASS)
-            batch = self._passes[start // LANES_PER_PASS]
+        for p, (start, stop) in enumerate(zip(self._starts, self._stops)):
+            if start >= count:
+                break
+            stop = min(count, stop)
+            batch = self.batch(p)
             if batch is None:
                 out += [self.jet(i).taylor_coeff(k) for i in range(start, stop)]
             else:
-                out += batch.taylor_column(k)[:stop - start]
+                out += batch.taylor_column(k, stop - start)
         return out
 
 
@@ -295,7 +305,9 @@ def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
         bad = next(i for i in range(count) if jets.has_pole(i))
         return PolyTestResult(k, None, (), 1.0, tol, plan.seed,
                               tuple(plan.directions[bad].tolist()))
-    fitted, residuals, scale = interp_fit(values, plan.flip, k, plan.exact)
+    fitted, residuals, scale = interp_fit(
+        values, plan.flip, k, plan.exact,
+        plan.canonical.monomial_map(plan.flip, k))
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
     exact = all(isinstance(r, (int, Fraction)) for r in residuals)
@@ -490,8 +502,8 @@ def regular_points(e: Expr, points: Sequence[tuple] | np.ndarray,
             _check_point(e, pt)
     elif len(points):
         _check_point(e, points[0])
-    points = np.asarray(points, dtype=object if exact else float) \
-        .reshape(len(points), e.nvars)
+    points = (np.asarray(points, dtype=object) if exact
+              else float_points(points)).reshape(len(points), e.nvars)
     regular = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), _SHORTCUT_BLOCK):
         regular[start:start + _SHORTCUT_BLOCK] = regular_lanes(

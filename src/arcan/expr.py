@@ -11,9 +11,9 @@ Every evaluation compiles the tree once to a hash-consed postorder tape
 (`eval_point`), the tape runs over float or exact scalars and honours
 guard defaults.  Along analytic arcs (`eval_arc`), it composes the
 expression with a polynomial arc in jet arithmetic (`eval_jets`: exact
-`RationalJet`s or float `LaneJet`s, and `eval_lanes` for a batch of
-float lines at one point) and ignores guard defaults, because the series
-of the body is what the germ at t = 0 sees.  Over numpy columns, one
+`RationalJet`s or float `LaneJet`s, and `eval_lanes` for a batch of lines
+at one point) and ignores guard defaults, because the series of the body
+is what the germ at t = 0 sees.  Over numpy columns, one
 lane per point, float or exact, it decides regularity for a block of
 points at once (`regular_lanes`, and `regular_at` for one point),
 treating every denominator zero and `sqrt` boundary as leaving the
@@ -414,7 +414,8 @@ def eval_point_flagged(e: Expr, x: Sequence[Scalar], exact: bool = False):
     _check_point(e, x)
     run = _PointRun(exact)
     root = run_tape(compile_tape(e.root),
-                    [_Point(run, c if exact else float(c)) for c in x],
+                    [_Point(run, c) for c in (x if exact else
+                                              float_points([x])[0].tolist())],
                     run.constant, _Point.sqrt, run.guard)
     if root.error is not None:
         raise root.error
@@ -426,6 +427,16 @@ def _check_point(e: Expr, x: Sequence[Scalar]) -> None:
         raise ValueError(f"point has {len(x)} coordinates, expression has {e.nvars}")
 
 
+def float_points(points) -> np.ndarray:
+    """Points, a sequence of rows, as a float array; FloatOverflow where a
+    coordinate lies beyond the float range."""
+    try:
+        return np.asarray(points, dtype=float)
+    except OverflowError as exc:
+        raise FloatOverflow(f"a coordinate lies beyond the float range "
+                            f"({exc}); --mode rational keeps it exact") from exc
+
+
 def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
     """True when x avoids every denominator zero and sqrt boundary.
 
@@ -435,8 +446,8 @@ def regular_at(e: Expr, x: Sequence[Scalar], exact: bool = False) -> bool:
     `regular_lanes`, so an overflow is not regular.
     """
     _check_point(e, x)
-    return bool(regular_lanes(
-        e.root, np.array([x], dtype=object if exact else float))[0])
+    return bool(regular_lanes(e.root, np.array([x], dtype=object) if exact
+                              else float_points([x]))[0])
 
 
 def regular_lanes(node: Node, points: np.ndarray) -> np.ndarray:
@@ -569,19 +580,18 @@ def eval_jets(node: Node, var_jets: Sequence[RationalJet | LaneJet],
               provisional: bool = False) -> RationalJet | LaneJet:
     """Evaluate over jet arithmetic; guards use series semantics.
 
-    Exact evaluation runs on `RationalJet`s and returns one, or a one-lane
+    Exact evaluation runs on `RationalJet`s and returns one, or a
     `LaneJet` of Python scalars past a square root whose lead is not a
     rational square, exact in each coefficient no float reaches.  Float
-    evaluation runs on `LaneJet`s: one lane
-    each for a single arc, or a batch of lines (`eval_lanes`).
-    `provisional`: see `_window_sqrt`.
+    evaluation runs on `LaneJet`s.  Either has one lane for a single arc,
+    or one per line of a batch (`eval_lanes`).  `provisional`: see
+    `_window_sqrt`.
     """
+    lanes = var_jets[0].lanes if var_jets else 1
     if exact:
         def constant(c):
-            return RationalJet.constant(c, order)
+            return RationalJet.constant(c, lanes, order)
     else:
-        lanes = var_jets[0].lanes if var_jets else 1
-
         def constant(c):
             return LaneJet.constant(float(c), lanes, order)
     with np.errstate(all="ignore"):
@@ -590,17 +600,20 @@ def eval_jets(node: Node, var_jets: Sequence[RationalJet | LaneJet],
                         _transparent_guard)
 
 
-def eval_lanes(node: Node, x: Sequence[float], directions: np.ndarray,
-               order: int, provisional: bool = False) -> LaneJet:
-    """Float jets of f(x + t v) for every row v of `directions`, in one pass.
+def eval_lanes(node: Node, x: Sequence[Scalar], directions: np.ndarray,
+               order: int, exact: bool = False,
+               provisional: bool = False) -> RationalJet | LaneJet:
+    """Jets of f(x + t v) for every row v of `directions`, in one pass:
+    floats, or `exact` jets of a rational x and rows.
 
-    Each lane equals, bit for bit, the one-lane jet of its line (with the
-    same `provisional`); raises `IrregularBatch` where the lanes need to
-    be run one at a time.
+    Each lane equals the one-lane jet of its line (with the same
+    `provisional`): bit for bit in floats, in value and type when exact.
+    Raises `IrregularBatch` where the lanes need to be run one at a time.
     """
-    return eval_jets(node, [LaneJet.line(xi, directions[:, i], order)
-                            for i, xi in enumerate(x)], order,
-                     provisional=provisional)
+    line = RationalJet.line if exact else LaneJet.line
+    return eval_jets(node, [line(xi, directions[:, i], order)
+                            for i, xi in enumerate(x)], order, exact,
+                     provisional)
 
 
 @dataclass(frozen=True)
@@ -626,11 +639,10 @@ class ArcSpec:
 
     def jets(self, order: int,
              exact: bool = False) -> tuple[RationalJet | LaneJet, ...]:
-        """Each component's jet through t^order: `RationalJet`s, or
-        one-lane `LaneJet`s in float mode."""
+        """Each component's jet through t^order: one-lane `RationalJet`s,
+        or one-lane `LaneJet`s in float mode."""
         # t is O(t^1): invisible in a window of order 0
-        t = RationalJet.line(0, 1, order) if exact \
-            else LaneJet.line(0.0, np.ones(1), order)
+        t = (RationalJet if exact else LaneJet).line(0, (1,), order)
         return tuple(eval_jets(c.root, (t,), order, exact)
                      for c in self.components)
 
@@ -638,8 +650,8 @@ class ArcSpec:
 def eval_arc(e: Expr, arc: ArcSpec, order: int,
              exact: bool = False) -> RationalJet | LaneJet:
     """Laurent jet of f(gamma(t)) at t = 0, with guard defaults ignored:
-    a `RationalJet`, or a one-lane `LaneJet` in float mode and past an
-    irrational square root."""
+    a one-lane `RationalJet`, or a one-lane `LaneJet` in float mode and
+    past an irrational square root."""
     if arc.nvars != e.nvars:
         raise ValueError(f"arc has {arc.nvars} components, expression has {e.nvars}")
     if order < 0:

@@ -42,10 +42,6 @@ from .seeds import derive_seed, lattice_vector
 # n together: ~0.3 MB of factors at n=3, k_max 10, but ~1.1 GB at k_max 60,
 # whose orders beyond the budget are computed again per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
-# Monomial maps kept, one per (flip, k): n = 3 has 48 signed permutations,
-# so k_max 10 needs 528.  A map takes 16 bytes per monomial: under the
-# CLI's cap of 2000 monomials, 32 kB each and 32 MB for all.
-MAX_MONOMIAL_MAPS = 1024
 # The numerators `random_poly` draws from.
 _NUMERATORS = tuple(i for i in range(-9, 10) if i != 0)
 
@@ -221,6 +217,7 @@ class LatticeDesign:
         self._unit = np.empty((0, n))
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._blocks: dict[int, tuple[np.ndarray, int]] = {}
+        self._maps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def rows(self, count: int) -> list[tuple[int, ...]]:
         """The first `count` rows."""
@@ -284,6 +281,18 @@ class LatticeDesign:
             self._blocks[k] = block, size
         return block
 
+    def monomial_map(self, flip: tuple[tuple[int, int], ...], k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """`monomial_map(flip, k)`, kept per (flip, k) for the ladders, as
+        the factors are, within MAX_DESIGN_BYTES."""
+        held = self._maps.get((flip, k))
+        if held is None:
+            held = monomial_map(flip, k)
+            if _held_bytes() + held[0].nbytes + held[1].nbytes \
+                    <= MAX_DESIGN_BYTES:
+                self._maps[flip, k] = held
+        return held
+
 
 def _line(v: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive vector of v's line whose first nonzero entry is > 0."""
@@ -303,9 +312,10 @@ def canonical_design(n: int) -> LatticeDesign:
 
 
 def _held_bytes() -> int:
-    """Bytes of the factors and blocks that the canonical designs keep."""
+    """Bytes of the factors, blocks and maps the canonical designs keep."""
     return sum(sum(a.nbytes for pair in d._factors.values() for a in pair)
                + sum(size for _, size in d._blocks.values())
+               + sum(a.nbytes for pair in d._maps.values() for a in pair)
                for d in _DESIGNS.values())
 
 
@@ -329,13 +339,13 @@ def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, rng.choice((1, -1))) for i in sources)
 
 
-@lru_cache(maxsize=MAX_MONOMIAL_MAPS)
 def monomial_map(flip: tuple[tuple[int, int], ...], k: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(index, sign) with p's coefficients = sign * q's[index] for the
     degree-k forms q(u) = p(u M), M the signed permutation `flip`: v^a
-    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i].  Kept per
-    (flip, k), so both arrays are read-only."""
+    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i].  Computed
+    afresh, read-only: ladders share the canonical design's kept maps
+    (`LatticeDesign.monomial_map`)."""
     exps = _exponent_array(len(flip), k)
     moved = np.empty_like(exps)
     moved[:, [i for i, _ in flip]] = exps
@@ -361,10 +371,13 @@ def sample_nodes(flip: tuple[tuple[int, int], ...], k: int,
 
 
 def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
-               k: int, exact: bool = False) -> tuple[HomoPoly, list, float]:
+               k: int, exact: bool = False,
+               mapping: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[HomoPoly, list, float]:
     """The degree-k form p fitted to h_k's `values` along the canonical rows
     U under the signed permutation M = `flip`, the residuals it leaves,
     and the scale 1 + max |h_k| (at unit length for a least-squares fit).
+    `mapping` is `monomial_map(flip, k)`, if the caller keeps it.
 
     q(u) = p(u M) is fitted on U.  In `exact` mode all-exact values are
     interpolated: q solves the first d(n, k) rows of the integer `block`,
@@ -376,7 +389,7 @@ def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
     """
     n = len(flip)
     design = canonical_design(n)
-    index, sign = monomial_map(flip, k)
+    index, sign = mapping or monomial_map(flip, k)
     if exact and all(isinstance(h, (int, Fraction)) for h in values):
         d = dim_homog(n, k)
         block = design.block(k)

@@ -7,24 +7,23 @@ a jet is one the arithmetic actually determined.  A jet admits a negative
 valuation, which encodes a pole at t = 0 of the composed function along an
 arc; `taylor_coeff` reads a pole-free jet's coefficients.
 
-There are two kinds.  `RationalJet` is the exact jet: integer numerators
-over one positive denominator, reduced once per operation instead of once
-per coefficient (fraction-free, as in Bareiss's elimination).  `LaneJet`
-holds the float jets of one or more arcs ("lanes") that share one
-valuation and order, as one numpy array.  A one-lane `LaneJet` is the
-float jet of a single arc; a batch raises `IrregularBatch` where its lanes
-would part ways, and its caller reruns them one lane at a time.  Where a
-square root meets an exact lead that is not a rational square, the root
-is irrational: `RationalJet` hands over a one-lane `LaneJet` of Python
-scalars (numpy's `object` dtype), and from there on each coefficient
-stays a `Fraction` until a float reaches it.
+There are two kinds, and each holds the jets of one or more arcs
+("lanes") that share one valuation and order.  `RationalJet` is the exact
+jet: integer numerators over one positive denominator per lane, reduced
+once per operation instead of once per coefficient (fraction-free, as in
+Bareiss's elimination).  `LaneJet` holds float jets as one numpy array.
+A one-lane jet is the jet of a single arc; a batch raises `IrregularBatch`
+where its lanes would part ways, and its caller reruns them one lane at a
+time.  Where a square root meets exact leads that are rational squares in
+no lane, the roots are irrational: `RationalJet` hands over a `LaneJet`
+of Python scalars (numpy's `object` dtype), and from there on each
+coefficient stays a `Fraction` until a float reaches it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
 from typing import Union
 
 import numpy as np
@@ -75,30 +74,67 @@ def jet_sqrt(a: "RationalJet | LaneJet") -> "RationalJet | LaneJet":
     return a.sqrt()
 
 
-def _support(nums: list[int], rel: int) -> int:
-    """Length of nums[:rel + 1] without its trailing zeros (nums[0] != 0)."""
-    n = min(len(nums), rel + 1)
-    while not nums[n - 1]:
-        n -= 1
-    return n
+class _Batch:
+    """What both jet kinds share: a batch of lanes fails as a whole."""
+
+    __slots__ = ()
+
+    def _fail(self, error: type, message: str):
+        """Raise `error`, or in a batch `IrregularBatch`, so that its lanes
+        are rerun one at a time."""
+        raise (error if self.lanes == 1 else IrregularBatch)(message)
+
+    def taylor_coeff(self, k: int) -> Scalar:
+        """`taylor_column(k)` of a one-lane jet."""
+        return self.taylor_column(k, 1)[0]
 
 
-class RationalJet:
-    """An exact Laurent jet: integer numerators over one denominator.
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
 
-    Coefficient i, of t^(valuation + i), is nums[i] / den.  Normalised
-    form: den > 0, gcd(den, *nums) == 1 and nums[0] != 0, except for the
-    zero jet, which has no numerators, den 1 and valuation order + 1 (an
-    empty window of known zeros).  Each operation runs an integer
-    recurrence and reduces its result once (one `math.gcd` call), where
-    `Fraction` coefficients would reduce every product and sum.  An
-    operation with a `LaneJet` operand converts this jet with `to_lanes`
-    and returns the `LaneJet` result.
+
+def _leading_zeros(rows: np.ndarray) -> int:
+    """The rows zero in every lane before one nonzero in all (every row of
+    a zero jet); IrregularBatch where the lanes differ."""
+    lead = 0
+    while lead < len(rows) and not rows[lead].all():
+        if rows[lead].any():
+            raise IrregularBatch("leading zeros differ between lanes")
+        lead += 1
+    return lead
+
+
+def _powers(base: np.ndarray, top: int) -> np.ndarray:
+    """base ** 0 .. base ** top, one row each, as Python ints."""
+    rows = [np.ones(len(base), dtype=object)]
+    for _ in range(top):
+        rows.append(rows[-1] * base)
+    return np.array(rows, dtype=object)
+
+
+class RationalJet(_Batch):
+    """Exact Laurent jets of one or more lanes with one valuation and order.
+
+    `nums` is an `(order - valuation + 1, lanes)` `object` array of Python
+    ints and `den` a `(lanes,)` one: coefficient i of lane l, of
+    t^(valuation + i), is nums[i, l] / den[l].  Normalised form: each den
+    is positive and coprime to its lane's numerators, and row 0 is nonzero
+    in every lane, except for the zero jet, which has no rows, every den 1
+    and valuation order + 1 (an empty window of known zeros).  Each
+    operation runs one integer recurrence across the lanes and reduces
+    each lane once (`np.gcd`), where `Fraction` coefficients would reduce
+    every product and sum.  Exact values do not depend on batching, so
+    each lane equals the one-lane jet of its arc, in value and type.  A
+    batch raises `IrregularBatch` where its lanes would part ways, as a
+    `LaneJet` does, and where a square root is rational in some lanes
+    only (the lanes would go on in different arithmetics).  A square root
+    rational in no lane, and an operation with a `LaneJet` operand,
+    continue on `to_lanes()`.
     """
 
     __slots__ = ("valuation", "order", "nums", "den")
 
-    def __init__(self, valuation: int, nums: list[int], den: int, order: int):
+    def __init__(self, valuation: int, nums: np.ndarray, den: np.ndarray,
+                 order: int):
         """Takes normalised fields as they are; see `_reduced`."""
         self.valuation = valuation
         self.order = order
@@ -106,76 +142,83 @@ class RationalJet:
         self.den = den
 
     @staticmethod
-    def _reduced(valuation: int, nums: list[int], den: int,
+    def _reduced(valuation: int, nums: np.ndarray, den: np.ndarray,
                  order: int) -> "RationalJet":
-        """The normalised jet of nums / den (den nonzero, either sign)."""
-        lead = 0
-        while lead < len(nums) and not nums[lead]:
-            lead += 1
+        """The normalised jet of nums / den (den positive)."""
+        lead = _leading_zeros(nums)
         if lead == len(nums):
-            return RationalJet.zero(order)
-        if lead:
-            nums = nums[lead:]
-            valuation += lead
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        return RationalJet(valuation, nums, den, order)
+            return RationalJet.zero(nums.shape[1], order)
+        nums = nums[lead:]
+        g = np.gcd(np.gcd.reduce(nums, axis=0), den)
+        if (g != 1).any():
+            nums = nums // g
+            den = den // g
+        return RationalJet(valuation + lead, nums, den, order)
 
     # --- constructors and conversion ----------------------------------------
 
     @staticmethod
-    def zero(order: int) -> "RationalJet":
-        return RationalJet(order + 1, [], 1, order)
+    def zero(lanes: int, order: int) -> "RationalJet":
+        return RationalJet(order + 1, np.zeros((0, lanes), dtype=object),
+                           np.ones(lanes, dtype=object), order)
 
     @staticmethod
-    def constant(value: int | Fraction, order: int) -> "RationalJet":
+    def constant(value: int | Fraction, lanes: int,
+                 order: int) -> "RationalJet":
         """The constant `value`; a window ending below t^0 holds only zeros."""
         if value == 0 or order < 0:
-            return RationalJet.zero(order)
+            return RationalJet.zero(lanes, order)
         value = Fraction(value)
-        return RationalJet(0, [value.numerator] + [0] * order,
-                           value.denominator, order)
+        nums = np.zeros((order + 1, lanes), dtype=object)
+        nums[0] = value.numerator
+        return RationalJet(0, nums, np.full(lanes, value.denominator,
+                                            dtype=object), order)
 
     @staticmethod
-    def line(x: Scalar, v: Scalar, order: int) -> "RationalJet":
-        """The jet of t -> x + t v (rationals), through t^order."""
-        x, v = Fraction(x), Fraction(v)
-        den = math.lcm(x.denominator, v.denominator)
-        nums = [x.numerator * (den // x.denominator),
-                v.numerator * (den // v.denominator)] + [0] * (order - 1)
-        return RationalJet._reduced(0, nums[:order + 1], den, order)
+    def line(x: Scalar, v, order: int) -> "RationalJet":
+        """The jets of t -> x + t v_l (rationals) through t^order, one lane
+        per entry of v; x and each v_l in lowest terms leave each lane so."""
+        x = Fraction(x)
+        v = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in v]
+        den = [math.lcm(x.denominator, c.denominator) for c in v]
+        nums = np.zeros((order + 1, len(v)), dtype=object)
+        nums[0] = [x.numerator * (d // x.denominator) for d in den]
+        nums[1:2] = [c.numerator * (d // c.denominator)
+                     for c, d in zip(v, den)]
+        jet = RationalJet(0, nums, np.array(den, dtype=object), order)
+        return jet if x else RationalJet._reduced(0, nums, jet.den, order)
 
     def to_lanes(self) -> "LaneJet":
-        """The same jet as a one-lane `LaneJet` of `Fraction`s (`object`
-        dtype)."""
-        coeffs = np.empty((len(self.nums), 1), dtype=object)
-        coeffs[:, 0] = self.coefficients()
-        return LaneJet(self.valuation, coeffs, self.order)
+        """The same jets as a `LaneJet` of `Fraction`s (`object` dtype)."""
+        return LaneJet(self.valuation, _FRACTION(self.nums, self.den),
+                       self.order)
 
     # --- inspection ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.nums
+    def lanes(self) -> int:
+        return self.nums.shape[1]
 
-    def taylor_coeff(self, k: int) -> Fraction:
-        """Coefficient of t^k (the k-th scaled derivative) of a pole-free
-        jet, always as a `Fraction`; ShortWindow beyond the window."""
-        if self.nums and self.valuation < 0:
+    @property
+    def is_zero(self) -> bool:
+        return len(self.nums) == 0
+
+    def taylor_column(self, k: int, count: int | None = None) -> list[Fraction]:
+        """Coefficient of t^k (the k-th scaled derivative) of the first
+        `count` lanes (all by default) of a pole-free jet, always as
+        `Fraction`s; ShortWindow beyond the window."""
+        if len(self.nums) and self.valuation < 0:
             raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
         if k > self.order:
             raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
         if k < self.valuation:
-            return Fraction(0)
-        return Fraction(self.nums[k - self.valuation], self.den)
+            return [Fraction(0)] * len(range(self.lanes)[:count])
+        return list(map(Fraction, self.nums[k - self.valuation, :count].tolist(),
+                        self.den[:count].tolist()))
 
     def coefficients(self) -> list[Fraction]:
-        """The retained coefficients from t^valuation up."""
-        return [Fraction(c, self.den) for c in self.nums]
+        """A one-lane jet's retained coefficients from t^valuation up."""
+        return [Fraction(c, self.den[0]) for c in self.nums[:, 0].tolist()]
 
     # --- arithmetic ---------------------------------------------------------
 
@@ -184,17 +227,15 @@ class RationalJet:
         k = min(self.order, other.order)
         lo = min(self.valuation, other.valuation)
         if lo > k:
-            return RationalJet.zero(k)
-        g = math.gcd(self.den, other.den)
-        acc = [0] * (k - lo + 1)
+            return RationalJet.zero(self.lanes, k)
+        g = np.gcd(self.den, other.den)
+        acc = np.zeros((k - lo + 1, self.lanes), dtype=object)
         for src, scale in ((self, other.den // g),
                            (other, sign * (self.den // g))):
-            part = src.nums[:max(k - src.valuation + 1, 0)]
-            if scale != 1:
-                part = [c * scale for c in part]
-            start = src.valuation - lo
-            end = start + len(part)
-            acc[start:end] = map(add, acc[start:end], part)
+            n = min(len(src.nums), k - src.valuation + 1)
+            if n > 0:
+                acc[src.valuation - lo:src.valuation - lo + n] += \
+                    src.nums[:n] * scale
         return RationalJet._reduced(lo, acc, self.den // g * other.den, k)
 
     def __add__(self, other):
@@ -210,20 +251,22 @@ class RationalJet:
     def __mul__(self, other):
         if not isinstance(other, RationalJet):
             return self.to_lanes() * other
-        if not self.nums or not other.nums:
+        if self.is_zero or other.is_zero:
             order = min(self.order + other.valuation, other.order + self.valuation)
-            return RationalJet.zero(order)
+            return RationalJet.zero(self.lanes, order)
         rel = min(self.order - self.valuation, other.order - other.valuation)
-        a, b = self.nums, other.nums
-        na, nb = _support(a, rel), _support(b, rel)
-        if na > nb:
-            a, b, na, nb = b, a, nb, na
-        # Polynomial jets end in zeros: only the first na + nb - 1
-        # coefficients can be nonzero, and only na terms of each.
-        a = a[:na]
-        top = min(na + nb - 1, rel + 1)
-        out = [sum(map(mul, a[:i + 1], b[i::-1])) for i in range(top)]
-        out += [0] * (rel + 1 - top)
+        a, b = self.nums[:rel + 1], other.nums[:rel + 1]
+        # Polynomial jets end in zeros: step through the rows of the factor
+        # with fewer nonzero rows, each up to the other's last nonzero row.
+        rows_a = np.flatnonzero(a.any(axis=1))
+        rows_b = np.flatnonzero(b.any(axis=1))
+        if len(rows_a) > len(rows_b):
+            a, b, rows_a, rows_b = b, a, rows_b, rows_a
+        nb = int(rows_b[-1]) + 1
+        out = np.zeros((rel + 1, self.lanes), dtype=object)
+        for i in rows_a.tolist():
+            m = min(nb, rel + 1 - i)
+            out[i:i + m] += a[i] * b[:m]
         v = self.valuation + other.valuation
         return RationalJet._reduced(v, out, self.den * other.den, v + rel)
 
@@ -236,32 +279,25 @@ class RationalJet:
         """
         if not isinstance(other, RationalJet):
             return self.to_lanes() / other
-        if not other.nums:
-            raise ZeroDivisor(
-                "every retained coefficient of the divisor is zero "
-                f"(window O(t^{other.order + 1}))")
-        if not self.nums:
-            return RationalJet.zero(self.order - other.valuation)
+        if other.is_zero:
+            self._fail(ZeroDivisor, "every retained coefficient of the divisor "
+                       f"is zero (window O(t^{other.order + 1}))")
+        if self.is_zero:
+            return RationalJet.zero(self.lanes, self.order - other.valuation)
         rel = min(self.order - self.valuation, other.order - other.valuation)
-        a, b = self.nums, other.nums
-        b0 = b[0]
-        scaled = []          # B_j b0^(j-1), j = 1..rel, up to B's last nonzero
-        power = 1
-        for j in range(1, _support(b, rel)):
-            scaled.append(b[j] * power)
-            power *= b0
-        q = []
-        power = 1            # b0^i
-        for i in range(rel + 1):
-            q.append(a[i] * power - sum(map(mul, scaled[:i], q[::-1])))
-            power *= b0
-        nums = [0] * (rel + 1)
-        shift = other.den    # db b0^(rel-i)
-        for i in range(rel, -1, -1):
-            nums[i] = q[i] * shift
-            shift *= b0
+        b = other.nums
+        power = _powers(b[0], rel + 1)              # b0^i
+        nb = min(int(np.flatnonzero(b.any(axis=1))[-1]) + 1, rel + 1)
+        scaled = b[1:nb] * power[:nb - 1]           # B_j b0^(j-1)
+        q = self.nums[:rel + 1] * power[:rel + 1]   # A_i b0^i, then Q_i
+        for i in range(1, rel + 1):
+            j = min(i, nb - 1)
+            if j:
+                q[i] -= (scaled[:j] * q[i - j:i][::-1]).sum(axis=0)
         v = self.valuation - other.valuation
-        return RationalJet._reduced(v, nums, self.den * power, v + rel)
+        sign = np.where(b[0] < 0, -1, 1) ** (rel + 1)  # that of b0^(rel+1)
+        return RationalJet._reduced(v, q * (other.den * power[rel::-1] * sign),
+                                    self.den * power[rel + 1] * sign, v + rel)
 
     def pow_int(self, exponent: int) -> "RationalJet":
         if exponent < 0:
@@ -271,7 +307,7 @@ class RationalJet:
             # below t^0, so it keeps the base's relative precision instead,
             # and may still end below t^0.
             return RationalJet.constant(
-                1, max(self.order, self.order - self.valuation))
+                1, self.lanes, max(self.order, self.order - self.valuation))
         return _power(self, exponent)
 
     def sqrt(self) -> "RationalJet | LaneJet":
@@ -280,40 +316,45 @@ class RationalJet:
         With a0 = A[0] = den (p/q)^2, U_i = A_i (4 a0)^(i-1) -
         sum_{j=1..i-1} U_j U_{i-j} and the root's coefficient i >= 1 is
         (p/q) U_i / (2^(2i-1) a0^i), which over the denominator
-        q (4 a0)^rel has the numerator 2 p U_i (4 a0)^(rel-i).  Any other
-        lead makes the root irrational: the result is then the root of
-        `to_lanes()`, whose coefficients are floats.
+        q (4 a0)^rel has the numerator 2 p U_i (4 a0)^(rel-i).  A lead
+        that is a rational square in no lane makes every root irrational:
+        the result is then the root of `to_lanes()`, whose coefficients
+        are floats.
         """
-        if not self.nums:
-            return RationalJet.zero(self.order // 2)
+        if self.is_zero:
+            return RationalJet.zero(self.lanes, self.order // 2)
         if self.valuation % 2 != 0:
-            raise OddValuation(f"leading exponent {self.valuation} is odd")
-        a = self.nums
-        a0, den = a[0], self.den
-        if a0 < 0:
-            raise NegativeLeading(
-                f"leading coefficient {Fraction(a0, den)} is negative")
-        g = math.gcd(a0, den)
-        p, q = math.isqrt(a0 // g), math.isqrt(den // g)
-        if p * p * g != a0 or q * q * g != den:
+            self._fail(OddValuation, f"leading exponent {self.valuation} is odd")
+        roots = []
+        for a0, den in zip(self.nums[0].tolist(), self.den.tolist()):
+            if a0 < 0:
+                self._fail(NegativeLeading, "leading coefficient "
+                           f"{Fraction(a0, den)} is negative")
+            g = math.gcd(a0, den)
+            p, q = math.isqrt(a0 // g), math.isqrt(den // g)
+            roots.append((p, q) if p * p * g == a0 and q * q * g == den
+                         else None)
+        if None in roots:
+            if any(roots):
+                raise IrregularBatch("a square root is rational in some "
+                                     "lanes only")
             return self.to_lanes().sqrt()
         rel = self.order - self.valuation
-        four_a0 = 4 * a0
-        u = [0]              # U_0 is not used
-        power = 1            # (4 a0)^(i-1)
+        power = _powers(4 * self.nums[0], rel)      # (4 a0)^i
+        u = np.empty((rel + 1, self.lanes), dtype=object)
         for i in range(1, rel + 1):
-            u.append(a[i] * power - sum(map(mul, u[1:i], u[i - 1:0:-1])))
-            power *= four_a0
-        nums = [p * power] + [0] * rel
-        shift = 2 * p        # 2 p (4 a0)^(rel-i)
-        for i in range(rel, 0, -1):
-            nums[i] = u[i] * shift
-            shift *= four_a0
+            u[i] = self.nums[i] * power[i - 1]
+            if i > 1:
+                u[i] -= (u[1:i] * u[i - 1:0:-1]).sum(axis=0)
+        p, q = (np.array(c, dtype=object) for c in zip(*roots))
+        nums = np.empty((rel + 1, self.lanes), dtype=object)
+        nums[0] = p * power[rel]
+        nums[1:] = u[1:] * (2 * p * power[rel - 1::-1][:rel])
         v = self.valuation // 2
-        return RationalJet._reduced(v, nums, q * power, v + rel)
+        return RationalJet._reduced(v, nums, q * power[rel], v + rel)
 
 
-class LaneJet:
+class LaneJet(_Batch):
     """Float Laurent jets of one or more lanes with one valuation and order.
 
     `coeffs` is a `(order - valuation + 1, lanes)` array, one row per
@@ -330,13 +371,16 @@ class LaneJet:
     its caller then reruns the lanes one at a time.  A one-lane jet keeps
     non-finite coefficients, as IEEE arithmetic makes them.
 
-    A one-lane jet of `object` dtype holds Python scalars: it is what
-    exact evaluation turns into past an irrational square root
+    A jet of `object` dtype holds Python scalars: it is what exact
+    evaluation turns into past irrational square roots
     (`RationalJet.to_lanes`).  The same recurrences then run on
     `Fraction`s and floats, so a coefficient stays exact until a float
     reaches it, and an exact value is rounded where it meets one (with
-    OverflowError beyond the float range).  Such a jet's zeroth power, or
-    a zero one's, is the exact 1.
+    OverflowError beyond the float range).  Its zeroth power is each
+    lane's lead to the 0, or for a zero jet the exact 1.  Its lanes part
+    ways only as exact jets' do: its products skip a term in just the
+    lanes where the left factor is 0, so no term is skipped in some lanes
+    and not others, and a non-finite float is no reason to rerun them.
 
     `*` skips structural zeros: it steps only through the rows of the left
     factor that are nonzero in some lane, and each step stops at the right
@@ -346,7 +390,8 @@ class LaneJet:
     start at +0.0 and, rounding to nearest, never become −0.0, and adding
     ±0 to a value other than −0.0 leaves it unchanged.  A product whose
     left factor is not finite, or of `object` dtype (where a·0 is a float
-    when a is one), does not stop at the right factor's last nonzero row.
+    when a is one, and 0·b is -0.0 when b is a negative float), does not
+    stop at the right factor's last nonzero row.
     `/` and `sqrt` do not skip: their recurrences subtract, and x − (−0.0)
     is not x when x is −0.0.
     """
@@ -354,24 +399,13 @@ class LaneJet:
     __slots__ = ("valuation", "order", "coeffs")
 
     def __init__(self, valuation: int, coeffs: np.ndarray, order: int):
-        if coeffs.shape[1] > 1 and not np.isfinite(coeffs).all():
+        if coeffs.shape[1] > 1 and coeffs.dtype != object \
+                and not np.isfinite(coeffs).all():
             raise IrregularBatch("non-finite coefficient")
-        lead = 0
-        while lead < len(coeffs):
-            nonzero = coeffs[lead] != 0
-            if nonzero.all():
-                break
-            if nonzero.any():
-                raise IrregularBatch("leading zeros differ between lanes")
-            lead += 1
+        lead = _leading_zeros(coeffs)
         self.valuation = valuation + lead
         self.order = order
         self.coeffs = coeffs[lead:]
-
-    def _fail(self, error: type, message: str):
-        """Raise `error`, or in a batch `IrregularBatch`, so that its lanes
-        are rerun one at a time."""
-        raise (error if self.lanes == 1 else IrregularBatch)(message)
 
     @staticmethod
     def zero(lanes: int, order: int, dtype=float) -> "LaneJet":
@@ -404,20 +438,17 @@ class LaneJet:
     def is_zero(self) -> bool:
         return len(self.coeffs) == 0
 
-    def taylor_column(self, k: int) -> list:
-        """Coefficient of t^k (the k-th scaled derivative) of every lane of
-        a pole-free jet; ShortWindow beyond the window."""
+    def taylor_column(self, k: int, count: int | None = None) -> list:
+        """Coefficient of t^k (the k-th scaled derivative) of the first
+        `count` lanes (all by default) of a pole-free jet; ShortWindow
+        beyond the window."""
         if not self.is_zero and self.valuation < 0:
             raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
         if k > self.order:
             raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
         if k < self.valuation:
-            return [0] * self.lanes
-        return self.coeffs[k - self.valuation].tolist()
-
-    def taylor_coeff(self, k: int) -> Scalar:
-        """`taylor_column(k)` of a one-lane jet, as `RationalJet.taylor_coeff`."""
-        return self.taylor_column(k)[0]
+            return [0] * len(range(self.lanes)[:count])
+        return self.coeffs[k - self.valuation, :count].tolist()
 
     def coefficients(self) -> list[Scalar]:
         """A one-lane jet's retained coefficients from t^valuation up."""
@@ -463,9 +494,15 @@ class LaneJet:
         nb = len(b)
         if dtype != object and (self.lanes > 1 or np.isfinite(a).all()):
             nb = int(np.flatnonzero(b.any(axis=1))[-1]) + 1
-        for i in rows:
-            m = min(nb, rel + 1 - i)
-            out[i:i + m] += a[i] * b[:m]
+        if dtype == object:
+            for i in rows:
+                m = min(nb, rel + 1 - i)
+                keep = a[i] != 0    # per lane, as its one-lane product steps
+                out[i:i + m, keep] += a[i, keep] * b[:m, keep]
+        else:
+            for i in rows:
+                m = min(nb, rel + 1 - i)
+                out[i:i + m] += a[i] * b[:m]
         v = self.valuation + other.valuation
         return LaneJet(v, out, v + rel)
 
@@ -516,11 +553,12 @@ class LaneJet:
 
     def pow_int(self, exponent: int) -> "LaneJet":
         if exponent == 0:
-            # 1 in the kind of the lead (of Python scalars, a zero jet's is
-            # the exact 1), in RationalJet.pow_int's window
+            # 1 in the kind of each lane's lead (of Python scalars, a zero
+            # jet's is the exact 1), in RationalJet.pow_int's window
             one = 1.0
             if self.coeffs.dtype == object:
-                one = self.coeffs[0, 0] ** 0 if len(self.coeffs) else Fraction(1)
+                one = [c ** 0 for c in self.coeffs[0]] if len(self.coeffs) \
+                    else Fraction(1)
             return LaneJet.constant(one, self.lanes,
                                     max(self.order, self.order - self.valuation),
                                     self.coeffs.dtype)

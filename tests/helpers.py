@@ -11,7 +11,10 @@ one-lane `LaneJet`s replaced: Python floats or `Fraction`s, one
 coefficient at a time.  It is kept as their reference, with
 `laurent_series` (the scalar float path along a line),
 `fraction_gateaux_series` (exact jets over `Fraction` coefficients) and
-the conversions `laurent_of` and `rational_of`.  `qr_residuals` is the
+the conversions `laurent_of` and `rational_of`.  `ScalarRationalJet` is
+the exact jet of one arc as `RationalJet` ran it before its lanes were
+batched, integer numerators as lists; with `scalar_rational_series` it is
+the reference for exact lanes.  `qr_residuals` is the
 float order test as it was before the canonical design: a QR of the
 evaluation matrix at the very directions the jets were taken along.  `seeded_exact_fit` is the exact
 fit as it was before the canonical integer blocks: a solve on the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import add, mul
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,7 +48,8 @@ from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var, _exact_div, compile_tape, run_tape
 from arcan.homog import HomoPoly, canonical_design, dim_homog, \
     evaluation_matrix, monomials, signed_permutation
-from arcan.jets import LaneJet, RationalJet, Scalar, sqrt_scalar
+from arcan.jets import LaneJet, RationalJet, Scalar, _power, jet_sqrt, \
+    sqrt_scalar
 from arcan.linalg import solve_exact
 from arcan.parser import var_name
 
@@ -215,6 +220,262 @@ class LaurentJet:
         return LaurentJet(v, out, v + rel)
 
 
+# --- the list jet (reference for exact RationalJet lanes) ---------------------
+
+def _support(nums: list[int], rel: int) -> int:
+    """Length of nums[:rel + 1] without its trailing zeros (nums[0] != 0)."""
+    n = min(len(nums), rel + 1)
+    while not nums[n - 1]:
+        n -= 1
+    return n
+
+
+class ScalarRationalJet:
+    """The exact jet of one arc as `RationalJet` ran it before its lanes
+    were batched: integer numerators over one denominator, as lists.
+
+    Coefficient i, of t^(valuation + i), is nums[i] / den.  Normalised
+    form: den > 0, gcd(den, *nums) == 1 and nums[0] != 0, except for the
+    zero jet, which has no numerators, den 1 and valuation order + 1 (an
+    empty window of known zeros).  Each operation runs an integer
+    recurrence and reduces its result once (one `math.gcd` call), where
+    `Fraction` coefficients would reduce every product and sum.  An
+    operation with a `LaneJet` operand converts this jet with `to_lanes`
+    and returns the `LaneJet` result.
+    """
+
+    __slots__ = ("valuation", "order", "nums", "den")
+
+    def __init__(self, valuation: int, nums: list[int], den: int, order: int):
+        """Takes normalised fields as they are; see `_reduced`."""
+        self.valuation = valuation
+        self.order = order
+        self.nums = nums
+        self.den = den
+
+    @staticmethod
+    def _reduced(valuation: int, nums: list[int], den: int,
+                 order: int) -> "ScalarRationalJet":
+        """The normalised jet of nums / den (den nonzero, either sign)."""
+        lead = 0
+        while lead < len(nums) and not nums[lead]:
+            lead += 1
+        if lead == len(nums):
+            return ScalarRationalJet.zero(order)
+        if lead:
+            nums = nums[lead:]
+            valuation += lead
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return ScalarRationalJet(valuation, nums, den, order)
+
+    # --- constructors and conversion ----------------------------------------
+
+    @staticmethod
+    def zero(order: int) -> "ScalarRationalJet":
+        return ScalarRationalJet(order + 1, [], 1, order)
+
+    @staticmethod
+    def constant(value: int | Fraction, order: int) -> "ScalarRationalJet":
+        """The constant `value`; a window ending below t^0 holds only zeros."""
+        if value == 0 or order < 0:
+            return ScalarRationalJet.zero(order)
+        value = Fraction(value)
+        return ScalarRationalJet(0, [value.numerator] + [0] * order,
+                           value.denominator, order)
+
+    @staticmethod
+    def line(x: Scalar, v: Scalar, order: int) -> "ScalarRationalJet":
+        """The jet of t -> x + t v (rationals), through t^order."""
+        x, v = Fraction(x), Fraction(v)
+        den = math.lcm(x.denominator, v.denominator)
+        nums = [x.numerator * (den // x.denominator),
+                v.numerator * (den // v.denominator)] + [0] * (order - 1)
+        return ScalarRationalJet._reduced(0, nums[:order + 1], den, order)
+
+    @property
+    def lanes(self) -> int:
+        return 1
+
+    def to_lanes(self) -> "LaneJet":
+        """The same jet as a one-lane `LaneJet` of `Fraction`s (`object`
+        dtype)."""
+        coeffs = np.empty((len(self.nums), 1), dtype=object)
+        coeffs[:, 0] = self.coefficients()
+        return LaneJet(self.valuation, coeffs, self.order)
+
+    # --- inspection ---------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def taylor_coeff(self, k: int) -> Fraction:
+        """Coefficient of t^k (the k-th scaled derivative) of a pole-free
+        jet, always as a `Fraction`; ShortWindow beyond the window."""
+        if self.nums and self.valuation < 0:
+            raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
+        if k > self.order:
+            raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
+        if k < self.valuation:
+            return Fraction(0)
+        return Fraction(self.nums[k - self.valuation], self.den)
+
+    def coefficients(self) -> list[Fraction]:
+        """The retained coefficients from t^valuation up."""
+        return [Fraction(c, self.den) for c in self.nums]
+
+    # --- arithmetic ---------------------------------------------------------
+
+    def _sum(self, other: "ScalarRationalJet", sign: int) -> "ScalarRationalJet":
+        """self + sign * other over the lcm of the two denominators."""
+        k = min(self.order, other.order)
+        lo = min(self.valuation, other.valuation)
+        if lo > k:
+            return ScalarRationalJet.zero(k)
+        g = math.gcd(self.den, other.den)
+        acc = [0] * (k - lo + 1)
+        for src, scale in ((self, other.den // g),
+                           (other, sign * (self.den // g))):
+            part = src.nums[:max(k - src.valuation + 1, 0)]
+            if scale != 1:
+                part = [c * scale for c in part]
+            start = src.valuation - lo
+            end = start + len(part)
+            acc[start:end] = map(add, acc[start:end], part)
+        return ScalarRationalJet._reduced(lo, acc, self.den // g * other.den, k)
+
+    def __add__(self, other):
+        if isinstance(other, ScalarRationalJet):
+            return self._sum(other, 1)
+        return self.to_lanes() + other
+
+    def __sub__(self, other):
+        if isinstance(other, ScalarRationalJet):
+            return self._sum(other, -1)
+        return self.to_lanes() - other
+
+    def __mul__(self, other):
+        if not isinstance(other, ScalarRationalJet):
+            return self.to_lanes() * other
+        if not self.nums or not other.nums:
+            order = min(self.order + other.valuation, other.order + self.valuation)
+            return ScalarRationalJet.zero(order)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.nums, other.nums
+        na, nb = _support(a, rel), _support(b, rel)
+        if na > nb:
+            a, b, na, nb = b, a, nb, na
+        # Polynomial jets end in zeros: only the first na + nb - 1
+        # coefficients can be nonzero, and only na terms of each.
+        a = a[:na]
+        top = min(na + nb - 1, rel + 1)
+        out = [sum(map(mul, a[:i + 1], b[i::-1])) for i in range(top)]
+        out += [0] * (rel + 1 - top)
+        v = self.valuation + other.valuation
+        return ScalarRationalJet._reduced(v, out, self.den * other.den, v + rel)
+
+    def __truediv__(self, other):
+        """Fraction-free long division.
+
+        With b0 = B[0], Q_i = A_i b0^i - sum_{j=1..i} B_j b0^(j-1) Q_{i-j}
+        and the quotient's coefficient i is Q_i db / (da b0^(i+1)), all put
+        over the denominator da b0^(rel+1).
+        """
+        if not isinstance(other, ScalarRationalJet):
+            return self.to_lanes() / other
+        if not other.nums:
+            raise ZeroDivisor(
+                "every retained coefficient of the divisor is zero "
+                f"(window O(t^{other.order + 1}))")
+        if not self.nums:
+            return ScalarRationalJet.zero(self.order - other.valuation)
+        rel = min(self.order - self.valuation, other.order - other.valuation)
+        a, b = self.nums, other.nums
+        b0 = b[0]
+        scaled = []          # B_j b0^(j-1), j = 1..rel, up to B's last nonzero
+        power = 1
+        for j in range(1, _support(b, rel)):
+            scaled.append(b[j] * power)
+            power *= b0
+        q = []
+        power = 1            # b0^i
+        for i in range(rel + 1):
+            q.append(a[i] * power - sum(map(mul, scaled[:i], q[::-1])))
+            power *= b0
+        nums = [0] * (rel + 1)
+        shift = other.den    # db b0^(rel-i)
+        for i in range(rel, -1, -1):
+            nums[i] = q[i] * shift
+            shift *= b0
+        v = self.valuation - other.valuation
+        return ScalarRationalJet._reduced(v, nums, self.den * power, v + rel)
+
+    def pow_int(self, exponent: int) -> "ScalarRationalJet":
+        if exponent < 0:
+            raise ValueError("negative exponents go through division")
+        if exponent == 0:
+            # The constant 1 in the base's window; a pole's window ends
+            # below t^0, so it keeps the base's relative precision instead,
+            # and may still end below t^0.
+            return ScalarRationalJet.constant(
+                1, max(self.order, self.order - self.valuation))
+        return _power(self, exponent)
+
+    def sqrt(self) -> "ScalarRationalJet | LaneJet":
+        """`jet_sqrt`, exact while the lead is the square of a rational.
+
+        With a0 = A[0] = den (p/q)^2, U_i = A_i (4 a0)^(i-1) -
+        sum_{j=1..i-1} U_j U_{i-j} and the root's coefficient i >= 1 is
+        (p/q) U_i / (2^(2i-1) a0^i), which over the denominator
+        q (4 a0)^rel has the numerator 2 p U_i (4 a0)^(rel-i).  Any other
+        lead makes the root irrational: the result is then the root of
+        `to_lanes()`, whose coefficients are floats.
+        """
+        if not self.nums:
+            return ScalarRationalJet.zero(self.order // 2)
+        if self.valuation % 2 != 0:
+            raise OddValuation(f"leading exponent {self.valuation} is odd")
+        a = self.nums
+        a0, den = a[0], self.den
+        if a0 < 0:
+            raise NegativeLeading(
+                f"leading coefficient {Fraction(a0, den)} is negative")
+        g = math.gcd(a0, den)
+        p, q = math.isqrt(a0 // g), math.isqrt(den // g)
+        if p * p * g != a0 or q * q * g != den:
+            return self.to_lanes().sqrt()
+        rel = self.order - self.valuation
+        four_a0 = 4 * a0
+        u = [0]              # U_0 is not used
+        power = 1            # (4 a0)^(i-1)
+        for i in range(1, rel + 1):
+            u.append(a[i] * power - sum(map(mul, u[1:i], u[i - 1:0:-1])))
+            power *= four_a0
+        nums = [p * power] + [0] * rel
+        shift = 2 * p        # 2 p (4 a0)^(rel-i)
+        for i in range(rel, 0, -1):
+            nums[i] = u[i] * shift
+            shift *= four_a0
+        v = self.valuation // 2
+        return ScalarRationalJet._reduced(v, nums, q * power, v + rel)
+
+
+def scalar_rational_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
+                           order: int) -> "ScalarRationalJet | LaneJet":
+    """The exact jet of t -> f(x + t v) over `ScalarRationalJet`s, handing
+    over to a one-lane `LaneJet` past an irrational square root."""
+    return run_tape(compile_tape(e.root),
+                    [ScalarRationalJet.line(xi, vi, order)
+                     for xi, vi in zip(x, v)],
+                    lambda c: ScalarRationalJet.constant(c, order),
+                    jet_sqrt, lambda body, default: body)
+
+
 def laurent_series(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar],
                    order: int) -> LaurentJet:
     """The jet of t -> f(x + t v) over `LaurentJet`s, floats for float x, v."""
@@ -233,13 +494,17 @@ def laurent_of(jet: RationalJet | LaneJet, lane: int = 0) -> LaurentJet:
     return LaurentJet(jet.valuation, jet.coeffs[:, lane].tolist(), jet.order)
 
 
-def rational_of(jet: LaurentJet) -> RationalJet:
-    """A `LaurentJet` with int and Fraction coefficients as a `RationalJet`."""
-    if jet.is_zero:
-        return RationalJet.zero(jet.order)
-    den = math.lcm(*(Fraction(c).denominator for c in jet.coeffs))
-    return RationalJet(jet.valuation, [int(c * den) for c in jet.coeffs],
-                       den, jet.order)
+def rational_of(*jets: LaurentJet) -> RationalJet:
+    """`LaurentJet`s with int and Fraction coefficients and one valuation
+    and order as the lanes of a `RationalJet`."""
+    if jets[0].is_zero:
+        return RationalJet.zero(len(jets), jets[0].order)
+    dens = [math.lcm(*(Fraction(c).denominator for c in jet.coeffs))
+            for jet in jets]
+    nums = np.array([[int(c * den) for c in jet.coeffs]
+                     for jet, den in zip(jets, dens)], dtype=object).T
+    return RationalJet(jets[0].valuation, nums, np.array(dens, dtype=object),
+                       jets[0].order)
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

@@ -305,6 +305,23 @@ class TestFiberLift:
             fiber_lift_check(e5, z_axis_chart, (0.0, 0.0, 0.0),
                              k_max=3, seed=67)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_point_centre_reuses_the_base_verdict(self, monkeypatch,
+                                                    exact):
+        # With no free coordinate every centre sample is the base point,
+        # which classifies NonAnalytic: only the base ladder runs.
+        calls = []
+
+        def spy(e, x, *args, **kwargs):
+            calls.append(tuple(x))
+            return classify_point(e, x, *args, **kwargs)
+        monkeypatch.setattr(blowup, "classify_point", spy)
+        with pytest.raises(PremiseViolated,
+                           match="no nearby regular point of the center"):
+            fiber_lift_check(E1, POINT_CHART, (0, 0), k_max=3, seed=67,
+                             exact=exact)
+        assert calls == [(0, 0)]
+
     def test_base_point_must_lie_on_center(self):
         with pytest.raises(ValueError):
             fiber_lift_check(ZCONE, XAXIS_CHART, (0.0, 1.0, 0.0), k_max=2)

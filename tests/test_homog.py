@@ -277,23 +277,46 @@ class TestLatticeDesign:
 
 
 class TestMonomialMap:
-    def test_a_repeated_map_is_the_same_read_only_arrays(self):
-        flip = signed_permutation(5, 3)
-        index, sign = monomial_map(flip, 4)
-        again = monomial_map(flip, 4)
-        assert again[0] is index and again[1] is sign
-        for a in (index, sign):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_maps_carry_q_to_p(self, n):
+        # p(v) with coefficients sign * q[index] satisfies p(u M) = q(u)
+        rng = random.Random(n)
+        for flip in list(permutation_seeds(n))[:12]:
+            for k in range(7):
+                index, sign = monomial_map(flip, k)
+                q = [F(rng.randint(-9, 9)) for _ in range(dim_homog(n, k))]
+                p = HomoPoly(n, k, tuple(s * q[i] for i, s
+                                         in zip(index.tolist(), sign.tolist())))
+                u = tuple(rng.randint(-5, 5) for _ in range(n))
+                moved = tuple(s * u[i] for i, s in flip)
+                assert p(moved) == HomoPoly(n, k, tuple(q))(u), (flip, k)
 
-    def test_the_kept_maps_are_bounded(self):
-        assert monomial_map.cache_info().maxsize == homog.MAX_MONOMIAL_MAPS
-        flips = permutation_seeds(3)
-        for flip in flips:
-            for k in range(homog.MAX_MONOMIAL_MAPS // len(flips) + 1):
-                monomial_map(flip, k)
-        assert monomial_map.cache_info().currsize \
-            == homog.MAX_MONOMIAL_MAPS
+    def test_only_ladders_keep_maps_within_the_design_budget(self,
+                                                              monkeypatch):
+        # Identity trials compute their maps afresh; a ladder's are kept by
+        # the canonical design, read-only, while the budget allows.
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        check_interp_roundtrip(200, seed=1, exact=True)
+        check_interp_roundtrip(50, seed=2, exact=False)
+        assert all(not d._maps for d in homog._DESIGNS.values())
+        classify.design.cache_clear()
+        try:
+            classify.classify_point(parse("x*y + z"), (1, 2, 3), k_max=4,
+                                    seed=5, exact=True)
+        finally:
+            classify.design.cache_clear()
+        lattice = canonical_design(3)
+        flip = signed_permutation(5, 3)
+        assert sorted(lattice._maps) == [(flip, k) for k in range(5)]
+        index, sign = lattice.monomial_map(flip, 4)
+        assert lattice.monomial_map(flip, 4)[0] is index
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+        assert homog._held_bytes() >= index.nbytes + sign.nbytes
+        monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", homog._held_bytes())
+        again = lattice.monomial_map(flip, 5)
+        assert (flip, 5) not in lattice._maps
+        assert again[0].tolist() == monomial_map(flip, 5)[0].tolist()
 
 
 class TestInterpFit:

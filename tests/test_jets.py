@@ -313,16 +313,23 @@ class TestRationalJet:
             == outcome(lambda: radicand.sqrt())
 
     def test_normalised_form(self):
+        def fields(jet):
+            return jet.valuation, jet.nums.tolist(), jet.den.tolist()
         a = exact(0, [F(2, 3), F(4, 3)], 1)
-        assert (a.nums, a.den) == ([2, 4], 3)
+        assert fields(a) == (0, [[2], [4]], [3])
         b = exact(0, [F(1, 3), F(2, 3)], 1)
-        total = a + b
-        assert (total.valuation, total.nums, total.den) == (0, [1, 2], 1)
+        assert fields(a + b) == (0, [[1], [2]], [1])
         diff = a - a
-        assert diff.is_zero and (diff.valuation, diff.den) == (2, 1)
+        assert diff.is_zero and fields(diff) == (2, [], [1])
         # the quotient's denominator starts as 1 * (-2)^3: its sign moves up
-        q = RationalJet.constant(F(1), 2) / RationalJet.constant(F(-2), 2)
-        assert (q.nums, q.den) == ([-1, 0, 0], 2)
+        q = RationalJet.constant(F(1), 1, 2) / RationalJet.constant(F(-2), 1, 2)
+        assert fields(q) == (0, [[-1], [0], [0]], [2])
+        # each lane reduces on its own
+        lanes = rational_of(LaurentJet(0, [F(2, 3), F(4, 3)], 1),
+                            LaurentJet(0, [F(1, 2), F(-5, 6)], 1))
+        assert fields(lanes + lanes) == (0, [[4, 3], [8, -5]], [3, 3])
+        assert fields(lanes * lanes) == (0, [[4, 3], [16, -10]], [9, 12])
+        assert fields(lanes - lanes) == (2, [], [1, 1])
 
     def test_taylor_coeff_is_always_a_fraction(self):
         jet = exact(2, [F(3), 0], 3)

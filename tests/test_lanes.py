@@ -1,12 +1,14 @@
-"""Batched float jets (`LaneJet`, `eval_lanes`) against one-lane reruns and
-the scalar reference (`helpers.LaurentJet`)."""
+"""Batched jets (`LaneJet`, `RationalJet`, `eval_lanes`) against one-lane
+reruns and the scalar references (`helpers.LaurentJet` for floats,
+`helpers.ScalarRationalJet` for exact jets)."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcan import classify
 from arcan.classify import SeededDesign, _DesignJets, _series, \
@@ -16,12 +18,12 @@ from arcan.corpus import corpus_list, lookup
 from arcan.errors import ArcanError, IrregularBatch
 from arcan.expr import Expr, eval_lanes
 from arcan.homog import dim_homog
-from arcan.jets import LaneJet
+from arcan.jets import LaneJet, RationalJet
 from arcan.parser import parse
 from arcan.seeds import derive_seed
 
-from helpers import LATTICE, LaurentJet, laurent_of, laurent_series, trees, \
-    unit_vector
+from helpers import LATTICE, LaurentJet, laurent_of, laurent_series, \
+    scalar_rational_series, trees, unit_vector
 
 ORDER = 24
 CUBE = ((Fraction(-1), Fraction(1), Fraction(1, 4)),) * 3
@@ -114,7 +116,7 @@ def test_a_window_short_of_t0_stays_in_the_lanes(text):
     dirs = [(1.0,), (-1.0,)]
     batch = eval_lanes(e.root, (0.0,), np.array(dirs), 8)
     jets = _DesignJets(e, (0.0,), 8, np.array(dirs))
-    assert jets._passes != [None]
+    assert jets.batch(0) is not None
     for i, v in enumerate(dirs):
         reference = laurent_series(e, (0.0,), v, 8)
         assert bits(batch, i) == bits(reference) \
@@ -136,11 +138,11 @@ def test_large_ladders_split_into_bounded_passes():
     assert len(plan.directions) == ahead > classify.LANES_PER_PASS
     for i in range(ahead):
         v = tuple(plan.directions[i].tolist())
-        batch = jets._passes[i // classify.LANES_PER_PASS]
+        batch = jets.batch(i // classify.LANES_PER_PASS)
         assert bits(batch, i % classify.LANES_PER_PASS) \
             == bits(laurent_series(e, x, v, ORDER)) == bits(jets.jet(i))
     assert len(jets._passes) > 1
-    assert max(batch.lanes for batch in jets._passes) \
+    assert max(batch.lanes for batch in jets._passes.values()) \
         <= classify.LANES_PER_PASS
 
 
@@ -166,7 +168,7 @@ def test_an_irregular_batch_is_rerun_one_lane_at_a_time(text, x, dirs,
 
     # Jets along exactly these directions answer as the scalar path.
     jets = _DesignJets(e, x, ORDER, np.array(dirs))
-    assert jets._passes == [None]
+    assert jets._starts == [0] and jets.batch(0) is None
     for i, v in enumerate(dirs):
         assert outcome(lambda: jets.jet(i)) == \
             outcome(lambda: laurent_series(e, x, v, ORDER))
@@ -192,23 +194,27 @@ def test_a_one_lane_jet_keeps_non_finite_coefficients(text, x):
     assert text.startswith("(x - x)") or not np.isfinite(seen).all()
 
 
-def _grid_lines(cases):
-    points = grid_points(CUBE)
+def _grid_lines(cases, exact, k_max):
+    points = grid_points(CUBE, exact)
     exprs = {name: lookup(name).expr() for name in ("E5", "E6")}
     lines = []
     for name, i, scan_seed in cases:
-        v = classify_point(exprs[name], points[i], k_max=10,
-                           seed=derive_seed(scan_seed, "scan", i))
+        v = classify_point(exprs[name], points[i], k_max=k_max,
+                           seed=derive_seed(scan_seed, "scan", i), exact=exact)
         lines.append(emit_json(verdict_to_json(v)))
-    v = classify_point(exprs["E6"], (0.25, 1.0, 0.25), k_max=10, seed=3)
+    v = classify_point(exprs["E6"], (Fraction(1, 4), 1, Fraction(1, 4)),
+                       k_max=k_max, seed=3, exact=exact)
     return lines + [emit_json(verdict_to_json(v))]
 
 
-def test_batched_ladder_matches_the_one_lane_ladder(monkeypatch):
-    # 364 is the origin and 365 a z-axis point (NonAnalytic for E5).
+@pytest.mark.parametrize("exact, k_max", [(False, 10), (True, 6)])
+def test_batched_ladder_matches_the_one_lane_ladder(monkeypatch, exact,
+                                                    k_max):
+    # 364 is the origin and 365 a z-axis point (NonAnalytic for E5); 526
+    # is (1/2, 0, 0), where E6's square root is irrational in every lane.
     cases = [(name, i, s) for name in ("E5", "E6")
              for i, s in ((3, 1), (4, 1), (40, 0), (200, 0), (364, 0),
-                          (365, 1), (482, 1), (700, 0))]
+                          (365, 1), (482, 1), (526, 0), (700, 0))]
     regular = []
     original = classify.eval_lanes
 
@@ -217,13 +223,38 @@ def test_batched_ladder_matches_the_one_lane_ladder(monkeypatch):
         regular.append(batch.lanes)
         return batch
     monkeypatch.setattr(classify, "eval_lanes", counting)
-    batched = _grid_lines(cases)
+    batched = _grid_lines(cases, exact, k_max)
     assert regular
 
     def always_irregular(*args):
         raise IrregularBatch("forced")
     monkeypatch.setattr(classify, "eval_lanes", always_irregular)
-    assert _grid_lines(cases) == batched
+    assert _grid_lines(cases, exact, k_max) == batched
+
+
+def test_no_corpus_rational_ladder_reruns_a_direction(monkeypatch):
+    # Every corpus exact-locus and regular point batches all of its
+    # directions, those past E2's and E6's irrational roots included.
+    reruns, handovers = [], []
+    original_series, original_sqrt = classify._series, LaneJet.sqrt
+
+    def counting_series(*args):
+        reruns.append(args[1:3])
+        return original_series(*args)
+
+    def counting_sqrt(jet):
+        handovers.append(jet.lanes)
+        return original_sqrt(jet)
+    monkeypatch.setattr(classify, "_series", counting_series)
+    monkeypatch.setattr(LaneJet, "sqrt", counting_sqrt)
+    for entry in corpus_list():
+        e = entry.expr()
+        for x in entry.exact_locus_points + entry.regular_points:
+            for k_max in (8, 10):
+                for seed in range(3):
+                    classify_point(e, x, k_max, seed=seed, exact=True)
+    assert reruns == []
+    assert handovers and min(handovers) > 1
 
 
 # Coordinates of points and directions: zeros (so that lanes' leading
@@ -303,3 +334,130 @@ def test_sparse_lane_products_match_scalar_products_bit_for_bit(case):
             reference = bits(laurent_of(a, i).pow_int(exponent))
             assert bits(power, i) == reference
             assert bits(one_lane(a, i).pow_int(exponent)) == reference
+
+
+# --- exact lanes ---------------------------------------------------------------
+
+def typed(values):
+    """Values with their types: floats as bit patterns (one for every
+    NaN), exact values as they are."""
+    return tuple((type(c).__name__,
+                  float_bits(math.nan if c != c else c)[0]
+                  if isinstance(c, float) else c) for c in values)
+
+
+def lane(jet, i):
+    """Lane i of a batch as a one-lane jet of its kind."""
+    if isinstance(jet, RationalJet):
+        return RationalJet(jet.valuation, jet.nums[:, [i]], jet.den[[i]],
+                           jet.order)
+    return one_lane(jet, i)
+
+
+def exact_reads(jet):
+    """A one-lane jet's window and what a ladder reads from it, with
+    types: the coefficients of t^0..t^order, or the pole's."""
+    if not jet.is_zero and jet.valuation < 0:
+        return "pole", jet.valuation, jet.order, typed(jet.coefficients())
+    return jet.valuation, jet.order, typed(
+        [jet.taylor_coeff(k) for k in range(jet.order + 1)])
+
+
+def exact_outcome(thunk):
+    try:
+        return "value", exact_reads(thunk())
+    except Exception as exc:
+        return "raise", type(exc), str(exc)
+
+
+# Lattice points, exactly, and integer rows: zeros (leading zeros differ
+# between lanes) and Pythagorean pairs (a root of x^2 + y^2 at the origin
+# is rational along (3, 4) and (5, 12), irrational along (1, 1)).
+EXACT_POINT_COORDS = tuple(Fraction(c) for c in LATTICE)
+ROW_COORDS = (0, 1, -1, 2, 3, -4, 5, 12)
+CONE = parse("sqrt(x^2 + y^2) * y + x").root
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(exponents=(0, 1, 2, 3)),  # nested exact powers of 1100 never end
+       st.tuples(*[st.sampled_from(EXACT_POINT_COORDS)] * 2),
+       st.lists(st.tuples(*[st.sampled_from(ROW_COORDS)] * 2),
+                min_size=1, max_size=6))
+@example(CONE, (Fraction(0), Fraction(0)), [(3, 4), (5, 12)])
+@example(CONE, (Fraction(0), Fraction(0)), [(1, 1), (1, 2), (-4, 3)])
+@example(CONE, (Fraction(0), Fraction(0)), [(1, 1), (2, 1)])
+@example(parse("sqrt(2 + x) * x^1100 + y").root, (Fraction(5), Fraction(0)),
+         [(1, 1), (0, 1)])
+def test_exact_lanes_reruns_and_the_list_jet_agree(root, x, rows):
+    """Each direction's exact jet, in value and type (`Fraction`, int or
+    float): a lane of the batch (unless the batch is irregular, or a lane
+    leaves the float range), its one-lane rerun and the list jet
+    `ScalarRationalJet`; where one raises, each raises the same error."""
+    e = Expr(root, 2)
+    try:
+        batch = ("value", eval_lanes(root, x, np.array(rows, dtype=object),
+                                     PROPERTY_ORDER, True))
+    except Exception as exc:
+        batch = ("raise", type(exc), str(exc))
+    references = []
+    for i, v in enumerate(rows):
+        reference = exact_outcome(
+            lambda: scalar_rational_series(e, x, v, PROPERTY_ORDER))
+        assert exact_outcome(
+            lambda: _series(e, x, v, PROPERTY_ORDER, True)) == reference
+        if batch[0] == "value":
+            assert ("value", exact_reads(lane(batch[1], i))) == reference
+        references.append(reference)
+    if batch[0] == "raise" and batch[1] is OverflowError:
+        assert any(r[:2] == ("raise", OverflowError) for r in references)
+    elif batch[0] == "raise" and batch[1] is not IrregularBatch:
+        assert all(r == batch for r in references)
+
+
+# Entries of object-dtype operands: exact values, exact and float zeros of
+# both signs, and floats (Python gives 0 * -1.5 == -0.0, and a Fraction
+# plus 0.0 is a float).
+OBJECT_ENTRIES = (Fraction(1, 3), Fraction(-2), 3, 0, Fraction(0), 0.0,
+                  -0.0, -1.5, 0.25, 2.0)
+
+
+def object_operand(rng, lanes, valuation, order, positive_lead=False):
+    rows = [[rng.choice(OBJECT_ENTRIES) for _ in range(lanes)]
+            for _ in range(order - valuation + 1)]
+    rows[0] = [rng.choice((Fraction(9, 4), 2.0, 4, Fraction(1, 2))
+                          if positive_lead else (Fraction(1, 3), -1.5, 3))
+               for _ in range(lanes)]
+    return LaneJet(valuation, np.array(rows, dtype=object), order)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_object_lanes_match_one_lane_jets(case):
+    # The jets past an irrational root: each lane of a batch of Python
+    # scalars is its one-lane jet in value and type, signed zeros and
+    # infinities included.
+    rng = random.Random(derive_seed("object lanes", case))
+    lanes = rng.randint(2, 5)
+    a, b = (object_operand(rng, lanes, v, v + rng.randint(0, 8))
+            for v in (rng.randint(-1, 2), rng.randint(-1, 2)))
+    if case % 4 == 0:  # a lane with an infinity, no longer a float batch
+        b.coeffs[-1, 0] = math.inf
+    root = object_operand(rng, lanes, 2 * rng.randint(0, 2), 8, True)
+    ops = [lambda a, b, r: a + b, lambda a, b, r: a - b,
+           lambda a, b, r: a * b, lambda a, b, r: b * a,
+           lambda a, b, r: a / b, lambda a, b, r: a.pow_int(0),
+           lambda a, b, r: a.pow_int(3), lambda a, b, r: r.sqrt() * a]
+    compared = 0
+    for op in ops:
+        try:
+            batch = op(a, b, root)
+        except IrregularBatch:  # lanes that cancel to different valuations
+            continue
+        compared += 1
+        assert batch.lanes == lanes
+        for i in range(lanes):
+            alone = op(one_lane(a, i), one_lane(b, i), one_lane(root, i))
+            assert typed(one_lane(batch, i).coefficients()) \
+                == typed(alone.coefficients())
+            assert (batch.valuation, batch.order) \
+                == (alone.valuation, alone.order)
+    assert compared >= 4

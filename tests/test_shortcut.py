@@ -334,6 +334,19 @@ class TestGridArray:
 
 
 class TestRegularPoints:
+    def test_a_coordinate_beyond_floats_is_a_float_overflow(self):
+        # Float mode cannot hold 10^400: the documented error, not a bare
+        # OverflowError; exact mode keeps it.
+        e = parse("1/x")
+        for call in (lambda: regular_at(e, (BEYOND_FLOATS,)),
+                     lambda: regular_points(e, [(BEYOND_FLOATS,)], False),
+                     lambda: eval_point(e, (BEYOND_FLOATS,))):
+            with pytest.raises(FloatOverflow, match="beyond the float range"):
+                call()
+        assert regular_at(e, (BEYOND_FLOATS,), exact=True)
+        assert regular_points(e, [(BEYOND_FLOATS,)], True).tolist() == [True]
+        assert eval_point(e, (BEYOND_FLOATS,), exact=True) == 1 / BEYOND_FLOATS
+
     @pytest.mark.parametrize("name, source, nvars, axes", GRIDS,
                              ids=[g[0] for g in GRIDS])
     def test_rational_equals_regular_at(self, name, source, nvars, axes):
