@@ -7,8 +7,9 @@ degree).  Every direction arcan samples is a row of one canonical design
 per n (`LatticeDesign`), under the seed's `signed_permutation` M: its
 integer rows in rational mode, the rows scaled to unit length in float
 mode.  p(u M) = q(u), so `interp_fit`, the one fit of both arithmetics,
-fits q on blocks built once per (n, k), the unit rows' QR `factors` or
-the integer `block`, and `monomial_map` carries q's coefficients to p's.
+fits q on what is built once per (n, k), the unit rows' QR `factors` or
+the integer `block` and its prepared exact `system`, and `monomial_map`
+carries q's coefficients to p's.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -35,15 +36,19 @@ import numpy as np
 from .errors import FloatOverflow, GenericityFailure, PremiseViolated, \
     SingularSystem
 from .jets import Scalar
-from .linalg import solve_exact
+from .linalg import IntegerSystem
 from .seeds import derive_seed, lattice_vector
 
-# Bytes of QR factors and integer blocks the canonical designs keep, every
-# n together: ~0.3 MB of factors at n=3, k_max 10, but ~1.1 GB at k_max 60,
-# whose orders beyond the budget are computed again per point.
+# Bytes of QR factors, integer blocks and exact systems the canonical
+# designs keep, every n together: ~0.3 MB of factors at n=3, k_max 10, but
+# ~1.1 GB at k_max 60, whose orders beyond the budget are computed again
+# per point.
 MAX_DESIGN_BYTES = 64 * 2 ** 20
 # The numerators `random_poly` draws from.
 _NUMERATORS = tuple(i for i in range(-9, 10) if i != 0)
+# `interp_fit`'s exact solve, `solve_exact(system, rhs)` = `system.solve(rhs)`,
+# under the name the benchmark's tracer patches.
+solve_exact = IntegerSystem.solve
 
 
 def dim_homog(n: int, k: int) -> int:
@@ -206,7 +211,9 @@ class LatticeDesign:
     GenericityFailure.  Rational ladders evaluate along the integer rows,
     float ladders along the rows scaled to unit length (`unit`).  Order k
     tests on the rows [0, 2·d(n, k)) whatever the ladder's top order, so
-    `factors(k)` and `block(k)` depend on (n, k) only.
+    `factors(k)`, `block(k)` and the exact fit's `system(k)` (the block's
+    first d(n, k) rows with their inverse modulo a prime) depend on (n, k)
+    only, and are kept, every n together, within MAX_DESIGN_BYTES.
     """
 
     def __init__(self, n: int):
@@ -217,6 +224,7 @@ class LatticeDesign:
         self._unit = np.empty((0, n))
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._blocks: dict[int, tuple[np.ndarray, int]] = {}
+        self._systems: dict[int, IntegerSystem] = {}
         self._maps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def rows(self, count: int) -> list[tuple[int, ...]]:
@@ -281,6 +289,19 @@ class LatticeDesign:
             self._blocks[k] = block, size
         return block
 
+    def system(self, k: int) -> IntegerSystem:
+        """The first d(n, k) rows of `block(k)`, prepared for the exact fits
+        of order k: its modular inverse is computed once, so a fit only
+        lifts.  Kept, as the blocks are, while everything the canonical
+        designs keep fits in MAX_DESIGN_BYTES; beyond it, built per call."""
+        held = self._systems.get(k)
+        if held is not None:
+            return held
+        system = IntegerSystem(self.block(k)[:dim_homog(self.n, k)].tolist())
+        if _held_bytes() + system.nbytes <= MAX_DESIGN_BYTES:
+            self._systems[k] = system
+        return system
+
     def monomial_map(self, flip: tuple[tuple[int, int], ...], k: int
                      ) -> tuple[np.ndarray, np.ndarray]:
         """`monomial_map(flip, k)`, kept per (flip, k) for the ladders, as
@@ -312,9 +333,11 @@ def canonical_design(n: int) -> LatticeDesign:
 
 
 def _held_bytes() -> int:
-    """Bytes of the factors, blocks and maps the canonical designs keep."""
+    """Bytes of the factors, blocks, systems and maps the canonical designs
+    keep."""
     return sum(sum(a.nbytes for pair in d._factors.values() for a in pair)
                + sum(size for _, size in d._blocks.values())
+               + sum(system.nbytes for system in d._systems.values())
                + sum(a.nbytes for pair in d._maps.values() for a in pair)
                for d in _DESIGNS.values())
 
@@ -381,11 +404,13 @@ def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
 
     q(u) = p(u M) is fitted on U.  In `exact` mode all-exact values are
     interpolated: q solves the first d(n, k) rows of the integer `block`,
-    which proves their rank (GenericityFailure if singular over Q, for
-    every seed alike), and leaves |h - q(u)| on the other rows, integer
-    dot products over q's common denominator.  Other values take least
-    squares on 2·d(n, k) unit rows, an integer row's h_k divided by |u|^k:
-    residuals |h - Q Qᵀ h| (FloatOverflow if not finite) and q = R⁻¹Qᵀh.
+    on the design's prepared `system(k)`, so a fit only lifts (or runs
+    Bareiss); the solve proves their rank (GenericityFailure if singular
+    over Q, for every seed alike), and q leaves |h - q(u)| on the other
+    rows, integer dot products over q's common denominator.  Other values
+    take least squares on 2·d(n, k) unit rows, an integer row's h_k
+    divided by |u|^k: residuals |h - Q Qᵀ h| (FloatOverflow if not finite)
+    and q = R⁻¹Qᵀh.
     """
     n = len(flip)
     design = canonical_design(n)
@@ -394,7 +419,7 @@ def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
         d = dim_homog(n, k)
         block = design.block(k)
         try:
-            q = solve_exact(block[:d].tolist(), values[:d])
+            q = solve_exact(design.system(k), values[:d])
         except SingularSystem as exc:
             raise GenericityFailure(f"the lattice directions of order {k} "
                                     f"are not generic ({exc})") from exc

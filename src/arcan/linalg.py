@@ -1,12 +1,16 @@
-"""Exact dense linear solve over the rationals.
+"""Exact dense linear solve over the rationals, on prepared integer systems.
 
-Sized for interpolation systems of a few dozen unknowns.  Each row of
-`A x = b` is scaled to integers and the right-hand side to one common
-denominator.  Systems of `DIXON_MIN_SIZE` unknowns or more are solved by
-Dixon's p-adic lifting (J. D. Dixon, "Exact solution of linear equations
-using p-adic expansions", Numer. Math. 40, 1982): `A` is inverted once
-modulo the word-size prime `P` by Gauss-Jordan in numpy `int64`, then each
-lifting step adds one base-`P` digit of the solution,
+Sized for interpolation systems of a few dozen unknowns.  An
+`IntegerSystem` holds a square integer matrix `A` and what every solve
+`A x = b` on it reuses, so a matrix solved for many right-hand sides pays
+its setup once: the ladder keeps one per canonical block, in the design
+budget (`homog.LatticeDesign.system`).  Systems of `DIXON_MIN_SIZE`
+unknowns or more are solved by Dixon's p-adic lifting (J. D. Dixon, "Exact
+solution of linear equations using p-adic expansions", Numer. Math. 40,
+1982): `A` is inverted once, when the system is prepared, modulo the
+word-size prime `P` by Gauss-Jordan in numpy `int64`.  A solve scales `b`
+to integers over one common denominator and adds one base-`P` digit of the
+solution per lifting step,
 
     x_i = A^-1 r (mod P),    r <- (r - A x_i) / P,
 
@@ -16,21 +20,24 @@ on Python ints otherwise, so large entries need no other path.
 Reconstruction is tried after 2, 4, 8, ... steps, and a candidate is
 accepted only when the integer identity `A num = b den` holds exactly, so
 an early exit is certified, not guessed.  The steps stop for good at the
-Hadamard bound, which makes reconstruction unique.
+Hadamard bound, which makes reconstruction unique; the rows' squared norms
+it reads are kept with the system.
 
 Smaller systems, and systems whose matrix is singular modulo `P`, go to
-Bareiss's fraction-free elimination (`solve_bareiss`): every division is
-exact, keeping entries at determinant-minor size, and back-substitution
-runs in rational arithmetic.  It raises `SingularSystem` for a matrix that
-is singular over the rationals.  Exact solutions are unique, so both paths
-return the same fractions.
+Bareiss's fraction-free elimination (`solve_bareiss`) on every solve:
+every division is exact, keeping entries at determinant-minor size, and
+back-substitution runs in rational arithmetic.  It raises
+`SingularSystem` for a matrix that is singular over the rationals.  Exact
+solutions are unique, so both paths return the same fractions.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,22 +47,93 @@ from .errors import SingularSystem
 # The largest prime below 2**26: a product of two residues stays below
 # 2**52, so an int64 dot product of up to 2**11 such terms cannot overflow.
 P = 67108859
-# Below this many unknowns Bareiss is faster than the lifting's fixed cost
-# (one modular inverse and a few numpy round trips).
-DIXON_MIN_SIZE = 5
+# Below this many unknowns Bareiss is faster than a lifting solve on a
+# prepared system, whose fixed cost is a few numpy round trips: on the
+# ladder's exact fits (CPython 3.11, one Xeon core), one unknown takes
+# 11 us by Bareiss and 15 us by lifting, two take 30 and 19 us, ten 556
+# and 51 us.
+DIXON_MIN_SIZE = 2
 _INT64_LIMIT = 2 ** 63
 
 
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Solve A x = b exactly; entries may be ints or Fractions."""
-    m = len(rows)
-    if any(len(r) != m for r in rows) or len(rhs) != m:
-        raise ValueError("need a square system with matching right-hand side")
-    if m >= DIXON_MIN_SIZE:
-        x = solve_dixon(rows, rhs)
-        if x is not None:
-            return x
-    return solve_bareiss(rows, rhs)
+class IntegerSystem:
+    """A square integer matrix A, prepared for exact solves A x = b.
+
+    Holds A's `rows`; the `matrix` the lifting multiplies by, in int64 where
+    A x_i cannot overflow and as Python ints otherwise; the `inverse` of A
+    modulo P, or None where Bareiss answers (fewer than DIXON_MIN_SIZE
+    unknowns, more than an int64 dot product of residues allows, or P
+    divides det A, as for every matrix singular over the rationals); and
+    each row's squared norm (`norms`) for the step cap.
+    The rows are tuples and the arrays read-only: `solve` keeps no state.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        m = len(self.rows)
+        if any(len(row) != m for row in self.rows):
+            raise ValueError("need a square matrix")
+        self.norms = tuple(sum(v * v for v in row) for row in self.rows)
+        self.matrix = self.inverse = None
+        if m < DIXON_MIN_SIZE or m * (P - 1) ** 2 >= _INT64_LIMIT:
+            return
+        top = max(abs(v) for row in self.rows for v in row)
+        matrix = np.array(self.rows, dtype=np.int64
+                          if top * m * (P - 1) < _INT64_LIMIT else object)
+        inverse = _inverse_mod_p((matrix % P).astype(np.int64))
+        if inverse is not None:
+            matrix.flags.writeable = inverse.flags.writeable = False
+            self.matrix, self.inverse = matrix, inverse
+
+    @cached_property
+    def nbytes(self) -> int:
+        """Bytes the system keeps, its ints counted at their own size."""
+        ints = [v for row in self.rows for v in row] + list(self.norms)
+        arrays = [a for a in (self.matrix, self.inverse) if a is not None]
+        return sum(map(sys.getsizeof, (self.rows, self.norms, *self.rows))) \
+            + sum(map(sys.getsizeof, ints)) + sum(a.nbytes for a in arrays)
+
+    def solve(self, rhs: Sequence) -> list[Fraction]:
+        """The x with A x = rhs (ints or Fractions), as Fractions; raises
+        SingularSystem if A is singular over the rationals."""
+        if len(rhs) != len(self.rows):
+            raise ValueError("need one right-hand side entry per row")
+        if self.inverse is not None:
+            x = self._lift(rhs)
+            if x is not None:
+                return x
+        return solve_bareiss(self.rows, rhs)
+
+    def _lift(self, rhs: Sequence) -> list[Fraction] | None:
+        """P-adic lifting with certified rational reconstruction; None when
+        no candidate passes the certificate by the Hadamard step cap, which
+        the bound rules out."""
+        b = [Fraction(v) for v in rhs]
+        den_b = math.lcm(*(v.denominator for v in b))
+        c = [v.numerator * (den_b // v.denominator) for v in b]
+        a, a_mat, inverse = self.rows, self.matrix, self.inverse
+        r = c
+        approx = [0] * len(a)
+        modulus = 1
+        steps, next_try, cap = 0, 2, None
+        while True:
+            digits = (inverse @ np.array([v % P for v in r], dtype=np.int64)) % P
+            approx = [s + d * modulus for s, d in zip(approx, digits.tolist())]
+            modulus *= P
+            steps += 1
+            if steps == next_try or steps == cap:
+                found = _reconstruct(approx, modulus)
+                if found is not None and _certified(a, c, *found):
+                    nums, den = found
+                    den *= den_b
+                    return [Fraction(v, den) for v in nums]
+                if cap is None:
+                    cap = _step_cap(self.norms, c)
+                if steps >= cap:
+                    return None
+                next_try = min(2 * steps, cap)
+            shift = (a_mat @ digits.astype(a_mat.dtype)).tolist()
+            r = [(v - s) // P for v, s in zip(r, shift)]
 
 
 def solve_bareiss(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
@@ -90,73 +168,6 @@ def solve_bareiss(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
             acc -= aug[r][c] * x[c]
         x[r] = acc / aug[r][r]
     return x
-
-
-def solve_dixon(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """P-adic lifting with certified rational reconstruction.
-
-    Returns None when P divides det A (which includes every matrix singular
-    over the rationals), or, which the Hadamard bound rules out, when no
-    candidate passes the certificate by that bound; the caller then falls
-    back to Bareiss.
-    """
-    m = len(rows)
-    if m * (P - 1) ** 2 >= _INT64_LIMIT:
-        return None
-    a, c, den_b = _integer_system(rows, rhs)
-    # The matvec A x_i (0 <= x_i < P) runs in int64 when it cannot
-    # overflow, else on Python ints.
-    try:
-        a_mat = np.array(a, dtype=np.int64)
-        fits = max(-int(a_mat.min()), int(a_mat.max())) * m * (P - 1) \
-            < _INT64_LIMIT
-    except OverflowError:
-        fits = False
-    if not fits:
-        a_mat = np.array(a, dtype=object)
-    inverse = _inverse_mod_p((a_mat % P).astype(np.int64))
-    if inverse is None:
-        return None
-
-    r = c
-    approx = [0] * m
-    modulus = 1
-    steps, next_try, cap = 0, 2, None
-    while True:
-        digits = (inverse @ np.array([v % P for v in r], dtype=np.int64)) % P
-        approx = [s + d * modulus for s, d in zip(approx, digits.tolist())]
-        modulus *= P
-        steps += 1
-        if steps == next_try or steps == cap:
-            found = _reconstruct(approx, modulus)
-            if found is not None and _certified(a, c, *found):
-                nums, den = found
-                den *= den_b
-                return [Fraction(v, den) for v in nums]
-            if cap is None:
-                cap = _step_cap(a, c)
-            if steps >= cap:
-                return None
-            next_try = min(2 * steps, cap)
-        shift = (a_mat @ digits.astype(a_mat.dtype)).tolist()
-        r = [(v - s) // P for v, s in zip(r, shift)]
-
-
-def _integer_system(rows, rhs) -> tuple[list[list[int]], list[int], int]:
-    """Integer A' and c with A x = b iff A' (den x) = c."""
-    a, scaled_b = [], []
-    for row, b in zip(rows, rhs):
-        if set(map(type, row)) <= {int}:
-            a.append(list(row))
-            scaled_b.append(Fraction(b))
-            continue
-        entries = [Fraction(v) for v in row]
-        scale = math.lcm(*(e.denominator for e in entries))
-        a.append([int(e * scale) for e in entries])
-        scaled_b.append(Fraction(b) * scale)
-    den = math.lcm(*(b.denominator for b in scaled_b))
-    c = [b.numerator * (den // b.denominator) for b in scaled_b]
-    return a, c, den
 
 
 def _inverse_mod_p(a: np.ndarray) -> np.ndarray | None:
@@ -232,19 +243,21 @@ def _rational_reconstruction(u: int, modulus: int, bound: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _certified(a: list[list[int]], c: list[int], nums: list[int], den: int) -> bool:
+def _certified(a: Sequence[Sequence[int]], c: list[int], nums: list[int],
+               den: int) -> bool:
     """The exact integer identity A nums = c den."""
     return all(sum(map(operator.mul, row, nums)) == ci * den
                for row, ci in zip(a, c))
 
 
-def _step_cap(a: list[list[int]], c: list[int]) -> int:
-    """Lifting steps after which P**steps > 2 max(N, D)**2.
+def _step_cap(norms: Sequence[int], c: list[int]) -> int:
+    """Lifting steps after which P**steps > 2 max(N, D)**2, for rows of
+    squared norms `norms` and the integer right-hand side c.
 
     By Cramer's rule and Hadamard's inequality the solution is y / det A
     with |y_j|, |det A| <= prod_i |(A_i, c_i)|; reconstruction with the
     balanced bound is unique once the modulus exceeds twice its square.
     """
-    log2_bound = sum(math.log2(sum(v * v for v in row) + ci * ci)
-                     for row, ci in zip(a, c)) / 2
+    log2_bound = sum(math.log2(norm + ci * ci)
+                     for norm, ci in zip(norms, c)) / 2
     return math.ceil((1 + 2 * log2_bound) / math.log2(P)) + 1

@@ -22,7 +22,10 @@ seed-permuted rows themselves.  `fraction_sum_value` and
 `fraction_sum_derivative` are `HomoPoly`'s evaluation and radial
 derivative as they were before exact forms were evaluated in integers over
 one common denominator: a sum of terms in the inputs' own arithmetic, a
-`Fraction` operation per factor.  `arc_from_coeffs`, `chart_apply`,
+`Fraction` operation per factor.  `solve_rational` is the exact solve as
+it was before systems were prepared once per matrix: any square rational
+system, its rows scaled to integers per call (`scale_rows`).
+`arc_from_coeffs`, `chart_apply`,
 `jacobian_power`, `chart_invert`, `pullback_sequence`, `eval_poly`,
 `arc_analytic_entries` and `unit_vector` are small tools only the tests
 use.
@@ -50,7 +53,7 @@ from arcan.homog import HomoPoly, canonical_design, dim_homog, \
     evaluation_matrix, monomials, signed_permutation
 from arcan.jets import LaneJet, RationalJet, Scalar, _power, jet_sqrt, \
     sqrt_scalar
-from arcan.linalg import solve_exact
+from arcan.linalg import IntegerSystem
 from arcan.parser import var_name
 
 
@@ -984,8 +987,30 @@ def seeded_exact_fit(values: Sequence[Scalar], flip, k: int):
     rows = permuted_rows(flip, len(values))
     matrix = [[math.prod(c ** e for c, e in zip(w, exps))
                for exps in monomials(n, k)] for w in rows[:d]]
-    fitted = HomoPoly(n, k, tuple(solve_exact(matrix, values[:d])))
+    fitted = HomoPoly(n, k, tuple(solve_rational(matrix, values[:d])))
     return fitted, [abs(h - fitted(w)) for h, w in zip(values[d:], rows[d:])]
+
+
+def scale_rows(rows: Sequence[Sequence], rhs: Sequence
+               ) -> tuple[list[list[int]], list[Fraction]]:
+    """Integer rows A' and b' with A x = b iff A' x = b': each row and its
+    right-hand side entry scaled by the row's common denominator."""
+    scaled, scaled_b = [], []
+    for row, b in zip(rows, rhs):
+        entries = [Fraction(v) for v in row]
+        scale = math.lcm(*(e.denominator for e in entries))
+        scaled.append([int(e * scale) for e in entries])
+        scaled_b.append(Fraction(b) * scale)
+    return scaled, scaled_b
+
+
+def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
+    """A x = b exactly for a square A of ints or Fractions, its rows scaled
+    to integers (`scale_rows`) and solved on a fresh `IntegerSystem`."""
+    if len(rhs) != len(rows):
+        raise ValueError("need a square system with matching right-hand side")
+    scaled, scaled_b = scale_rows(rows, rhs)
+    return IntegerSystem(scaled).solve(scaled_b)
 
 
 def permutation_seeds(n: int) -> dict:

@@ -379,6 +379,47 @@ class TestLeastSquaresLadder:
             design.cache_clear()
         assert v.status == ANALYTIC_UP_TO
 
+    def test_held_bytes_count_the_exact_systems(self, monkeypatch):
+        # A system keeps A's rows, the lifting matrix, A⁻¹ mod P and the
+        # row norms beside its block, all counted in one budget.
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        lattice = canonical_design(3)
+        blocks = homog._held_bytes()
+        assert blocks == 0
+        lattice.block(10)
+        blocks = homog._held_bytes()
+        system = lattice.system(10)
+        assert lattice.system(10) is system
+        assert system.nbytes > system.matrix.nbytes + system.inverse.nbytes
+        assert homog._held_bytes() == blocks + system.nbytes
+        assert list(lattice._systems) == [10]
+
+    def test_exact_systems_beyond_the_budget_are_built_per_call(
+            self, monkeypatch):
+        # h_k is a polynomial up to order 6 and not at order 7, whose
+        # residuals are then nonzero
+        e = parse("guard(x^9 / (x^2 + y^2), 0)", nvars=3)
+        point = (0, 0, F(1, 2))
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        design.cache_clear()
+        try:
+            kept = classify_point(e, point, k_max=9, seed=4, exact=True)
+            monkeypatch.setattr(homog, "_DESIGNS", {})
+            design.cache_clear()
+            lattice = canonical_design(3)
+            classify_point(e, point, k_max=5, seed=4, exact=True)
+            held = homog._held_bytes()
+            monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", held)
+            assert lattice.system(8) is not lattice.system(8)
+            beyond = classify_point(e, point, k_max=9, seed=4, exact=True)
+        finally:
+            design.cache_clear()
+        assert homog._held_bytes() == held
+        assert sorted(lattice._systems) == list(range(6))
+        assert kept.status == NON_ANALYTIC
+        assert any(kept.evidence[-1].residuals)
+        assert verdict_to_json(beyond) == verdict_to_json(kept)
+
     def test_lattice_factors_share_the_code_and_the_budget(self, monkeypatch):
         # Q and R of the lattice rows scaled to unit length, kept while the
         # factors of every n's design fit in one budget
