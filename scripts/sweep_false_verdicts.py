@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Count wrong verdicts of the full ladder, float and rational, on the corpus.
 
-Both arithmetics read one canonical design per n: rational ladders its
-integer rows, float ladders those rows scaled to unit length.  A seed only
-picks a signed permutation of the coordinates, so the 2ⁿ·n! permutations
-are every design a seed can give; this sweeps all of them.
+Both arithmetics read one canonical design per n, as it is: rational
+ladders its integer rows, float ladders those rows scaled to unit length.
+To see how verdicts depend on the directions, this sweeps all 2ⁿ·n!
+signed permutations M of the coordinates: it classifies f∘M at x M⁻¹
+(`tests/helpers.permuted`), whose jets along the rows U are f's along
+U M, and judges the verdict as f's at x.
 
 Float: runs `classify_point` (the full ladder, k_max 10) at every point of
 every corpus entry's `scan_axes` grid and of an E6 slab near the oval
@@ -28,10 +30,11 @@ right NonAnalytic verdict (inf for a pole).  An order whose values are all
 exact has threshold 0 and margin 0 (pass) or inf (fail), so the rational
 margins other than 0 and inf come from orders with float values (an
 irrational `sqrt`).  Exits 1 on any false, missed or Inconclusive
-verdict.  Takes about 12 minutes with 2 workers on a 2-core x86_64
+verdict.  Needs the tests' dependencies (`tests/helpers.py` imports
+hypothesis).  Takes about 5 minutes with 2 workers on a 2-core x86_64
 machine:
 
-    PYTHONPATH=src python scripts/sweep_false_verdicts.py [--jobs N]
+    PYTHONPATH=src python scripts/sweep_false_verdicts.py --jobs 2
 """
 
 import argparse
@@ -40,11 +43,14 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 from arcan.classify import ANALYTIC_UP_TO, INCONCLUSIVE, NON_ANALYTIC, \
     classify_point, grid_points
 from arcan.corpus import corpus_list, lookup
-from arcan.homog import signed_permutation
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import permuted, signed_permutations  # noqa: E402
 
 K_MAX = 10
 RATIONAL_K_MAX = (8, 10, 12)
@@ -59,16 +65,6 @@ def grids():
     """(label, corpus entry name, axes) of every grid the float sweep covers."""
     out = [(entry.name, entry.name, entry.scan_axes) for entry in corpus_list()]
     return out + [("E6-slab", "E6", SLAB)]
-
-
-def permutation_seeds(n):
-    """One seed per signed permutation of n coordinates: 2^n n! seeds."""
-    found = {}
-    seed = 0
-    while len(found) < 2 ** n * math.factorial(n):
-        found.setdefault(signed_permutation(seed, n), seed)
-        seed += 1
-    return list(found.values())
 
 
 class Tally:
@@ -96,15 +92,15 @@ class Tally:
 
 
 def sweep_float(task):
-    """The tally of one grid under one signed permutation's seed."""
-    label, name, axes, seed = task
+    """The tally of one grid under one signed permutation."""
+    label, name, axes, flip = task
     entry = lookup(name)
     e = entry.expr()
     tally = Tally()
     for i, pt in enumerate(grid_points(axes)):
-        v = classify_point(e, pt, K_MAX, seed=seed)
+        v = classify_point(*permuted(e, pt, flip), K_MAX)
         tally.judge(v, entry.locus.contains(pt),
-                    f"float seed {seed} {label} i={i} {tuple(map(str, pt))}")
+                    f"float M {flip} {label} i={i} {tuple(map(str, pt))}")
     return "float", tally
 
 
@@ -118,9 +114,9 @@ def sweep_rational(task):
         + [(pt, False) for pt in entry.regular_points]
     tally = Tally()
     for pt, on_locus in cases:
-        for seed in permutation_seeds(entry.nvars):
-            v = classify_point(e, pt, k_max, seed=seed, exact=True)
-            tally.judge(v, on_locus, f"rational k_max {k_max} seed {seed} "
+        for flip in signed_permutations(entry.nvars):
+            v = classify_point(*permuted(e, pt, flip), k_max, exact=True)
+            tally.judge(v, on_locus, f"rational k_max {k_max} M {flip} "
                                      f"{name} {tuple(map(str, pt))}")
     return "rational", tally
 
@@ -134,8 +130,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
     args = parser.parse_args(argv)
-    tasks = [(label, name, axes, seed) for label, name, axes in grids()
-             for seed in permutation_seeds(lookup(name).nvars)]
+    tasks = [(label, name, axes, flip) for label, name, axes in grids()
+             for flip in signed_permutations(lookup(name).nvars)]
     tasks += [(entry.name, k_max) for k_max in RATIONAL_K_MAX
               for entry in corpus_list()] + [DEEP_RATIONAL]
     totals = {kind: Tally() for kind in ("float", "rational")}

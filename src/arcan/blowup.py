@@ -175,19 +175,17 @@ def pullback(e: Expr, chart: BlowupChart) -> PullbackResult:
 
 def classify_pullback(e: Expr, chart: BlowupChart,
                       points_on_divisor: Sequence[Sequence[Scalar]],
-                      k_max: int = 6, tol: float = DEFAULT_TOL, seed: int = 0,
-                      exact: bool = False,
-                      order: int | None = None) -> list[Verdict]:
+                      k_max: int = 6, tol: float = DEFAULT_TOL,
+                      exact: bool = False, order: int | None = None
+                      ) -> list[Verdict]:
     """Classify the pulled-back expression at points of {s = 0}."""
     pb = pullback(e, chart)
     verdicts = []
-    for i, pt in enumerate(points_on_divisor):
+    for pt in points_on_divisor:
         if pt[chart.axis] != 0:
             raise ValueError(
                 f"point {tuple(pt)} is not on the exceptional divisor")
-        verdicts.append(classify_point(
-            pb.expr, pt, k_max, tol, derive_seed(seed, "divisor", i),
-            order, exact))
+        verdicts.append(classify_point(pb.expr, pt, k_max, tol, order, exact))
     return verdicts
 
 
@@ -218,9 +216,9 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
     those premises every sampled fiber point must classify NonAnalytic;
     an analytic fiber point would certify the base point analytic, a
     contradiction.  In exact mode the base point is taken as exact
-    rationals and each sample draw as a small one (`sample_scalar`).  The
-    center samples pass the regularity shortcut together
-    (`regular_points`); the rest run the ladder.
+    rationals and each sample draw as a small one (`sample_scalar`);
+    `seed` drives the draws.  The center samples pass the regularity
+    shortcut together (`regular_points`); the rest run the ladder.
     """
     base_point = tuple(map(Fraction, base_point) if exact else base_point)
     if len(base_point) != e.nvars:
@@ -228,8 +226,7 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
     if any(base_point[i] != 0 for i in chart.center):
         raise ValueError("base point must lie on the blow-up center")
 
-    base_verdict = classify_point(e, base_point, k_max, tol,
-                                  derive_seed(seed, "base"), order, exact)
+    base_verdict = classify_point(e, base_point, k_max, tol, order, exact)
     if base_verdict.status != NON_ANALYTIC:
         raise PremiseViolated(
             f"base point classifies {base_verdict.status}, not NonAnalytic")
@@ -245,9 +242,8 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
         center_points.append(tuple(pt))
     hits = regular_points(e, center_points, exact).tolist()
     regular = sum(hit or classify_point(
-        e, pt, k_max, tol, derive_seed(seed, "center", j), order,
-        exact).status == ANALYTIC_UP_TO
-        for j, (pt, hit) in enumerate(zip(center_points, hits)))
+        e, pt, k_max, tol, order, exact).status == ANALYTIC_UP_TO
+        for pt, hit in zip(center_points, hits))
     if regular == 0:
         raise PremiseViolated(
             "no nearby regular point of the center was found; the base point "
@@ -264,7 +260,7 @@ def fiber_lift_check(e: Expr, chart: BlowupChart, base_point: Sequence[Scalar],
                                       exact)
         fiber_points.append(tuple(pt))
     verdicts = tuple(classify_pullback(e, chart, fiber_points, k_max, tol,
-                                       derive_seed(seed, "fiber"), exact, order))
+                                       exact, order))
     analytic = sum(1 for v in verdicts if v.status == ANALYTIC_UP_TO)
     inconclusive = sum(1 for v in verdicts
                        if v.status not in (ANALYTIC_UP_TO, NON_ANALYTIC))

@@ -13,17 +13,13 @@ at that order; a float order whose values or residuals overflow certifies
 nothing, and the verdict is `Inconclusive`.  A finite ladder cannot prove
 analyticity, so the positive verdict is the honest `AnalyticUpTo(k_max)`.
 
-Both modes run one ladder.  Their directions come from one canonical
-design per n (`homog.LatticeDesign`), and a seed only picks a signed
-permutation M of the coordinates: the ladder evaluates its jets along
-U M, with U the design's integer rows in rational mode and those rows
-scaled to unit length in float mode.  `design` caches the permuted view
-(`SeededDesign`) shared by every point of a scan, and order k reads h_k
-along its first 2·d(n,k) rows.  One fit, `homog.interp_fit`, tests every
-order.  V_k(U M) is V_k(U) with its columns permuted and negated, so it
-fits on blocks of the canonical rows built once per (n, k), and the
-fitted coefficients in v are those in u gathered and sign-flipped
-(`homog.monomial_map`, kept by the canonical design).  An order whose
+Both modes run one ladder.  Every ladder evaluates its jets along the
+rows of one canonical design per n (`homog.LatticeDesign`), as they
+are: the integer rows in rational mode, those rows scaled to unit length
+in float mode.  No seed changes them.  `design` caches the rows a ladder
+reads, shared by every point of a scan, and order k reads h_k along the
+first 2·d(n,k) rows.  One fit, `homog.interp_fit`, tests every order, on
+blocks of the canonical rows built once per (n, k).  An order whose
 values are all exact (rational mode, each h_k a `Fraction` read from a
 `RationalJet`) is interpolated on the first half of its rows and
 validated on the rest; the exact solve proves the fit block's rank.
@@ -73,12 +69,13 @@ import numpy as np
 from .errors import ArcanError, ArcDomainError, CapExceeded, DomainError, \
     FloatOverflow, GenericityFailure, IrregularBatch, PoleAtOrigin, \
     ShortWindow
-# regular_at is unused here; the benchmark's tracer patches it.
+# regular_at and derive_seed are unused here; the benchmark's tracer
+# patches them.
 from .expr import ArcSpec, Expr, _check_point, eval_jets, eval_lanes, \
     eval_point, eval_point_flagged, float_points, regular_at, regular_lanes
 # condition_estimate is unused here; the benchmark's tracer patches it.
 from .homog import HomoPoly, _magnitude, canonical_design, \
-    condition_estimate, dim_homog, interp_fit, signed_permutation
+    condition_estimate, dim_homog, interp_fit
 from .jets import LaneJet, RationalJet, Scalar
 from .seeds import derive_seed, sample_scalar
 
@@ -146,36 +143,27 @@ def gateaux_coeff(e: Expr, x: Sequence[Scalar], v: Sequence[Scalar], k: int,
 
 # --- the ladder's direction design --------------------------------------------
 
-class SeededDesign:
-    """The directions of every ladder under one (seed, n, k_top, exact).
+@lru_cache(maxsize=4)
+def design(n: int, k_top: int, exact: bool = False) -> tuple[np.ndarray, str]:
+    """The rows of every ladder of n variables up to order k_top, and why
+    they fall short, if they do.
 
-    The canonical design's first 2·d(n, k_top) rows U under the seed's
-    signed permutation M (`flip`), integer rows in rational mode and unit
-    rows in float mode: jets are evaluated along W = U M, and order k
-    reads the rows [0, 2·d(n, k)), which `interp_fit` fits on U.  The rows
-    are finite: an order beyond them raises GenericityFailure, the orders
-    below still run.
+    The rows are the canonical design's first 2·d(n, k_top), integer in
+    rational mode and at unit length in float mode, as one read-only
+    array.  The design's rows are finite: where they run out, the array
+    holds them all and the text is the GenericityFailure an order beyond
+    them raises; the orders below still run.  Otherwise the text is "".
     """
-
-    def __init__(self, seed: int, n: int, k_top: int, exact: bool = False):
-        self.seed, self.n, self.exact = seed, n, exact
-        self.canonical = canonical_design(n)
-        self.flip = signed_permutation(seed, n)
-        self.shortage = ""
-        rows = self.canonical.rows if exact else self.canonical.unit
-        try:
-            u = rows(2 * dim_homog(n, k_top))
-        except GenericityFailure as exc:
-            u, self.shortage = rows(len(self.canonical.directions)), str(exc)
-        kind = object if exact else float
-        self.directions = np.array(u, dtype=kind)[:, [i for i, _ in self.flip]] \
-            * np.array([s for _, s in self.flip], dtype=kind)
-
-
-@lru_cache(maxsize=1)
-def design(seed: int, n: int, k_top: int, exact: bool = False) -> SeededDesign:
-    """The design of a ladder; the last one built is kept."""
-    return SeededDesign(seed, n, k_top, exact)
+    canonical = canonical_design(n)
+    read = canonical.rows if exact else canonical.unit
+    shortage = ""
+    try:
+        rows = read(2 * dim_homog(n, k_top))
+    except GenericityFailure as exc:
+        rows, shortage = read(len(canonical.directions)), str(exc)
+    rows = np.array(rows, dtype=object if exact else float)
+    rows.flags.writeable = False
+    return rows, shortage
 
 
 class _DesignJets:
@@ -266,7 +254,6 @@ class PolyTestResult:
     residuals: tuple
     scale: float
     threshold: float
-    node_seed: int
     pole_direction: tuple | None = None
 
     @property
@@ -287,32 +274,31 @@ class PolyTestResult:
         return 0.0 if self.max_residual == 0 else math.inf
 
 
-def _order_result(plan: SeededDesign, jets: _DesignJets, k: int, tol: float,
+def _order_result(jets: _DesignJets, shortage: str, k: int, tol: float,
                   point_value: Scalar | None) -> PolyTestResult:
-    """Order k's test on h_k along the plan's rows [0, 2·d(n, k)).
+    """Order k's test on h_k along the design's rows [0, 2·d(n, k)).
 
     A pole along a row fails the order.  Otherwise `interp_fit` fits the
     form; at k = 0 the point value is one more residual.  An order whose
     residuals are all exact (int or Fraction) passes only if every one is
     0; one with a float residual passes if none exceeds tol * scale.
     """
-    count = 2 * dim_homog(plan.n, k)
-    if count > len(plan.directions):  # the design's rows ran out
-        raise GenericityFailure(plan.shortage)
+    n = jets.directions.shape[1]
+    count = 2 * dim_homog(n, k)
+    if count > len(jets.directions):  # the design's rows ran out
+        raise GenericityFailure(shortage)
     try:
         values = jets.taylor_values(k, count)
     except PoleAtOrigin:
         bad = next(i for i in range(count) if jets.has_pole(i))
-        return PolyTestResult(k, None, (), 1.0, tol, plan.seed,
-                              tuple(plan.directions[bad].tolist()))
-    fitted, residuals, scale = interp_fit(
-        values, plan.flip, k, plan.exact,
-        plan.canonical.monomial_map(plan.flip, k))
+        return PolyTestResult(k, None, (), 1.0, tol,
+                              tuple(jets.directions[bad].tolist()))
+    fitted, residuals, scale = interp_fit(values, n, k, jets.exact)
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
     exact = all(isinstance(r, (int, Fraction)) for r in residuals)
     return PolyTestResult(k, fitted, tuple(residuals), scale,
-                          0.0 if exact else tol * scale, plan.seed)
+                          0.0 if exact else tol * scale)
 
 
 # --- the pointwise verdict ----------------------------------------------------
@@ -333,8 +319,8 @@ class Verdict:
 
 
 def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
-                   tol: float = DEFAULT_TOL, seed: int = 0,
-                   order: int | None = None, exact: bool = False) -> Verdict:
+                   tol: float = DEFAULT_TOL, order: int | None = None,
+                   exact: bool = False, *, seed: int | None = None) -> Verdict:
     """Run the polynomiality ladder k = 0..k_max at one point.
 
     NonAnalytic(k_star) means orders below k_star passed and k_star failed;
@@ -346,7 +332,7 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
     The jets run in the window k_max first, and in the window `order`
     only where that pass could change the verdict (`_ladder`).  A point
     value beyond the float range is left to the ladder, as one outside
-    the domain is.
+    the domain is.  `seed` is accepted and ignored: ladders read no seed.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -354,16 +340,14 @@ def classify_point(e: Expr, x: Sequence[Scalar], k_max: int = DEFAULT_K_MAX,
         order = default_order(k_max)
     xs = tuple(x) if exact else tuple(float(c) for c in x)
     if order > k_max:
-        verdict = _ladder(e, xs, k_max, tol, seed, k_max, exact,
-                          provisional=True)
+        verdict = _ladder(e, xs, k_max, tol, k_max, exact, provisional=True)
         if verdict is not None:
             return verdict
-    return _ladder(e, xs, k_max, tol, seed, order, exact)
+    return _ladder(e, xs, k_max, tol, order, exact)
 
 
-def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, seed: int,
-            window: int, exact: bool,
-            provisional: bool = False) -> Verdict | None:
+def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, window: int,
+            exact: bool, provisional: bool = False) -> Verdict | None:
     """The ladder at xs on jets truncated after t^window.
 
     Coefficient i of `+ - * / sqrt` reads only operand coefficients up to
@@ -388,10 +372,10 @@ def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, seed: int,
 
     evidence: list[PolyTestResult] = []
     try:
-        plan = design(seed, e.nvars, k_max, exact)
-        jets = _DesignJets(e, xs, window, plan.directions, exact, provisional)
+        rows, shortage = design(e.nvars, k_max, exact)
+        jets = _DesignJets(e, xs, window, rows, exact, provisional)
         for k in range(k_max + 1):
-            result = _order_result(plan, jets, k, tol, point_value)
+            result = _order_result(jets, shortage, k, tol, point_value)
             evidence.append(result)
             if not result.polynomial:
                 return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
@@ -461,9 +445,9 @@ def _as_fraction(v) -> Fraction:
 
 
 def _scan_one(args) -> Verdict:
-    e, pt, k_max, tol, pseed, order, exact = args
+    e, pt, k_max, tol, order, exact = args
     try:
-        return classify_point(e, pt, k_max, tol, pseed, order, exact)
+        return classify_point(e, pt, k_max, tol, order, exact)
     except ArcanError as exc:
         return Verdict(tuple(pt), INCONCLUSIVE, k_max, reason=str(exc))
 
@@ -512,17 +496,15 @@ def regular_points(e: Expr, points: Sequence[tuple] | np.ndarray,
 
 
 def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
-              tol: float = DEFAULT_TOL, seed: int = 0,
-              order: int | None = None, exact: bool = False,
-              shortcut: bool = True, jobs: int = 1):
+              tol: float = DEFAULT_TOL, order: int | None = None,
+              exact: bool = False, shortcut: bool = True, jobs: int = 1):
     """Yield (index, verdict) at each grid point that runs the ladder, in
     grid (row-major) order; `index` is the point's row in
     `grid_array(axes, exact)`.
 
-    Every point runs its ladder under the scan seed, so the float points
-    share one direction design and the verdicts do not depend on worker
-    scheduling.  A permissible error at one point becomes an Inconclusive
-    verdict instead of aborting the scan.
+    Every point's ladder reads the same canonical rows, so the verdicts
+    do not depend on worker scheduling.  A permissible error at one point
+    becomes an Inconclusive verdict instead of aborting the scan.
 
     The grid is built once, as `grid_array`.  With the shortcut on,
     `regular_points` decides it for the whole grid.  A point it finds
@@ -537,7 +519,7 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     ladder = np.flatnonzero(~regular).tolist()
 
     def tasks(indices):
-        return ((e, tuple(grid[i].tolist()), k_max, tol, seed, order, exact)
+        return ((e, tuple(grid[i].tolist()), k_max, tol, order, exact)
                 for i in indices)
     if jobs <= 1:
         yield from zip(ladder, map(_scan_one, tasks(ladder)))
@@ -551,15 +533,15 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
 
 
 def scan_region(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
-                tol: float = DEFAULT_TOL, seed: int = 0,
-                order: int | None = None, exact: bool = False,
-                shortcut: bool = True, jobs: int = 1) -> list[Verdict]:
+                tol: float = DEFAULT_TOL, order: int | None = None,
+                exact: bool = False, shortcut: bool = True,
+                jobs: int = 1) -> list[Verdict]:
     """The verdicts `iter_scan` yields, in grid order.
 
     A point the shortcut finds regular is `AnalyticUpTo(k_max)` and is
     left out, so `flagged_points` of the list is the scan's.
     """
-    return [v for _, v in iter_scan(e, axes, k_max, tol, seed, order, exact,
+    return [v for _, v in iter_scan(e, axes, k_max, tol, order, exact,
                                     shortcut, jobs)]
 
 
@@ -584,8 +566,8 @@ class ArcSymmetryReport:
 
 def arc_symmetry_check(e: Expr, arc: ArcSpec, samples: int = 64,
                        k_max: int = 4, tol: float = DEFAULT_TOL,
-                       seed: int = 0, t_max: float = 0.5,
-                       allowed_exceptions: int = 2, exact: bool = False,
+                       t_max: float = 0.5, allowed_exceptions: int = 2,
+                       exact: bool = False,
                        order: int | None = None) -> ArcSymmetryReport:
     """Check that non-analyticity cannot appear on just one side of t = 0.
 
@@ -594,7 +576,7 @@ def arc_symmetry_check(e: Expr, arc: ArcSpec, samples: int = 64,
     many positive-side exceptions are legitimate, so a small allowance is
     part of the check, not a fudge.  Each side's points pass the
     regularity shortcut together (`regular_points`); the rest run the
-    ladder, each under a seed of its own t.
+    ladder.
     """
     if arc.nvars != e.nvars:
         raise ValueError("arc dimension does not match the expression")
@@ -606,8 +588,8 @@ def arc_symmetry_check(e: Expr, arc: ArcSpec, samples: int = 64,
                   for t in side]
         regular = regular_points(e, points, exact).tolist()
         return tuple(ANALYTIC_UP_TO if hit else _scan_one(
-            (e, pt, k_max, tol, derive_seed(seed, "arcsym", t), order,
-             exact)).status for t, pt, hit in zip(side, points, regular))
+            (e, pt, k_max, tol, order, exact)).status
+            for pt, hit in zip(points, regular))
 
     neg = statuses([-t for t in ts])
     pos = statuses(ts)
@@ -693,7 +675,7 @@ def verdict_to_json(v: Verdict) -> dict:
     for ev in v.evidence:
         entry: dict = {"k": ev.k, "residuals": list(ev.residuals),
                        "scale": ev.scale, "threshold": ev.threshold,
-                       "margin": ev.margin, "nodeSeed": ev.node_seed}
+                       "margin": ev.margin}
         if ev.fitted is not None:
             entry["fitted"] = ev.fitted.to_json()
         if ev.pole_direction is not None:

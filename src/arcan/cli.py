@@ -126,14 +126,14 @@ def _seed(value: int | None) -> int:
 
 
 def _ladder_options(args) -> dict:
-    """A ladder's keyword arguments from --mode, --kmax, --tol, --order and
-    --seed, each checked; --order is raised to 2*kmax+4."""
+    """A ladder's keyword arguments from --mode, --kmax, --tol and --order,
+    each checked; --order is raised to 2*kmax+4."""
     k_max = _bounded("--kmax", args.kmax, 1, MAX_K_MAX)
     tol = _tol(args.tol)
     order = default_order(k_max)
     if args.order is not None:
         order = max(order, _bounded("--order", args.order, 0, MAX_ORDER))
-    return dict(k_max=k_max, tol=tol, seed=_seed(args.seed), order=order,
+    return dict(k_max=k_max, tol=tol, order=order,
                 exact=args.mode == "rational")
 
 
@@ -312,6 +312,7 @@ MAX_DIVISOR_POINTS = 1000
 
 def _cmd_blowup(args) -> int:
     opts = _ladder_options(args)
+    seed = _seed(args.seed)
     _bounded("--classify-divisor", args.classify_divisor, 0,
              MAX_DIVISOR_POINTS)
     e = parse(args.expr)
@@ -321,7 +322,7 @@ def _cmd_blowup(args) -> int:
     doc = pullback(e, chart).to_json()
     if args.classify_divisor:
         exact = opts["exact"]
-        rng = random.Random(derive_seed(opts["seed"], "divisor-points"))
+        rng = random.Random(derive_seed(seed, "divisor-points"))
         points = []
         for _ in range(args.classify_divisor):
             pt = [Fraction(0) if exact else 0.0] * e.nvars
@@ -367,7 +368,6 @@ def _cmd_corpus(args) -> int:
     k_max = _bounded("--kmax", args.kmax, 1, MAX_K_MAX)
     tol = _tol(args.tol)
     jobs = _bounded("--jobs", args.jobs, 1, os.cpu_count() or 1)
-    seed = _seed(args.seed)
     try:
         entries = [lookup(args.name)] if args.name else corpus_list()
     except KeyError as exc:
@@ -378,7 +378,7 @@ def _cmd_corpus(args) -> int:
         return 0
     _check_ladder(k_max, max(entry.nvars for entry in entries))
     names = [args.name] if args.name else None
-    reports = verify_corpus(names, k_max, tol, seed, jobs)
+    reports = verify_corpus(names, k_max, tol, jobs)
     for rep in reports:
         print(emit_json(rep.to_json()))
     failed = [r.name for r in reports if not r.passed]
@@ -415,11 +415,15 @@ _SHARED = {
                          "widen to it only where that could change the "
                          "verdict"),
     "--seed": dict(type=int, default=None,
-                   help="base seed (default: ARCAN_SEED or 0)"),
+                   help="base seed of the sampled points or trials "
+                        "(default: ARCAN_SEED or 0)"),
     "--jobs": dict(type=int, default=1,
                    help="worker processes for scans (default 1)"),
 }
-_LADDER = ("--mode", "--kmax", "--tol", "--order", "--seed")
+_LADDER = ("--mode", "--kmax", "--tol", "--order")
+# scan and corpus still accept --seed, and ignore it: ladders read no seed.
+_IGNORED_SEED = dict(type=int, default=None,
+                     help="accepted and ignored: ladders read no seed")
 
 
 def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
@@ -446,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shortcut", action="store_true",
                    help="run the full ladder even at manifestly regular points")
     _add_shared(p, *_LADDER)
+    p.add_argument("--seed", **_IGNORED_SEED)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output encoding (default json lines)")
     _add_shared(p, "--jobs")
@@ -469,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='chart JSON, e.g. \'{"n":3,"center":[2,3],"axis":3}\'')
     p.add_argument("--classify-divisor", type=int, default=0, metavar="N",
                    help="also classify N sampled points of the divisor")
-    _add_shared(p, *_LADDER)
+    _add_shared(p, *_LADDER, "--seed")
     p.set_defaults(func=_cmd_blowup)
 
     p = sub.add_parser("verify", help="run a randomized identity check")
@@ -483,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--list", action="store_true",
                    help="print the entries (or the named one) and exit")
-    _add_shared(p, "--kmax", "--tol", "--seed", "--jobs")
+    _add_shared(p, "--kmax", "--tol")
+    p.add_argument("--seed", **_IGNORED_SEED)
+    _add_shared(p, "--jobs")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -4,12 +4,10 @@ The space of degree-k homogeneous polynomials in n variables has dimension
 C(n+k-1, k), one coefficient per exponent vector summing to k; coefficients
 are stored in graded-lexicographic order (descending lex within the fixed
 degree).  Every direction arcan samples is a row of one canonical design
-per n (`LatticeDesign`), under the seed's `signed_permutation` M: its
-integer rows in rational mode, the rows scaled to unit length in float
-mode.  p(u M) = q(u), so `interp_fit`, the one fit of both arithmetics,
-fits q on what is built once per (n, k), the unit rows' QR `factors` or
-the integer `block` and its prepared exact `system`, and `monomial_map`
-carries q's coefficients to p's.
+per n (`LatticeDesign`), as it is: its integer rows in rational mode, the
+rows scaled to unit length in float mode.  `interp_fit`, the one fit of
+both arithmetics, fits on what is built once per (n, k): the unit rows'
+QR `factors`, or the integer `block` and its prepared exact `system`.
 
 `fd_reconstruct` evaluates the finite-difference identity
 
@@ -204,16 +202,16 @@ class LatticeDesign:
 
     `lattice_vector` draws the integer rows from one stream that no seed
     changes; in one variable they are exactly (1,), (-1,).  No row has a
-    zero coordinate: a signed permutation keeps zeros in place, so an axis
-    row, where a denominator can vanish identically, would fail a fixed
-    share of seeds.  A draw parallel to an earlier row is skipped; the rows
-    are finite (318 in two variables), so 1000 skips in a row raise
-    GenericityFailure.  Rational ladders evaluate along the integer rows,
-    float ladders along the rows scaled to unit length (`unit`).  Order k
-    tests on the rows [0, 2·d(n, k)) whatever the ladder's top order, so
-    `factors(k)`, `block(k)` and the exact fit's `system(k)` (the block's
-    first d(n, k) rows with their inverse modulo a prime) depend on (n, k)
-    only, and are kept, every n together, within MAX_DESIGN_BYTES.
+    zero coordinate: along an axis row a denominator can vanish
+    identically (E5's does).  A draw parallel to an earlier row is
+    skipped; the rows are finite (318 in two variables), so 1000 skips in
+    a row raise GenericityFailure.  Rational ladders evaluate along the
+    integer rows, float ladders along the rows scaled to unit length
+    (`unit`).  Order k tests on the rows [0, 2·d(n, k)) whatever the
+    ladder's top order, so `factors(k)`, `block(k)` and the exact fit's
+    `system(k)` (the block's first d(n, k) rows with their inverse modulo
+    a prime) depend on (n, k) only, and are kept, every n together, within
+    MAX_DESIGN_BYTES.
     """
 
     def __init__(self, n: int):
@@ -225,7 +223,6 @@ class LatticeDesign:
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._blocks: dict[int, tuple[np.ndarray, int]] = {}
         self._systems: dict[int, IntegerSystem] = {}
-        self._maps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def rows(self, count: int) -> list[tuple[int, ...]]:
         """The first `count` rows."""
@@ -255,7 +252,7 @@ class LatticeDesign:
         unit rows, computed once per process.
 
         GenericityFailure unless min |R_ii| > max |R_ii|·rows·eps; since the
-        design is fixed, an order fails so for every seed alike.  The
+        design is fixed, an order fails so at every point alike.  The
         factors are kept while those of every canonical design fit in
         MAX_DESIGN_BYTES.
         """
@@ -293,7 +290,9 @@ class LatticeDesign:
         """The first d(n, k) rows of `block(k)`, prepared for the exact fits
         of order k: its modular inverse is computed once, so a fit only
         lifts.  Kept, as the blocks are, while everything the canonical
-        designs keep fits in MAX_DESIGN_BYTES; beyond it, built per call."""
+        designs keep fits in MAX_DESIGN_BYTES; beyond it, built per call.
+        Its rows hold the block's own ints, which the block is charged
+        for, so the system is charged its `nbytes` alone."""
         held = self._systems.get(k)
         if held is not None:
             return held
@@ -301,18 +300,6 @@ class LatticeDesign:
         if _held_bytes() + system.nbytes <= MAX_DESIGN_BYTES:
             self._systems[k] = system
         return system
-
-    def monomial_map(self, flip: tuple[tuple[int, int], ...], k: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """`monomial_map(flip, k)`, kept per (flip, k) for the ladders, as
-        the factors are, within MAX_DESIGN_BYTES."""
-        held = self._maps.get((flip, k))
-        if held is None:
-            held = monomial_map(flip, k)
-            if _held_bytes() + held[0].nbytes + held[1].nbytes \
-                    <= MAX_DESIGN_BYTES:
-                self._maps[flip, k] = held
-        return held
 
 
 def _line(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -333,12 +320,10 @@ def canonical_design(n: int) -> LatticeDesign:
 
 
 def _held_bytes() -> int:
-    """Bytes of the factors, blocks, systems and maps the canonical designs
-    keep."""
+    """Bytes of the factors, blocks and systems the canonical designs keep."""
     return sum(sum(a.nbytes for pair in d._factors.values() for a in pair)
                + sum(size for _, size in d._blocks.values())
                + sum(system.nbytes for system in d._systems.values())
-               + sum(a.nbytes for pair in d._maps.values() for a in pair)
                for d in _DESIGNS.values())
 
 
@@ -351,70 +336,35 @@ def _powers(directions: np.ndarray, top: int) -> np.ndarray:
     return powers
 
 
-def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The seed's signed permutation M, as a pair (i, sign) per coordinate
-    j of u M: (u M)_j = sign * u[i].  M is integer and orthogonal, so
-    V_k(U M) is V_k(U) with columns permuted and negated: a block's rank,
-    condition and parallel rows do not depend on the seed."""
-    rng = random.Random(derive_seed(seed, "directions", n))
-    sources = list(range(n))
-    rng.shuffle(sources)
-    return tuple((i, rng.choice((1, -1))) for i in sources)
-
-
-def monomial_map(flip: tuple[tuple[int, int], ...], k: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with p's coefficients = sign * q's[index] for the
-    degree-k forms q(u) = p(u M), M the signed permutation `flip`: v^a
-    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i].  Computed
-    afresh, read-only: ladders share the canonical design's kept maps
-    (`LatticeDesign.monomial_map`)."""
-    exps = _exponent_array(len(flip), k)
-    moved = np.empty_like(exps)
-    moved[:, [i for i, _ in flip]] = exps
-    # The b's are the basis permuted: sorted descending, they are the basis.
-    index = np.empty(len(exps), dtype=np.intp)
-    index[np.lexsort(moved.T[::-1])[::-1]] = np.arange(len(exps))
-    odd = exps[:, [j for j, (_, s) in enumerate(flip) if s < 0]].sum(axis=1) % 2
-    sign = 1.0 - 2.0 * odd
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
-
-
-def sample_nodes(flip: tuple[tuple[int, int], ...], k: int,
-                 exact: bool = True) -> list[tuple[Scalar, ...]]:
-    """The directions `interp_fit` reads at order k under the signed
-    permutation `flip`: the canonical design's first d(n, k) integer rows
-    if `exact` (exact values are solved on those alone), else its first
-    2·d(n, k) rows at unit length."""
-    d = dim_homog(len(flip), k)
-    design = canonical_design(len(flip))
-    rows = design.rows(d) if exact else design.unit(2 * d).tolist()
-    return [tuple(s * u[i] for i, s in flip) for u in rows]
-
-
-def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
-               k: int, exact: bool = False,
-               mapping: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[HomoPoly, list, float]:
-    """The degree-k form p fitted to h_k's `values` along the canonical rows
-    U under the signed permutation M = `flip`, the residuals it leaves,
-    and the scale 1 + max |h_k| (at unit length for a least-squares fit).
-    `mapping` is `monomial_map(flip, k)`, if the caller keeps it.
-
-    q(u) = p(u M) is fitted on U.  In `exact` mode all-exact values are
-    interpolated: q solves the first d(n, k) rows of the integer `block`,
-    on the design's prepared `system(k)`, so a fit only lifts (or runs
-    Bareiss); the solve proves their rank (GenericityFailure if singular
-    over Q, for every seed alike), and q leaves |h - q(u)| on the other
-    rows, integer dot products over q's common denominator.  Other values
-    take least squares on 2·d(n, k) unit rows, an integer row's h_k
-    divided by |u|^k: residuals |h - Q Qᵀ h| (FloatOverflow if not finite)
-    and q = R⁻¹Qᵀh.
-    """
-    n = len(flip)
+def sample_nodes(n: int, k: int, exact: bool = True
+                 ) -> list[tuple[Scalar, ...]]:
+    """The directions `interp_fit` reads at order k in n variables: the
+    canonical design's first d(n, k) integer rows if `exact` (exact values
+    are solved on those alone), else its first 2·d(n, k) rows at unit
+    length."""
+    d = dim_homog(n, k)
     design = canonical_design(n)
-    index, sign = mapping or monomial_map(flip, k)
+    if exact:
+        return design.rows(d)
+    return list(map(tuple, design.unit(2 * d).tolist()))
+
+
+def interp_fit(values: Sequence[Scalar], n: int, k: int, exact: bool = False
+               ) -> tuple[HomoPoly, list, float]:
+    """The degree-k form q fitted to h_k's `values` along the canonical rows
+    of n variables, the residuals it leaves, and the scale 1 + max |h_k|
+    (at unit length for a least-squares fit).
+
+    In `exact` mode all-exact values are interpolated: q solves the first
+    d(n, k) rows of the integer `block`, on the design's prepared
+    `system(k)`, so a fit only lifts (or runs Bareiss); the solve proves
+    their rank (GenericityFailure if singular over Q, at every point
+    alike), and q leaves |h - q(u)| on the other rows, integer dot products
+    over q's common denominator.  Other values take least squares on
+    2·d(n, k) unit rows, an integer row's h_k divided by |u|^k: residuals
+    |h - Q Qᵀ h| (FloatOverflow if not finite) and q = R⁻¹Qᵀh.
+    """
+    design = canonical_design(n)
     if exact and all(isinstance(h, (int, Fraction)) for h in values):
         d = dim_homog(n, k)
         block = design.block(k)
@@ -423,8 +373,7 @@ def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
         except SingularSystem as exc:
             raise GenericityFailure(f"the lattice directions of order {k} "
                                     f"are not generic ({exc})") from exc
-        fitted = HomoPoly(n, k, tuple(q[i] if s > 0 else -q[i] for i, s
-                                      in zip(index.tolist(), sign.tolist())))
+        fitted = HomoPoly(n, k, tuple(q))
         if any(q):
             den = math.lcm(*(c.denominator for c in q))
             dots = block[d:len(values)] @ np.array(
@@ -436,13 +385,13 @@ def interp_fit(values: Sequence[Scalar], flip: tuple[tuple[int, int], ...],
         return fitted, residuals, 1.0 + _magnitude(max(map(abs, values)))
     q, r_inv = design.factors(k)
     h = np.array(values, dtype=float)
-    if exact:  # h_k(x, u/|u|) = h_k(x, u)/|u|^k, and M keeps every |u|
+    if exact:  # h_k(x, u/|u|) = h_k(x, u)/|u|^k
         h = h / np.linalg.norm(np.array(design.rows(len(h)), dtype=float),
                                axis=1) ** k
     with np.errstate(over="ignore", invalid="ignore"):
         projection = q.T @ h
         residuals = np.abs(h - q @ projection)
-        coeffs = (r_inv @ projection)[index] * sign
+        coeffs = r_inv @ projection
     # A non-finite value makes a residual non-finite: then the order
     # gives no evidence either way.
     if not np.isfinite(residuals).all():

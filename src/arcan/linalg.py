@@ -87,11 +87,13 @@ class IntegerSystem:
 
     @cached_property
     def nbytes(self) -> int:
-        """Bytes the system keeps, its ints counted at their own size."""
-        ints = [v for row in self.rows for v in row] + list(self.norms)
+        """Bytes the system adds to the rows it was given: its tuples, its
+        norms and its arrays.  The row entries are the caller's own int
+        objects (`operator.index` returns an int as it is)."""
         arrays = [a for a in (self.matrix, self.inverse) if a is not None]
-        return sum(map(sys.getsizeof, (self.rows, self.norms, *self.rows))) \
-            + sum(map(sys.getsizeof, ints)) + sum(a.nbytes for a in arrays)
+        return sum(map(sys.getsizeof, (self.rows, self.norms, *self.rows,
+                                       *self.norms))) \
+            + sum(a.nbytes for a in arrays)
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
         """The x with A x = rhs (ints or Fractions), as Fractions; raises

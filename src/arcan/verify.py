@@ -17,7 +17,7 @@ from .classify import ANALYTIC_UP_TO, NON_ANALYTIC, classify_point, \
 from .corpus import ARC_MEROMORPHIC_ONLY, CorpusEntry, corpus_list, lookup
 from .expr import REMOVABLE_MISMATCH, arc_check
 from .homog import euler_check, fd_reconstruct, interp_fit, random_poly, \
-    sample_nodes, shrink_bound_check, signed_permutation
+    sample_nodes, shrink_bound_check
 from .parser import parse, parse_arc
 from .seeds import derive_seed
 
@@ -92,17 +92,16 @@ def check_interp_roundtrip(trials: int = 1000, seed: int = 0,
     """The ladder's own fit through sampled values recovers the sampled
     polynomial: exact trials evaluate it at the d(n, k) integer rows the
     exact fit solves on, float trials at the order's 2·d(n, k) unit rows
-    (`sample_nodes`).
+    (`sample_nodes`), both the canonical rows every ladder reads.
     """
     rng = random.Random(derive_seed(seed, "interp"))
     worst = 0
-    for i in range(trials):
+    for _ in range(trials):
         n = rng.randint(1, max_n)
         k = rng.randint(0, max_k)
         poly = random_poly(n, k, rng, exact)
-        flip = signed_permutation(derive_seed(seed, "interp-nodes", i), n)
-        values = [poly(v) for v in sample_nodes(flip, k, exact)]
-        fitted = interp_fit(values, flip, k, exact)[0]
+        values = [poly(v) for v in sample_nodes(n, k, exact)]
+        fitted = interp_fit(values, n, k, exact)[0]
         for c_in, c_out in zip(poly.coeffs, fitted.coeffs):
             denom = max(1, abs(c_in)) if not exact else 1
             worst = max(worst, abs(c_out - c_in) / denom)
@@ -190,7 +189,7 @@ class EntryReport:
 
 
 def verify_entry(entry: CorpusEntry, k_max: int = 6, tol: float = 1e-7,
-                 seed: int = 0, jobs: int = 1) -> EntryReport:
+                 jobs: int = 1) -> EntryReport:
     """Scan the entry's window and compare flagged points with its locus.
 
     On top of the grid comparison: on-locus rational points must classify
@@ -199,8 +198,8 @@ def verify_entry(entry: CorpusEntry, k_max: int = 6, tol: float = 1e-7,
     mismatch along the diagonal arc.
     """
     e = entry.expr()
-    verdicts = scan_region(e, entry.scan_axes, k_max, tol, seed,
-                           shortcut=True, jobs=jobs)
+    verdicts = scan_region(e, entry.scan_axes, k_max, tol, shortcut=True,
+                           jobs=jobs)
     observed = tuple(sorted(flagged_points(verdicts)))
     grid = grid_array(entry.scan_axes)
     expected = tuple(sorted(map(tuple, grid[entry.locus.contains_rows(grid)]
@@ -208,14 +207,13 @@ def verify_entry(entry: CorpusEntry, k_max: int = 6, tol: float = 1e-7,
     loci_match = observed == expected
 
     checks: list[tuple[str, bool]] = []
-    for i, pt in enumerate(entry.exact_locus_points):
+    for pt in entry.exact_locus_points:
         v = classify_point(e, pt, k_max=max(3, min(k_max, 4)), tol=tol,
-                           seed=derive_seed(seed, "locus", i), exact=True)
+                           exact=True)
         checks.append((f"locus point {tuple(map(str, pt))} non-analytic (exact)",
                        v.status == NON_ANALYTIC))
-    for i, pt in enumerate(entry.regular_points):
-        v = classify_point(e, pt, k_max=max(3, min(k_max, 4)), tol=tol,
-                           seed=derive_seed(seed, "regular", i))
+    for pt in entry.regular_points:
+        v = classify_point(e, pt, k_max=max(3, min(k_max, 4)), tol=tol)
         checks.append((f"regular point {tuple(map(float, pt))} analytic",
                        v.status == ANALYTIC_UP_TO))
     if ARC_MEROMORPHIC_ONLY in entry.tags:
@@ -231,7 +229,6 @@ def verify_entry(entry: CorpusEntry, k_max: int = 6, tol: float = 1e-7,
 
 
 def verify_corpus(names: Sequence[str] | None = None, k_max: int = 6,
-                  tol: float = 1e-7, seed: int = 0,
-                  jobs: int = 1) -> list[EntryReport]:
+                  tol: float = 1e-7, jobs: int = 1) -> list[EntryReport]:
     entries = corpus_list() if not names else [lookup(n) for n in names]
-    return [verify_entry(entry, k_max, tol, seed, jobs) for entry in entries]
+    return [verify_entry(entry, k_max, tol, jobs) for entry in entries]

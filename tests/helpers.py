@@ -16,9 +16,14 @@ the exact jet of one arc as `RationalJet` ran it before its lanes were
 batched, integer numerators as lists; with `scalar_rational_series` it is
 the reference for exact lanes.  `qr_residuals` is the
 float order test as it was before the canonical design: a QR of the
-evaluation matrix at the very directions the jets were taken along.  `seeded_exact_fit` is the exact
-fit as it was before the canonical integer blocks: a solve on the
-seed-permuted rows themselves.  `fraction_sum_value` and
+evaluation matrix at the very directions the jets were taken along.
+`seeded_exact_fit` is the exact fit as it was before the canonical integer
+blocks: a solve on the permuted rows themselves.  `signed_permutation` is
+the signed permutation M a ladder seed picked before ladders read the
+canonical rows as they are; `signed_permutations` lists all 2^n n! of
+them, and `permuted` turns a ladder of f along U M into one of f∘M along
+U, the probe of direction sensitivity that replaced the seed;
+`permuted_form` is P∘M for a form P.  `fraction_sum_value` and
 `fraction_sum_derivative` are `HomoPoly`'s evaluation and radial
 derivative as they were before exact forms were evaluated in integers over
 one common denominator: a sum of terms in the inputs' own arithmetic, a
@@ -33,6 +38,7 @@ use.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from operator import add, mul
@@ -48,13 +54,15 @@ from arcan.corpus import ARC_ANALYTIC, CorpusEntry, corpus_list
 from arcan.errors import DomainError, FloatOverflow, NegativeLeading, \
     OddValuation, PoleAtOrigin, ShortWindow, ZeroDenominator, ZeroDivisor
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
-    RationalConst, Sqrt, Sub, Var, _exact_div, compile_tape, run_tape
+    RationalConst, Sqrt, Sub, Var, _exact_div, compile_tape, run_tape, \
+    substitute
 from arcan.homog import HomoPoly, canonical_design, dim_homog, \
-    evaluation_matrix, monomials, signed_permutation
+    evaluation_matrix, monomials
 from arcan.jets import LaneJet, RationalJet, Scalar, _power, jet_sqrt, \
     sqrt_scalar
 from arcan.linalg import IntegerSystem
 from arcan.parser import var_name
+from arcan.seeds import derive_seed
 
 
 # --- the scalar jet (reference for RationalJet and one-lane LaneJets) ----------
@@ -1013,15 +1021,55 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     return IntegerSystem(scaled).solve(scaled_b)
 
 
-def permutation_seeds(n: int) -> dict:
-    """One seed per signed permutation of n coordinates, keyed by the
-    permutation as `signed_permutation` gives it: 2^n n! seeds."""
-    found: dict = {}
-    seed = 0
-    while len(found) < 2 ** n * math.factorial(n):
-        found.setdefault(signed_permutation(seed, n), seed)
-        seed += 1
-    return found
+# --- signed permutations of the coordinates (the former ladder seeds) -----------
+
+def signed_permutation(seed: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The signed permutation M a ladder seed picked, as a pair (i, sign)
+    per coordinate j of u M: (u M)_j = sign * u[i].  M is integer and
+    orthogonal, so V_k(U M) is V_k(U) with columns permuted and negated:
+    rank, condition and parallel rows do not depend on it."""
+    rng = random.Random(derive_seed(seed, "directions", n))
+    sources = list(range(n))
+    rng.shuffle(sources)
+    return tuple((i, rng.choice((1, -1))) for i in sources)
+
+
+def signed_permutations(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every signed permutation of n coordinates, 2^n n!, identity first,
+    in `signed_permutation`'s form."""
+    return [tuple(zip(p, s)) for p in itertools.permutations(range(n))
+            for s in itertools.product((1, -1), repeat=n)]
+
+
+def permuted(e: Expr, x: Sequence[Scalar], flip) -> tuple[Expr, tuple]:
+    """g = f∘M and y = x M⁻¹ for the signed permutation M = `flip`.
+
+    g(y + t u) = f(x + t u M), so g's ladder at y on the canonical rows U
+    reads the jets f's ladder at x read along U M, as under a seed that
+    picked M: in value and type when exact, and bit for bit in floats
+    (negation is exact).
+    """
+    g = substitute(e.root, {j: Var(i) if s > 0
+                            else Mul(RationalConst(Fraction(-1)), Var(i))
+                            for j, (i, s) in enumerate(flip)})
+    y = [None] * len(flip)
+    for j, (i, s) in enumerate(flip):
+        y[i] = x[j] if s > 0 else -x[j]
+    return Expr(g, e.nvars), tuple(y)
+
+
+def permuted_form(p: HomoPoly, flip) -> HomoPoly:
+    """The form u -> p(u M) for the signed permutation M = `flip`: v^a
+    becomes sign(a)·u^b, where b[i] = a[j] for (u M)_j = ±u[i]."""
+    coeffs = {}
+    for c, a in zip(p.coeffs, monomials(p.nvars, p.degree)):
+        b, sign = [0] * p.nvars, 1
+        for j, (i, s) in enumerate(flip):
+            b[i] = a[j]
+            sign *= s ** a[j]
+        coeffs[tuple(b)] = sign * c
+    return HomoPoly(p.nvars, p.degree,
+                    tuple(coeffs[b] for b in monomials(p.nvars, p.degree)))
 
 
 # --- tools only the tests use ----------------------------------------------------

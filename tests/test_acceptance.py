@@ -50,13 +50,12 @@ def test_criterion_2_corpus_loci():
     for name in ("E1", "E2", "E3"):
         entry = lookup(name)
         verdicts = scan_region(entry.expr(), entry.scan_axes, k_max=6,
-                               tol=1e-7, seed=SEED)
+                               tol=1e-7)
         flags = set(flagged_points(verdicts))
         ok = ok and flags == {(0.0, 0.0)}
         details.append(f"{name}:{len(flags)} flag(s)")
     entry = lookup("E5")
-    verdicts = scan_region(entry.expr(), entry.scan_axes, k_max=6, tol=1e-7,
-                           seed=SEED)
+    verdicts = scan_region(entry.expr(), entry.scan_axes, k_max=6, tol=1e-7)
     flags = set(flagged_points(verdicts))
     expected = {p for p in grid_points(entry.scan_axes)
                 if p[0] == 0.0 and p[1] == 0.0}
@@ -80,8 +79,7 @@ def test_criterion_4_blowup_resolution():
     chart = make_chart(2, (1, 2), 1)
     pb = pullback(e1, chart)
     points = [(0.0, -2.0 + i * 0.35) for i in range(12)]
-    verdicts = classify_pullback(e1, chart, points, k_max=6, tol=1e-7,
-                                 seed=SEED)
+    verdicts = classify_pullback(e1, chart, points, k_max=6, tol=1e-7)
     analytic = sum(1 for v in verdicts if v.status == ANALYTIC_UP_TO)
     ok = pb.cancelled_power == 2 and analytic >= 10 and analytic == len(points)
     _report("criterion-4 blowup-resolution", ok,
@@ -117,8 +115,7 @@ def test_criterion_6_arc_symmetry():
                 through = None
             arc = random_arc(rng, entry.nvars, degree=4, through=through)
             report = arc_symmetry_check(e, arc, samples=64, k_max=4,
-                                        tol=1e-7, seed=SEED + i,
-                                        allowed_exceptions=2)
+                                        tol=1e-7, allowed_exceptions=2)
             checked += 1
             if report.negative_uniformly_analytic:
                 worst = max(worst, report.positive_exceptions)

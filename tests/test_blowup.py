@@ -255,7 +255,7 @@ class TestPullback:
                         pt[i] = y
                 points.append(tuple(pt))
             verdicts = classify_pullback(entry.expr(), chart, points,
-                                         k_max=3, seed=73)
+                                         k_max=3)
             for v in verdicts:
                 assert v.status == ANALYTIC_UP_TO, (entry.name, v.point)
 
@@ -263,18 +263,18 @@ class TestPullback:
 class TestClassifyPullback:
     def test_divisor_becomes_analytic_for_resolvable_example(self):
         points = [(0.0, -2.0 + 0.4 * i) for i in range(11)]
-        verdicts = classify_pullback(E1, POINT_CHART, points, k_max=4, seed=61)
+        verdicts = classify_pullback(E1, POINT_CHART, points, k_max=4)
         assert all(v.status == ANALYTIC_UP_TO for v in verdicts)
 
     def test_unresolved_fiber_stays_bad(self):
         points = [(0.0, -1.5 + 0.5 * i, 0.0) for i in range(7)]
-        verdicts = classify_pullback(ZCONE, XAXIS_CHART, points, k_max=3, seed=61)
+        verdicts = classify_pullback(ZCONE, XAXIS_CHART, points, k_max=3)
         assert all(v.status == NON_ANALYTIC for v in verdicts)
 
     def test_polynomial_is_everywhere_analytic(self):
         points = [(0.0, y) for y in (-1.0, 0.0, 1.0)]
         verdicts = classify_pullback(parse("x^2 + y^2"), POINT_CHART, points,
-                                     k_max=3, seed=61)
+                                     k_max=3)
         assert all(v.status == ANALYTIC_UP_TO for v in verdicts)
 
     def test_points_off_divisor_rejected(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcan import classify, homog
 from arcan.classify import ANALYTIC_UP_TO, DEFAULT_TOL, INCONCLUSIVE, \
-    NON_ANALYTIC, SeededDesign, _ladder, arc_symmetry_check, \
+    NON_ANALYTIC, _ladder, arc_symmetry_check, \
     classify_point, default_order, design, flagged_points, gateaux_coeff, \
     grid_points, loja_estimate, regular_points, scan_region, \
     verdict_to_json
@@ -21,13 +21,14 @@ from arcan.corpus import corpus_list, lookup
 from arcan.errors import CapExceeded, PoleAtOrigin
 from arcan.expr import Expr, eval_arc
 from arcan.homog import HomoPoly, LatticeDesign, canonical_design, \
-    dim_homog, gather_matrix, signed_permutation
+    dim_homog, gather_matrix
 from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_from_coeffs, \
-    permutation_seeds, qr_residuals, random_arc, random_point, \
-    random_polynomial_expr, random_safe_rational_expr, trees
+    permuted, permuted_form, qr_residuals, random_arc, random_point, \
+    random_polynomial_expr, random_safe_rational_expr, signed_permutation, \
+    signed_permutations, trees
 
 F = Fraction
 
@@ -93,23 +94,23 @@ class TestPolyTest:
     """One order's evidence, as the ladder reports it."""
 
     def test_non_polynomial_first_order(self):
-        result = classify_point(E1, (0, 0), k_max=1, seed=3).evidence[1]
+        result = classify_point(E1, (0, 0), k_max=1).evidence[1]
         assert not result.polynomial
         assert result.max_residual > 1e-3
 
     def test_polynomial_differentials_of_polynomials(self):
         e = parse("x^3 + x * y^2")
-        evidence = classify_point(e, (1, 2), k_max=3, seed=5).evidence
+        evidence = classify_point(e, (1, 2), k_max=3).evidence
         for k in range(0, 4):
             result = evidence[k]
             assert result.polynomial, f"k={k}: {result.max_residual}"
 
     def test_sqrt_second_order(self):
-        result = classify_point(E2, (0, 0), k_max=2, seed=7).evidence[2]
+        result = classify_point(E2, (0, 0), k_max=2).evidence[2]
         assert not result.polynomial
 
     def test_pole_reported_as_evidence(self):
-        result = classify_point(INV, (0, 0), k_max=1, seed=9).evidence[0]
+        result = classify_point(INV, (0, 0), k_max=1).evidence[0]
         assert not result.polynomial
         assert result.pole_direction is not None
         assert result.max_residual == math.inf
@@ -117,25 +118,25 @@ class TestPolyTest:
     def test_guarded_value_mismatch_caught_at_order_zero(self):
         # the series germ is x but the assigned value is 3: order 0 must fail
         e = parse("guard((x^2 + y^2) * x / (x^2 + y^2), 3)")
-        result = classify_point(e, (0, 0), k_max=1, seed=11).evidence[0]
+        result = classify_point(e, (0, 0), k_max=1).evidence[0]
         assert not result.polynomial
 
 
 class TestClassifyPoint:
     def test_flags_first_example_at_origin(self):
-        v = classify_point(E1, (0, 0), k_max=4, seed=1)
+        v = classify_point(E1, (0, 0), k_max=4)
         assert v.status == NON_ANALYTIC
         assert v.k_star == 1
         assert v.guard_triggered
 
     def test_regular_point_passes_all_orders(self):
-        v = classify_point(E1, (1, 0), k_max=4, seed=1)
+        v = classify_point(E1, (1, 0), k_max=4)
         assert v.status == ANALYTIC_UP_TO
         assert len(v.evidence) == 5
 
     def test_oval_denominator_in_exact_mode(self):
         entry = next(e for e in corpus_list() if e.name == "E6")
-        v = classify_point(entry.expr(), (F(1), F(0), F(0)), k_max=2, seed=1,
+        v = classify_point(entry.expr(), (F(1), F(0), F(0)), k_max=2,
                            exact=True)
         assert v.status == NON_ANALYTIC
         assert v.k_star == 1
@@ -148,7 +149,7 @@ class TestClassifyPoint:
         rng = random.Random(23)
         points = [random_point(rng, 2) for _ in range(20)]
         assert regular_points(E1, points, False).all()
-        assert all(classify_point(E1, x, k_max=3, seed=2).status
+        assert all(classify_point(E1, x, k_max=3).status
                    == ANALYTIC_UP_TO for x in points)
 
     def test_analytic_baseline_residuals(self):
@@ -161,20 +162,26 @@ class TestClassifyPoint:
                 else random_safe_rational_expr(rng, nvars)
             for j in range(20):
                 x = random_point(rng, nvars, box=1.5)
-                v = classify_point(e, x, k_max=4, seed=derived(i, j))
+                # the rows a seed of its own once picked for the point
+                g, y = permuted(e, x, signed_permutation(derived(i, j), nvars))
+                v = classify_point(g, y, k_max=4)
                 assert v.status == ANALYTIC_UP_TO
                 for ev in v.evidence:
                     assert max(ev.residuals, default=0) <= 1e-9 * ev.scale
 
-    def test_seed_invariance_of_status(self):
+    def test_status_does_not_depend_on_the_directions(self):
+        # f∘M at x M⁻¹ reads f's jets along the rows U M: every signed
+        # permutation M gives the status f has at x
         for entry in corpus_list():
             e = entry.expr()
             points = [tuple(float(c) for c in entry.exact_locus_points[0]),
                       tuple(float(c) for c in entry.regular_points[0])]
             for pt in points:
-                statuses = {classify_point(e, pt, k_max=3, seed=s).status
-                            for s in (1, 2, 3, 4, 5)}
-                assert len(statuses) == 1, f"{entry.name} at {pt}: {statuses}"
+                status = classify_point(e, pt, k_max=3).status
+                statuses = {classify_point(*permuted(e, pt, flip),
+                                           k_max=3).status
+                            for flip in signed_permutations(entry.nvars)}
+                assert statuses == {status}, f"{entry.name} at {pt}"
 
 
 def derived(i: int, j: int) -> int:
@@ -184,7 +191,8 @@ def derived(i: int, j: int) -> int:
 # E6 points of its cube (`scan_axes`) and of a slab near the oval that the
 # fit-then-validate float test flagged at k_max 10 under the scan seed 0 of
 # per-point seeding, derive_seed(0, "scan", i): round-off amplified by the
-# fit's Lebesgue factor, by a margin of 1.1 to 9.2.
+# fit's Lebesgue factor, by a margin of 1.1 to 9.2.  The probes read the
+# jets along the rows that seed's signed permutation picked.
 SLAB = ((F(-1, 4), F(13, 4), F(1, 8)), (F(-1), F(1), F(1, 8)),
         (F(1, 16), F(1, 4), F(1, 16)))
 FORMER_FALSE_POSITIVES = [
@@ -202,9 +210,13 @@ FORMER_FALSE_POSITIVES = [
 
 
 class HeldValues:
-    """Stands in for a point's jets: h_k along the design's directions."""
+    """Stands in for a point's float jets: h_k along the rows of
+    `design(n, k)`."""
 
-    def __init__(self, values):
+    exact = False
+
+    def __init__(self, n, k, values):
+        self.directions = design(n, k)[0]
         self.values = values
 
     def taylor_values(self, k, count):
@@ -218,15 +230,17 @@ class TestLeastSquaresLadder:
         axes = e6.scan_axes if grid == "cube" else SLAB
         x = grid_points(axes)[index]
         assert x == tuple(float(c) for c in point)
-        v = classify_point(e6.expr(), x, k_max=10,
-                           seed=derive_seed(0, "scan", index))
-        assert v.status == ANALYTIC_UP_TO
-        assert max(ev.margin for ev in v.evidence) < 0.01
+        flip = signed_permutation(derive_seed(0, "scan", index), 3)
+        for v in (classify_point(e6.expr(), x, k_max=10),
+                  classify_point(*permuted(e6.expr(), x, flip), k_max=10)):
+            assert v.status == ANALYTIC_UP_TO
+            assert max(ev.margin for ev in v.evidence) < 0.01
 
     def test_roadmap_false_positive_is_analytic(self):
-        v = classify_point(lookup("E6").expr(), (0.25, 1.0, 0.25), k_max=10,
-                           seed=3)
-        assert v.status == ANALYTIC_UP_TO
+        e6, x = lookup("E6").expr(), (0.25, 1.0, 0.25)
+        assert classify_point(e6, x, k_max=10).status == ANALYTIC_UP_TO
+        assert classify_point(*permuted(e6, x, signed_permutation(3, 3)),
+                              k_max=10).status == ANALYTIC_UP_TO
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), k=st.integers(0, 12),
@@ -234,17 +248,21 @@ class TestLeastSquaresLadder:
            spread=st.sampled_from([1.0, 1e3, 1e-3]))
     def test_polynomial_data_passes_with_a_small_margin(self, n, k, seed,
                                                         coeff_seed, spread):
+        # P along the rows U M is the form P∘M along U: the fit gives its
+        # coefficients
         rng = random.Random(coeff_seed)
         P = HomoPoly(n, k, tuple(rng.uniform(-spread, spread)
                                  for _ in range(dim_homog(n, k))))
-        plan = SeededDesign(seed, n, k)
-        values = HeldValues([P(v) for v in plan.directions.tolist()])
-        result = classify._order_result(plan, values, k, 1e-7, None)
+        flip = signed_permutation(seed, n)
+        rows = design(n, k)[0].tolist()
+        values = HeldValues(n, k, [P([s * u[i] for i, s in flip])
+                                   for u in rows])
+        result = classify._order_result(values, "", k, 1e-7, None)
         assert result.polynomial
         assert result.margin <= 1e-3
         assert len(result.residuals) == 2 * dim_homog(n, k)
-        # the fit's coefficients are in v, not in the canonical u
-        np.testing.assert_allclose(result.fitted.coeffs, P.coeffs, rtol=0,
+        np.testing.assert_allclose(result.fitted.coeffs,
+                                   permuted_form(P, flip).coeffs, rtol=0,
                                    atol=1e-9 * max(map(abs, P.coeffs)))
 
     @settings(max_examples=40, deadline=None)
@@ -253,59 +271,56 @@ class TestLeastSquaresLadder:
     def test_residuals_equal_a_qr_at_the_rotated_directions(self, n, k, seed,
                                                             family):
         # The canonical Q spans what a QR of the permuted directions' own
-        # evaluation matrix spans, so non-polynomial data leaves the same
-        # residuals.
-        plan = SeededDesign(seed, n, k)
-        dirs = plan.directions.tolist()
+        # evaluation matrix spans, so non-polynomial data along the rows
+        # U M leaves the same residuals.
+        flip = signed_permutation(seed, n)
+        dirs = [[s * u[i] for i, s in flip] for u in design(n, k)[0].tolist()]
         if family == 0:
             h = [abs(v[0]) ** (k | 1) for v in dirs]
         else:
             h = [math.hypot(*v) ** k / (v[0] + 2) for v in dirs]
-        result = classify._order_result(plan, HeldValues(h), k, 1e-7, None)
+        result = classify._order_result(HeldValues(n, k, h), "", k, 1e-7,
+                                        None)
         expected = qr_residuals(dirs, h, n, k)
         assert max(result.residuals) == pytest.approx(
             float(expected.max()), rel=1e-9, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_a_float_seed_permutes_the_canonical_rows(self, n):
+    def test_float_ladders_read_the_canonical_unit_rows(self, n):
         rows = 2 * dim_homog(n, 6)
         canonical = canonical_design(n).unit(rows).copy()
-        for seed in range(5):
-            flip = signed_permutation(seed, n)
-            plan = SeededDesign(seed, n, 6)
-            assert plan.canonical is canonical_design(n)
-            assert canonical_design(n).unit(rows).tobytes() \
-                == canonical.tobytes()
-            expected = [[s * u[i] for i, s in flip] for u in canonical.tolist()]
-            assert plan.directions.tolist() == expected
+        directions, shortage = design(n, 6)
+        assert shortage == "" and not directions.flags.writeable
+        assert directions.tobytes() == canonical.tobytes()
+        assert canonical_design(n).unit(rows).tobytes() == canonical.tobytes()
         if n == 1:
             assert canonical.tolist() == [[1.0], [-1.0]]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_every_signed_permutation_fits_coefficients_in_v(self, n):
-        # q(u) = P(u M) is fitted on the canonical rows; gathering and
-        # sign-flipping its coefficients must give P's own, for every M.
+    def test_every_signed_permutation_fits_the_permuted_form(self, n):
+        # P along the rows U M is the form P∘M along U, for every M: the
+        # fit on the canonical rows gives P∘M's coefficients.
         rng = random.Random(n)
         polys = [HomoPoly(n, k, tuple(rng.uniform(-1, 1)
                                       for _ in range(dim_homog(n, k))))
                  for k in range(7)]
-        for seed in permutation_seeds(n).values():
-            plan = SeededDesign(seed, n, 6)
+        rows = design(n, 6)[0].tolist()
+        for flip in signed_permutations(n):
             for k, P in enumerate(polys):
-                values = HeldValues([P(v) for v in plan.directions.tolist()])
-                result = classify._order_result(plan, values, k, 1e-7, None)
+                values = HeldValues(n, 6, [P([s * u[i] for i, s in flip])
+                                           for u in rows])
+                result = classify._order_result(values, "", k, 1e-7, None)
                 assert result.polynomial
-                np.testing.assert_allclose(result.fitted.coeffs, P.coeffs,
+                np.testing.assert_allclose(result.fitted.coeffs,
+                                           permuted_form(P, flip).coeffs,
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_float_rows_are_the_rational_rows_at_unit_length(self, n):
-        # one design for both arithmetics, under every signed permutation
-        for seed in permutation_seeds(n).values():
-            rational = np.array(design(seed, n, 8, True).directions,
-                                dtype=float)
-            unit = rational / np.linalg.norm(rational, axis=1, keepdims=True)
-            assert design(seed, n, 8).directions.tobytes() == unit.tobytes()
+        # one design for both arithmetics
+        rational = np.array(design(n, 8, True)[0], dtype=float)
+        unit = rational / np.linalg.norm(rational, axis=1, keepdims=True)
+        assert design(n, 8)[0].tobytes() == unit.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_canonical_orders_are_generic(self, n):
@@ -325,7 +340,7 @@ class TestLeastSquaresLadder:
         design.cache_clear()
         monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: (3, 4))
         try:
-            v = classify_point(parse("x*y"), (0.5, 0.5), k_max=2, seed=11)
+            v = classify_point(parse("x*y"), (0.5, 0.5), k_max=2)
         finally:
             design.cache_clear()
         assert v.status == INCONCLUSIVE
@@ -333,21 +348,19 @@ class TestLeastSquaresLadder:
         assert v.evidence == ()
 
     def test_design_cache_and_factor_budget(self, monkeypatch):
-        assert design(5, 3, 6) is design(5, 3, 6)
-        assert design(6, 3, 6) is not design(5, 3, 6)
-        assert design(6, 3, 6).canonical is design(5, 3, 6).canonical
+        assert design(3, 6) is design(3, 6)
+        assert design(3, 6, True) is not design(3, 6)
         unbounded = LatticeDesign(3)
         full = [unbounded.factors(k) for k in range(11)]
         blocks = [unbounded.block(k) for k in range(11)]
         budget = sum(q.nbytes + r.nbytes for q, r in full[:6])
         monkeypatch.setattr(homog, "_DESIGNS", {})
         monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", budget)
-        views = [SeededDesign(5, 3, 10), SeededDesign(5, 2, 10)]
-        for plan in views:
+        for lattice in (canonical_design(3), canonical_design(2)):
             for k in range(11):
-                q, r_inv = plan.canonical.factors(k)
-                block = plan.canonical.block(k)
-                if plan.n == 3:
+                q, r_inv = lattice.factors(k)
+                block = lattice.block(k)
+                if lattice.n == 3:
                     assert q.tobytes() == full[k][0].tobytes()
                     assert r_inv.tobytes() == full[k][1].tobytes()
                     assert block.tolist() == blocks[k].tolist()
@@ -373,7 +386,7 @@ class TestLeastSquaresLadder:
         # an exact ladder still decides beyond the budget
         design.cache_clear()
         try:
-            v = classify_point(parse("x*y*z"), (1, 1, 1), k_max=9, seed=3,
+            v = classify_point(parse("x*y*z"), (1, 1, 1), k_max=9,
                                exact=True)
         finally:
             design.cache_clear()
@@ -381,17 +394,24 @@ class TestLeastSquaresLadder:
 
     def test_held_bytes_count_the_exact_systems(self, monkeypatch):
         # A system keeps A's rows, the lifting matrix, A⁻¹ mod P and the
-        # row norms beside its block, all counted in one budget.
+        # row norms beside its block, all counted in one budget.  Its rows
+        # hold the block's own ints, which the block is charged for: the
+        # system adds only its own tuples, norms and arrays.
         monkeypatch.setattr(homog, "_DESIGNS", {})
         lattice = canonical_design(3)
         blocks = homog._held_bytes()
         assert blocks == 0
-        lattice.block(10)
+        block = lattice.block(10)
         blocks = homog._held_bytes()
         system = lattice.system(10)
         assert lattice.system(10) is system
-        assert system.nbytes > system.matrix.nbytes + system.inverse.nbytes
-        assert homog._held_bytes() == blocks + system.nbytes
+        assert all(a is b for row, kept in zip(block.tolist(), system.rows)
+                   for a, b in zip(row, kept))
+        own = sum(map(sys.getsizeof, (system.rows, system.norms,
+                                      *system.rows, *system.norms))) \
+            + system.matrix.nbytes + system.inverse.nbytes
+        assert system.nbytes == own
+        assert homog._held_bytes() == blocks + own
         assert list(lattice._systems) == [10]
 
     def test_exact_systems_beyond_the_budget_are_built_per_call(
@@ -403,15 +423,15 @@ class TestLeastSquaresLadder:
         monkeypatch.setattr(homog, "_DESIGNS", {})
         design.cache_clear()
         try:
-            kept = classify_point(e, point, k_max=9, seed=4, exact=True)
+            kept = classify_point(e, point, k_max=9, exact=True)
             monkeypatch.setattr(homog, "_DESIGNS", {})
             design.cache_clear()
             lattice = canonical_design(3)
-            classify_point(e, point, k_max=5, seed=4, exact=True)
+            classify_point(e, point, k_max=5, exact=True)
             held = homog._held_bytes()
             monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", held)
             assert lattice.system(8) is not lattice.system(8)
-            beyond = classify_point(e, point, k_max=9, seed=4, exact=True)
+            beyond = classify_point(e, point, k_max=9, exact=True)
         finally:
             design.cache_clear()
         assert homog._held_bytes() == held
@@ -447,42 +467,43 @@ class TestLeastSquaresLadder:
             assert q.shape == (2 * dim_homog(n, k), dim_homog(n, k))
 
     def test_evidence_reports_threshold_and_margin(self):
-        v = classify_point(E1, (0, 0), k_max=3, seed=1)
+        v = classify_point(E1, (0, 0), k_max=3)
         for ev, entry in zip(v.evidence, verdict_to_json(v)["perOrder"]):
             assert ev.threshold == pytest.approx(1e-7 * ev.scale)
             assert entry["threshold"] == ev.threshold
             assert entry["margin"] == ev.margin
             assert (ev.margin <= 1) == (ev.k < v.k_star)
-        exact = classify_point(E1, (0, 0), k_max=3, seed=1, exact=True)
+        exact = classify_point(E1, (0, 0), k_max=3, exact=True)
         assert all(isinstance(ev.margin, float) for ev in exact.evidence)
 
 
 class TestExactLadder:
-    """Rational mode on the seeded lattice design, decided exactly."""
+    """Rational mode on the lattice design, decided exactly."""
 
     @pytest.mark.parametrize("p", range(31))
     def test_a_scaled_e1_fails_order_one_at_every_scale(self, p):
         # an exact residual fails at any size: no float tolerance applies
         e = parse(f"guard(x^3/(x^2+y^2)/{10 ** p}, 0)")
-        v = classify_point(e, (0, 0), k_max=4, seed=p, exact=True)
+        v = classify_point(*permuted(e, (0, 0), signed_permutation(p, 2)),
+                           k_max=4, exact=True)
         assert (v.status, v.k_star) == (NON_ANALYTIC, 1)
         failing = v.evidence[-1]
         assert failing.threshold == 0 and failing.margin == math.inf
         assert all(isinstance(r, F) for r in failing.residuals)
 
     def test_exact_orders_have_a_zero_threshold(self):
-        v = classify_point(parse("x*y + x^3"), (1, 2), k_max=5, seed=3,
+        v = classify_point(parse("x*y + x^3"), (1, 2), k_max=5,
                            exact=True)
         assert v.status == ANALYTIC_UP_TO
         for entry in verdict_to_json(v)["perOrder"]:
             assert set(entry["residuals"]) == {F(0)}
             assert (entry["threshold"], entry["margin"]) == (0, 0)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_float_valued_orders_keep_the_float_tolerance(self, seed):
+    @pytest.mark.parametrize("flip", signed_permutations(2))
+    def test_float_valued_orders_keep_the_float_tolerance(self, flip):
         # sqrt(2) is irrational: E2's jets at (1, 1) carry floats, tested by
         # least squares on the lattice rows scaled to unit length.
-        v = classify_point(E2, (1, 1), k_max=16, seed=seed, exact=True)
+        v = classify_point(*permuted(E2, (1, 1), flip), k_max=16, exact=True)
         assert v.status == ANALYTIC_UP_TO
         degraded = [ev for ev in v.evidence
                     if any(isinstance(r, float) for r in ev.residuals)]
@@ -516,12 +537,12 @@ class TestExactLadder:
         assert v.status == INCONCLUSIVE and "only 4 rows" in v.reason
         assert [ev.k for ev in v.evidence] == [0, 1]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_float_valued_orders_pass_through_order_20(self, seed):
+    @pytest.mark.parametrize("flip", signed_permutations(2))
+    def test_float_valued_orders_pass_through_order_20(self, flip):
         # A square solve on the unit rows passed a condition gate (1e6)
         # only through order 16, and was Inconclusive at order 17.  The
         # least-squares residual does not grow with the rows' condition.
-        v = classify_point(E2, (1, 1), k_max=20, seed=seed, exact=True)
+        v = classify_point(*permuted(E2, (1, 1), flip), k_max=20, exact=True)
         assert v.status == ANALYTIC_UP_TO
         assert max(ev.margin for ev in v.evidence) <= 1e-6
         for ev in v.evidence:
@@ -536,16 +557,14 @@ class TestExactLadder:
         assert v.status == ANALYTIC_UP_TO
         assert max(ev.margin for ev in v.evidence) <= 1e-6
 
-    def test_the_design_is_shared_and_permuted_per_seed(self):
+    def test_the_design_is_shared_and_reads_the_canonical_rows(self):
         rows = canonical_design(3).rows(2 * dim_homog(3, 4))
-        for seed in range(6):
-            plan = design(seed, 3, 4, True)
-            assert plan is design(seed, 3, 4, True)
-            flip = signed_permutation(seed, 3)
-            assert plan.directions.tolist() == [[s * u[i] for i, s in flip]
-                                                for u in rows]
-            assert all(type(c) is int for c in plan.directions.flat)
-        assert design(0, 3, 4) is not design(0, 3, 4, True)
+        directions, shortage = design(3, 4, True)
+        assert design(3, 4, True) == (directions, shortage)
+        assert directions.tolist() == [list(u) for u in rows]
+        assert all(type(c) is int for c in directions.flat)
+        assert shortage == "" and not directions.flags.writeable
+        assert design(3, 4) is not design(3, 4, True)
 
 
 def half_binomial_source(top: int) -> str:
@@ -607,21 +626,22 @@ class TestJetWindow:
                                                    exact):
         e = parse(text, nvars=2)
         pt = tuple(map(F, point)) if exact else tuple(map(float, point))
-        expected = _ladder(e, pt, 10, DEFAULT_TOL, 0,
+        expected = _ladder(e, pt, 10, DEFAULT_TOL,
                            order or default_order(10), exact)
         assert emit_json(verdict_to_json(classify_point(
             e, pt, 10, order=order, exact=exact))) \
             == emit_json(verdict_to_json(expected))
 
     @settings(max_examples=150, deadline=None)
-    @given(WINDOW_CASES, st.integers(1, 3), st.integers(0, 3))
-    def test_the_verdict_is_the_ladder_at_order(self, case, k_max, seed):
+    @given(WINDOW_CASES, st.integers(1, 3),
+           st.sampled_from(signed_permutations(2)))
+    def test_the_verdict_is_the_ladder_at_order(self, case, k_max, flip):
         exact, root, point = case
-        e = Expr(root, 2)
-        expected = _ladder(e, point, k_max, DEFAULT_TOL, seed,
+        e, point = permuted(Expr(root, 2), point, flip)
+        expected = _ladder(e, point, k_max, DEFAULT_TOL,
                            default_order(k_max), exact)
         assert emit_json(verdict_to_json(classify_point(
-            e, point, k_max, seed=seed, exact=exact))) \
+            e, point, k_max, exact=exact))) \
             == emit_json(verdict_to_json(expected))
 
 
@@ -631,33 +651,33 @@ class TestOneVariable:
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("text, k_star", [
         ("sqrt(x^2)", 1), ("guard(x^3/sqrt(x^2), 0)", 2)])
-    def test_a_kink_fails_at_every_seed(self, text, k_star, exact):
+    def test_a_kink_fails_under_both_signs(self, text, k_star, exact):
         e = parse(text)
-        for seed in range(20):
-            v = classify_point(e, (0,), k_max=4, seed=seed, exact=exact)
-            assert (v.status, v.k_star) == (NON_ANALYTIC, k_star), seed
+        for flip in signed_permutations(1):
+            v = classify_point(*permuted(e, (0,), flip), k_max=4, exact=exact)
+            assert (v.status, v.k_star) == (NON_ANALYTIC, k_star), flip
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_full_ladder_scan_flags_the_kink(self, seed):
-        verdicts = scan_region(parse("sqrt(x^2)"), [(-1, 1, F(1, 2))],
-                               seed=seed, shortcut=False)
+    @pytest.mark.parametrize("flip", signed_permutations(1))
+    def test_full_ladder_scan_flags_the_kink(self, flip):
+        g, _ = permuted(parse("sqrt(x^2)"), (0,), flip)
+        verdicts = scan_region(g, [(-1, 1, F(1, 2))], shortcut=False)
         assert flagged_points(verdicts) == [(0.0,)]
 
 
 class TestScanRegion:
     def test_flags_exactly_the_origin(self):
-        verdicts = scan_region(E1, [(-1, 1, F(1, 4))] * 2, k_max=4, seed=3)
+        verdicts = scan_region(E1, [(-1, 1, F(1, 4))] * 2, k_max=4)
         assert flagged_points(verdicts) == [(0.0, 0.0)]
 
     def test_polynomial_scan_has_no_flags(self):
         verdicts = scan_region(parse("x^2 + y^2"), [(-1, 1, F(1, 2))] * 2,
-                               k_max=3, seed=3)
+                               k_max=3)
         assert flagged_points(verdicts) == []
 
     def test_z_axis_line_in_three_variables(self):
         # scan the line x = y = 0: every point sits on the bad set
         axes = [(0, 0, 1), (0, 0, 1), (-1, 1, F(1, 4))]
-        verdicts = scan_region(E5, axes, k_max=3, seed=3)
+        verdicts = scan_region(E5, axes, k_max=3)
         assert len(verdicts) == 9
         assert all(v.status == NON_ANALYTIC for v in verdicts)
 
@@ -668,8 +688,8 @@ class TestScanRegion:
 
     def test_parallel_scan_matches_serial(self):
         axes = [(-1, 1, F(1, 2))] * 2
-        serial = scan_region(E1, axes, k_max=3, seed=4, jobs=1)
-        parallel = scan_region(E1, axes, k_max=3, seed=4, jobs=2)
+        serial = scan_region(E1, axes, k_max=3, jobs=1)
+        parallel = scan_region(E1, axes, k_max=3, jobs=2)
         assert [v.status for v in serial] == [v.status for v in parallel]
         assert [v.point for v in serial] == [v.point for v in parallel]
 
@@ -677,14 +697,14 @@ class TestScanRegion:
 class TestArcSymmetry:
     def test_arc_inside_the_bad_set_is_symmetric(self):
         report = arc_symmetry_check(E5, parse_arc("0, 0, t"), samples=16,
-                                    k_max=3, seed=5)
+                                    k_max=3)
         assert not report.violation
         assert not report.negative_uniformly_analytic
         assert all(s == NON_ANALYTIC for s in report.positive_statuses)
 
     def test_transversal_arc_has_finite_exceptions(self):
         report = arc_symmetry_check(E5, parse_arc("t, 0, 0"), samples=16,
-                                    k_max=3, seed=5)
+                                    k_max=3)
         assert not report.violation
         assert report.negative_uniformly_analytic
         assert report.positive_exceptions == 0
@@ -692,7 +712,7 @@ class TestArcSymmetry:
     def test_everywhere_analytic_function(self):
         e = parse("x^2 + y^2 + z^2")
         report = arc_symmetry_check(e, parse_arc("t, t^2, 1 - t"), samples=16,
-                                    k_max=3, seed=5)
+                                    k_max=3)
         assert not report.violation
         assert report.positive_exceptions == 0
 
@@ -701,7 +721,7 @@ class TestArcSymmetry:
         for entry in corpus_list():
             e = entry.expr()
             arc = random_arc(rng, entry.nvars, degree=3)
-            report = arc_symmetry_check(e, arc, samples=64, k_max=3, seed=6)
+            report = arc_symmetry_check(e, arc, samples=64, k_max=3)
             if report.negative_uniformly_analytic:
                 assert report.positive_exceptions <= 2
 
@@ -715,7 +735,7 @@ class TestArcSymmetry:
             return verdicts[-1]
         monkeypatch.setattr(classify, "classify_point", spy)
         report = arc_symmetry_check(E5, parse_arc("0, 0, t"), samples=4,
-                                    k_max=2, seed=5, exact=True)
+                                    k_max=2, exact=True)
         assert not report.violation and len(seen) == 8
         assert all(type(c) in (int, F) for pt in seen for c in pt)
         assert {ev.threshold for v in verdicts for ev in v.evidence} == {0}
@@ -756,7 +776,7 @@ class TestLojaEstimate:
 
 class TestVerdictJson:
     def test_shape(self):
-        doc = verdict_to_json(classify_point(E1, (0, 0), k_max=3, seed=1))
+        doc = verdict_to_json(classify_point(E1, (0, 0), k_max=3))
         assert doc["status"] == NON_ANALYTIC
         assert doc["kStar"] == 1
         assert doc["point"] == [0.0, 0.0]
@@ -765,6 +785,6 @@ class TestVerdictJson:
 
     def test_inconclusive_reason_serialized(self):
         e = parse("sqrt(x)", nvars=1)
-        v = classify_point(e, (0.0,), k_max=2, seed=1)
+        v = classify_point(e, (0.0,), k_max=2)
         assert v.status == INCONCLUSIVE
         assert "reason" in verdict_to_json(v)

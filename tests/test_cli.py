@@ -15,6 +15,7 @@ import pytest
 
 from arcan import cli
 from arcan.classify import classify_point
+from arcan.corpus import lookup
 from arcan.expr import eval_point
 from arcan.parser import parse
 
@@ -29,7 +30,7 @@ class TestClassifyCommand:
     def test_json_verdict(self, capsys):
         code, out = run_cli(capsys, [
             "classify", "guard(x^3/(x^2+y^2),0)", "--point", "0,0",
-            "--kmax", "3", "--seed", "1"])
+            "--kmax", "3"])
         assert code == 0
         doc = json.loads(out)
         assert doc["status"] == "NonAnalytic"
@@ -38,7 +39,7 @@ class TestClassifyCommand:
     def test_rational_mode_prints_fractions(self, capsys):
         code, out = run_cli(capsys, [
             "classify", "guard(x^3/(x^2+y^2),0)", "--point", "1/2,0",
-            "--kmax", "2", "--mode", "rational", "--seed", "1"])
+            "--kmax", "2", "--mode", "rational"])
         assert code == 0
         doc = json.loads(out)
         assert doc["point"] == ["1/2", "0"]
@@ -55,15 +56,14 @@ class TestClassifyCommand:
         assert out == (
             '{"point": ["0", "0"], "status": "AnalyticUpTo", "kMax": 3, '
             '"perOrder": [{"k": 0, "residuals": ["0", "0"], "scale": 1, '
-            f'{tol}, "nodeSeed": 0, "fitted": {{"nvars": 2, "degree": 0, '
+            f'{tol}, "fitted": {{"nvars": 2, "degree": 0, '
             '"coeffs": ["0"]}}, {"k": 1, "residuals": ["0", "0"], '
-            f'"scale": 1, {tol}, "nodeSeed": 0, "fitted": {{"nvars": 2, '
+            f'"scale": 1, {tol}, "fitted": {{"nvars": 2, '
             '"degree": 1, "coeffs": ["0", "0"]}}, {"k": 2, '
             f'"residuals": ["0", "0", "0"], "scale": 169, {tol}, '
-            '"nodeSeed": 0, '
             '"fitted": {"nvars": 2, "degree": 2, "coeffs": ["0", "1", "0"]}}, '
             f'{{"k": 3, "residuals": ["0", "0", "0", "0"], "scale": 1, {tol}, '
-            '"nodeSeed": 0, "fitted": {"nvars": 2, "degree": 3, '
+            '"fitted": {"nvars": 2, "degree": 3, '
             '"coeffs": ["0", "0", "0", "0"]}}]}\n')
 
     def test_a_long_rational_ladder_is_conclusive(self, capsys):
@@ -108,7 +108,7 @@ class TestClassifyCommand:
         ("sqrt(2)*x^2000", "2", "float",
          "order 0: h_0 or its residuals overflow the float range"),
         ("sqrt(2)*x^2000", "2", "rational",
-         "the jet along (-1,) overflows the float range"),
+         "the jet along (1,) overflows the float range"),
         ("x^1000", "3", "float",
          "order 0: h_0 or its residuals overflow the float range"),
     ], ids=["irrational-float", "irrational-rational", "power-float"])
@@ -235,8 +235,7 @@ class TestScanCommand:
         _, serial = run_cli(capsys, args + ["--jobs", "1"])
         _, parallel = run_cli(capsys, args + ["--jobs", "2"])
         assert serial == parallel
-        assert {json.loads(l)["perOrder"][0]["nodeSeed"]
-                for l in serial.splitlines()} == {3}
+        assert "nodeSeed" not in serial
 
     def test_grid_must_cover_all_variables(self, capsys):
         code, _ = run_cli(capsys, [
@@ -684,18 +683,41 @@ class TestUsageContract:
         assert elapsed < 1.0
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
-        argv = ["classify", "guard(x^3/(x^2+y^2),0)", "--point", "0,0",
-                "--kmax", "2"]
+        # the seed draws blowup's divisor points
+        argv = ["blowup", "guard(x^3/(x^2+y^2),0)", "--chart", CHART,
+                "--classify-divisor", "2", "--kmax", "2"]
         monkeypatch.setenv("ARCAN_SEED", "17")
         _, from_env = run_cli(capsys, argv)
         monkeypatch.delenv("ARCAN_SEED")
         _, explicit = run_cli(capsys, argv + ["--seed", "17"])
-        assert from_env == explicit
+        _, default = run_cli(capsys, argv)
+        assert from_env == explicit != default
+
+    def test_scan_ignores_its_seed(self, capsys):
+        # ladders read no seed: --seed is accepted, and changes no byte
+        entry = lookup("E6")
+        for extra in ([], ["--no-shortcut"]):
+            argv = ["scan", entry.source, "--grid",
+                    "x:-1:3:1/2;y:-1:1:1;z:0:0:1", "--kmax", "4", *extra]
+            outputs = [run_cli(capsys, argv + seed) for seed in
+                       ([], ["--seed", "0"], ["--seed", "1"])]
+            assert outputs[0][0] == 0 and '"NonAnalytic"' in outputs[0][1]
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_classify_takes_no_seed(self, capsys):
+        argv = ["classify", "x*y", "--point", "1,2", "--seed", "1"]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 1 and captured.out == ""
+        assert captured.err.endswith(
+            "arcan: error: unrecognized arguments: --seed 1\n")
+        assert "Traceback" not in captured.err
 
 
 # Each subcommand's flags, and a valid value for each flag.
 FLAGS = {
-    "classify": ["--point", "--mode", "--kmax", "--tol", "--order", "--seed"],
+    "classify": ["--point", "--mode", "--kmax", "--tol", "--order"],
     "scan": ["--grid", "--no-shortcut", "--mode", "--kmax", "--tol",
              "--order", "--seed", "--format", "--jobs"],
     "arc": ["--arc", "--arc-tol", "--mode", "--order"],
@@ -737,7 +759,7 @@ class TestOptionSurface:
     def test_each_subcommand_declares_exactly_its_flags(self):
         assert {name: sorted(flags) for name, flags in parser_flags().items()} \
             == {name: sorted(flags) for name, flags in FLAGS.items()}
-        assert sum(map(len, FLAGS.values())) == 34
+        assert sum(map(len, FLAGS.values())) == 33
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in FLAGS for flag in FLAGS[command]])
@@ -767,10 +789,11 @@ class TestOptionSurface:
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_arcan_seed_is_read_by_the_commands_taking_seed(
             self, capsys, monkeypatch, command):
+        # scan and corpus accept --seed and ignore it, and ARCAN_SEED too
         monkeypatch.setenv("ARCAN_SEED", "x")
         code = cli.main(BASE[command])
         captured = capsys.readouterr()
-        if "--seed" in FLAGS[command]:
+        if command in ("blowup", "verify"):
             assert code == 1
             assert captured.err == ("arcan: error: ARCAN_SEED must be an "
                                     "integer, got 'x'\n")

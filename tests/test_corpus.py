@@ -4,7 +4,6 @@ import importlib.util
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from arcan.corpus import ARC_ANALYTIC, ARC_MEROMORPHIC_ONLY, DISCONTINUOUS, \
     SubspaceLocus, corpus_list, lookup
 from arcan.expr import eval_point
 
-from helpers import arc_analytic_entries, permutation_seeds
+from helpers import arc_analytic_entries, permuted, signed_permutations
 
 F = Fraction
 
@@ -155,7 +154,7 @@ class TestLocusRows:
 
 
 class TestExactChecks:
-    """The exact checks of `arcan corpus` hold whatever the seed."""
+    """The exact checks of `arcan corpus` hold whatever the directions."""
 
     @pytest.mark.parametrize("name, seed", [
         # a validation direction repeated a fit direction up to sign
@@ -164,19 +163,23 @@ class TestExactChecks:
         # vanishes identically
         ("E5", "3380286699141575858"), ("E5", "4091971518205606762")])
     def test_former_failing_seeds_pass(self, capsys, name, seed):
+        # --seed is still accepted, and ignored: ladders read no seed
         assert cli.main(["corpus", name, "--seed", seed]) == 0
         assert '"passed": false' not in capsys.readouterr().out
 
     def test_every_signed_permutation_flags_every_locus_point(self):
-        # A seed only picks a signed permutation of the coordinates, so
-        # these cases cover every seed.
+        # f∘M at x M⁻¹ reads f's jets along the rows U M, as a seed that
+        # picked M did: these cases cover every such seed.
         for entry in corpus_list():
             n = entry.nvars
-            seeds = permutation_seeds(n)
-            assert set(seeds) == {tuple(zip(p, s)) for p in permutations(range(n))
-                                  for s in product((1, -1), repeat=n)}
+            flips = signed_permutations(n)
+            assert len(set(flips)) == 2 ** n * math.factorial(n)
             e = entry.expr()
             for pt in entry.exact_locus_points:
-                for seed in seeds.values():
-                    v = classify_point(e, pt, k_max=4, seed=seed, exact=True)
-                    assert v.status == NON_ANALYTIC, (entry.name, pt, seed)
+                v = classify_point(e, pt, k_max=4, exact=True)
+                assert v.status == NON_ANALYTIC, (entry.name, pt)
+                for flip in flips:
+                    w = classify_point(*permuted(e, pt, flip), k_max=4,
+                                       exact=True)
+                    assert (w.status, w.k_star) == (v.status, v.k_star), \
+                        (entry.name, pt, flip)

@@ -46,13 +46,14 @@ OPTIONS = {
     "--no-shortcut": None,
     "--help": None,
 }
-LADDER = ["--mode", "--kmax", "--tol", "--order", "--seed"]
+LADDER = ["--mode", "--kmax", "--tol", "--order"]
 # Each command with the options it requires and the others it takes.
 COMMANDS = {"classify": (["--point"], LADDER),
-            "scan": (["--grid"], LADDER + ["--no-shortcut", "--format",
-                                            "--jobs"]),
+            "scan": (["--grid"], LADDER + ["--seed", "--no-shortcut",
+                                            "--format", "--jobs"]),
             "arc": (["--arc"], ["--arc-tol", "--mode", "--order"]),
-            "blowup": (["--chart"], LADDER + ["--classify-divisor"]),
+            "blowup": (["--chart"], LADDER + ["--seed",
+                                              "--classify-divisor"]),
             "verify": (["--trials"], ["--mode", "--seed"]),
             "corpus": ([], ["--list", "--kmax", "--tol", "--seed", "--jobs"]),
             "bogus": ([], [])}

@@ -11,13 +11,14 @@ from arcan import classify, homog
 from arcan.errors import GenericityFailure, PremiseViolated
 from arcan.homog import HomoPoly, LatticeDesign, _powers, canonical_design, \
     condition_estimate, dim_homog, euler_check, evaluation_matrix, \
-    fd_reconstruct, gather_matrix, interp_fit, monomial_map, monomials, \
-    random_poly, sample_nodes, shrink_bound_check, signed_permutation
+    fd_reconstruct, gather_matrix, interp_fit, monomials, random_poly, \
+    sample_nodes, shrink_bound_check
 from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
 
 from helpers import fraction_sum_derivative, fraction_sum_value, \
-    permutation_seeds, permuted_rows, seeded_exact_fit, solve_rational
+    permuted, permuted_form, permuted_rows, seeded_exact_fit, \
+    signed_permutation, signed_permutations, solve_rational
 
 F = Fraction
 
@@ -142,20 +143,21 @@ class TestPowerTables:
 
 class TestSampleNodes:
     def test_two_directions_not_collinear(self):
-        (a, b), (c, d) = sample_nodes(signed_permutation(5, 2), 1)
+        (a, b), (c, d) = sample_nodes(2, 1)
         assert a * d - b * c != 0
 
     def test_four_node_matrix_invertible_exactly(self):
         rows = [[math.prod(c ** e for c, e in zip(v, exps))
-                 for exps in monomials(2, 3)] for v in sample_nodes(signed_permutation(5, 2), 3)]
+                 for exps in monomials(2, 3)] for v in sample_nodes(2, 3)]
         # direct oracle: exact solve against a basis vector must succeed
         sol = solve_rational(rows, [1, 0, 0, 0])
         assert any(c != 0 for c in sol)
 
-    def test_a_rank_deficient_order_fails_for_every_seed(self, monkeypatch):
+    def test_a_rank_deficient_order_fails_under_every_permutation(
+            self, monkeypatch):
         # Six pairwise independent rows in one plane: order 1's unit rows
-        # have rank 2, the R-diagonal check fails, and a signed
-        # permutation keeps it so.
+        # have rank 2, the R-diagonal check fails, and it fails so for
+        # f∘M at x M⁻¹ under every signed permutation M.
         rows = iter([(1, 1, 1), (1, 2, 3), (2, 3, 4),
                      (3, 4, 5), (1, 3, 5), (4, 5, 6)])
         monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: next(rows))
@@ -164,9 +166,9 @@ class TestSampleNodes:
             canonical_design(3).factors(1)
         classify.design.cache_clear()
         try:
-            for seed in range(8):
-                v = classify.classify_point(parse("x*y*z"), (1, 1, 1),
-                                            k_max=1, seed=seed)
+            for flip in signed_permutations(3):
+                v = classify.classify_point(
+                    *permuted(parse("x*y*z"), (1, 1, 1), flip), k_max=1)
                 assert v.status == classify.INCONCLUSIVE
                 assert "order 1 are not generic" in v.reason
                 assert [ev.k for ev in v.evidence] == [0]
@@ -174,36 +176,26 @@ class TestSampleNodes:
             classify.design.cache_clear()
 
     def test_deterministic(self):
-        def nodes(seed):
-            return sample_nodes(signed_permutation(seed, 3), 2)
-        assert nodes(9) == nodes(9)
-        # a seed acts through its signed permutation only (seed 10 picks
-        # the same one as seed 9)
-        same = [nodes(9) == nodes(s) for s in range(12)]
-        assert same == [signed_permutation(9, 3) == signed_permutation(s, 3)
-                        for s in range(12)]
-        assert same[10] and not all(same)
+        # the canonical rows, the same on every call
+        assert sample_nodes(3, 2) == sample_nodes(3, 2) \
+            == canonical_design(3).rows(dim_homog(3, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_float_nodes_are_the_permuted_canonical_fit_rows(self, n):
+    def test_float_nodes_are_the_canonical_fit_rows(self, n):
         # every shape `verify interp-roundtrip` draws: k <= 6.  A float
-        # ladder's rows are the float nodes, the permuted integer rows
-        # scaled to unit length; its first d(n, k) are the exact nodes so
-        # scaled.
+        # ladder's rows are the float nodes, the integer rows scaled to
+        # unit length; its first d(n, k) are the exact nodes so scaled.
         for k in range(7):
             d = dim_homog(n, k)
             unit = canonical_design(n).unit(2 * d)
             assert condition_estimate(unit[:d].tolist(), n, k) <= 1e4
-            for seed in range(12):
-                flip = signed_permutation(seed, n)
-                plan = classify.SeededDesign(seed, n, k)
-                assert plan.directions.tolist() == [
-                    [s * u[i] for i, s in flip] for u in unit.tolist()]
-                assert sample_nodes(flip, k, exact=False) \
-                    == list(map(tuple, plan.directions.tolist()))
-                nodes = np.array(sample_nodes(flip, k), dtype=float)
-                scaled = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
-                assert scaled.tobytes() == plan.directions[:d].tobytes()
+            rows = classify.design(n, k)[0]
+            assert rows.tobytes() == unit.tobytes()
+            assert sample_nodes(n, k, exact=False) \
+                == list(map(tuple, rows.tolist()))
+            nodes = np.array(sample_nodes(n, k), dtype=float)
+            scaled = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+            assert scaled.tobytes() == rows[:d].tobytes()
 
     def test_float_roundtrip_seed_two_passes(self):
         # random node sets with condition up to 1e6 missed 1e-10 here
@@ -245,29 +237,30 @@ class TestLatticeDesign:
         rows = LatticeDesign(40).rows(2 * dim_homog(40, 2))
         assert len(rows) == 1640 and all(all(u) for u in rows)
 
-    def test_exact_nodes_are_the_permuted_fit_block(self):
+    def test_exact_nodes_are_the_fit_block(self):
+        # and a signed permutation of the rows keeps the block's condition
         fit = canonical_design(3).rows(dim_homog(3, 4))
+        assert sample_nodes(3, 4) == fit
         cond = condition_estimate(fit, 3, 4)
-        for seed in range(8):
-            flip = signed_permutation(seed, 3)
-            ns = sample_nodes(flip, 4)
-            assert ns == [tuple(s * u[i] for i, s in flip) for u in fit]
-            assert condition_estimate(ns, 3, 4) == pytest.approx(cond)
+        for flip in signed_permutations(3):
+            assert condition_estimate(permuted_rows(flip, len(fit)), 3, 4) \
+                == pytest.approx(cond)
 
-    def test_a_singular_fit_block_is_inconclusive_for_every_seed(
+    def test_a_singular_fit_block_is_inconclusive_under_every_permutation(
             self, monkeypatch):
         # Pairwise independent rows whose first three are linearly
-        # dependent: order 1's fit block is singular over Q, and a signed
-        # permutation keeps it so.
+        # dependent: order 1's fit block is singular over Q, for f∘M at
+        # x M⁻¹ under every signed permutation M.
         rows = iter([(1, 1, 1), (1, 2, 3), (2, 3, 4),
                      (1, -1, 2), (3, 1, -2), (2, -3, 1)])
         monkeypatch.setattr(homog, "lattice_vector", lambda rng, n: next(rows))
         monkeypatch.setattr(homog, "_DESIGNS", {})
         classify.design.cache_clear()
         try:
-            for seed in range(8):
-                v = classify.classify_point(parse("x*y*z"), (1, 1, 1),
-                                            k_max=1, seed=seed, exact=True)
+            for flip in signed_permutations(3):
+                v = classify.classify_point(
+                    *permuted(parse("x*y*z"), (1, 1, 1), flip), k_max=1,
+                    exact=True)
                 assert v.status == classify.INCONCLUSIVE
                 assert "order 1 are not generic" in v.reason
                 assert [ev.k for ev in v.evidence] == [0]
@@ -275,60 +268,29 @@ class TestLatticeDesign:
             classify.design.cache_clear()
 
 
-class TestMonomialMap:
+class TestPermutedForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_the_maps_carry_q_to_p(self, n):
-        # p(v) with coefficients sign * q[index] satisfies p(u M) = q(u)
+    def test_the_permuted_form_is_p_along_u_m(self, n):
+        # the tests' P∘M: q = permuted_form(p, M) satisfies q(u) = p(u M)
         rng = random.Random(n)
-        for flip in list(permutation_seeds(n))[:12]:
+        for flip in signed_permutations(n)[:12]:
             for k in range(7):
-                index, sign = monomial_map(flip, k)
-                q = [F(rng.randint(-9, 9)) for _ in range(dim_homog(n, k))]
-                p = HomoPoly(n, k, tuple(s * q[i] for i, s
-                                         in zip(index.tolist(), sign.tolist())))
+                p = HomoPoly(n, k, tuple(F(rng.randint(-9, 9))
+                                         for _ in range(dim_homog(n, k))))
                 u = tuple(rng.randint(-5, 5) for _ in range(n))
                 moved = tuple(s * u[i] for i, s in flip)
-                assert p(moved) == HomoPoly(n, k, tuple(q))(u), (flip, k)
-
-    def test_only_ladders_keep_maps_within_the_design_budget(self,
-                                                              monkeypatch):
-        # Identity trials compute their maps afresh; a ladder's are kept by
-        # the canonical design, read-only, while the budget allows.
-        monkeypatch.setattr(homog, "_DESIGNS", {})
-        check_interp_roundtrip(200, seed=1, exact=True)
-        check_interp_roundtrip(50, seed=2, exact=False)
-        assert all(not d._maps for d in homog._DESIGNS.values())
-        classify.design.cache_clear()
-        try:
-            classify.classify_point(parse("x*y + z"), (1, 2, 3), k_max=4,
-                                    seed=5, exact=True)
-        finally:
-            classify.design.cache_clear()
-        lattice = canonical_design(3)
-        flip = signed_permutation(5, 3)
-        assert sorted(lattice._maps) == [(flip, k) for k in range(5)]
-        index, sign = lattice.monomial_map(flip, 4)
-        assert lattice.monomial_map(flip, 4)[0] is index
-        with pytest.raises(ValueError, match="read-only"):
-            index[0] = 0
-        assert homog._held_bytes() >= index.nbytes + sign.nbytes
-        monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", homog._held_bytes())
-        again = lattice.monomial_map(flip, 5)
-        assert (flip, 5) not in lattice._maps
-        assert again[0].tolist() == monomial_map(flip, 5)[0].tolist()
+                assert permuted_form(p, flip)(u) == p(moved), (flip, k)
 
 
 class TestInterpFit:
     def test_recovers_exact_member(self):
-        flip = signed_permutation(11, 2)
         p = HomoPoly(2, 3, (F(0), F(1), F(0), F(0)))
         fitted, residuals, _ = interp_fit(
-            [p(v) for v in sample_nodes(flip, 3)], flip, 3, True)
+            [p(v) for v in sample_nodes(2, 3)], 2, 3, True)
         assert fitted.coeffs == p.coeffs and residuals == []
 
     def test_zero_values_give_zero_polynomial(self):
-        fitted, _, _ = interp_fit([F(0)] * 6, signed_permutation(11, 3), 2,
-                                  exact=True)
+        fitted, _, _ = interp_fit([F(0)] * 6, 3, 2, exact=True)
         assert all(c == 0 for c in fitted.coeffs)
 
     def test_non_polynomial_function_leaves_residual(self):
@@ -336,17 +298,16 @@ class TestInterpFit:
         # two rows must miss at the other two by a clear margin
         def h(v):
             return F(v[0] ** 3, v[0] ** 2 + v[1] ** 2)
-        flip = signed_permutation(3, 2)
-        _, residuals, _ = interp_fit([h(v) for v in permuted_rows(flip, 4)],
-                                     flip, 1, exact=True)
+        _, residuals, _ = interp_fit(
+            [h(v) for v in canonical_design(2).rows(4)], 2, 1, exact=True)
         assert min(residuals) > 1e-3
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_the_solve_on_the_permuted_rows(self, n):
-        # The fit on the canonical block, carried across the permutation,
-        # is the solve on the permuted rows themselves, with residuals of
-        # the same values and types: a zero form leaves |h| as it is (the
-        # int 0 of int zeros), a nonzero one Fractions.
+        # Values along the rows U M: the fit on the canonical block is
+        # P∘M for P the solve on the permuted rows themselves, with
+        # residuals of the same values and types: a zero form leaves |h|
+        # as it is (the int 0 of int zeros), a nonzero one Fractions.
         rng = random.Random(n)
         for k in range(7):
             d = dim_homog(n, k)
@@ -361,13 +322,13 @@ class TestInterpFit:
                 lambda rows: [0] * (2 * d),
                 lambda rows: [F(0)] * (2 * d),
                 lambda rows: [0] * d + noise[d:]]
-            for flip in permutation_seeds(n):
+            for flip in signed_permutations(n):
                 rows = permuted_rows(flip, 2 * d)
                 for family in families:
                     values = family(rows)
-                    fitted, residuals, _ = interp_fit(values, flip, k, True)
+                    fitted, residuals, _ = interp_fit(values, n, k, True)
                     want, want_residuals = seeded_exact_fit(values, flip, k)
-                    assert fitted == want
+                    assert fitted == permuted_form(want, flip)
                     assert [(type(r), r) for r in residuals] \
                         == [(type(r), r) for r in want_residuals]
 
@@ -377,9 +338,10 @@ class TestInterpFit:
             n, k = rng.randint(1, 4), rng.randint(0, 5)
             p = random_poly(n, k, rng)
             flip = signed_permutation(1000 + trial, n)
-            fitted, _, _ = interp_fit([p(v) for v in sample_nodes(flip, k)],
-                                      flip, k, exact=True)
-            assert fitted.coeffs == p.coeffs
+            fitted, _, _ = interp_fit(
+                [p(v) for v in permuted_rows(flip, dim_homog(n, k))], n, k,
+                exact=True)
+            assert fitted.coeffs == permuted_form(p, flip).coeffs
 
     def test_roundtrip_float(self):
         # float values take the ladder's least-squares fit on 2·d unit rows
@@ -389,9 +351,10 @@ class TestInterpFit:
             p = random_poly(n, k, rng, exact=False)
             flip = signed_permutation(2000 + trial, n)
             fitted, residuals, _ = interp_fit(
-                [p(v) for v in sample_nodes(flip, k, exact=False)], flip, k)
+                [p([s * u[i] for i, s in flip])
+                 for u in sample_nodes(n, k, exact=False)], n, k)
             assert len(residuals) == 2 * dim_homog(n, k)
-            for a, b in zip(p.coeffs, fitted.coeffs):
+            for a, b in zip(permuted_form(p, flip).coeffs, fitted.coeffs):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 

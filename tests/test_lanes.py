@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arcan import classify
-from arcan.classify import SeededDesign, _DesignJets, _series, \
+from arcan.classify import _DesignJets, _series, \
     classify_point, grid_points, verdict_to_json
 from arcan.cli import emit_json
 from arcan.corpus import corpus_list, lookup
@@ -23,7 +23,7 @@ from arcan.parser import parse
 from arcan.seeds import derive_seed
 
 from helpers import LATTICE, LaurentJet, laurent_of, laurent_series, \
-    scalar_rational_series, trees, unit_vector
+    permuted, scalar_rational_series, signed_permutation, trees, unit_vector
 
 ORDER = 24
 CUBE = ((Fraction(-1), Fraction(1), Fraction(1, 4)),) * 3
@@ -132,12 +132,12 @@ def test_a_window_short_of_t0_stays_in_the_lanes(text):
 def test_large_ladders_split_into_bounded_passes():
     e = parse("x1 * x2 * x3 / (x1^2 + x2^2 + x3^2 + x4^2)")
     x = (0.5, 0.25, 0.125, 0.375)
-    plan = SeededDesign(0, 4, 10)
-    jets = _DesignJets(e, x, ORDER, plan.directions)
+    directions = classify.design(4, 10)[0]
+    jets = _DesignJets(e, x, ORDER, directions)
     ahead = 2 * dim_homog(4, 10)
-    assert len(plan.directions) == ahead > classify.LANES_PER_PASS
+    assert len(directions) == ahead > classify.LANES_PER_PASS
     for i in range(ahead):
-        v = tuple(plan.directions[i].tolist())
+        v = tuple(directions[i].tolist())
         batch = jets.batch(i // classify.LANES_PER_PASS)
         assert bits(batch, i % classify.LANES_PER_PASS) \
             == bits(laurent_series(e, x, v, ORDER)) == bits(jets.jet(i))
@@ -198,12 +198,16 @@ def _grid_lines(cases, exact, k_max):
     points = grid_points(CUBE, exact)
     exprs = {name: lookup(name).expr() for name in ("E5", "E6")}
     lines = []
+    # each point along the rows its former scan seed's permutation picked
     for name, i, scan_seed in cases:
-        v = classify_point(exprs[name], points[i], k_max=k_max,
-                           seed=derive_seed(scan_seed, "scan", i), exact=exact)
+        flip = signed_permutation(derive_seed(scan_seed, "scan", i), 3)
+        v = classify_point(*permuted(exprs[name], points[i], flip),
+                           k_max=k_max, exact=exact)
         lines.append(emit_json(verdict_to_json(v)))
-    v = classify_point(exprs["E6"], (Fraction(1, 4), 1, Fraction(1, 4)),
-                       k_max=k_max, seed=3, exact=exact)
+    v = classify_point(*permuted(exprs["E6"], (Fraction(1, 4), 1,
+                                               Fraction(1, 4)),
+                                 signed_permutation(3, 3)),
+                       k_max=k_max, exact=exact)
     return lines + [emit_json(verdict_to_json(v))]
 
 
@@ -252,7 +256,8 @@ def test_no_corpus_rational_ladder_reruns_a_direction(monkeypatch):
         for x in entry.exact_locus_points + entry.regular_points:
             for k_max in (8, 10):
                 for seed in range(3):
-                    classify_point(e, x, k_max, seed=seed, exact=True)
+                    flip = signed_permutation(seed, entry.nvars)
+                    classify_point(*permuted(e, x, flip), k_max, exact=True)
     assert reruns == []
     assert handovers and min(handovers) > 1
 

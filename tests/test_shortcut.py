@@ -117,28 +117,27 @@ class TestRegularLanes:
         assert not regular_lanes(e.root, np.array([(1.0,), (2.0,)])).any()
 
 
-def pointwise_verdict(e, pt, k_max, tol, seed, order, exact):
+def pointwise_verdict(e, pt, k_max, tol, order, exact):
     """One point's verdict decided on its own: a shortcut verdict where
     `regular_at` is True (an overflow is not), else `classify_point`, and
     an ArcanError as an Inconclusive verdict."""
     if walker(e, pt, exact) is True:
         return Verdict(pt, ANALYTIC_UP_TO, k_max, shortcut=True)
     try:
-        return classify_point(e, pt, k_max, tol, seed, order, exact)
+        return classify_point(e, pt, k_max, tol, order, exact)
     except ArcanError as exc:
         return Verdict(pt, INCONCLUSIVE, k_max, reason=str(exc))
 
 
-def pointwise_verdicts(e, axes, seed, k_max=8, exact=False):
-    """`pointwise_verdict` at each grid point, under the scan seed."""
-    return [pointwise_verdict(e, pt, k_max, classify.DEFAULT_TOL, seed, 20,
-                              exact)
+def pointwise_verdicts(e, axes, k_max=8, exact=False):
+    """`pointwise_verdict` at each grid point."""
+    return [pointwise_verdict(e, pt, k_max, classify.DEFAULT_TOL, 20, exact)
             for pt in grid_points(axes, exact)]
 
 
-def pointwise_lines(e, axes, seed, k_max=8, exact=False, fmt="json"):
+def pointwise_lines(e, axes, k_max=8, exact=False, fmt="json"):
     """The generic serializer's scan output over `pointwise_verdicts`."""
-    verdicts = pointwise_verdicts(e, axes, seed, k_max, exact)
+    verdicts = pointwise_verdicts(e, axes, k_max, exact)
     if fmt == "csv":
         names = [var_name(i, e.nvars) for i in range(e.nvars)]
         return [",".join(["index", *names, "status", "kStar", "residual"])] \
@@ -184,11 +183,12 @@ class TestScanByteIdentity:
                              ids=[g[0] for g in GRIDS])
     def test_cli_scan_equals_the_generic_lines(self, name, source, nvars,
                                                axes, seed):
+        # the scan's --seed is accepted and ignored
         text = cli_text(source, nvars)
         e = parse(text)
         assert e.nvars == len(axes)
         for fmt in ("json", "csv"):
-            expected = pointwise_lines(e, axes, seed, fmt=fmt)
+            expected = pointwise_lines(e, axes, fmt=fmt)
             for jobs in JOBS:
                 assert cli_scan_lines(text, axes, seed, jobs, fmt=fmt) \
                     == expected, (fmt, jobs)
@@ -199,14 +199,14 @@ class TestScanByteIdentity:
                                                       nvars, axes):
         e = parse(source, nvars=nvars)
         points = grid_points(axes)
-        pairs = list(iter_scan(e, axes, seed=1, order=20))
+        pairs = list(iter_scan(e, axes, order=20))
         irregular = np.flatnonzero(~regular_points(e, points, False))
         assert [i for i, _ in pairs] == irregular.tolist() \
             == [i for i, pt in enumerate(points) if walker(e, pt) is not True]
-        ladder = [v for v in pointwise_verdicts(e, axes, 1) if not v.shortcut]
+        ladder = [v for v in pointwise_verdicts(e, axes) if not v.shortcut]
         assert [v for _, v in pairs] == ladder
         assert all(v.point == points[i] for i, v in pairs)
-        assert scan_region(e, axes, seed=1, order=20) == ladder
+        assert scan_region(e, axes, order=20) == ladder
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("shortcut", [True, False])
@@ -216,13 +216,13 @@ class TestScanByteIdentity:
         monkeypatch.setattr(classify, "_POOL_BATCH", 4)  # batches of 4
         e, axes = parse(lookup("E1").source), [(-1, 1, Fraction(1, 2))] * 2
         points = grid_points(axes, exact)
-        pairs = list(iter_scan(e, axes, k_max=2, seed=3, exact=exact,
+        pairs = list(iter_scan(e, axes, k_max=2, exact=exact,
                                shortcut=shortcut, jobs=jobs))
         expected = [i for i, pt in enumerate(points)
                     if not shortcut or walker(e, pt, exact) is not True]
         assert [i for i, _ in pairs] == expected
         assert [v for _, v in pairs] == [classify_point(
-            e, points[i], 2, seed=3, exact=exact) for i in expected]
+            e, points[i], 2, exact=exact) for i in expected]
         assert all(type(c) is (Fraction if exact else float)
                    for _, v in pairs for c in v.point)
 
@@ -240,21 +240,21 @@ class TestScanByteIdentity:
     def test_events_and_their_order(self, text, axes, fmt):
         e = parse(text)
         assert cli_scan_lines(text, axes, 0, k_max=2, fmt=fmt) \
-            == pointwise_lines(e, axes, 0, k_max=2, fmt=fmt)
+            == pointwise_lines(e, axes, k_max=2, fmt=fmt)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_rational_scan_is_unchanged(self, fmt):
         source, axes = lookup("E1").source, [(-1, 1, Fraction(1, 2))] * 2
         assert cli_scan_lines(source, axes, 2, k_max=3, fmt=fmt,
                               mode="rational") \
-            == pointwise_lines(parse(source), axes, 2, k_max=3, exact=True,
+            == pointwise_lines(parse(source), axes, k_max=3, exact=True,
                                fmt=fmt)
 
     def test_overflow_lines_are_unchanged(self, capsys):
         assert cli.main(["scan", "(x^200)^2", "--grid", "x:0:10:1"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == pointwise_lines(parse("(x^200)^2"),
-                                                   [(0, 10, 1)], 0)
+                                                   [(0, 10, 1)])
         # the ladder decides a point whose value leaves the float range
         overflows = [line for line in out.splitlines()
                      if "order 0: h_0 or its residuals overflow" in line]
@@ -413,14 +413,14 @@ ARCS = [("guard(x^3/(x^2 + y^2), 0)", "t, t"),
         ("sqrt(x - 1/8) + y", "t, t^2")]
 
 
-def pointwise_arc_statuses(e, arc, samples, k_max, seed, exact):
+def pointwise_arc_statuses(e, arc, samples, k_max, exact):
     """Each side's statuses with every sample decided on its own."""
     t_max = sample_scalar(0.5, exact)
     ts = [t_max * (i + 1) / samples for i in range(samples)]
     return tuple(tuple(pointwise_verdict(
         e, tuple(eval_point(c, (t,), exact) for c in arc.components), k_max,
-        classify.DEFAULT_TOL, derive_seed(seed, "arcsym", t), None,
-        exact).status for t in side) for side in ([-t for t in ts], ts))
+        classify.DEFAULT_TOL, None, exact).status for t in side)
+        for side in ([-t for t in ts], ts))
 
 
 def pointwise_center_count(e, chart, base, k_max, seed, n_center, exact):
@@ -429,15 +429,14 @@ def pointwise_center_count(e, chart, base, k_max, seed, n_center, exact):
     base = tuple(map(Fraction, base) if exact else base)
     rng = random.Random(derive_seed(seed, "center-samples"))
     count = 0
-    for j in range(n_center):
+    for _ in range(n_center):
         pt = list(base)
         for i in range(e.nvars):
             if i not in chart.center:
                 pt[i] += sample_scalar(0.25 * (rng.random() * 1.5 + 0.5)
                                        * rng.choice((-1, 1)), exact)
         count += pointwise_verdict(e, tuple(pt), k_max, classify.DEFAULT_TOL,
-                                   derive_seed(seed, "center", j), None,
-                                   exact).status == ANALYTIC_UP_TO
+                                   None, exact).status == ANALYTIC_UP_TO
     return count
 
 
@@ -447,9 +446,8 @@ class TestSampledChecks:
     def test_arc_symmetry_equals_the_pointwise_reference(self, text, arc,
                                                          exact):
         e, spec = parse(text, nvars=2), parse_arc(arc)
-        report = arc_symmetry_check(e, spec, samples=8, k_max=2, seed=3,
-                                    exact=exact)
-        neg, pos = pointwise_arc_statuses(e, spec, 8, 2, 3, exact)
+        report = arc_symmetry_check(e, spec, samples=8, k_max=2, exact=exact)
+        neg, pos = pointwise_arc_statuses(e, spec, 8, 2, exact)
         assert (report.negative_statuses, report.positive_statuses) \
             == (neg, pos)
         assert report.negative_uniformly_analytic \
