@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -182,7 +181,9 @@ class _DesignJets:
     meets the float of an irrational square root, an exact value beyond
     the float range raises FloatOverflow.  In a `provisional` window, one
     the ladder widens when it cannot decide, a square root of a radicand
-    that vanishes in the window raises ShortWindow (`eval_jets`).
+    that vanishes in the window raises ShortWindow (`eval_jets`).  Float
+    h_k travel as one array (`taylor_values`): into the fit, and from it
+    as the one array of residuals the order's `PolyTestResult` keeps.
     """
 
     def __init__(self, e: Expr, x: tuple, order: int, directions: np.ndarray,
@@ -227,51 +228,82 @@ class _DesignJets:
         jet = self.jet(i) if batch is None else batch
         return not jet.is_zero and jet.valuation < 0
 
-    def taylor_values(self, k: int, count: int) -> list:
-        """h_k along the first `count` directions; raises as the first bad jet."""
-        out: list = []
+    def taylor_values(self, k: int, count: int) -> list | np.ndarray:
+        """h_k along the first `count` directions; raises as the first bad
+        jet.  Exact: a list of the jets' own scalars.  Float: one float
+        array, a view of the pass's row where one pass holds them all."""
+        parts: list = []
         for p, (start, stop) in enumerate(zip(self._starts, self._stops)):
             if start >= count:
                 break
             stop = min(count, stop)
             batch = self.batch(p)
             if batch is None:
-                out += [self.jet(i).taylor_coeff(k) for i in range(start, stop)]
+                reruns = [self.jet(i).taylor_coeff(k) for i in range(start, stop)]
+                parts.append(reruns if self.exact
+                             else np.array(reruns, dtype=float))
+            elif self.exact:
+                parts.append(batch.taylor_column(k, stop - start))
             else:
-                out += batch.taylor_column(k, stop - start)
-        return out
+                parts.append(batch.taylor_row(k, stop - start))
+        if self.exact:
+            return [h for part in parts for h in part]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # --- the per-order polynomiality test -----------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyTestResult:
     """Outcome of probing one order k at one point (a verdict's evidence):
-    it passes iff no direction meets a pole and `margin` <= 1."""
+    it passes iff no direction meets a pole and `margin` <= 1.
+
+    `residuals` is a tuple of exact residuals where the order was solved
+    exactly, else one read-only float array, as `interp_fit` returns it;
+    `worst` is their largest, computed once.  Two results are equal where
+    their fields are, the residuals compared by value."""
 
     k: int
     fitted: HomoPoly | None
-    residuals: tuple
+    residuals: tuple | np.ndarray
     scale: float
     threshold: float
     pole_direction: tuple | None = None
+    worst: Scalar = 0
 
     @property
     def polynomial(self) -> bool:
-        return self.pole_direction is None \
-            and max(self.residuals, default=0) <= self.threshold
+        return self.pole_direction is None and self.worst <= self.threshold
 
     @property
     def max_residual(self) -> float:
         if self.pole_direction is not None:
             return math.inf
-        return _magnitude(max(self.residuals, default=0))
+        return _magnitude(self.worst)
 
     @property
     def margin(self) -> float:
         if self.threshold:
             return self.max_residual / self.threshold
         return 0.0 if self.max_residual == 0 else math.inf
+
+    def residual_list(self) -> list:
+        """The residuals as a list of Python scalars."""
+        if isinstance(self.residuals, np.ndarray):
+            return self.residuals.tolist()
+        return list(self.residuals)
+
+    def _key(self) -> tuple:
+        return (self.k, self.fitted, tuple(self.residual_list()), self.scale,
+                self.threshold, self.pole_direction, self.worst)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyTestResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _order_result(jets: _DesignJets, shortage: str, k: int, tol: float,
@@ -281,7 +313,10 @@ def _order_result(jets: _DesignJets, shortage: str, k: int, tol: float,
     A pole along a row fails the order.  Otherwise `interp_fit` fits the
     form; at k = 0 the point value is one more residual.  An order whose
     residuals are all exact (int or Fraction) passes only if every one is
-    0; one with a float residual passes if none exceeds tol * scale.
+    0; one with a float residual passes if none exceeds tol * scale.  A
+    least-squares fit's largest residual is also its finite check: where
+    it is not finite, h_k or the fit overflowed and the order gives no
+    evidence either way (FloatOverflow).
     """
     n = jets.directions.shape[1]
     count = 2 * dim_homog(n, k)
@@ -294,11 +329,27 @@ def _order_result(jets: _DesignJets, shortage: str, k: int, tol: float,
         return PolyTestResult(k, None, (), 1.0, tol,
                               tuple(jets.directions[bad].tolist()))
     fitted, residuals, scale = interp_fit(values, n, k, jets.exact)
+    solved = isinstance(residuals, list)  # an exact solve's exact residuals
+    if solved:
+        worst = max(residuals)
+    else:
+        worst = float(residuals.max())
+        if not math.isfinite(worst):
+            raise FloatOverflow(
+                f"order {k}: h_{k} or its residuals overflow the float "
+                "range; --mode rational evaluates rational inputs exactly")
+    exact = solved
     if k == 0 and point_value is not None:
-        residuals.append(abs(fitted.coeffs[0] - point_value))
-    exact = all(isinstance(r, (int, Fraction)) for r in residuals)
-    return PolyTestResult(k, fitted, tuple(residuals), scale,
-                          0.0 if exact else tol * scale)
+        extra = abs(fitted.coeffs[0] - point_value)
+        worst = max(worst, extra)
+        if solved:
+            residuals.append(extra)
+            exact = isinstance(extra, (int, Fraction))
+        else:
+            residuals = np.append(residuals, extra)
+            residuals.flags.writeable = False
+    return PolyTestResult(k, fitted, tuple(residuals) if solved else residuals,
+                          scale, 0.0 if exact else tol * scale, worst=worst)
 
 
 # --- the pointwise verdict ----------------------------------------------------
@@ -374,14 +425,16 @@ def _ladder(e: Expr, xs: tuple, k_max: int, tol: float, window: int,
     try:
         rows, shortage = design(e.nvars, k_max, exact)
         jets = _DesignJets(e, xs, window, rows, exact, provisional)
-        for k in range(k_max + 1):
-            result = _order_result(jets, shortage, k, tol, point_value)
-            evidence.append(result)
-            if not result.polynomial:
-                return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
-                               residual=result.max_residual,
-                               guard_triggered=guard_flag,
-                               evidence=tuple(evidence))
+        # an order whose values overflow raises FloatOverflow, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k_max + 1):
+                result = _order_result(jets, shortage, k, tol, point_value)
+                evidence.append(result)
+                if not result.polynomial:
+                    return Verdict(xs, NON_ANALYTIC, k_max, k_star=k,
+                                   residual=result.max_residual,
+                                   guard_triggered=guard_flag,
+                                   evidence=tuple(evidence))
     except GenericityFailure as exc:
         return Verdict(xs, INCONCLUSIVE, k_max, reason=str(exc),
                        guard_triggered=guard_flag, evidence=tuple(evidence))
@@ -524,6 +577,8 @@ def iter_scan(e: Expr, axes: Sequence[tuple], k_max: int = DEFAULT_K_MAX,
     if jobs <= 1:
         yield from zip(ladder, map(_scan_one, tasks(ladder)))
         return
+    # imported here only: it adds ~15 ms to every process's start-up
+    from concurrent.futures import ProcessPoolExecutor
     # a pool takes all the tasks it is given at once: a batch at a time
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for start in range(0, len(ladder), _POOL_BATCH):
@@ -673,7 +728,7 @@ def verdict_to_json(v: Verdict) -> dict:
         doc["shortcut"] = True
     per_order = []
     for ev in v.evidence:
-        entry: dict = {"k": ev.k, "residuals": list(ev.residuals),
+        entry: dict = {"k": ev.k, "residuals": ev.residual_list(),
                        "scale": ev.scale, "threshold": ev.threshold,
                        "margin": ev.margin}
         if ev.fitted is not None:

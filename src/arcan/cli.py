@@ -147,7 +147,11 @@ def _check_ladder(k_max: int, nvars: int) -> None:
 
 
 def _parse_number(text: str, exact: bool, what: str = "coordinate"):
-    value = Fraction(text.strip())
+    try:
+        value = Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ArcanError(f"{what} {text.strip()} has a zero "
+                         "denominator") from None
     if exact:
         return value
     try:
@@ -185,7 +189,9 @@ def _parse_grid(text: str, nvars: int, exact: bool) -> list[tuple]:
         names[idx] = fields[0].strip()
         for bound in fields[1:3]:
             _parse_number(bound, exact, f"grid axis {names[idx]!r} bound")
-        axes[idx] = tuple(Fraction(f.strip()) for f in fields[1:])
+        axes[idx] = (*(Fraction(f.strip()) for f in fields[1:3]),
+                     _parse_number(fields[3], True,
+                                   f"grid axis {names[idx]!r} step"))
     if sorted(axes) != list(range(nvars)):
         raise ArcanError(
             f"grid must specify every variable of the expression (need {nvars})")

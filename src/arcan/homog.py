@@ -31,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FloatOverflow, GenericityFailure, PremiseViolated, \
-    SingularSystem
+from .errors import GenericityFailure, PremiseViolated, SingularSystem
 from .jets import Scalar
 from .linalg import IntegerSystem
 from .seeds import derive_seed, lattice_vector
@@ -349,8 +348,8 @@ def sample_nodes(n: int, k: int, exact: bool = True
     return list(map(tuple, design.unit(2 * d).tolist()))
 
 
-def interp_fit(values: Sequence[Scalar], n: int, k: int, exact: bool = False
-               ) -> tuple[HomoPoly, list, float]:
+def interp_fit(values: Sequence[Scalar] | np.ndarray, n: int, k: int,
+               exact: bool = False) -> tuple[HomoPoly, list | np.ndarray, float]:
     """The degree-k form q fitted to h_k's `values` along the canonical rows
     of n variables, the residuals it leaves, and the scale 1 + max |h_k|
     (at unit length for a least-squares fit).
@@ -359,10 +358,15 @@ def interp_fit(values: Sequence[Scalar], n: int, k: int, exact: bool = False
     d(n, k) rows of the integer `block`, on the design's prepared
     `system(k)`, so a fit only lifts (or runs Bareiss); the solve proves
     their rank (GenericityFailure if singular over Q, at every point
-    alike), and q leaves |h - q(u)| on the other rows, integer dot products
-    over q's common denominator.  Other values take least squares on
-    2·d(n, k) unit rows, an integer row's h_k divided by |u|^k: residuals
-    |h - Q Qᵀ h| (FloatOverflow if not finite) and q = R⁻¹Qᵀh.
+    alike), and q leaves |h - q(u)| on the other rows, a list of integer
+    dot products over q's common denominator.  Other values take least
+    squares on 2·d(n, k) unit rows, an integer row's h_k divided by |u|^k:
+    q = R⁻¹Qᵀh, and the residuals |h - Q Qᵀ h| travel as one read-only
+    float array.  Float values given as a float array are fitted without
+    a copy.  A value or residual beyond the float range leaves a residual
+    that is not finite; the caller decides what that means (the ladder's
+    order test raises FloatOverflow), and enters `np.errstate` to keep
+    numpy from warning about it.
     """
     design = canonical_design(n)
     if exact and all(isinstance(h, (int, Fraction)) for h in values):
@@ -384,23 +388,16 @@ def interp_fit(values: Sequence[Scalar], n: int, k: int, exact: bool = False
             residuals = [abs(h) for h in values[d:]]
         return fitted, residuals, 1.0 + _magnitude(max(map(abs, values)))
     q, r_inv = design.factors(k)
-    h = np.array(values, dtype=float)
+    h = np.asarray(values, dtype=float)
     if exact:  # h_k(x, u/|u|) = h_k(x, u)/|u|^k
         h = h / np.linalg.norm(np.array(design.rows(len(h)), dtype=float),
                                axis=1) ** k
-    with np.errstate(over="ignore", invalid="ignore"):
-        projection = q.T @ h
-        residuals = np.abs(h - q @ projection)
-        coeffs = r_inv @ projection
-    # A non-finite value makes a residual non-finite: then the order
-    # gives no evidence either way.
-    if not np.isfinite(residuals).all():
-        raise FloatOverflow(
-            f"order {k}: h_{k} or its residuals overflow the float "
-            "range; --mode rational evaluates rational inputs exactly")
+    projection = q.T @ h
+    residuals = np.abs(h - q @ projection)
+    residuals.flags.writeable = False
     # + 0.0 turns the -0.0 of an all-zero h into 0.0
-    fitted = HomoPoly(n, k, tuple((coeffs + 0.0).tolist()))
-    return fitted, residuals.tolist(), 1.0 + float(np.abs(h).max())
+    fitted = HomoPoly(n, k, tuple((r_inv @ projection + 0.0).tolist()))
+    return fitted, residuals, 1.0 + float(np.abs(h).max())
 
 
 def _magnitude(x: Scalar) -> float:

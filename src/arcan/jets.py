@@ -438,17 +438,23 @@ class LaneJet(_Batch):
     def is_zero(self) -> bool:
         return len(self.coeffs) == 0
 
-    def taylor_column(self, k: int, count: int | None = None) -> list:
+    def taylor_row(self, k: int, count: int | None = None) -> np.ndarray:
         """Coefficient of t^k (the k-th scaled derivative) of the first
-        `count` lanes (all by default) of a pole-free jet; ShortWindow
-        beyond the window."""
+        `count` lanes (all by default) of a pole-free jet, as one array of
+        the jet's dtype: a view of its row, or zeros below its valuation;
+        ShortWindow beyond the window."""
         if not self.is_zero and self.valuation < 0:
             raise PoleAtOrigin(f"series has a pole of order {-self.valuation} at t=0")
         if k > self.order:
             raise ShortWindow(f"coefficient {k} beyond retained order {self.order}")
         if k < self.valuation:
-            return [0] * len(range(self.lanes)[:count])
-        return self.coeffs[k - self.valuation, :count].tolist()
+            return np.zeros(len(range(self.lanes)[:count]), self.coeffs.dtype)
+        return self.coeffs[k - self.valuation, :count]
+
+    def taylor_column(self, k: int, count: int | None = None) -> list:
+        """`taylor_row` as Python scalars, the int 0 below the valuation."""
+        row = self.taylor_row(k, count)
+        return [0] * len(row) if k < self.valuation else row.tolist()
 
     def coefficients(self) -> list[Scalar]:
         """A one-lane jet's retained coefficients from t^valuation up."""

@@ -17,6 +17,8 @@ batched, integer numerators as lists; with `scalar_rational_series` it is
 the reference for exact lanes.  `qr_residuals` is the
 float order test as it was before the canonical design: a QR of the
 evaluation matrix at the very directions the jets were taken along.
+`list_order_result` is the float order test as it ran before its values
+and residuals travelled as one array: lists of Python floats.
 `seeded_exact_fit` is the exact fit as it was before the canonical integer
 blocks: a solve on the permuted rows themselves.  `signed_permutation` is
 the signed permutation M a ladder seed picked before ladders read the
@@ -51,8 +53,9 @@ from hypothesis import strategies as st
 from arcan import mpoly
 from arcan.blowup import BlowupChart, PullbackResult, pullback
 from arcan.corpus import ARC_ANALYTIC, CorpusEntry, corpus_list
-from arcan.errors import DomainError, FloatOverflow, NegativeLeading, \
-    OddValuation, PoleAtOrigin, ShortWindow, ZeroDenominator, ZeroDivisor
+from arcan.errors import DomainError, FloatOverflow, GenericityFailure, \
+    NegativeLeading, OddValuation, PoleAtOrigin, ShortWindow, \
+    ZeroDenominator, ZeroDivisor
 from arcan.expr import Add, ArcSpec, Div, Expr, Guard, IntPow, Mul, \
     RationalConst, Sqrt, Sub, Var, _exact_div, compile_tape, run_tape, \
     substitute
@@ -978,6 +981,54 @@ def qr_residuals(directions: Sequence[Sequence[float]], values: Sequence[float],
     q, _ = np.linalg.qr(evaluation_matrix(directions, n, k))
     h = np.asarray(values, dtype=float)
     return np.abs(h - q @ (q.T @ h))
+
+
+def list_order_result(jets, shortage: str, k: int, tol: float,
+                      point_value: Scalar | None):
+    """`classify._order_result` of a float ladder as it ran before float
+    residuals travelled as one array: h_k read as a list of Python scalars
+    (`taylor_column` per pass, `taylor_coeff` per rerun), the least-squares
+    fit's residuals `tolist()`-ed, the point value appended at k = 0, a
+    per-residual exactness scan, and the largest residual taken by `max`
+    over the list, in its own `np.errstate`."""
+    from arcan.classify import PolyTestResult
+    assert not jets.exact
+    n = jets.directions.shape[1]
+    count = 2 * dim_homog(n, k)
+    if count > len(jets.directions):
+        raise GenericityFailure(shortage)
+    values: list = []
+    try:
+        for p, (start, stop) in enumerate(zip(jets._starts, jets._stops)):
+            if start >= count:
+                break
+            stop = min(count, stop)
+            batch = jets.batch(p)
+            values += [jets.jet(i).taylor_coeff(k) for i in range(start, stop)] \
+                if batch is None else batch.taylor_column(k, stop - start)
+    except PoleAtOrigin:
+        bad = next(i for i in range(count) if jets.has_pole(i))
+        return PolyTestResult(k, None, (), 1.0, tol,
+                              tuple(jets.directions[bad].tolist()))
+    q, r_inv = canonical_design(n).factors(k)
+    h = np.array(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        projection = q.T @ h
+        residuals = np.abs(h - q @ projection)
+        coeffs = r_inv @ projection
+    if not np.isfinite(residuals).all():
+        raise FloatOverflow(
+            f"order {k}: h_{k} or its residuals overflow the float "
+            "range; --mode rational evaluates rational inputs exactly")
+    fitted = HomoPoly(n, k, tuple((coeffs + 0.0).tolist()))
+    residuals = residuals.tolist()
+    scale = 1.0 + float(np.abs(h).max())
+    if k == 0 and point_value is not None:
+        residuals.append(abs(fitted.coeffs[0] - point_value))
+    exact = all(isinstance(r, (int, Fraction)) for r in residuals)
+    return PolyTestResult(k, fitted, tuple(residuals), scale,
+                          0.0 if exact else tol * scale,
+                          worst=max(residuals, default=0))
 
 
 def permuted_rows(flip, count: int) -> list[tuple[int, ...]]:

@@ -26,9 +26,9 @@ from arcan.parser import parse, parse_arc
 from arcan.seeds import derive_seed
 
 from helpers import BEYOND_FLOATS, FRACTIONS, LATTICE, arc_from_coeffs, \
-    permuted, permuted_form, qr_residuals, random_arc, random_point, \
-    random_polynomial_expr, random_safe_rational_expr, signed_permutation, \
-    signed_permutations, trees
+    list_order_result, permuted, permuted_form, qr_residuals, random_arc, \
+    random_point, random_polynomial_expr, random_safe_rational_expr, \
+    signed_permutation, signed_permutations, trees
 
 F = Fraction
 
@@ -211,13 +211,13 @@ FORMER_FALSE_POSITIVES = [
 
 class HeldValues:
     """Stands in for a point's float jets: h_k along the rows of
-    `design(n, k)`."""
+    `design(n, k)`, read as one float array."""
 
     exact = False
 
     def __init__(self, n, k, values):
         self.directions = design(n, k)[0]
-        self.values = values
+        self.values = np.array(values, dtype=float)
 
     def taylor_values(self, k, count):
         return self.values[:count]
@@ -545,9 +545,11 @@ class TestExactLadder:
         v = classify_point(*permuted(E2, (1, 1), flip), k_max=20, exact=True)
         assert v.status == ANALYTIC_UP_TO
         assert max(ev.margin for ev in v.evidence) <= 1e-6
-        for ev in v.evidence:
-            # every order has float values; k = 0 adds the point value
-            assert all(type(r) is float for r in ev.residuals)
+        for ev, entry in zip(v.evidence, verdict_to_json(v)["perOrder"]):
+            # every order has float values, kept as one float array and
+            # printed as floats; k = 0 adds the point value
+            assert ev.residuals.dtype == float
+            assert all(type(r) is float for r in entry["residuals"])
             assert len(ev.residuals) == 2 * dim_homog(2, ev.k) + (ev.k == 0)
 
     def test_float_valued_orders_in_three_variables(self):
@@ -643,6 +645,90 @@ class TestJetWindow:
         assert emit_json(verdict_to_json(classify_point(
             e, point, k_max, exact=exact))) \
             == emit_json(verdict_to_json(expected))
+
+
+def _printed(e, x, k_max):
+    """A float verdict as the CLI prints it, or the error it raised."""
+    try:
+        return emit_json(verdict_to_json(classify_point(e, x, k_max)))
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+
+
+class TestResidualArrays:
+    """A float order's h_k and residuals travel as one array; the verdict
+    prints as the list-based order test's (`list_order_result`)."""
+
+    @staticmethod
+    def assert_prints_as_lists(e, x, k_max):
+        arrays = _printed(e, x, k_max)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(classify, "_order_result", list_order_result)
+            assert _printed(e, x, k_max) == arrays
+        return classify_point(e, x, k_max)
+
+    def test_order_zero_carries_the_point_value(self):
+        v = self.assert_prints_as_lists(lookup("E6").expr(),
+                                        (0.25, 1.0, 0.25), 10)
+        assert v.status == ANALYTIC_UP_TO
+        for ev in v.evidence:
+            assert isinstance(ev.residuals, np.ndarray)
+            assert not ev.residuals.flags.writeable
+            assert len(ev.residuals) == 2 * dim_homog(3, ev.k) + (ev.k == 0)
+            assert ev.worst == max(ev.residuals.tolist())
+
+    def test_order_zero_fails_on_the_point_value(self):
+        # the germ is x, the value 3: the point value's residual is the
+        # order's largest
+        e = parse("guard((x^2 + y^2) * x / (x^2 + y^2), 3)")
+        v = self.assert_prints_as_lists(e, (0.0, 0.0), 4)
+        assert (v.status, v.k_star, v.residual) == (NON_ANALYTIC, 0, 3.0)
+        assert v.evidence[0].residuals[-1] == 3.0
+
+    def test_a_pole_order(self):
+        v = self.assert_prints_as_lists(INV, (0.0, 0.0), 4)
+        assert (v.status, v.k_star) == (NON_ANALYTIC, 0)
+        assert v.evidence[0].pole_direction is not None
+
+    def test_a_rerun_pass(self):
+        # the first canonical row of three variables has u_1 + u_3 = 0, so
+        # the lanes of x + z at the origin part ways (IrregularBatch) and
+        # every direction is rerun alone
+        e, x = parse("x + z + y^3", nvars=3), (0.0, 0.0, 0.0)
+        assert classify._DesignJets(e, x, 4, design(3, 4)[0]).batch(0) \
+            is None
+        v = self.assert_prints_as_lists(e, x, 4)
+        assert v.status == ANALYTIC_UP_TO
+
+    @pytest.mark.parametrize("text, x, k", [
+        ("x*y", (1e200, 1e200), 0),
+        ("1/x + y", (1e-40, 0.5), 7)])
+    def test_a_non_finite_order(self, text, x, k):
+        v = self.assert_prints_as_lists(parse(text, nvars=2), x, 10)
+        assert v.status == INCONCLUSIVE
+        assert v.reason == (f"order {k}: h_{k} or its residuals overflow the "
+                            "float range; --mode rational evaluates rational "
+                            "inputs exactly")
+        assert len(v.evidence) == k
+
+    @pytest.mark.parametrize("text, x", [
+        ("(1/x^30)*x^30 + y", (0.0, 0.5)),
+        ("sqrt(x-x) + y", (0.0, 0.0))])
+    def test_a_widened_window(self, text, x):
+        e = parse(text, nvars=2)
+        # the window k_max cannot decide: the ladder runs again in the
+        # window `order`
+        assert _ladder(e, x, 4, DEFAULT_TOL, 4, False, provisional=True) \
+            is None
+        v = self.assert_prints_as_lists(e, x, 4)
+        assert v.status == ANALYTIC_UP_TO and len(v.evidence) == 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(trees(FRACTIONS + [BEYOND_FLOATS]),
+           st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE)),
+           st.integers(1, 4))
+    def test_random_trees(self, root, x, k_max):
+        self.assert_prints_as_lists(Expr(root, 2), x, k_max)
 
 
 class TestOneVariable:

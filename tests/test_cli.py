@@ -188,6 +188,22 @@ class TestClassifyCommand:
                                 "exact\n")
         assert cli.main(argv + ["--mode", "rational", "--kmax", "2"]) == 0
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "x*y", "--point", "1,1/0"], "coordinate 1/0"),
+        (["scan", "x*y", "--grid", "x:0:1:1;y:-1/0:1:1"],
+         "grid axis 'y' bound -1/0"),
+        (["scan", "x*y", "--grid", "x:0:1:1;y:0:1: 1/0 "],
+         "grid axis 'y' step 1/0"),
+    ], ids=["point", "bound", "step"])
+    def test_a_zero_denominator_names_its_field(self, capsys, argv,
+                                                 message, mode):
+        code = cli.main(argv + ["--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == \
+            f"arcan: error: {message} has a zero denominator\n"
+
 
 class TestScanCommand:
     ARGS = ["scan", "guard(x^3/(x^2+y^2),0)",
@@ -635,12 +651,12 @@ class TestUsageContract:
 
     def test_jobs_must_fit_the_machine(self, capsys, monkeypatch):
         # Rejected before any worker pool exists: a pool must never start.
+        # iter_scan imports the pool where it starts one.
         import os
-        from arcan import classify
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
-        monkeypatch.setattr(classify, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         too_many = str((os.cpu_count() or 1) + 1)
         for jobs in ("0", "-1", too_many):
             code = cli.main(["scan", "x^2+y^2", "--grid",
@@ -811,6 +827,24 @@ class TestModuleEntryPoint:
                               timeout=60)
         assert done.returncode == 0
         assert done.stdout.startswith("usage: arcan")
+
+    def test_the_worker_pool_module_loads_only_for_a_pool(self):
+        # concurrent.futures.process costs every process ~15 ms to import:
+        # neither the CLI's import nor a scan that starts no pool loads it
+        script = (
+            "import contextlib, io, sys\n"
+            "import arcan.cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = arcan.cli.main(['scan', 'x/y', '--grid',\n"
+            "                           'x:-1:1:1/2;y:-1:1:1/2', '--jobs', '1'])\n"
+            "print(code, out.getvalue().count('NonAnalytic'))\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=self.ENV,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        # the scan ran ladders: x/y is NonAnalytic on the line y = 0
+        assert done.stdout == "False\n0 5\nFalse\n"
 
     @pytest.mark.parametrize("argv", [
         ["classify", "x*y", "--point", "1,2"],
