@@ -48,8 +48,19 @@ part's wall time, in-process, goes to stderr.  Takes about a minute and a
 half on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
+
+With `--expect FILE` it also compares each printed line with FILE's line
+of the same name and exits 1, naming each part that differs or is
+missing.  `scripts/ladder_digest.expected` holds the current ten lines,
+so one command checks that output is byte-identical:
+
+    PYTHONPATH=src python scripts/ladder_digest.py \
+        --expect scripts/ladder_digest.expected
+
+A change that alters output on purpose updates that file with it.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -217,7 +228,20 @@ def digest(verdicts) -> str:
     return lines_digest(lines(), "verdicts")
 
 
+def read_expected(path: str) -> dict[str, str]:
+    """The `name: ...` lines of an expected-digest file, by name."""
+    with open(path, encoding="utf-8") as f:
+        return dict(line.rstrip("\n").split(": ", 1) for line in f
+                    if line.strip())
+
+
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--expect", metavar="FILE",
+                    help="exit 1 unless every printed line equals FILE's")
+    args = ap.parse_args()
+    expected = read_expected(args.expect) if args.expect else None
+    mismatches = []
     for name, run in (("float", lambda: digest(float_verdicts())),
                       ("rational", lambda: digest(rational_verdicts())),
                       ("status", lambda: lines_digest(STATUS_LINES,
@@ -233,9 +257,18 @@ def main() -> None:
                       ("sampled", lambda: lines_digest(sampled_lines(),
                                                        "checks"))):
         start = time.perf_counter()
-        print(f"{name}: {run()}", flush=True)
+        got = run()
+        print(f"{name}: {got}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,
               flush=True)
+        want = expected.pop(name, "no line") if args.expect else got
+        if want != got:
+            mismatches.append(f"{name}: printed {got}, expected {want}")
+    if expected:
+        mismatches += [f"{name}: expected, not printed" for name in expected]
+    if mismatches:
+        sys.exit("\n".join(["digests differ from " + args.expect,
+                             *mismatches]))
 
 
 if __name__ == "__main__":

@@ -260,8 +260,11 @@ class PolyTestResult:
 
     `residuals` is a tuple of exact residuals where the order was solved
     exactly, else one read-only float array, as `interp_fit` returns it;
-    `worst` is their largest, computed once.  Two results are equal where
-    their fields are, the residuals compared by value."""
+    `worst` is their largest, computed once.  `fitted` is the fit's
+    `HomoPoly` (None at a pole); a least-squares fit solves its
+    coefficients when one is first read, as printing does, so the order
+    test itself reads the residuals alone.  Two results are equal where
+    their fields are, the residuals and `fitted` compared by value."""
 
     k: int
     fitted: HomoPoly | None
@@ -475,7 +478,9 @@ def grid_axis_values(axes: Sequence[tuple], exact: bool = False) -> list[list]:
         bounds.append((lo_f, step_f, int((hi_f - lo_f) / step_f) + 1))
     total = math.prod(count for _, _, count in bounds)
     if total > MAX_GRID_POINTS:
-        raise ValueError(f"grid has {total} points, more than the "
+        # an int of more than 4300 digits has no str()
+        count = total if total < 10 ** 100 else "over 10^100"
+        raise ValueError(f"grid has {count} points, more than the "
                          f"{MAX_GRID_POINTS} allowed")
     axis_values = []
     for lo_f, step_f, count in bounds:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +31,7 @@ from .corpus import corpus_list, lookup
 from .errors import ArcanError
 from .expr import arc_check
 from .homog import dim_homog
-from .parser import parse, parse_arc
+from .parser import MAX_EXPONENT, above_max_exponent, parse, parse_arc
 from .seeds import derive_seed, sample_scalar
 from .verify import IDENTITIES, run_identity, verify_corpus
 
@@ -100,6 +101,10 @@ def _csv_cell(obj) -> str:
 
 # --- options ------------------------------------------------------------------
 
+# The decimal exponent at the end of a number as `Fraction` reads it.
+_EXPONENT = re.compile(r"e[-+]?(\d[\d_]*)\Z", re.IGNORECASE)
+
+
 def _bounded(flag: str, value: int, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
         raise ArcanError(f"{flag} must be between {lo} and {hi}")
@@ -147,17 +152,30 @@ def _check_ladder(k_max: int, nvars: int) -> None:
 
 
 def _parse_number(text: str, exact: bool, what: str = "coordinate"):
+    """A number as `Fraction` reads it, refused (naming `what`) where it
+    is not one, its denominator is zero, its decimal exponent is beyond
+    ±MAX_EXPONENT (`Fraction` would build 10**exponent first), or, in
+    float mode, it is beyond the float range."""
+    text = text.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent and above_max_exponent(exponent.group(1).replace("_", "")):
+        raise ArcanError(f"{what} {text} has a decimal exponent beyond "
+                         f"±{MAX_EXPONENT}")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(text)
     except ZeroDivisionError:
-        raise ArcanError(f"{what} {text.strip()} has a zero "
-                         "denominator") from None
+        raise ArcanError(f"{what} {text} has a zero denominator") from None
+    except ValueError as exc:  # not a number, or beyond int()'s digit limit
+        detail = "" if str(exc).startswith("Invalid literal") \
+            else f" ({exc})"
+        raise ArcanError(f"{what} {text!r} is not a number{detail}") \
+            from None
     if exact:
         return value
     try:
         return float(value)
     except OverflowError:
-        raise ArcanError(f"{what} {text.strip()} is beyond the float range; "
+        raise ArcanError(f"{what} {text} is beyond the float range; "
                          "--mode rational keeps it exact") from None
 
 
@@ -187,11 +205,11 @@ def _parse_grid(text: str, nvars: int, exact: bool) -> list[tuple]:
         if idx in axes:
             raise ArcanError(f"grid axis {names[idx]!r} given twice")
         names[idx] = fields[0].strip()
+        what = f"grid axis {names[idx]!r}"
         for bound in fields[1:3]:
-            _parse_number(bound, exact, f"grid axis {names[idx]!r} bound")
+            _parse_number(bound, exact, f"{what} bound")
         axes[idx] = (*(Fraction(f.strip()) for f in fields[1:3]),
-                     _parse_number(fields[3], True,
-                                   f"grid axis {names[idx]!r} step"))
+                     _parse_number(fields[3], True, f"{what} step"))
     if sorted(axes) != list(range(nvars)):
         raise ArcanError(
             f"grid must specify every variable of the expression (need {nvars})")

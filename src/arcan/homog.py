@@ -92,9 +92,13 @@ def gather_matrix(powers: np.ndarray, n: int, k: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomoPoly:
-    """Degree-k homogeneous polynomial on the graded-lex monomial basis."""
+    """Degree-k homogeneous polynomial on the graded-lex monomial basis.
+
+    Two are equal where their variables, degree and coefficients are,
+    whichever way the coefficients came (`interp_fit`'s least-squares
+    form solves them when first read)."""
 
     nvars: int
     degree: int
@@ -105,6 +109,15 @@ class HomoPoly:
         if len(self.coeffs) != expected:
             raise ValueError(f"need {expected} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HomoPoly):
+            return NotImplemented
+        return (self.nvars, self.degree, self.coeffs) \
+            == (other.nvars, other.degree, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.degree, self.coeffs))
 
     @cached_property
     def _integer_form(self) -> tuple | None:
@@ -169,6 +182,28 @@ class HomoPoly:
     def to_json(self) -> dict:
         return {"nvars": self.nvars, "degree": self.degree,
                 "coeffs": list(self.coeffs)}
+
+
+class _LeastSquaresForm(HomoPoly):
+    """The least-squares form R⁻¹(Qᵀh) of order k, kept as its projection
+    Qᵀh and solved, under its own `np.errstate`, when a coefficient is
+    first read; it pickles and copies as the `HomoPoly` of its
+    coefficients."""
+
+    def __init__(self, nvars: int, degree: int, r_inv: np.ndarray,
+                 projection: np.ndarray):
+        self.__dict__.update(nvars=nvars, degree=degree,
+                             _solve=(r_inv, projection))
+
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        r_inv, projection = self.__dict__.pop("_solve")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # + 0.0 turns the -0.0 of an all-zero h into 0.0
+            return tuple((r_inv @ projection + 0.0).tolist())
+
+    def __reduce__(self):
+        return HomoPoly, (self.nvars, self.degree, self.coeffs)
 
 
 def random_poly(n: int, k: int, rng: random.Random, exact: bool = True) -> HomoPoly:
@@ -361,12 +396,14 @@ def interp_fit(values: Sequence[Scalar] | np.ndarray, n: int, k: int,
     alike), and q leaves |h - q(u)| on the other rows, a list of integer
     dot products over q's common denominator.  Other values take least
     squares on 2·d(n, k) unit rows, an integer row's h_k divided by |u|^k:
-    q = R⁻¹Qᵀh, and the residuals |h - Q Qᵀ h| travel as one read-only
-    float array.  Float values given as a float array are fitted without
-    a copy.  A value or residual beyond the float range leaves a residual
-    that is not finite; the caller decides what that means (the ladder's
-    order test raises FloatOverflow), and enters `np.errstate` to keep
-    numpy from warning about it.
+    the residuals |h - Q Qᵀ h| travel as one read-only float array, and
+    q = R⁻¹Qᵀh keeps Qᵀh and is solved when a coefficient is first read
+    (the order test reads the residuals alone), or at once where the
+    design did not keep order k's factors.  Float values given as a float
+    array are fitted without a copy.  A value or residual beyond the float
+    range leaves a residual that is not finite; the caller decides what
+    that means (the ladder's order test raises FloatOverflow), and enters
+    `np.errstate` to keep numpy from warning about it.
     """
     design = canonical_design(n)
     if exact and all(isinstance(h, (int, Fraction)) for h in values):
@@ -395,8 +432,9 @@ def interp_fit(values: Sequence[Scalar] | np.ndarray, n: int, k: int,
     projection = q.T @ h
     residuals = np.abs(h - q @ projection)
     residuals.flags.writeable = False
-    # + 0.0 turns the -0.0 of an all-zero h into 0.0
-    fitted = HomoPoly(n, k, tuple((r_inv @ projection + 0.0).tolist()))
+    fitted = _LeastSquaresForm(n, k, r_inv, projection)
+    if k not in design._factors:  # a form keeps only the design's own R⁻¹
+        fitted = HomoPoly(n, k, fitted.coeffs)
     return fitted, residuals, 1.0 + float(np.abs(h).max())
 
 

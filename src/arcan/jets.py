@@ -149,7 +149,12 @@ class RationalJet(_Batch):
         if lead == len(nums):
             return RationalJet.zero(nums.shape[1], order)
         nums = nums[lead:]
-        g = np.gcd(np.gcd.reduce(nums, axis=0), den)
+        # The lead row's gcd with den divides each lane's full one: where
+        # it is 1 in every lane, the jet is already in lowest terms.
+        g = np.gcd(nums[0], den)
+        if (g == 1).all():
+            return RationalJet(valuation + lead, nums, den, order)
+        g = np.gcd(np.gcd.reduce(nums[1:], axis=0), g)
         if (g != 1).any():
             nums = nums // g
             den = den // g

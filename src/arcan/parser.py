@@ -40,6 +40,14 @@ MAX_EXPONENT = 10_000
 _DIGITS = frozenset("0123456789")
 
 
+def above_max_exponent(digits: str) -> bool:
+    """Whether an exponent's decimal digits exceed MAX_EXPONENT, decided
+    by their count before a long string is converted."""
+    digits = digits.lstrip("0")
+    return len(digits) > len(str(MAX_EXPONENT)) \
+        or int(digits or 0) > MAX_EXPONENT
+
+
 class _Token:
     __slots__ = ("kind", "text", "pos")
 
@@ -153,8 +161,7 @@ class _Parser:
         if tok.kind != "number" or "." in tok.text:
             raise ExprSyntaxError("exponent must be a non-negative integer", caret.pos)
         self.next()
-        if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) \
-                or int(tok.text) > MAX_EXPONENT:
+        if above_max_exponent(tok.text):
             raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", tok.pos)
         exponent = int(tok.text)
         if power * exponent > MAX_EXPONENT:

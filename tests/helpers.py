@@ -18,7 +18,9 @@ the reference for exact lanes.  `qr_residuals` is the
 float order test as it was before the canonical design: a QR of the
 evaluation matrix at the very directions the jets were taken along.
 `list_order_result` is the float order test as it ran before its values
-and residuals travelled as one array: lists of Python floats.
+and residuals travelled as one array: lists of Python floats, every fit
+solved.  `eager_least_squares_fit` is `interp_fit`'s least-squares fit
+as it ran before its coefficients were solved only when read.
 `seeded_exact_fit` is the exact fit as it was before the canonical integer
 blocks: a solve on the permuted rows themselves.  `signed_permutation` is
 the signed permutation M a ladder seed picked before ladders read the
@@ -983,6 +985,16 @@ def qr_residuals(directions: Sequence[Sequence[float]], values: Sequence[float],
     return np.abs(h - q @ (q.T @ h))
 
 
+def eager_least_squares_fit(values: Sequence[Scalar], n: int, k: int):
+    """The form R⁻¹Qᵀh solved at once, its residuals |h - Q Qᵀ h| and the
+    scale 1 + max |h|, on the canonical unit rows' factors."""
+    q, r_inv = canonical_design(n).factors(k)
+    h = np.asarray(values, dtype=float)
+    projection = q.T @ h
+    fitted = HomoPoly(n, k, tuple((r_inv @ projection + 0.0).tolist()))
+    return fitted, np.abs(h - q @ projection), 1.0 + float(np.abs(h).max())
+
+
 def list_order_result(jets, shortage: str, k: int, tol: float,
                       point_value: Scalar | None):
     """`classify._order_result` of a float ladder as it ran before float
@@ -1010,19 +1022,13 @@ def list_order_result(jets, shortage: str, k: int, tol: float,
         bad = next(i for i in range(count) if jets.has_pole(i))
         return PolyTestResult(k, None, (), 1.0, tol,
                               tuple(jets.directions[bad].tolist()))
-    q, r_inv = canonical_design(n).factors(k)
-    h = np.array(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        projection = q.T @ h
-        residuals = np.abs(h - q @ projection)
-        coeffs = r_inv @ projection
+        fitted, residuals, scale = eager_least_squares_fit(values, n, k)
     if not np.isfinite(residuals).all():
         raise FloatOverflow(
             f"order {k}: h_{k} or its residuals overflow the float "
             "range; --mode rational evaluates rational inputs exactly")
-    fitted = HomoPoly(n, k, tuple((coeffs + 0.0).tolist()))
     residuals = residuals.tolist()
-    scale = 1.0 + float(np.abs(h).max())
     if k == 0 and point_value is not None:
         residuals.append(abs(fitted.coeffs[0] - point_value))
     exact = all(isinstance(r, (int, Fraction)) for r in residuals)

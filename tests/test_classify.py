@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcan import classify, homog
 from arcan.classify import ANALYTIC_UP_TO, DEFAULT_TOL, INCONCLUSIVE, \
-    NON_ANALYTIC, _ladder, arc_symmetry_check, \
+    NON_ANALYTIC, Verdict, _ladder, arc_symmetry_check, \
     classify_point, default_order, design, flagged_points, gateaux_coeff, \
     grid_points, loja_estimate, regular_points, scan_region, \
     verdict_to_json
@@ -647,25 +648,53 @@ class TestJetWindow:
             == emit_json(verdict_to_json(expected))
 
 
-def _printed(e, x, k_max):
-    """A float verdict as the CLI prints it, or the error it raised."""
+def _verdict(e, x, k_max):
+    """A float verdict, or the error it raised."""
     try:
-        return emit_json(verdict_to_json(classify_point(e, x, k_max)))
+        return classify_point(e, x, k_max)
     except Exception as exc:  # compared, not hidden
         return type(exc), str(exc)
 
 
+def _printed(v) -> str | tuple:
+    """`_verdict`'s verdict as the CLI prints it, or its error."""
+    return emit_json(verdict_to_json(v)) if isinstance(v, Verdict) else v
+
+
+def _solved(v: Verdict) -> list[bool]:
+    """Per order, whether its fit's coefficients have been solved."""
+    return ["coeffs" in vars(ev.fitted) for ev in v.evidence
+            if ev.fitted is not None]
+
+
 class TestResidualArrays:
-    """A float order's h_k and residuals travel as one array; the verdict
-    prints as the list-based order test's (`list_order_result`)."""
+    """A float order's h_k and residuals travel as one array, and its fit
+    is solved only where read.  The verdict equals, evidence and fitted
+    forms compared by value, and prints as the list-based order test's
+    (`list_order_result`), which solves every fit at once."""
 
     @staticmethod
     def assert_prints_as_lists(e, x, k_max):
-        arrays = _printed(e, x, k_max)
+        arrays = _verdict(e, x, k_max)
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(classify, "_order_result", list_order_result)
-            assert _printed(e, x, k_max) == arrays
+            lists = _verdict(e, x, k_max)
+        assert arrays == lists
+        assert _printed(arrays) == _printed(lists)
         return classify_point(e, x, k_max)
+
+    def test_the_ladder_solves_only_the_fit_it_reads(self, monkeypatch):
+        # order 0 reads its fit's value at the point; no other order reads
+        # its fit until the verdict is printed.  Fresh designs: a form is
+        # lazy only on factors the design keeps.
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        v = classify_point(lookup("E6").expr(), (0.25, 1.0, 0.25), 10)
+        assert _solved(v) == [True] + [False] * 10
+        printed = emit_json(verdict_to_json(v))
+        assert _solved(v) == [True] * 11
+        assert emit_json(verdict_to_json(v)) == printed
+        assert all(type(ev.fitted) is HomoPoly
+                   for ev in pickle.loads(pickle.dumps(v)).evidence)
 
     def test_order_zero_carries_the_point_value(self):
         v = self.assert_prints_as_lists(lookup("E6").expr(),

@@ -204,6 +204,57 @@ class TestClassifyCommand:
         assert captured.err == \
             f"arcan: error: {message} has a zero denominator\n"
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "x", "--point", "1e999999999999"],
+         "coordinate 1e999999999999"),
+        (["scan", "x*y", "--grid", "x:0:1:1;y:-1E-99999999999:1:1"],
+         "grid axis 'y' bound -1E-99999999999"),
+        (["scan", "x*y", "--grid", "x:0:1:1;y:0:1: 1e+1_000_000_000 "],
+         "grid axis 'y' step 1e+1_000_000_000"),
+    ], ids=["point", "bound", "step"])
+    def test_a_huge_exponent_names_its_field(self, argv, message, mode):
+        # Fraction would build 10**exponent first: a process, so that a
+        # regression fails on the timeout instead of hanging the suite
+        done = subprocess.run(
+            [sys.executable, "-m", "arcan", *argv, "--mode", mode],
+            env=TestModuleEntryPoint.ENV, capture_output=True, text=True,
+            timeout=30)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (f"arcan: error: {message} has a decimal "
+                               "exponent beyond ±10000\n")
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e10000", Fraction(10) ** 10000),
+        ("-2.5E-0_10000", Fraction(-5, 2 * 10 ** 10000)),
+        ("3e+00000000000000000010000", 3 * Fraction(10) ** 10000)])
+    def test_an_exponent_up_to_the_bound_is_read(self, text, value):
+        assert cli._parse_number(text, True) == value
+        with pytest.raises(cli.ArcanError, match="beyond ±10000"):
+            cli._parse_number(text.replace("10000", "10001"), True)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "x*y", "--point", "1,abc"], "coordinate 'abc'"),
+        (["classify", "x*y", "--point", "1,"], "coordinate ''"),
+        (["scan", "x*y", "--grid", "x:0:1:1;y:0:1x:1"],
+         "grid axis 'y' bound '1x'"),
+        (["scan", "x", "--grid", "x:0:1:zz"], "grid axis 'x' step 'zz'"),
+    ], ids=["point", "empty", "bound", "step"])
+    def test_a_non_number_names_its_field(self, capsys, argv, message, mode):
+        code = cli.main(argv + ["--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"arcan: error: {message} is not a number\n"
+
+    def test_more_digits_than_int_reads_names_its_field(self, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        code = cli.main(["classify", "x", "--point", digits])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"arcan: error: coordinate '{digits}' is not "
+                              "a number (Exceeds the limit")
+
 
 class TestScanCommand:
     ARGS = ["scan", "guard(x^3/(x^2+y^2),0)",
@@ -688,14 +739,21 @@ class TestUsageContract:
         assert captured.err.startswith("arcan: error: nested exponents")
         assert elapsed < 1.0
 
-    def test_grid_above_the_cap_is_refused_before_it_is_built(self, capsys):
+    @pytest.mark.parametrize("grid, count", [
+        ("x:0:1:1e-7", "10000001"),
+        ("x:0:1:1e-10000", "over 10^100"),  # 10001 digits
+    ])
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_grid_above_the_cap_is_refused_before_it_is_built(
+            self, capsys, grid, count, mode):
         t0 = time.perf_counter()
-        code = cli.main(["scan", "x", "--grid", "x:0:1:1e-7"])
+        code = cli.main(["scan", "x", "--grid", grid, "--mode", mode])
         elapsed = time.perf_counter() - t0
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("arcan: error: grid has 10000001 points")
+        assert captured.err.startswith(f"arcan: error: grid has {count} "
+                                       "points, more than the")
         assert elapsed < 1.0
 
     def test_env_seed_fallback(self, capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Homogeneous polynomial space, interpolation, and the two identities."""
 
 import math
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from arcan import classify, homog
+from arcan import classify, homog, verify
 from arcan.errors import GenericityFailure, PremiseViolated
 from arcan.homog import HomoPoly, LatticeDesign, _powers, canonical_design, \
     condition_estimate, dim_homog, euler_check, evaluation_matrix, \
@@ -16,9 +18,9 @@ from arcan.homog import HomoPoly, LatticeDesign, _powers, canonical_design, \
 from arcan.parser import parse
 from arcan.verify import check_interp_roundtrip
 
-from helpers import fraction_sum_derivative, fraction_sum_value, \
-    permuted, permuted_form, permuted_rows, seeded_exact_fit, \
-    signed_permutation, signed_permutations, solve_rational
+from helpers import eager_least_squares_fit, fraction_sum_derivative, \
+    fraction_sum_value, permuted, permuted_form, permuted_rows, \
+    seeded_exact_fit, signed_permutation, signed_permutations, solve_rational
 
 F = Fraction
 
@@ -342,6 +344,71 @@ class TestInterpFit:
                 [p(v) for v in permuted_rows(flip, dim_homog(n, k))], n, k,
                 exact=True)
             assert fitted.coeffs == permuted_form(p, flip).coeffs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_least_squares_form_is_solved_when_read(self, n, monkeypatch):
+        # the residuals come at once; the coefficients, read later, are
+        # the eager solve's bit for bit.  Fresh designs:
+        # a form is lazy only on factors the design keeps.
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        rng = np.random.default_rng(n)
+        for k in range(7):
+            rows = 2 * dim_homog(n, k)
+            for h in (rng.standard_normal(rows), np.zeros(rows),
+                      -np.zeros(rows), rng.standard_normal(rows) * 1e300):
+                fitted, residuals, scale = interp_fit(h, n, k)
+                want, want_residuals, want_scale = \
+                    eager_least_squares_fit(h, n, k)
+                assert "coeffs" not in vars(fitted)
+                assert (residuals.tobytes(), scale) \
+                    == (want_residuals.tobytes(), want_scale)
+                assert isinstance(fitted, HomoPoly)
+                assert (fitted.nvars, fitted.degree) == (n, k)
+                assert fitted == want and hash(fitted) == hash(want)
+                assert np.array(fitted.coeffs).tobytes() \
+                    == np.array(want.coeffs).tobytes()
+                assert fitted.to_json() == want.to_json()
+
+    def test_a_least_squares_form_pickles_as_its_coefficients(self):
+        h = np.random.default_rng(0).standard_normal(2 * dim_homog(3, 4))
+        for copy in (pickle.loads(pickle.dumps(interp_fit(h, 3, 4)[0])),
+                     deepcopy(interp_fit(h, 3, 4)[0])):
+            assert type(copy) is HomoPoly
+            assert copy == eager_least_squares_fit(h, 3, 4)[0]
+
+    def test_factors_the_design_does_not_keep_are_solved_at_once(
+            self, monkeypatch):
+        # a form would keep its own R⁻¹ alive: beyond MAX_DESIGN_BYTES the
+        # fit is a plain HomoPoly
+        monkeypatch.setattr(homog, "_DESIGNS", {})
+        monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", 0)
+        h = np.random.default_rng(1).standard_normal(2 * dim_homog(2, 5))
+        fitted, residuals, _ = interp_fit(h, 2, 5)
+        assert canonical_design(2)._factors == {}
+        assert type(fitted) is HomoPoly
+        want, want_residuals, _ = eager_least_squares_fit(h, 2, 5)
+        assert np.array(fitted.coeffs).tobytes() \
+            == np.array(want.coeffs).tobytes()
+        assert residuals.tobytes() == want_residuals.tobytes()
+
+    def test_float_roundtrip_reads_the_eager_coefficients(self, monkeypatch):
+        # `verify interp-roundtrip --mode float` compares the coefficients
+        # it reads from each lazy form with the drawn ones: they are the
+        # eager solve's, so its report is too
+        forms = []
+
+        def recording(values, n, k, exact=False):
+            fitted, residuals, scale = interp_fit(values, n, k, exact)
+            forms.append((fitted, eager_least_squares_fit(values, n, k)[0]))
+            return fitted, residuals, scale
+
+        monkeypatch.setattr(verify, "interp_fit", recording)
+        report = check_interp_roundtrip(200, seed=1, exact=False)
+        assert report.passed and len(forms) == 200
+        for fitted, want in forms:
+            assert "coeffs" in vars(fitted)
+            assert np.array(fitted.coeffs).tobytes() \
+                == np.array(want.coeffs).tobytes()
 
     def test_roundtrip_float(self):
         # float values take the ladder's least-squares fit on 2·d unit rows

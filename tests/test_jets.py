@@ -331,6 +331,24 @@ class TestRationalJet:
         assert fields(lanes * lanes) == (0, [[4, 3], [16, -10]], [9, 12])
         assert fields(lanes - lanes) == (2, [], [1, 1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda lanes: st.tuples(
+        st.lists(st.integers(-12, 12).filter(bool), min_size=lanes,
+                 max_size=lanes),
+        st.lists(st.lists(st.integers(-12, 12), min_size=lanes,
+                          max_size=lanes), max_size=3),
+        st.lists(st.integers(1, 36), min_size=lanes, max_size=lanes))))
+    def test_reduction_divides_by_each_lanes_full_gcd(self, fields):
+        # the lead row's gcd with den decides first; the normal form is
+        # the one the gcd of den and every row gives
+        lead, rest, den = fields
+        nums = np.array([lead, *rest], dtype=object)
+        den = np.array(den, dtype=object)
+        g = np.gcd(np.gcd.reduce(nums, axis=0), den)
+        jet = RationalJet._reduced(1, nums, den, 4)
+        assert (jet.valuation, jet.nums.tolist(), jet.den.tolist()) \
+            == (1, (nums // g).tolist(), (den // g).tolist())
+
     def test_taylor_coeff_is_always_a_fraction(self):
         jet = exact(2, [F(3), 0], 3)
         values = [jet.taylor_coeff(k) for k in range(4)]
