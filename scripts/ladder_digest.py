@@ -49,21 +49,17 @@ half on a 2-core x86_64 machine:
 
     PYTHONPATH=src python scripts/ladder_digest.py
 
-With `--expect FILE` it also compares each printed line with FILE's line
-of the same name and exits 1, naming each part that differs or is
-missing.  `scripts/ladder_digest.expected` holds the current ten lines,
-so one command checks that output is byte-identical:
-
-    PYTHONPATH=src python scripts/ladder_digest.py \
-        --expect scripts/ladder_digest.expected
-
-A change that alters output on purpose updates that file with it.
+It then compares each printed line with the line of the same name in
+`ladder_digest.expected`, next to this script, and exits 1, naming each
+part that differs or is missing; so exit 0 means the output is
+byte-identical to what that file records.  A change that alters output
+on purpose updates that file with it.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import time
 from fractions import Fraction
@@ -90,6 +86,8 @@ VERIFY_RUNS = tuple((identity, mode)
                     for mode in ("float", "rational")) + (("alibaba", "float"),)
 VERIFY_TRIALS = 200
 VERIFY_SEEDS = (0, 1, 2)
+EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "ladder_digest.expected")
 
 
 def float_verdicts():
@@ -228,19 +226,15 @@ def digest(verdicts) -> str:
     return lines_digest(lines(), "verdicts")
 
 
-def read_expected(path: str) -> dict[str, str]:
-    """The `name: ...` lines of an expected-digest file, by name."""
-    with open(path, encoding="utf-8") as f:
+def read_expected() -> dict[str, str]:
+    """The `name: ...` lines of EXPECTED, by name."""
+    with open(EXPECTED, encoding="utf-8") as f:
         return dict(line.rstrip("\n").split(": ", 1) for line in f
                     if line.strip())
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--expect", metavar="FILE",
-                    help="exit 1 unless every printed line equals FILE's")
-    args = ap.parse_args()
-    expected = read_expected(args.expect) if args.expect else None
+    expected = read_expected()
     mismatches = []
     for name, run in (("float", lambda: digest(float_verdicts())),
                       ("rational", lambda: digest(rational_verdicts())),
@@ -261,13 +255,13 @@ def main() -> None:
         print(f"{name}: {got}", flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr,
               flush=True)
-        want = expected.pop(name, "no line") if args.expect else got
+        want = expected.pop(name, "no line")
         if want != got:
             mismatches.append(f"{name}: printed {got}, expected {want}")
     if expected:
         mismatches += [f"{name}: expected, not printed" for name in expected]
     if mismatches:
-        sys.exit("\n".join(["digests differ from " + args.expect,
+        sys.exit("\n".join(["digests differ from " + EXPECTED,
                              *mismatches]))
 
 

@@ -306,6 +306,11 @@ class LatticeDesign:
             self._factors[k] = factors
         return factors
 
+    def keeps_factors(self, k: int) -> bool:
+        """Whether `factors(k)` is kept, so every call returns the same
+        arrays."""
+        return k in self._factors
+
     def block(self, k: int) -> np.ndarray:
         """Order k's evaluation matrix at its 2·d(n, k) integer rows, as
         Python ints, kept (counted at the ints' own size) while everything
@@ -433,7 +438,9 @@ def interp_fit(values: Sequence[Scalar] | np.ndarray, n: int, k: int,
     residuals = np.abs(h - q @ projection)
     residuals.flags.writeable = False
     fitted = _LeastSquaresForm(n, k, r_inv, projection)
-    if k not in design._factors:  # a form keeps only the design's own R⁻¹
+    if not design.keeps_factors(k):
+        # Factors beyond the budget are built per call: a form would hold
+        # an R⁻¹ of its own (5.9 MB at n = 3, k = 40) while its verdict lives.
         fitted = HomoPoly(n, k, fitted.coeffs)
     return fitted, residuals, 1.0 + float(np.abs(h).max())
 

@@ -384,7 +384,7 @@ class TestInterpFit:
         monkeypatch.setattr(homog, "MAX_DESIGN_BYTES", 0)
         h = np.random.default_rng(1).standard_normal(2 * dim_homog(2, 5))
         fitted, residuals, _ = interp_fit(h, 2, 5)
-        assert canonical_design(2)._factors == {}
+        assert not canonical_design(2).keeps_factors(5)
         assert type(fitted) is HomoPoly
         want, want_residuals, _ = eager_least_squares_fit(h, 2, 5)
         assert np.array(fitted.coeffs).tobytes() \
